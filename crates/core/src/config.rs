@@ -1,6 +1,6 @@
 //! Protocol configuration.
 
-use netsim::NodeId;
+use netsim::{NodeId, MAX_CLUSTERS};
 use storage::ReplicationPolicy;
 
 /// What inter-cluster application messages piggyback for dependency
@@ -64,6 +64,11 @@ impl ProtocolConfig {
         assert!(
             !cluster_sizes.is_empty(),
             "a federation needs at least one cluster"
+        );
+        assert!(
+            cluster_sizes.len() <= MAX_CLUSTERS,
+            "a federation has at most {MAX_CLUSTERS} clusters, got {}",
+            cluster_sizes.len()
         );
         assert!(
             cluster_sizes.iter().all(|&n| n > 0),
@@ -146,6 +151,12 @@ mod tests {
     #[should_panic(expected = "at least one cluster")]
     fn rejects_empty_federation() {
         ProtocolConfig::new(vec![]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 clusters")]
+    fn rejects_overwide_federation() {
+        ProtocolConfig::new(vec![1; MAX_CLUSTERS + 1]);
     }
 
     #[test]

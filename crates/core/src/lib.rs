@@ -51,6 +51,7 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod config;
+mod epoch;
 pub mod gc;
 pub mod io;
 pub mod msg;

@@ -17,6 +17,7 @@
 
 use crate::checkpoint::{DeliveredRecord, NodeCheckpoint};
 use crate::config::{PiggybackMode, ProtocolConfig};
+use crate::epoch::EpochFloors;
 use crate::gc;
 use crate::io::{Input, Output, OutputBuf};
 use crate::msg::{AppPayload, ClcReason, Msg, Piggyback};
@@ -104,8 +105,9 @@ struct ColdState {
     store: ClcStore<NodeCheckpoint>,
     coord: CoordState,
     gc: Option<GcState>,
-    /// Highest alert epoch processed per origin cluster (alert dedup).
-    alert_seen: Vec<u64>,
+    /// Highest alert epoch processed per origin cluster (alert dedup);
+    /// sparse, like the engine's ghost floors.
+    alert_seen: EpochFloors,
     /// Count of intra-cluster messages observed crossing a checkpoint
     /// boundary outside a freeze window (consistency monitor).
     late_crossings: u64,
@@ -119,6 +121,12 @@ struct ColdState {
 /// the control plane alone touches sits behind the cold-state box, and
 /// the freeze window state — a whole staged [`NodeCheckpoint`] — is boxed
 /// because it exists only between a `ClcRequest` and its commit.
+///
+/// Footprint: no field, hot or cold, is sized by the federation's width.
+/// The only `O(clusters)` data an engine references — the config and the
+/// DDV stamps — is `Arc`-shared, and the per-origin epoch floors are
+/// sparse, so a host's arena costs `nodes x constant`, not
+/// `nodes x clusters` (`tests/engine_footprint.rs` holds it there).
 #[derive(Debug)]
 pub struct NodeEngine {
     /// Static federation configuration, `Arc`-shared by every engine of a
@@ -154,7 +162,8 @@ pub struct NodeEngine {
     failed: bool,
     /// Ghost floor per origin cluster: inter-cluster messages stamped with
     /// an epoch below this are in-flight sends of a dead incarnation.
-    min_epoch: Vec<u64>,
+    /// Sparse: only origins that ever rolled back hold an entry.
+    min_epoch: EpochFloors,
     /// Application-material activity (delivery, send, commit) since the
     /// last restore; a re-restore of the latest CLC with no activity is a
     /// no-op and must not re-alert (terminates echo cascades).
@@ -224,7 +233,7 @@ impl NodeEngine {
             pending_inter: vec![],
             frozen: None,
             failed: false,
-            min_epoch: vec![0; n],
+            min_epoch: EpochFloors::new(n),
             dirty: false,
             cold: Box::new(ColdState {
                 coordinator_rank: 0,
@@ -232,7 +241,7 @@ impl NodeEngine {
                 store,
                 coord: CoordState::default(),
                 gc: None,
-                alert_seen: vec![0; n],
+                alert_seen: EpochFloors::new(n),
                 late_crossings: 0,
                 app_state: None,
             }),
@@ -475,11 +484,12 @@ impl NodeEngine {
                 // the known floor was sent by an incarnation whose
                 // execution has been rolled back — it must not exist.
                 let origin = from.cluster.index();
-                if sender_epoch < self.min_epoch[origin] {
+                let floor = self.min_epoch.get(origin);
+                if sender_epoch < floor {
                     return;
                 }
-                if sender_epoch > self.min_epoch[origin] {
-                    self.min_epoch[origin] = sender_epoch;
+                if sender_epoch > floor {
+                    self.min_epoch.raise(origin, sender_epoch);
                 }
                 if let Some(f) = self.frozen.as_mut() {
                     f.deferred.push((
@@ -527,7 +537,7 @@ impl NodeEngine {
                 sn,
                 origin_epoch,
             } => {
-                self.min_epoch[origin] = self.min_epoch[origin].max(origin_epoch);
+                self.min_epoch.raise(origin, origin_epoch);
                 self.resend_logged(origin, sn, out);
             }
 
@@ -1080,11 +1090,11 @@ impl NodeEngine {
         debug_assert_ne!(origin, self.my_cluster(), "alert from own cluster");
         // Each restore of `origin` produces exactly one alert with a fresh
         // epoch: process each at most once.
-        if origin_epoch <= self.cold.alert_seen[origin] {
+        if origin_epoch <= self.cold.alert_seen.get(origin) {
             return;
         }
-        self.cold.alert_seen[origin] = origin_epoch;
-        self.min_epoch[origin] = self.min_epoch[origin].max(origin_epoch);
+        self.cold.alert_seen.raise(origin, origin_epoch);
+        self.min_epoch.raise(origin, origin_epoch);
 
         let target = self
             .cold
@@ -1232,7 +1242,7 @@ mod layout_tests {
 
     /// The simulator arena stores engines inline, so the inline size is
     /// what 100k-node sweeps keep cache-resident. The hot/cold split holds
-    /// it to four cache lines (224 bytes at the time of writing, down from
+    /// it to four cache lines (232 bytes at the time of writing, down from
     /// ~650 with `ColdState` and `FrozenState` inline). If this fires, the
     /// new field probably belongs in `ColdState` — or boxed, like the
     /// freeze window state.

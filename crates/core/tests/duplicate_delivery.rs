@@ -385,3 +385,69 @@ fn retransmission_after_clc_is_reacked_with_original_sn() {
         "re-ack with the first-delivery SN missing: {outs:?}"
     );
 }
+
+/// The per-origin epoch floors are sparse; the last cluster of a wide
+/// federation must behave exactly as the first. A duplicated
+/// `RollbackAlert` from origin `width - 1` is processed once, and after it
+/// a copy sent by that origin's dead incarnation (a ghost) is dropped
+/// while the new incarnation — and every other origin — still gets
+/// through.
+#[test]
+fn duplicate_alert_and_ghost_from_the_last_of_300_clusters() {
+    const WIDTH: usize = 300;
+    let mut engine = NodeEngine::new(ProtocolConfig::new(vec![2; WIDTH]), NodeId::new(0, 0));
+    let mut out = OutputBuf::new();
+    let last = NodeId::new((WIDTH - 1) as u16, 0);
+    let app_inter = |from: NodeId, tag: u64, sender_epoch: u64| {
+        receive(
+            from,
+            Msg::AppInter {
+                payload: AppPayload { bytes: 64, tag },
+                piggyback: Piggyback::Sn(SeqNum(0)),
+                log_id: LogId(tag),
+                resend: false,
+                sender_epoch,
+            },
+        )
+    };
+    let mut handle = |input: Input| -> Vec<Output> {
+        engine.handle(desim::SimTime::ZERO, input, &mut out);
+        out.drain().collect()
+    };
+    let delivered = |outs: &[Output]| outs.iter().any(|o| matches!(o, Output::DeliverApp { .. }));
+    let alert = || {
+        receive(
+            last,
+            Msg::RollbackAlert {
+                origin: WIDTH - 1,
+                sn: SeqNum(5),
+                origin_epoch: 1,
+            },
+        )
+    };
+
+    assert!(delivered(&handle(app_inter(last, 1, 0))));
+
+    // First copy: relayed to the rest of the cluster. Second copy: nothing.
+    let outs = handle(alert());
+    assert!(
+        outs.iter().any(|o| matches!(
+            o,
+            Output::Send {
+                msg: Msg::AlertLocal { origin, .. },
+                ..
+            } if *origin == WIDTH - 1
+        )),
+        "first alert not relayed: {outs:?}"
+    );
+    let outs = handle(alert());
+    assert!(outs.is_empty(), "duplicate alert processed twice: {outs:?}");
+
+    // Ghost of the rolled-back incarnation: neither delivered nor acked.
+    let outs = handle(app_inter(last, 2, 0));
+    assert!(outs.is_empty(), "ghost message had an effect: {outs:?}");
+    // The new incarnation and an untouched neighbour origin get through.
+    assert!(delivered(&handle(app_inter(last, 3, 1))));
+    let neighbour = NodeId::new((WIDTH - 2) as u16, 1);
+    assert!(delivered(&handle(app_inter(neighbour, 4, 0))));
+}

@@ -1,0 +1,138 @@
+//! Footprint gate: what a `NodeEngine` owns does not grow with the
+//! federation's width.
+//!
+//! The paper tracks dependencies per *cluster*, and a host builds one
+//! engine per *node*: any engine field of federation width makes the arena
+//! `nodes x clusters` — quadratic in federation size (two such vectors
+//! were 400 MiB of a 512 x 100 run). The `O(clusters)` data an engine does
+//! reference (config, DDV stamps) is `Arc`-shared, so with a shared
+//! initial DDV the bytes an engine allocates must be the same in a
+//! federation of 2 clusters and of 4096 — measured here with the test
+//! binary's own counting allocator.
+
+use desim::SimTime;
+use hc3i_core::{Ddv, Input, Msg, NodeEngine, OutputBuf, ProtocolConfig, SeqNum};
+use netsim::NodeId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+thread_local! {
+    /// Bytes requested by this thread (tests run on parallel threads).
+    /// Const-initialised and without a destructor, so reading it from
+    /// inside the allocator never allocates.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note(size: usize) {
+    BYTES.with(|b| b.set(b.get() + size as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter never touches the
+// returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s result and the bytes this thread requested while it ran.
+fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = BYTES.with(Cell::get);
+    let value = f();
+    (value, BYTES.with(Cell::get) - before)
+}
+
+const WIDTHS: [usize; 2] = [2, 4096];
+const NODES_PER_CLUSTER: u32 = 4;
+
+/// Engine `rank` of cluster 0 in a `width`-cluster federation, built the
+/// way an arena host builds it (shared config, shared initial DDV), and
+/// the bytes its construction allocated.
+fn build(width: usize, rank: u32) -> (NodeEngine, u64) {
+    let cfg = Arc::new(ProtocolConfig::new(vec![NODES_PER_CLUSTER; width]));
+    let mut ddv = Ddv::zeros(width);
+    ddv.set(0, SeqNum(1));
+    let ddv = Arc::new(ddv);
+    allocated_by(|| NodeEngine::with_initial_ddv(cfg.clone(), NodeId::new(0, rank), ddv.clone()))
+}
+
+#[test]
+fn construction_allocates_the_same_at_every_width() {
+    let [narrow, wide] = WIDTHS.map(|w| build(w, 1).1);
+    assert!(narrow > 0, "the counting allocator is not installed");
+    assert_eq!(
+        narrow, wide,
+        "an engine field is sized by the federation's width \
+         ({narrow} B at {} clusters, {wide} B at {})",
+        WIDTHS[0], WIDTHS[1]
+    );
+}
+
+/// An alert about a rollback of cluster `origin`, as a message.
+type Alert = fn(origin: usize) -> Msg;
+
+/// Bytes `rank` of cluster 0 allocates while handling its first alert
+/// from the last cluster of a `width`-cluster federation.
+fn alert_growth(width: usize, rank: u32, alert: Alert) -> u64 {
+    let (mut engine, _) = build(width, rank);
+    // Room for the relay fan-out up front: only the engine may allocate.
+    let mut out = OutputBuf::with_capacity(2 * NODES_PER_CLUSTER as usize);
+    let input = Input::Receive {
+        from: NodeId::new((width - 1) as u16, 0),
+        msg: alert(width - 1),
+    };
+    allocated_by(|| engine.handle(SimTime::ZERO, input, &mut out)).1
+}
+
+#[test]
+fn first_alert_from_the_last_origin_grows_the_engine_by_a_constant() {
+    let cases: [(u32, Alert); 2] = [
+        // The coordinator dedups the alert and raises its ghost floor...
+        (0, |origin| Msg::RollbackAlert {
+            origin,
+            sn: SeqNum(1),
+            origin_epoch: 1,
+        }),
+        // ...every other node raises its ghost floor on the local relay.
+        (1, |origin| Msg::AlertLocal {
+            origin,
+            sn: SeqNum(1),
+            origin_epoch: 1,
+        }),
+    ];
+    for (rank, alert) in cases {
+        let [narrow, wide] = WIDTHS.map(|w| alert_growth(w, rank, alert));
+        assert!(narrow > 0, "rank {rank}: a new floor must be recorded");
+        assert_eq!(
+            narrow, wide,
+            "rank {rank}: recording one origin's epoch cost O(width)"
+        );
+        assert!(wide <= 256, "rank {rank}: {wide} B for one origin's epoch");
+    }
+}

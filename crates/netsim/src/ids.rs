@@ -11,6 +11,14 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClusterId(pub u16);
 
+/// The widest federation a [`ClusterId`] can address. Everything that
+/// accepts a cluster count from outside (topology files, [`Topology::new`],
+/// the protocol configuration) rejects more, because a wider index would
+/// silently wrap when narrowed to an id.
+///
+/// [`Topology::new`]: crate::Topology::new
+pub const MAX_CLUSTERS: usize = u16::MAX as usize + 1;
+
 impl ClusterId {
     /// Zero-based cluster index as `usize` (for table lookups).
     #[inline]

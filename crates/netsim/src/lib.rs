@@ -18,6 +18,6 @@ pub mod topology;
 
 pub use hashing::{FastHashMap, FastHasher};
 pub use hostile::{HostileNet, HostileOutcome, HostileSpec, LatencyDist, Mix64, PartitionSpec};
-pub use ids::{ClusterId, NodeId};
+pub use ids::{ClusterId, NodeId, MAX_CLUSTERS};
 pub use network::{ContentionModel, MessageClass, Network, TrafficCell};
 pub use topology::{ClusterSpec, LinkSpec, Topology, TriMatrix};

@@ -51,17 +51,25 @@ pub struct TrafficCell {
 /// The network model: timing + accounting.
 ///
 /// Hot-path layout: traffic accounts and contention pipes live in dense
-/// `clusters × clusters` arrays (the cluster-pair domain is small and
-/// known up front), and the per-node-channel FIFO state lives in dense
-/// per-directed-cluster-pair rank tables (`ChannelFifo`) — `send`
-/// performs no hashing at all for small/medium federations, and no
-/// allocation after a cluster pair's first message.
+/// `clusters × clusters` arrays (the cluster-pair domain is known up
+/// front). The per-node-channel FIFO state follows the federation's
+/// hierarchy: *intra*-cluster channels — nearly all of the traffic, all
+/// ranks talking to all ranks — sit in one dense rank table per cluster,
+/// so an intra-cluster `send` hashes nothing and allocates nothing after
+/// its cluster's first message; *inter*-cluster channels — many possible,
+/// few used — share one hash map keyed by the node pair, so their memory
+/// is proportional to the channels that carried a message, not to
+/// `nodes²` per cluster pair.
 pub struct Network {
     topology: Topology,
     contention: ContentionModel,
     n_clusters: usize,
-    /// Per directed node channel: last scheduled arrival (FIFO ordering).
-    channels: ChannelFifo,
+    /// Per directed intra-cluster node channel, indexed by cluster: last
+    /// scheduled arrival (FIFO ordering). `None` until the cluster's first
+    /// intra-cluster message.
+    intra_channels: Vec<Option<IntraFifo>>,
+    /// The same for every directed inter-cluster node channel in use.
+    inter_channels: FastHashMap<(NodeId, NodeId), SimTime>,
     /// Per directed cluster pair: when the shared pipe frees up (dense
     /// `from * n + to`; `ZERO` = never used).
     pipe_free_at: Vec<SimTime>,
@@ -77,38 +85,33 @@ pub struct Network {
 
 const N_CLASSES: usize = 3;
 
-/// Above this many clusters the `clusters × clusters` pair-index table
-/// would dominate memory; fall back to one global hash map.
-const MAX_DENSE_CLUSTERS: usize = 2048;
-/// A cluster pair's `from_ranks × to_ranks` channel table is allocated
-/// densely up to this many cells (512 KiB); larger pairs hash per pair.
+/// A cluster's `ranks × ranks` channel table is allocated densely up to
+/// this many cells (512 KiB); larger clusters hash per cluster.
 const DENSE_CHANNEL_LIMIT: usize = 65_536;
 /// Slots in the transmit-time memo (power of two; collisions just recompute).
 const TRANSMIT_CACHE_SLOTS: usize = 16;
 
-/// FIFO last-arrival state for every directed node channel.
-///
-/// Channels are grouped by directed cluster pair; each pair's table is
-/// allocated lazily on its first message, dense (`from_rank * to_ranks +
-/// to_rank`) when small enough. `SimTime::ZERO` means "channel never
-/// used" — a real arrival is always strictly later.
-enum ChannelFifo {
-    /// `pair_index[from * n + to]` points into `pairs` (`u32::MAX` =
-    /// untouched pair).
-    Dense {
-        pair_index: Vec<u32>,
-        pairs: Vec<PairFifo>,
-    },
-    /// Huge federation: one flat hash over `(from, to)` node pairs.
-    Global(FastHashMap<(NodeId, NodeId), SimTime>),
-}
-
-/// One directed cluster pair's node-channel table.
-enum PairFifo {
-    /// `last[from_rank * to_ranks + to_rank]`.
-    Dense { to_ranks: u32, last: Box<[SimTime]> },
+/// FIFO last-arrival state of one cluster's intra-cluster node channels.
+/// `SimTime::ZERO` means "channel never used" — a real arrival is always
+/// strictly later.
+enum IntraFifo {
+    /// `last[from_rank * ranks + to_rank]`.
+    Dense { ranks: usize, last: Box<[SimTime]> },
     /// Clusters too large for a dense rank product.
     Hash(FastHashMap<(u32, u32), SimTime>),
+}
+
+impl IntraFifo {
+    fn new(ranks: usize) -> Self {
+        if ranks * ranks <= DENSE_CHANNEL_LIMIT {
+            IntraFifo::Dense {
+                ranks,
+                last: vec![SimTime::ZERO; ranks * ranks].into_boxed_slice(),
+            }
+        } else {
+            IntraFifo::Hash(FastHashMap::default())
+        }
+    }
 }
 
 #[inline]
@@ -124,19 +127,12 @@ impl Network {
     /// A network over `topology` with the default (unlimited) contention.
     pub fn new(topology: Topology) -> Self {
         let n = topology.num_clusters();
-        let channels = if n <= MAX_DENSE_CLUSTERS {
-            ChannelFifo::Dense {
-                pair_index: vec![u32::MAX; n * n],
-                pairs: Vec::new(),
-            }
-        } else {
-            ChannelFifo::Global(FastHashMap::default())
-        };
         Network {
             topology,
             contention: ContentionModel::default(),
             n_clusters: n,
-            channels,
+            intra_channels: (0..n).map(|_| None).collect(),
+            inter_channels: FastHashMap::default(),
             pipe_free_at: vec![SimTime::ZERO; n * n],
             accounts: vec![TrafficCell::default(); n * n * N_CLASSES],
             // `bandwidth = 0` never occupies a slot (`transmit_time` is
@@ -210,32 +206,20 @@ impl Network {
 
         let mut arrival = depart.saturating_add(transmit).saturating_add(link.latency);
         // Enforce FIFO per directed node channel.
-        let last = match &mut self.channels {
-            ChannelFifo::Dense { pair_index, pairs } => {
-                let p = from.cluster.index() * self.n_clusters + to.cluster.index();
-                let mut pi = pair_index[p];
-                if pi == u32::MAX {
-                    pi = pairs.len() as u32;
-                    pair_index[p] = pi;
-                    let nf = self.topology.nodes_in(from.cluster) as usize;
-                    let nt = self.topology.nodes_in(to.cluster) as usize;
-                    pairs.push(if nf * nt <= DENSE_CHANNEL_LIMIT {
-                        PairFifo::Dense {
-                            to_ranks: nt as u32,
-                            last: vec![SimTime::ZERO; nf * nt].into_boxed_slice(),
-                        }
-                    } else {
-                        PairFifo::Hash(FastHashMap::default())
-                    });
+        let last = if from.cluster == to.cluster {
+            let fifo = self.intra_channels[from.cluster.index()].get_or_insert_with(|| {
+                IntraFifo::new(self.topology.nodes_in(from.cluster) as usize)
+            });
+            match fifo {
+                IntraFifo::Dense { ranks, last } => {
+                    &mut last[from.rank as usize * *ranks + to.rank as usize]
                 }
-                match &mut pairs[pi as usize] {
-                    PairFifo::Dense { to_ranks, last } => {
-                        &mut last[from.rank as usize * *to_ranks as usize + to.rank as usize]
-                    }
-                    PairFifo::Hash(m) => m.entry((from.rank, to.rank)).or_insert(SimTime::ZERO),
-                }
+                IntraFifo::Hash(m) => m.entry((from.rank, to.rank)).or_insert(SimTime::ZERO),
             }
-            ChannelFifo::Global(m) => m.entry((from, to)).or_insert(SimTime::ZERO),
+        } else {
+            self.inter_channels
+                .entry((from, to))
+                .or_insert(SimTime::ZERO)
         };
         if arrival <= *last {
             arrival = last.saturating_add(SimDuration::from_nanos(1));
@@ -287,14 +271,27 @@ impl Network {
         })
     }
 
+    /// Messages and bytes of every class summed over all accounts, in one
+    /// sweep of the table; indexed as `[App, Protocol, Ack]`.
+    pub fn class_totals(&self) -> [TrafficCell; 3] {
+        let mut totals = [TrafficCell::default(); N_CLASSES];
+        for pair in self.accounts.chunks_exact(N_CLASSES) {
+            for (total, cell) in totals.iter_mut().zip(pair) {
+                total.messages += cell.messages;
+                total.bytes += cell.bytes;
+            }
+        }
+        totals
+    }
+
     /// Total messages of one class across all accounts.
     pub fn total_by_class(&self, class: MessageClass) -> u64 {
-        self.cells_of_class(class).map(|(_, _, c)| c.messages).sum()
+        self.class_totals()[class_index(class)].messages
     }
 
     /// Total bytes of one class across all accounts.
     pub fn total_bytes_by_class(&self, class: MessageClass) -> u64 {
-        self.cells_of_class(class).map(|(_, _, c)| c.bytes).sum()
+        self.class_totals()[class_index(class)].bytes
     }
 
     /// Inter-cluster messages of one class (excludes intra-cluster traffic).

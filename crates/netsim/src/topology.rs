@@ -4,7 +4,7 @@
 //! cluster, bandwidth and latency inside each cluster and between every
 //! cluster pair (a triangular matrix), and the federation MTBF.
 
-use crate::ids::ClusterId;
+use crate::ids::{ClusterId, MAX_CLUSTERS};
 use desim::SimDuration;
 
 /// Latency + bandwidth of a (bidirectional) link class.
@@ -122,6 +122,10 @@ impl Topology {
             "a federation needs at least one cluster"
         );
         let n = clusters.len();
+        assert!(
+            n <= MAX_CLUSTERS,
+            "a federation has at most {MAX_CLUSTERS} clusters, got {n}"
+        );
         Topology {
             clusters,
             inter: TriMatrix::new(n, inter),
@@ -186,7 +190,8 @@ impl Topology {
 
     /// Iterate all cluster ids.
     pub fn cluster_ids(&self) -> impl Iterator<Item = ClusterId> {
-        (0..self.clusters.len() as u16).map(ClusterId)
+        // Narrow each index, not the count: `MAX_CLUSTERS as u16` is 0.
+        (0..self.clusters.len()).map(|c| ClusterId(c as u16))
     }
 
     /// Conservative parallel-simulation lookahead: the minimum one-way
@@ -312,6 +317,17 @@ mod tests {
     #[should_panic(expected = "at least one cluster")]
     fn empty_federation_rejected() {
         Topology::new(vec![], LinkSpec::ethernet_like());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 clusters")]
+    fn overwide_federation_rejected() {
+        // Must fire before the inter-cluster matrix is sized.
+        let spec = ClusterSpec {
+            nodes: 1,
+            intra: LinkSpec::myrinet_like(),
+        };
+        Topology::new(vec![spec; MAX_CLUSTERS + 1], LinkSpec::ethernet_like());
     }
 
     #[test]

@@ -2,8 +2,11 @@
 //! conservation of accounting.
 
 use desim::{SimDuration, SimTime};
-use netsim::{ClusterId, ContentionModel, MessageClass, Network, NodeId, Topology};
+use netsim::{
+    ClusterId, ClusterSpec, ContentionModel, LinkSpec, MessageClass, Network, NodeId, Topology,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 #[derive(Debug, Clone, Copy)]
 struct Send {
@@ -117,6 +120,115 @@ proptest! {
         let fifo = mk(ContentionModel::InterClusterFifo);
         for (a, b) in free.iter().zip(&fifo) {
             prop_assert!(b >= a, "contention made a message faster");
+        }
+    }
+}
+
+/// 64 three-node clusters and one 300-node cluster: the big cluster's
+/// 90,000 rank pairs exceed the dense-table limit, so between them the
+/// sends below reach the dense intra-cluster table, the hashed one and
+/// the inter-cluster map.
+const SMALL_CLUSTERS: u16 = 64;
+const BIG_CLUSTER_NODES: u32 = 300;
+
+fn wide_topology() -> Topology {
+    let small = ClusterSpec {
+        nodes: 3,
+        intra: LinkSpec::myrinet_like(),
+    };
+    let mut clusters = vec![small; SMALL_CLUSTERS as usize];
+    clusters.push(ClusterSpec {
+        nodes: BIG_CLUSTER_NODES,
+        ..small
+    });
+    Topology::new(clusters, LinkSpec::ethernet_like())
+}
+
+/// A node out of a handful (first, second and last small cluster, first,
+/// middle and last rank of the big one), so channels repeat and the FIFO
+/// clamp is exercised, not only the first message of each.
+fn wide_node_strategy() -> impl Strategy<Value = NodeId> {
+    (0usize..4, 0usize..3).prop_map(|(c, r)| {
+        let cluster = [0, 1, SMALL_CLUSTERS - 1, SMALL_CLUSTERS][c];
+        let rank = if cluster == SMALL_CLUSTERS {
+            [0, BIG_CLUSTER_NODES / 2, BIG_CLUSTER_NODES - 1][r]
+        } else {
+            r as u32
+        };
+        NodeId::new(cluster, rank)
+    })
+}
+
+/// The network's timing rules restated over plain hash maps: one FIFO
+/// entry per directed node channel, one pipe per directed cluster pair.
+#[derive(Default)]
+struct ReferenceNetwork {
+    contended: bool,
+    last_arrival: HashMap<(NodeId, NodeId), SimTime>,
+    pipe_free_at: HashMap<(ClusterId, ClusterId), SimTime>,
+}
+
+impl ReferenceNetwork {
+    fn send(
+        &mut self,
+        topo: &Topology,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+    ) -> SimTime {
+        let tick = SimDuration::from_nanos(1);
+        let link = topo.link_between(from.cluster, to.cluster);
+        let transmit = link.transmit_time(bytes);
+        let mut depart = now;
+        if self.contended && from.cluster != to.cluster {
+            let pipe = self
+                .pipe_free_at
+                .entry((from.cluster, to.cluster))
+                .or_insert(SimTime::ZERO);
+            depart = now.max(*pipe);
+            *pipe = depart.saturating_add(transmit);
+        }
+        let mut arrival = depart.saturating_add(transmit).saturating_add(link.latency);
+        let last = self.last_arrival.entry((from, to)).or_insert(SimTime::ZERO);
+        if arrival <= *last {
+            arrival = last.saturating_add(tick);
+        }
+        *last = arrival;
+        arrival.max(now.saturating_add(tick))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever table a channel's FIFO state lives in, every arrival is
+    /// the reference model's, under both contention models.
+    #[test]
+    fn arrivals_equal_the_reference_model(
+        sends in prop::collection::vec(
+            (0u64..500, wide_node_strategy(), wide_node_strategy(), 0u64..2_000_000, 0u8..3),
+            1..250,
+        ),
+        contended in any::<bool>(),
+    ) {
+        let topo = wide_topology();
+        let model = if contended {
+            ContentionModel::InterClusterFifo
+        } else {
+            ContentionModel::Unlimited
+        };
+        let mut net = Network::new(topo.clone()).with_contention(model);
+        let mut reference = ReferenceNetwork { contended, ..Default::default() };
+        let mut now = SimTime::ZERO;
+        for &(gap_us, from, to, bytes, class_pick) in &sends {
+            if from == to {
+                continue;
+            }
+            now += SimDuration::from_micros(gap_us);
+            let got = net.send(now, from, to, bytes, class_of(class_pick));
+            let want = reference.send(&topo, now, from, to, bytes);
+            prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
         }
     }
 }

@@ -315,8 +315,9 @@ impl FederationWorld {
         let mut engines = Vec::new();
         let mut total = 0usize;
         // One shared config for the whole arena, one shared initial DDV
-        // per cluster: at 100k nodes the per-engine copies these replace
-        // are the dominant construction cost and memory footprint.
+        // per cluster: with these shared and the engines' epoch floors
+        // sparse, nothing an engine owns grows with the federation's
+        // width, so the arena costs `nodes x constant`.
         let proto = std::sync::Arc::new(cfg.protocol.clone());
         #[allow(clippy::needless_range_loop)] // `c` also keys topology and the DDV
         for c in lo..hi {
@@ -774,13 +775,12 @@ impl FederationWorld {
                     .app_messages(netsim::ClusterId(i as u16), netsim::ClusterId(j as u16));
             }
         }
-        self.stats.protocol_messages = self.net.total_by_class(netsim::MessageClass::Protocol);
-        self.stats.protocol_bytes = self
-            .net
-            .total_bytes_by_class(netsim::MessageClass::Protocol);
-        self.stats.ack_messages = self.net.total_by_class(netsim::MessageClass::Ack);
-        self.stats.ack_bytes = self.net.total_bytes_by_class(netsim::MessageClass::Ack);
-        self.stats.app_bytes = self.net.total_bytes_by_class(netsim::MessageClass::App);
+        let [app, protocol, ack] = self.net.class_totals();
+        self.stats.protocol_messages = protocol.messages;
+        self.stats.protocol_bytes = protocol.bytes;
+        self.stats.ack_messages = ack.messages;
+        self.stats.ack_bytes = ack.bytes;
+        self.stats.app_bytes = app.bytes;
         self.stats.events_processed = events;
         self.stats.ended_at = now;
         self.stats.clone()

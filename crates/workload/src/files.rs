@@ -31,7 +31,7 @@
 use crate::duration::{parse_bandwidth, parse_duration};
 use crate::generate::StochasticWorkload;
 use desim::SimDuration;
-use netsim::{ClusterSpec, LinkSpec, Topology};
+use netsim::{ClusterSpec, LinkSpec, Topology, MAX_CLUSTERS};
 
 /// Parsed timers file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,6 +97,12 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                     .ok_or_else(|| err(ln, "clusters needs a count"))?;
                 if n == 0 {
                     return Err(err(ln, "need at least one cluster"));
+                }
+                if n > MAX_CLUSTERS {
+                    return Err(err(
+                        ln,
+                        format!("a federation has at most {MAX_CLUSTERS} clusters, got {n}"),
+                    ));
                 }
                 n_clusters = Some(n);
                 intra = vec![None; n];
@@ -366,6 +372,16 @@ mtbf inf
             parse_topology("clusters 2\nnodes 4\n").is_err(),
             "count mismatch"
         );
+    }
+
+    #[test]
+    fn topology_rejects_overwide_federation() {
+        // Neither sized (`vec![None; n]`) nor narrowed to a `u16` id.
+        for n in ["65537", "99999999999"] {
+            let e = parse_topology(&format!("# wide\nclusters {n}\nnodes 1\n")).unwrap_err();
+            assert_eq!(e.line, 2);
+            assert!(e.message.contains("at most 65536 clusters"), "{e}");
+        }
     }
 
     #[test]
