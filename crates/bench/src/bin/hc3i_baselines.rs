@@ -669,18 +669,6 @@ fn run_suite(quick: bool, seed: u64) -> Vec<Entry> {
 
 // ---- artifact writers ------------------------------------------------------
 
-/// Which dependency world produced these numbers: the offline vendored
-/// stand-ins, or the crates.io versions swapped in by the real-deps
-/// overlay. Stamped into both artifacts so CI's feature-matrix job can
-/// compare the two worlds' measurements side by side.
-fn deps_world() -> &'static str {
-    if cfg!(feature = "real-deps") {
-        "crates.io"
-    } else {
-        "vendored"
-    }
-}
-
 fn json(entries: &[Entry], quick: bool, seed: u64, old: Option<&[OldEntry]>) -> String {
     let mut s = String::new();
     s.push_str("{\n");
@@ -690,7 +678,9 @@ fn json(entries: &[Entry], quick: bool, seed: u64, old: Option<&[OldEntry]>) -> 
         "  \"mode\": \"{}\",",
         if quick { "quick" } else { "full" }
     );
-    let _ = writeln!(s, "  \"deps\": \"{}\",", deps_world());
+    // A constant since the crates.io overlay was removed; kept so
+    // recordings and `--compare` stay schema-compatible.
+    s.push_str("  \"deps\": \"vendored\",\n");
     let _ = writeln!(s, "  \"seed\": {seed},");
     s.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
@@ -722,12 +712,11 @@ fn markdown(entries: &[Entry], quick: bool, seed: u64, old: Option<&[OldEntry]>)
     let _ = writeln!(
         s,
         "Recorded by `cargo run --release -p hc3i-bench --bin hc3i_baselines`\n\
-         (mode: {}, deps: {}, seed: {seed}, best-of-N wall times on the\n\
+         (mode: {}, deps: vendored, seed: {seed}, best-of-N wall times on the\n\
          reference machine that produced `BASELINES.json`). Rerun with\n\
          `--compare BASELINES.json` after a perf change to get before/after\n\
          columns.\n",
-        if quick { "quick" } else { "full" },
-        deps_world()
+        if quick { "quick" } else { "full" }
     );
     if old.is_some() {
         s.push_str(

@@ -3,8 +3,8 @@
 //! One function per table and figure of the paper (module
 //! [`experiments`]), plain-text renderers in the paper's row format
 //! (module [`render`]), regenerator binaries (`cargo run -p hc3i-bench
-//! --release --bin figure6` etc.) and Criterion benches
-//! (`cargo bench -p hc3i-bench`).
+//! --release --bin figure6` etc.) and the `hc3i_baselines` perf recorder
+//! CI gates on.
 
 #![warn(missing_docs)]
 

@@ -232,6 +232,27 @@ mod tests {
         assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 
+    /// `dup_reorder_storm x lan_pair`, seed 20040435: node C0.n5 sends tag
+    /// 65 at 1079.972 s; the fault at 1080.1 s cascades and cluster 0
+    /// restores the CLC it committed at 988.6 s, undoing that send. The
+    /// ledger used to report it as lost committed work. Holds on the
+    /// parallel executive too, where send and delivery are recorded on
+    /// different shards.
+    #[test]
+    fn a_send_undone_by_its_senders_rollback_is_not_a_violation() {
+        let topos = topologies();
+        let (name, topo) = topos.iter().find(|(n, _)| *n == "lan_pair").unwrap();
+        let scenario = scenarios()
+            .into_iter()
+            .find(|s| s.name == "dup_reorder_storm")
+            .unwrap();
+        for shards in [1, 2] {
+            let cell = run_cell(&scenario, name, topo, 20040435, shards);
+            assert!(cell.violations.is_empty(), "{:?}", cell.violations);
+            assert!(cell.rollbacks >= 2, "the cascade reached the sender");
+        }
+    }
+
     #[test]
     fn json_shape_is_stable() {
         let summary = CampaignSummary {

@@ -1,0 +1,724 @@
+//! The one interpreter of engine [`Output`]s, and the seam a host fills in.
+//!
+//! A [`NodeEngine`] only *asks* for things: put this message on the wire,
+//! re-arm the checkpoint timer, this CLC is now in my store. Something has
+//! to carry those requests out, and that something used to be written
+//! three times — in the simulator, in the threaded runtime and in the
+//! test federation — each copy re-deciding how a fragment batch fans out,
+//! which traffic the reliable transport wraps, who acks a frame addressed
+//! to a dead node, and which durable frame each store hook appends. This
+//! module is the single copy. Hosts implement [`Host`] and call
+//! [`perform`] after every `NodeEngine::handle`; they differ only in what
+//! a wire, a clock and a timer *are*.
+//!
+//! | Shared: this module, identical under every host | Supplied by the host |
+//! |---|---|
+//! | the `match` over [`Output`] ([`perform`]) | [`Host::now`] — simulated or wall-clock time |
+//! | fragment fan-out: one `FragmentReplica` per holder, in holder order, never through the transport | [`Host::wire`] — network model + calendar queue, shard channel, or FIFO queue |
+//! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::xport`] — where the [`Xport`] lives, or `None` |
+//! | transport termination: ack every copy (dead engines included), dedup, release the window ([`receive`]) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
+//! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
+//! | which durable frame each store hook appends ([`StoreOp::append`]) | [`Host::durable`] — which log, which node key, what an I/O error does |
+//! | the observable vocabulary ([`ProtoEvent`]) | [`Host::emit`] — trace + report fold, an event channel, or recording vectors |
+//! | re-entering the engine with the application's new snapshot | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
+//!
+//! (After the Calimero `sync_sim` table: everything that decides protocol
+//! behaviour is the same code in simulation and production; only network,
+//! time and storage callbacks are swapped.)
+
+use crate::io::{Input, Output, OutputBuf};
+use crate::msg::{AppPayload, Msg};
+use crate::node::NodeEngine;
+use crate::persist::CheckpointCodec;
+use crate::xport::{ReceiverChannel, SenderChannel, XportConfig};
+use desim::SimTime;
+use netsim::NodeId;
+use std::collections::HashMap;
+use std::path::Path;
+use storage::{DurableError, DurableOptions, DurableStore, SeqNum};
+
+/// What a host observes of a run: the typed vocabulary reports, event
+/// streams and traces are all derived from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProtoEvent {
+    /// `to` delivered an application payload originally sent by `from`.
+    Delivered {
+        /// Receiving node.
+        to: NodeId,
+        /// Original sender.
+        from: NodeId,
+        /// The payload.
+        payload: AppPayload,
+    },
+    /// A CLC committed (reported once per CLC, by the coordinator).
+    Committed {
+        /// Cluster index.
+        cluster: usize,
+        /// Committed sequence number.
+        sn: SeqNum,
+        /// Communication-induced?
+        forced: bool,
+    },
+    /// A node restored a checkpoint (every node of a rolling-back cluster
+    /// reports; rank 0's report stands for the cluster).
+    RolledBack {
+        /// The node.
+        node: NodeId,
+        /// Restored sequence number.
+        restore_sn: SeqNum,
+        /// How many newer CLCs the restore discarded.
+        discarded_clcs: usize,
+    },
+    /// Garbage collection ran on a cluster.
+    GcReport {
+        /// Cluster index.
+        cluster: usize,
+        /// Stored CLCs before.
+        before: usize,
+        /// Stored CLCs after.
+        after: usize,
+    },
+    /// A fault exceeded the replication degree.
+    Unrecoverable {
+        /// Cluster index.
+        cluster: usize,
+        /// The unrecoverable rank.
+        rank: u32,
+    },
+    /// Consistency-monitor alarm (should never fire).
+    LateCrossing {
+        /// Observing node.
+        node: NodeId,
+    },
+}
+
+/// One change to a node's local CLC store that a durable log must mirror.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreOp {
+    /// The node committed this CLC (`engine.store().get(sn)` holds it).
+    Committed(SeqNum),
+    /// Garbage collection pruned the store below this bound.
+    Pruned(SeqNum),
+    /// A rollback restored this CLC, discarding everything newer.
+    RolledBack(SeqNum),
+}
+
+impl StoreOp {
+    /// Append the frame mirroring this change to `log`, under the host's
+    /// key for the node.
+    pub fn append(
+        self,
+        log: &mut DurableStore<CheckpointCodec>,
+        node: u64,
+        engine: &NodeEngine,
+    ) -> Result<(), DurableError> {
+        match self {
+            StoreOp::Committed(sn) => {
+                let entry = engine.store().get(sn).expect("committed CLC is stored");
+                log.append_commit(node, &entry.meta, &entry.payload)
+            }
+            StoreOp::Pruned(min_sn) => log.append_prune(node, min_sn),
+            StoreOp::RolledBack(restore_sn) => log.append_truncate(node, restore_sn),
+        }
+    }
+}
+
+/// Open the durable log of a fresh federation under `dir` and seed it with
+/// every engine's genesis chain, keyed by position in `engines` — the
+/// initial CLC is committed inside `NodeEngine::new`, so it never flows
+/// through [`Host::durable`].
+///
+/// # Panics
+/// If `dir` already holds a segment log.
+pub fn open_log<'a>(
+    dir: &Path,
+    engines: impl IntoIterator<Item = &'a NodeEngine>,
+) -> Result<DurableStore<CheckpointCodec>, DurableError> {
+    let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())?;
+    assert!(
+        log.is_fresh(),
+        "durable dir {} already holds a segment log; recover it or use a fresh directory",
+        dir.display()
+    );
+    for (node, engine) in engines.into_iter().enumerate() {
+        log.snapshot_node(node as u64, engine.store())?;
+    }
+    log.sync()?;
+    Ok(log)
+}
+
+/// Reliable-transport state of one host: a sender and a receiver channel
+/// per *directed* node pair that has carried inter-cluster traffic. Keyed
+/// access only on every path that feeds a deterministic host, so the hash
+/// maps cannot perturb event order.
+pub struct Xport {
+    cfg: XportConfig,
+    /// `(sender, destination)` → in-flight window, overflow queue, backoff.
+    senders: HashMap<(NodeId, NodeId), SenderChannel>,
+    /// `(sender, destination)` → exactly-once admission state.
+    receivers: HashMap<(NodeId, NodeId), ReceiverChannel>,
+}
+
+impl Xport {
+    /// An idle transport with the given tuning.
+    pub fn new(cfg: XportConfig) -> Self {
+        Xport {
+            cfg,
+            senders: HashMap::new(),
+            receivers: HashMap::new(),
+        }
+    }
+
+    /// Total retransmitted copies across all channels.
+    pub fn retransmissions(&self) -> u64 {
+        self.senders.values().map(|s| s.retransmissions).sum()
+    }
+
+    /// For hosts that poll instead of scheduling one timer per copy: the
+    /// `(from, to, seq)` of every in-flight copy whose deadline has
+    /// passed (hand each to [`retry`]), and the earliest deadline still
+    /// ahead.
+    pub fn due(&self, now: SimTime) -> (Vec<(NodeId, NodeId, u64)>, Option<SimTime>) {
+        let mut due = Vec::new();
+        let mut ahead: Option<SimTime> = None;
+        for (&(from, to), ch) in &self.senders {
+            for (seq, at) in ch.deadlines() {
+                if at <= now {
+                    due.push((from, to, seq));
+                } else {
+                    ahead = Some(ahead.map_or(at, |a| a.min(at)));
+                }
+            }
+        }
+        (due, ahead)
+    }
+}
+
+/// What hosting a federation of [`NodeEngine`]s takes: a wire, a clock, a
+/// timer, and sinks for storage changes and events. Everything else is
+/// [`perform`], [`send`], [`receive`] and [`retry`].
+pub trait Host {
+    /// The host's current time.
+    fn now(&self) -> SimTime;
+
+    /// Carry one message from `from` to `to`. The single path every wire
+    /// copy takes — plain sends, fragment replicas, transport wraps, acks
+    /// and retransmissions alike.
+    fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg);
+
+    /// The reliable transport, when this host runs one.
+    fn xport(&mut self) -> Option<&mut Xport>;
+
+    /// The copy `seq` of channel `from → to` just went on the wire: see
+    /// that [`retry`] runs for it at `at`. A firing that finds the copy
+    /// acked is a no-op, so acks never cancel anything.
+    fn arm_retry(&mut self, from: NodeId, to: NodeId, seq: u64, at: SimTime);
+
+    /// (Re-)arm the unforced-CLC timer `node` coordinates, replacing any
+    /// pending one, at the host's configured delay.
+    fn reset_clc_timer(&mut self, node: NodeId);
+
+    /// `engine`'s local store changed: mirror it if this host keeps a
+    /// durable log. The one place a durable I/O error surfaces.
+    fn durable(&mut self, engine: &NodeEngine, op: StoreOp);
+
+    /// Something observable happened at `engine`.
+    fn emit(&mut self, engine: &NodeEngine, ev: ProtoEvent);
+
+    /// Hand a delivery to `to`'s application; return its new serialized
+    /// state for the engine to checkpoint. Hosts whose application is
+    /// abstract keep the default.
+    fn deliver_app(&mut self, to: NodeId, from: NodeId, payload: AppPayload) -> Option<Vec<u8>> {
+        let _ = (to, from, payload);
+        None
+    }
+
+    /// A rollback restored this state for `node`'s application.
+    fn restore_app(&mut self, node: NodeId, state: Option<&[u8]>) {
+        let _ = (node, state);
+    }
+}
+
+/// Carry out everything `engine` just emitted into `outs`.
+///
+/// Out of line on purpose: a host calls this right after
+/// `NodeEngine::handle`, and inlined there the two merge into one
+/// oversized frame (measured on the benchmark's `sim_mega`: +12 % wall
+/// with `#[inline]` or no attribute, parity with `never`). What runs per
+/// output — [`send`] and the host's own methods — does inline into it.
+#[inline(never)]
+pub fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf) {
+    let id = engine.id();
+    for out in outs.drain() {
+        match out {
+            Output::Send { to, msg } => send(host, id, to, msg),
+            Output::SendFragments {
+                holders,
+                round,
+                epoch,
+            } => {
+                // Same per-message wire bytes, accounting and order as
+                // one send per holder; all holders are in-cluster, so the
+                // transport never sees them.
+                for &h in holders.iter() {
+                    let msg = Msg::FragmentReplica {
+                        round,
+                        owner: id.rank,
+                        epoch,
+                    };
+                    host.wire(id, NodeId::new(id.cluster.0, h), msg);
+                }
+            }
+            Output::DeliverApp { from, payload } => {
+                if let Some(state) = host.deliver_app(id, from, payload) {
+                    // Publishing a snapshot emits nothing.
+                    let mut none = OutputBuf::new();
+                    engine.handle(host.now(), Input::AppStateUpdate { state }, &mut none);
+                    debug_assert!(none.is_empty());
+                }
+                host.emit(
+                    engine,
+                    ProtoEvent::Delivered {
+                        to: id,
+                        from,
+                        payload,
+                    },
+                );
+            }
+            Output::Committed { sn, forced } => {
+                let cluster = id.cluster.index();
+                host.emit(
+                    engine,
+                    ProtoEvent::Committed {
+                        cluster,
+                        sn,
+                        forced,
+                    },
+                );
+            }
+            Output::ResetClcTimer => host.reset_clc_timer(id),
+            Output::StoreCommitted { sn } => host.durable(engine, StoreOp::Committed(sn)),
+            Output::StorePruned { min_sn } => host.durable(engine, StoreOp::Pruned(min_sn)),
+            Output::RolledBack {
+                restore_sn,
+                discarded_clcs,
+            } => {
+                host.durable(engine, StoreOp::RolledBack(restore_sn));
+                let ev = ProtoEvent::RolledBack {
+                    node: id,
+                    restore_sn,
+                    discarded_clcs,
+                };
+                host.emit(engine, ev);
+            }
+            Output::GcReport { before, after } => {
+                let cluster = id.cluster.index();
+                host.emit(
+                    engine,
+                    ProtoEvent::GcReport {
+                        cluster,
+                        before,
+                        after,
+                    },
+                );
+            }
+            Output::Unrecoverable { failed_rank } => {
+                let ev = ProtoEvent::Unrecoverable {
+                    cluster: id.cluster.index(),
+                    rank: failed_rank,
+                };
+                host.emit(engine, ev);
+            }
+            Output::LateCrossing { .. } => host.emit(engine, ProtoEvent::LateCrossing { node: id }),
+            Output::RestoreApp { state } => host.restore_app(id, state.as_deref()),
+        }
+    }
+}
+
+/// Put one engine message on the wire. With a transport, inter-cluster
+/// traffic detours through the sender channel — sequence assignment,
+/// bounded window, retransmit timer — and travels wrapped in
+/// [`Msg::Reliable`]; everything else goes straight to [`Host::wire`].
+#[inline]
+pub fn send<H: Host>(host: &mut H, from: NodeId, to: NodeId, msg: Msg) {
+    if from.cluster == to.cluster || host.xport().is_none() {
+        return host.wire(from, to, msg);
+    }
+    let now = host.now();
+    let x = host.xport().expect("checked above");
+    let seq = x
+        .senders
+        .entry((from, to))
+        .or_default()
+        .send(now, &x.cfg, msg.clone());
+    // `None` = window full: the channel parked the copy; it leaves from
+    // the ack that frees its slot.
+    if let Some(seq) = seq {
+        wire_reliable(host, from, to, seq, msg);
+    }
+}
+
+/// Wire one admitted copy, then arm its retransmission at the channel's
+/// current deadline — in that order: a deterministic host's event
+/// sequence depends on it.
+fn wire_reliable<H: Host>(host: &mut H, from: NodeId, to: NodeId, seq: u64, msg: Msg) {
+    let deadline = host
+        .xport()
+        .and_then(|x| x.senders.get(&(from, to)))
+        .and_then(|ch| ch.deadline(seq));
+    let inner = Box::new(msg);
+    host.wire(from, to, Msg::Reliable { seq, inner });
+    if let Some(at) = deadline {
+        host.arm_retry(from, to, seq, at);
+    }
+}
+
+/// A message from `from` arrived at `to`: terminate transport frames and
+/// return what the engine should see, if anything. Every `Reliable` copy
+/// is acked — also on behalf of a failed engine, so the sender's window
+/// drains; a dead node's missed deliveries are the protocol's problem
+/// (sender logging + replay), not the transport's — and only its first
+/// sighting is returned. An `XportAck` frees its slot and wires whatever
+/// the window had parked. Without a transport every message passes
+/// through (hosts may skip the call).
+#[inline]
+pub fn receive<H: Host>(host: &mut H, from: NodeId, to: NodeId, msg: Msg) -> Option<Msg> {
+    if host.xport().is_none() {
+        return Some(msg);
+    }
+    match msg {
+        Msg::Reliable { seq, inner } => {
+            let x = host.xport().expect("checked above");
+            let fresh = x.receivers.entry((from, to)).or_default().accept(seq);
+            host.wire(to, from, Msg::XportAck { seq });
+            fresh.then_some(*inner)
+        }
+        Msg::XportAck { seq } => {
+            // The ack travels receiver → sender: it belongs to the
+            // channel `to → from`.
+            let now = host.now();
+            let x = host.xport().expect("checked above");
+            let released = match x.senders.get_mut(&(to, from)) {
+                Some(ch) => ch.ack(now, &x.cfg, seq),
+                None => Vec::new(),
+            };
+            for (seq, msg) in released {
+                wire_reliable(host, to, from, seq, msg);
+            }
+            None
+        }
+        msg => Some(msg),
+    }
+}
+
+/// A retransmission timer fired for copy `seq` of channel `from → to`:
+/// if it is still in flight and due, wire it again and re-arm at the
+/// backed-off deadline. Stale firings (acked, or already retransmitted by
+/// an earlier firing) do nothing.
+pub fn retry<H: Host>(host: &mut H, from: NodeId, to: NodeId, seq: u64) {
+    let now = host.now();
+    let Some(x) = host.xport() else { return };
+    let Some(ch) = x.senders.get_mut(&(from, to)) else {
+        return;
+    };
+    if let Some((msg, next)) = ch.retransmit(now, &x.cfg, seq) {
+        let inner = Box::new(msg);
+        host.wire(from, to, Msg::Reliable { seq, inner });
+        host.arm_retry(from, to, seq, next);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ProtocolConfig;
+    use desim::SimDuration;
+
+    /// Everything a host can be asked to do, in the order it was asked.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Call {
+        Wire(NodeId, NodeId, Msg),
+        Arm(NodeId, NodeId, u64, SimTime),
+        ResetClc(NodeId),
+        Durable(StoreOp),
+        Emit(ProtoEvent),
+    }
+
+    struct Recorder {
+        now: SimTime,
+        xport: Option<Xport>,
+        calls: Vec<Call>,
+    }
+
+    impl Recorder {
+        fn new(xport: Option<XportConfig>) -> Self {
+            Recorder {
+                now: t(0),
+                xport: xport.map(Xport::new),
+                calls: Vec::new(),
+            }
+        }
+
+        fn take(&mut self) -> Vec<Call> {
+            std::mem::take(&mut self.calls)
+        }
+    }
+
+    impl Host for Recorder {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+            self.calls.push(Call::Wire(from, to, msg));
+        }
+        fn xport(&mut self) -> Option<&mut Xport> {
+            self.xport.as_mut()
+        }
+        fn arm_retry(&mut self, from: NodeId, to: NodeId, seq: u64, at: SimTime) {
+            self.calls.push(Call::Arm(from, to, seq, at));
+        }
+        fn reset_clc_timer(&mut self, node: NodeId) {
+            self.calls.push(Call::ResetClc(node));
+        }
+        fn durable(&mut self, _engine: &NodeEngine, op: StoreOp) {
+            self.calls.push(Call::Durable(op));
+        }
+        fn emit(&mut self, _engine: &NodeEngine, ev: ProtoEvent) {
+            self.calls.push(Call::Emit(ev));
+        }
+    }
+
+    fn t(ms: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    fn n(c: u16, r: u32) -> NodeId {
+        NodeId::new(c, r)
+    }
+
+    /// A cheap distinguishable engine message.
+    fn m(k: u64) -> Msg {
+        Msg::FragmentReplica {
+            round: k,
+            owner: 0,
+            epoch: 0,
+        }
+    }
+
+    fn reliable(seq: u64, inner: Msg) -> Msg {
+        Msg::Reliable {
+            seq,
+            inner: Box::new(inner),
+        }
+    }
+
+    fn engine(id: NodeId) -> NodeEngine {
+        NodeEngine::new(ProtocolConfig::new(vec![4, 2]), id)
+    }
+
+    /// `perform` over hand-built outputs of the engine at `id`.
+    fn perform_outputs(host: &mut Recorder, id: NodeId, outs: Vec<Output>) -> Vec<Call> {
+        let mut buf = OutputBuf::new();
+        for out in outs {
+            buf.push(out);
+        }
+        perform(host, &mut engine(id), &mut buf);
+        assert!(buf.is_empty(), "perform drains the buffer");
+        host.take()
+    }
+
+    const ME: NodeId = NodeId {
+        cluster: netsim::ClusterId(0),
+        rank: 1,
+    };
+    const PEER: NodeId = NodeId {
+        cluster: netsim::ClusterId(1),
+        rank: 0,
+    };
+
+    #[test]
+    fn fragments_fan_out_per_holder_in_order_and_bypass_the_transport() {
+        let mut host = Recorder::new(Some(XportConfig::default()));
+        let calls = perform_outputs(
+            &mut host,
+            ME,
+            vec![Output::SendFragments {
+                holders: vec![3, 0, 2].into(),
+                round: 9,
+                epoch: 4,
+            }],
+        );
+        let replica = Msg::FragmentReplica {
+            round: 9,
+            owner: ME.rank,
+            epoch: 4,
+        };
+        assert_eq!(
+            calls,
+            [3, 0, 2].map(|h| Call::Wire(ME, n(0, h), replica.clone()))
+        );
+        let (due, ahead) = host.xport.as_ref().unwrap().due(t(1_000_000));
+        assert!(
+            due.is_empty() && ahead.is_none(),
+            "nothing entered a window"
+        );
+    }
+
+    #[test]
+    fn only_inter_cluster_sends_are_wrapped_and_the_retry_follows_the_wire() {
+        let cfg = XportConfig::default();
+        let mut host = Recorder::new(Some(cfg));
+        host.now = t(7);
+        let outs = vec![
+            Output::Send {
+                to: n(0, 2),
+                msg: m(1),
+            },
+            Output::Send {
+                to: PEER,
+                msg: m(2),
+            },
+        ];
+        assert_eq!(
+            perform_outputs(&mut host, ME, outs),
+            vec![
+                Call::Wire(ME, n(0, 2), m(1)),
+                Call::Wire(ME, PEER, reliable(0, m(2))),
+                Call::Arm(ME, PEER, 0, t(7) + cfg.rto),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_duplicate_reliable_copy_is_acked_but_not_delivered() {
+        let mut host = Recorder::new(Some(XportConfig::default()));
+        let ack = vec![Call::Wire(ME, PEER, Msg::XportAck { seq: 5 })];
+        assert_eq!(receive(&mut host, PEER, ME, reliable(5, m(1))), Some(m(1)));
+        assert_eq!(host.take(), ack);
+        assert_eq!(receive(&mut host, PEER, ME, reliable(5, m(1))), None);
+        assert_eq!(host.take(), ack, "acked again so the sender stops");
+        // Engine messages pass through untouched.
+        assert_eq!(receive(&mut host, PEER, ME, m(3)), Some(m(3)));
+        assert!(host.take().is_empty());
+        // And without a transport nothing is terminated at all.
+        let mut plain = Recorder::new(None);
+        let frame = reliable(5, m(1));
+        assert_eq!(receive(&mut plain, PEER, ME, frame.clone()), Some(frame));
+        assert!(plain.take().is_empty());
+    }
+
+    #[test]
+    fn window_full_sends_park_and_leave_in_order_on_the_freeing_acks() {
+        let cfg = XportConfig {
+            window: 1,
+            ..Default::default()
+        };
+        let mut host = Recorder::new(Some(cfg));
+        for k in 0..3 {
+            send(&mut host, ME, PEER, m(k));
+        }
+        assert_eq!(
+            host.take(),
+            vec![
+                Call::Wire(ME, PEER, reliable(0, m(0))),
+                Call::Arm(ME, PEER, 0, t(0) + cfg.rto),
+            ],
+            "m1 and m2 are parked behind the window"
+        );
+        for seq in 0..2u64 {
+            host.now = t(10 * (seq + 1));
+            // The ack travels PEER → ME and belongs to channel ME → PEER.
+            assert_eq!(receive(&mut host, PEER, ME, Msg::XportAck { seq }), None);
+            assert_eq!(
+                host.take(),
+                vec![
+                    Call::Wire(ME, PEER, reliable(seq + 1, m(seq + 1))),
+                    Call::Arm(ME, PEER, seq + 1, host.now + cfg.rto),
+                ]
+            );
+        }
+        // A duplicate ack frees nothing; an ack for a channel that never
+        // sent is ignored.
+        assert_eq!(receive(&mut host, PEER, ME, Msg::XportAck { seq: 0 }), None);
+        assert_eq!(
+            receive(&mut host, n(1, 1), ME, Msg::XportAck { seq: 0 }),
+            None
+        );
+        assert!(host.take().is_empty());
+    }
+
+    #[test]
+    fn retry_rewires_a_due_copy_and_stale_firings_do_nothing() {
+        let cfg = XportConfig::default();
+        let mut host = Recorder::new(Some(cfg));
+        send(&mut host, ME, PEER, m(1));
+        host.take();
+
+        host.now = t(49);
+        retry(&mut host, ME, PEER, 0);
+        assert!(host.take().is_empty(), "not due yet");
+        assert_eq!(
+            host.xport.as_ref().unwrap().due(t(49)),
+            (vec![], Some(t(50)))
+        );
+
+        host.now = t(50);
+        assert_eq!(
+            host.xport.as_ref().unwrap().due(t(50)),
+            (vec![(ME, PEER, 0)], None)
+        );
+        retry(&mut host, ME, PEER, 0);
+        assert_eq!(
+            host.take(),
+            vec![
+                Call::Wire(ME, PEER, reliable(0, m(1))),
+                Call::Arm(ME, PEER, 0, t(150)),
+            ],
+            "backed off: 50 + 2 * 50"
+        );
+        assert_eq!(host.xport.as_ref().unwrap().retransmissions(), 1);
+
+        // The timer armed for t(50) by the original send fires again
+        // after the retransmission moved the deadline: stale.
+        retry(&mut host, ME, PEER, 0);
+        // Acked copies, unknown sequences and unknown channels: stale.
+        receive(&mut host, PEER, ME, Msg::XportAck { seq: 0 });
+        host.now = t(10_000);
+        retry(&mut host, ME, PEER, 0);
+        retry(&mut host, ME, PEER, 77);
+        retry(&mut host, ME, n(1, 1), 0);
+        assert!(host.take().is_empty());
+        // Without a transport there is nothing to retry.
+        retry(&mut Recorder::new(None), ME, PEER, 0);
+    }
+
+    #[test]
+    fn store_hooks_map_to_store_ops_and_a_rollback_both_truncates_and_emits() {
+        let mut host = Recorder::new(None);
+        let calls = perform_outputs(
+            &mut host,
+            ME,
+            vec![
+                Output::StoreCommitted { sn: SeqNum(4) },
+                Output::StorePruned { min_sn: SeqNum(3) },
+                Output::RolledBack {
+                    restore_sn: SeqNum(2),
+                    discarded_clcs: 2,
+                },
+            ],
+        );
+        assert_eq!(
+            calls,
+            vec![
+                Call::Durable(StoreOp::Committed(SeqNum(4))),
+                Call::Durable(StoreOp::Pruned(SeqNum(3))),
+                Call::Durable(StoreOp::RolledBack(SeqNum(2))),
+                Call::Emit(ProtoEvent::RolledBack {
+                    node: ME,
+                    restore_sn: SeqNum(2),
+                    discarded_clcs: 2,
+                }),
+            ]
+        );
+    }
+}

@@ -1,11 +1,12 @@
 //! Engine inputs and outputs.
 //!
 //! The node engine is a pure state machine: it consumes one [`Input`] at a
-//! time and emits the [`Output`] actions the hosting engine (discrete-
-//! event simulator or threaded runtime) must perform into a caller-owned
-//! [`OutputBuf`]. This is what lets the identical protocol code run under
-//! both substrates — and, because the buffer is reusable, lets a host
-//! drive millions of inputs without a heap allocation per event.
+//! time and emits [`Output`] actions into a caller-owned [`OutputBuf`],
+//! which [`crate::host::perform`] carries out against whatever hosts the
+//! engine (discrete-event simulator, threaded runtime, test federation).
+//! This is what lets the identical protocol code run under every
+//! substrate — and, because the buffer is reusable, lets a host drive
+//! millions of inputs without a heap allocation per event.
 
 use crate::msg::{AppPayload, Msg};
 use netsim::NodeId;
@@ -72,7 +73,7 @@ pub enum Output {
     },
     /// Replicate this node's staged checkpoint fragment to its replica
     /// holders (all in the node's own cluster): one batched action per
-    /// CLC freeze instead of one `Send` per holder. The hosting engine
+    /// CLC freeze instead of one `Send` per holder. The interpreter
     /// expands the batch into one [`Msg::FragmentReplica`] per holder *in
     /// holder order*, charging each the same wire bytes as an individual
     /// send — so network accounting and delivery ordering are identical
@@ -199,25 +200,10 @@ impl OutputBuf {
         self.items.is_empty()
     }
 
-    /// Drop all buffered actions, keeping the backing storage.
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    /// The buffered actions, in emission order.
-    pub fn as_slice(&self) -> &[Output] {
-        &self.items
-    }
-
     /// Move every buffered action out, keeping the backing storage for
     /// reuse.
     pub fn drain(&mut self) -> std::vec::Drain<'_, Output> {
         self.items.drain(..)
-    }
-
-    /// Consume the buffer, returning the buffered actions.
-    pub fn into_vec(self) -> Vec<Output> {
-        self.items
     }
 }
 
@@ -235,7 +221,6 @@ mod tests {
         assert!(buf.is_empty());
         assert_eq!(buf.items.capacity(), cap, "drain keeps the allocation");
         buf.push(Output::ResetClcTimer);
-        assert_eq!(buf.as_slice().len(), 1);
-        assert_eq!(buf.into_vec().len(), 1);
+        assert_eq!(buf.len(), 1);
     }
 }

@@ -18,14 +18,17 @@
 //!   no failure could ever need (§3.5).
 //!
 //! The protocol is packaged as a per-node state machine ([`NodeEngine`]):
-//! feed it [`Input`]s, perform the [`Output`]s it emits into a caller-owned
-//! reusable sink ([`OutputBuf`]). Both the discrete-event simulator
-//! (`simdriver`) and the hand-rolled threaded messaging runtime (`runtime`)
-//! drive this same type through the same sink API, so simulation results
-//! and live-runtime behaviour come from identical protocol code — and the
-//! engine allocates nothing per input on the hot path (DDV stamps on
-//! outgoing messages and cluster-wide commit broadcasts are `Arc`-shared,
-//! not deep-cloned).
+//! feed it [`Input`]s, and [`host::perform`] the [`Output`]s it emits into
+//! a caller-owned reusable sink ([`OutputBuf`]). That interpreter — fan-out,
+//! reliable-transport wrap/unwrap, durable frames, the [`ProtoEvent`]
+//! vocabulary — exists once, here; the discrete-event simulator
+//! (`simdriver`), the threaded messaging runtime (`runtime`) and the
+//! instant test federation ([`testkit`]) are three [`Host`] impls that
+//! supply only a wire, a clock and a timer, so simulation results and
+//! live-runtime behaviour come from identical protocol *and hosting* code
+//! — and the engine allocates nothing per input on the hot path (DDV
+//! stamps on outgoing messages and cluster-wide commit broadcasts are
+//! `Arc`-shared, not deep-cloned).
 //!
 //! **Determinism contract:** the engine is deterministic — identical input
 //! sequences produce identical outputs, which is what makes whole-
@@ -53,6 +56,7 @@ pub mod codec;
 pub mod config;
 mod epoch;
 pub mod gc;
+pub mod host;
 pub mod io;
 pub mod msg;
 pub mod node;
@@ -63,6 +67,7 @@ pub mod xport;
 
 pub use checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
 pub use config::{PiggybackMode, ProtocolConfig, WireSizes};
+pub use host::{Host, ProtoEvent, StoreOp, Xport};
 pub use io::{Input, Output, OutputBuf};
 pub use msg::{AppPayload, ClcReason, Msg, Piggyback};
 pub use node::NodeEngine;

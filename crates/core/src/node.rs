@@ -362,15 +362,6 @@ impl NodeEngine {
         }
     }
 
-    /// Convenience wrapper around [`NodeEngine::handle`] that collects the
-    /// actions into a fresh `Vec` (tests and one-shot callers; hot paths
-    /// should hold a reusable [`OutputBuf`] instead).
-    pub fn handle_collect(&mut self, now: SimTime, input: Input) -> Vec<Output> {
-        let mut out = OutputBuf::new();
-        self.handle(now, input, &mut out);
-        out.into_vec()
-    }
-
     fn handle_msg(&mut self, now: SimTime, from: NodeId, msg: Msg, out: &mut OutputBuf) {
         match msg {
             // ---- 2PC ----

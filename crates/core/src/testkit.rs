@@ -1,13 +1,17 @@
 //! Synchronous in-memory federation for protocol testing.
 //!
 //! [`InstantFederation`] wires a set of [`NodeEngine`]s through an instant,
-//! reliable, FIFO network: every `Output::Send` is queued and dispatched in
-//! order until quiescence. No timing model — this isolates the protocol
+//! reliable, FIFO network. It is the smallest [`Host`]: its wire is a
+//! queue dispatched in order until quiescence, its clock a counter, and it
+//! has no timers, no transport and no disk; what the engines emit is
+//! carried out by the shared interpreter ([`crate::host::perform`]) like
+//! under every other host. No timing model — this isolates the protocol
 //! logic from the simulator, and is also handy for downstream crates'
 //! tests and for the worked examples.
 
 use crate::config::ProtocolConfig;
-use crate::io::{Input, Output, OutputBuf};
+use crate::host::{self, Host, ProtoEvent, StoreOp, Xport};
+use crate::io::{Input, OutputBuf};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
 use desim::{SimDuration, SimTime};
@@ -95,12 +99,26 @@ impl InstantFederation {
     /// in-flight state mid-protocol.
     fn inject(&mut self, node: NodeId, input: Input) -> usize {
         self.now += SimDuration::from_nanos(1);
+        // The engine is lent out beside the host for the call: no `Host`
+        // method of this federation reaches into `engines`.
+        let mut cluster = std::mem::take(&mut self.engines[node.cluster.index()]);
         let mut buf = std::mem::take(&mut self.buf);
-        self.engines[node.cluster.index()][node.rank as usize].handle(self.now, input, &mut buf);
+        let engine = &mut cluster[node.rank as usize];
+        engine.handle(self.now, input, &mut buf);
         let emitted = buf.len();
-        self.absorb(node, &mut buf);
+        host::perform(self, engine, &mut buf);
         self.buf = buf;
+        self.engines[node.cluster.index()] = cluster;
         emitted
+    }
+
+    /// Dispatch the oldest queued message; `false` when the queue is empty.
+    fn step(&mut self) -> bool {
+        let Some((from, to, msg)) = self.queue.pop_front() else {
+            return false;
+        };
+        self.inject(to, Input::Receive { from, msg });
+        true
     }
 
     /// Convenience: application send from `from` to `to`.
@@ -160,73 +178,60 @@ impl InstantFederation {
             .collect()
     }
 
-    fn absorb(&mut self, source: NodeId, outs: &mut OutputBuf) {
-        for out in outs.drain() {
-            match out {
-                Output::Send { to, msg } => self.queue.push_back((source, to, msg)),
-                Output::SendFragments {
-                    holders,
-                    round,
-                    epoch,
-                } => {
-                    for &h in holders.iter() {
-                        self.queue.push_back((
-                            source,
-                            NodeId::new(source.cluster.0, h),
-                            Msg::FragmentReplica {
-                                round,
-                                owner: source.rank,
-                                epoch,
-                            },
-                        ));
-                    }
-                }
-                Output::DeliverApp { from, payload } => self.deliveries.push(Delivery {
-                    from,
-                    to: source,
-                    payload,
-                }),
-                Output::Committed { sn, forced } => {
-                    self.commits.push((source.cluster.index(), sn, forced))
-                }
-                Output::RolledBack { restore_sn, .. } => {
-                    if source.rank == 0 {
-                        self.rollbacks.push((source.cluster.index(), restore_sn));
-                    }
-                }
-                Output::ResetClcTimer => {}
-                // Durability hooks: no durable sink under the instant
-                // federation.
-                Output::StoreCommitted { .. } | Output::StorePruned { .. } => {}
-                Output::GcReport { before, after } => {
-                    self.gc_reports
-                        .push((source.cluster.index(), before, after))
-                }
-                Output::Unrecoverable { failed_rank } => self
-                    .unrecoverable
-                    .push((source.cluster.index(), failed_rank)),
-                Output::LateCrossing { .. } => self.late_crossings += 1,
-                Output::RestoreApp { .. } => {}
-            }
-        }
-    }
-
     fn run_to_quiescence(&mut self) {
         let mut budget = 1_000_000u64;
-        let mut buf = std::mem::take(&mut self.buf);
-        while let Some((from, to, msg)) = self.queue.pop_front() {
+        while self.step() {
             budget = budget
                 .checked_sub(1)
                 .expect("instant federation did not quiesce");
-            self.now += SimDuration::from_nanos(1);
-            self.engines[to.cluster.index()][to.rank as usize].handle(
-                self.now,
-                Input::Receive { from, msg },
-                &mut buf,
-            );
-            self.absorb(to, &mut buf);
         }
-        self.buf = buf;
+    }
+}
+
+impl Host for InstantFederation {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+        self.queue.push_back((from, to, msg));
+    }
+
+    fn xport(&mut self) -> Option<&mut Xport> {
+        None
+    }
+
+    fn arm_retry(&mut self, _from: NodeId, _to: NodeId, _seq: u64, _at: SimTime) {}
+
+    fn reset_clc_timer(&mut self, _node: NodeId) {}
+
+    fn durable(&mut self, _engine: &NodeEngine, _op: StoreOp) {}
+
+    fn emit(&mut self, _engine: &NodeEngine, ev: ProtoEvent) {
+        match ev {
+            ProtoEvent::Delivered { to, from, payload } => {
+                self.deliveries.push(Delivery { from, to, payload })
+            }
+            ProtoEvent::Committed {
+                cluster,
+                sn,
+                forced,
+            } => self.commits.push((cluster, sn, forced)),
+            ProtoEvent::RolledBack {
+                node, restore_sn, ..
+            } => {
+                if node.rank == 0 {
+                    self.rollbacks.push((node.cluster.index(), restore_sn));
+                }
+            }
+            ProtoEvent::GcReport {
+                cluster,
+                before,
+                after,
+            } => self.gc_reports.push((cluster, before, after)),
+            ProtoEvent::Unrecoverable { cluster, rank } => self.unrecoverable.push((cluster, rank)),
+            ProtoEvent::LateCrossing { .. } => self.late_crossings += 1,
+        }
     }
 }
 
@@ -234,20 +239,11 @@ impl InstantFederation {
 impl InstantFederation {
     /// Test helper: dispatch exactly `k` queued messages.
     fn step_n(&mut self, k: usize) {
-        let mut buf = std::mem::take(&mut self.buf);
         for _ in 0..k {
-            let Some((from, to, msg)) = self.queue.pop_front() else {
+            if !self.step() {
                 break;
-            };
-            self.now += SimDuration::from_nanos(1);
-            self.engines[to.cluster.index()][to.rank as usize].handle(
-                self.now,
-                Input::Receive { from, msg },
-                &mut buf,
-            );
-            self.absorb(to, &mut buf);
+            }
         }
-        self.buf = buf;
     }
 }
 

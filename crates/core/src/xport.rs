@@ -20,9 +20,11 @@
 //!   each sequence — a cumulative watermark plus a sparse above-watermark
 //!   set make the dedup state O(reordering window), not O(messages).
 //!
-//! The state machines here are substrate-neutral: the discrete-event
-//! simulator drives them through `desim` timer events and the threaded
-//! runtime through shard ticks, both expressing "now" as a [`SimTime`].
+//! The state machines here are substrate-neutral, and so is the code that
+//! drives them ([`crate::host`]'s `send`/`receive`/`retry`): the
+//! discrete-event simulator arms one `desim` timer event per copy and the
+//! threaded runtime polls from its shard ticks, both expressing "now" as a
+//! [`SimTime`].
 //! Everything is deterministic — no randomness, iteration in sequence
 //! order — so simulator fingerprints stay a pure function of the
 //! configuration and seed.
@@ -162,30 +164,15 @@ impl SenderChannel {
         Some((entry.msg.clone(), entry.next_at))
     }
 
-    /// Collect every copy whose retransmission is due, bumping its
-    /// backoff. The caller puts each `(seq, msg)` back on the wire and
-    /// re-arms its timer at the new [`SenderChannel::deadline`].
-    pub fn due(&mut self, now: SimTime, cfg: &XportConfig) -> Vec<(u64, Msg)> {
-        let mut out = Vec::new();
-        for (&seq, entry) in self.inflight.iter_mut() {
-            if entry.next_at <= now {
-                entry.retries += 1;
-                entry.next_at = now.saturating_add(cfg.backoff(entry.retries));
-                self.retransmissions += 1;
-                out.push((seq, entry.msg.clone()));
-            }
-        }
-        out
-    }
-
     /// The retransmission deadline of one in-flight sequence.
     pub fn deadline(&self, seq: u64) -> Option<SimTime> {
         self.inflight.get(&seq).map(|e| e.next_at)
     }
 
-    /// The earliest retransmission deadline of the channel.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.inflight.values().map(|e| e.next_at).min()
+    /// `(seq, deadline)` of every in-flight copy, in sequence order (what
+    /// a polling host scans for due retransmissions).
+    pub fn deadlines(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
+        self.inflight.iter().map(|(&seq, e)| (seq, e.next_at))
     }
 
     /// Unacknowledged copies currently in flight.
@@ -283,22 +270,25 @@ mod tests {
         let mut s = SenderChannel::default();
         s.send(t(0), &cfg, probe(7));
         assert_eq!(s.deadline(0), Some(t(50)));
-        assert!(s.due(t(49), &cfg).is_empty(), "not due yet");
-        assert_eq!(s.due(t(50), &cfg), vec![(0, probe(7))]);
+        assert_eq!(s.retransmit(t(49), &cfg, 0), None, "not due yet");
+        assert_eq!(s.retransmit(t(50), &cfg, 0), Some((probe(7), t(150))));
         assert_eq!(s.deadline(0), Some(t(150)), "50 + 2*50 backoff");
-        assert_eq!(s.due(t(150), &cfg).len(), 1);
         assert_eq!(
-            s.deadline(0),
-            Some(t(350)),
+            s.retransmit(t(150), &cfg, 0),
+            Some((probe(7), t(350))),
             "150 + 200 (still under the cap)"
         );
-        assert_eq!(s.due(t(350), &cfg).len(), 1);
-        assert_eq!(s.deadline(0), Some(t(650)), "cap reached: +300");
+        assert_eq!(
+            s.retransmit(t(350), &cfg, 0),
+            Some((probe(7), t(650))),
+            "cap reached: +300"
+        );
         assert_eq!(s.retransmissions, 3);
+        assert_eq!(s.deadlines().collect::<Vec<_>>(), vec![(0, t(650))]);
         // Ack cancels everything.
         s.ack(t(651), &cfg, 0);
-        assert!(s.due(t(10_000), &cfg).is_empty());
-        assert_eq!(s.next_deadline(), None);
+        assert_eq!(s.retransmit(t(10_000), &cfg, 0), None);
+        assert_eq!(s.deadlines().next(), None);
     }
 
     #[test]

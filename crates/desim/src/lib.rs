@@ -10,8 +10,6 @@
 //! * an instant-batching event-scheduling executive ([`Simulation`] /
 //!   [`World`] / [`InstantBatch`]),
 //! * named, independent, reproducible RNG streams ([`RngStreams`]),
-//! * statistics collectors ([`StatsRegistry`], [`Counter`], [`Tally`],
-//!   [`TimeSeries`], [`Histogram`]),
 //! * configurable tracing mirroring the paper's compile-time trace levels
 //!   ([`Tracer`]).
 //!
@@ -45,13 +43,11 @@
 pub mod engine;
 pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use engine::{Ctx, InboxKey, InstantBatch, RunOutcome, Simulation, World};
 pub use queue::{EventKey, EventQueue};
 pub use rng::{exponential, pareto, uniform, RngStreams};
-pub use stats::{Counter, Histogram, StatsRegistry, Tally, TimeSeries};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceLevel, TraceRecord, Tracer};

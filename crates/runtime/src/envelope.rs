@@ -1,7 +1,7 @@
 //! Wire envelopes and controller-visible events of the threaded runtime.
 
 use crossbeam::channel::Sender;
-use hc3i_core::{AppPayload, Msg, SeqNum};
+use hc3i_core::{AppPayload, Msg};
 use netsim::NodeId;
 
 /// What a node can receive in its (shard-multiplexed) mailbox.
@@ -51,55 +51,6 @@ pub enum Envelope {
     Shutdown,
 }
 
-/// Observable events streamed to the controller.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RtEvent {
-    /// `to` delivered an application payload originally sent by `from`.
-    Delivered {
-        /// Receiving node.
-        to: NodeId,
-        /// Original sender.
-        from: NodeId,
-        /// The payload.
-        payload: AppPayload,
-    },
-    /// A CLC committed.
-    Committed {
-        /// Cluster index.
-        cluster: usize,
-        /// Committed sequence number.
-        sn: SeqNum,
-        /// Communication-induced?
-        forced: bool,
-    },
-    /// A node restored a checkpoint.
-    RolledBack {
-        /// The node.
-        node: NodeId,
-        /// Restored sequence number.
-        restore_sn: SeqNum,
-        /// How many newer CLCs the restore discarded.
-        discarded_clcs: usize,
-    },
-    /// Garbage collection ran on a cluster.
-    GcReport {
-        /// Cluster index.
-        cluster: usize,
-        /// Stored CLCs before.
-        before: usize,
-        /// Stored CLCs after.
-        after: usize,
-    },
-    /// A fault exceeded the replication degree.
-    Unrecoverable {
-        /// Cluster index.
-        cluster: usize,
-        /// The unrecoverable rank.
-        rank: u32,
-    },
-    /// Consistency-monitor alarm (should never fire).
-    LateCrossing {
-        /// Observing node.
-        node: NodeId,
-    },
-}
+/// Observable events streamed to the controller: the protocol-event
+/// vocabulary every host of the engine shares.
+pub use hc3i_core::ProtoEvent as RtEvent;

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use storage::{DurableOptions, DurableStore};
+use storage::DurableStore;
 
 /// The shared on-disk segment log of a durable federation: one
 /// [`DurableStore`] guarded by a mutex, appended to by every shard worker.
@@ -212,6 +212,11 @@ impl Routes {
         self.offsets[id.cluster.index()] + id.rank as usize
     }
 
+    /// `id`'s slot on its shard.
+    pub(crate) fn slot(&self, id: NodeId) -> usize {
+        self.addr[self.global_index(id)].1 as usize
+    }
+
     /// Every node of the federation, cluster-major order.
     pub(crate) fn ids(&self) -> &[NodeId] {
         &self.ids
@@ -303,26 +308,13 @@ impl Federation {
                 stopped: false,
             });
         }
-        // Open the durable segment log (if configured) and seed it with
-        // every node's genesis CLC — the initial checkpoint is committed
-        // inside `NodeEngine::new`, so it never flows through the
-        // `StoreCommitted` hook.
+        // The log keys nodes by global index: seed in `addr` order.
         let durable: Option<SharedDurable> = cfg.durable_dir.as_ref().map(|dir| {
-            let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())
+            let engines = addr
+                .iter()
+                .map(|&(shard, slot)| &cells[shard as usize][slot as usize].engine);
+            let log = hc3i_core::host::open_log(dir, engines)
                 .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()));
-            assert!(
-                log.is_fresh(),
-                "durable dir {} already holds a segment log; recover it or use a fresh directory",
-                dir.display()
-            );
-            for (g, &(shard, slot)) in addr.iter().enumerate() {
-                log.snapshot_node(
-                    g as u64,
-                    cells[shard as usize][slot as usize].engine.store(),
-                )
-                .expect("seed durable genesis");
-            }
-            log.sync().expect("sync durable genesis");
             Arc::new(Mutex::new(log))
         });
 

@@ -12,9 +12,13 @@
 //! fixed-size pool (a 2048-node federation completes on a single worker).
 //!
 //! It drives the *same* [`hc3i_core::NodeEngine`] the discrete-event
-//! simulator uses — through the same reusable `OutputBuf` sink API — so
-//! the protocol logic validated by simulation is exercised unchanged,
-//! allocation-free, on a real concurrent transport.
+//! simulator uses, and carries out what it emits through the *same*
+//! interpreter ([`hc3i_core::host`]): a shard worker is a
+//! [`hc3i_core::Host`] whose wire is a channel, whose clock is the wall
+//! clock and whose timers are polled deadlines. So the protocol and
+//! hosting logic validated by simulation is exercised unchanged,
+//! allocation-free, on a real concurrent transport, and [`RtEvent`] is the
+//! shared `ProtoEvent` vocabulary the simulator's report is folded from.
 //!
 //! **Determinism contract:** shard assignment is cluster-major global
 //! index modulo the pool size, and protocol state is independent of the

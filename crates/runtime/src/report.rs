@@ -1,11 +1,10 @@
 //! Folding the runtime's event stream into the simulator's report shape.
 //!
-//! `tests/runtime_equivalence.rs` used to rebuild a `RunReport`-style
-//! fingerprint from raw [`RtEvent`]s by hand; this module promotes that
-//! bookkeeping into the crate so any controller — the equivalence tests,
-//! the CLI's `--runtime` mode, a benchmark — can drive the live substrate
-//! and obtain the same [`simdriver::RunReport`] the discrete-event
-//! simulator emits.
+//! Any controller — the equivalence tests, the CLI's `--runtime` mode, a
+//! benchmark — can drive the live substrate and obtain the same
+//! [`simdriver::RunReport`] the discrete-event simulator emits, folded
+//! from the same events by the same function
+//! ([`RunReport::observe`](simdriver::RunReport::observe)).
 //!
 //! Every event that passes through [`Federation::next_event`],
 //! [`Federation::wait_for`] or [`Federation::drain_events`] is folded into
@@ -19,10 +18,12 @@
 //! SNs and discard counts, GC before/after, deliveries, soundness counters,
 //! end-of-run storage and log occupancy — match the simulator bit-for-bit
 //! on equivalent scenarios (property-tested at shard counts {1, 2, 8}).
-//! Wall-clock-derived fields (`ended_at`, rollback timestamps, work-lost
-//! durations) carry real elapsed time, and wire-byte counters stay zero:
-//! the in-process transport ships `Msg` values, not serialized bytes, so
-//! the runtime does not guess at a byte model the simulator owns.
+//! Wall-clock-derived fields (`ended_at`, rollback timestamps) carry real
+//! elapsed time. Work-lost durations stay zero — they need the restored
+//! CLC's commit time, which the event stream does not carry — and so do
+//! the wire-byte counters: the in-process transport ships `Msg` values,
+//! not serialized bytes, so the runtime does not guess at a byte model the
+//! simulator owns.
 //!
 //! [`Federation::next_event`]: crate::Federation::next_event
 //! [`Federation::wait_for`]: crate::Federation::wait_for
@@ -30,135 +31,65 @@
 //! [`Federation::report`]: crate::Federation::report
 
 use crate::envelope::RtEvent;
-use desim::{SimDuration, SimTime};
+use desim::SimTime;
 use hc3i_core::NodeEngine;
 use netsim::NodeId;
-use simdriver::{ClusterStats, RunReport};
+use simdriver::RunReport;
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Accumulates [`RtEvent`]s into [`RunReport`] fields as they are observed.
-pub(crate) struct ReportCollector {
-    clusters: Vec<ClusterStats>,
-    app_matrix: Vec<Vec<u64>>,
-    app_sent: u64,
-    app_delivered: u64,
-    late_crossings: u64,
-    unrecoverable_faults: u64,
-    events_seen: u64,
-}
+/// Accumulates [`RtEvent`]s into a [`RunReport`] as they are observed,
+/// through the same [`RunReport::observe`] fold the simulator uses.
+pub(crate) struct ReportCollector(RunReport);
 
 impl ReportCollector {
     pub(crate) fn new(n_clusters: usize) -> Self {
-        ReportCollector {
-            clusters: vec![ClusterStats::default(); n_clusters],
-            app_matrix: vec![vec![0; n_clusters]; n_clusters],
-            app_sent: 0,
-            app_delivered: 0,
-            late_crossings: 0,
-            unrecoverable_faults: 0,
-            events_seen: 0,
-        }
+        ReportCollector(RunReport::new(n_clusters))
     }
 
     /// Record one controller-injected application send.
     pub(crate) fn note_send(&mut self) {
-        self.app_sent += 1;
+        self.0.app_sent += 1;
     }
 
     /// Fold one observed event. `epoch` is the federation's spawn instant;
     /// the wall-clock offset (the runtime's analogue of simulated time) is
-    /// only computed for the rare events that record a timestamp, keeping
-    /// the per-event fold off the clock on the hot drain path.
+    /// only computed for rollbacks, the one event that records a
+    /// timestamp, keeping the per-event fold off the clock on the hot
+    /// drain path.
     pub(crate) fn observe(&mut self, ev: &RtEvent, epoch: Instant) {
-        self.events_seen += 1;
-        match ev {
-            RtEvent::Delivered { to, from, .. } => {
-                self.app_delivered += 1;
-                // The live substrate counts end-to-end deliveries per
-                // cluster pair (it has no wire tap for sends in flight).
-                self.app_matrix[from.cluster.index()][to.cluster.index()] += 1;
-            }
-            RtEvent::Committed {
-                cluster, forced, ..
-            } => {
-                let c = &mut self.clusters[*cluster];
-                if *forced {
-                    c.forced_clcs += 1;
-                } else {
-                    c.unforced_clcs += 1;
-                }
-            }
-            RtEvent::RolledBack {
-                node,
-                restore_sn,
-                discarded_clcs,
-            } => {
-                // One entry per cluster rollback, reported by rank 0 —
-                // the same convention the simulator's report uses.
-                if node.rank == 0 {
-                    let at = SimTime(epoch.elapsed().as_nanos() as u64);
-                    let c = &mut self.clusters[node.cluster.index()];
-                    c.rollbacks.push((at, *restore_sn, *discarded_clcs));
-                    // Real work-lost durations need the restored CLC's
-                    // commit time, which the event stream does not carry.
-                    c.work_lost.push(SimDuration::ZERO);
-                }
-            }
-            RtEvent::GcReport {
-                cluster,
-                before,
-                after,
-            } => {
-                self.clusters[*cluster]
-                    .gc_before_after
-                    .push((*before, *after));
-            }
-            RtEvent::Unrecoverable { .. } => self.unrecoverable_faults += 1,
-            RtEvent::LateCrossing { .. } => self.late_crossings += 1,
+        self.0.events_processed += 1;
+        if let RtEvent::Delivered { to, from, .. } = ev {
+            // The live substrate has no wire tap for sends in flight: its
+            // matrix counts end-to-end deliveries per cluster pair.
+            self.0.app_matrix[from.cluster.index()][to.cluster.index()] += 1;
         }
+        let at = if matches!(ev, RtEvent::RolledBack { .. }) {
+            SimTime(epoch.elapsed().as_nanos() as u64)
+        } else {
+            SimTime::ZERO
+        };
+        // Real work-lost durations need the restored CLC's commit time,
+        // which the event stream does not carry.
+        self.0.observe(at, ev, None);
     }
 
     /// Produce the final report from the accumulated events plus the
-    /// joined engines' end-of-run storage and log occupancy.
+    /// joined engines' end-of-run storage and log occupancy. Wire-byte
+    /// counters stay zero: the in-process transport has no byte model
+    /// (see the module docs).
     pub(crate) fn finalize(
-        mut self,
+        self,
         engines: &HashMap<NodeId, NodeEngine>,
         cluster_sizes: &[u32],
         ended_at: SimTime,
     ) -> RunReport {
-        for (c, stats) in self.clusters.iter_mut().enumerate() {
-            let coord = NodeId::new(c as u16, 0);
-            if let Some(e) = engines.get(&coord) {
-                stats.stored_clcs = e.store().len();
-                stats.peak_stored_clcs = e.store().peak();
-            }
+        let mut report = self.0;
+        for (c, stats) in report.clusters.iter_mut().enumerate() {
             let ranks = 0..cluster_sizes[c];
-            stats.logged_messages = ranks
-                .clone()
-                .filter_map(|r| engines.get(&NodeId::new(c as u16, r)))
-                .map(|e| e.log().len() as u64)
-                .sum();
-            stats.peak_logged_messages = ranks
-                .filter_map(|r| engines.get(&NodeId::new(c as u16, r)))
-                .map(|e| e.log().peak() as u64)
-                .sum();
+            stats.close(ranks.filter_map(|r| engines.get(&NodeId::new(c as u16, r))));
         }
-        RunReport {
-            clusters: self.clusters,
-            app_delivered: self.app_delivered,
-            app_sent: self.app_sent,
-            app_matrix: self.app_matrix,
-            late_crossings: self.late_crossings,
-            unrecoverable_faults: self.unrecoverable_faults,
-            events_processed: self.events_seen,
-            ended_at,
-            // The in-process transport has no byte model; see module docs.
-            protocol_messages: 0,
-            protocol_bytes: 0,
-            ack_messages: 0,
-            ack_bytes: 0,
-            app_bytes: 0,
-        }
+        report.ended_at = ended_at;
+        report
     }
 }

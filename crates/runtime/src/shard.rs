@@ -12,9 +12,15 @@
 //! Between messages the worker *ticks*: it fires any due per-node CLC
 //! timers and runs the heartbeat probes of the clusters it homes
 //! ([`ClusterProbe`]), sleeping via `recv_deadline` until the earliest
-//! pending deadline when idle. One reusable [`OutputBuf`] and dispatch
-//! queue serve all nodes of the shard, so steady-state message processing
-//! allocates nothing per event.
+//! pending deadline when idle. One reusable [`OutputBuf`] serves all
+//! nodes of the shard, so steady-state message processing allocates
+//! nothing per event.
+//!
+//! What an engine emits is carried out by the shared interpreter in
+//! [`hc3i_core::host`]; the shard supplies [`ShardHost`]: the wire is the
+//! routing table's channels, the clock is time since the federation's
+//! spawn, timers are cached earliest-deadline bounds the tick polls, and
+//! the event sink is the controller's channel.
 
 use crate::app::Application;
 use crate::detector::ClusterProbe;
@@ -22,11 +28,9 @@ use crate::envelope::{Envelope, RtEvent};
 use crate::federation::{Health, NodeFinalState, Routes, SharedDurable};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use desim::SimTime;
-use hc3i_core::{
-    Input, Msg, NodeEngine, Output, OutputBuf, ReceiverChannel, SenderChannel, XportConfig,
-};
+use hc3i_core::host::{self, Host, StoreOp, Xport};
+use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, XportConfig};
 use netsim::NodeId;
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,30 +52,86 @@ pub(crate) struct NodeCell {
     pub(crate) stopped: bool,
 }
 
-/// Host-level reliable-transport state of one shard: sender channels for
-/// the shard's own nodes' outgoing inter-cluster traffic, receiver
-/// channels for what arrives here. Both sides of a directed node pair
-/// live on the pair's respective owning shards, so no state is shared
-/// across workers. Retransmissions are driven by [`ShardWorker::tick`]
-/// against a cached earliest-deadline bound, exactly like the CLC timers.
-pub(crate) struct ShardXport {
-    cfg: XportConfig,
-    /// `(local sender, remote destination)` → sender channel.
-    senders: HashMap<(NodeId, NodeId), SenderChannel>,
-    /// `(remote sender, local destination)` → receiver dedup state.
-    receivers: HashMap<(NodeId, NodeId), ReceiverChannel>,
-    /// Lower bound on the earliest retransmission deadline; `None` when
-    /// nothing is in flight. Maintained like `ShardWorker::next_clc`.
-    next_retry: Option<Instant>,
+/// Lower a cached earliest-deadline bound to cover a newly armed
+/// deadline. Arming only ever lowers a bound (O(1) on the message path);
+/// the exact minimum is recomputed when it comes due — so a waking worker
+/// may scan and find nothing to fire, but a due timer is never missed.
+fn lower(bound: &mut Option<Instant>, deadline: Instant) {
+    *bound = Some(bound.map_or(deadline, |b| b.min(deadline)));
 }
 
-impl ShardXport {
-    fn new(cfg: XportConfig) -> Self {
-        ShardXport {
-            cfg,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-            next_retry: None,
+/// The runtime's clock: wall time since the federation's spawn instant.
+fn since(epoch: Instant) -> SimTime {
+    SimTime(epoch.elapsed().as_nanos() as u64)
+}
+
+/// One node's shard as a [`Host`]: disjoint borrows of the worker's
+/// shard-wide fields and of the node's own cell, the engine lent out
+/// beside it ([`ShardWorker::split`]).
+struct ShardHost<'a> {
+    epoch: Instant,
+    routes: &'a Routes,
+    events: &'a Sender<RtEvent>,
+    xport: &'a mut Option<Xport>,
+    next_retry: &'a mut Option<Instant>,
+    next_clc: &'a mut Option<Instant>,
+    durable: Option<&'a SharedDurable>,
+    gidx: usize,
+    app: &'a mut Option<Box<dyn Application>>,
+    clc_delay: Option<Duration>,
+    clc_deadline: &'a mut Option<Instant>,
+}
+
+impl Host for ShardHost<'_> {
+    fn now(&self) -> SimTime {
+        since(self.epoch)
+    }
+
+    fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+        // A vanished route only happens at shutdown; drop then.
+        let _ = self.routes.send(to, Envelope::Net { from, msg });
+    }
+
+    #[inline]
+    fn xport(&mut self) -> Option<&mut Xport> {
+        self.xport.as_mut()
+    }
+
+    fn arm_retry(&mut self, _from: NodeId, _to: NodeId, _seq: u64, at: SimTime) {
+        lower(self.next_retry, self.epoch + Duration::from_nanos(at.0));
+    }
+
+    fn reset_clc_timer(&mut self, _node: NodeId) {
+        if let Some(d) = self.clc_delay {
+            let deadline = Instant::now() + d;
+            *self.clc_deadline = Some(deadline);
+            lower(self.next_clc, deadline);
+        }
+    }
+
+    /// Appends happen under the lock — a node lives on exactly one shard,
+    /// so its frames land in emission order.
+    fn durable(&mut self, engine: &NodeEngine, op: StoreOp) {
+        if let Some(d) = self.durable {
+            let mut log = d.lock().expect("durable log lock");
+            op.append(&mut log, self.gidx as u64, engine)
+                .unwrap_or_else(|e| panic!("durable append of {op:?} for {}: {e}", engine.id()));
+        }
+    }
+
+    fn emit(&mut self, _engine: &NodeEngine, ev: RtEvent) {
+        let _ = self.events.send(ev);
+    }
+
+    fn deliver_app(&mut self, _to: NodeId, from: NodeId, payload: AppPayload) -> Option<Vec<u8>> {
+        let app = self.app.as_mut()?;
+        app.on_deliver(from, payload);
+        Some(app.snapshot())
+    }
+
+    fn restore_app(&mut self, _node: NodeId, state: Option<&[u8]>) {
+        if let Some(app) = self.app.as_mut() {
+            app.restore(state);
         }
     }
 }
@@ -89,25 +149,21 @@ pub(crate) struct ShardWorker {
     /// Reusable sink the engines emit into (same API the simulator
     /// drives; zero allocation per input).
     buf: OutputBuf,
-    /// Reusable dispatch queue: outputs under processing, including
-    /// follow-ups emitted by `AppStateUpdate` re-entries.
-    work: VecDeque<Output>,
-    /// Lower bound on the earliest armed CLC deadline. Arming only ever
-    /// lowers it (O(1) on the message path); the exact minimum is
-    /// recomputed only when it comes due — so a waking worker may scan
-    /// the timer slots and find nothing to fire (a deadline was replaced
-    /// by a later one), but a due timer is never missed.
+    /// Lower bound on the earliest armed CLC deadline (see [`lower`]).
     next_clc: Option<Instant>,
     /// Nodes not yet stopped; the worker exits when this reaches zero.
     live: usize,
-    /// Reliable-transport state; `None` leaves the envelope traffic of a
-    /// transport-free federation untouched.
-    xport: Option<ShardXport>,
+    /// Reliable-transport state of this shard — sender channels for its
+    /// own nodes' outgoing inter-cluster traffic, receiver channels for
+    /// what arrives here, so no state is shared across workers. `None`
+    /// leaves the envelope traffic of a transport-free federation
+    /// untouched.
+    xport: Option<Xport>,
+    /// Lower bound on the earliest retransmission deadline; `None` when
+    /// nothing is in flight. Maintained like `next_clc`.
+    next_retry: Option<Instant>,
     /// The federation's shared on-disk segment log; `None` keeps every
-    /// CLC store in memory only. Appends happen on the engine's
-    /// durability hooks (`StoreCommitted`/`StorePruned`/`RolledBack`),
-    /// under the lock — a node lives on exactly one shard, so its frames
-    /// land in emission order.
+    /// CLC store in memory only.
     durable: Option<SharedDurable>,
 }
 
@@ -139,10 +195,10 @@ impl ShardWorker {
             epoch,
             probes,
             buf: OutputBuf::new(),
-            work: VecDeque::new(),
             next_clc,
             live,
             xport: None,
+            next_retry: None,
             durable: None,
         }
     }
@@ -150,7 +206,7 @@ impl ShardWorker {
     /// Enable the reliable transport for this shard's inter-cluster
     /// traffic (chained at construction; `None` is a no-op).
     pub(crate) fn with_xport(mut self, cfg: Option<XportConfig>) -> Self {
-        self.xport = cfg.map(ShardXport::new);
+        self.xport = cfg.map(Xport::new);
         self
     }
 
@@ -159,10 +215,6 @@ impl ShardWorker {
     pub(crate) fn with_durable(mut self, durable: Option<SharedDurable>) -> Self {
         self.durable = durable;
         self
-    }
-
-    fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_nanos() as u64)
     }
 
     /// Drain the shard until every owned node has been shut down; return
@@ -204,19 +256,13 @@ impl ShardWorker {
     /// scans.
     fn next_deadline(&self) -> Option<Instant> {
         let mut next = self.next_clc;
-        if let Some(t) = self.xport.as_ref().and_then(|x| x.next_retry) {
-            next = Some(next.map_or(t, |n| n.min(t)));
+        if let Some(t) = self.next_retry {
+            lower(&mut next, t);
         }
         for p in &self.probes {
-            let t = p.next_deadline();
-            next = Some(next.map_or(t, |n| n.min(t)));
+            lower(&mut next, p.next_deadline());
         }
         next
-    }
-
-    /// Lower the cached CLC bound to cover a newly armed deadline.
-    fn arm_clc(&mut self, deadline: Instant) {
-        self.next_clc = Some(self.next_clc.map_or(deadline, |n| n.min(deadline)));
     }
 
     /// Fire due CLC timers and heartbeat probes. The timer-slot scan only
@@ -227,11 +273,7 @@ impl ShardWorker {
         if self.next_clc.is_some_and(|t| t <= now) {
             self.fire_due_clcs(now);
         }
-        if self
-            .xport
-            .as_ref()
-            .is_some_and(|x| x.next_retry.is_some_and(|t| t <= now))
-        {
+        if self.next_retry.is_some_and(|t| t <= now) {
             self.retransmit_due();
         }
         for i in 0..self.probes.len() {
@@ -239,30 +281,18 @@ impl ShardWorker {
         }
     }
 
-    /// Put every overdue in-flight copy back on the wire and refresh the
-    /// cached retransmission bound to the exact minimum.
+    /// Put every overdue in-flight copy back on the wire. The cached
+    /// bound restarts from the earliest deadline still ahead; each
+    /// retransmitted copy lowers it again as it re-arms.
     fn retransmit_due(&mut self) {
-        let now = self.now();
-        let mut next: Option<SimTime> = None;
-        let Some(x) = self.xport.as_mut() else { return };
-        for (&(from, to), ch) in x.senders.iter_mut() {
-            for (seq, msg) in ch.due(now, &x.cfg) {
-                let _ = self.routes.send(
-                    to,
-                    Envelope::Net {
-                        from,
-                        msg: Msg::Reliable {
-                            seq,
-                            inner: Box::new(msg),
-                        },
-                    },
-                );
-            }
-            if let Some(d) = ch.next_deadline() {
-                next = Some(next.map_or(d, |n| n.min(d)));
-            }
+        let Some(x) = self.xport.as_ref() else { return };
+        let (due, ahead) = x.due(since(self.epoch));
+        self.next_retry = ahead.map(|t| self.epoch + Duration::from_nanos(t.0));
+        for (from, to, seq) in due {
+            let slot = self.routes.slot(from);
+            let (mut host, ..) = self.split(slot);
+            host::retry(&mut host, from, to, seq);
         }
-        x.next_retry = next.map(|t| self.epoch + Duration::from_nanos(t.0));
     }
 
     fn fire_due_clcs(&mut self, now: Instant) {
@@ -304,45 +334,22 @@ impl ShardWorker {
             return;
         }
         let input = match env {
-            // Transport frames terminate at the shard: engines never see
-            // `Reliable` wrappers or `XportAck`s.
-            Envelope::Net {
-                from,
-                msg: Msg::Reliable { seq, inner },
-            } if self.xport.is_some() => {
-                let me = self.nodes[slot].id;
-                let fresh = self
-                    .xport
-                    .as_mut()
-                    .expect("checked above")
-                    .receivers
-                    .entry((from, me))
-                    .or_default()
-                    .accept(seq);
-                // The shard acks every copy it sees — even for a
-                // fail-stopped engine, so the sender's window drains; a
-                // dead node's lost deliveries are the protocol's problem
-                // (sender logging + replay), not the transport's.
-                let _ = self.routes.send(
-                    from,
-                    Envelope::Net {
-                        from: me,
-                        msg: Msg::XportAck { seq },
-                    },
-                );
-                if !fresh {
-                    return;
-                }
-                Input::Receive { from, msg: *inner }
+            Envelope::Net { from, msg } => {
+                // Transport frames terminate at the shard: engines never
+                // see them. Without a transport there is nothing to
+                // terminate, and the hot path skips the call.
+                let msg = if self.xport.is_some() {
+                    let me = self.nodes[slot].id;
+                    let (mut host, ..) = self.split(slot);
+                    match host::receive(&mut host, from, me, msg) {
+                        Some(msg) => msg,
+                        None => return,
+                    }
+                } else {
+                    msg
+                };
+                Input::Receive { from, msg }
             }
-            Envelope::Net {
-                from,
-                msg: Msg::XportAck { seq },
-            } if self.xport.is_some() => {
-                self.process_ack(slot, from, seq);
-                return;
-            }
-            Envelope::Net { from, msg } => Input::Receive { from, msg },
             Envelope::AppSend { to, payload } => Input::AppSend { to, payload },
             Envelope::ClcNow => Input::ClcTimer,
             Envelope::GcNow => Input::GcTimer,
@@ -366,210 +373,38 @@ impl ShardWorker {
         self.input(slot, input);
     }
 
-    /// Cancel an acked in-flight copy and put any window-released queued
-    /// messages on the wire. The ack's receiver is the original sender,
-    /// so the channel is keyed `(this node, acking peer)`.
-    fn process_ack(&mut self, slot: usize, from: NodeId, seq: u64) {
-        let me = self.nodes[slot].id;
-        let now = self.now();
-        let Some(x) = self.xport.as_mut() else { return };
-        let Some(ch) = x.senders.get_mut(&(me, from)) else {
-            return;
+    /// The [`Host`] view of the node at `slot`, with its engine and the
+    /// shared output buffer lent out beside it.
+    fn split(&mut self, slot: usize) -> (ShardHost<'_>, &mut NodeEngine, &mut OutputBuf) {
+        let cell = &mut self.nodes[slot];
+        let host = ShardHost {
+            epoch: self.epoch,
+            routes: &self.routes,
+            events: &self.events,
+            xport: &mut self.xport,
+            next_retry: &mut self.next_retry,
+            next_clc: &mut self.next_clc,
+            durable: self.durable.as_ref(),
+            gidx: cell.gidx,
+            app: &mut cell.app,
+            clc_delay: cell.clc_delay,
+            clc_deadline: &mut cell.clc_deadline,
         };
-        let released = ch.ack(now, &x.cfg, seq);
-        let deadline = ch.next_deadline();
-        for (seq, msg) in released {
-            let _ = self.routes.send(
-                from,
-                Envelope::Net {
-                    from: me,
-                    msg: Msg::Reliable {
-                        seq,
-                        inner: Box::new(msg),
-                    },
-                },
-            );
-        }
-        if let Some(d) = deadline {
-            let at = self.epoch + Duration::from_nanos(d.0);
-            x.next_retry = Some(x.next_retry.map_or(at, |n| n.min(at)));
-        }
-    }
-
-    /// Detour one inter-cluster send through the reliable transport:
-    /// assign a sequence, keep the copy in flight, wrap it in
-    /// [`Msg::Reliable`] and arm the retransmission bound.
-    fn xport_send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
-        let now = self.now();
-        let Some(x) = self.xport.as_mut() else { return };
-        let ch = x.senders.entry((from, to)).or_default();
-        let Some(seq) = ch.send(now, &x.cfg, msg.clone()) else {
-            // Window full: the channel parked the copy; it enters the
-            // wire from an ack's released batch.
-            return;
-        };
-        let deadline = ch.deadline(seq);
-        let _ = self.routes.send(
-            to,
-            Envelope::Net {
-                from,
-                msg: Msg::Reliable {
-                    seq,
-                    inner: Box::new(msg),
-                },
-            },
-        );
-        if let Some(d) = deadline {
-            let at = self.epoch + Duration::from_nanos(d.0);
-            x.next_retry = Some(x.next_retry.map_or(at, |n| n.min(at)));
-        }
+        (host, &mut cell.engine, &mut self.buf)
     }
 
     /// Feed one input to a node's engine, perform everything it emits, and
     /// publish any fail-stop transition to the shared health table.
     fn input(&mut self, slot: usize, input: Input) {
-        let now = self.now();
-        self.nodes[slot].engine.handle(now, input, &mut self.buf);
-        self.dispatch(slot);
+        let now = since(self.epoch);
+        let (mut host, engine, buf) = self.split(slot);
+        engine.handle(now, input, buf);
+        host::perform(&mut host, engine, buf);
         let cell = &mut self.nodes[slot];
         let failed = cell.engine.is_failed();
         if failed != cell.published_failed {
             cell.published_failed = failed;
             self.health.bump(cell.gidx);
-        }
-    }
-
-    /// Perform everything the engine just emitted into `self.buf`. The
-    /// buffer and the work queue are reused across inputs and nodes.
-    fn dispatch(&mut self, slot: usize) {
-        debug_assert!(self.work.is_empty());
-        self.work.extend(self.buf.drain());
-        while let Some(out) = self.work.pop_front() {
-            let id = self.nodes[slot].id;
-            match out {
-                Output::Send { to, msg } => {
-                    if self.xport.is_some() && to.cluster != id.cluster {
-                        self.xport_send(id, to, msg);
-                    } else {
-                        // A vanished route only happens at shutdown; drop
-                        // then.
-                        let _ = self.routes.send(to, Envelope::Net { from: id, msg });
-                    }
-                }
-                Output::SendFragments {
-                    holders,
-                    round,
-                    epoch,
-                } => {
-                    // Expand the batched fragment fan-out into per-holder
-                    // envelopes (holder order = the old per-send order).
-                    for &h in holders.iter() {
-                        let to = NodeId::new(id.cluster.0, h);
-                        let msg = hc3i_core::Msg::FragmentReplica {
-                            round,
-                            owner: id.rank,
-                            epoch,
-                        };
-                        let _ = self.routes.send(to, Envelope::Net { from: id, msg });
-                    }
-                }
-                Output::DeliverApp { from, payload } => {
-                    if self.nodes[slot].app.is_some() {
-                        let snap = {
-                            let app = self.nodes[slot].app.as_mut().expect("checked above");
-                            app.on_deliver(from, payload);
-                            app.snapshot()
-                        };
-                        let now = self.now();
-                        self.nodes[slot].engine.handle(
-                            now,
-                            Input::AppStateUpdate { state: snap },
-                            &mut self.buf,
-                        );
-                        self.work.extend(self.buf.drain());
-                    }
-                    let _ = self.events.send(RtEvent::Delivered {
-                        to: id,
-                        from,
-                        payload,
-                    });
-                }
-                Output::Committed { sn, forced } => {
-                    let _ = self.events.send(RtEvent::Committed {
-                        cluster: id.cluster.index(),
-                        sn,
-                        forced,
-                    });
-                }
-                Output::StoreCommitted { sn } => {
-                    if let Some(d) = &self.durable {
-                        let cell = &self.nodes[slot];
-                        let entry = cell
-                            .engine
-                            .store()
-                            .get(sn)
-                            .expect("committed CLC is stored");
-                        d.lock()
-                            .expect("durable log lock")
-                            .append_commit(cell.gidx as u64, &entry.meta, &entry.payload)
-                            .expect("durable commit append");
-                    }
-                }
-                Output::StorePruned { min_sn } => {
-                    if let Some(d) = &self.durable {
-                        let gidx = self.nodes[slot].gidx as u64;
-                        d.lock()
-                            .expect("durable log lock")
-                            .append_prune(gidx, min_sn)
-                            .expect("durable prune append");
-                    }
-                }
-                Output::ResetClcTimer => {
-                    if let Some(d) = self.nodes[slot].clc_delay {
-                        let deadline = Instant::now() + d;
-                        self.nodes[slot].clc_deadline = Some(deadline);
-                        self.arm_clc(deadline);
-                    }
-                }
-                Output::RolledBack {
-                    restore_sn,
-                    discarded_clcs,
-                } => {
-                    if let Some(d) = &self.durable {
-                        let gidx = self.nodes[slot].gidx as u64;
-                        d.lock()
-                            .expect("durable log lock")
-                            .append_truncate(gidx, restore_sn)
-                            .expect("durable truncate append");
-                    }
-                    let _ = self.events.send(RtEvent::RolledBack {
-                        node: id,
-                        restore_sn,
-                        discarded_clcs,
-                    });
-                }
-                Output::GcReport { before, after } => {
-                    let _ = self.events.send(RtEvent::GcReport {
-                        cluster: id.cluster.index(),
-                        before,
-                        after,
-                    });
-                }
-                Output::Unrecoverable { failed_rank } => {
-                    let _ = self.events.send(RtEvent::Unrecoverable {
-                        cluster: id.cluster.index(),
-                        rank: failed_rank,
-                    });
-                }
-                Output::LateCrossing { .. } => {
-                    let _ = self.events.send(RtEvent::LateCrossing { node: id });
-                }
-                Output::RestoreApp { state } => {
-                    if let Some(app) = self.nodes[slot].app.as_mut() {
-                        app.restore(state.as_deref());
-                    }
-                }
-            }
         }
     }
 }

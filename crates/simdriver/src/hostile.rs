@@ -7,6 +7,21 @@
 //! disabled produces byte-identical reports to one that never heard of
 //! this module.
 
+use desim::SimTime;
+
+/// Where and when the workload issued one ledger entry.
+#[derive(Debug, Clone, Copy)]
+struct Sent {
+    /// Sending cluster.
+    cluster: usize,
+    /// Send instant.
+    at: SimTime,
+    /// The sending cluster later restored a CLC committed before `at`:
+    /// the send was undone by its own sender's rollback — uncommitted
+    /// work, which nothing promises to deliver.
+    undone: bool,
+}
+
 /// Per-tag delivery ledger: which workload sends were delivered, how many
 /// times, and in which incarnation (rollback epoch) of the receiving
 /// cluster.
@@ -14,8 +29,10 @@
 /// Observation only — recording never feeds back into the run.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLedger {
-    /// `sent[tag]` = times the workload issued this tag (always 1).
-    sent: Vec<u32>,
+    /// The send the workload issued under each recorded tag. Keyed, not
+    /// indexed: only inter-cluster sends are recorded, a small share of
+    /// the tag space.
+    sent: std::collections::BTreeMap<u64, Sent>,
     /// `delivered[tag]` = total application deliveries of this tag,
     /// replays included.
     delivered: Vec<u32>,
@@ -34,8 +51,26 @@ impl DeliveryLedger {
         &mut v[i]
     }
 
-    pub(crate) fn record_sent(&mut self, tag: u64) {
-        *Self::slot(&mut self.sent, tag) += 1;
+    pub(crate) fn record_sent(&mut self, tag: u64, cluster: usize, at: SimTime) {
+        let undone = false;
+        self.sent.insert(
+            tag,
+            Sent {
+                cluster,
+                at,
+                undone,
+            },
+        );
+    }
+
+    /// `cluster` rolled back to a CLC committed at `restored_at`: every
+    /// send it issued after that instant is undone with it.
+    pub(crate) fn record_rollback(&mut self, cluster: usize, restored_at: SimTime) {
+        for s in self.sent.values_mut() {
+            if s.cluster == cluster && s.at > restored_at {
+                s.undone = true;
+            }
+        }
     }
 
     pub(crate) fn record_delivered(&mut self, tag: u64, incarnation: usize) {
@@ -43,15 +78,12 @@ impl DeliveryLedger {
         *self.per_incarnation.entry((tag, incarnation)).or_default() += 1;
     }
 
-    /// Fold another shard's ledger into this one (sends are recorded on
-    /// the sender's shard, deliveries on the receiver's; the union over
-    /// all shards is exactly the sequential ledger).
+    /// Fold another shard's ledger into this one (sends and the sender's
+    /// rollbacks are recorded on the sender's shard, deliveries on the
+    /// receiver's; the union over all shards is exactly the sequential
+    /// ledger).
     pub(crate) fn absorb(&mut self, other: &DeliveryLedger) {
-        for (tag, &s) in other.sent.iter().enumerate() {
-            if s > 0 {
-                *Self::slot(&mut self.sent, tag as u64) += s;
-            }
-        }
+        self.sent.extend(&other.sent);
         for (tag, &d) in other.delivered.iter().enumerate() {
             if d > 0 {
                 *Self::slot(&mut self.delivered, tag as u64) += d;
@@ -62,13 +94,15 @@ impl DeliveryLedger {
         }
     }
 
-    /// Tags that were sent but never delivered (committed work lost).
+    /// Tags that were sent, not undone by their own sender's rollback,
+    /// and never delivered (committed work lost).
     pub fn undelivered(&self) -> Vec<u64> {
         self.sent
             .iter()
-            .enumerate()
-            .filter(|&(tag, &s)| s > 0 && self.delivered.get(tag).copied().unwrap_or(0) == 0)
-            .map(|(tag, _)| tag as u64)
+            .filter(|&(&tag, s)| {
+                !s.undone && self.delivered.get(tag as usize).copied().unwrap_or(0) == 0
+            })
+            .map(|(&tag, _)| tag)
             .collect()
     }
 
@@ -84,7 +118,7 @@ impl DeliveryLedger {
 
     /// Number of distinct tags sent.
     pub fn sent_tags(&self) -> usize {
-        self.sent.iter().filter(|&&s| s > 0).count()
+        self.sent.len()
     }
 
     /// Number of distinct tags delivered at least once.
@@ -117,4 +151,37 @@ pub struct HostileRunStats {
     /// [`SimConfig::with_delivery_ledger`](crate::SimConfig::with_delivery_ledger)
     /// was set.
     pub ledger: Option<DeliveryLedger>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use desim::SimDuration;
+
+    fn t(secs: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(secs)
+    }
+
+    #[test]
+    fn a_send_undone_by_its_senders_rollback_is_not_lost_committed_work() {
+        let mut l = DeliveryLedger::default();
+        l.record_sent(0, 0, t(900)); // before cluster 0's CLC at 988 s
+        l.record_sent(1, 0, t(1079)); // after it
+        l.record_sent(2, 1, t(1079)); // another cluster's
+        assert_eq!(l.undelivered(), vec![0, 1, 2]);
+
+        // Cluster 0 restores the CLC committed at 988 s: only its own
+        // later send goes with it.
+        l.record_rollback(0, t(988));
+        assert_eq!(l.undelivered(), vec![0, 2]);
+        assert_eq!(l.sent_tags(), 3, "undone sends were still sent");
+
+        // Sends issued after the rollback are fresh obligations.
+        l.record_sent(3, 0, t(1100));
+        assert_eq!(l.undelivered(), vec![0, 2, 3]);
+        l.record_delivered(0, 0);
+        l.record_delivered(2, 0);
+        l.record_delivered(3, 1);
+        assert!(l.undelivered().is_empty());
+    }
 }

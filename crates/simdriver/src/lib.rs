@@ -6,6 +6,12 @@
 //! scripted or MTBF-driven fail-stop faults, and produce a [`RunReport`]
 //! with the statistics the paper's evaluation section reports.
 //!
+//! The simulator is one of three hosts of the engine: what an engine emits
+//! is carried out by the shared interpreter (`hc3i_core::host`), and this
+//! crate supplies only the [`hc3i_core::Host`] that makes a wire out of
+//! the network model and the calendar queue, a clock out of simulated
+//! time, and an event sink out of the trace and [`RunReport::observe`].
+//!
 //! The event hot path is allocation-free: engines live in a flat arena
 //! indexed by precomputed cluster offsets, outputs drain through one
 //! reusable `OutputBuf`, and per-event trace formatting is gated behind

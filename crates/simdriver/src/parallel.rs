@@ -38,7 +38,7 @@
 
 use crate::config::SimConfig;
 use crate::hostile::HostileRunStats;
-use crate::report::{ClusterStats, RunReport};
+use crate::report::RunReport;
 use crate::run::{seed_shard_events, EVENT_BUDGET};
 use crate::world::{Ev, FederationWorld, ShardMap};
 use desim::{InboxKey, SimTime, Simulation, Tracer};
@@ -326,13 +326,8 @@ fn merge(
     num_clusters: usize,
     trace_level: desim::TraceLevel,
 ) -> (RunReport, Tracer, HostileRunStats) {
-    let n = num_clusters;
     let shards = parts.len();
-    let mut report = RunReport {
-        clusters: vec![ClusterStats::default(); n],
-        app_matrix: vec![vec![0; n]; n],
-        ..Default::default()
-    };
+    let mut report = RunReport::new(num_clusters);
     let mut hostile = HostileRunStats::default();
     let mut tracers = Vec::with_capacity(shards);
     for (s, part) in parts.into_iter().enumerate() {

@@ -1,6 +1,7 @@
 //! End-of-run metrics.
 
 use desim::{SimDuration, SimTime};
+use hc3i_core::{NodeEngine, ProtoEvent};
 use storage::SeqNum;
 
 /// Per-cluster checkpointing statistics.
@@ -27,6 +28,22 @@ pub struct ClusterStats {
 }
 
 impl ClusterStats {
+    /// Fill the end-of-run storage and log occupancy from the cluster's
+    /// engines, coordinator (rank 0) first.
+    pub fn close<'a>(&mut self, engines: impl IntoIterator<Item = &'a NodeEngine>) {
+        let (mut logged, mut peak_logged) = (0, 0);
+        for (rank, e) in engines.into_iter().enumerate() {
+            if rank == 0 {
+                self.stored_clcs = e.store().len();
+                self.peak_stored_clcs = e.store().peak();
+            }
+            logged += e.log().len() as u64;
+            peak_logged += e.log().peak() as u64;
+        }
+        self.logged_messages = logged;
+        self.peak_logged_messages = peak_logged;
+    }
+
     /// Total committed CLCs (excluding the initial checkpoint).
     pub fn total_clcs(&self) -> u64 {
         self.unforced_clcs + self.forced_clcs
@@ -65,6 +82,57 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// An empty report for a federation of `n` clusters.
+    pub fn new(n: usize) -> Self {
+        RunReport {
+            clusters: vec![ClusterStats::default(); n],
+            app_matrix: vec![vec![0; n]; n],
+            ..Default::default()
+        }
+    }
+
+    /// Fold one protocol event observed at `at` — the single fold behind
+    /// the simulator's report and the runtime's. `restored_at` is the
+    /// commit time of the CLC a `RolledBack` restored, for observers that
+    /// can see the engine's store (the simulator); the runtime's
+    /// controller thread cannot, passes `None` and records zero work lost.
+    #[inline]
+    pub fn observe(&mut self, at: SimTime, ev: &ProtoEvent, restored_at: Option<SimTime>) {
+        match *ev {
+            ProtoEvent::Delivered { .. } => self.app_delivered += 1,
+            ProtoEvent::Committed {
+                cluster, forced, ..
+            } => {
+                let c = &mut self.clusters[cluster];
+                if forced {
+                    c.forced_clcs += 1;
+                } else {
+                    c.unforced_clcs += 1;
+                }
+            }
+            ProtoEvent::RolledBack {
+                node,
+                restore_sn,
+                discarded_clcs,
+            } => {
+                // One entry per cluster rollback: rank 0's.
+                if node.rank == 0 {
+                    let c = &mut self.clusters[node.cluster.index()];
+                    c.rollbacks.push((at, restore_sn, discarded_clcs));
+                    c.work_lost
+                        .push(at.saturating_since(restored_at.unwrap_or(at)));
+                }
+            }
+            ProtoEvent::GcReport {
+                cluster,
+                before,
+                after,
+            } => self.clusters[cluster].gc_before_after.push((before, after)),
+            ProtoEvent::Unrecoverable { .. } => self.unrecoverable_faults += 1,
+            ProtoEvent::LateCrossing { .. } => self.late_crossings += 1,
+        }
+    }
+
     /// Total rollbacks across the federation.
     pub fn total_rollbacks(&self) -> usize {
         self.clusters.iter().map(|c| c.rollbacks.len()).sum()

@@ -1,12 +1,18 @@
 //! The discrete-event world binding protocol engines to the network model.
+//!
+//! What the engines emit is carried out by the shared interpreter in
+//! [`hc3i_core::host`]; this file supplies the simulator's [`Host`]: the
+//! wire is the network model plus the calendar queue (`SimHost::wire`),
+//! the clock is simulated time, timers are queue events, and the event
+//! sink is the trace, the [`RunReport`] fold and the delivery ledger.
 
 use crate::config::SimConfig;
 use crate::hostile::HostileRunStats;
-use crate::report::{ClusterStats, RunReport};
+use crate::report::RunReport;
 use desim::{Ctx, EventKey, InboxKey, SimTime, TraceLevel, Tracer, World};
-use hc3i_core::{Input, Msg, NodeEngine, Output, OutputBuf, ReceiverChannel, SenderChannel};
+use hc3i_core::host::{self, Host, ProtoEvent, StoreOp, Xport};
+use hc3i_core::{Input, Msg, NodeEngine, OutputBuf};
 use netsim::{HostileNet, Network, NodeId, Topology};
-use std::collections::HashMap;
 
 /// Events of the federation world.
 #[derive(Debug, Clone)]
@@ -162,82 +168,14 @@ impl ShardMap {
     }
 }
 
-/// Host-level reliable-transport state of the whole federation: one
-/// sender and one receiver channel per *directed* node pair that has
-/// carried inter-cluster traffic. Keyed access only (never iterated), so
-/// the hash map cannot perturb determinism.
-pub(crate) struct XportState {
-    cfg: hc3i_core::XportConfig,
-    senders: HashMap<(NodeId, NodeId), SenderChannel>,
-    receivers: HashMap<(NodeId, NodeId), ReceiverChannel>,
-}
-
-impl XportState {
-    fn new(cfg: hc3i_core::XportConfig) -> Self {
-        XportState {
-            cfg,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-        }
-    }
-
-    /// Total retransmitted copies across all channels.
-    fn retransmissions(&self) -> u64 {
-        self.senders.values().map(|s| s.retransmissions).sum()
-    }
-}
-
-/// On-disk mirror of every engine's CLC store
-/// ([`SimConfig::durable_dir`]): the engine's durability hooks
-/// (`StoreCommitted`/`StorePruned`/`RolledBack`) are appended to a
-/// [`storage::DurableStore`] keyed by global arena index. Observation
-/// only — the event stream and report fingerprint of a durable run are
-/// identical to an in-memory run.
-pub(crate) struct DurableSink {
-    log: storage::DurableStore<hc3i_core::CheckpointCodec>,
-    /// Abort the process once this many commit frames are durable
-    /// (simulated power loss; see `SimConfig::durable_crash_after`).
-    crash_after: Option<u64>,
-}
-
-impl DurableSink {
-    fn open(dir: &std::path::Path, crash_after: Option<u64>) -> Self {
-        let log = storage::DurableStore::open(
-            dir,
-            hc3i_core::CheckpointCodec,
-            storage::DurableOptions::default(),
-        )
-        .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()));
-        assert!(
-            log.is_fresh(),
-            "durable dir {} already holds a segment log; recover it or use a fresh directory",
-            dir.display()
-        );
-        DurableSink { log, crash_after }
-    }
-
-    fn commit(&mut self, node: u64, entry: &storage::ClcEntry<hc3i_core::NodeCheckpoint>) {
-        self.log
-            .append_commit(node, &entry.meta, &entry.payload)
-            .expect("durable commit append");
-        if self
-            .crash_after
-            .is_some_and(|n| self.log.commit_frames() >= n)
-        {
-            // Simulated power loss: no flush, no destructors. Exactly the
-            // fsync-ed prefix of the log is what recovery will see.
-            std::process::abort();
-        }
-    }
-}
-
 /// The federation: engines + network + statistics.
 ///
 /// Engines live in one flat arena indexed by precomputed per-cluster
 /// offsets (`NodeId → offsets[cluster] + rank`), so the per-event dispatch
 /// is a single bounds-checked index instead of a nested `Vec<Vec<_>>`
 /// double indirection; engine outputs are drained through one reusable
-/// [`OutputBuf`], so dispatching an event allocates nothing.
+/// [`OutputBuf`] by the shared interpreter, so dispatching an event
+/// allocates nothing.
 ///
 /// Under the parallel executive a world is one *shard* of the federation:
 /// it holds engines (and all sender-side network/transport/hostile state)
@@ -265,7 +203,7 @@ pub struct FederationWorld {
     /// the current window: `(dest shard, arrival, key, event)`.
     outbox: Vec<(usize, SimTime, InboxKey, Ev)>,
     /// Struct-of-arrays mirror of each engine's failed flag, maintained at
-    /// the single point engines mutate ([`Self::handle_engine`]). Liveness
+    /// the single point engines mutate (`handle_engine`). Liveness
     /// sweeps (recovery-coordinator election, multi-failure collection,
     /// send gating) scan this dense array cache-linearly instead of
     /// striding over whole [`NodeEngine`]s.
@@ -289,9 +227,13 @@ pub struct FederationWorld {
     pub(crate) hostile_stats: HostileRunStats,
     /// Reliable transport; `None` keeps the wire and event stream of a
     /// transport-free run byte-identical.
-    pub(crate) xport: Option<XportState>,
-    /// Durable segment-log mirror; `None` keeps the run fully in memory.
-    pub(crate) durable: Option<DurableSink>,
+    pub(crate) xport: Option<Xport>,
+    /// On-disk mirror of every engine's CLC store
+    /// ([`SimConfig::durable_dir`]), keyed by global arena index; `None`
+    /// keeps the run fully in memory. Observation only — the event stream
+    /// and report fingerprint of a durable run are identical to an
+    /// in-memory run.
+    durable: Option<storage::DurableStore<hc3i_core::CheckpointCodec>>,
 }
 
 impl FederationWorld {
@@ -337,11 +279,7 @@ impl FederationWorld {
         }
         offsets[hi] = total;
         let net = Network::new(cfg.topology.clone()).with_contention(cfg.contention);
-        let stats = RunReport {
-            clusters: vec![ClusterStats::default(); n],
-            app_matrix: vec![vec![0; n]; n],
-            ..Default::default()
-        };
+        let stats = RunReport::new(n);
         let tracer = Tracer::new(cfg.trace);
         let hostile = if cfg.hostile.is_some() || !cfg.partitions.is_empty() {
             Some(HostileNet::new(
@@ -356,19 +294,10 @@ impl FederationWorld {
             ..Default::default()
         };
         let failed = vec![false; engines.len()];
-        let xport = cfg.xport.map(XportState::new);
+        let xport = cfg.xport.map(Xport::new);
         let durable = cfg.durable_dir.as_ref().map(|dir| {
-            let mut sink = DurableSink::open(dir, cfg.durable_crash_after);
-            // Seed the log with every node's genesis chain (the initial
-            // CLC is committed inside `NodeEngine::new`, never through
-            // the `StoreCommitted` hook).
-            for (idx, e) in engines.iter().enumerate() {
-                sink.log
-                    .snapshot_node(idx as u64, e.store())
-                    .expect("seed durable genesis");
-            }
-            sink.log.sync().expect("sync durable genesis");
-            sink
+            host::open_log(dir, &engines)
+                .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()))
         });
         FederationWorld {
             cfg,
@@ -425,157 +354,19 @@ impl FederationWorld {
         &self.engines[self.engine_index(id)]
     }
 
+    /// Feed one input to `node`'s engine and carry out what it emits. The
+    /// arena is lent out beside the host for the call — no [`SimHost`]
+    /// method reaches into `engines`.
     fn handle_engine(&mut self, ctx: &mut Ctx<'_, Ev>, node: NodeId, input: Input) {
         let idx = self.engine_index(node);
         let mut buf = std::mem::take(&mut self.out_buf);
-        self.engines[idx].handle(ctx.now(), input, &mut buf);
-        self.failed[idx] = self.engines[idx].is_failed();
-        self.absorb(ctx, node, &mut buf);
+        let mut engines = std::mem::take(&mut self.engines);
+        let engine = &mut engines[idx];
+        engine.handle(ctx.now(), input, &mut buf);
+        self.failed[idx] = engine.is_failed();
+        host::perform(&mut SimHost { w: self, ctx }, engine, &mut buf);
+        self.engines = engines;
         self.out_buf = buf;
-    }
-
-    /// Dispatch one outgoing engine message. With the reliable transport
-    /// enabled, inter-cluster traffic detours through the sender channel
-    /// (sequence assignment, bounded window, retransmit timer) and enters
-    /// the wire wrapped in [`Msg::Reliable`]; everything else goes
-    /// straight to [`Self::ship_wire`].
-    fn ship(&mut self, ctx: &mut Ctx<'_, Ev>, source: NodeId, to: NodeId, msg: Msg) {
-        let reliable = self.xport.is_some() && source.cluster != to.cluster;
-        if !reliable {
-            self.ship_wire(ctx, source, to, msg);
-            return;
-        }
-        let x = self.xport.as_mut().expect("checked above");
-        let seq = x
-            .senders
-            .entry((source, to))
-            .or_default()
-            .send(ctx.now(), &x.cfg, msg.clone());
-        // `None` = window full: the channel parked the copy; it enters
-        // the wire from an ack's released batch.
-        if let Some(seq) = seq {
-            self.ship_reliable(ctx, source, to, seq, msg);
-        }
-    }
-
-    /// Put one transport-wrapped copy on the wire and arm its
-    /// retransmission timer at the channel's current deadline.
-    fn ship_reliable(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        source: NodeId,
-        to: NodeId,
-        seq: u64,
-        msg: Msg,
-    ) {
-        let deadline = self
-            .xport
-            .as_ref()
-            .and_then(|x| x.senders.get(&(source, to)))
-            .and_then(|ch| ch.deadline(seq));
-        self.ship_wire(
-            ctx,
-            source,
-            to,
-            Msg::Reliable {
-                seq,
-                inner: Box::new(msg),
-            },
-        );
-        if let Some(at) = deadline {
-            ctx.schedule_at(
-                at,
-                Ev::XportRetry {
-                    from: source,
-                    to,
-                    seq,
-                },
-            );
-        }
-    }
-
-    /// Charge one outgoing message to the network model and schedule its
-    /// delivery. The single path every wire copy goes through — plain
-    /// sends, expanded fragment fan-out batches, transport wraps, acks
-    /// and retransmissions alike — so accounting and tracing cannot
-    /// diverge between them.
-    fn ship_wire(&mut self, ctx: &mut Ctx<'_, Ev>, source: NodeId, to: NodeId, msg: Msg) {
-        let bytes = msg.wire_bytes(&self.cfg.protocol);
-        let class = msg.class();
-        let mut arrival = self.net.send(ctx.now(), source, to, bytes, class);
-        // Hostile post-processing happens after the base network committed
-        // its timing and accounting: skew/hold/reorder shift only the
-        // delivery event, a duplicate copy is a ghost the network never
-        // charges for, and a lost message was charged but never arrives.
-        let mut duplicate_at = None;
-        if let Some(h) = self.hostile.as_mut() {
-            let outcome = h.post(ctx.now(), source, to, arrival);
-            if outcome.lost {
-                self.hostile_stats.messages_lost += 1;
-                if self.tracer.enabled(TraceLevel::Full) {
-                    self.tracer.full(ctx.now(), "net", || {
-                        format!("{source} -> {to}: {msg:?} ({bytes} B, LOST)")
-                    });
-                }
-                return;
-            }
-            arrival = outcome.arrival;
-            duplicate_at = outcome.duplicate;
-        }
-        if self.tracer.enabled(TraceLevel::Full) {
-            self.tracer.full(ctx.now(), "net", || {
-                format!("{source} -> {to}: {msg:?} ({bytes} B, arrives {arrival})")
-            });
-        }
-        if source.cluster == to.cluster {
-            // Intra-cluster traffic never leaves the shard: it stays on
-            // the local calendar queue in scheduling order, as always.
-            if let Some(at) = duplicate_at {
-                ctx.schedule_at(
-                    at,
-                    Ev::Deliver {
-                        from: source,
-                        to,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            ctx.schedule_at(
-                arrival,
-                Ev::Deliver {
-                    from: source,
-                    to,
-                    msg,
-                },
-            );
-            return;
-        }
-        // Inter-cluster copies go through the canonically-ordered inbox —
-        // on every shard count, including one. The key is derived purely
-        // from the sending side (send instant, directed cluster route,
-        // per-route wire sequence; low bit marks a hostile duplicate), so
-        // same-instant arrivals dispatch identically no matter which shard
-        // ingested them, or whether there were shards at all.
-        let n = self.cfg.topology.num_clusters();
-        let slot = source.cluster.index() * n + to.cluster.index();
-        let seq = self.wire_seq[slot];
-        self.wire_seq[slot] = seq + 1;
-        let route = ((source.cluster.0 as u64) << 32) | to.cluster.0 as u64;
-        let sent = ctx.now();
-        if let Some(at) = duplicate_at {
-            let ev = Ev::Deliver {
-                from: source,
-                to,
-                msg: msg.clone(),
-            };
-            self.route_inter(ctx, to, at, (sent, route, (seq << 1) | 1), ev);
-        }
-        let ev = Ev::Deliver {
-            from: source,
-            to,
-            msg,
-        };
-        self.route_inter(ctx, to, arrival, (sent, route, seq << 1), ev);
     }
 
     /// Hand one inter-cluster wire copy to its destination: the local
@@ -597,147 +388,12 @@ impl FederationWorld {
         }
     }
 
-    fn absorb(&mut self, ctx: &mut Ctx<'_, Ev>, source: NodeId, outs: &mut OutputBuf) {
-        for out in outs.drain() {
-            match out {
-                Output::Send { to, msg } => self.ship(ctx, source, to, msg),
-                Output::SendFragments {
-                    holders,
-                    round,
-                    epoch,
-                } => {
-                    // Expand the batched fan-out exactly like per-holder
-                    // sends: same per-message wire bytes, same network
-                    // accounting, same delivery scheduling, holder order.
-                    for &h in holders.iter() {
-                        let to = NodeId::new(source.cluster.0, h);
-                        let msg = Msg::FragmentReplica {
-                            round,
-                            owner: source.rank,
-                            epoch,
-                        };
-                        self.ship(ctx, source, to, msg);
-                    }
-                }
-                Output::DeliverApp { from, payload } => {
-                    self.stats.app_delivered += 1;
-                    if from.cluster != source.cluster {
-                        // Ledger incarnation = rollbacks the receiving
-                        // cluster completed before this delivery.
-                        let incarnation =
-                            self.stats.clusters[source.cluster.index()].rollbacks.len();
-                        if let Some(ledger) = self.hostile_stats.ledger.as_mut() {
-                            ledger.record_delivered(payload.tag, incarnation);
-                        }
-                    }
-                    if self.tracer.enabled(TraceLevel::Full) {
-                        self.tracer.full(ctx.now(), "app", || {
-                            format!("{source} delivered tag {} from {from}", payload.tag)
-                        });
-                    }
-                }
-                Output::Committed { sn, forced } => {
-                    let cluster = source.cluster.index();
-                    if self.tracer.enabled(TraceLevel::Protocol) {
-                        self.tracer.protocol(ctx.now(), "clc", || {
-                            format!(
-                                "cluster {cluster} committed CLC {sn}{}",
-                                if forced { " (forced)" } else { "" }
-                            )
-                        });
-                    }
-                    let c = &mut self.stats.clusters[cluster];
-                    if forced {
-                        c.forced_clcs += 1;
-                    } else {
-                        c.unforced_clcs += 1;
-                    }
-                }
-                Output::ResetClcTimer => {
-                    let cluster = source.cluster.index();
-                    if let Some(key) = self.clc_timer_keys[cluster].take() {
-                        ctx.cancel(key);
-                    }
-                    let delay = self.cfg.clc_delays[cluster];
-                    if !delay.is_infinite() {
-                        let key = ctx.schedule_in(delay, Ev::ClcTimer { cluster });
-                        self.clc_timer_keys[cluster] = Some(key);
-                    }
-                }
-                Output::StoreCommitted { sn } => {
-                    if let Some(d) = self.durable.as_mut() {
-                        let idx = self.offsets[source.cluster.index()] + source.rank as usize;
-                        let entry = self.engines[idx]
-                            .store()
-                            .get(sn)
-                            .expect("committed CLC is stored");
-                        d.commit(idx as u64, entry);
-                    }
-                }
-                Output::StorePruned { min_sn } => {
-                    if let Some(d) = self.durable.as_mut() {
-                        let idx = self.offsets[source.cluster.index()] + source.rank as usize;
-                        d.log
-                            .append_prune(idx as u64, min_sn)
-                            .expect("durable prune append");
-                    }
-                }
-                Output::RolledBack {
-                    restore_sn,
-                    discarded_clcs,
-                } => {
-                    if let Some(d) = self.durable.as_mut() {
-                        let idx = self.offsets[source.cluster.index()] + source.rank as usize;
-                        d.log
-                            .append_truncate(idx as u64, restore_sn)
-                            .expect("durable truncate append");
-                    }
-                    if source.rank == 0 {
-                        let cluster = source.cluster.index();
-                        if self.tracer.enabled(TraceLevel::Protocol) {
-                            self.tracer.protocol(ctx.now(), "rollback", || {
-                                format!(
-                                    "cluster {cluster} restored CLC {restore_sn} ({discarded_clcs} discarded)"
-                                )
-                            });
-                        }
-                        let committed_at = self.engines[self.offsets[cluster]]
-                            .store()
-                            .get(restore_sn)
-                            .map(|e| e.meta.committed_at)
-                            .unwrap_or(SimTime::ZERO);
-                        let stats = &mut self.stats.clusters[cluster];
-                        stats
-                            .rollbacks
-                            .push((ctx.now(), restore_sn, discarded_clcs));
-                        stats
-                            .work_lost
-                            .push(ctx.now().saturating_since(committed_at));
-                    }
-                }
-                Output::GcReport { before, after } => {
-                    if self.tracer.enabled(TraceLevel::Protocol) {
-                        self.tracer.protocol(ctx.now(), "gc", || {
-                            format!(
-                                "cluster {} pruned {before} -> {after} CLCs",
-                                source.cluster.index()
-                            )
-                        });
-                    }
-                    self.stats.clusters[source.cluster.index()]
-                        .gc_before_after
-                        .push((before, after));
-                }
-                Output::Unrecoverable { .. } => {
-                    self.stats.unrecoverable_faults += 1;
-                }
-                Output::LateCrossing { .. } => {
-                    self.stats.late_crossings += 1;
-                }
-                Output::RestoreApp { .. } => {
-                    // Application state is abstract under the simulator.
-                }
-            }
+    /// (Re-)arm `cluster`'s unforced-CLC timer unless its delay is infinite.
+    fn arm_clc_timer(&mut self, ctx: &mut Ctx<'_, Ev>, cluster: usize) {
+        let delay = self.cfg.clc_delays[cluster];
+        if !delay.is_infinite() {
+            let key = ctx.schedule_in(delay, Ev::ClcTimer { cluster });
+            self.clc_timer_keys[cluster] = Some(key);
         }
     }
 
@@ -754,19 +410,13 @@ impl FederationWorld {
         // A finished run leaves a fully flushed log (per-commit fsync only
         // covers commit frames; trailing truncate/prune frames are flushed
         // here).
-        if let Some(d) = self.durable.as_mut() {
-            d.log.sync().expect("sync durable log");
+        if let Some(log) = self.durable.as_mut() {
+            log.sync().expect("sync durable log");
         }
         let n = self.cfg.topology.num_clusters();
         let (lo, hi) = self.shards.range(self.shard);
         for c in lo..hi {
-            let engines = &self.engines[self.offsets[c]..self.offsets[c + 1]];
-            let coord = &engines[0];
-            let stats = &mut self.stats.clusters[c];
-            stats.stored_clcs = coord.store().len();
-            stats.peak_stored_clcs = coord.store().peak();
-            stats.logged_messages = engines.iter().map(|e| e.log().len() as u64).sum();
-            stats.peak_logged_messages = engines.iter().map(|e| e.log().peak() as u64).sum();
+            self.stats.clusters[c].close(&self.engines[self.offsets[c]..self.offsets[c + 1]]);
         }
         for i in 0..n {
             for j in 0..n {
@@ -804,6 +454,212 @@ impl FederationWorld {
     }
 }
 
+/// The simulator as a [`Host`]: one world plus the executive's context
+/// for the event being dispatched.
+struct SimHost<'a, 'c> {
+    w: &'a mut FederationWorld,
+    ctx: &'a mut Ctx<'c, Ev>,
+}
+
+impl Host for SimHost<'_, '_> {
+    #[inline]
+    fn now(&self) -> SimTime {
+        self.ctx.now()
+    }
+
+    /// Charge one outgoing message to the network model and schedule its
+    /// delivery.
+    fn wire(&mut self, source: NodeId, to: NodeId, msg: Msg) {
+        let (w, ctx) = (&mut *self.w, &mut *self.ctx);
+        let bytes = msg.wire_bytes(&w.cfg.protocol);
+        let class = msg.class();
+        let mut arrival = w.net.send(ctx.now(), source, to, bytes, class);
+        // Hostile post-processing happens after the base network committed
+        // its timing and accounting: skew/hold/reorder shift only the
+        // delivery event, a duplicate copy is a ghost the network never
+        // charges for, and a lost message was charged but never arrives.
+        let mut duplicate_at = None;
+        if let Some(h) = w.hostile.as_mut() {
+            let outcome = h.post(ctx.now(), source, to, arrival);
+            if outcome.lost {
+                w.hostile_stats.messages_lost += 1;
+                if w.tracer.enabled(TraceLevel::Full) {
+                    w.tracer.full(ctx.now(), "net", || {
+                        format!("{source} -> {to}: {msg:?} ({bytes} B, LOST)")
+                    });
+                }
+                return;
+            }
+            arrival = outcome.arrival;
+            duplicate_at = outcome.duplicate;
+        }
+        if w.tracer.enabled(TraceLevel::Full) {
+            w.tracer.full(ctx.now(), "net", || {
+                format!("{source} -> {to}: {msg:?} ({bytes} B, arrives {arrival})")
+            });
+        }
+        if source.cluster == to.cluster {
+            // Intra-cluster traffic never leaves the shard: it stays on
+            // the local calendar queue in scheduling order, as always.
+            if let Some(at) = duplicate_at {
+                ctx.schedule_at(
+                    at,
+                    Ev::Deliver {
+                        from: source,
+                        to,
+                        msg: msg.clone(),
+                    },
+                );
+            }
+            ctx.schedule_at(
+                arrival,
+                Ev::Deliver {
+                    from: source,
+                    to,
+                    msg,
+                },
+            );
+            return;
+        }
+        // Inter-cluster copies go through the canonically-ordered inbox —
+        // on every shard count, including one. The key is derived purely
+        // from the sending side (send instant, directed cluster route,
+        // per-route wire sequence; low bit marks a hostile duplicate), so
+        // same-instant arrivals dispatch identically no matter which shard
+        // ingested them, or whether there were shards at all.
+        let n = w.cfg.topology.num_clusters();
+        let slot = source.cluster.index() * n + to.cluster.index();
+        let seq = w.wire_seq[slot];
+        w.wire_seq[slot] = seq + 1;
+        let route = ((source.cluster.0 as u64) << 32) | to.cluster.0 as u64;
+        let sent = ctx.now();
+        if let Some(at) = duplicate_at {
+            let ev = Ev::Deliver {
+                from: source,
+                to,
+                msg: msg.clone(),
+            };
+            w.route_inter(ctx, to, at, (sent, route, (seq << 1) | 1), ev);
+        }
+        let ev = Ev::Deliver {
+            from: source,
+            to,
+            msg,
+        };
+        w.route_inter(ctx, to, arrival, (sent, route, seq << 1), ev);
+    }
+
+    #[inline]
+    fn xport(&mut self) -> Option<&mut Xport> {
+        self.w.xport.as_mut()
+    }
+
+    fn arm_retry(&mut self, from: NodeId, to: NodeId, seq: u64, at: SimTime) {
+        self.ctx.schedule_at(at, Ev::XportRetry { from, to, seq });
+    }
+
+    fn reset_clc_timer(&mut self, node: NodeId) {
+        let cluster = node.cluster.index();
+        if let Some(key) = self.w.clc_timer_keys[cluster].take() {
+            self.ctx.cancel(key);
+        }
+        self.w.arm_clc_timer(self.ctx, cluster);
+    }
+
+    #[inline]
+    fn durable(&mut self, engine: &NodeEngine, op: StoreOp) {
+        let Some(log) = self.w.durable.as_mut() else {
+            return;
+        };
+        let node = self.w.offsets[engine.id().cluster.index()] + engine.id().rank as usize;
+        op.append(log, node as u64, engine)
+            .unwrap_or_else(|e| panic!("durable append of {op:?} for {}: {e}", engine.id()));
+        let crash_after = self.w.cfg.durable_crash_after;
+        if matches!(op, StoreOp::Committed(_))
+            && crash_after.is_some_and(|n| log.commit_frames() >= n)
+        {
+            // Simulated power loss (`SimConfig::durable_crash_after`): no
+            // flush, no destructors. Exactly the fsync-ed prefix of the
+            // log is what recovery will see.
+            std::process::abort();
+        }
+    }
+
+    #[inline]
+    fn emit(&mut self, engine: &NodeEngine, ev: ProtoEvent) {
+        let (w, now) = (&mut *self.w, self.ctx.now());
+        let mut restored_at = None;
+        match ev {
+            ProtoEvent::Delivered { to, from, payload } => {
+                if from.cluster != to.cluster {
+                    if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
+                        // Ledger incarnation = rollbacks the receiving
+                        // cluster completed before this delivery.
+                        let incarnation = w.stats.clusters[to.cluster.index()].rollbacks.len();
+                        ledger.record_delivered(payload.tag, incarnation);
+                    }
+                }
+                if w.tracer.enabled(TraceLevel::Full) {
+                    w.tracer.full(now, "app", || {
+                        format!("{to} delivered tag {} from {from}", payload.tag)
+                    });
+                }
+            }
+            ProtoEvent::Committed {
+                cluster,
+                sn,
+                forced,
+            } => {
+                if w.tracer.enabled(TraceLevel::Protocol) {
+                    w.tracer.protocol(now, "clc", || {
+                        format!(
+                            "cluster {cluster} committed CLC {sn}{}",
+                            if forced { " (forced)" } else { "" }
+                        )
+                    });
+                }
+            }
+            ProtoEvent::RolledBack {
+                node,
+                restore_sn,
+                discarded_clcs,
+            } if node.rank == 0 => {
+                let cluster = node.cluster.index();
+                if w.tracer.enabled(TraceLevel::Protocol) {
+                    w.tracer.protocol(now, "rollback", || {
+                        format!(
+                            "cluster {cluster} restored CLC {restore_sn} ({discarded_clcs} discarded)"
+                        )
+                    });
+                }
+                let committed_at = engine
+                    .store()
+                    .get(restore_sn)
+                    .map_or(SimTime::ZERO, |e| e.meta.committed_at);
+                if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
+                    ledger.record_rollback(cluster, committed_at);
+                }
+                restored_at = Some(committed_at);
+            }
+            ProtoEvent::GcReport {
+                cluster,
+                before,
+                after,
+            } => {
+                if w.tracer.enabled(TraceLevel::Protocol) {
+                    w.tracer.protocol(now, "gc", || {
+                        format!("cluster {cluster} pruned {before} -> {after} CLCs")
+                    });
+                }
+            }
+            ProtoEvent::RolledBack { .. }
+            | ProtoEvent::Unrecoverable { .. }
+            | ProtoEvent::LateCrossing { .. } => {}
+        }
+        w.stats.observe(now, &ev, restored_at);
+    }
+}
+
 impl World for FederationWorld {
     type Event = Ev;
 
@@ -825,7 +681,7 @@ impl World for FederationWorld {
                     let live = !self.failed[self.engine_index(from)];
                     if let Some(ledger) = self.hostile_stats.ledger.as_mut() {
                         if live && from.cluster != to.cluster {
-                            ledger.record_sent(tag);
+                            ledger.record_sent(tag, from.cluster.index(), ctx.now());
                         }
                     }
                 }
@@ -838,44 +694,20 @@ impl World for FederationWorld {
                     },
                 );
             }
-            Ev::Deliver { from, to, msg } => match msg {
+            Ev::Deliver { from, to, msg } => {
                 // Transport frames terminate at the host: engines never
-                // see `Reliable` wrappers or `XportAck`s.
-                Msg::Reliable { seq, inner } if self.xport.is_some() => {
-                    let fresh = self
-                        .xport
-                        .as_mut()
-                        .expect("checked above")
-                        .receivers
-                        .entry((from, to))
-                        .or_default()
-                        .accept(seq);
-                    // The host acks every copy it sees — even for a failed
-                    // engine, so the sender's window drains; a dead node's
-                    // lost deliveries are the protocol's problem (sender
-                    // logging + replay), not the transport's.
-                    self.ship_wire(ctx, to, from, Msg::XportAck { seq });
-                    if fresh {
-                        self.handle_engine(ctx, to, Input::Receive { from, msg: *inner });
+                // see them. Without a transport there is nothing to
+                // terminate, and the hot path skips the call.
+                let msg = if self.xport.is_some() {
+                    match host::receive(&mut SimHost { w: self, ctx }, from, to, msg) {
+                        Some(msg) => msg,
+                        None => return,
                     }
-                }
-                Msg::XportAck { seq } if self.xport.is_some() => {
-                    // The ack travels receiver → sender, so the sender
-                    // channel it cancels is keyed (to, from).
-                    let released = {
-                        let x = self.xport.as_mut().expect("checked above");
-                        let cfg = x.cfg;
-                        x.senders
-                            .get_mut(&(to, from))
-                            .map(|ch| ch.ack(ctx.now(), &cfg, seq))
-                            .unwrap_or_default()
-                    };
-                    for (rseq, rmsg) in released {
-                        self.ship_reliable(ctx, to, from, rseq, rmsg);
-                    }
-                }
-                msg => self.handle_engine(ctx, to, Input::Receive { from, msg }),
-            },
+                } else {
+                    msg
+                };
+                self.handle_engine(ctx, to, Input::Receive { from, msg });
+            }
             Ev::ClcTimer { cluster } => {
                 self.clc_timer_keys[cluster] = None;
                 let coord = NodeId::new(cluster as u16, 0);
@@ -883,11 +715,7 @@ impl World for FederationWorld {
                 // If no commit resets it (e.g. the reason merged into a
                 // running round), re-arm so periodic checkpointing survives.
                 if self.clc_timer_keys[cluster].is_none() {
-                    let delay = self.cfg.clc_delays[cluster];
-                    if !delay.is_infinite() {
-                        let key = ctx.schedule_in(delay, Ev::ClcTimer { cluster });
-                        self.clc_timer_keys[cluster] = Some(key);
-                    }
+                    self.arm_clc_timer(ctx, cluster);
                 }
             }
             Ev::ClcNow { cluster } => {
@@ -978,24 +806,7 @@ impl World for FederationWorld {
                 }
             }
             Ev::XportRetry { from, to, seq } => {
-                let retrans = self.xport.as_mut().and_then(|x| {
-                    let cfg = x.cfg;
-                    x.senders
-                        .get_mut(&(from, to))
-                        .and_then(|ch| ch.retransmit(ctx.now(), &cfg, seq))
-                });
-                if let Some((msg, next)) = retrans {
-                    self.ship_wire(
-                        ctx,
-                        from,
-                        to,
-                        Msg::Reliable {
-                            seq,
-                            inner: Box::new(msg),
-                        },
-                    );
-                    ctx.schedule_at(next, Ev::XportRetry { from, to, seq });
-                }
+                host::retry(&mut SimHost { w: self, ctx }, from, to, seq);
             }
             Ev::End => ctx.stop(),
         }

@@ -1,6 +1,11 @@
 //! The two substrates must agree: driving the identical scenario through
 //! the instant test network and through the threaded messaging runtime
 //! must leave the protocol in the same state.
+//!
+//! Both substrates run the one output interpreter (`hc3i_core::host`), so
+//! what this checks is two host shims — a FIFO queue with a counter clock
+//! against shard channels with a wall clock — not two copies of the
+//! protocol's hosting logic.
 
 use hc3i::core::testkit::InstantFederation;
 use hc3i::core::{AppPayload, ProtocolConfig, SeqNum};

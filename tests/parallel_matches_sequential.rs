@@ -13,7 +13,10 @@
 //! side statistics (counters and the per-tag delivery ledger). This
 //! mirrors how `tests/runtime_equivalence.rs` proves the threaded runtime
 //! against the simulator, and how PR 7 proved the calendar queue against
-//! the retained heap.
+//! the retained heap. Every shard is the same `SimHost` over the same
+//! shared interpreter, so the oracle checks the executive's routing and
+//! merge (inbox keys, outbox exchange, ledger union), not a second copy
+//! of the hosting logic.
 //!
 //! A deterministic suite below covers the parallel executive's edge
 //! cases: shards with no local events, cross-shard arrivals tied at one

@@ -19,6 +19,12 @@
 //! counters. Wall-clock timings and wire-byte totals are
 //! substrate-specific and excluded. All four runs must produce the
 //! identical fingerprint.
+//!
+//! Simulator and runtime share the engine, the output interpreter
+//! (`hc3i_core::host::perform`) and the report fold
+//! (`RunReport::observe`); what differs, and what this test therefore
+//! checks, is the two `Host` shims — how each carries a message, tells
+//! the time and arms a timer.
 
 use hc3i::prelude::*;
 use netsim::NodeId;
