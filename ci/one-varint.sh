@@ -1,0 +1,24 @@
+#!/usr/bin/env bash
+# Structural gate: LEB128 is read and written, and input lengths are
+# honoured, in crates/storage/src/varint.rs only. Fails if a private
+# `put_u64` / `get_u64` copy, or a decoder indexing its input by hand
+# (`pos + len`, `buf.get(pos..)`, `*pos += …`), grows back in
+# crates/{storage,core}/src — every decoder there reads through
+# `varint::Cursor`, whose `take` and `count` are the bounds checks. Comment
+# lines and everything from a file's first `#[cfg(test)]` on are not code
+# a decoder runs, and are skipped.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+hits=$(find crates/storage/src crates/core/src -name '*.rs' ! -path crates/storage/src/varint.rs -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    in_tests || /^[[:space:]]*\/\// { next }
+    /fn (put|get)_u64[^A-Za-z0-9_]|(^|[^A-Za-z0-9_])pos[[:space:]]*(\+|\.\.)|\*pos[^A-Za-z0-9_]/ { print FILENAME ":" FNR ": " $0 }
+  ')
+if [ -n "$hits" ]; then
+  echo "a varint copy or hand-indexed decode outside storage::varint (use varint::{put_u64, Cursor}):"
+  echo "$hits"
+  exit 1
+fi
+echo "one varint: no put_u64/get_u64 copy and no pos arithmetic in crates/{storage,core}/src outside varint.rs"

@@ -21,7 +21,7 @@ use desim::{RngStreams, SimDuration, SimTime, TraceLevel};
 use hc3i_core::{PiggybackMode, ProtocolConfig, ReplicationPolicy};
 use netsim::{ContentionModel, NodeId};
 use simdriver::SimConfig;
-use std::io::Write as _;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use workload::Workload;
 
@@ -92,6 +92,58 @@ recover flags:
                      crash-consistency check for fault-free runs: a
                      killed run's durable state vs its uninterrupted twin)
 ";
+
+/// Why a subcommand stopped early.
+enum Stop {
+    /// A failure to report: one `error:` line, exit 1.
+    Error(String),
+    /// Whoever read our stdout left (`hc3i-sim … | head -1`): nothing
+    /// more can be said, and nothing went wrong.
+    PipeClosed,
+}
+
+impl From<String> for Stop {
+    fn from(e: String) -> Self {
+        Stop::Error(e)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        match e.kind() {
+            io::ErrorKind::BrokenPipe => Stop::PipeClosed,
+            _ => Stop::Error(format!("stdout: {e}")),
+        }
+    }
+}
+
+/// Run `body` with the one stdout handle reports are printed through —
+/// locked once, buffered, flushed at the end — and turn how it ended into
+/// the exit code.
+fn with_stdout(body: impl FnOnce(&mut dyn Write) -> Result<ExitCode, Stop>) -> ExitCode {
+    let mut out = io::BufWriter::new(io::stdout().lock());
+    let ended = body(&mut out).and_then(|code| Ok(out.flush().map(|()| code)?));
+    match ended {
+        Ok(code) => code,
+        Err(Stop::PipeClosed) => ExitCode::SUCCESS,
+        Err(Stop::Error(e)) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `--durable-dir` of a run must be fresh: refuse one that holds a log
+/// before anything opens (and trims) it.
+fn require_fresh(dir: &str) -> Result<(), String> {
+    match storage::holds_log(std::path::Path::new(dir)) {
+        Ok(false) => Ok(()),
+        Ok(true) => Err(format!(
+            "{dir} already holds a segment log; recover it or use a fresh directory"
+        )),
+        Err(e) => Err(format!("{dir}: {e}")),
+    }
+}
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let mut topology = None;
@@ -235,7 +287,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let read = |path: &str| -> Result<String, String> {
         std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
     };
-    let result = (|| -> Result<(), String> {
+    with_stdout(|out| {
+        if let Some(dir) = &durable_dir {
+            require_fresh(dir)?;
+        }
         let topo =
             workload::parse_topology(&read(&topology)?).map_err(|e| format!("{topology}: {e}"))?;
         let app = workload::parse_application(&read(&application)?, &topo)
@@ -260,9 +315,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 shards,
                 durable_dir.as_deref(),
             )?;
-            println!("== live substrate (sharded runtime) ==");
-            print_report(&report);
-            return Ok(());
+            writeln!(out, "== live substrate (sharded runtime) ==")?;
+            print_report(out, &report)?;
+            return Ok(ExitCode::SUCCESS);
         }
         let mut cfg = SimConfig::new(topo, app.duration)
             .with_sends(sends)
@@ -305,23 +360,15 @@ fn cmd_run(args: &[String]) -> ExitCode {
             write_all().map_err(|e| format!("{path}: {e}"))?;
             eprintln!("trace: {} records -> {path}", tracer.records().len());
         } else if trace != TraceLevel::Off {
-            println!("== trace ({} records) ==", tracer.records().len());
+            writeln!(out, "== trace ({} records) ==", tracer.records().len())?;
             for rec in tracer.records() {
-                println!("[{}] {:<9} {}", rec.at, rec.subsystem, rec.detail);
+                writeln!(out, "[{}] {:<9} {}", rec.at, rec.subsystem, rec.detail)?;
             }
-            println!();
+            writeln!(out)?;
         }
-        print_report(&report);
-        Ok(())
-    })();
-
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        print_report(out, &report)?;
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 /// Drive the parsed workload through the live sharded substrate and
@@ -453,51 +500,61 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         }
     }
 
-    let summary = campaign::run_campaign(&plan, |cell| {
-        let status = if cell.violations.is_empty() {
-            "ok"
-        } else {
-            "FAIL"
-        };
-        println!(
-            "{status:4} {:<20} {:<12} seed {:<10} rollbacks {:<2} delivered {}/{} dup {} held {} reord {} lost {} rexmit {}",
-            cell.scenario,
-            cell.topology,
-            cell.seed,
-            cell.rollbacks,
-            cell.app_delivered,
-            cell.app_sent,
-            cell.duplicates,
-            cell.held,
-            cell.reordered,
-            cell.lost,
-            cell.retransmissions,
-        );
-        for v in &cell.violations {
-            println!("       - {v}");
+    with_stdout(|out| {
+        // A closed pipe stops the printing, not the campaign: its exit
+        // code still says whether the cells held.
+        let mut printed = Ok(());
+        let summary = campaign::run_campaign(&plan, |cell| {
+            if printed.is_ok() {
+                printed = print_cell(out, cell);
+            }
+        });
+        if let Some(path) = json_path {
+            std::fs::write(&path, summary.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
+            printed = printed.and_then(|()| writeln!(out, "summary written to {path}"));
         }
-    });
-
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, summary.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            return ExitCode::FAILURE;
+        let failures = summary.failures();
+        if !failures.is_empty() {
+            eprintln!(
+                "campaign FAILED: {}/{} cells violated protocol invariants",
+                failures.len(),
+                summary.cells.len()
+            );
+            return Ok(ExitCode::FAILURE);
         }
-        println!("summary written to {path}");
-    }
+        printed?;
+        writeln!(out, "campaign passed: {} cells clean", summary.cells.len())?;
+        Ok(ExitCode::SUCCESS)
+    })
+}
 
-    let failures = summary.failures();
-    if failures.is_empty() {
-        println!("campaign passed: {} cells clean", summary.cells.len());
-        ExitCode::SUCCESS
+/// One cell's line and its violations, flushed as the cell finishes:
+/// progress, not a report.
+fn print_cell(out: &mut dyn Write, cell: &campaign::CellOutcome) -> io::Result<()> {
+    let status = if cell.violations.is_empty() {
+        "ok"
     } else {
-        eprintln!(
-            "campaign FAILED: {}/{} cells violated protocol invariants",
-            failures.len(),
-            summary.cells.len()
-        );
-        ExitCode::FAILURE
+        "FAIL"
+    };
+    writeln!(
+        out,
+        "{status:4} {:<20} {:<12} seed {:<10} rollbacks {:<2} delivered {}/{} dup {} held {} reord {} lost {} rexmit {}",
+        cell.scenario,
+        cell.topology,
+        cell.seed,
+        cell.rollbacks,
+        cell.app_delivered,
+        cell.app_sent,
+        cell.duplicates,
+        cell.held,
+        cell.reordered,
+        cell.lost,
+        cell.retransmissions,
+    )?;
+    for v in &cell.violations {
+        writeln!(out, "       - {v}")?;
     }
+    out.flush()
 }
 
 /// `hc3i-sim recover`: scan a durable segment log read-only, rebuild every
@@ -533,36 +590,40 @@ fn cmd_recover(args: &[String]) -> ExitCode {
         storage::recover(std::path::Path::new(d), &hc3i_core::CheckpointCodec)
             .map_err(|e| format!("{d}: {e}"))
     };
-    let result = (|| -> Result<(), String> {
+    with_stdout(|out| {
         let image = recover_dir(&dir)?;
-        println!("== durable recovery report ==");
-        println!(
+        writeln!(out, "== durable recovery report ==")?;
+        writeln!(
+            out,
             "segments scanned: {}  frames replayed: {}",
             image.segments, image.frames
-        );
+        )?;
         match &image.torn {
-            None => println!("torn tail: none"),
-            Some(t) => println!(
+            None => writeln!(out, "torn tail: none")?,
+            Some(t) => writeln!(
+                out,
                 "torn tail: segment {} offset {} ({} bytes discarded)",
                 t.segment, t.offset, t.discarded
-            ),
+            )?,
         }
         for (node, chain) in image.stores.iter() {
             let sns: Vec<String> = chain.iter().map(|e| e.meta.sn.to_string()).collect();
             let (delivered, channel) = chain.latest().map_or((0, 0), |e| {
                 (e.payload.delivered.len(), e.payload.channel_state.len())
             });
-            println!(
+            writeln!(
+                out,
                 "node {node}: {} CLCs, SNs [{}], latest delivered {delivered} channel {channel}",
                 chain.len(),
                 sns.join(" "),
-            );
+            )?;
         }
-        println!(
+        writeln!(
+            out,
             "total: {} nodes, {} stored CLCs",
             image.stores.len(),
             image.total_entries()
-        );
+        )?;
 
         if let Some(reference) = reference {
             let full = recover_dir(&reference)?;
@@ -571,7 +632,8 @@ fn cmd_recover(args: &[String]) -> ExitCode {
                     "prefix check: node count differs ({} vs {})",
                     image.stores.len(),
                     full.stores.len()
-                ));
+                )
+                .into());
             }
             // The reference ran to completion, so its garbage collector can
             // have pruned CLCs the crashed image still holds (the crash
@@ -583,9 +645,9 @@ fn cmd_recover(args: &[String]) -> ExitCode {
             let mut compared_total = 0usize;
             for (node, chain) in image.stores.iter() {
                 let Some(other) = full.stores.get(node) else {
-                    return Err(format!(
-                        "prefix check: node {node} missing from {reference}"
-                    ));
+                    return Err(
+                        format!("prefix check: node {node} missing from {reference}").into(),
+                    );
                 };
                 let floor = other
                     .iter()
@@ -595,27 +657,31 @@ fn cmd_recover(args: &[String]) -> ExitCode {
                 let historic = chain.iter().take_while(|e| e.meta.sn < floor).count();
                 if historic > 0 {
                     historic_total += historic;
-                    println!(
+                    writeln!(
+                        out,
                         "node {node}: {historic} CLC(s) historic (GC-pruned in reference), skipped"
-                    );
+                    )?;
                 }
                 for mine in chain.iter().skip(historic) {
                     let Some(theirs) = other.iter().find(|t| t.meta.sn == mine.meta.sn) else {
                         return Err(format!(
                             "prefix check: node {node} has SN {} absent from {reference}",
                             mine.meta.sn
-                        ));
+                        )
+                        .into());
                     };
                     if mine.meta != theirs.meta || mine.payload != theirs.payload {
                         return Err(format!(
                             "prefix check: node {node} diverges at SN {}",
                             mine.meta.sn
-                        ));
+                        )
+                        .into());
                     }
                     compared_total += 1;
                 }
             }
-            println!(
+            writeln!(
+                out,
                 "prefix check: OK ({compared_total} CLCs are a prefix of {} in the reference \
                  image{})",
                 full.total_entries(),
@@ -624,18 +690,10 @@ fn cmd_recover(args: &[String]) -> ExitCode {
                 } else {
                     String::new()
                 }
-            );
+            )?;
         }
-        Ok(())
-    })();
-
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        Ok(ExitCode::SUCCESS)
+    })
 }
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -644,50 +702,56 @@ fn usage_error(msg: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn print_report(report: &simdriver::RunReport) {
-    println!("== HC3I simulation report ==");
-    println!(
+fn print_report(out: &mut dyn Write, report: &simdriver::RunReport) -> io::Result<()> {
+    writeln!(out, "== HC3I simulation report ==")?;
+    writeln!(
+        out,
         "simulated time: {}  events: {}",
         report.ended_at, report.events_processed
-    );
-    println!();
-    print!("{}", report.format_app_matrix());
-    println!();
+    )?;
+    writeln!(out)?;
+    write!(out, "{}", report.format_app_matrix())?;
+    writeln!(out)?;
     for (c, s) in report.clusters.iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "cluster {c}: CLCs committed {} (unforced {}, forced {}), stored {} (peak {})",
             s.total_clcs(),
             s.unforced_clcs,
             s.forced_clcs,
             s.stored_clcs,
             s.peak_stored_clcs
-        );
+        )?;
         for (k, &(before, after)) in s.gc_before_after.iter().enumerate() {
-            println!("  gc #{:<2} stored CLCs {before} -> {after}", k + 1);
+            writeln!(out, "  gc #{:<2} stored CLCs {before} -> {after}", k + 1)?;
         }
         for (i, &(at, sn, discarded)) in s.rollbacks.iter().enumerate() {
-            println!(
+            writeln!(
+                out,
                 "  rollback #{:<2} at {at} -> SN {sn} ({discarded} CLCs discarded, {} lost)",
                 i + 1,
                 s.work_lost[i]
-            );
+            )?;
         }
     }
-    println!();
-    println!(
+    writeln!(out)?;
+    writeln!(
+        out,
         "messages: app sent {} delivered {}, protocol {} ({} bytes), acks {}",
         report.app_sent,
         report.app_delivered,
         report.protocol_messages,
         report.protocol_bytes,
         report.ack_messages
-    );
+    )?;
     if report.late_crossings > 0 || report.unrecoverable_faults > 0 {
-        println!(
+        writeln!(
+            out,
             "WARNINGS: late_crossings={} unrecoverable_faults={}",
             report.late_crossings, report.unrecoverable_faults
-        );
+        )?;
     }
+    Ok(())
 }
 
 fn cmd_sample(args: &[String]) -> ExitCode {

@@ -148,3 +148,132 @@ fn runtime_mode_drives_live_substrate() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("simulator-only"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A small federation's three config files under `dir`; returns the
+/// `run` arguments naming them.
+fn small_configs(dir: &std::path::Path) -> Vec<String> {
+    std::fs::create_dir_all(dir).unwrap();
+    let files = [
+        (
+            "--topology",
+            "topology.conf",
+            "clusters 2\nnodes 3 3\nintra 0 10us 80Mbps\nintra 1 10us 80Mbps\n\
+             inter 0 1 150us 100Mbps\nmtbf inf\n",
+        ),
+        (
+            "--application",
+            "application.conf",
+            "duration 60m\npayload 256\ncompute_mean 0 30s\ncompute_mean 1 30s\n\
+             pattern 0 0.9 0.1\npattern 1 0.1 0.9\n",
+        ),
+        (
+            "--timers",
+            "timers.conf",
+            "clc_timer 0 5m\nclc_timer 1 7m\ngc_timer inf\ndetection_delay 100ms\n",
+        ),
+    ];
+    let mut args = vec!["run".to_string()];
+    for (flag, name, content) in files {
+        std::fs::write(dir.join(name), content).unwrap();
+        args.extend([
+            flag.to_string(),
+            dir.join(name).to_str().unwrap().to_string(),
+        ]);
+    }
+    args
+}
+
+#[test]
+fn durable_dir_that_holds_a_log_is_refused_and_left_alone() {
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-used-dir-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut args = small_configs(&dir);
+    let log_dir = dir.join("log");
+    args.extend([
+        "--durable-dir".to_string(),
+        log_dir.to_str().unwrap().to_string(),
+    ]);
+    let run = |extra: &[&str]| {
+        Command::new(bin())
+            .args(&args)
+            .args(extra)
+            .output()
+            .expect("spawn")
+    };
+    let first = run(&[]);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let segment = log_dir.join("seg-00000000.log");
+    let before = std::fs::read(&segment).expect("the first run left a log");
+
+    // The same directory again, on either substrate: one `error:` line,
+    // exit 1 (not a panic's 101), the log byte-identical.
+    for extra in [&[][..], &["--runtime", "--shards", "1"]] {
+        let again = run(extra);
+        assert_eq!(again.status.code(), Some(1), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&again.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("error: "), "{stderr}");
+        assert!(
+            stderr.contains("already holds a segment log; recover it or use a fresh directory"),
+            "{stderr}"
+        );
+        assert_eq!(std::fs::read(&segment).unwrap(), before, "log untouched");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_pipe_is_a_quiet_success() {
+    use std::io::Read;
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Both commands print more than a pipe holds (64 KiB), so each is
+    // blocked mid-report when the reader leaves: a full trace of the
+    // run, and the recovery report of a 2,000-node log.
+    let mut traced = small_configs(&dir);
+    traced.extend(["--trace".to_string(), "full".to_string()]);
+    let log_dir = dir.join("log");
+    {
+        let genesis = hc3i_core::NodeEngine::new(
+            hc3i_core::ProtocolConfig::new(vec![1]),
+            netsim::NodeId::new(0, 0),
+        );
+        let mut log = storage::DurableStore::open(
+            &log_dir,
+            hc3i_core::CheckpointCodec,
+            storage::DurableOptions::default(),
+        )
+        .expect("open log");
+        for node in 0..2000 {
+            log.snapshot_node(node, genesis.store()).expect("seed");
+        }
+        log.sync().expect("sync");
+    }
+    let recover = [
+        "recover".to_string(),
+        "--durable-dir".to_string(),
+        log_dir.to_str().unwrap().to_string(),
+    ];
+    for cmd in [&traced[..], &recover[..]] {
+        // `… | head -c 1`: read one byte, then hang up.
+        let mut child = Command::new(bin())
+            .args(cmd)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        let mut stdout = child.stdout.take().expect("piped stdout");
+        stdout.read_exact(&mut [0u8; 1]).expect("a first byte");
+        drop(stdout);
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{cmd:?}: {stderr}");
+        assert_eq!(stderr, "", "{cmd:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -199,28 +199,26 @@ impl DeliveredRecord {
         Some(out)
     }
 
-    /// Extend a sealed snapshot by `entries`, producing the record a
-    /// delta-encoded checkpoint round-trips back to (decode-side companion
-    /// of [`DeliveredRecord::delta_since`]). Builds the generation
-    /// directly — never collapses — so re-encoding a decoded store
-    /// reproduces the same structural deltas byte-for-byte.
-    pub fn extended_with(&self, entries: impl IntoIterator<Item = (DeliveredKey, SeqNum)>) -> Self {
-        let add: HashMap<DeliveredKey, SeqNum> = entries.into_iter().collect();
-        if add.is_empty() {
-            return DeliveredRecord {
-                base: self.base.clone(),
-                delta: HashMap::default(),
-            };
-        }
-        let parent = self.base.clone();
-        let (plen, pdepth) = parent.as_ref().map_or((0, 0), |g| (g.len, g.depth));
-        DeliveredRecord {
-            base: Some(Arc::new(DeliveredGen {
+    /// Extend a sealed snapshot by the finished generation `add` (keys
+    /// distinct from the snapshot's — the decoder checks), producing the
+    /// record a delta-encoded checkpoint round-trips back to (decode-side
+    /// companion of [`DeliveredRecord::delta_since`]). The map becomes the
+    /// generation as it is — never rehashed, never collapsed — so
+    /// re-encoding a decoded store reproduces the same structural deltas
+    /// byte-for-byte.
+    pub fn extended_with(&self, add: HashMap<DeliveredKey, SeqNum>) -> Self {
+        let mut base = self.base.clone();
+        if !add.is_empty() {
+            let (plen, pdepth) = base.as_ref().map_or((0, 0), |g| (g.len, g.depth));
+            base = Some(Arc::new(DeliveredGen {
                 len: plen + add.len(),
                 depth: pdepth + 1,
-                parent,
+                parent: base,
                 entries: add,
-            })),
+            }));
+        }
+        DeliveredRecord {
+            base,
             delta: HashMap::default(),
         }
     }
@@ -438,6 +436,6 @@ mod tests {
         live.insert(key(2, 1, 7), SeqNum(4));
         let next = live.seal();
         let delta = next.delta_since(&base).expect("extends");
-        assert_eq!(base.extended_with(delta), next);
+        assert_eq!(base.extended_with(delta.into_iter().collect()), next);
     }
 }

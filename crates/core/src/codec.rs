@@ -17,7 +17,8 @@
 use crate::msg::{AppPayload, ClcReason, Msg, Piggyback};
 use netsim::NodeId;
 use std::sync::Arc;
-use storage::{Ddv, LogId, SeqNum};
+use storage::varint::{self, put_ddv, put_u64, Cursor};
+use storage::{LogId, SeqNum};
 
 /// Wire-format version byte; bump on any incompatible change.
 pub const WIRE_VERSION: u8 = 1;
@@ -55,71 +56,42 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// ---- primitives -----------------------------------------------------------
-
-fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
+impl From<varint::Error> for DecodeError {
+    fn from(e: varint::Error) -> Self {
+        match e {
+            varint::Error::Truncated => DecodeError::Truncated,
+            varint::Error::Overflow => DecodeError::VarintOverflow,
         }
-        buf.push(byte | 0x80);
     }
 }
 
-fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
+// ---- primitives -----------------------------------------------------------
+
+/// A complete value must have consumed its whole input.
+pub(crate) fn expect_end(cur: &Cursor<'_>) -> Result<(), DecodeError> {
+    match cur.remaining() {
+        0 => Ok(()),
+        n => Err(DecodeError::TrailingBytes(n)),
     }
-    Err(DecodeError::VarintOverflow)
 }
 
 fn put_bool(buf: &mut Vec<u8>, b: bool) {
     buf.push(b as u8);
 }
 
-fn get_bool(buf: &[u8], pos: &mut usize) -> Result<bool, DecodeError> {
-    let byte = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    Ok(byte != 0)
+fn get_bool(cur: &mut Cursor<'_>) -> Result<bool, DecodeError> {
+    Ok(cur.u8()? != 0)
 }
 
-fn put_node(buf: &mut Vec<u8>, n: NodeId) {
+pub(crate) fn put_node(buf: &mut Vec<u8>, n: NodeId) {
     put_u64(buf, n.cluster.0 as u64);
     put_u64(buf, n.rank as u64);
 }
 
-fn get_node(buf: &[u8], pos: &mut usize) -> Result<NodeId, DecodeError> {
-    let cluster = get_u64(buf, pos)? as u16;
-    let rank = get_u64(buf, pos)? as u32;
+pub(crate) fn get_node(cur: &mut Cursor<'_>) -> Result<NodeId, DecodeError> {
+    let cluster = cur.u64()? as u16;
+    let rank = cur.u64()? as u32;
     Ok(NodeId::new(cluster, rank))
-}
-
-fn put_ddv(buf: &mut Vec<u8>, ddv: &Ddv) {
-    put_u64(buf, ddv.len() as u64);
-    for e in ddv.iter() {
-        put_u64(buf, e.0);
-    }
-}
-
-fn get_ddv(buf: &[u8], pos: &mut usize) -> Result<Ddv, DecodeError> {
-    let n = get_u64(buf, pos)? as usize;
-    if n > 1 << 20 {
-        return Err(DecodeError::VarintOverflow); // absurd federation size
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(SeqNum(get_u64(buf, pos)?));
-    }
-    Ok(Ddv::from_entries(entries))
 }
 
 fn put_payload(buf: &mut Vec<u8>, p: AppPayload) {
@@ -127,10 +99,10 @@ fn put_payload(buf: &mut Vec<u8>, p: AppPayload) {
     put_u64(buf, p.tag);
 }
 
-fn get_payload(buf: &[u8], pos: &mut usize) -> Result<AppPayload, DecodeError> {
+fn get_payload(cur: &mut Cursor<'_>) -> Result<AppPayload, DecodeError> {
     Ok(AppPayload {
-        bytes: get_u64(buf, pos)?,
-        tag: get_u64(buf, pos)?,
+        bytes: cur.u64()?,
+        tag: cur.u64()?,
     })
 }
 
@@ -147,12 +119,10 @@ fn put_piggyback(buf: &mut Vec<u8>, p: &Piggyback) {
     }
 }
 
-fn get_piggyback(buf: &[u8], pos: &mut usize) -> Result<Piggyback, DecodeError> {
-    let tag = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    match tag {
-        0 => Ok(Piggyback::Sn(SeqNum(get_u64(buf, pos)?))),
-        1 => Ok(Piggyback::Ddv(Arc::new(get_ddv(buf, pos)?))),
+fn get_piggyback(cur: &mut Cursor<'_>) -> Result<Piggyback, DecodeError> {
+    match cur.u8()? {
+        0 => Ok(Piggyback::Sn(SeqNum(cur.u64()?))),
+        1 => Ok(Piggyback::Ddv(Arc::new(cur.ddv()?))),
         t => Err(DecodeError::BadTag(t)),
     }
 }
@@ -168,14 +138,12 @@ fn put_reason(buf: &mut Vec<u8>, r: &ClcReason) {
     }
 }
 
-fn get_reason(buf: &[u8], pos: &mut usize) -> Result<ClcReason, DecodeError> {
-    let tag = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    match tag {
+fn get_reason(cur: &mut Cursor<'_>) -> Result<ClcReason, DecodeError> {
+    match cur.u8()? {
         0 => Ok(ClcReason::Timer),
         1 => {
-            let p = get_piggyback(buf, pos)?;
-            let cluster = get_u64(buf, pos)? as usize;
+            let p = get_piggyback(cur)?;
+            let cluster = cur.u64()? as usize;
             Ok(ClcReason::Forced(p, cluster))
         }
         t => Err(DecodeError::BadTag(t)),
@@ -355,107 +323,95 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
 
 /// Decode one message; the whole input must be consumed.
 pub fn decode(buf: &[u8]) -> Result<Msg, DecodeError> {
-    let mut pos = 0usize;
-    let version = *buf.get(pos).ok_or(DecodeError::Truncated)?;
-    pos += 1;
+    let mut cur = Cursor::new(buf);
+    let version = cur.u8()?;
     if version != WIRE_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let tag = *buf.get(pos).ok_or(DecodeError::Truncated)?;
-    pos += 1;
-    let msg = match tag {
+    let msg = match cur.u8()? {
         T_CLC_INIT => Msg::ClcInit {
-            reason: get_reason(buf, &mut pos)?,
-            epoch: get_u64(buf, &mut pos)?,
+            reason: get_reason(&mut cur)?,
+            epoch: cur.u64()?,
         },
         T_CLC_REQUEST => Msg::ClcRequest {
-            round: get_u64(buf, &mut pos)?,
-            epoch: get_u64(buf, &mut pos)?,
+            round: cur.u64()?,
+            epoch: cur.u64()?,
         },
         T_FRAG_REPLICA => Msg::FragmentReplica {
-            round: get_u64(buf, &mut pos)?,
-            owner: get_u64(buf, &mut pos)? as u32,
-            epoch: get_u64(buf, &mut pos)?,
+            round: cur.u64()?,
+            owner: cur.u64()? as u32,
+            epoch: cur.u64()?,
         },
         T_FRAG_STORED => Msg::FragmentStored {
-            round: get_u64(buf, &mut pos)?,
-            holder: get_u64(buf, &mut pos)? as u32,
-            epoch: get_u64(buf, &mut pos)?,
+            round: cur.u64()?,
+            holder: cur.u64()? as u32,
+            epoch: cur.u64()?,
         },
         T_CLC_ACK => Msg::ClcAck {
-            round: get_u64(buf, &mut pos)?,
-            rank: get_u64(buf, &mut pos)? as u32,
-            epoch: get_u64(buf, &mut pos)?,
+            round: cur.u64()?,
+            rank: cur.u64()? as u32,
+            epoch: cur.u64()?,
         },
         T_CLC_COMMIT => Msg::ClcCommit {
-            round: get_u64(buf, &mut pos)?,
-            sn: SeqNum(get_u64(buf, &mut pos)?),
-            ddv: Arc::new(get_ddv(buf, &mut pos)?),
-            forced: get_bool(buf, &mut pos)?,
-            epoch: get_u64(buf, &mut pos)?,
+            round: cur.u64()?,
+            sn: SeqNum(cur.u64()?),
+            ddv: Arc::new(cur.ddv()?),
+            forced: get_bool(&mut cur)?,
+            epoch: cur.u64()?,
         },
         T_APP_INTRA => Msg::AppIntra {
-            payload: get_payload(buf, &mut pos)?,
-            sent_at_sn: SeqNum(get_u64(buf, &mut pos)?),
+            payload: get_payload(&mut cur)?,
+            sent_at_sn: SeqNum(cur.u64()?),
         },
         T_APP_INTER => Msg::AppInter {
-            payload: get_payload(buf, &mut pos)?,
-            piggyback: get_piggyback(buf, &mut pos)?,
-            log_id: LogId(get_u64(buf, &mut pos)?),
-            resend: get_bool(buf, &mut pos)?,
-            sender_epoch: get_u64(buf, &mut pos)?,
+            payload: get_payload(&mut cur)?,
+            piggyback: get_piggyback(&mut cur)?,
+            log_id: LogId(cur.u64()?),
+            resend: get_bool(&mut cur)?,
+            sender_epoch: cur.u64()?,
         },
         T_INTER_ACK => Msg::InterAck {
-            log_id: LogId(get_u64(buf, &mut pos)?),
-            receiver_sn: SeqNum(get_u64(buf, &mut pos)?),
+            log_id: LogId(cur.u64()?),
+            receiver_sn: SeqNum(cur.u64()?),
         },
         T_ROLLBACK_ORDER => Msg::RollbackOrder {
-            restore_sn: SeqNum(get_u64(buf, &mut pos)?),
-            epoch: get_u64(buf, &mut pos)?,
-            new_coordinator: get_u64(buf, &mut pos)? as u32,
+            restore_sn: SeqNum(cur.u64()?),
+            epoch: cur.u64()?,
+            new_coordinator: cur.u64()? as u32,
         },
         T_ROLLBACK_ALERT => Msg::RollbackAlert {
-            origin: get_u64(buf, &mut pos)? as usize,
-            sn: SeqNum(get_u64(buf, &mut pos)?),
-            origin_epoch: get_u64(buf, &mut pos)?,
+            origin: cur.u64()? as usize,
+            sn: SeqNum(cur.u64()?),
+            origin_epoch: cur.u64()?,
         },
         T_ALERT_LOCAL => Msg::AlertLocal {
-            origin: get_u64(buf, &mut pos)? as usize,
-            sn: SeqNum(get_u64(buf, &mut pos)?),
-            origin_epoch: get_u64(buf, &mut pos)?,
+            origin: cur.u64()? as usize,
+            sn: SeqNum(cur.u64()?),
+            origin_epoch: cur.u64()?,
         },
         T_GC_COLLECT => Msg::GcCollect,
         T_GC_DDV_LIST => {
-            let cluster = get_u64(buf, &mut pos)? as usize;
-            let n = get_u64(buf, &mut pos)? as usize;
-            if n > 1 << 24 {
-                return Err(DecodeError::VarintOverflow);
-            }
+            let cluster = cur.u64()? as usize;
+            // An item is an SN and a DDV's count, at the least.
+            let n = cur.count(2)?;
             let mut list = Vec::with_capacity(n);
             for _ in 0..n {
-                let sn = SeqNum(get_u64(buf, &mut pos)?);
-                let ddv = get_ddv(buf, &mut pos)?;
-                list.push((sn, Arc::new(ddv)));
+                let sn = SeqNum(cur.u64()?);
+                list.push((sn, Arc::new(cur.ddv()?)));
             }
             Msg::GcDdvList { cluster, list }
         }
         T_GC_PRUNE => {
-            let n = get_u64(buf, &mut pos)? as usize;
-            if n > 1 << 20 {
-                return Err(DecodeError::VarintOverflow);
-            }
+            let n = cur.count(1)?;
             let mut min_sns = Vec::with_capacity(n);
             for _ in 0..n {
-                min_sns.push(SeqNum(get_u64(buf, &mut pos)?));
+                min_sns.push(SeqNum(cur.u64()?));
             }
             Msg::GcPrune { min_sns }
         }
         T_RELIABLE => {
-            let seq = get_u64(buf, &mut pos)?;
-            let len = get_u64(buf, &mut pos)? as usize;
-            let body = buf.get(pos..pos + len).ok_or(DecodeError::Truncated)?;
-            pos += len;
-            let inner = decode(body)?;
+            let seq = cur.u64()?;
+            let inner = decode(cur.bytes()?)?;
             // The transport never nests envelopes; rejecting nesting also
             // bounds decode recursion to one level on adversarial input.
             if matches!(inner, Msg::Reliable { .. }) {
@@ -466,14 +422,10 @@ pub fn decode(buf: &[u8]) -> Result<Msg, DecodeError> {
                 inner: Box::new(inner),
             }
         }
-        T_XPORT_ACK => Msg::XportAck {
-            seq: get_u64(buf, &mut pos)?,
-        },
+        T_XPORT_ACK => Msg::XportAck { seq: cur.u64()? },
         t => return Err(DecodeError::BadTag(t)),
     };
-    if pos != buf.len() {
-        return Err(DecodeError::TrailingBytes(buf.len() - pos));
-    }
+    expect_end(&cur)?;
     Ok(msg)
 }
 
@@ -492,19 +444,15 @@ pub fn encode_envelope(from: NodeId, to: NodeId, msg: &Msg) -> Vec<u8> {
 
 /// Decode a routed envelope.
 pub fn decode_envelope(buf: &[u8]) -> Result<(NodeId, NodeId, Msg), DecodeError> {
-    let mut pos = 0usize;
-    let version = *buf.get(pos).ok_or(DecodeError::Truncated)?;
-    pos += 1;
+    let mut cur = Cursor::new(buf);
+    let version = cur.u8()?;
     if version != WIRE_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let from = get_node(buf, &mut pos)?;
-    let to = get_node(buf, &mut pos)?;
-    let len = get_u64(buf, &mut pos)? as usize;
-    let body = buf.get(pos..pos + len).ok_or(DecodeError::Truncated)?;
-    if pos + len != buf.len() {
-        return Err(DecodeError::TrailingBytes(buf.len() - pos - len));
-    }
+    let from = get_node(&mut cur)?;
+    let to = get_node(&mut cur)?;
+    let body = cur.bytes()?;
+    expect_end(&cur)?;
     let msg = decode(body)?;
     Ok((from, to, msg))
 }
@@ -512,6 +460,7 @@ pub fn decode_envelope(buf: &[u8]) -> Result<(NodeId, NodeId, Msg), DecodeError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storage::Ddv;
 
     fn samples() -> Vec<Msg> {
         let ddv = Ddv::from_entries(vec![SeqNum(1), SeqNum(0), SeqNum(300)]);
@@ -681,8 +630,7 @@ mod tests {
             seq: 1,
             inner: Box::new(Msg::GcCollect),
         });
-        let mut wire = vec![WIRE_VERSION, T_RELIABLE];
-        put_u64(&mut wire, 2);
+        let mut wire = vec![WIRE_VERSION, T_RELIABLE, 2];
         put_u64(&mut wire, inner.len() as u64);
         wire.extend_from_slice(&inner);
         assert_eq!(
@@ -700,18 +648,41 @@ mod tests {
     #[test]
     fn varint_boundaries() {
         for v in [0u64, 127, 128, 16383, 16384, u64::MAX] {
-            let mut buf = Vec::new();
-            put_u64(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_u64(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let wire = encode(&Msg::XportAck { seq: v });
+            assert_eq!(decode(&wire), Ok(Msg::XportAck { seq: v }));
         }
     }
 
     #[test]
     fn overlong_varint_rejected() {
-        let buf = vec![0x80u8; 11];
-        let mut pos = 0;
-        assert_eq!(get_u64(&buf, &mut pos), Err(DecodeError::VarintOverflow));
+        let mut wire = vec![WIRE_VERSION, T_XPORT_ACK];
+        wire.extend_from_slice(&[0x80u8; 11]);
+        assert_eq!(decode(&wire), Err(DecodeError::VarintOverflow));
+    }
+
+    /// Lengths and counts no bytes back are truncation — never an
+    /// overflowing `pos + len` (a debug-build panic before PR 17) nor a
+    /// reservation sized from the count.
+    #[test]
+    fn crafted_lengths_and_counts_are_truncated() {
+        let huge = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        // Reliable { seq: 0, inner: u64::MAX bytes }.
+        let mut reliable = vec![WIRE_VERSION, T_RELIABLE, 0];
+        reliable.extend_from_slice(&huge);
+        assert_eq!(decode(&reliable), Err(DecodeError::Truncated));
+        // An envelope whose body claims u64::MAX bytes.
+        let mut envelope = vec![WIRE_VERSION, 0, 0, 0, 0];
+        envelope.extend_from_slice(&huge);
+        assert_eq!(decode_envelope(&envelope), Err(DecodeError::Truncated));
+        // 2^28 list items, DDV entries and prune bounds over nothing.
+        let count = [0x80, 0x80, 0x80, 0x80, 0x01];
+        for head in [
+            &[WIRE_VERSION, T_GC_DDV_LIST, 0][..],
+            &[WIRE_VERSION, T_GC_PRUNE],
+            &[WIRE_VERSION, T_CLC_COMMIT, 0, 0],
+        ] {
+            let wire = [head, &count[..]].concat();
+            assert_eq!(decode(&wire), Err(DecodeError::Truncated));
+        }
     }
 }

@@ -134,12 +134,13 @@ pub fn open_log<'a>(
     dir: &Path,
     engines: impl IntoIterator<Item = &'a NodeEngine>,
 ) -> Result<DurableStore<CheckpointCodec>, DurableError> {
-    let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())?;
+    // Asked before `open`, which would replay the log and trim its tail.
     assert!(
-        log.is_fresh(),
+        !storage::holds_log(dir)?,
         "durable dir {} already holds a segment log; recover it or use a fresh directory",
         dir.display()
     );
+    let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())?;
     for (node, engine) in engines.into_iter().enumerate() {
         log.snapshot_node(node as u64, engine.store())?;
     }

@@ -4,110 +4,49 @@
 //! (one simultaneous fault per cluster). A deployment that must survive
 //! whole-cluster power loss needs checkpoints on disk; this module
 //! serializes a node's CLC store — protocol stamps, delivery records,
-//! channel state and application snapshots — with the same hand-rolled
-//! varint format as the wire codec (`codec`), and restores it byte-exactly.
+//! channel state and application snapshots — in the same varint format as
+//! the wire codec (`codec`; both use [`storage::varint`]), and restores it
+//! byte-exactly.
 //!
-//! ## Format versions
+//! ## Format
 //!
-//! * **v1** wrote every checkpoint's delivery record in full. Old v1
-//!   images still decode.
-//! * **v2** (current) mirrors the in-memory copy-on-write
-//!   [`DeliveredRecord`]: consecutive checkpoints in a store share their
-//!   delivery-record prefix structurally, so each entry is written either
-//!   as a *delta* against the previous entry (tag 1 — the common case,
-//!   O(new deliveries) bytes) or in *full* (tag 0 — the first entry, or
-//!   when the records do not share structure). Decoding rebuilds the same
-//!   generation chain, so `encode(decode(bytes)) == bytes` for both
-//!   representations, and entries within a record are always written in
-//!   sorted key order, so images stay deterministic despite hash maps.
+//! The image format is **v2**, which mirrors the in-memory copy-on-write
+//! [`DeliveredRecord`]: consecutive checkpoints in a store share their
+//! delivery-record prefix structurally, so each entry is written either
+//! as a *delta* against the previous entry (tag 1 — the common case,
+//! O(new deliveries) bytes) or in *full* (tag 0 — the first entry, or
+//! when the records do not share structure). Decoding rebuilds the same
+//! generation chain — one sealed generation per entry, built straight
+//! from the bytes — so `encode(decode(bytes)) == bytes` for both
+//! representations, and entries within a record are always written in
+//! sorted key order, so images stay deterministic despite hash maps.
+//!
+//! v1 (every delivery record in full, no tag) is no longer read: no v1
+//! image was ever written outside this crate's own tests, and
+//! [`decode_store`] answers one with [`DecodeError::BadVersion`].
 
 use crate::checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
-use crate::codec::DecodeError;
+use crate::codec::{expect_end, get_node, put_node, DecodeError};
 use crate::msg::AppPayload;
 use desim::SimTime;
-use netsim::NodeId;
+use netsim::{FastHashMap, NodeId};
 use std::io::{Read, Write};
 use std::sync::Arc;
-use storage::{ClcMeta, ClcStore, Ddv, SeqNum};
+use storage::varint::{put_ddv, put_u64, Cursor};
+use storage::{ClcMeta, ClcStore, SeqNum};
 
 /// Magic bytes + format version at the head of a store image.
 const MAGIC: &[u8; 4] = b"HC3I";
-/// Legacy eager-copy store format (still decoded).
-const STORE_VERSION_V1: u8 = 1;
-/// Current copy-on-write store format (what `encode_store` writes).
+/// The copy-on-write store format.
 const STORE_VERSION: u8 = 2;
 
-/// Delivered-record encoding tags inside a v2 store entry.
+/// Delivered-record encoding tags inside a store entry.
 const DELIVERED_FULL: u8 = 0;
 const DELIVERED_DELTA: u8 = 1;
-
-// Varint helpers (shared shape with `codec`, re-implemented locally to keep
-// that module wire-only).
-fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, DecodeError> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(DecodeError::VarintOverflow)
-}
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u64(buf, b.len() as u64);
     buf.extend_from_slice(b);
-}
-
-fn get_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, DecodeError> {
-    let len = get_u64(buf, pos)? as usize;
-    let b = buf.get(*pos..*pos + len).ok_or(DecodeError::Truncated)?;
-    *pos += len;
-    Ok(b.to_vec())
-}
-
-fn put_node(buf: &mut Vec<u8>, n: NodeId) {
-    put_u64(buf, n.cluster.0 as u64);
-    put_u64(buf, n.rank as u64);
-}
-
-fn get_node(buf: &[u8], pos: &mut usize) -> Result<NodeId, DecodeError> {
-    let c = get_u64(buf, pos)? as u16;
-    let r = get_u64(buf, pos)? as u32;
-    Ok(NodeId::new(c, r))
-}
-
-fn put_ddv(buf: &mut Vec<u8>, ddv: &Ddv) {
-    put_u64(buf, ddv.len() as u64);
-    for e in ddv.iter() {
-        put_u64(buf, e.0);
-    }
-}
-
-fn get_ddv(buf: &[u8], pos: &mut usize) -> Result<Ddv, DecodeError> {
-    let n = get_u64(buf, pos)? as usize;
-    if n > 1 << 20 {
-        return Err(DecodeError::VarintOverflow);
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(SeqNum(get_u64(buf, pos)?));
-    }
-    Ok(Ddv::from_entries(entries))
 }
 
 fn put_delivered_entries(buf: &mut Vec<u8>, entries: &[(DeliveredKey, SeqNum)]) {
@@ -119,24 +58,18 @@ fn put_delivered_entries(buf: &mut Vec<u8>, entries: &[(DeliveredKey, SeqNum)]) 
     }
 }
 
+/// One record's entries as the finished map of a delivery generation,
+/// built straight from the bytes (an entry is four varints).
 fn get_delivered_entries(
-    buf: &[u8],
-    pos: &mut usize,
-) -> Result<Vec<(DeliveredKey, SeqNum)>, DecodeError> {
-    let n = get_u64(buf, pos)? as usize;
-    if n > 1 << 28 {
-        return Err(DecodeError::VarintOverflow);
-    }
-    let mut entries = Vec::with_capacity(n);
-    let mut seen = std::collections::HashSet::with_capacity(n);
+    cur: &mut Cursor<'_>,
+) -> Result<FastHashMap<DeliveredKey, SeqNum>, DecodeError> {
+    let n = cur.count(4)?;
+    let mut entries = FastHashMap::with_capacity_and_hasher(n, Default::default());
     for _ in 0..n {
-        let node = get_node(buf, pos)?;
-        let log_id = get_u64(buf, pos)?;
-        let sn = SeqNum(get_u64(buf, pos)?);
-        if !seen.insert((node, log_id)) {
+        let key = (get_node(cur)?, cur.u64()?);
+        if entries.insert(key, SeqNum(cur.u64()?)).is_some() {
             return Err(DecodeError::Invalid("duplicate delivery key"));
         }
-        entries.push(((node, log_id), sn));
     }
     Ok(entries)
 }
@@ -160,51 +93,26 @@ fn put_channel_and_app(buf: &mut Vec<u8>, ckpt: &NodeCheckpoint) {
 /// Decoded channel-state and application-snapshot tail of a checkpoint.
 type ChannelAndApp = (Vec<(NodeId, AppPayload)>, Option<Vec<u8>>);
 
-fn get_channel_and_app(buf: &[u8], pos: &mut usize) -> Result<ChannelAndApp, DecodeError> {
-    let m = get_u64(buf, pos)? as usize;
-    if m > 1 << 28 {
-        return Err(DecodeError::VarintOverflow);
-    }
+fn get_channel_and_app(cur: &mut Cursor<'_>) -> Result<ChannelAndApp, DecodeError> {
+    let m = cur.count(4)?;
     let mut channel_state = Vec::with_capacity(m);
     for _ in 0..m {
-        let from = get_node(buf, pos)?;
-        let bytes = get_u64(buf, pos)?;
-        let tag = get_u64(buf, pos)?;
+        let from = get_node(cur)?;
+        let bytes = cur.u64()?;
+        let tag = cur.u64()?;
         channel_state.push((from, AppPayload { bytes, tag }));
     }
-    let has_app = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    let app_state = match has_app {
+    let app_state = match cur.u8()? {
         0 => None,
-        1 => Some(get_bytes(buf, pos)?),
+        1 => Some(cur.bytes()?.to_vec()),
         t => return Err(DecodeError::BadTag(t)),
     };
     Ok((channel_state, app_state))
 }
 
-/// Encode one node checkpoint in full (the v1 body layout: every delivery
-/// written out, sorted for deterministic images).
-pub fn encode_checkpoint(ckpt: &NodeCheckpoint) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_delivered_entries(&mut buf, &ckpt.delivered.sorted_entries());
-    put_channel_and_app(&mut buf, ckpt);
-    buf
-}
-
-/// Decode one full (v1-layout) node checkpoint.
-pub fn decode_checkpoint(buf: &[u8], pos: &mut usize) -> Result<NodeCheckpoint, DecodeError> {
-    let delivered = DeliveredRecord::from_entries(get_delivered_entries(buf, pos)?);
-    let (channel_state, app_state) = get_channel_and_app(buf, pos)?;
-    Ok(NodeCheckpoint {
-        delivered,
-        channel_state,
-        app_state,
-    })
-}
-
-/// Encode a checkpoint as a v2 store-entry body: the delivery record is a
+/// Encode a checkpoint as a store-entry body: the delivery record is a
 /// structural delta against `prev` when the records share their base.
-fn encode_checkpoint_v2(ckpt: &NodeCheckpoint, prev: Option<&DeliveredRecord>) -> Vec<u8> {
+fn encode_entry_body(ckpt: &NodeCheckpoint, prev: Option<&DeliveredRecord>) -> Vec<u8> {
     let mut buf = Vec::new();
     match prev.and_then(|p| ckpt.delivered.delta_since(p)) {
         Some(mut delta) => {
@@ -221,30 +129,29 @@ fn encode_checkpoint_v2(ckpt: &NodeCheckpoint, prev: Option<&DeliveredRecord>) -
     buf
 }
 
-/// Decode a v2 store-entry body, rebuilding the structural sharing with
-/// the previous entry's record.
-fn decode_checkpoint_v2(
+/// Decode a store-entry body (all of `buf`), rebuilding the structural
+/// sharing with the previous entry's record.
+fn decode_entry_body(
     buf: &[u8],
-    pos: &mut usize,
     prev: Option<&DeliveredRecord>,
 ) -> Result<NodeCheckpoint, DecodeError> {
-    let tag = *buf.get(*pos).ok_or(DecodeError::Truncated)?;
-    *pos += 1;
-    let delivered = match tag {
-        DELIVERED_FULL => DeliveredRecord::new().extended_with(get_delivered_entries(buf, pos)?),
+    let mut cur = Cursor::new(buf);
+    let delivered = match cur.u8()? {
+        DELIVERED_FULL => DeliveredRecord::new().extended_with(get_delivered_entries(&mut cur)?),
         DELIVERED_DELTA => {
-            let prev = prev.ok_or(DecodeError::BadTag(tag))?;
-            let entries = get_delivered_entries(buf, pos)?;
+            let prev = prev.ok_or(DecodeError::BadTag(DELIVERED_DELTA))?;
+            let entries = get_delivered_entries(&mut cur)?;
             // A delta shadowing keys the previous record already holds is
             // corrupt: the live engine only seals fresh deliveries.
-            if entries.iter().any(|(k, _)| prev.get(k).is_some()) {
+            if entries.keys().any(|k| prev.get(k).is_some()) {
                 return Err(DecodeError::Invalid("delta overlaps previous record"));
             }
             prev.extended_with(entries)
         }
         t => return Err(DecodeError::BadTag(t)),
     };
-    let (channel_state, app_state) = get_channel_and_app(buf, pos)?;
+    let (channel_state, app_state) = get_channel_and_app(&mut cur)?;
+    expect_end(&cur)?;
     Ok(NodeCheckpoint {
         delivered,
         channel_state,
@@ -266,7 +173,7 @@ impl storage::EntryCodec for CheckpointCodec {
     type Payload = NodeCheckpoint;
 
     fn encode_payload(&self, payload: &NodeCheckpoint, prev: Option<&NodeCheckpoint>) -> Vec<u8> {
-        encode_checkpoint_v2(payload, prev.map(|p| &p.delivered))
+        encode_entry_body(payload, prev.map(|p| &p.delivered))
     }
 
     fn decode_payload(
@@ -274,18 +181,11 @@ impl storage::EntryCodec for CheckpointCodec {
         buf: &[u8],
         prev: Option<&NodeCheckpoint>,
     ) -> Result<NodeCheckpoint, String> {
-        let mut pos = 0usize;
-        let ckpt = decode_checkpoint_v2(buf, &mut pos, prev.map(|p| &p.delivered))
-            .map_err(|e| e.to_string())?;
-        if pos != buf.len() {
-            return Err(DecodeError::TrailingBytes(buf.len() - pos).to_string());
-        }
-        Ok(ckpt)
+        decode_entry_body(buf, prev.map(|p| &p.delivered)).map_err(|e| e.to_string())
     }
 }
 
-/// Serialize a whole CLC store (all checkpoints, oldest first) in the
-/// current (v2, copy-on-write) format.
+/// Serialize a whole CLC store (all checkpoints, oldest first).
 pub fn encode_store(store: &ClcStore<NodeCheckpoint>) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
@@ -297,51 +197,37 @@ pub fn encode_store(store: &ClcStore<NodeCheckpoint>) -> Vec<u8> {
         put_ddv(&mut buf, &entry.meta.ddv);
         put_u64(&mut buf, entry.meta.committed_at.nanos());
         buf.push(entry.meta.forced as u8);
-        let body = encode_checkpoint_v2(&entry.payload, prev);
+        let body = encode_entry_body(&entry.payload, prev);
         put_bytes(&mut buf, &body);
         prev = Some(&entry.payload.delivered);
     }
     buf
 }
 
-/// Deserialize a CLC store image (v1 or v2).
+/// Deserialize a CLC store image.
 pub fn decode_store(buf: &[u8]) -> Result<ClcStore<NodeCheckpoint>, DecodeError> {
-    let mut pos = 0usize;
-    let magic = buf.get(0..4).ok_or(DecodeError::Truncated)?;
+    let mut cur = Cursor::new(buf);
+    let magic = cur.take(4)?;
     if magic != MAGIC {
-        return Err(DecodeError::BadTag(*magic.first().unwrap_or(&0)));
+        return Err(DecodeError::BadTag(magic[0]));
     }
-    pos += 4;
-    let version = *buf.get(pos).ok_or(DecodeError::Truncated)?;
-    pos += 1;
-    if version != STORE_VERSION && version != STORE_VERSION_V1 {
+    let version = cur.u8()?;
+    if version != STORE_VERSION {
         return Err(DecodeError::BadVersion(version));
     }
-    let n = get_u64(buf, &mut pos)? as usize;
-    if n > 1 << 24 {
-        return Err(DecodeError::VarintOverflow);
-    }
-    let mut store = ClcStore::new();
-    let mut prev: Option<DeliveredRecord> = None;
+    // An entry is four meta fields and a body length, at the least.
+    let n = cur.count(5)?;
+    let mut store: ClcStore<NodeCheckpoint> = ClcStore::new();
     for _ in 0..n {
-        let sn = SeqNum(get_u64(buf, &mut pos)?);
-        let ddv = get_ddv(buf, &mut pos)?;
-        let committed_at = SimTime(get_u64(buf, &mut pos)?);
-        let forced_byte = *buf.get(pos).ok_or(DecodeError::Truncated)?;
-        pos += 1;
-        let body = get_bytes(buf, &mut pos)?;
-        let mut body_pos = 0usize;
-        let payload = if version == STORE_VERSION_V1 {
-            decode_checkpoint(&body, &mut body_pos)?
-        } else {
-            decode_checkpoint_v2(&body, &mut body_pos, prev.as_ref())?
-        };
-        if body_pos != body.len() {
-            return Err(DecodeError::TrailingBytes(body.len() - body_pos));
-        }
+        let sn = SeqNum(cur.u64()?);
+        let ddv = cur.ddv()?;
+        let committed_at = SimTime(cur.u64()?);
+        let forced = cur.u8()? != 0;
+        let last = store.latest();
+        let payload = decode_entry_body(cur.bytes()?, last.map(|e| &e.payload.delivered))?;
         // Semantic validation before `ClcStore::commit` (which *asserts*
         // these invariants): corrupt images must error, not panic.
-        if let Some(last) = store.latest() {
+        if let Some(last) = last {
             if sn <= last.meta.sn
                 || ddv.len() != last.meta.ddv.len()
                 || !last.meta.ddv.dominated_by(&ddv)
@@ -349,20 +235,17 @@ pub fn decode_store(buf: &[u8]) -> Result<ClcStore<NodeCheckpoint>, DecodeError>
                 return Err(DecodeError::Invalid("non-monotone store entries"));
             }
         }
-        prev = Some(payload.delivered.clone());
         store.commit(
             ClcMeta {
                 sn,
                 ddv: Arc::new(ddv),
                 committed_at,
-                forced: forced_byte != 0,
+                forced,
             },
             payload,
         );
     }
-    if pos != buf.len() {
-        return Err(DecodeError::TrailingBytes(buf.len() - pos));
-    }
+    expect_end(&cur)?;
     Ok(store)
 }
 
@@ -389,6 +272,7 @@ pub fn load_store(path: &std::path::Path) -> std::io::Result<ClcStore<NodeCheckp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storage::Ddv;
 
     fn sample_checkpoint(k: u64) -> NodeCheckpoint {
         let delivered = DeliveredRecord::from_entries([
@@ -462,15 +346,11 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trips() {
+        use storage::EntryCodec;
         for k in 0..4 {
             let c = sample_checkpoint(k);
-            let bytes = encode_checkpoint(&c);
-            let mut pos = 0;
-            let back = decode_checkpoint(&bytes, &mut pos).unwrap();
-            assert_eq!(pos, bytes.len());
-            assert_eq!(back.delivered, c.delivered);
-            assert_eq!(back.channel_state, c.channel_state);
-            assert_eq!(back.app_state, c.app_state);
+            let bytes = CheckpointCodec.encode_payload(&c, None);
+            assert_eq!(CheckpointCodec.decode_payload(&bytes, None), Ok(c));
         }
     }
 
@@ -499,7 +379,7 @@ mod tests {
             put_ddv(&mut eager, &entry.meta.ddv);
             put_u64(&mut eager, entry.meta.committed_at.nanos());
             eager.push(entry.meta.forced as u8);
-            let body = encode_checkpoint_v2(&entry.payload, None);
+            let body = encode_entry_body(&entry.payload, None);
             put_bytes(&mut eager, &body);
         }
         assert!(
@@ -528,33 +408,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Encode a store in the legacy v1 layout (every checkpoint in full,
-    /// no version-2 delivered tag).
-    fn encode_store_v1(store: &ClcStore<NodeCheckpoint>) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.push(STORE_VERSION_V1);
-        put_u64(&mut buf, store.len() as u64);
-        for entry in store.iter() {
-            put_u64(&mut buf, entry.meta.sn.0);
-            put_ddv(&mut buf, &entry.meta.ddv);
-            put_u64(&mut buf, entry.meta.committed_at.nanos());
-            buf.push(entry.meta.forced as u8);
-            let body = encode_checkpoint(&entry.payload);
-            put_bytes(&mut buf, &body);
-        }
-        buf
-    }
-
-    #[test]
-    fn legacy_v1_images_still_decode() {
-        for store in [sample_store(), generational_store()] {
-            let v1 = encode_store_v1(&store);
-            let back = decode_store(&v1).unwrap();
-            assert!(stores_equal(&store, &back), "v1 image decodes to equal");
-        }
-    }
-
     #[test]
     fn corrupt_images_are_rejected_not_panicked() {
         let bytes = encode_store(&sample_store());
@@ -570,12 +423,44 @@ mod tests {
             decode_store(&bad),
             Err(DecodeError::BadVersion(99))
         ));
+        // v1 is no longer read.
+        let mut bad = bytes.clone();
+        bad[4] = 1;
+        assert!(matches!(
+            decode_store(&bad),
+            Err(DecodeError::BadVersion(1))
+        ));
         let mut bad = bytes;
         bad.push(0);
         assert!(matches!(
             decode_store(&bad),
             Err(DecodeError::TrailingBytes(_))
         ));
+    }
+
+    /// Lengths and counts no bytes back: an error, in debug and release,
+    /// before anything is sized from them.
+    #[test]
+    fn crafted_lengths_and_counts_are_truncation_not_panic_or_allocation() {
+        use storage::EntryCodec;
+        // FULL, no deliveries, no channel state, an app snapshot of
+        // u64::MAX bytes (was `*pos + len` overflowing in debug builds).
+        let app_len = [
+            0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01,
+        ];
+        // FULL, 2^28 deliveries, none present (was a `Vec` and a `HashSet`
+        // reserved for 2^28 entries before the first read).
+        let count = [0, 0x80, 0x80, 0x80, 0x80, 0x01];
+        for body in [&app_len[..], &count[..]] {
+            assert_eq!(
+                CheckpointCodec.decode_payload(body, None),
+                Err(DecodeError::Truncated.to_string())
+            );
+            // The same body inside a one-entry store image.
+            let mut image = b"HC3I\x02\x01\x01\x01\x00\x00\x00".to_vec();
+            put_bytes(&mut image, body);
+            assert_eq!(decode_store(&image).err(), Some(DecodeError::Truncated));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the wire codec and the versioned checkpoint-store
-//! codec: arbitrary messages and stores round-trip, old (v1) store bytes
-//! still decode, and arbitrary byte soup never panics either decoder.
+//! codec: arbitrary messages and stores round-trip, and arbitrary byte
+//! soup never panics either decoder.
 
 use hc3i_core::codec::{decode, decode_envelope, encode, encode_envelope};
 use hc3i_core::persist::{decode_store, encode_store};
@@ -197,62 +197,6 @@ fn build_store(steps: &[StoreStep]) -> ClcStore<NodeCheckpoint> {
     store
 }
 
-/// Encode a store in the legacy v1 layout (version byte 1, every
-/// checkpoint's delivery record written in full, no delivered tag).
-fn encode_store_v1(store: &ClcStore<NodeCheckpoint>) -> Vec<u8> {
-    fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                buf.push(byte);
-                return;
-            }
-            buf.push(byte | 0x80);
-        }
-    }
-    let mut buf = Vec::new();
-    buf.extend_from_slice(b"HC3I");
-    buf.push(1);
-    put_u64(&mut buf, store.len() as u64);
-    for entry in store.iter() {
-        put_u64(&mut buf, entry.meta.sn.0);
-        put_u64(&mut buf, entry.meta.ddv.len() as u64);
-        for e in entry.meta.ddv.iter() {
-            put_u64(&mut buf, e.0);
-        }
-        put_u64(&mut buf, entry.meta.committed_at.nanos());
-        buf.push(entry.meta.forced as u8);
-        let mut body = Vec::new();
-        let delivered = entry.payload.delivered.sorted_entries();
-        put_u64(&mut body, delivered.len() as u64);
-        for ((node, log_id), sn) in delivered {
-            put_u64(&mut body, node.cluster.0 as u64);
-            put_u64(&mut body, node.rank as u64);
-            put_u64(&mut body, log_id);
-            put_u64(&mut body, sn.0);
-        }
-        put_u64(&mut body, entry.payload.channel_state.len() as u64);
-        for (from, payload) in &entry.payload.channel_state {
-            put_u64(&mut body, from.cluster.0 as u64);
-            put_u64(&mut body, from.rank as u64);
-            put_u64(&mut body, payload.bytes);
-            put_u64(&mut body, payload.tag);
-        }
-        match &entry.payload.app_state {
-            None => body.push(0),
-            Some(state) => {
-                body.push(1);
-                put_u64(&mut body, state.len() as u64);
-                body.extend_from_slice(state);
-            }
-        }
-        put_u64(&mut buf, body.len() as u64);
-        buf.extend_from_slice(&body);
-    }
-    buf
-}
-
 fn stores_equal(a: &ClcStore<NodeCheckpoint>, b: &ClcStore<NodeCheckpoint>) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -322,14 +266,6 @@ proptest! {
     }
 
     #[test]
-    fn legacy_v1_store_bytes_still_decode(steps in store_strategy()) {
-        let store = build_store(&steps);
-        let v1 = encode_store_v1(&store);
-        let back = decode_store(&v1).unwrap();
-        prop_assert!(stores_equal(&store, &back), "v1 image decodes to equal content");
-    }
-
-    #[test]
     fn store_decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_store(&bytes);
     }
@@ -341,18 +277,6 @@ proptest! {
         new_byte in any::<u8>(),
     ) {
         let mut bytes = encode_store(&build_store(&steps));
-        let idx = flip_at.index(bytes.len());
-        bytes[idx] = new_byte;
-        let _ = decode_store(&bytes); // Err or a different store; no panic
-    }
-
-    #[test]
-    fn store_decoder_never_panics_on_mutated_v1_images(
-        steps in store_strategy(),
-        flip_at in any::<prop::sample::Index>(),
-        new_byte in any::<u8>(),
-    ) {
-        let mut bytes = encode_store_v1(&build_store(&steps));
         let idx = flip_at.index(bytes.len());
         bytes[idx] = new_byte;
         let _ = decode_store(&bytes); // Err or a different store; no panic
@@ -371,20 +295,6 @@ proptest! {
     ) {
         let bytes = encode_store(&build_store(&steps));
         let cut = cut_at.index(bytes.len()); // 0..len: a strict prefix
-        prop_assert!(
-            decode_store(&bytes[..cut]).is_err(),
-            "truncation to {cut}/{} bytes must not decode",
-            bytes.len()
-        );
-    }
-
-    #[test]
-    fn prefix_truncation_of_v1_images_always_errors(
-        steps in store_strategy(),
-        cut_at in any::<prop::sample::Index>(),
-    ) {
-        let bytes = encode_store_v1(&build_store(&steps));
-        let cut = cut_at.index(bytes.len());
         prop_assert!(
             decode_store(&bytes[..cut]).is_err(),
             "truncation to {cut}/{} bytes must not decode",

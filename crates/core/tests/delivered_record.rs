@@ -16,11 +16,11 @@
 //! — and asserts lookups, lengths, snapshot contents and the persisted
 //! encoding agree at every step.
 
-use hc3i_core::persist::{decode_checkpoint, encode_checkpoint};
-use hc3i_core::{DeliveredKey, DeliveredRecord, NodeCheckpoint, SeqNum};
+use hc3i_core::{CheckpointCodec, DeliveredKey, DeliveredRecord, NodeCheckpoint, SeqNum};
 use netsim::NodeId;
 use proptest::prelude::*;
 use std::collections::HashMap;
+use storage::EntryCodec;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -110,16 +110,14 @@ proptest! {
             let mut expect: Vec<_> = eager.iter().map(|(k, sn)| (*k, *sn)).collect();
             expect.sort_unstable_by_key(|&(k, _)| k);
             prop_assert_eq!(rec.sorted_entries(), expect);
-            // …and round-trips through the flat checkpoint encoding.
+            // …and round-trips through the full checkpoint encoding.
             let ckpt = NodeCheckpoint {
                 delivered: rec.clone(),
                 channel_state: vec![],
                 app_state: None,
             };
-            let bytes = encode_checkpoint(&ckpt);
-            let mut pos = 0;
-            let back = decode_checkpoint(&bytes, &mut pos).unwrap();
-            prop_assert_eq!(pos, bytes.len());
+            let bytes = CheckpointCodec.encode_payload(&ckpt, None);
+            let back = CheckpointCodec.decode_payload(&bytes, None).unwrap();
             prop_assert_eq!(&back.delivered, rec);
         }
     }

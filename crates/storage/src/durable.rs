@@ -13,7 +13,7 @@
 //!   record: `[len: u32 LE][crc32(payload): u32 LE][payload]`. The payload
 //!   is an op byte, the node's global index, and an op-specific body
 //!   (commit, truncate-after-rollback, GC prune, or a whole-chain
-//!   snapshot).
+//!   snapshot); integers are [`crate::varint`]s.
 //! * **Compaction** — once enough frame bytes accumulate, the store
 //!   rewrites every node's flattened delta chain as snapshot frames into a
 //!   fresh segment and deletes the older segments (newest-first, so any
@@ -21,17 +21,37 @@
 //!   the complete snapshot segment — both replay to the same state,
 //!   because a snapshot *replaces* the node's chain).
 //!
+//! ## The pending buffer and its flush points
+//!
+//! Frames are assembled in one buffer inside the [`DurableStore`] and reach
+//! the file in a single `write` at each **flush point**:
+//!
+//! 1. a commit under [`SyncPolicy::EveryCommit`] (followed by the `fsync`);
+//! 2. [`DurableStore::sync`] (likewise);
+//! 3. compaction — the old tail first gets what it is owed, and the
+//!    snapshot frames take the same route into the new segment;
+//! 4. dropping the store (best effort: `Drop` cannot report an error,
+//!    call `sync` to see one);
+//! 5. the buffer passing 64 KiB.
+//!
+//! Between flush points the newest frames exist only in this process: a
+//! `kill -9` loses them, not just a power cut. [`recover`] on the
+//! directory of a live store therefore sees the log as of the last flush
+//! point.
+//!
 //! ## Durability contract
 //!
 //! With [`SyncPolicy::EveryCommit`] (the default), `fsync` runs after
 //! every commit frame: once [`DurableStore::append_commit`] returns, that
-//! CLC survives a crash. Truncate and prune frames are buffered by the OS
-//! until the next commit's fsync — losing them merely recovers a slightly
-//! *older* (still consistent) state, because frames after them in the log
-//! are lost too: an `fsync`-ed log prefix is always a state the federation
-//! actually passed through. [`SyncPolicy::Manual`] leaves all flushing to
-//! explicit [`DurableStore::sync`] calls (benchmarks, bulk image
-//! construction).
+//! CLC survives a crash. Truncate and prune frames wait in the pending
+//! buffer until the next commit or `sync` — losing them, with the process
+//! or with the power, merely recovers a slightly *older* (still
+//! consistent) state, because frames after them in the log are lost too:
+//! a log prefix is always a state the federation actually passed through.
+//! [`SyncPolicy::Manual`] leaves durability to explicit
+//! [`DurableStore::sync`] calls (benchmarks, bulk image construction):
+//! appended frames may sit in user space until `sync`, compaction, drop
+//! or 64 KiB, and nothing is `fsync`ed before `sync` or a compaction.
 //!
 //! ## Torn-tail policy
 //!
@@ -44,10 +64,12 @@
 //! decode or violates store monotonicity — is not a torn write and fails
 //! recovery with [`DurableError::Corrupt`]. Recovery never panics on
 //! arbitrary bytes: every invariant [`ClcStore::commit`] asserts is
-//! checked (and turned into an error) first.
+//! checked (and turned into an error) first, and every length and count
+//! is checked against the bytes that back it ([`crate::varint`]).
 
 use crate::clc_store::{ClcMeta, ClcStore};
-use crate::stamp::{Ddv, SeqNum};
+use crate::stamp::SeqNum;
+use crate::varint::{put_ddv, put_u64, Cursor};
 use desim::SimTime;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -65,15 +87,16 @@ const OP_SNAPSHOT: u8 = 4;
 /// Ceiling on a single frame payload (a snapshot of one node's chain);
 /// anything larger in a length field is damage, not data.
 const MAX_FRAME: u32 = 1 << 26;
-/// Caps on decoded counts, so a CRC collision on garbage cannot ask for
-/// absurd allocations.
-const MAX_SNAPSHOT_ENTRIES: u64 = 1 << 24;
-const MAX_DDV_LEN: u64 = 1 << 20;
+/// The pending buffer is written out once it holds this much.
+const FLUSH_BYTES: usize = 64 << 10;
 
-// ---- CRC-32 (IEEE 802.3, reflected) ---------------------------------------
+// ---- CRC-32 (IEEE 802.3, reflected), slicing-by-8 --------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `t[0]` is the classic byte-at-a-time table; `t[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, which lets eight input bytes be
+/// folded per step with eight independent lookups.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -86,80 +109,67 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = t[k - 1][i];
+            t[k][i] = t[0][(c & 0xFF) as usize] ^ (c >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the frame checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
 
-// ---- varint helpers (same LEB128 shape as the wire codec) -----------------
-
-fn put_u64(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v: u64 = 0;
-    for shift in (0..64).step_by(7) {
-        let byte = *buf.get(*pos).ok_or("truncated varint")?;
-        *pos += 1;
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err("varint overflow".into())
-}
+// ---- frame bodies ---------------------------------------------------------
 
 fn put_meta(buf: &mut Vec<u8>, meta: &ClcMeta) {
     put_u64(buf, meta.sn.0);
-    put_u64(buf, meta.ddv.len() as u64);
-    for e in meta.ddv.iter() {
-        put_u64(buf, e.0);
-    }
+    put_ddv(buf, &meta.ddv);
     put_u64(buf, meta.committed_at.nanos());
     buf.push(meta.forced as u8);
 }
 
-fn get_meta(buf: &[u8], pos: &mut usize) -> Result<ClcMeta, String> {
-    let sn = SeqNum(get_u64(buf, pos)?);
-    let n = get_u64(buf, pos)?;
-    if n > MAX_DDV_LEN {
-        return Err("oversized DDV".into());
-    }
-    let mut entries = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        entries.push(SeqNum(get_u64(buf, pos)?));
-    }
-    let committed_at = SimTime(get_u64(buf, pos)?);
-    let forced = match buf.get(*pos).ok_or("truncated meta")? {
+fn get_meta(cur: &mut Cursor<'_>) -> Result<ClcMeta, String> {
+    let sn = SeqNum(cur.u64()?);
+    let ddv = Arc::new(cur.ddv()?);
+    let committed_at = SimTime(cur.u64()?);
+    let forced = match cur.u8()? {
         0 => false,
         1 => true,
         t => return Err(format!("bad forced byte {t}")),
     };
-    *pos += 1;
     Ok(ClcMeta {
         sn,
-        ddv: Arc::new(Ddv::from_entries(entries)),
+        ddv,
         committed_at,
         forced,
     })
@@ -234,12 +244,13 @@ impl From<std::io::Error> for DurableError {
 /// When the log flushes to the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// `fsync` after every commit frame: a returned `append_commit` is a
-    /// durable CLC (the default; see the module docs for what this means
-    /// for truncate/prune frames).
+    /// Write and `fsync` after every commit frame: a returned
+    /// `append_commit` is a durable CLC (the default; see the module docs
+    /// for what this means for truncate/prune frames).
     EveryCommit,
-    /// Flush only on explicit [`DurableStore::sync`] (bulk image
-    /// construction, benchmarks).
+    /// `fsync` only on explicit [`DurableStore::sync`] (bulk image
+    /// construction, benchmarks); until then frames may not even have left
+    /// the process (see the module docs' flush points).
     Manual,
 }
 
@@ -319,6 +330,17 @@ fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurableError> {
     Ok(segs)
 }
 
+/// True when `dir` exists and already holds a segment log. Read-only: what
+/// a caller that needs a *fresh* directory asks before [`DurableStore::open`]
+/// (which would replay the log, and trim a torn tail off it).
+pub fn holds_log(dir: &Path) -> Result<bool, DurableError> {
+    match list_segments(dir) {
+        Ok(segs) => Ok(!segs.is_empty()),
+        Err(DurableError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
 struct Replayer<'a, C: EntryCodec> {
     codec: &'a C,
     stores: BTreeMap<u64, ClcStore<C::Payload>>,
@@ -329,56 +351,36 @@ impl<C: EntryCodec> Replayer<'_, C> {
     /// corruption (the CRC already vouched for the bytes), never a torn
     /// write.
     fn apply(&mut self, payload: &[u8]) -> Result<(), String> {
-        let mut pos = 0usize;
-        let op = *payload.first().ok_or("empty frame")?;
-        pos += 1;
-        let node = get_u64(payload, &mut pos)?;
+        let mut cur = Cursor::new(payload);
+        let op = cur.u8()?;
+        let node = cur.u64()?;
         match op {
             OP_COMMIT => {
-                let meta = get_meta(payload, &mut pos)?;
+                let meta = get_meta(&mut cur)?;
                 let store = self.stores.entry(node).or_default();
-                validate_next(store, &meta)?;
-                let body = &payload[pos..];
-                let decoded = {
-                    let prev = store.latest().map(|e| &e.payload);
-                    self.codec.decode_payload(body, prev)?
-                };
-                store.commit(meta, decoded);
-                Ok(())
+                commit_next(self.codec, store, meta, cur.rest())
             }
             OP_TRUNCATE => {
-                let sn = SeqNum(get_u64(payload, &mut pos)?);
-                expect_end(payload, pos)?;
+                let sn = SeqNum(cur.u64()?);
+                expect_end(&cur)?;
                 self.stores.entry(node).or_default().truncate_after(sn);
                 Ok(())
             }
             OP_PRUNE => {
-                let min_sn = SeqNum(get_u64(payload, &mut pos)?);
-                expect_end(payload, pos)?;
+                let min_sn = SeqNum(cur.u64()?);
+                expect_end(&cur)?;
                 self.stores.entry(node).or_default().prune_below(min_sn);
                 Ok(())
             }
             OP_SNAPSHOT => {
-                let n = get_u64(payload, &mut pos)?;
-                if n > MAX_SNAPSHOT_ENTRIES {
-                    return Err("oversized snapshot".into());
-                }
+                // An entry is a meta (four fields) and a body length.
+                let n = cur.count(5)?;
                 let mut chain: ClcStore<C::Payload> = ClcStore::new();
                 for _ in 0..n {
-                    let meta = get_meta(payload, &mut pos)?;
-                    validate_next(&chain, &meta)?;
-                    let len = get_u64(payload, &mut pos)? as usize;
-                    let body = payload
-                        .get(pos..pos.saturating_add(len))
-                        .ok_or("truncated snapshot entry")?;
-                    pos += len;
-                    let decoded = {
-                        let prev = chain.latest().map(|e| &e.payload);
-                        self.codec.decode_payload(body, prev)?
-                    };
-                    chain.commit(meta, decoded);
+                    let meta = get_meta(&mut cur)?;
+                    commit_next(self.codec, &mut chain, meta, cur.bytes()?)?;
                 }
-                expect_end(payload, pos)?;
+                expect_end(&cur)?;
                 // A snapshot *replaces* the node's chain: replay is
                 // idempotent whether or not pre-compaction segments
                 // survived.
@@ -390,18 +392,24 @@ impl<C: EntryCodec> Replayer<'_, C> {
     }
 }
 
-fn expect_end(payload: &[u8], pos: usize) -> Result<(), String> {
-    if pos == payload.len() {
-        Ok(())
-    } else {
-        Err(format!("{} trailing frame bytes", payload.len() - pos))
+fn expect_end(cur: &Cursor<'_>) -> Result<(), String> {
+    match cur.remaining() {
+        0 => Ok(()),
+        n => Err(format!("{n} trailing frame bytes")),
     }
 }
 
-/// Everything [`ClcStore::commit`] would assert, checked up front so a
-/// corrupt frame errors instead of panicking.
-fn validate_next<P>(store: &ClcStore<P>, meta: &ClcMeta) -> Result<(), String> {
-    if let Some(last) = store.latest() {
+/// Decode `body` against `chain`'s newest entry and commit it under
+/// `meta` — after checking everything [`ClcStore::commit`] would assert,
+/// so a corrupt frame errors instead of panicking.
+fn commit_next<C: EntryCodec>(
+    codec: &C,
+    chain: &mut ClcStore<C::Payload>,
+    meta: ClcMeta,
+    body: &[u8],
+) -> Result<(), String> {
+    let last = chain.latest();
+    if let Some(last) = last {
         if meta.sn <= last.meta.sn {
             return Err("non-monotone chain SN".into());
         }
@@ -409,79 +417,66 @@ fn validate_next<P>(store: &ClcStore<P>, meta: &ClcMeta) -> Result<(), String> {
             return Err("non-monotone chain DDV".into());
         }
     }
+    let decoded = codec.decode_payload(body, last.map(|e| &e.payload))?;
+    chain.commit(meta, decoded);
     Ok(())
 }
 
-/// One segment's scan outcome: the valid byte length, plus the torn span
-/// if the tail was discarded.
+/// Replay one segment; returns the torn span if its tail was discarded.
 fn scan_segment<C: EntryCodec>(
     index: u64,
     path: &Path,
     is_final: bool,
     replayer: &mut Replayer<'_, C>,
     frames: &mut u64,
-) -> Result<(u64, Option<TornTail>), DurableError> {
+) -> Result<Option<TornTail>, DurableError> {
     let bytes = fs::read(path)?;
-    let corrupt = |offset: u64, what: &str| DurableError::Corrupt {
-        segment: index,
-        offset,
-        what: what.to_string(),
-    };
-    let torn = |offset: usize| TornTail {
+    let corrupt = |offset: usize, what: String| DurableError::Corrupt {
         segment: index,
         offset: offset as u64,
-        discarded: (bytes.len() - offset) as u64,
+        what,
     };
-    if bytes.len() < SEG_MAGIC.len() || &bytes[..SEG_MAGIC.len()] != SEG_MAGIC {
-        // A final segment whose very header is incomplete is a crash
-        // during segment creation: discard the file. Elsewhere it is
-        // damage.
-        return if is_final {
-            Ok((
-                0,
-                Some(TornTail {
-                    segment: index,
-                    offset: 0,
-                    discarded: bytes.len() as u64,
-                }),
-            ))
+    // Framing damage at `offset`: a torn write (discard from there on) in
+    // the final segment, corruption anywhere else.
+    let damaged = |offset: usize, what: &str| {
+        if is_final {
+            Ok(Some(TornTail {
+                segment: index,
+                offset: offset as u64,
+                discarded: (bytes.len() - offset) as u64,
+            }))
         } else {
-            Err(corrupt(0, "bad segment header"))
-        };
+            Err(corrupt(offset, what.to_string()))
+        }
+    };
+    let mut cur = Cursor::new(&bytes);
+    // A final segment whose very header is incomplete is a crash during
+    // segment creation: the whole file is discarded.
+    if cur.take(SEG_MAGIC.len() as u64) != Ok(&SEG_MAGIC[..]) {
+        return damaged(0, "bad segment header");
     }
-    let mut pos = SEG_MAGIC.len();
-    while pos < bytes.len() {
+    while cur.remaining() > 0 {
+        let offset = bytes.len() - cur.remaining();
         // Frame header: [len u32][crc u32].
-        if pos + 8 > bytes.len() {
-            if is_final {
-                return Ok((pos as u64, Some(torn(pos))));
-            }
-            return Err(corrupt(pos as u64, "truncated frame header"));
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let body_start = pos + 8;
-        let body_end = body_start.saturating_add(len as usize);
-        if len > MAX_FRAME || body_end > bytes.len() {
-            if is_final {
-                return Ok((pos as u64, Some(torn(pos))));
-            }
-            return Err(corrupt(pos as u64, "frame length overruns segment"));
-        }
-        let payload = &bytes[body_start..body_end];
+        let Ok(head) = cur.take(8) else {
+            return damaged(offset, "truncated frame header");
+        };
+        let (len, crc) = head.split_at(4);
+        let len = u32::from_le_bytes(len.try_into().expect("4 bytes"));
+        let crc = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
+        let payload = match cur.take(u64::from(len)) {
+            Ok(payload) if len <= MAX_FRAME => payload,
+            _ => return damaged(offset, "frame length overruns segment"),
+        };
         if crc32(payload) != crc {
-            if is_final {
-                return Ok((pos as u64, Some(torn(pos))));
-            }
-            return Err(corrupt(pos as u64, "frame checksum mismatch"));
+            return damaged(offset, "frame checksum mismatch");
         }
         replayer
             .apply(payload)
-            .map_err(|what| corrupt(pos as u64, &what))?;
+            .map_err(|what| corrupt(offset, what))?;
         *frames += 1;
-        pos = body_end;
     }
-    Ok((pos as u64, None))
+    Ok(None)
 }
 
 /// Rebuild every node's chain from the segment log in `dir` without
@@ -496,8 +491,7 @@ pub fn recover<C: EntryCodec>(dir: &Path, codec: &C) -> Result<Recovered<C>, Dur
     let mut torn = None;
     let last = segs.len().saturating_sub(1);
     for (i, (index, path)) in segs.iter().enumerate() {
-        let (_, t) = scan_segment(*index, path, i == last, &mut replayer, &mut frames)?;
-        torn = t;
+        torn = scan_segment(*index, path, i == last, &mut replayer, &mut frames)?;
     }
     Ok(Recovered {
         stores: replayer.stores,
@@ -512,7 +506,8 @@ pub fn recover<C: EntryCodec>(dir: &Path, codec: &C) -> Result<Recovered<C>, Dur
 /// Append-only, checksummed, compacting on-disk image of a federation's
 /// CLC stores (one chain per node, keyed by global node index).
 ///
-/// See the module docs for the durability contract and torn-tail policy.
+/// See the module docs for the flush points, the durability contract and
+/// the torn-tail policy.
 pub struct DurableStore<C: EntryCodec> {
     dir: PathBuf,
     codec: C,
@@ -520,6 +515,8 @@ pub struct DurableStore<C: EntryCodec> {
     /// Index of the active (tail) segment.
     seg_index: u64,
     writer: File,
+    /// Framed bytes `writer` has not been handed yet.
+    pending: Vec<u8>,
     /// Frame bytes appended since the last compaction (or open).
     appended: u64,
     /// In-memory replica of what the log replays to — the write path's
@@ -534,8 +531,6 @@ pub struct DurableStore<C: EntryCodec> {
     /// Commit frames appended by this handle (crash-injection hooks and
     /// tests key off it).
     commits: u64,
-    /// Reused frame-assembly buffer.
-    buf: Vec<u8>,
 }
 
 impl<C: EntryCodec> DurableStore<C> {
@@ -575,11 +570,11 @@ impl<C: EntryCodec> DurableStore<C> {
             opts,
             seg_index,
             writer,
+            pending: Vec::new(),
             appended: 0,
             mirror: recovered.stores,
             torn: recovered.torn,
             commits: 0,
-            buf: Vec::new(),
         })
     }
 
@@ -617,23 +612,21 @@ impl<C: EntryCodec> DurableStore<C> {
         meta: &ClcMeta,
         payload: &C::Payload,
     ) -> Result<(), DurableError> {
-        let mut frame = std::mem::take(&mut self.buf);
-        frame.clear();
-        frame.push(OP_COMMIT);
-        put_u64(&mut frame, node);
-        put_meta(&mut frame, meta);
         let store = self.mirror.entry(node).or_default();
         let body = {
             let prev = store.latest().map(|e| &e.payload);
             self.codec.encode_payload(payload, prev)
         };
-        frame.extend_from_slice(&body);
         store.commit(meta.clone(), payload.clone());
-        self.write_frame(&frame)?;
-        self.buf = frame;
         self.commits += 1;
+        self.append(|_, frame| {
+            frame.push(OP_COMMIT);
+            put_u64(frame, node);
+            put_meta(frame, meta);
+            frame.extend_from_slice(&body);
+        })?;
         if self.opts.sync == SyncPolicy::EveryCommit {
-            self.writer.sync_all()?;
+            self.sync()?;
         }
         self.maybe_compact()
     }
@@ -641,28 +634,24 @@ impl<C: EntryCodec> DurableStore<C> {
     /// Record a rollback: `node`'s chain drops every entry newer than
     /// `sn`.
     pub fn append_truncate(&mut self, node: u64, sn: SeqNum) -> Result<(), DurableError> {
-        let mut frame = std::mem::take(&mut self.buf);
-        frame.clear();
-        frame.push(OP_TRUNCATE);
-        put_u64(&mut frame, node);
-        put_u64(&mut frame, sn.0);
         self.mirror.entry(node).or_default().truncate_after(sn);
-        self.write_frame(&frame)?;
-        self.buf = frame;
+        self.append(|_, frame| {
+            frame.push(OP_TRUNCATE);
+            put_u64(frame, node);
+            put_u64(frame, sn.0);
+        })?;
         self.maybe_compact()
     }
 
     /// Record a GC prune: `node`'s chain drops entries below `min_sn`
     /// (always keeping the newest).
     pub fn append_prune(&mut self, node: u64, min_sn: SeqNum) -> Result<(), DurableError> {
-        let mut frame = std::mem::take(&mut self.buf);
-        frame.clear();
-        frame.push(OP_PRUNE);
-        put_u64(&mut frame, node);
-        put_u64(&mut frame, min_sn.0);
         self.mirror.entry(node).or_default().prune_below(min_sn);
-        self.write_frame(&frame)?;
-        self.buf = frame;
+        self.append(|_, frame| {
+            frame.push(OP_PRUNE);
+            put_u64(frame, node);
+            put_u64(frame, min_sn.0);
+        })?;
         self.maybe_compact()
     }
 
@@ -673,14 +662,14 @@ impl<C: EntryCodec> DurableStore<C> {
         node: u64,
         store: &ClcStore<C::Payload>,
     ) -> Result<(), DurableError> {
-        let frame = encode_snapshot(&self.codec, node, store);
         self.mirror.insert(node, store.clone());
-        self.write_frame(&frame)?;
+        self.append(|codec, frame| put_snapshot(frame, codec, node, store))?;
         self.maybe_compact()
     }
 
     /// Flush everything appended so far to the platter.
     pub fn sync(&mut self) -> Result<(), DurableError> {
+        flush(&mut self.writer, &mut self.pending)?;
         self.writer.sync_all()?;
         Ok(())
     }
@@ -689,13 +678,19 @@ impl<C: EntryCodec> DurableStore<C> {
     /// fresh segment, then delete the older segments. Crash-safe at every
     /// step (see the module docs).
     pub fn compact(&mut self) -> Result<(), DurableError> {
+        flush(&mut self.writer, &mut self.pending)?;
         let old = list_segments(&self.dir)?;
         let new_index = self.seg_index + 1;
         let mut f = create_segment(&self.dir, new_index)?;
         for (&node, store) in &self.mirror {
-            let frame = encode_snapshot(&self.codec, node, store);
-            write_frame_to(&mut f, &frame)?;
+            frame_into(&mut self.pending, |frame| {
+                put_snapshot(frame, &self.codec, node, store)
+            });
+            if self.pending.len() >= FLUSH_BYTES {
+                flush(&mut f, &mut self.pending)?;
+            }
         }
+        flush(&mut f, &mut self.pending)?;
         // The snapshot segment must be durable before anything older
         // disappears.
         f.sync_all()?;
@@ -722,10 +717,22 @@ impl<C: EntryCodec> DurableStore<C> {
         Ok(())
     }
 
-    fn write_frame(&mut self, payload: &[u8]) -> Result<(), DurableError> {
-        write_frame_to(&mut self.writer, payload)?;
-        self.appended += 8 + payload.len() as u64;
+    /// Frame what `fill` writes as one record in the pending buffer, and
+    /// write the buffer out once it is full (flush point 5).
+    fn append(&mut self, fill: impl FnOnce(&C, &mut Vec<u8>)) -> Result<(), DurableError> {
+        self.appended += frame_into(&mut self.pending, |frame| fill(&self.codec, frame));
+        if self.pending.len() >= FLUSH_BYTES {
+            flush(&mut self.writer, &mut self.pending)?;
+        }
         Ok(())
+    }
+}
+
+impl<C: EntryCodec> Drop for DurableStore<C> {
+    fn drop(&mut self) {
+        // Flush point 4. An error has nowhere to go from here; callers
+        // that need to see it call `sync` first.
+        let _ = flush(&mut self.writer, &mut self.pending);
     }
 }
 
@@ -738,29 +745,42 @@ fn create_segment(dir: &Path, index: u64) -> Result<File, DurableError> {
     Ok(f)
 }
 
-fn write_frame_to(f: &mut File, payload: &[u8]) -> Result<(), DurableError> {
-    let mut head = [0u8; 8];
+/// Append one `[len][crc][payload]` frame to `out`, its payload being what
+/// `fill` writes; returns the frame's size.
+fn frame_into(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> u64 {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    fill(out);
+    let (head, payload) = out[start..].split_at_mut(8);
     head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    f.write_all(&head)?;
-    f.write_all(payload)?;
+    (out.len() - start) as u64
+}
+
+/// Hand `pending` to `f` in one write.
+fn flush(f: &mut File, pending: &mut Vec<u8>) -> std::io::Result<()> {
+    f.write_all(pending)?;
+    pending.clear();
     Ok(())
 }
 
-fn encode_snapshot<C: EntryCodec>(codec: &C, node: u64, store: &ClcStore<C::Payload>) -> Vec<u8> {
-    let mut frame = Vec::new();
+fn put_snapshot<C: EntryCodec>(
+    frame: &mut Vec<u8>,
+    codec: &C,
+    node: u64,
+    store: &ClcStore<C::Payload>,
+) {
     frame.push(OP_SNAPSHOT);
-    put_u64(&mut frame, node);
-    put_u64(&mut frame, store.len() as u64);
+    put_u64(frame, node);
+    put_u64(frame, store.len() as u64);
     let mut prev: Option<&C::Payload> = None;
     for entry in store.iter() {
-        put_meta(&mut frame, &entry.meta);
+        put_meta(frame, &entry.meta);
         let body = codec.encode_payload(&entry.payload, prev);
-        put_u64(&mut frame, body.len() as u64);
+        put_u64(frame, body.len() as u64);
         frame.extend_from_slice(&body);
         prev = Some(&entry.payload);
     }
-    frame
 }
 
 /// `fsync` the directory itself so entry creations/deletions are durable
@@ -774,6 +794,7 @@ fn sync_dir(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stamp::Ddv;
 
     /// A trivially-delta'd payload: a list of u64s, encoded either in
     /// full or as a suffix delta against the previous entry.
@@ -807,24 +828,18 @@ mod tests {
         }
 
         fn decode_payload(&self, buf: &[u8], prev: Option<&Nums>) -> Result<Nums, String> {
-            let mut pos = 0usize;
-            let tag = *buf.first().ok_or("empty payload")?;
-            pos += 1;
-            let n = get_u64(buf, &mut pos)?;
-            if n > 1 << 20 {
-                return Err("oversized payload".into());
-            }
+            let mut cur = Cursor::new(buf);
+            let tag = cur.u8()?;
+            let n = cur.count(1)?;
             let mut vals = match tag {
-                0 => Vec::with_capacity(n as usize),
+                0 => Vec::with_capacity(n),
                 1 => prev.ok_or("delta without prev")?.0.clone(),
                 t => return Err(format!("bad payload tag {t}")),
             };
             for _ in 0..n {
-                vals.push(get_u64(buf, &mut pos)?);
+                vals.push(cur.u64()?);
             }
-            if pos != buf.len() {
-                return Err("trailing payload bytes".into());
-            }
+            expect_end(&cur)?;
             Ok(Nums(vals))
         }
     }
@@ -944,6 +959,8 @@ mod tests {
         let segs = list_segments(&dir).unwrap();
         assert_eq!(segs.len(), 1, "auto-compaction keeps one live segment");
         assert!(segs[0].0 >= 1, "compaction bumped the segment index");
+        // Frames since the last compaction are still pending.
+        store.sync().unwrap();
         let rec = recover(&dir, &NumsCodec).unwrap();
         assert_eq!(rec.stores[&0].len(), 32);
         fs::remove_dir_all(&dir).unwrap();
@@ -1056,10 +1073,113 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// FNV-1a (64-bit) of every segment in `dir`, in index order.
+    fn segment_hashes(dir: &Path) -> Vec<(u64, u64)> {
+        list_segments(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(idx, path)| {
+                let hash = fs::read(path)
+                    .unwrap()
+                    .iter()
+                    .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                    });
+                (idx, hash)
+            })
+            .collect()
+    }
+
+    /// Every frame type and both payload tags: genesis snapshot, delta and
+    /// full commits, truncate, prune, more commits.
+    fn pin_script(store: &mut DurableStore<NumsCodec>) {
+        let mut chain = ClcStore::new();
+        chain.commit(meta(1, &[1, 0, 0], false), Nums(vec![7, 300]));
+        store.snapshot_node(3, &chain).unwrap();
+        for k in 2..=6u64 {
+            // Even SNs extend the previous payload (delta), odd ones don't.
+            let payload = if k % 2 == 0 {
+                Nums((0..k).map(|v| v * 1000).collect())
+            } else {
+                Nums(vec![7, 300, k, u64::MAX - k])
+            };
+            store
+                .append_commit(3, &meta(k, &[k, k / 2, 1 << 40], k % 3 == 0), &payload)
+                .unwrap();
+            store
+                .append_commit(200, &meta(k, &[k], false), &Nums((0..k).collect()))
+                .unwrap();
+        }
+        store.append_truncate(3, SeqNum(4)).unwrap();
+        store.append_prune(200, SeqNum(3)).unwrap();
+        for k in 7..=9u64 {
+            store
+                .append_commit(200, &meta(k, &[k], true), &Nums((0..k).collect()))
+                .unwrap();
+        }
+    }
+
+    /// The on-disk format, pinned: these hashes were recorded at the
+    /// commit before the data path was rebuilt (PR 17) and must never move
+    /// without a segment-magic bump.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let dir = tmpdir("pin");
+        let mut store = DurableStore::open(&dir, NumsCodec, opts_manual()).unwrap();
+        pin_script(&mut store);
+        drop(store);
+        assert_eq!(segment_hashes(&dir), [(0, 0x619e_b250_e0a9_c30a)]);
+        fs::remove_dir_all(&dir).unwrap();
+
+        // The same script through two auto-compactions.
+        let opts = DurableOptions {
+            sync: SyncPolicy::EveryCommit,
+            compact_bytes: Some(150),
+        };
+        let mut store = DurableStore::open(&dir, NumsCodec, opts).unwrap();
+        pin_script(&mut store);
+        drop(store);
+        assert_eq!(segment_hashes(&dir), [(2, 0x7425_fdf6_2b21_31ab)]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The byte-at-a-time CRC-32 the sliced one replaced: the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0u32, |c, &b| {
+            CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8)
+        })
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_sliced_equals_the_bytewise_oracle() {
+        // xorshift64*: a fixed stream of test bytes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        let pool: Vec<u8> = (0..8192).map(|_| (next() >> 56) as u8).collect();
+        // Every length 0..=64 at every start offset 0..8 …
+        for start in 0..8 {
+            for len in 0..=64 {
+                let buf = &pool[start..start + len];
+                assert_eq!(crc32(buf), crc32_bytewise(buf), "start {start} len {len}");
+            }
+        }
+        // … and 1,000 random windows of up to 4 KiB.
+        for _ in 0..1000 {
+            let (start, len) = (next() as usize % 4096, next() as usize % 4097);
+            let buf = &pool[start..start + len];
+            assert_eq!(crc32(buf), crc32_bytewise(buf), "start {start} len {len}");
+        }
     }
 }

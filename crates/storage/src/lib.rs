@@ -34,7 +34,9 @@
 //! contract and torn-tail policy). The entry payload encoding is plugged
 //! in from above via [`EntryCodec`], so `hc3i-core` can reuse its
 //! byte-stable v2 checkpoint format without inverting the crate
-//! dependency order.
+//! dependency order. Every integer in that log — and in `hc3i-core`'s
+//! store image and wire codec — is a [`varint`], read through one bounds-
+//! checking cursor.
 
 #![warn(missing_docs)]
 
@@ -43,11 +45,12 @@ pub mod durable;
 pub mod log_store;
 pub mod replication;
 pub mod stamp;
+pub mod varint;
 
 pub use clc_store::{ClcEntry, ClcMeta, ClcStore};
 pub use durable::{
-    recover, DurableError, DurableOptions, DurableStore, EntryCodec, Recovered, SyncPolicy,
-    TornTail,
+    holds_log, recover, DurableError, DurableOptions, DurableStore, EntryCodec, Recovered,
+    SyncPolicy, TornTail,
 };
 pub use log_store::{LogEntry, LogId, MessageLog};
 pub use replication::ReplicationPolicy;

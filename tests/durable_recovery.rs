@@ -181,6 +181,53 @@ fn runtime_durable_log_matches_shutdown_engines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// FNV-1a (64-bit) of every segment in `dir`, in name order.
+fn segment_hashes(dir: &std::path::Path) -> Vec<(String, u64)> {
+    let mut segs: Vec<_> = std::fs::read_dir(dir)
+        .expect("read durable dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    segs.sort();
+    segs.iter()
+        .map(|path| {
+            let hash = std::fs::read(path)
+                .expect("read segment")
+                .iter()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            let name = path.file_name().expect("segment name").to_string_lossy();
+            (name.into_owned(), hash)
+        })
+        .collect()
+}
+
+/// The on-disk format over `CheckpointCodec`, pinned: the log a seeded
+/// durable simulator run leaves (genesis snapshots, delta and full
+/// commits, rollback truncations, GC prunes) and its compaction (snapshot
+/// frames of whole chains). Both hashes were recorded at the commit before
+/// the data path was rebuilt (PR 17); a change that moves one has changed
+/// the format.
+#[test]
+fn simulator_segment_bytes_are_pinned() {
+    let dir = temp_dir("format-pin");
+    simdriver::run(busy_cfg().with_durable_dir(&dir));
+    let pinned = |name: &str, hash: u64| [(name.to_string(), hash)];
+    assert_eq!(
+        segment_hashes(&dir),
+        pinned("seg-00000000.log", 0x2abe_927f_6ce3_05ee)
+    );
+    let mut log = storage::DurableStore::open(&dir, CheckpointCodec, Default::default())
+        .expect("reopen the run's log");
+    log.compact().expect("compact");
+    drop(log);
+    assert_eq!(
+        segment_hashes(&dir),
+        pinned("seg-00000001.log", 0xc4fc_8eef_7864_171d)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Crash-equivalence: any durable prefix of the log (what survives a hard
 /// kill after the last completed fsync) recovers to a prefix-consistent
 /// image — never an error, never a chain the full run didn't have. Uses a
