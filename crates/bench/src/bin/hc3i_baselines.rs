@@ -7,8 +7,7 @@
 //! ```text
 //! cargo run --release -p hc3i-bench --bin hc3i_baselines -- \
 //!     [--quick] [--json PATH] [--md PATH] [--compare OLD.json] \
-//!     [--fail-on-regression FRAC] [--fingerprint PATH] [--sim-shards K] \
-//!     [--seed N]
+//!     [--fail-on-regression FRAC] [--fingerprint PATH] [--seed N]
 //! ```
 //!
 //! * `--quick` trims every sweep for CI (seconds instead of minutes).
@@ -28,17 +27,13 @@
 //!   recording host and the judging host, and the gate tightens to
 //!   [`NORMALIZED_GATE`]: with the cross-machine gap gone, most of what
 //!   survives normalization is per-event code regression. The
-//!   seconds-long single-rep scaling and parallel-executive entries are
-//!   recorded but not rate-gated (see [`gated`]); their gate is CI's
-//!   wall-clock ceiling.
+//!   seconds-long single-rep `scaling_mega` entry is recorded but not
+//!   rate-gated (see [`gated`]); its gate is CI's wall-clock ceiling.
 //! * `--fingerprint PATH` additionally dumps the full `RunReport` debug
 //!   output of several seeded runs — byte-identical across code changes
 //!   that preserve the determinism contract (same seed ⇒ bit-identical
-//!   reports).
-//! * `--sim-shards K` runs every fingerprinted configuration on the
-//!   K-shard parallel executive. The shard-invariance contract says the
-//!   artifact is byte-identical for *any* K — CI diffs K ∈ {1, 2, 4, 8}
-//!   against each other, hostile configuration included.
+//!   reports). CI `cmp`s a fresh dump against the committed
+//!   `bench/FINGERPRINT.txt`.
 
 use desim::{RngStreams, SimDuration, SimTime};
 use hc3i_bench::experiments;
@@ -395,23 +390,15 @@ fn clc_commit_micro(deliveries: u64, commits: u64) -> u64 {
     commits
 }
 
-/// Epoch-barrier micro: the parallel executive on a *window-dense*
-/// workload. 8 clusters x 2 nodes across `shards` shards, with enough
-/// traffic (mostly intra-cluster, per the paper's communication model)
-/// that every 150 µs lookahead window holds work for every shard — the
-/// regime where conservative epochs actually overlap. Run at 4 shards
-/// (`epoch_barrier`) and 1 shard (`epoch_barrier_seq`) the pair
-/// measures pure executive scaling on identical event streams (the
-/// merged event counts are byte-identical — the determinism contract);
-/// CI's runtime-scale job computes and posts the speedup. On a single
-/// core the 4-shard run instead exposes the epoch machinery itself:
-/// publish, two barrier crossings, window computation, mailbox push.
-fn epoch_barrier_micro(
-    secs: u64,
-    intra_per_cluster: u64,
-    inter_per_pair: u64,
-    shards: usize,
-) -> u64 {
+/// Deep-queue micro: a *window-dense* 8 clusters x 2 nodes federation
+/// with enough traffic (mostly intra-cluster, per the paper's
+/// communication model) that tens of thousands of deliveries are in
+/// flight at once — 68 k pending events at peak, 19.5 k on average,
+/// against about 10³ everywhere else in the suite. The one entry in the
+/// regime where a bucketed timing structure could beat the binary heap,
+/// so a queue change that helps the shallow case and hurts the deep one
+/// shows here (`bench/ABLATIONS.md` has the A/B that chose the heap).
+fn deep_queue_micro(secs: u64, intra_per_cluster: u64, inter_per_pair: u64) -> u64 {
     const CLUSTERS: usize = 8;
     const NODES: u32 = 2;
     let topo = Topology::new(
@@ -440,8 +427,7 @@ fn epoch_barrier_micro(
     let cfg = SimConfig::new(topo, duration)
         .with_sends(sends)
         .with_seed(7)
-        .with_protocol(ProtocolConfig::new(vec![NODES; CLUSTERS]))
-        .with_sim_shards(shards);
+        .with_protocol(ProtocolConfig::new(vec![NODES; CLUSTERS]));
     simdriver::run(cfg).events_processed
 }
 
@@ -573,28 +559,16 @@ fn run_suite(quick: bool, seed: u64) -> Vec<Entry> {
         || clc_commit_micro(ckpt_deliveries, ckpt_commits),
     ));
 
-    // The parallel executive on a window-dense workload, at 4 shards and
-    // at 1, same event stream. Recorded, not rate-gated (parallel wall
-    // time depends on the runner's core count, so a rate gate against a
-    // reference-machine baseline would be meaningless); CI's
-    // runtime-scale job asserts wall ceilings on both and posts the
-    // 4-shard speedup to the job summary.
-    let (barrier_secs, barrier_intra, barrier_inter) = (1u64, 50_000u64, 6_000u64);
+    // The event loop with a deep pending set (see `deep_queue_micro`).
+    let (deep_secs, deep_intra, deep_inter) = (1u64, 50_000u64, 6_000u64);
     eprintln!(
-        "timing epoch_barrier ({barrier_secs} sim-seconds, {barrier_intra} intra + {barrier_inter} inter sends/cluster on 4 shards)…"
+        "timing event_loop_deep_queue ({deep_secs} sim-seconds, {deep_intra} intra + {deep_inter} inter sends/cluster)…"
     );
     entries.push(entry(
-        "epoch_barrier",
-        "epoch-barrier micro: 4-shard executive on a window-dense 8x2 federation (events, events/s)",
-        1,
-        || epoch_barrier_micro(barrier_secs, barrier_intra, barrier_inter, 4),
-    ));
-    eprintln!("timing epoch_barrier_seq (same workload, sequential executive)…");
-    entries.push(entry(
-        "epoch_barrier_seq",
-        "the epoch_barrier workload on the sequential executive (events, events/s)",
-        1,
-        || epoch_barrier_micro(barrier_secs, barrier_intra, barrier_inter, 1),
+        "event_loop_deep_queue",
+        "window-dense 8x2 federation, 10^4-10^5 events pending (events, events/s)",
+        gated_reps,
+        || deep_queue_micro(deep_secs, deep_intra, deep_inter),
     ));
 
     // The crash-recovery data plane: rebuild 2048 node chains from a
@@ -631,7 +605,7 @@ fn run_suite(quick: bool, seed: u64) -> Vec<Entry> {
     ));
 
     // Order-of-magnitude scale: 1024 clusters of 100 nodes = 102,400
-    // engines through the calendar executive to completion. Same size in
+    // engines through the executive to completion. Same size in
     // both modes (it is the artifact CI's runtime-scale job asserts on),
     // single rep: at seconds of wall per run the relative timer noise is
     // already far below the gate threshold.
@@ -645,23 +619,6 @@ fn run_suite(quick: bool, seed: u64) -> Vec<Entry> {
         "mega-federation ring (1024 clusters x 100 nodes) to completion",
         1,
         || simdriver::run(ring_config(mega_clusters, mega_nodes, 1, seed)).events_processed,
-    ));
-
-    // The same 102,400-node ring on the 4-shard parallel executive. The
-    // merged report is byte-identical to the sequential one (same
-    // events count — the determinism contract), so the pair measures
-    // pure executive speedup on one workload. Recorded, not rate-gated,
-    // for the same single-rep noise reason as `scaling_mega`; CI's
-    // runtime-scale job computes and posts the speedup.
-    eprintln!("timing scaling_mega_par (same ring at --sim-shards 4)…");
-    entries.push(entry(
-        "scaling_mega_par",
-        "mega-federation ring on the 4-shard parallel executive (same workload as scaling_mega)",
-        1,
-        || {
-            simdriver::run(ring_config(mega_clusters, mega_nodes, 1, seed).with_sim_shards(4))
-                .events_processed
-        },
     ));
 
     entries
@@ -764,23 +721,11 @@ fn markdown(entries: &[Entry], quick: bool, seed: u64, old: Option<&[OldEntry]>)
         }
     }
     s.push_str(
-        "\n## Parallel-executive entries\n\n\
-         The four scaling entries are single-rep wall-time recordings, not\n\
-         rate-gated (see `gated` in the source); CI's `runtime-scale` job\n\
-         asserts their wall-clock ceilings and posts the measured speedups\n\
-         to the job summary.\n\n\
-         `epoch_barrier` / `epoch_barrier_seq` run the *same* window-dense\n\
-         8x2 federation (identical event counts prove the executives replay\n\
-         one schedule) on the 4-shard epoch-barrier executive and the\n\
-         sequential engine. The workload packs tens of events per shard per\n\
-         lookahead window, so shard threads dominate barrier cost and the\n\
-         pair measures real executive scaling on a multi-core host.\n\n\
-         `scaling_mega` / `scaling_mega_par` are the 102,400-node ring on\n\
-         one core and on 4 shards. Mega's uniform-sparse send schedule\n\
-         averages about one busy shard per conservative window, so its\n\
-         speedup is a property of the *workload*, not the executive —\n\
-         window-dense traffic (above) is where the shards pay off. Both\n\
-         entries exist so CI can bound the wall clock of each path.\n",
+        "\n## Ungated entries\n\n\
+         `scaling_mega` (the 102,400-node ring) is a single-rep wall-time\n\
+         recording, not rate-gated (see `gated` in the source); CI's\n\
+         `runtime-scale` job asserts its wall-clock ceiling and a 1 GiB\n\
+         ceiling on the run's peak RSS. `calibration` is the normalizer.\n",
     );
     s
 }
@@ -836,16 +781,12 @@ fn parse_old(json: &str) -> Vec<OldEntry> {
 /// hot paths, the simulator event loop, the figure-regeneration sweep, the
 /// checkpoint/GC data-plane micros (zero-clone GC stamp lists +
 /// copy-on-write CLC staging), the durable-log recovery replay, and the
-/// calendar-queue scale sweep. Deliberately absent: `calibration` (it is
-/// the normalizer, not a measurement of repo code);
-/// `scaling_mega`/`scaling_mega_par` (a single rep lasting seconds
-/// samples so much ambient load that its rate swings >2x between
-/// identical runs on a busy host); and
-/// `epoch_barrier`/`epoch_barrier_seq` (the 4-shard wall depends on the
-/// runner's core count, so a rate gate against a reference-machine
-/// baseline would flap). All four scaling entries are instead gated by
-/// the wall-clock ceilings in CI's runtime-scale job, which a
-/// complexity-class regression cannot hide from.
+/// wide-federation scale sweep. Deliberately absent: `calibration` (it is
+/// the normalizer, not a measurement of repo code) and `scaling_mega` (a
+/// single rep lasting seconds samples so much ambient load that its rate
+/// swings >2x between identical runs on a busy host); the latter is
+/// instead gated by the wall-clock ceiling in CI's runtime-scale job,
+/// which a complexity-class regression cannot hide from.
 fn gated(name: &str) -> bool {
     name.starts_with("event_loop")
         || name == "runtime_throughput"
@@ -929,22 +870,17 @@ fn regressions(entries: &[Entry], old: &[OldEntry], threshold: f64) -> Vec<(Stri
 
 /// Debug-dump a set of seeded reference runs. Any code change that
 /// preserves the determinism contract must reproduce this file
-/// byte-for-byte — and so must any `sim_shards` value: CI diffs the
-/// artifact across shard counts {1, 2, 4, 8}.
-fn fingerprint(sim_shards: usize) -> String {
+/// byte-for-byte: CI `cmp`s it against `bench/FINGERPRINT.txt`.
+fn fingerprint() -> String {
     let mut s = String::new();
     for seed in [20040426u64, 7, 424242] {
-        let r = simdriver::run(
-            reference_config(seed, PiggybackMode::SnOnly).with_sim_shards(sim_shards),
-        );
+        let r = simdriver::run(reference_config(seed, PiggybackMode::SnOnly));
         let _ = writeln!(s, "reference sn_only seed={seed}\n{r:#?}\n");
-        let r = simdriver::run(
-            reference_config(seed, PiggybackMode::FullDdv).with_sim_shards(sim_shards),
-        );
+        let r = simdriver::run(reference_config(seed, PiggybackMode::FullDdv));
         let _ = writeln!(s, "reference full_ddv seed={seed}\n{r:#?}\n");
     }
     // Faulty run: rollback + alert + replay paths.
-    let mut cfg = reference_config(20040426, PiggybackMode::SnOnly).with_sim_shards(sim_shards);
+    let mut cfg = reference_config(20040426, PiggybackMode::SnOnly);
     for h in 1..8u64 {
         cfg = cfg.with_fault(
             SimTime::ZERO + SimDuration::from_minutes(h * 60 + 11),
@@ -954,20 +890,19 @@ fn fingerprint(sim_shards: usize) -> String {
     let r: RunReport = simdriver::run(cfg);
     let _ = writeln!(s, "reference faulty seed=20040426\n{r:#?}\n");
     // Wide ring: many clusters, forced-CLC heavy.
-    let r = simdriver::run(ring_config(12, 4, 2, 20040426).with_sim_shards(sim_shards));
+    let r = simdriver::run(ring_config(12, 4, 2, 20040426));
     let _ = writeln!(s, "ring 12x4 seed=20040426\n{r:#?}\n");
     // Hostile ring: duplication + reordering + a lossy wire behind the
     // reliable transport. The hostile ledger is fingerprinted alongside
-    // the report, so the per-pair RNG streams and canonical inbox
-    // ordering must hold shard-invariantly too.
+    // the report, so the per-pair RNG streams and the canonical inbox
+    // order are pinned too.
     let spec = HostileSpec::seeded(20040426)
         .with_duplication(0.10, SimDuration::from_millis(1))
         .with_reorder(0.10, SimDuration::from_micros(500))
         .with_loss(0.05);
     let cfg = ring_config(6, 4, 1, 20040426)
         .with_hostile(spec)
-        .with_reliable_transport()
-        .with_sim_shards(sim_shards);
+        .with_reliable_transport();
     let (r, h) = simdriver::run_hostile(cfg);
     let _ = writeln!(s, "ring hostile 6x4 seed=20040426\n{r:#?}\n{h:#?}\n");
     s
@@ -981,7 +916,6 @@ fn main() {
     let mut compare_path = None;
     let mut fingerprint_path = None;
     let mut fail_on_regression = None;
-    let mut sim_shards = 1usize;
     let mut seed = experiments::DEFAULT_SEED;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1004,13 +938,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .expect("--seed needs an integer")
             }
-            "--sim-shards" => {
-                sim_shards = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|k| *k > 0)
-                    .expect("--sim-shards needs a positive integer")
-            }
             other => {
                 eprintln!("unknown flag {other}");
                 std::process::exit(2);
@@ -1019,10 +946,9 @@ fn main() {
     }
 
     if let Some(path) = fingerprint_path {
-        eprintln!("writing determinism fingerprint to {path} (sim-shards {sim_shards})…");
-        std::fs::write(&path, fingerprint(sim_shards)).expect("write fingerprint");
-        // A fingerprint-only invocation (CI diffs several shard counts)
-        // skips the timing suite entirely.
+        eprintln!("writing determinism fingerprint to {path}…");
+        std::fs::write(&path, fingerprint()).expect("write fingerprint");
+        // A fingerprint-only invocation skips the timing suite entirely.
         if json_path.is_none() && md_path.is_none() && compare_path.is_none() {
             return;
         }

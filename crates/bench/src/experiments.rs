@@ -11,7 +11,7 @@ use netsim::Topology;
 use simdriver::{run, RunReport, SimConfig};
 use workload::{TargetCountWorkload, Workload};
 
-/// Default seed used by the regenerator binaries.
+/// Default seed of the `regen` binary (and of `paper/RESULTS.md`).
 pub const DEFAULT_SEED: u64 = 20040426; // the workshop date
 
 fn paper_run(

@@ -13,10 +13,6 @@ use simdriver::run_hostile;
 pub struct CampaignPlan {
     /// Seeds each scenario × topology cell is run with.
     pub seeds: Vec<u64>,
-    /// Simulator shards each cell runs on. The parallel executive is
-    /// byte-deterministic, so any value reproduces the same golden
-    /// summary — CI runs the campaign at 4 shards to prove exactly that.
-    pub sim_shards: usize,
 }
 
 impl Default for CampaignPlan {
@@ -25,7 +21,6 @@ impl Default for CampaignPlan {
         // but fixed — the golden summary is keyed to them.
         Self {
             seeds: vec![20040426, 7, 424242],
-            sim_shards: 1,
         }
     }
 }
@@ -141,10 +136,9 @@ fn run_cell(
     topo_name: &'static str,
     topo: &Topology,
     seed: u64,
-    sim_shards: usize,
 ) -> CellOutcome {
     let built = scenario.build(topo, seed);
-    let (report, hostile) = run_hostile(built.cfg.with_sim_shards(sim_shards));
+    let (report, hostile) = run_hostile(built.cfg);
 
     let mut violations = Vec::new();
     violations.extend(invariants::soundness(&report));
@@ -190,7 +184,7 @@ pub fn run_campaign(
     for scenario in scenarios() {
         for (topo_name, topo) in &topos {
             for &seed in &plan.seeds {
-                let cell = run_cell(&scenario, topo_name, topo, seed, plan.sim_shards);
+                let cell = run_cell(&scenario, topo_name, topo, seed);
                 progress(&cell);
                 cells.push(cell);
             }
@@ -210,8 +204,8 @@ mod tests {
         let topos = topologies();
         let (name, topo) = &topos[0];
         let scenarios = scenarios();
-        let a = run_cell(&scenarios[0], name, topo, 7, 1);
-        let b = run_cell(&scenarios[0], name, topo, 7, 1);
+        let a = run_cell(&scenarios[0], name, topo, 7);
+        let b = run_cell(&scenarios[0], name, topo, 7);
         assert!(a.violations.is_empty(), "{:?}", a.violations);
         assert_eq!(a.events, b.events);
         assert_eq!(a.app_delivered, b.app_delivered);
@@ -219,38 +213,77 @@ mod tests {
         assert_eq!(a.duplicates, b.duplicates);
     }
 
-    /// The same cell run on the parallel executive reports the exact same
-    /// outcome — the property the `--sim-shards 4` golden-diff CI job
-    /// checks across the whole matrix.
-    #[test]
-    fn single_cell_is_shard_invariant() {
+    /// One cell of the matrix, by name: cells that a wider seed sweep (or
+    /// the benchmark's) once found failing live on below as named tests,
+    /// so the seed that exposed something cannot be lost again.
+    fn named_cell(scenario: &str, topology: &str, seed: u64) -> CellOutcome {
         let topos = topologies();
-        let (name, topo) = &topos[0];
-        let scenarios = scenarios();
-        let seq = run_cell(&scenarios[0], name, topo, 7, 1);
-        let par = run_cell(&scenarios[0], name, topo, 7, 4);
-        assert_eq!(format!("{seq:?}"), format!("{par:?}"));
+        let (name, topo) = topos.iter().find(|(n, _)| *n == topology).unwrap();
+        let scenario = scenarios()
+            .into_iter()
+            .find(|s| s.name == scenario)
+            .unwrap();
+        run_cell(&scenario, name, topo, seed)
     }
 
     /// `dup_reorder_storm x lan_pair`, seed 20040435: node C0.n5 sends tag
     /// 65 at 1079.972 s; the fault at 1080.1 s cascades and cluster 0
     /// restores the CLC it committed at 988.6 s, undoing that send. The
-    /// ledger used to report it as lost committed work. Holds on the
-    /// parallel executive too, where send and delivery are recorded on
-    /// different shards.
+    /// ledger used to report it as lost committed work.
     #[test]
     fn a_send_undone_by_its_senders_rollback_is_not_a_violation() {
-        let topos = topologies();
-        let (name, topo) = topos.iter().find(|(n, _)| *n == "lan_pair").unwrap();
-        let scenario = scenarios()
-            .into_iter()
-            .find(|s| s.name == "dup_reorder_storm")
-            .unwrap();
-        for shards in [1, 2] {
-            let cell = run_cell(&scenario, name, topo, 20040435, shards);
+        let cell = named_cell("dup_reorder_storm", "lan_pair", 20040435);
+        assert!(cell.violations.is_empty(), "{:?}", cell.violations);
+        assert!(cell.rollbacks >= 2, "the cascade reached the sender");
+    }
+
+    /// Three of the four cells `campaign --seeds 1..=40` failed at PR 17
+    /// (4/840), all on the three-cluster topology: the victim restores,
+    /// both bystanders restore on its alert one WAN hop later, and one
+    /// more hop later one bystander goes a CLC *deeper* on the other's
+    /// alert (e.g. seed 4: cluster 2 restores CLC 13 at 840.455 s, CLC 12
+    /// at 840.460 s). That is the recovery line being found iteratively
+    /// from direct dependencies (paper §3.4), which
+    /// [`invariants::rollback_waves`] used to cap at one per bystander.
+    #[test]
+    fn a_bystander_may_go_deeper_on_another_bystanders_alert() {
+        for (scenario, seed, rollbacks) in [
+            ("lossy_wan", 4, 4),
+            ("lossy_wan", 38, 4),
+            ("churn_partition", 35, 6),
+        ] {
+            let cell = named_cell(scenario, "wan_triangle", seed);
             assert!(cell.violations.is_empty(), "{:?}", cell.violations);
-            assert!(cell.rollbacks >= 2, "the cascade reached the sender");
+            assert_eq!(
+                cell.rollbacks, rollbacks,
+                "{scenario} seed {seed}: one bystander rolled back twice in one wave"
+            );
         }
+    }
+
+    /// The fourth: `partition_during_cascade x wan_triangle`, seed 16 —
+    /// "2 inter-cluster sends never delivered (tags [109, 119])". They are
+    /// lost, not late. Read off the full trace: C0.n0 sends both to C2.n0
+    /// at 1002.9 s and 1056.9 s, at SN 14, epoch 0, into the partition
+    /// (960-1110 s), which holds every copy until the heal. Cluster 0
+    /// commits CLC 15 at 1077.7 s; the fault at 1080 s restores CLC 15
+    /// (epoch 1) — both sends precede the recovery line, so they are
+    /// committed work, still unacknowledged in C0.n0's restored log. At
+    /// the heal, C2.n0 sees in one instant the first held message, then
+    /// cluster 0's alert (floor for origin 0 raised to epoch 1), then the
+    /// two messages: epoch 0 is below the floor, so the ghost filter drops
+    /// them — and the transport has already acknowledged them. Nothing
+    /// resends: clusters 1 and 2 do not roll back, and a restored sender
+    /// does not replay its own unacknowledged log. The filter should
+    /// reject an older-epoch message only when it was sent at or after
+    /// the restored SN (`piggyback SN >= alert SN`); that needs the floor
+    /// to carry restore SNs per epoch, which is not a small change — see
+    /// ROADMAP, *Correctness by search*.
+    #[test]
+    #[ignore = "protocol defect: the ghost filter drops old-epoch messages sent before the recovery line"]
+    fn a_send_before_the_recovery_line_survives_its_senders_rollback() {
+        let cell = named_cell("partition_during_cascade", "wan_triangle", 16);
+        assert!(cell.violations.is_empty(), "{:?}", cell.violations);
     }
 
     #[test]

@@ -46,8 +46,8 @@ usage:
            [--contention none|fifo] [--replication N]
            [--trace protocol|full] [--trace-file PATH]
            [--durable-dir DIR [--durable-crash-after N]]
-           [--sim-shards N] [--runtime [--shards N]]
-  hc3i-sim campaign [--json PATH] [--seeds N,N,...] [--sim-shards N]
+           [--runtime [--shards N]]
+  hc3i-sim campaign [--json PATH] [--seeds N,N,...]
   hc3i-sim recover --durable-dir DIR [--verify-prefix-of DIR]
   hc3i-sim sample-configs DIR
 
@@ -65,10 +65,6 @@ flags:
                      with a finite clc_timer take one explicit CLC after
                      the workload drains, and gc_timer maps to one final
                      collection)
-  --sim-shards N     run the simulator's conservative parallel executive
-                     on N shards (default 1). Reports are byte-identical
-                     at any shard count; durable runs fall back to the
-                     sequential executive
   --shards N         worker-pool size for --runtime (default: all cores)
   --durable-dir DIR  mirror every node's CLC store to an on-disk segment
                      log under DIR (must not already hold one); a
@@ -81,8 +77,6 @@ flags:
 campaign flags:
   --json PATH        write the deterministic JSON summary to PATH
   --seeds N,N,...    override the default seed set (20040426,7,424242)
-  --sim-shards N     run every cell on N simulator shards (the summary is
-                     byte-identical at any shard count)
 
 recover flags:
   --durable-dir DIR  the segment-log directory to scan (read-only)
@@ -158,7 +152,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut replication: Option<u32> = None;
     let mut live_runtime = false;
     let mut shards: Option<usize> = None;
-    let mut sim_shards: Option<usize> = None;
     let mut durable_dir: Option<String> = None;
     let mut durable_crash_after: Option<u64> = None;
 
@@ -184,13 +177,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                     Some(0) => return usage_error("--shards needs a pool size >= 1"),
                     Some(s) => Some(s),
                     None => return usage_error("--shards needs an integer"),
-                }
-            }
-            "--sim-shards" => {
-                sim_shards = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(0) => return usage_error("--sim-shards needs a count >= 1"),
-                    Some(s) => Some(s),
-                    None => return usage_error("--sim-shards needs an integer"),
                 }
             }
             "--topology" => topology = it.next().cloned(),
@@ -271,9 +257,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if shards.is_some() && !live_runtime {
         return usage_error("--shards requires --runtime");
     }
-    if sim_shards.is_some() && live_runtime {
-        return usage_error("--sim-shards is simulator-only (--runtime has --shards)");
-    }
     if durable_crash_after.is_some() && durable_dir.is_none() {
         return usage_error("--durable-crash-after requires --durable-dir");
     }
@@ -297,6 +280,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
             .map_err(|e| format!("{application}: {e}"))?;
         let timer_spec = workload::parse_timers(&read(&timers)?, topo.num_clusters())
             .map_err(|e| format!("{timers}: {e}"))?;
+        // A fault names a node of *this* topology: check it here, where
+        // the answer is a usage error, not an index panic mid-run.
+        for &(minutes, cluster, rank) in &faults {
+            if let Err(problem) = topo.check_node(NodeId::new(cluster, rank)) {
+                eprintln!("error: --fault {minutes}:{cluster}:{rank}: {problem}");
+                return Ok(ExitCode::from(2));
+            }
+        }
 
         let sends = app.schedule(&RngStreams::new(seed));
         let mut protocol = ProtocolConfig::new(app.cluster_sizes.clone());
@@ -323,9 +314,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             .with_sends(sends)
             .with_seed(seed)
             .with_protocol(protocol);
-        if let Some(k) = sim_shards {
-            cfg = cfg.with_sim_shards(k);
-        }
         if let Some(dir) = &durable_dir {
             cfg = cfg.with_durable_dir(dir);
         }
@@ -487,13 +475,6 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 match parsed {
                     Ok(seeds) if !seeds.is_empty() => plan.seeds = seeds,
                     _ => return usage_error("--seeds wants integers like 1,2,3"),
-                }
-            }
-            "--sim-shards" => {
-                plan.sim_shards = match it.next().and_then(|s| s.parse().ok()) {
-                    Some(0) => return usage_error("--sim-shards needs a count >= 1"),
-                    Some(s) => s,
-                    None => return usage_error("--sim-shards needs an integer"),
                 }
             }
             other => return usage_error(&format!("unknown campaign flag {other}")),

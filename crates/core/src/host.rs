@@ -14,7 +14,7 @@
 //! | Shared: this module, identical under every host | Supplied by the host |
 //! |---|---|
 //! | the `match` over [`Output`] ([`perform`]) | [`Host::now`] — simulated or wall-clock time |
-//! | fragment fan-out: one `FragmentReplica` per holder, in holder order, never through the transport | [`Host::wire`] — network model + calendar queue, shard channel, or FIFO queue |
+//! | fragment fan-out: one `FragmentReplica` per holder, in holder order, never through the transport | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue |
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window ([`receive`]) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
@@ -244,9 +244,11 @@ pub trait Host {
 ///
 /// Out of line on purpose: a host calls this right after
 /// `NodeEngine::handle`, and inlined there the two merge into one
-/// oversized frame (measured on the benchmark's `sim_mega`: +12 % wall
-/// with `#[inline]` or no attribute, parity with `never`). What runs per
-/// output — [`send`] and the host's own methods — does inline into it.
+/// oversized frame. Measured again by PR 18 on the benchmark's `sim_mega`,
+/// on top of the heap queue: without the attribute `wall_s` is higher in
+/// 10/10 rounds, 0.476 to 0.551 s at the medians (+16 %;
+/// `bench/ABLATIONS.md`). What runs per output — [`send`] and the host's
+/// own methods — does inline into it.
 #[inline(never)]
 pub fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf) {
     let id = engine.id();

@@ -22,7 +22,7 @@ use crate::gc;
 use crate::io::{Input, Output, OutputBuf};
 use crate::msg::{AppPayload, ClcReason, Msg, Piggyback};
 use desim::SimTime;
-use netsim::{FastHashMap, NodeId};
+use netsim::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use storage::{ClcMeta, ClcStore, Ddv, LogId, MessageLog, SeqNum};
@@ -150,12 +150,6 @@ pub struct NodeEngine {
     /// `(sender, log id) -> SN at delivery`. Checkpointed copy-on-write:
     /// staging a CLC seals the record's delta instead of cloning the map.
     delivered: DeliveredRecord,
-    /// Monotone upper bound on the log id ever delivered per sender.
-    /// Deliberately *not* part of the checkpoint: after a rollback the
-    /// bound can only be stale-high, which merely disables the fast
-    /// duplicate check (an id above the bound cannot have been delivered;
-    /// an id at or below it gets the full [`DeliveredRecord`] probe).
-    delivered_hwm: FastHashMap<NodeId, u64>,
     /// Inter-cluster messages awaiting a forced CLC.
     pending_inter: Vec<PendingInter>,
     frozen: Option<Box<FrozenState>>,
@@ -229,7 +223,6 @@ impl NodeEngine {
             ddv,
             log: MessageLog::new(),
             delivered: DeliveredRecord::new(),
-            delivered_hwm: FastHashMap::default(),
             pending_inter: vec![],
             frozen: None,
             failed: false,
@@ -656,15 +649,8 @@ impl NodeEngine {
         out: &mut OutputBuf,
     ) {
         // Duplicate (an original raced a replay): re-acknowledge with the
-        // SN recorded at first delivery. An id above the per-sender
-        // high-water mark was never delivered, so the common new-message
-        // case skips the generation-chain probe entirely.
-        let dup_sn = if log_id.0 > self.delivered_hwm.get(&from).copied().unwrap_or(0) {
-            None
-        } else {
-            self.delivered.get(&(from, log_id.0))
-        };
-        if let Some(ack_sn) = dup_sn {
+        // SN recorded at first delivery.
+        if let Some(ack_sn) = self.delivered.get(&(from, log_id.0)) {
             out.push(Output::Send {
                 to: from,
                 msg: Msg::InterAck {
@@ -716,8 +702,6 @@ impl NodeEngine {
     ) {
         self.dirty = true;
         self.delivered.insert((from, log_id.0), self.sn);
-        let hwm = self.delivered_hwm.entry(from).or_insert(0);
-        *hwm = (*hwm).max(log_id.0);
         out.push(Output::DeliverApp { from, payload });
         out.push(Output::Send {
             to: from,
@@ -1233,14 +1217,15 @@ mod layout_tests {
 
     /// The simulator arena stores engines inline, so the inline size is
     /// what 100k-node sweeps keep cache-resident. The hot/cold split holds
-    /// it to four cache lines (232 bytes at the time of writing, down from
-    /// ~650 with `ColdState` and `FrozenState` inline). If this fires, the
-    /// new field probably belongs in `ColdState` — or boxed, like the
-    /// freeze window state.
+    /// it to 200 bytes (232 before PR 18 deleted the delivered high-water
+    /// map; ~450 with `ColdState` inline, which `bench/ABLATIONS.md`
+    /// measured: +8 % peak RSS on `campaign_sweep`, 0/10 pairs). If this
+    /// fires, the new field probably belongs in `ColdState` — or boxed,
+    /// like the freeze window state.
     #[test]
     fn hot_engine_stays_within_four_cache_lines() {
         let hot = std::mem::size_of::<NodeEngine>();
-        assert!(hot <= 256, "NodeEngine inline size grew to {hot} bytes");
+        assert!(hot <= 200, "NodeEngine inline size grew to {hot} bytes");
         // The split only pays off while the cold side carries real weight.
         let cold = std::mem::size_of::<ColdState>();
         assert!(

@@ -217,22 +217,21 @@ fn pending_duplicate_delivers_exactly_once() {
     );
 }
 
-/// Satellite of the lossy-network work: the per-sender `delivered_hwm`
-/// fast path is *not* reset by a rollback, so after a restore it sits
-/// stale-high above log ids whose deliveries were just discarded. A
-/// retransmitted copy of such a rolled-back log id must not be
-/// misclassified as a duplicate: the stale mark only skips the
-/// common-case probe shortcut, and the probe itself runs against the
-/// *restored* delivered record, finds nothing, and re-delivers into the
-/// new incarnation.
+/// A retransmitted copy of a log id whose delivery a rollback just
+/// discarded must not be misclassified as a duplicate: the probe runs
+/// against the *restored* delivered record, finds nothing, and
+/// re-delivers into the new incarnation. (Named for the per-sender
+/// high-water fast path that once sat in front of that probe and was not
+/// reset by a rollback; PR 18 deleted it on measurement, the redelivery
+/// contract stays.)
 #[test]
 fn rolled_back_log_id_is_redelivered_despite_stale_hwm() {
     let mut fed = InstantFederation::new(ProtocolConfig::new(vec![2, 2]));
     let sender = NodeId::new(0, 0);
     let receiver = NodeId::new(1, 0);
-    // Two sends: log ids 0 and 1, pushing the receiver's high-water mark
-    // for this sender to 1. The first forces CLC 2; both deliveries land
-    // *after* that commit, so the restored record will contain neither.
+    // Two sends: log ids 0 and 1. The first forces CLC 2; both deliveries
+    // land *after* that commit, so the restored record will contain
+    // neither.
     fed.app_send(
         sender,
         receiver,

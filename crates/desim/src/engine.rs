@@ -26,13 +26,14 @@ use std::collections::BTreeMap;
 /// opaque `(sent, route, copy)` triple supplied by the world.
 ///
 /// Inbox events at one instant dispatch in ascending key order — *not* in
-/// scheduling order like queue events. A world that derives the key purely
-/// from message content (origin timestamp, directed route, per-route
-/// sequence number) gets a dispatch order that is invariant under how the
-/// federation is partitioned across simulator shards: the same messages
-/// ingested from different shards, in any arrival order, replay
-/// identically. This is the determinism contract the parallel executive
-/// builds on.
+/// scheduling order like queue events. The federation world routes every
+/// inter-cluster delivery through the inbox with a key derived from the
+/// sending side alone (send instant, directed cluster route, per-route
+/// wire sequence), so the order in which same-instant inter-cluster
+/// arrivals reach their receivers is a function of the messages, not of
+/// the order their senders happened to be dispatched in. Every committed
+/// fingerprint (`bench/FINGERPRINT.txt`, `campaign/GOLDEN.json`, the
+/// benchmark's `expected.json`) pins that order.
 pub type InboxKey = (SimTime, u64, u64);
 
 /// The model being simulated: a state machine fed events by the executive.
@@ -211,7 +212,7 @@ pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     /// Pre-sorted external workload, merged lazily into the dispatch order
-    /// (see [`Simulation::feed_sorted`]). Kept outside the calendar so a
+    /// (see [`Simulation::feed_sorted`]). Kept outside the queue so a
     /// bulk workload does not inflate the in-flight set for the whole run.
     feed: std::collections::VecDeque<(SimTime, W::Event)>,
     /// Canonically-ordered side channel (see [`InboxKey`]): events here
@@ -294,7 +295,7 @@ impl<W: World> Simulation<W> {
     }
 
     /// Time of the next event to dispatch (feed wins ties), if any.
-    pub fn next_time(&mut self) -> Option<SimTime> {
+    fn next_time(&mut self) -> Option<SimTime> {
         let fq = match (self.feed.front().map(|&(at, _)| at), self.queue.peek_time()) {
             (Some(f), Some(q)) => Some(f.min(q)),
             (Some(f), None) => Some(f),
@@ -305,28 +306,6 @@ impl<W: World> Simulation<W> {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Ingest one externally-routed inbox event (a cross-shard message
-    /// exchanged by the parallel executive). Same ordering contract as
-    /// [`Ctx::schedule_inbox`].
-    ///
-    /// # Panics
-    /// If `at` is not in the strict future, or the key is already taken.
-    pub fn ingest(&mut self, at: SimTime, key: InboxKey, event: W::Event) {
-        assert!(
-            at > self.now,
-            "ingested event must be strictly future: now={} at={at}",
-            self.now
-        );
-        let clash = self.inbox.insert((at, key), event);
-        assert!(clash.is_none(), "inbox key collision at {at}: {key:?}");
-    }
-
-    /// True once the world has requested a stop (the latch is permanent:
-    /// a stopped simulation dispatches nothing further).
-    pub fn is_stopped(&self) -> bool {
-        self.stop_requested
     }
 
     /// Advance to the next pending instant and dispatch up to `max_events`
@@ -666,48 +645,65 @@ mod tests {
         assert_eq!(sim.events_processed(), 4);
     }
 
+    type Seed = Box<dyn FnOnce(&mut Ctx<'_, u32>)>;
+
+    /// Event 0 runs `seed` against the context (the inbox is reachable
+    /// only from inside a handler); every other event is recorded, and
+    /// `stop_on` stops the run.
+    struct Inboxed {
+        seed: Option<Seed>,
+        fired: Vec<u32>,
+        stop_on: Option<u32>,
+    }
+
+    impl World for Inboxed {
+        type Event = u32;
+        fn handle(&mut self, ctx: &mut Ctx<'_, u32>, ev: u32) {
+            if ev == 0 {
+                (self.seed.take().expect("one seed event"))(ctx);
+                return;
+            }
+            self.fired.push(ev);
+            if self.stop_on == Some(ev) {
+                ctx.stop();
+            }
+        }
+    }
+
+    fn inboxed(seed: impl FnOnce(&mut Ctx<'_, u32>) + 'static) -> Simulation<Inboxed> {
+        let mut sim = Simulation::new(Inboxed {
+            seed: Some(Box::new(seed)),
+            fired: vec![],
+            stop_on: None,
+        });
+        sim.schedule_at(SimTime::ZERO, 0);
+        sim
+    }
+
     #[test]
     fn inbox_fires_after_queue_in_key_order() {
         // Queue and inbox events at one instant: the queue's fire first
         // (in scheduling order), then the inbox's in key order — NOT in
         // insertion order.
-        struct Order {
-            fired: Vec<u32>,
-        }
-        impl World for Order {
-            type Event = u32;
-            fn handle(&mut self, _: &mut Ctx<'_, u32>, ev: u32) {
-                self.fired.push(ev);
-            }
-        }
         let t = SimTime::ZERO + SimDuration::from_secs(1);
-        let mut sim = Simulation::new(Order { fired: vec![] });
-        sim.schedule_at(t, 10);
-        // Inserted out of key order; keys sort 100 < 101 < 102.
-        sim.ingest(t, (SimTime(5), 0, 1), 102);
-        sim.ingest(t, (SimTime(3), 0, 0), 100);
-        sim.ingest(t, (SimTime(3), 7, 0), 101);
-        sim.schedule_at(t, 11);
+        let mut sim = inboxed(move |ctx| {
+            ctx.schedule_at(t, 10);
+            // Inserted out of key order; keys sort 100 < 101 < 102.
+            ctx.schedule_inbox(t, (SimTime(5), 0, 1), 102);
+            ctx.schedule_inbox(t, (SimTime(3), 0, 0), 100);
+            ctx.schedule_inbox(t, (SimTime(3), 7, 0), 101);
+            ctx.schedule_at(t, 11);
+        });
         assert_eq!(sim.run(), RunOutcome::Exhausted);
         assert_eq!(sim.world().fired, vec![10, 11, 100, 101, 102]);
-        assert_eq!(sim.events_processed(), 5);
+        assert_eq!(sim.events_processed(), 6);
     }
 
     #[test]
     fn inbox_alone_advances_the_clock() {
         // next_time must see the inbox even when feed and queue are empty.
-        struct Sink {
-            fired: Vec<u32>,
-        }
-        impl World for Sink {
-            type Event = u32;
-            fn handle(&mut self, _: &mut Ctx<'_, u32>, ev: u32) {
-                self.fired.push(ev);
-            }
-        }
-        let mut sim = Simulation::new(Sink { fired: vec![] });
         let t = SimTime::ZERO + SimDuration::from_secs(2);
-        sim.ingest(t, (SimTime::ZERO, 1, 0), 7);
+        let mut sim = inboxed(move |ctx| ctx.schedule_inbox(t, (SimTime::ZERO, 1, 0), 7));
         assert_eq!(sim.run(), RunOutcome::Exhausted);
         assert_eq!(sim.world().fired, vec![7]);
         assert_eq!(sim.now(), t);
@@ -724,79 +720,58 @@ mod tests {
             type Event = u32;
             fn handle(&mut self, ctx: &mut Ctx<'_, u32>, ev: u32) {
                 self.fired.push(ev);
-                if ev == 1 {
-                    ctx.schedule_in(SimDuration::from_secs(1), 2);
-                    ctx.schedule_inbox(ctx.now() + SimDuration::from_secs(1), (ctx.now(), 0, 0), 3);
+                if ev <= 1 {
+                    let next = ctx.now() + SimDuration::from_secs(1);
+                    ctx.schedule_at(next, 2 * ev + 2);
+                    ctx.schedule_inbox(next, (ctx.now(), 0, 0), 2 * ev + 1);
                 }
             }
         }
         let mut sim = Simulation::new(Chain { fired: vec![] });
-        sim.ingest(
-            SimTime::ZERO + SimDuration::from_secs(1),
-            (SimTime::ZERO, 0, 0),
-            1,
-        );
+        sim.schedule_at(SimTime::ZERO, 0);
         assert_eq!(sim.run(), RunOutcome::Exhausted);
-        // At t=2 the queued 2 fires before the inboxed 3.
-        assert_eq!(sim.world().fired, vec![1, 2, 3]);
+        // At t=1 the queued 2 fires before the inboxed 1; the inboxed 1
+        // schedules 4 (queue) and 3 (inbox) for t=2, same rule.
+        assert_eq!(sim.world().fired, vec![0, 2, 1, 4, 3]);
     }
 
     #[test]
     fn stop_skips_remaining_inbox_events() {
         // A queue event stopping the run leaves same-instant inbox events
-        // unpulled — the rule that makes the horizon `End` latch identical
-        // between sequential and sharded runs.
-        struct Stopper {
-            fired: Vec<u32>,
-        }
-        impl World for Stopper {
-            type Event = u32;
-            fn handle(&mut self, ctx: &mut Ctx<'_, u32>, ev: u32) {
-                self.fired.push(ev);
-                if ev == 0 {
-                    ctx.stop();
-                }
-            }
-        }
+        // unpulled — the rule that lets the horizon `End` event cut off
+        // deliveries arriving exactly at the horizon.
         let t = SimTime::ZERO + SimDuration::from_secs(1);
-        let mut sim = Simulation::new(Stopper { fired: vec![] });
-        sim.schedule_at(t, 0);
-        sim.ingest(t, (SimTime::ZERO, 0, 0), 9);
+        let mut sim = inboxed(move |ctx| {
+            ctx.schedule_at(t, 1);
+            ctx.schedule_inbox(t, (SimTime::ZERO, 0, 0), 9);
+        });
+        sim.world_mut().stop_on = Some(1);
         assert_eq!(sim.run(), RunOutcome::Stopped);
-        assert_eq!(sim.world().fired, vec![0]);
+        assert_eq!(sim.world().fired, vec![1]);
     }
 
     #[test]
     #[should_panic(expected = "strictly future")]
-    fn ingesting_at_the_current_instant_panics() {
-        struct Inert;
-        impl World for Inert {
-            type Event = u32;
-            fn handle(&mut self, _: &mut Ctx<'_, u32>, _: u32) {}
-        }
-        let mut sim = Simulation::new(Inert);
-        sim.ingest(SimTime::ZERO, (SimTime::ZERO, 0, 0), 1);
+    fn inbox_event_at_the_current_instant_panics() {
+        inboxed(|ctx| ctx.schedule_inbox(ctx.now(), (SimTime::ZERO, 0, 0), 1)).run();
     }
 
     #[test]
     #[should_panic(expected = "inbox key collision")]
     fn duplicate_inbox_keys_panic() {
-        struct Inert;
-        impl World for Inert {
-            type Event = u32;
-            fn handle(&mut self, _: &mut Ctx<'_, u32>, _: u32) {}
-        }
-        let mut sim = Simulation::new(Inert);
         let t = SimTime::ZERO + SimDuration::from_secs(1);
-        sim.ingest(t, (SimTime::ZERO, 0, 0), 1);
-        sim.ingest(t, (SimTime::ZERO, 0, 0), 2);
+        inboxed(move |ctx| {
+            ctx.schedule_inbox(t, (SimTime::ZERO, 0, 0), 1);
+            ctx.schedule_inbox(t, (SimTime::ZERO, 0, 0), 2);
+        })
+        .run();
     }
 
     #[test]
     fn feed_interleaves_at_bucket_boundaries() {
-        // Feed and queue events alternating across calendar bucket
-        // boundaries (and colliding exactly on them) dispatch in global
-        // (time, seq) order with feed winning ties.
+        // Feed and queue events alternating across (and colliding exactly
+        // on) 2^16 ns boundaries dispatch in global (time, seq) order with
+        // feed winning ties.
         struct Log {
             fired: Vec<(u64, u32)>,
         }
@@ -807,8 +782,8 @@ mod tests {
             }
         }
         let mut sim = Simulation::new(Log { fired: vec![] });
-        // The fresh queue's bucket width is 2^16 ns; place events on and
-        // around multiples of it, far beyond one revolution, and at ties.
+        // Place events on and around multiples of 2^16 ns, far apart, and
+        // at ties.
         let w = 1u64 << 16;
         let mut expect = Vec::new();
         let mut feed = Vec::new();
@@ -821,7 +796,7 @@ mod tests {
             }
             expect.push((at.nanos(), i as u32));
         }
-        // Far-future (overflow-resident) events, plus ties against feed.
+        // Far-future events, plus ties against feed.
         for i in 0..8u64 {
             let at = SimTime(w * 4096 * (i + 1));
             sim.schedule_at(at, 1_000 + i as u32);

@@ -4,9 +4,10 @@
 //! for its evaluation (§5.1). It provides:
 //!
 //! * a simulated clock and cancellable future-event list ([`EventQueue`]) —
-//!   a `(time, seq)`-ordered calendar queue (timing wheel with a far-future
-//!   overflow heap) over a generation-stamped slab, giving O(1) scheduling,
-//!   O(1) hash-free cancellation and allocation-free steady-state cycles,
+//!   a `(time, seq)`-ordered binary heap over a generation-stamped slab,
+//!   giving O(1) hash-free cancellation and allocation-free steady-state
+//!   cycles (the bulk workload lives in a sorted side feed, so the heap
+//!   holds only what is in flight),
 //! * an instant-batching event-scheduling executive ([`Simulation`] /
 //!   [`World`] / [`InstantBatch`]),
 //! * named, independent, reproducible RNG streams ([`RngStreams`]),

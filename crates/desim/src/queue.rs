@@ -1,48 +1,34 @@
 //! The pending-event set.
 //!
-//! A **calendar queue** (timing wheel with an overflow year) over a
-//! **generation-stamped slab** of event payloads. Events are bucketed by
-//! firing time — bucket widths are a power of two so the bucket of an
-//! instant is one shift — and each bucket is an unsorted vector that is
-//! heapified only when the cursor reaches it. `seq` is a monotonically
-//! increasing tie-breaker so that events scheduled for the same instant
-//! fire in scheduling order — this is what makes whole-federation runs
-//! bit-for-bit reproducible under a fixed seed, and the calendar preserves
-//! the exact `(time, seq)` order the original binary heap produced (the
-//! heap survives as a differential-test oracle behind `#[cfg(test)]`, see
-//! `heap_oracle`).
+//! A binary heap of `(time, seq)` keys over a **generation-stamped slab**
+//! of event payloads. `seq` is a monotonically increasing tie-breaker so
+//! that events scheduled for the same instant fire in scheduling order —
+//! this is what makes whole-federation runs bit-for-bit reproducible under
+//! a fixed seed.
 //!
-//! Events more than one wheel revolution ahead go to a small far-future
-//! binary heap (`overflow`) and are pulled into the wheel as the cursor
-//! approaches them, so sparse long-range timers never widen the dense
-//! near-term buckets. The wheel resizes itself — bucket count tracks the
-//! live population and bucket width is re-derived from the live
-//! population's time span at each resize — so both the 65 µs delivery
-//! regime and the minutes-scale timer regime stay cheap per operation.
+//! Why a plain heap: the executive keeps the bulk workload in a sorted
+//! side feed ([`Simulation::feed_sorted`](crate::Simulation::feed_sorted)),
+//! so the heap only ever holds what is in flight — protocol timers and
+//! messages on the wire. Measured, that is about 10³ events (peak 1,214 on
+//! a 512 x 100-node federation, 2,126 on 1024 x 100), where `log n` is ten
+//! comparisons over two or three cache lines. A 700-line timing structure
+//! tuned for 10⁵-event populations was A/B'd against this heap on every
+//! workload the repository runs and lost on all of them, including the one
+//! with 68 k events pending (`bench/ABLATIONS.md`).
 //!
 //! Cancellation (needed for resettable protocol timers: "the timer is reset
 //! when a forced CLC is established") is O(1) and hash-free: every slab
 //! slot carries a generation counter that is bumped whenever the slot is
-//! vacated, so a stale calendar entry (or a stale [`EventKey`]) is detected
-//! by a single generation comparison. Cancelled payloads are dropped
-//! immediately; only the 24-byte calendar entry stays behind until the
-//! cursor sweeps past it. Vacated slots are recycled through a free list,
-//! so a steady-state simulation reaches zero allocations per schedule/fire
-//! cycle.
+//! vacated, so a stale heap entry (or a stale [`EventKey`]) is detected by
+//! a single generation comparison. Cancelled payloads are dropped
+//! immediately; only the 24-byte heap entry stays behind until it reaches
+//! the top and is discarded. Vacated slots are recycled through a free
+//! list, so a steady-state simulation reaches zero allocations per
+//! schedule/fire cycle.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Smallest bucket width: 2^6 = 64 ns. Also guarantees `at >> shift`
-/// leaves headroom so `cursor + nbuckets` can never overflow even for
-/// events at `SimTime::MAX` (infinite-timer sentinels).
-const MIN_WIDTH_SHIFT: u32 = 6;
-/// Widest bucket: 2^42 ns ≈ 73 min.
-const MAX_WIDTH_SHIFT: u32 = 42;
-/// Bucket-count bounds (both powers of two).
-const MIN_BUCKETS: usize = 64;
-const MAX_BUCKETS: usize = 1 << 20;
 
 /// Opaque handle identifying a scheduled event, usable to cancel it.
 ///
@@ -65,180 +51,34 @@ impl EventKey {
 }
 
 /// One slab slot: the payload of a live event plus the generation stamp
-/// that invalidates stale calendar entries and keys.
+/// that invalidates stale heap entries and keys.
 struct Slot<E> {
     generation: u32,
     event: Option<E>,
 }
 
-/// One calendar entry: the `(time, seq)` dispatch key plus the slab
-/// coordinates of the payload. 24 bytes, `Copy`, no payload — moving one
-/// between buckets never touches the event itself.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    /// Firing time in nanoseconds.
-    at: u64,
-    /// Scheduling-order tie-breaker.
+/// One heap entry: the `(time, seq)` dispatch key plus the slab
+/// coordinates of the payload. 24 bytes, no payload — sifting never
+/// touches the event itself. Field order is comparison order; `seq` is
+/// unique, so the slab coordinates never decide.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct HeapKey {
+    at: SimTime,
     seq: u64,
     slot: u32,
     generation: u32,
 }
 
-impl Entry {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.at, self.seq)
-    }
-}
-
-/// Min-ordering heap key by `(at, seq)` (reversed for the max-heap
-/// `BinaryHeap`); used for both the far-future overflow heap and the
-/// served-bucket working set.
-struct OverflowKey(Entry);
-
-impl PartialEq for OverflowKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.key() == other.0.key()
-    }
-}
-impl Eq for OverflowKey {}
-impl PartialOrd for OverflowKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OverflowKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
-}
-
-/// Two-level occupancy bitmap over the wheel: bit `i` of `l0` is set when
-/// bucket `i` is non-empty, and bit `w` of `l1` is set when word `w` of
-/// `l0` is non-zero. Finding the next occupied bucket from the cursor is a
-/// masked word scan — never a bucket-by-bucket walk — so sparse stretches
-/// between instants cost O(words skipped / 64), not O(buckets skipped).
-struct Occupancy {
-    l0: Vec<u64>,
-    l1: Vec<u64>,
-}
-
-impl Occupancy {
-    fn new(nbuckets: usize) -> Self {
-        let w0 = nbuckets.div_ceil(64);
-        Occupancy {
-            l0: vec![0; w0],
-            l1: vec![0; w0.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.l0[i >> 6] |= 1 << (i & 63);
-        self.l1[i >> 12] |= 1 << ((i >> 6) & 63);
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        let w = i >> 6;
-        self.l0[w] &= !(1 << (i & 63));
-        if self.l0[w] == 0 {
-            self.l1[i >> 12] &= !(1 << (w & 63));
-        }
-    }
-
-    /// First set bit ≥ `i`, or `None`.
-    fn next_set_ge(&self, i: usize) -> Option<usize> {
-        let w = i >> 6;
-        if w >= self.l0.len() {
-            return None;
-        }
-        let m = self.l0[w] & (!0u64 << (i & 63));
-        if m != 0 {
-            return Some((w << 6) + m.trailing_zeros() as usize);
-        }
-        // Climb to l1 and scan for the next non-zero l0 word.
-        let from = w + 1;
-        let mut w1 = from >> 6;
-        while w1 < self.l1.len() {
-            let mask = if w1 == from >> 6 {
-                !0u64 << (from & 63)
-            } else {
-                !0u64
-            };
-            let m1 = self.l1[w1] & mask;
-            if m1 != 0 {
-                let w0 = (w1 << 6) + m1.trailing_zeros() as usize;
-                let bits = self.l0[w0];
-                debug_assert!(bits != 0);
-                return Some((w0 << 6) + bits.trailing_zeros() as usize);
-            }
-            w1 += 1;
-        }
-        None
-    }
-
-    /// First set bit at or after `i` in ring order (wrapping to 0).
-    #[inline]
-    fn next_set_ring(&self, i: usize) -> Option<usize> {
-        self.next_set_ge(i).or_else(|| self.next_set_ge(0))
-    }
-
-    fn clear_all(&mut self) {
-        self.l0.fill(0);
-        self.l1.fill(0);
-    }
-}
-
 /// Future event list: a cancellable, deterministic priority queue.
 pub struct EventQueue<E> {
+    /// Earliest first: `BinaryHeap` is a max-heap, hence the `Reverse`.
+    heap: BinaryHeap<Reverse<HeapKey>>,
     slots: Vec<Slot<E>>,
     /// Vacated slot indices available for reuse.
     free: Vec<u32>,
     next_seq: u64,
     /// Live (scheduled, not yet fired or cancelled) events.
     live: usize,
-    /// The wheel: `buckets.len()` is a power of two; bucket `i` holds
-    /// entries whose absolute bucket index ≡ `i` (mod `buckets.len()`).
-    /// Invariant: every resident entry's absolute bucket index lies within
-    /// one revolution of the cursor (`[cursor, cursor + nbuckets)`), so a
-    /// bucket only ever holds entries of a single absolute index.
-    buckets: Vec<Vec<Entry>>,
-    occupancy: Occupancy,
-    bucket_mask: u64,
-    /// Bucket width is `1 << width_shift` nanoseconds.
-    width_shift: u32,
-    /// Absolute bucket index currently being served.
-    cursor: u64,
-    /// Physical entries (live or stale) currently in `buckets`.
-    in_buckets: usize,
-    /// Events ≥ one revolution ahead of the cursor.
-    overflow: BinaryHeap<OverflowKey>,
-    /// Entries pulled from the overflow heap since the last rebuild; heavy
-    /// traffic means the bucket width no longer matches the workload.
-    overflow_pulls: usize,
-    /// Bucket `cursor`'s pending entries, as a small min-heap on
-    /// `(at, seq)`. A heap (not a sorted vector) so that a push landing on
-    /// the served bucket costs O(log bucket) with no memmove — the queue
-    /// behaves like a heap *per bucket*, never one over the whole set.
-    current: BinaryHeap<OverflowKey>,
-    /// True once bucket `cursor` has been drained into `current` — a push
-    /// landing on the served bucket must then insert into `current`.
-    current_drained: bool,
-    /// Resize thresholds, precomputed at each rebuild so the per-push and
-    /// per-pop checks are one comparison: grow when `live` exceeds
-    /// `grow_above` (2× the bucket count), shrink when it falls below
-    /// `shrink_below` (bucket count / 8, zero at the minimum size).
-    grow_above: usize,
-    shrink_below: usize,
-    /// The earliest live entry, as last computed by [`Self::settle`] — a
-    /// memo, not state: `None` merely means "recompute". The executive
-    /// peeks the head two or three times per dispatched event (next-instant
-    /// probe, batch pop, end-of-batch probe); the memo turns the repeats
-    /// into one load. Invalidated when the head is consumed or cancelled,
-    /// or by a push scheduled before it (later pushes cannot displace it:
-    /// `seq` grows monotonically, so they lose any tie).
-    settled: Option<Entry>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -251,30 +91,12 @@ impl<E> EventQueue<E> {
     /// Empty queue.
     pub fn new() -> Self {
         EventQueue {
+            heap: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             live: 0,
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            occupancy: Occupancy::new(MIN_BUCKETS),
-            bucket_mask: (MIN_BUCKETS - 1) as u64,
-            width_shift: 16, // 65.5 µs — re-derived at the first resize
-            cursor: 0,
-            in_buckets: 0,
-            overflow: BinaryHeap::new(),
-            overflow_pulls: 0,
-            current: BinaryHeap::new(),
-            current_drained: false,
-            grow_above: MIN_BUCKETS * 2,
-            shrink_below: 0,
-            settled: None,
         }
-    }
-
-    #[inline]
-    fn is_live(&self, e: &Entry) -> bool {
-        let s = &self.slots[e.slot as usize];
-        s.generation == e.generation && s.event.is_some()
     }
 
     /// Schedule `event` at absolute time `at`; returns a cancellation key.
@@ -295,19 +117,13 @@ impl<E> EventQueue<E> {
             }
         };
         let generation = self.slots[slot as usize].generation;
-        self.live += 1;
-        if self.settled.is_some_and(|se| at.nanos() < se.at) {
-            self.settled = None;
-        }
-        self.insert_entry(Entry {
-            at: at.nanos(),
+        self.heap.push(Reverse(HeapKey {
+            at,
             seq,
             slot,
             generation,
-        });
-        if self.live > self.grow_above {
-            self.rebuild(self.live * 2);
-        }
+        }));
+        self.live += 1;
         EventKey {
             seq,
             slot,
@@ -315,361 +131,57 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Route an entry to the served set, the wheel, or the overflow heap.
-    fn insert_entry(&mut self, e: Entry) {
-        let ab = e.at >> self.width_shift;
-        if ab < self.cursor {
-            // Scheduled before the serving point (legal on the raw queue —
-            // only `Ctx` forbids past times): rewind the cursor.
-            self.rewind_to(ab);
-        }
-        if ab == self.cursor && self.current_drained {
-            // The served bucket was already drained: join its working heap.
-            self.current.push(OverflowKey(e));
-            return;
-        }
-        self.place(e);
-    }
-
-    /// Put an entry (known to be at or after the cursor) into its wheel
-    /// bucket, or into the overflow heap if ≥ one revolution ahead.
-    fn place(&mut self, e: Entry) {
-        let ab = e.at >> self.width_shift;
-        debug_assert!(ab >= self.cursor);
-        if ab >= self.cursor + self.buckets.len() as u64 {
-            self.overflow.push(OverflowKey(e));
-        } else {
-            let idx = (ab & self.bucket_mask) as usize;
-            self.buckets[idx].push(e);
-            self.occupancy.set(idx);
-            self.in_buckets += 1;
-        }
-    }
-
-    /// Move the cursor backwards to absolute bucket `ab`, re-placing every
-    /// resident entry so the one-revolution invariant holds under the new
-    /// cursor. Rare: only the raw queue (not `Ctx`) permits past pushes.
-    fn rewind_to(&mut self, ab: u64) {
-        let n = self.buckets.len() as u64;
-        let d = self.cursor - ab;
-        if d >= n {
-            // The window moved back a whole revolution or more: nothing in
-            // the wheel fits it, so re-place everything from scratch.
-            let mut all: Vec<Entry> = Vec::with_capacity(self.in_buckets + self.current.len());
-            for i in 0..self.buckets.len() {
-                let mut b = std::mem::take(&mut self.buckets[i]);
-                all.append(&mut b);
-                self.buckets[i] = b;
-            }
-            all.extend(self.current.drain().map(|k| k.0));
-            self.occupancy.clear_all();
-            self.in_buckets = 0;
-            self.current_drained = false;
-            self.cursor = ab;
-            for e in all {
-                if self.is_live(&e) {
-                    self.place(e);
-                }
-            }
-            return;
-        }
-        // Common case (the cursor overshot to a far timer and an earlier
-        // event arrived): surviving entries keep both their physical bucket
-        // and the one-revolution invariant under the new window
-        // `[ab, ab + n)`. Only entries in the physical buckets being
-        // rewound over — absolute indices `[ab + n, cursor + n)`, usually
-        // none — fall outside it; evict them to the overflow heap.
-        let lo = ab & self.bucket_mask;
-        let hi = self.cursor & self.bucket_mask;
-        let ranges: [(usize, usize); 2] = if lo <= hi {
-            [(lo as usize, hi as usize), (0, 0)]
-        } else {
-            [(lo as usize, self.buckets.len()), (0, hi as usize)]
-        };
-        for (mut i, end) in ranges {
-            while let Some(idx) = self.occupancy.next_set_ge(i) {
-                if idx >= end {
-                    break;
-                }
-                let mut b = std::mem::take(&mut self.buckets[idx]);
-                self.in_buckets -= b.len();
-                for e in b.drain(..) {
-                    if self.is_live(&e) {
-                        self.overflow.push(OverflowKey(e));
-                    }
-                }
-                self.buckets[idx] = b;
-                self.occupancy.clear(idx);
-                i = idx + 1;
-            }
-        }
-        // `current` holds bucket `cursor`'s remains (absolute index still
-        // inside the new window): put them back in their bucket.
-        if !self.current.is_empty() {
-            let idx = (self.cursor & self.bucket_mask) as usize;
-            self.in_buckets += self.current.len();
-            self.buckets[idx].extend(self.current.drain().map(|k| k.0));
-            self.occupancy.set(idx);
-        }
-        self.current_drained = false;
-        self.cursor = ab;
-    }
-
-    /// Vacate `slot`, invalidating any outstanding calendar entry or key
-    /// for its current occupant.
-    fn vacate(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.event = None;
-        s.generation = s.generation.wrapping_add(1);
-        self.free.push(slot);
-        self.live -= 1;
-    }
-
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (i.e. not yet popped and not already cancelled).
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slots.get(key.slot as usize) {
+        match self.slots.get_mut(key.slot as usize) {
             Some(s) if s.generation == key.generation && s.event.is_some() => {
-                self.vacate(key.slot);
-                self.settled = None;
+                s.event = None;
+                s.generation = s.generation.wrapping_add(1);
+                self.free.push(key.slot);
+                self.live -= 1;
                 true
             }
             _ => false,
         }
     }
 
-    /// Take the payload of a live entry out of the slab.
-    #[inline]
-    fn consume(&mut self, e: Entry) -> E {
-        let s = &mut self.slots[e.slot as usize];
-        let event = s.event.take().expect("settled entry is live");
-        s.generation = s.generation.wrapping_add(1);
-        self.free.push(e.slot);
-        self.live -= 1;
-        event
-    }
-
     /// Remove and return the earliest live event with its firing time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.settle()?;
-        self.current.pop();
-        let event = self.consume(e);
-        self.settled = None;
-        if self.live < self.shrink_below {
-            self.rebuild(self.live * 2);
+        while let Some(Reverse(k)) = self.heap.pop() {
+            let s = &mut self.slots[k.slot as usize];
+            if s.generation == k.generation {
+                if let Some(event) = s.event.take() {
+                    s.generation = s.generation.wrapping_add(1);
+                    self.free.push(k.slot);
+                    self.live -= 1;
+                    return Some((k.at, event));
+                }
+            }
         }
-        Some((SimTime(e.at), event))
+        None
     }
 
     /// Remove and return the earliest live event only if it fires exactly
     /// at `at` — the executive's same-instant batch drain.
     pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-        let e = self.settle()?;
-        if e.at != at.nanos() {
+        if self.peek_time() != Some(at) {
             return None;
         }
-        self.current.pop();
-        let event = self.consume(e);
-        self.settled = None;
-        if self.live < self.shrink_below {
-            self.rebuild(self.live * 2);
-        }
-        Some(event)
+        self.pop().map(|(_, e)| e)
     }
 
-    /// Firing time of the earliest live event without removing it.
+    /// Firing time of the earliest live event without removing it
+    /// (discards cancelled entries that have reached the top).
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle().map(|e| SimTime(e.at))
-    }
-
-    /// Advance lazily until `current`'s head is the earliest live entry,
-    /// returning it (without consuming) — or `None` if the queue is empty.
-    fn settle(&mut self) -> Option<Entry> {
-        if let Some(e) = self.settled {
-            debug_assert!(self.is_live(&e));
-            return Some(e);
+        while let Some(Reverse(k)) = self.heap.peek() {
+            let s = &self.slots[k.slot as usize];
+            if s.generation == k.generation && s.event.is_some() {
+                return Some(k.at);
+            }
+            self.heap.pop();
         }
-        loop {
-            while let Some(k) = self.current.peek() {
-                let e = k.0;
-                if self.is_live(&e) {
-                    self.settled = Some(e);
-                    return Some(e);
-                }
-                self.current.pop(); // cancelled while served: drop lazily
-            }
-            if self.current_drained {
-                self.cursor += 1;
-                self.current_drained = false;
-            }
-            if self.live == 0 {
-                // Only stale entries can remain; purge so they don't get
-                // rescanned forever.
-                if self.in_buckets > 0 {
-                    for b in &mut self.buckets {
-                        b.clear();
-                    }
-                    self.occupancy.clear_all();
-                    self.in_buckets = 0;
-                }
-                self.overflow.clear();
-                return None;
-            }
-            if !self.advance_to_next() {
-                debug_assert!(false, "live > 0 but no live entry found");
-                return None;
-            }
-        }
-    }
-
-    /// Find the next non-empty instant: jump the cursor to the next
-    /// occupied bucket (via the occupancy bitmap, or the overflow heap when
-    /// the wheel is empty) and drain it into `current`. Returns `false`
-    /// only if nothing live exists anywhere.
-    fn advance_to_next(&mut self) -> bool {
-        loop {
-            // Heavy overflow traffic means the bucket width no longer
-            // matches the workload; checked here (pulls only happen on
-            // advances) so push/pop stay a single-threshold compare.
-            if self.overflow_pulls > self.buckets.len() * 4 {
-                self.rebuild(self.live * 2);
-            }
-            if self.in_buckets == 0 {
-                // Everything pending is far future: jump straight to it.
-                self.drop_stale_overflow_head();
-                match self.overflow.peek() {
-                    Some(k) => self.cursor = k.0.at >> self.width_shift,
-                    None => return false,
-                }
-                self.pull_overflow();
-                debug_assert!(self.in_buckets > 0);
-            } else {
-                // The one-revolution invariant means ring order from the
-                // cursor is absolute-index order, and every overflow entry
-                // is at least a revolution out — the nearest occupied
-                // bucket IS the earliest pending instant.
-                let phys = (self.cursor & self.bucket_mask) as usize;
-                let nxt = self
-                    .occupancy
-                    .next_set_ring(phys)
-                    .expect("in_buckets > 0 but occupancy empty");
-                let dist = (nxt as u64).wrapping_sub(phys as u64) & self.bucket_mask;
-                self.cursor += dist;
-                // The window end moved with the cursor: admit overflow
-                // entries that now fall inside it (they are all strictly
-                // after the bucket the cursor just reached).
-                self.pull_overflow();
-            }
-            self.drain_cursor_bucket();
-            if !self.current.is_empty() {
-                return true;
-            }
-            // The bucket held only stale (cancelled) entries; it is now
-            // physically empty, so this can only repeat `cancelled` times.
-            self.current_drained = false;
-            self.cursor += 1;
-        }
-    }
-
-    /// Pull far-future events that now fall within one revolution of the
-    /// cursor into their wheel buckets.
-    fn pull_overflow(&mut self) {
-        let end = self.cursor + self.buckets.len() as u64;
-        while let Some(k) = self.overflow.peek() {
-            if k.0.at >> self.width_shift >= end {
-                break;
-            }
-            let e = self.overflow.pop().expect("peeked").0;
-            if self.is_live(&e) {
-                self.overflow_pulls += 1;
-                self.place(e);
-            }
-        }
-    }
-
-    fn drop_stale_overflow_head(&mut self) {
-        while let Some(k) = self.overflow.peek() {
-            if self.is_live(&k.0) {
-                break;
-            }
-            self.overflow.pop();
-        }
-    }
-
-    /// Drain bucket `cursor` into the `current` working heap, dropping
-    /// stale entries. The one-revolution invariant guarantees every entry
-    /// in the bucket belongs to absolute index `cursor`, so the whole
-    /// bucket moves; heapify is O(bucket).
-    fn drain_cursor_bucket(&mut self) {
-        let idx = (self.cursor & self.bucket_mask) as usize;
-        let mut b = std::mem::take(&mut self.buckets[idx]);
-        self.in_buckets -= b.len();
-        // Reuse `current`'s allocation across buckets.
-        let mut v = std::mem::take(&mut self.current).into_vec();
-        v.clear();
-        for e in b.drain(..) {
-            debug_assert_eq!(e.at >> self.width_shift, self.cursor);
-            if self.is_live(&e) {
-                v.push(OverflowKey(e));
-            }
-        }
-        self.buckets[idx] = b; // keep the capacity
-        self.occupancy.clear(idx);
-        self.current = BinaryHeap::from(v);
-        self.current_drained = true;
-    }
-
-    /// Resize the wheel to ≈ `target_n` buckets and re-derive the bucket
-    /// width from the live population's median inter-event gap. All live
-    /// entries are re-placed; stale entries are dropped. Deterministic:
-    /// depends only on queue contents, never on wall clock or randomness.
-    fn rebuild(&mut self, target_n: usize) {
-        let n = target_n
-            .clamp(MIN_BUCKETS, MAX_BUCKETS)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS, MAX_BUCKETS);
-        let mut all: Vec<Entry> = Vec::with_capacity(self.live);
-        for i in 0..self.buckets.len() {
-            let mut b = std::mem::take(&mut self.buckets[i]);
-            for e in b.drain(..) {
-                if self.is_live(&e) {
-                    all.push(e);
-                }
-            }
-            self.buckets[i] = b;
-        }
-        let cur = std::mem::take(&mut self.current);
-        for k in cur {
-            if self.is_live(&k.0) {
-                all.push(k.0);
-            }
-        }
-        while let Some(k) = self.overflow.pop() {
-            if self.is_live(&k.0) {
-                all.push(k.0);
-            }
-        }
-        let old_shift = self.width_shift;
-        self.in_buckets = 0;
-        self.current_drained = false;
-        self.overflow_pulls = 0;
-        self.grow_above = n * 2;
-        self.shrink_below = if n > MIN_BUCKETS { n / 8 } else { 0 };
-        all.sort_unstable_by_key(|e| e.key());
-        self.width_shift = choose_width_shift(&all, n, self.width_shift);
-        if self.buckets.len() != n {
-            self.buckets = (0..n).map(|_| Vec::new()).collect();
-            self.bucket_mask = (n - 1) as u64;
-        }
-        self.occupancy = Occupancy::new(n);
-        self.cursor = match all.first() {
-            Some(e) => e.at >> self.width_shift,
-            // Empty: keep the cursor's time position under the new width.
-            None => (self.cursor << old_shift) >> self.width_shift,
-        };
-        for e in all {
-            self.place(e);
-        }
+        None
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -683,183 +195,10 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Pick a bucket width (as a shift) from the sorted live population: size
-/// the window (`nbuckets × width`) to twice the span up to the 90th
-/// percentile firing time, so the bulk of the pending set lands in wheel
-/// buckets while far outliers (end-of-run markers, "infinite" timers)
-/// stay in the overflow heap. Deterministic: depends only on the queue's
-/// contents.
-fn choose_width_shift(sorted: &[Entry], nbuckets: usize, current: u32) -> u32 {
-    if sorted.len() < 2 {
-        return current;
-    }
-    let min = sorted[0].at;
-    let p90 = sorted[sorted.len() - 1 - sorted.len() / 10].at;
-    let span = p90 - min;
-    if span == 0 {
-        return MIN_WIDTH_SHIFT;
-    }
-    let width = (span / (nbuckets as u64 / 2).max(1)).max(1);
-    // Round the width up to the next power of two.
-    let shift = 64 - (width - 1).leading_zeros();
-    shift.clamp(MIN_WIDTH_SHIFT, MAX_WIDTH_SHIFT)
-}
-
-/// The original binary-heap implementation, retained as a differential
-/// oracle: the calendar queue must reproduce its pop order — including
-/// `(time, seq)` tie-breaks — exactly, under any interleaving of pushes,
-/// cancels and pops. See the `calendar_matches_heap_oracle` property test.
-#[cfg(test)]
-pub(crate) mod heap_oracle {
-    use super::SimTime;
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    /// Oracle cancellation handle (mirrors [`super::EventKey`]).
-    #[derive(Debug, Clone, Copy)]
-    pub struct OracleKey {
-        slot: u32,
-        generation: u32,
-    }
-
-    struct Slot<E> {
-        generation: u32,
-        event: Option<E>,
-    }
-
-    struct HeapKey {
-        at: SimTime,
-        seq: u64,
-        slot: u32,
-        generation: u32,
-    }
-
-    impl PartialEq for HeapKey {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl Eq for HeapKey {}
-    impl PartialOrd for HeapKey {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for HeapKey {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reverse: BinaryHeap is a max-heap, we want earliest-first.
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    /// The pre-calendar future event list, verbatim.
-    pub struct HeapEventQueue<E> {
-        heap: BinaryHeap<HeapKey>,
-        slots: Vec<Slot<E>>,
-        free: Vec<u32>,
-        next_seq: u64,
-        live: usize,
-    }
-
-    impl<E> HeapEventQueue<E> {
-        pub fn new() -> Self {
-            HeapEventQueue {
-                heap: BinaryHeap::new(),
-                slots: Vec::new(),
-                free: Vec::new(),
-                next_seq: 0,
-                live: 0,
-            }
-        }
-
-        pub fn push(&mut self, at: SimTime, event: E) -> OracleKey {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = match self.free.pop() {
-                Some(s) => {
-                    self.slots[s as usize].event = Some(event);
-                    s
-                }
-                None => {
-                    self.slots.push(Slot {
-                        generation: 0,
-                        event: Some(event),
-                    });
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            let generation = self.slots[slot as usize].generation;
-            self.heap.push(HeapKey {
-                at,
-                seq,
-                slot,
-                generation,
-            });
-            self.live += 1;
-            OracleKey { slot, generation }
-        }
-
-        pub fn cancel(&mut self, key: OracleKey) -> bool {
-            match self.slots.get_mut(key.slot as usize) {
-                Some(s) if s.generation == key.generation && s.event.is_some() => {
-                    s.event = None;
-                    s.generation = s.generation.wrapping_add(1);
-                    self.free.push(key.slot);
-                    self.live -= 1;
-                    true
-                }
-                _ => false,
-            }
-        }
-
-        pub fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(k) = self.heap.pop() {
-                let s = &mut self.slots[k.slot as usize];
-                if s.generation == k.generation {
-                    if let Some(event) = s.event.take() {
-                        s.generation = s.generation.wrapping_add(1);
-                        self.free.push(k.slot);
-                        self.live -= 1;
-                        return Some((k.at, event));
-                    }
-                }
-            }
-            None
-        }
-
-        pub fn pop_if_at(&mut self, at: SimTime) -> Option<E> {
-            if self.peek_time() != Some(at) {
-                return None;
-            }
-            self.pop().map(|(_, e)| e)
-        }
-
-        pub fn peek_time(&mut self) -> Option<SimTime> {
-            while let Some(k) = self.heap.peek() {
-                let s = &self.slots[k.slot as usize];
-                if s.generation == k.generation && s.event.is_some() {
-                    return Some(k.at);
-                }
-                self.heap.pop();
-            }
-            None
-        }
-
-        pub fn len(&self) -> usize {
-            self.live
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::heap_oracle::HeapEventQueue;
     use super::*;
     use crate::time::SimDuration;
-    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)
@@ -1001,8 +340,8 @@ mod tests {
 
     #[test]
     fn far_future_events_round_trip_through_overflow() {
-        // Events beyond one revolution go to the overflow heap and come
-        // back in order, including an "infinite timer" at SimTime::MAX.
+        // Far-future events come back in order, including an "infinite
+        // timer" at SimTime::MAX.
         let mut q = EventQueue::new();
         q.push(SimTime::MAX, "inf");
         q.push(t(1), "near");
@@ -1019,7 +358,7 @@ mod tests {
     #[test]
     fn push_earlier_than_served_bucket_rewinds() {
         // The raw queue (unlike Ctx) permits pushing a time earlier than
-        // the last pop; the cursor must rewind rather than lose the event.
+        // the head already peeked; it must become the new head.
         let mut q = EventQueue::new();
         q.push(t(50), "late");
         assert_eq!(q.peek_time(), Some(t(50)));
@@ -1043,8 +382,8 @@ mod tests {
 
     #[test]
     fn same_instant_push_during_drain_joins_in_seq_order() {
-        // Pushes landing on the already-drained served bucket must merge
-        // into the pending run in (time, seq) order.
+        // Pushes landing on the instant being drained must merge into the
+        // pending run in (time, seq) order.
         let mut q = EventQueue::new();
         q.push(t(1), 0u32);
         q.push(t(1), 1);
@@ -1053,143 +392,5 @@ mod tests {
         assert_eq!(q.pop_if_at(t(1)), Some(1));
         assert_eq!(q.pop_if_at(t(1)), Some(2));
         assert_eq!(q.pop_if_at(t(1)), None);
-    }
-
-    #[test]
-    fn resize_preserves_order_across_width_change() {
-        // Push enough to trigger a grow (live > 2 × buckets) with a mix of
-        // dense and sparse times, then check the full drain order.
-        let mut q = EventQueue::new();
-        let mut expect = Vec::new();
-        for i in 0..400u64 {
-            // Dense microsecond cluster + sparse minute-scale tail.
-            let at = if i % 4 == 0 {
-                SimTime(i * 60_000_000_000)
-            } else {
-                SimTime(i * 1_000 + 5)
-            };
-            q.push(at, i);
-            expect.push((at, i));
-        }
-        expect.sort_by_key(|&(at, i)| (at, i));
-        for (at, i) in expect {
-            assert_eq!(q.pop(), Some((at, i)), "entry {i}");
-        }
-        assert_eq!(q.pop(), None);
-    }
-
-    /// One lockstep operation of the differential test.
-    #[derive(Debug, Clone)]
-    enum Op {
-        /// Push at a dense near time (bucket-collision regime).
-        PushDense(u16),
-        /// Push at a sparse far time (overflow regime).
-        PushSparse(u16),
-        /// Push at exactly the last popped time (tie/rewind regime).
-        PushAtLastPop,
-        Pop,
-        /// Drain up to `n` events of the head instant via `pop_if_at`.
-        PopBatch(u8),
-        /// Cancel the i-th issued key (mod issued).
-        Cancel(u16),
-        Peek,
-    }
-
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        prop_oneof![
-            4 => any::<u16>().prop_map(Op::PushDense),
-            1 => any::<u16>().prop_map(Op::PushSparse),
-            1 => Just(Op::PushAtLastPop),
-            3 => Just(Op::Pop),
-            2 => any::<u8>().prop_map(Op::PopBatch),
-            2 => any::<u16>().prop_map(Op::Cancel),
-            1 => Just(Op::Peek),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(192))]
-
-        /// The calendar queue is indistinguishable from the retained
-        /// binary-heap oracle under random interleavings of pushes (dense,
-        /// sparse, and tie-heavy), cancels, single pops and same-instant
-        /// batch drains — identical pop order including (time, seq)
-        /// tie-breaks, identical cancel outcomes, identical live counts.
-        #[test]
-        fn calendar_matches_heap_oracle(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-            let mut keys: Vec<(EventKey, super::heap_oracle::OracleKey)> = Vec::new();
-            let mut payload = 0u64;
-            let mut last_pop = SimTime::ZERO;
-            let push = |at: SimTime,
-                            cal: &mut EventQueue<u64>,
-                            heap: &mut HeapEventQueue<u64>,
-                            keys: &mut Vec<(EventKey, super::heap_oracle::OracleKey)>,
-                            payload: &mut u64| {
-                let ck = cal.push(at, *payload);
-                let hk = heap.push(at, *payload);
-                keys.push((ck, hk));
-                *payload += 1;
-            };
-            for op in ops {
-                match op {
-                    Op::PushDense(r) => {
-                        // Cluster around the last pop so ties and near-in
-                        // bucket collisions are common.
-                        let at = SimTime(last_pop.nanos() + (r as u64 % 2_048));
-                        push(at, &mut cal, &mut heap, &mut keys, &mut payload);
-                    }
-                    Op::PushSparse(r) => {
-                        let at = SimTime(last_pop.nanos() + (r as u64) * 1_000_000_000);
-                        push(at, &mut cal, &mut heap, &mut keys, &mut payload);
-                    }
-                    Op::PushAtLastPop => {
-                        push(last_pop, &mut cal, &mut heap, &mut keys, &mut payload);
-                    }
-                    Op::Pop => {
-                        let c = cal.pop();
-                        let h = heap.pop();
-                        prop_assert_eq!(&c, &h);
-                        if let Some((at, _)) = c {
-                            last_pop = at;
-                        }
-                    }
-                    Op::PopBatch(n) => {
-                        if let Some(at) = cal.peek_time() {
-                            prop_assert_eq!(Some(at), heap.peek_time());
-                            for _ in 0..(n % 8) + 1 {
-                                let c = cal.pop_if_at(at);
-                                let h = heap.pop_if_at(at);
-                                prop_assert_eq!(c, h);
-                                if c.is_none() {
-                                    break;
-                                }
-                                last_pop = at;
-                            }
-                        }
-                    }
-                    Op::Cancel(i) => {
-                        if !keys.is_empty() {
-                            let (ck, hk) = keys[i as usize % keys.len()];
-                            prop_assert_eq!(cal.cancel(ck), heap.cancel(hk));
-                        }
-                    }
-                    Op::Peek => {
-                        prop_assert_eq!(cal.peek_time(), heap.peek_time());
-                    }
-                }
-                prop_assert_eq!(cal.len(), heap.len());
-            }
-            // Final drain must agree to the last event.
-            loop {
-                let c = cal.pop();
-                let h = heap.pop();
-                prop_assert_eq!(&c, &h);
-                if c.is_none() {
-                    break;
-                }
-            }
-        }
     }
 }

@@ -113,27 +113,6 @@ impl Tracer {
         &self.records
     }
 
-    /// Merge per-shard tracers into one, ordered by record time; ties keep
-    /// the order of `parts`, then each part's own emission order. Dropped
-    /// counters are summed; echo is off (each part already echoed live).
-    pub fn merged(level: TraceLevel, parts: Vec<Tracer>) -> Tracer {
-        let mut dropped = 0;
-        let mut tagged: Vec<(usize, usize, TraceRecord)> = Vec::new();
-        for (p, t) in parts.into_iter().enumerate() {
-            dropped += t.dropped;
-            for (i, r) in t.records.into_iter().enumerate() {
-                tagged.push((p, i, r));
-            }
-        }
-        tagged.sort_by_key(|&(p, i, ref r)| (r.at, p, i));
-        Tracer {
-            level,
-            records: tagged.into_iter().map(|(_, _, r)| r).collect(),
-            dropped,
-            echo: false,
-        }
-    }
-
     /// Records for one subsystem.
     pub fn by_subsystem<'a>(&'a self, subsystem: &str) -> impl Iterator<Item = &'a TraceRecord> {
         let owned = subsystem.to_string();

@@ -1,14 +1,24 @@
 //! Model-based property test: the cancellable event queue behaves exactly
-//! like a reference implementation built on `BTreeMap`.
+//! like a reference implementation built on `BTreeMap` — across the time
+//! regimes a federation run mixes (same-instant ties, microsecond
+//! deliveries, 30-minute timers, `SimTime::MAX` sentinels), under pushes
+//! earlier than the current head, slot recycling and 10 k-event
+//! populations.
 
-use desim::{EventQueue, SimTime};
+use desim::{EventKey, EventQueue, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Push an event at the given (small) time.
+    /// Push an event at the given time.
     Push(u64),
+    /// Push this far *before* the current head (the raw queue, unlike
+    /// `Ctx`, permits it — and after pops that is before the last pop).
+    PushBeforeHead(u64),
+    /// Cancel the newest key and push at the given time straight away, so
+    /// the push recycles the slot just vacated; the old key must be dead.
+    Recycle(u64),
     /// Pop the earliest event.
     Pop,
     /// Batch-drain up to n events of the head instant via `pop_if_at`.
@@ -22,21 +32,42 @@ enum Op {
     Peek,
 }
 
+const NS_PER_US: u64 = 1_000;
+const HALF_HOUR_NS: u64 = 30 * 60 * 1_000_000_000;
+
+/// Firing times from 1 ns to `SimTime::MAX`.
+fn time_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        // Dense small times: same-instant ties are common.
+        4 => 0u64..50,
+        // Deliveries a few microseconds apart, starting at 1 ns.
+        3 => (0u64..2_000).prop_map(|us| 1 + us * NS_PER_US),
+        // 30-minute protocol timers among them.
+        2 => (1u64..6).prop_map(|k| k * HALF_HOUR_NS),
+        // "Infinite" timers: the end of time and just before it.
+        1 => (0u64..3).prop_map(|d| u64::MAX - d),
+    ]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (0u64..50).prop_map(Op::Push),
+        5 => time_strategy().prop_map(Op::Push),
+        1 => (1u64..5_000).prop_map(Op::PushBeforeHead),
+        1 => time_strategy().prop_map(Op::Recycle),
         3 => Just(Op::Pop),
         2 => (1usize..6).prop_map(Op::PopBatch),
-        1 => (0u64..50).prop_map(Op::PopAt),
+        1 => time_strategy().prop_map(Op::PopAt),
         2 => any::<prop::sample::Index>().prop_map(|i| Op::Cancel(i.index(64))),
         1 => Just(Op::Peek),
     ]
 }
 
-/// Reference model: BTreeMap keyed by (time, seq) with a cancelled set.
+/// Reference model: live events keyed by `(time, seq)`, plus each live
+/// event's time by `seq` so a cancel is a lookup.
 #[derive(Default)]
 struct Model {
     live: BTreeMap<(u64, u64), u64>, // (time, seq) -> value
+    time_of: HashMap<u64, u64>,      // seq -> time, live events only
     next_seq: u64,
 }
 
@@ -45,24 +76,17 @@ impl Model {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live.insert((t, seq), seq);
+        self.time_of.insert(seq, t);
         seq
     }
     fn pop(&mut self) -> Option<(u64, u64)> {
-        let (&key, &v) = self.live.iter().next()?;
-        self.live.remove(&key);
-        Some((key.0, v))
+        let ((t, seq), v) = self.live.pop_first()?;
+        self.time_of.remove(&seq);
+        Some((t, v))
     }
     fn cancel(&mut self, seq: u64) -> bool {
-        let key = self
-            .live
-            .iter()
-            .find(|(&(_, s), _)| s == seq)
-            .map(|(&k, _)| k);
-        match key {
-            Some(k) => {
-                self.live.remove(&k);
-                true
-            }
+        match self.time_of.remove(&seq) {
+            Some(t) => self.live.remove(&(t, seq)).is_some(),
             None => false,
         }
     }
@@ -78,81 +102,140 @@ impl Model {
     }
 }
 
+/// The queue under test and the model, driven in lockstep.
+#[derive(Default)]
+struct Pair {
+    queue: EventQueue<u64>,
+    model: Model,
+    keys: Vec<EventKey>,
+}
+
+impl Pair {
+    fn push(&mut self, t: u64) -> Result<(), TestCaseError> {
+        let key = self.queue.push(SimTime(t), self.model.next_seq);
+        let seq = self.model.push(t);
+        prop_assert_eq!(key.raw(), seq);
+        self.keys.push(key);
+        Ok(())
+    }
+
+    fn cancel(&mut self, key: EventKey) -> Result<(), TestCaseError> {
+        let got = self.queue.cancel(key);
+        let want = self.model.cancel(key.raw());
+        prop_assert_eq!(got, want, "cancel({})", key.raw());
+        Ok(())
+    }
+
+    fn pop(&mut self) -> Result<bool, TestCaseError> {
+        match (self.queue.pop(), self.model.pop()) {
+            (None, None) => Ok(false),
+            (Some((t, v)), Some((mt, mv))) => {
+                prop_assert_eq!(t, SimTime(mt));
+                prop_assert_eq!(v, mv);
+                Ok(true)
+            }
+            (g, w) => {
+                prop_assert!(false, "queue {g:?} vs model {w:?}");
+                Ok(false)
+            }
+        }
+    }
+
+    fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
+        match op {
+            Op::Push(t) => self.push(t)?,
+            Op::PushBeforeHead(d) => {
+                let head = self.model.peek().unwrap_or(0);
+                self.push(head.saturating_sub(d))?;
+            }
+            Op::Recycle(t) => {
+                if let Some(&old) = self.keys.last() {
+                    self.cancel(old)?;
+                    self.push(t)?;
+                    prop_assert!(!self.queue.cancel(old), "a recycled slot's old key is dead");
+                }
+            }
+            Op::Pop => {
+                self.pop()?;
+            }
+            Op::PopBatch(n) => {
+                if let Some(at) = self.queue.peek_time() {
+                    prop_assert_eq!(Some(at.nanos()), self.model.peek());
+                    for _ in 0..n {
+                        let got = self.queue.pop_if_at(at);
+                        prop_assert_eq!(got, self.model.pop_if_at(at.nanos()));
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                }
+            }
+            Op::PopAt(t) => {
+                let got = self.queue.pop_if_at(SimTime(t));
+                prop_assert_eq!(got, self.model.pop_if_at(t), "pop_if_at({t})");
+            }
+            Op::Cancel(i) => {
+                if !self.keys.is_empty() {
+                    self.cancel(self.keys[i % self.keys.len()])?;
+                }
+            }
+            Op::Peek => {
+                prop_assert_eq!(self.queue.peek_time(), self.model.peek().map(SimTime));
+            }
+        }
+        prop_assert_eq!(self.queue.len(), self.model.live.len());
+        prop_assert_eq!(self.queue.is_empty(), self.model.live.is_empty());
+        Ok(())
+    }
+
+    /// Drain both and compare the tails.
+    fn drain(&mut self) -> Result<(), TestCaseError> {
+        while self.pop()? {}
+        prop_assert!(self.queue.is_empty());
+        Ok(())
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..200)) {
-        let mut queue: EventQueue<u64> = EventQueue::new();
-        let mut model = Model::default();
-        let mut keys = Vec::new();
-        let mut popped_seqs = std::collections::HashSet::new();
-
+    fn queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..300)) {
+        let mut pair = Pair::default();
         for op in ops {
-            match op {
-                Op::Push(t) => {
-                    let key = queue.push(SimTime(t), model.next_seq);
-                    let seq = model.push(t);
-                    prop_assert_eq!(key.raw(), seq);
-                    keys.push(key);
-                }
-                Op::Pop => {
-                    let got = queue.pop();
-                    let want = model.pop();
-                    match (got, want) {
-                        (None, None) => {}
-                        (Some((t, v)), Some((mt, mv))) => {
-                            prop_assert_eq!(t, SimTime(mt));
-                            prop_assert_eq!(v, mv);
-                            popped_seqs.insert(v);
-                        }
-                        (g, w) => prop_assert!(false, "queue {g:?} vs model {w:?}"),
-                    }
-                }
-                Op::PopBatch(n) => {
-                    if let Some(at) = queue.peek_time() {
-                        prop_assert_eq!(Some(at.nanos()), model.peek());
-                        for _ in 0..n {
-                            let got = queue.pop_if_at(at);
-                            let want = model.pop_if_at(at.nanos());
-                            prop_assert_eq!(got, want);
-                            if got.is_none() {
-                                break;
-                            }
-                        }
-                    }
-                }
-                Op::PopAt(t) => {
-                    let got = queue.pop_if_at(SimTime(t));
-                    let want = model.pop_if_at(t);
-                    prop_assert_eq!(got, want, "pop_if_at({t})");
-                }
-                Op::Cancel(i) => {
-                    if keys.is_empty() {
-                        continue;
-                    }
-                    let key = keys[i % keys.len()];
-                    let got = queue.cancel(key);
-                    let want = model.cancel(key.raw());
-                    prop_assert_eq!(got, want, "cancel({})", key.raw());
-                }
-                Op::Peek => {
-                    prop_assert_eq!(queue.peek_time(), model.peek().map(SimTime));
-                }
-            }
-            prop_assert_eq!(queue.len(), model.live.len());
+            pair.apply(op)?;
         }
+        pair.drain()?;
+    }
+}
 
-        // Drain both and compare the tails.
-        loop {
-            match (queue.pop(), model.pop()) {
-                (None, None) => break,
-                (Some((t, v)), Some((mt, mv))) => {
-                    prop_assert_eq!(t, SimTime(mt));
-                    prop_assert_eq!(v, mv);
-                }
-                (g, w) => prop_assert!(false, "tail mismatch {g:?} vs {w:?}"),
-            }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A population two orders of magnitude above what a federation run
+    /// keeps pending: 10 k events pushed, a share cancelled, half popped,
+    /// a second wave pushed around the moving head, then everything
+    /// drained — in the model's order throughout.
+    #[test]
+    fn ten_thousand_events_stay_in_model_order(
+        times in prop::collection::vec(time_strategy(), 10_000..10_001),
+        second_wave in prop::collection::vec(op_strategy(), 2_000..2_001),
+        cancel_every in 2usize..7,
+    ) {
+        let mut pair = Pair::default();
+        for t in times {
+            pair.push(t)?;
         }
+        prop_assert_eq!(pair.queue.len(), 10_000);
+        for i in (0..pair.keys.len()).step_by(cancel_every) {
+            pair.cancel(pair.keys[i])?;
+        }
+        for _ in 0..pair.queue.len() / 2 {
+            prop_assert!(pair.pop()?);
+        }
+        for op in second_wave {
+            pair.apply(op)?;
+        }
+        pair.drain()?;
     }
 }

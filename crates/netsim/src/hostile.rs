@@ -42,9 +42,8 @@
 //! configuration, a spec with all features disabled draws nothing — and,
 //! because a pair's draws depend only on that pair's own message order
 //! (never on how traffic of *other* pairs interleaves globally), hostile
-//! outcomes are invariant under partitioning the federation across
-//! parallel simulator shards: each sender cluster lives on exactly one
-//! shard, which owns all of its pairs' streams.
+//! outcomes are independent of dispatch order: reordering same-instant
+//! events of different clusters cannot move a single draw.
 
 use crate::hashing::FastHashMap;
 use crate::ids::{ClusterId, NodeId};
@@ -342,8 +341,8 @@ impl HostileNet {
         let mut held = false;
 
         // All random decisions for this message come from the directed
-        // pair's own stream — the shard-invariance contract (see the
-        // module docs).
+        // pair's own stream, so they are independent of dispatch order
+        // (see the module docs).
         let seed = self.spec.seed;
         let rng = self
             .rngs
@@ -577,8 +576,8 @@ mod tests {
     #[test]
     fn pair_streams_are_independent() {
         // Interleaving traffic of another pair must not perturb a pair's
-        // own outcome sequence — the invariant that makes hostile runs
-        // identical under any sharding of the federation.
+        // own outcome sequence — the invariant that makes hostile
+        // outcomes independent of dispatch order.
         let spec = || {
             HostileSpec::seeded(4242)
                 .with_duplication(0.5, SimDuration::from_millis(2))

@@ -13,7 +13,7 @@
 
 use crate::hashing::FastHashMap;
 use crate::ids::{ClusterId, NodeId};
-use crate::topology::{LinkSpec, Topology};
+use crate::topology::Topology;
 use desim::{SimDuration, SimTime};
 
 /// What a message is, for accounting purposes.
@@ -75,21 +75,17 @@ pub struct Network {
     pipe_free_at: Vec<SimTime>,
     /// Accounting: dense `(from * n + to) * 3 + class` cells.
     accounts: Vec<TrafficCell>,
-    /// Memoized [`LinkSpec::transmit_time`] results, direct-mapped on
-    /// `(bandwidth, bytes)`. A federation uses a handful of distinct
-    /// link-class x message-size combinations, so this turns the per-send
-    /// 128-bit division into a two-word compare (the cached value is the
-    /// division's exact result — timing is unchanged, only cheaper).
-    transmit_cache: [(u64, u64, SimDuration); TRANSMIT_CACHE_SLOTS],
 }
 
 const N_CLASSES: usize = 3;
 
 /// A cluster's `ranks × ranks` channel table is allocated densely up to
-/// this many cells (512 KiB); larger clusters hash per cluster.
+/// this many cells (512 KiB, 256 ranks); larger clusters hash per cluster.
+/// An input-size guard, not a tuning knob: a topology file may name a
+/// cluster of any `u32` size, and a dense table for 100,000 ranks would be
+/// 80 GB. No committed workload has a cluster above 100 ranks, so only
+/// `hashed_intra_channels_time_like_the_dense_table` runs the hashed arm.
 const DENSE_CHANNEL_LIMIT: usize = 65_536;
-/// Slots in the transmit-time memo (power of two; collisions just recompute).
-const TRANSMIT_CACHE_SLOTS: usize = 16;
 
 /// FIFO last-arrival state of one cluster's intra-cluster node channels.
 /// `SimTime::ZERO` means "channel never used" — a real arrival is always
@@ -135,31 +131,7 @@ impl Network {
             inter_channels: FastHashMap::default(),
             pipe_free_at: vec![SimTime::ZERO; n * n],
             accounts: vec![TrafficCell::default(); n * n * N_CLASSES],
-            // `bandwidth = 0` never occupies a slot (`transmit_time` is
-            // INFINITE there and short-circuits before the cache), so the
-            // zeroed sentinel rows can never produce a false hit.
-            transmit_cache: [(0, 0, SimDuration::ZERO); TRANSMIT_CACHE_SLOTS],
         }
-    }
-
-    /// `link.transmit_time(bytes)` through the memo cache.
-    #[inline]
-    fn transmit_time(&mut self, link: &LinkSpec, bytes: u64) -> SimDuration {
-        if link.bandwidth_bps == 0 {
-            return SimDuration::INFINITE;
-        }
-        let slot = ((link
-            .bandwidth_bps
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(bytes)) as usize)
-            & (TRANSMIT_CACHE_SLOTS - 1);
-        let (bps, b, t) = self.transmit_cache[slot];
-        if bps == link.bandwidth_bps && b == bytes {
-            return t;
-        }
-        let t = link.transmit_time(bytes);
-        self.transmit_cache[slot] = (link.bandwidth_bps, bytes, t);
-        t
     }
 
     #[inline]
@@ -189,7 +161,7 @@ impl Network {
         class: MessageClass,
     ) -> SimTime {
         let link = self.topology.link_between(from.cluster, to.cluster);
-        let transmit = self.transmit_time(&link, bytes);
+        let transmit = link.transmit_time(bytes);
 
         // Queueing under the chosen contention model.
         let depart = match self.contention {
@@ -376,6 +348,53 @@ mod tests {
         let a1 = n.send(SimTime::ZERO, from, to, 1_000_000, MessageClass::App);
         let a2 = n.send(SimTime::ZERO, from, to, 1, MessageClass::App);
         assert!(a2 > a1, "FIFO violated: {a2:?} <= {a1:?}");
+    }
+
+    #[test]
+    fn hashed_intra_channels_time_like_the_dense_table() {
+        // The same traffic among the first 256 ranks of a 300-rank cluster
+        // (hashed: 90,000 cells is over the dense limit) and of a 256-rank
+        // cluster (dense: exactly at it) must arrive at the same instants,
+        // FIFO clamps included.
+        let cluster = |nodes| {
+            Network::new(Topology::new(
+                vec![ClusterSpec {
+                    nodes,
+                    intra: LinkSpec::myrinet_like(),
+                }],
+                LinkSpec::ethernet_like(),
+            ))
+        };
+        let (mut hashed, mut dense) = (cluster(300), cluster(256));
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let mut step = || {
+            x = x.wrapping_mul(0xd1342543de82ef95).rotate_left(23) ^ 0x5bd1;
+            x >> 33
+        };
+        let mut now = SimTime::ZERO;
+        for _ in 0..20_000 {
+            // 16 hot ranks, big-then-small sizes: plenty of FIFO clamps.
+            let (from, to) = (step() % 16, step() % 256);
+            if from == to {
+                continue;
+            }
+            let bytes = if step() % 4 == 0 {
+                100_000
+            } else {
+                step() % 64
+            };
+            now = now.saturating_add(SimDuration::from_nanos(step() % 2_000));
+            let (from, to) = (NodeId::new(0, from as u32), NodeId::new(0, to as u32));
+            assert_eq!(
+                hashed.send(now, from, to, bytes, MessageClass::App),
+                dense.send(now, from, to, bytes, MessageClass::App),
+            );
+        }
+        assert!(matches!(hashed.intra_channels[0], Some(IntraFifo::Hash(_))));
+        assert!(matches!(
+            dense.intra_channels[0],
+            Some(IntraFifo::Dense { .. })
+        ));
     }
 
     #[test]

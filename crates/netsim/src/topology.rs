@@ -4,7 +4,7 @@
 //! cluster, bandwidth and latency inside each cluster and between every
 //! cluster pair (a triangular matrix), and the federation MTBF.
 
-use crate::ids::{ClusterId, MAX_CLUSTERS};
+use crate::ids::{ClusterId, NodeId, MAX_CLUSTERS};
 use desim::SimDuration;
 
 /// Latency + bandwidth of a (bidirectional) link class.
@@ -163,6 +163,26 @@ impl Topology {
         self.clusters[c.index()].nodes
     }
 
+    /// `Ok` when `node` is a node of this topology; otherwise which part of
+    /// its id is out of range — the one place a node named from outside
+    /// (a CLI flag, a scripted fault) is checked against the federation.
+    pub fn check_node(&self, node: NodeId) -> Result<(), String> {
+        let (cluster, clusters) = (node.cluster.index(), self.clusters.len());
+        if cluster >= clusters {
+            return Err(format!(
+                "cluster {cluster} out of range (topology has {clusters})"
+            ));
+        }
+        let nodes = self.clusters[cluster].nodes;
+        if node.rank >= nodes {
+            return Err(format!(
+                "rank {} out of range (cluster {cluster} has {nodes})",
+                node.rank
+            ));
+        }
+        Ok(())
+    }
+
     /// Total nodes across the federation.
     pub fn total_nodes(&self) -> u64 {
         self.clusters.iter().map(|c| c.nodes as u64).sum()
@@ -193,33 +213,6 @@ impl Topology {
         // Narrow each index, not the count: `MAX_CLUSTERS as u16` is 0.
         (0..self.clusters.len()).map(|c| ClusterId(c as u16))
     }
-
-    /// Conservative parallel-simulation lookahead: the minimum one-way
-    /// propagation latency over all inter-cluster links, floored at 1 ns.
-    ///
-    /// No inter-cluster message can arrive sooner than this after it is
-    /// sent (hostile skew/reorder/holds only *add* delay, and the wire
-    /// floors every arrival at now + 1 ns), so a shard that owns a subset
-    /// of clusters may safely run `lookahead` ahead of every other shard.
-    /// A single-cluster federation has no inter-cluster links and thus no
-    /// bound: [`SimDuration::INFINITE`].
-    pub fn lookahead(&self) -> SimDuration {
-        let mut min = SimDuration::INFINITE;
-        let n = self.clusters.len();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let l = self.inter.get(i, j).latency;
-                if l < min {
-                    min = l;
-                }
-            }
-        }
-        if min < SimDuration::from_nanos(1) {
-            SimDuration::from_nanos(1)
-        } else {
-            min
-        }
-    }
 }
 
 #[cfg(test)]
@@ -233,6 +226,20 @@ mod tests {
         assert_eq!(l.transmit_time(1_000_000), SimDuration::from_millis(100));
         // Zero-size messages cost only latency.
         assert_eq!(l.transmit_time(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn check_node_names_the_part_out_of_range() {
+        let t = Topology::paper_reference(2);
+        assert_eq!(t.check_node(NodeId::new(1, 99)), Ok(()));
+        assert_eq!(
+            t.check_node(NodeId::new(5, 0)).unwrap_err(),
+            "cluster 5 out of range (topology has 2)"
+        );
+        assert_eq!(
+            t.check_node(NodeId::new(0, 999)).unwrap_err(),
+            "rank 999 out of range (cluster 0 has 100)"
+        );
     }
 
     #[test]
@@ -328,44 +335,5 @@ mod tests {
             intra: LinkSpec::myrinet_like(),
         };
         Topology::new(vec![spec; MAX_CLUSTERS + 1], LinkSpec::ethernet_like());
-    }
-
-    #[test]
-    fn lookahead_is_min_inter_latency() {
-        let mut t = Topology::paper_reference(3);
-        assert_eq!(t.lookahead(), SimDuration::from_micros(150));
-        // A slower override does not change the minimum...
-        t.set_inter_link(ClusterId(0), ClusterId(2), LinkSpec::wan_like());
-        assert_eq!(t.lookahead(), SimDuration::from_micros(150));
-        // ...but a faster one does.
-        t.set_inter_link(
-            ClusterId(1),
-            ClusterId(2),
-            LinkSpec {
-                latency: SimDuration::from_micros(3),
-                bandwidth_bps: 1_000_000_000,
-            },
-        );
-        assert_eq!(t.lookahead(), SimDuration::from_micros(3));
-    }
-
-    #[test]
-    fn lookahead_floors_at_one_nanosecond() {
-        let mut t = Topology::paper_reference(2);
-        t.set_inter_link(
-            ClusterId(0),
-            ClusterId(1),
-            LinkSpec {
-                latency: SimDuration::ZERO,
-                bandwidth_bps: 1,
-            },
-        );
-        assert_eq!(t.lookahead(), SimDuration::from_nanos(1));
-    }
-
-    #[test]
-    fn single_cluster_has_unbounded_lookahead() {
-        let t = Topology::paper_reference(1);
-        assert!(t.lookahead().is_infinite());
     }
 }

@@ -76,15 +76,6 @@ pub struct SimConfig {
     /// flush, no destructors — a simulated power loss at a deterministic
     /// point). Requires [`SimConfig::durable_dir`].
     pub durable_crash_after: Option<u64>,
-    /// Number of simulator shards for the conservative parallel driver.
-    /// Clusters are partitioned across this many OS threads, each owning
-    /// its own calendar queue and engine sub-arena, synchronized only by
-    /// the inter-cluster lookahead horizon. `1` (the default) runs the
-    /// sequential executive. Any value produces byte-identical reports and
-    /// fingerprints; runs with [`SimConfig::durable_dir`] set degrade to
-    /// the sequential path (the durable log needs the global commit-frame
-    /// order), and the shard count is clamped to the cluster count.
-    pub sim_shards: usize,
 }
 
 impl SimConfig {
@@ -116,7 +107,6 @@ impl SimConfig {
             xport: None,
             durable_dir: None,
             durable_crash_after: None,
-            sim_shards: 1,
         }
     }
 
@@ -139,7 +129,13 @@ impl SimConfig {
     }
 
     /// Add a scripted fault.
+    ///
+    /// # Panics
+    /// If `node` is not a node of the topology.
     pub fn with_fault(mut self, at: SimTime, node: NodeId) -> Self {
+        if let Err(problem) = self.topology.check_node(node) {
+            panic!("fault on {node}: {problem}");
+        }
         self.faults.push(FaultEvent { at, node });
         self
     }
@@ -246,14 +242,6 @@ impl SimConfig {
         self
     }
 
-    /// Partition the federation across `shards` parallel simulator shards
-    /// (see [`SimConfig::sim_shards`]).
-    pub fn with_sim_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "sim_shards must be at least 1");
-        self.sim_shards = shards;
-        self
-    }
-
     /// End of simulated time.
     pub fn horizon(&self) -> SimTime {
         SimTime::ZERO + self.duration
@@ -289,6 +277,20 @@ mod tests {
         assert_eq!(c.gc_interval, Some(SimDuration::from_hours(2)));
         assert_eq!(c.faults.len(), 1);
         assert_eq!(c.seed, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "fault on C5.n0: cluster 5 out of range (topology has 2)")]
+    fn fault_on_a_missing_cluster_is_rejected() {
+        let _ = SimConfig::new(Topology::paper_reference(2), SimDuration::from_hours(1))
+            .with_fault(SimTime::ZERO, NodeId::new(5, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "fault on C0.n999: rank 999 out of range (cluster 0 has 100)")]
+    fn fault_on_a_missing_rank_is_rejected() {
+        let _ = SimConfig::new(Topology::paper_reference(2), SimDuration::from_hours(1))
+            .with_fault(SimTime::ZERO, NodeId::new(0, 999));
     }
 
     #[test]

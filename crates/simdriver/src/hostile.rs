@@ -78,22 +78,6 @@ impl DeliveryLedger {
         *self.per_incarnation.entry((tag, incarnation)).or_default() += 1;
     }
 
-    /// Fold another shard's ledger into this one (sends and the sender's
-    /// rollbacks are recorded on the sender's shard, deliveries on the
-    /// receiver's; the union over all shards is exactly the sequential
-    /// ledger).
-    pub(crate) fn absorb(&mut self, other: &DeliveryLedger) {
-        self.sent.extend(&other.sent);
-        for (tag, &d) in other.delivered.iter().enumerate() {
-            if d > 0 {
-                *Self::slot(&mut self.delivered, tag as u64) += d;
-            }
-        }
-        for (&k, &v) in &other.per_incarnation {
-            *self.per_incarnation.entry(k).or_default() += v;
-        }
-    }
-
     /// Tags that were sent, not undone by their own sender's rollback,
     /// and never delivered (committed work lost).
     pub fn undelivered(&self) -> Vec<u64> {

@@ -9,7 +9,7 @@
 //! The simulator is one of three hosts of the engine: what an engine emits
 //! is carried out by the shared interpreter (`hc3i_core::host`), and this
 //! crate supplies only the [`hc3i_core::Host`] that makes a wire out of
-//! the network model and the calendar queue, a clock out of simulated
+//! the network model and the event queue, a clock out of simulated
 //! time, and an event sink out of the trace and [`RunReport::observe`].
 //!
 //! The event hot path is allocation-free: engines live in a flat arena
@@ -27,7 +27,6 @@
 
 pub mod config;
 pub mod hostile;
-mod parallel;
 pub mod report;
 pub mod run;
 pub mod world;

@@ -9,7 +9,7 @@ use netsim::NodeId;
 use rand::Rng;
 
 /// Hard ceiling on dispatched events, guarding against model bugs.
-pub(crate) const EVENT_BUDGET: u64 = 500_000_000;
+const EVENT_BUDGET: u64 = 500_000_000;
 
 /// Run one federation simulation to completion and report.
 ///
@@ -37,21 +37,10 @@ pub fn run_hostile(cfg: SimConfig) -> (RunReport, HostileRunStats) {
     (report, hostile)
 }
 
-/// Shard count a run of `cfg` actually uses: clamped to the cluster count
-/// and forced to 1 for durable runs (the segment log records a global
-/// commit-frame order that only the sequential executive produces).
-pub(crate) fn effective_shards(cfg: &SimConfig) -> usize {
-    if cfg.durable_dir.is_some() {
-        return 1;
-    }
-    cfg.sim_shards.clamp(1, cfg.topology.num_clusters())
-}
-
-/// Schedule one shard's slice of the initial events: the world's shard
-/// map decides which clusters' workload, faults, timers and collections
-/// this executive owns. On the sequential (one-shard) path every filter
-/// passes, reproducing the historical scheduling order exactly.
-pub(crate) fn seed_shard_events(sim: &mut Simulation<FederationWorld>) {
+/// Schedule the run's initial events: the workload feed, scripted and
+/// MTBF-driven faults, scripted checkpoints and collections, partition
+/// bookkeeping, the periodic timers and the horizon.
+fn seed_events(sim: &mut Simulation<FederationWorld>) {
     let streams = RngStreams::new(sim.world().cfg.seed);
     let horizon = sim.world().cfg.horizon();
 
@@ -60,73 +49,57 @@ pub(crate) fn seed_shard_events(sim: &mut Simulation<FederationWorld>) {
     // sends fired before same-instant protocol events — the feed's
     // tie-breaking rule reproduces exactly that order while keeping the
     // bulk workload out of the pending-event heap (whose per-op cost
-    // scales with its depth). Each shard feeds the sends its clusters
-    // issue; tags stay global so ledgers agree across shard counts.
-    let mut workload: Vec<(SimTime, Ev)> = {
-        let world = sim.world();
-        world
-            .cfg
-            .sends
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| world.owns(s.from.cluster.index()))
-            .map(|(tag, s)| {
-                (
-                    s.at,
-                    Ev::AppSend {
-                        from: s.from,
-                        to: s.to,
-                        bytes: s.bytes,
-                        tag: tag as u64,
-                    },
-                )
-            })
-            .collect()
-    };
+    // scales with its depth).
+    let mut workload: Vec<(SimTime, Ev)> = sim
+        .world()
+        .cfg
+        .sends
+        .iter()
+        .enumerate()
+        .map(|(tag, s)| {
+            (
+                s.at,
+                Ev::AppSend {
+                    from: s.from,
+                    to: s.to,
+                    bytes: s.bytes,
+                    tag: tag as u64,
+                },
+            )
+        })
+        .collect();
     // Stable: equal-time sends keep their schedule order, matching the
     // old scheduling-sequence tie-break.
     workload.sort_by_key(|&(at, _)| at);
     sim.feed_sorted(workload);
 
-    // Scripted faults, checkpoints and collections, each on the shard
-    // owning the affected cluster (collections start at node (0,0)).
+    // Scripted faults, checkpoints and collections.
     let faults = sim.world().cfg.faults.clone();
     for f in faults {
-        if sim.world().owns(f.node.cluster.index()) {
-            sim.schedule_at(f.at, Ev::Fault { node: f.node });
-        }
+        sim.schedule_at(f.at, Ev::Fault { node: f.node });
     }
     let clcs = sim.world().cfg.scripted_clcs.clone();
     for (at, cluster) in clcs {
-        if sim.world().owns(cluster) {
-            sim.schedule_at(at, Ev::ClcNow { cluster });
-        }
+        sim.schedule_at(at, Ev::ClcNow { cluster });
     }
-    if sim.world().owns(0) {
-        let gcs = sim.world().cfg.scripted_gcs.clone();
-        for at in gcs {
-            sim.schedule_at(at, Ev::GcNow);
-        }
+    let gcs = sim.world().cfg.scripted_gcs.clone();
+    for at in gcs {
+        sim.schedule_at(at, Ev::GcNow);
     }
 
     // Scripted partition cuts and heals (bookkeeping events; the holds
     // themselves are computed from the schedule at send time). Only ever
     // scheduled when partitions exist, keeping the pristine event stream
-    // untouched; shard 0 keeps the counters so the merged totals match a
-    // sequential run.
-    if sim.world().shard() == 0 {
-        let partitions = sim.world().cfg.partitions.clone();
-        for (index, p) in partitions.into_iter().enumerate() {
-            sim.schedule_at(p.at, Ev::PartitionStart { index });
-            if p.until < horizon {
-                sim.schedule_at(p.until, Ev::PartitionHeal { index });
-            }
+    // untouched.
+    let partitions = sim.world().cfg.partitions.clone();
+    for (index, p) in partitions.into_iter().enumerate() {
+        sim.schedule_at(p.at, Ev::PartitionStart { index });
+        if p.until < horizon {
+            sim.schedule_at(p.until, Ev::PartitionHeal { index });
         }
     }
 
-    // MTBF-driven faults: every shard walks the *identical* RNG stream
-    // (so fault placement is independent of the shard count) and keeps
-    // only the victims it owns.
+    // MTBF-driven faults.
     if let Some(mtbf) = sim.world().cfg.topology.mtbf {
         let total_nodes = sim.world().cfg.topology.total_nodes();
         let cluster_sizes: Vec<u32> = {
@@ -150,40 +123,29 @@ pub(crate) fn seed_shard_events(sim: &mut Simulation<FederationWorld>) {
                 }
                 idx -= size as u64;
             }
-            if sim.world().owns(node.cluster.index()) {
-                sim.schedule_at(t, Ev::Fault { node });
-            }
+            sim.schedule_at(t, Ev::Fault { node });
         }
     }
 
-    // Periodic timers, per owned cluster (the GC timer belongs to the
-    // federation initiator, node (0,0)).
-    {
-        let delays = sim.world().cfg.clc_delays.clone();
-        for (cluster, delay) in delays.into_iter().enumerate() {
-            if !delay.is_infinite() && sim.world().owns(cluster) {
-                let key = sim.schedule_at(SimTime::ZERO + delay, Ev::ClcTimer { cluster });
-                sim.world_mut().clc_timer_keys[cluster] = Some(key);
-            }
-        }
-        if sim.world().owns(0) {
-            if let Some(interval) = sim.world().cfg.gc_interval {
-                sim.schedule_at(SimTime::ZERO + interval, Ev::GcTimer);
-            }
+    // Periodic timers (the GC timer belongs to the federation initiator,
+    // node (0,0)).
+    let delays = sim.world().cfg.clc_delays.clone();
+    for (cluster, delay) in delays.into_iter().enumerate() {
+        if !delay.is_infinite() {
+            let key = sim.schedule_at(SimTime::ZERO + delay, Ev::ClcTimer { cluster });
+            sim.world_mut().clc_timer_keys[cluster] = Some(key);
         }
     }
+    if let Some(interval) = sim.world().cfg.gc_interval {
+        sim.schedule_at(SimTime::ZERO + interval, Ev::GcTimer);
+    }
 
-    // Every shard ends its own clock at the horizon.
     sim.schedule_at(horizon, Ev::End);
 }
 
 fn run_inner(cfg: SimConfig) -> (RunReport, desim::Tracer, HostileRunStats) {
-    let shards = effective_shards(&cfg);
-    if shards > 1 {
-        return crate::parallel::run_sharded(cfg, shards);
-    }
     let mut sim = Simulation::new(FederationWorld::new(cfg));
-    seed_shard_events(&mut sim);
+    seed_events(&mut sim);
 
     let outcome = sim.run_with_budget(EVENT_BUDGET);
     assert_ne!(

@@ -2,17 +2,17 @@
 //!
 //! What the engines emit is carried out by the shared interpreter in
 //! [`hc3i_core::host`]; this file supplies the simulator's [`Host`]: the
-//! wire is the network model plus the calendar queue (`SimHost::wire`),
+//! wire is the network model plus the event queue (`SimHost::wire`),
 //! the clock is simulated time, timers are queue events, and the event
 //! sink is the trace, the [`RunReport`] fold and the delivery ledger.
 
 use crate::config::SimConfig;
 use crate::hostile::HostileRunStats;
 use crate::report::RunReport;
-use desim::{Ctx, EventKey, InboxKey, SimTime, TraceLevel, Tracer, World};
+use desim::{Ctx, EventKey, SimTime, TraceLevel, Tracer, World};
 use hc3i_core::host::{self, Host, ProtoEvent, StoreOp, Xport};
 use hc3i_core::{Input, Msg, NodeEngine, OutputBuf};
-use netsim::{HostileNet, Network, NodeId, Topology};
+use netsim::{HostileNet, Network, NodeId};
 
 /// Events of the federation world.
 #[derive(Debug, Clone)]
@@ -91,83 +91,6 @@ pub enum Ev {
     End,
 }
 
-/// Assignment of clusters to simulator shards: each shard owns one
-/// *contiguous* cluster range (so a shard's engine sub-arena stays a
-/// single dense slice), balanced greedily by node count.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardMap {
-    /// `owner[c]` = shard owning cluster `c`.
-    owner: Vec<usize>,
-    /// `ranges[s]` = half-open cluster range owned by shard `s`.
-    ranges: Vec<(usize, usize)>,
-}
-
-impl ShardMap {
-    /// The trivial map of the sequential executive: one shard owns all.
-    pub(crate) fn single(num_clusters: usize) -> Self {
-        ShardMap {
-            owner: vec![0; num_clusters],
-            ranges: vec![(0, num_clusters)],
-        }
-    }
-
-    /// Partition `topology`'s clusters into `shards` contiguous ranges.
-    /// Every shard gets at least one cluster; `shards` must be in
-    /// `1..=num_clusters`.
-    pub(crate) fn new(topology: &Topology, shards: usize) -> Self {
-        let n = topology.num_clusters();
-        assert!(
-            (1..=n).contains(&shards),
-            "shard count {shards} outside 1..={n}"
-        );
-        let sizes: Vec<u64> = topology
-            .cluster_ids()
-            .map(|c| topology.nodes_in(c) as u64)
-            .collect();
-        let mut remaining: u64 = sizes.iter().sum();
-        let mut owner = vec![0usize; n];
-        let mut ranges = Vec::with_capacity(shards);
-        let mut lo = 0usize;
-        for s in 0..shards {
-            let shards_left = shards - s;
-            // Even split of what's left; `max_hi` reserves one cluster for
-            // each shard still to come.
-            let target = remaining.div_ceil(shards_left as u64);
-            let max_hi = n - (shards_left - 1);
-            let mut hi = lo + 1;
-            let mut taken = sizes[lo];
-            while hi < max_hi && taken < target {
-                taken += sizes[hi];
-                hi += 1;
-            }
-            for o in &mut owner[lo..hi] {
-                *o = s;
-            }
-            ranges.push((lo, hi));
-            remaining -= taken;
-            lo = hi;
-        }
-        assert_eq!(lo, n, "every cluster assigned");
-        ShardMap { owner, ranges }
-    }
-
-    /// Number of shards.
-    pub(crate) fn num_shards(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Shard owning cluster `c`.
-    #[inline]
-    pub(crate) fn owner(&self, c: usize) -> usize {
-        self.owner[c]
-    }
-
-    /// Half-open cluster range owned by shard `s`.
-    pub(crate) fn range(&self, s: usize) -> (usize, usize) {
-        self.ranges[s]
-    }
-}
-
 /// The federation: engines + network + statistics.
 ///
 /// Engines live in one flat arena indexed by precomputed per-cluster
@@ -177,31 +100,22 @@ impl ShardMap {
 /// [`OutputBuf`] by the shared interpreter, so dispatching an event
 /// allocates nothing.
 ///
-/// Under the parallel executive a world is one *shard* of the federation:
-/// it holds engines (and all sender-side network/transport/hostile state)
-/// only for its owned contiguous cluster range, routes inter-cluster
-/// deliveries through the canonically-ordered inbox, and parks deliveries
-/// bound for other shards in an outbox (`take_outbox`). The sequential
-/// executive is simply the one-shard instance of the same machinery.
+/// Intra-cluster deliveries ride the event queue in scheduling order;
+/// every inter-cluster delivery goes through the executive's
+/// canonically-ordered inbox ([`desim::InboxKey`]), so same-instant
+/// arrivals from different clusters reach their receivers in an order
+/// fixed by the messages themselves.
 pub struct FederationWorld {
     pub(crate) cfg: SimConfig,
-    /// Cluster → shard assignment (trivial for a sequential run).
-    pub(crate) shards: ShardMap,
-    /// This world's shard id.
-    pub(crate) shard: usize,
-    /// Engines of the *owned* clusters, cluster-major.
+    /// Every engine of the federation, cluster-major.
     pub(crate) engines: Vec<NodeEngine>,
-    /// `offsets[c]` = arena index of cluster `c`'s rank 0 for owned
-    /// clusters (`usize::MAX` elsewhere — touching an unowned cluster is a
-    /// routing bug and fails fast); `offsets[hi]` of the owned range =
-    /// owned node count.
+    /// `offsets[c]` = arena index of cluster `c`'s rank 0;
+    /// `offsets[num_clusters]` = total node count.
     pub(crate) offsets: Vec<usize>,
     /// Per directed cluster pair (`src * n + dst`): wire copies shipped so
-    /// far. The per-route sequence component of the canonical [`InboxKey`].
+    /// far. The per-route sequence component of the canonical
+    /// [`desim::InboxKey`].
     wire_seq: Vec<u64>,
-    /// Inter-cluster deliveries bound for other shards, produced during
-    /// the current window: `(dest shard, arrival, key, event)`.
-    outbox: Vec<(usize, SimTime, InboxKey, Ev)>,
     /// Struct-of-arrays mirror of each engine's failed flag, maintained at
     /// the single point engines mutate (`handle_engine`). Liveness
     /// sweeps (recovery-coordinator election, multi-failure collection,
@@ -240,30 +154,15 @@ impl FederationWorld {
     /// Build the world (engines initialized, nothing scheduled yet).
     pub fn new(cfg: SimConfig) -> Self {
         let n = cfg.topology.num_clusters();
-        Self::new_shard(cfg, ShardMap::single(n), 0)
-    }
-
-    /// Build one shard of the federation: engines only for the clusters
-    /// `shards.range(shard)` covers. A durable run must be single-shard
-    /// (the segment log records a global commit-frame order).
-    pub(crate) fn new_shard(cfg: SimConfig, shards: ShardMap, shard: usize) -> Self {
-        let n = cfg.topology.num_clusters();
-        assert!(
-            cfg.durable_dir.is_none() || shards.num_shards() == 1,
-            "durable runs are sequential-only"
-        );
-        let (lo, hi) = shards.range(shard);
-        let mut offsets = vec![usize::MAX; n + 1];
+        let mut offsets = Vec::with_capacity(n + 1);
         let mut engines = Vec::new();
-        let mut total = 0usize;
         // One shared config for the whole arena, one shared initial DDV
         // per cluster: with these shared and the engines' epoch floors
         // sparse, nothing an engine owns grows with the federation's
         // width, so the arena costs `nodes x constant`.
         let proto = std::sync::Arc::new(cfg.protocol.clone());
-        #[allow(clippy::needless_range_loop)] // `c` also keys topology and the DDV
-        for c in lo..hi {
-            offsets[c] = total;
+        for c in 0..n {
+            offsets.push(engines.len());
             let nodes = cfg.topology.nodes_in(netsim::ClusterId(c as u16));
             let mut initial = storage::Ddv::zeros(n);
             initial.set(c, storage::SeqNum(1));
@@ -275,9 +174,8 @@ impl FederationWorld {
                     initial.clone(),
                 ));
             }
-            total += nodes as usize;
         }
-        offsets[hi] = total;
+        offsets.push(engines.len());
         let net = Network::new(cfg.topology.clone()).with_contention(cfg.contention);
         let stats = RunReport::new(n);
         let tracer = Tracer::new(cfg.trace);
@@ -301,12 +199,9 @@ impl FederationWorld {
         });
         FederationWorld {
             cfg,
-            shards,
-            shard,
             engines,
             offsets,
             wire_seq: vec![0; n * n],
-            outbox: Vec::new(),
             failed,
             net,
             clc_timer_keys: vec![None; n],
@@ -319,23 +214,6 @@ impl FederationWorld {
             xport,
             durable,
         }
-    }
-
-    /// True when this shard owns `cluster`.
-    #[inline]
-    pub(crate) fn owns(&self, cluster: usize) -> bool {
-        self.shards.owner(cluster) == self.shard
-    }
-
-    /// This world's shard id.
-    #[inline]
-    pub(crate) fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Take the cross-shard deliveries produced since the last call.
-    pub(crate) fn take_outbox(&mut self) -> Vec<(usize, SimTime, InboxKey, Ev)> {
-        std::mem::take(&mut self.outbox)
     }
 
     /// The trace collected so far (level per [`SimConfig::trace`]).
@@ -369,25 +247,6 @@ impl FederationWorld {
         self.out_buf = buf;
     }
 
-    /// Hand one inter-cluster wire copy to its destination: the local
-    /// inbox when this shard owns the receiving cluster, the outbox (for
-    /// the parallel driver to forward) otherwise.
-    fn route_inter(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        to: NodeId,
-        at: SimTime,
-        key: InboxKey,
-        ev: Ev,
-    ) {
-        let owner = self.shards.owner(to.cluster.index());
-        if owner == self.shard {
-            ctx.schedule_inbox(at, key, ev);
-        } else {
-            self.outbox.push((owner, at, key, ev));
-        }
-    }
-
     /// (Re-)arm `cluster`'s unforced-CLC timer unless its delay is infinite.
     fn arm_clc_timer(&mut self, ctx: &mut Ctx<'_, Ev>, cluster: usize) {
         let delay = self.cfg.clc_delays[cluster];
@@ -414,8 +273,7 @@ impl FederationWorld {
             log.sync().expect("sync durable log");
         }
         let n = self.cfg.topology.num_clusters();
-        let (lo, hi) = self.shards.range(self.shard);
-        for c in lo..hi {
+        for c in 0..n {
             self.stats.clusters[c].close(&self.engines[self.offsets[c]..self.offsets[c + 1]]);
         }
         for i in 0..n {
@@ -499,8 +357,8 @@ impl Host for SimHost<'_, '_> {
             });
         }
         if source.cluster == to.cluster {
-            // Intra-cluster traffic never leaves the shard: it stays on
-            // the local calendar queue in scheduling order, as always.
+            // Intra-cluster traffic rides the event queue in scheduling
+            // order.
             if let Some(at) = duplicate_at {
                 ctx.schedule_at(
                     at,
@@ -521,12 +379,12 @@ impl Host for SimHost<'_, '_> {
             );
             return;
         }
-        // Inter-cluster copies go through the canonically-ordered inbox —
-        // on every shard count, including one. The key is derived purely
-        // from the sending side (send instant, directed cluster route,
-        // per-route wire sequence; low bit marks a hostile duplicate), so
-        // same-instant arrivals dispatch identically no matter which shard
-        // ingested them, or whether there were shards at all.
+        // Inter-cluster copies go through the canonically-ordered inbox.
+        // The key is derived purely from the sending side (send instant,
+        // directed cluster route, per-route wire sequence; low bit marks a
+        // hostile duplicate), so same-instant arrivals dispatch in an
+        // order the messages fix — the order every committed fingerprint
+        // pins.
         let n = w.cfg.topology.num_clusters();
         let slot = source.cluster.index() * n + to.cluster.index();
         let seq = w.wire_seq[slot];
@@ -539,14 +397,14 @@ impl Host for SimHost<'_, '_> {
                 to,
                 msg: msg.clone(),
             };
-            w.route_inter(ctx, to, at, (sent, route, (seq << 1) | 1), ev);
+            ctx.schedule_inbox(at, (sent, route, (seq << 1) | 1), ev);
         }
         let ev = Ev::Deliver {
             from: source,
             to,
             msg,
         };
-        w.route_inter(ctx, to, arrival, (sent, route, seq << 1), ev);
+        ctx.schedule_inbox(arrival, (sent, route, seq << 1), ev);
     }
 
     #[inline]
@@ -810,81 +668,5 @@ impl World for FederationWorld {
             }
             Ev::End => ctx.stop(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::{ClusterSpec, LinkSpec};
-
-    fn topo(sizes: &[u32]) -> Topology {
-        Topology::new(
-            sizes
-                .iter()
-                .map(|&nodes| ClusterSpec {
-                    nodes,
-                    intra: LinkSpec::myrinet_like(),
-                })
-                .collect(),
-            LinkSpec::ethernet_like(),
-        )
-    }
-
-    #[test]
-    fn shard_map_covers_all_clusters_contiguously() {
-        let t = topo(&[4, 4, 4, 4, 4, 4, 4, 4]);
-        for shards in 1..=8 {
-            let m = ShardMap::new(&t, shards);
-            assert_eq!(m.num_shards(), shards);
-            let mut expect = 0;
-            for s in 0..shards {
-                let (lo, hi) = m.range(s);
-                assert_eq!(lo, expect, "ranges must be contiguous");
-                assert!(hi > lo, "every shard owns at least one cluster");
-                for c in lo..hi {
-                    assert_eq!(m.owner(c), s);
-                }
-                expect = hi;
-            }
-            assert_eq!(expect, 8, "every cluster assigned");
-        }
-    }
-
-    #[test]
-    fn shard_map_balances_by_node_count() {
-        // One giant cluster plus small ones: the giant gets a shard to
-        // itself instead of dragging neighbours along.
-        let t = topo(&[100, 2, 2, 2]);
-        let m = ShardMap::new(&t, 2);
-        assert_eq!(m.range(0), (0, 1));
-        assert_eq!(m.range(1), (1, 4));
-
-        // Uniform clusters split evenly.
-        let t = topo(&[4; 8]);
-        let m = ShardMap::new(&t, 4);
-        for s in 0..4 {
-            let (lo, hi) = m.range(s);
-            assert_eq!(hi - lo, 2, "uniform clusters split evenly");
-        }
-    }
-
-    #[test]
-    fn shard_map_tail_shards_never_starve() {
-        // Heavy clusters up front must not swallow the tail: each of the
-        // 4 shards still owns at least one of the 4 clusters.
-        let t = topo(&[50, 50, 1, 1]);
-        let m = ShardMap::new(&t, 4);
-        for s in 0..4 {
-            let (lo, hi) = m.range(s);
-            assert_eq!(hi - lo, 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn shard_map_rejects_more_shards_than_clusters() {
-        let t = topo(&[4, 4]);
-        ShardMap::new(&t, 3);
     }
 }
