@@ -35,18 +35,12 @@ use std::time::{Duration, Instant};
 pub struct HeartbeatConfig {
     /// Time between detection rounds.
     pub period: Duration,
-    /// Legacy pong-collection window of the threaded detector. The sharded
-    /// executor reads authoritative health bits instead of collecting
-    /// pongs, so this no longer gates detection; it is retained so
-    /// existing configurations keep compiling unchanged.
-    pub timeout: Duration,
 }
 
 impl Default for HeartbeatConfig {
     fn default() -> Self {
         HeartbeatConfig {
             period: Duration::from_millis(50),
-            timeout: Duration::from_millis(25),
         }
     }
 }

@@ -3,12 +3,13 @@
 //! A fixed pool of worker threads — default [`std::thread::available_parallelism`] —
 //! multiplexes every node of the federation: each worker owns a shard of
 //! [`NodeEngine`]s and drains one unbounded crossbeam channel of
-//! `(slot, envelope)` pairs (the "hand-rolled messaging layer": reliable,
-//! per-sender-FIFO — the same properties the paper assumes of its
-//! network). The engines are the *identical* state machines the
-//! discrete-event simulator uses; only the transport differs. The
-//! controller injects application sends, checkpoints, faults and GC, and
-//! observes a stream of [`RtEvent`]s.
+//! `(slot, envelope)` pairs from other threads, plus an in-thread run
+//! queue of what its own nodes send each other (the "hand-rolled
+//! messaging layer": reliable, per-sender-FIFO — the same properties the
+//! paper assumes of its network). The engines are the *identical* state
+//! machines the discrete-event simulator uses; only the transport
+//! differs. The controller injects application sends, checkpoints, faults
+//! and GC, and observes a stream of [`RtEvent`]s.
 //!
 //! ## Shard-assignment determinism contract
 //!
@@ -212,9 +213,9 @@ impl Routes {
         self.offsets[id.cluster.index()] + id.rank as usize
     }
 
-    /// `id`'s slot on its shard.
-    pub(crate) fn slot(&self, id: NodeId) -> usize {
-        self.addr[self.global_index(id)].1 as usize
+    /// `id`'s `(shard, slot)`: the worker that owns it and its index there.
+    pub(crate) fn addr(&self, id: NodeId) -> (u32, u32) {
+        self.addr[self.global_index(id)]
     }
 
     /// Every node of the federation, cluster-major order.
@@ -225,10 +226,20 @@ impl Routes {
     /// Route an envelope to `to`'s shard. Fails only once the shard worker
     /// has exited (shutdown).
     pub(crate) fn send(&self, to: NodeId, env: Envelope) -> Result<(), ()> {
-        let (shard, slot) = self.addr[self.global_index(to)];
+        let (shard, slot) = self.addr(to);
         self.shard_txs[shard as usize]
             .send((slot, env))
             .map_err(|_| ())
+    }
+}
+
+/// Time left until `deadline`, `None` once it has passed. No deadline (a
+/// timeout too long to add to an [`Instant`], i.e. "wait forever") is
+/// `Duration::MAX` left, which the channel reads as a plain `recv`.
+fn remaining(deadline: Option<Instant>) -> Option<Duration> {
+    match deadline {
+        Some(d) => Some(d.saturating_duration_since(Instant::now())).filter(|r| !r.is_zero()),
+        None => Some(Duration::MAX),
     }
 }
 
@@ -440,14 +451,10 @@ impl Federation {
         timeout: Duration,
         mut pred: impl FnMut(&RtEvent) -> bool,
     ) -> Option<Vec<RtEvent>> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut seen = Vec::new();
         loop {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            match self.events_rx.recv_timeout(remaining) {
+            match self.events_rx.recv_timeout(remaining(deadline)?) {
                 Ok(ev) => {
                     self.record(&ev);
                     let hit = pred(&ev);
@@ -481,11 +488,16 @@ impl Federation {
 
     /// Flush in-flight traffic with a ping barrier.
     ///
-    /// Shard channels are FIFO, so one round of pings guarantees every
-    /// node has processed everything that was routed to it before the
-    /// round started; `rounds` consecutive barriers therefore flush
-    /// protocol chains up to `rounds` hops deep (send → deliver → ack is
-    /// 2 hops; an alert cascade with log replay is ~4). Call this before
+    /// Shard channels are FIFO and a worker runs its own queue to empty
+    /// before it looks at its channel again, so one round of pings
+    /// guarantees every node has processed everything that was routed to
+    /// it before the round started *and every consequence of that on the
+    /// same shard*. Only a hop to another shard outlives a round, so
+    /// `rounds` consecutive barriers flush protocol chains with up to
+    /// `rounds` cross-shard hops. On one shard a single round flushes any
+    /// chain of engine-to-engine messages; at every pool size a chain's
+    /// length in messages (send → deliver → ack is 2, an alert cascade
+    /// with log replay ~4) bounds the rounds it needs. Call this before
     /// [`Federation::shutdown`] when final engine states must reflect all
     /// consequences of previously injected inputs — otherwise a message
     /// still in flight races the `Shutdown` envelope.
@@ -514,17 +526,16 @@ impl Federation {
                 }
             }
             drop(reply_tx);
-            let deadline = Instant::now() + timeout;
+            let deadline = Instant::now().checked_add(timeout);
             answered = 0;
             while answered < sent {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
+                let Some(left) = remaining(deadline) else {
+                    break;
+                };
+                if reply_rx.recv_timeout(left).is_err() {
                     break;
                 }
-                match reply_rx.recv_timeout(remaining) {
-                    Ok(_) => answered += 1,
-                    Err(_) => break,
-                }
+                answered += 1;
             }
         }
         answered

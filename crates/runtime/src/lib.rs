@@ -2,20 +2,23 @@
 //!
 //! There is no mature MPI binding in the Rust ecosystem, so this crate
 //! provides the messaging layer a real deployment of the protocol needs: a
-//! fixed pool of shard worker threads (default `available_parallelism`)
-//! multiplexing every node's mailbox over unbounded crossbeam channels
-//! (reliable, FIFO per sender — the paper's network assumptions),
-//! wall-clock CLC timers and heartbeat failure detection folded into shard
-//! ticks, and controller-driven fault injection. Earlier revisions spawned
-//! one OS thread per node, which capped the live substrate at a few
-//! hundred nodes; the sharded executor runs thousands of nodes on a
-//! fixed-size pool (a 2048-node federation completes on a single worker).
+//! fixed pool of shard worker threads (default `available_parallelism`),
+//! each multiplexing its nodes' mailboxes over one unbounded MPSC channel
+//! for what arrives from other threads and one in-thread run queue for
+//! what its own nodes send each other (reliable, FIFO per sender — the
+//! paper's network assumptions — and, like the paper's federation, nearly
+//! free where traffic is local), wall-clock CLC timers and heartbeat
+//! failure detection folded into shard ticks, and controller-driven fault
+//! injection. Earlier revisions spawned one OS thread per node, which
+//! capped the live substrate at a few hundred nodes; the sharded executor
+//! runs thousands of nodes on a fixed-size pool (a 2048-node federation
+//! completes on a single worker).
 //!
 //! It drives the *same* [`hc3i_core::NodeEngine`] the discrete-event
 //! simulator uses, and carries out what it emits through the *same*
 //! interpreter ([`hc3i_core::host`]): a shard worker is a
-//! [`hc3i_core::Host`] whose wire is a channel, whose clock is the wall
-//! clock and whose timers are polled deadlines. So the protocol and
+//! [`hc3i_core::Host`] whose wire is a queue or a channel, whose clock is
+//! the wall clock and whose timers are polled deadlines. So the protocol and
 //! hosting logic validated by simulation is exercised unchanged,
 //! allocation-free, on a real concurrent transport, and [`RtEvent`] is the
 //! shared `ProtoEvent` vocabulary the simulator's report is folded from.

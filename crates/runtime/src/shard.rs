@@ -2,15 +2,34 @@
 //!
 //! Each worker owns a fixed set of [`NodeCell`]s (assigned round-robin by
 //! cluster-major global index — see the crate docs for the determinism
-//! contract) and drains one MPMC channel carrying `(slot, Envelope)`
-//! pairs. A sender pushes every envelope for a given destination into that
-//! destination's shard channel, so per-sender FIFO — the paper's network
-//! assumption, and the property the old one-thread-per-node mailboxes
-//! provided — is preserved: a worker processes its channel in arrival
-//! order.
+//! contract) and has two sources of work. Its MPSC channel carries
+//! `(slot, Envelope)` pairs from other threads: the controller, the other
+//! shards, a probe's report. Its in-thread *run queue* carries every
+//! message one of its own nodes sends to another of them:
+//! [`ShardHost::wire`] looks the destination up in the routing table and
+//! pushes onto the queue when the owner is this shard, onto the owner's
+//! channel otherwise. Local traffic — all of a cluster's 2PC when the
+//! cluster sits on one shard — therefore costs a `VecDeque` push and pop:
+//! no atomics, no park/unpark, no tick, no clock read of its own.
 //!
-//! Between messages the worker *ticks*: it fires any due per-node CLC
-//! timers and runs the heartbeat probes of the clusters it homes
+//! **The run queue is empty whenever the worker polls or blocks on its
+//! channel** — the worker drains it after every envelope it takes from the
+//! channel and after every tick, and [`ShardWorker::run`] asserts it.
+//! Three properties rest on that invariant:
+//!
+//! * *FIFO per directed node pair* (the paper's network assumption). A
+//!   pair uses one path for the whole run — same shard, the queue; else
+//!   the destination's channel — and each path is FIFO. Order between
+//!   different senders was never promised.
+//! * *The ping barrier.* When a `Ping` is answered, everything routed to
+//!   this shard before it, and every same-shard consequence of that, has
+//!   been processed; only a hop to another shard outlives the round
+//!   ([`crate::Federation::quiesce`]).
+//! * *Shutdown strands nothing*: `live` is only re-read with the queue
+//!   empty.
+//!
+//! Between channel envelopes the worker *ticks*: it fires any due per-node
+//! CLC timers and runs the heartbeat probes of the clusters it homes
 //! ([`ClusterProbe`]), sleeping via `recv_deadline` until the earliest
 //! pending deadline when idle. One reusable [`OutputBuf`] serves all
 //! nodes of the shard, so steady-state message processing allocates
@@ -18,9 +37,9 @@
 //!
 //! What an engine emits is carried out by the shared interpreter in
 //! [`hc3i_core::host`]; the shard supplies [`ShardHost`]: the wire is the
-//! routing table's channels, the clock is time since the federation's
-//! spawn, timers are cached earliest-deadline bounds the tick polls, and
-//! the event sink is the controller's channel.
+//! run queue or the routing table's channels, the clock is time since the
+//! federation's spawn, timers are cached earliest-deadline bounds the tick
+//! polls, and the event sink is the controller's channel.
 
 use crate::app::Application;
 use crate::detector::ClusterProbe;
@@ -31,6 +50,7 @@ use desim::SimTime;
 use hc3i_core::host::{self, Host, StoreOp, Xport};
 use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, XportConfig};
 use netsim::NodeId;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -70,6 +90,8 @@ fn since(epoch: Instant) -> SimTime {
 /// beside it ([`ShardWorker::split`]).
 struct ShardHost<'a> {
     epoch: Instant,
+    me: u32,
+    local: &'a mut VecDeque<(u32, Envelope)>,
     routes: &'a Routes,
     events: &'a Sender<RtEvent>,
     xport: &'a mut Option<Xport>,
@@ -87,9 +109,19 @@ impl Host for ShardHost<'_> {
         since(self.epoch)
     }
 
+    /// Shard-local delivery: a destination on this worker's own thread is
+    /// a push on its run queue, never a channel crossing. Only enqueues —
+    /// [`ShardWorker::run`] is the one place that dequeues, so a cluster-wide
+    /// fan-out is queue entries, not stack frames.
     fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
-        // A vanished route only happens at shutdown; drop then.
-        let _ = self.routes.send(to, Envelope::Net { from, msg });
+        let (shard, slot) = self.routes.addr(to);
+        let env = Envelope::Net { from, msg };
+        if shard == self.me {
+            self.local.push_back((slot, env));
+        } else {
+            // A vanished route only happens at shutdown; drop then.
+            let _ = self.routes.send(to, env);
+        }
     }
 
     #[inline]
@@ -140,7 +172,14 @@ pub(crate) struct ShardWorker {
     nodes: Vec<NodeCell>,
     /// Slots that ever arm a CLC deadline (timer scans skip the rest).
     timer_slots: Vec<usize>,
+    /// This worker's index in the pool: what [`Routes::addr`] reports for
+    /// the nodes it owns.
+    me: u32,
     rx: Receiver<(u32, Envelope)>,
+    /// The in-thread run queue: every message one of this shard's nodes
+    /// sent to another of them, in emission order. Empty whenever the
+    /// worker polls or blocks on `rx` (see [`ShardWorker::run`]).
+    local: VecDeque<(u32, Envelope)>,
     routes: Arc<Routes>,
     health: Arc<Health>,
     events: Sender<RtEvent>,
@@ -185,10 +224,14 @@ impl ShardWorker {
             .collect();
         let next_clc = nodes.iter().filter_map(|c| c.clc_deadline).min();
         let live = nodes.len();
+        // This worker is whichever shard the table says owns its nodes.
+        let me = nodes.first().map_or(0, |c| routes.addr(c.id).0);
         ShardWorker {
             nodes,
             timer_slots,
+            me,
             rx,
+            local: VecDeque::new(),
             routes,
             health,
             events,
@@ -221,6 +264,9 @@ impl ShardWorker {
     /// the final engine (and application) of each.
     pub(crate) fn run(mut self) -> Vec<(NodeId, NodeFinalState)> {
         while self.live > 0 {
+            // The invariant of the module docs: never touch the channel
+            // with local work pending.
+            debug_assert!(self.local.is_empty(), "run queue drained before polling");
             let msg = match self.next_deadline() {
                 Some(deadline) => match self.rx.recv_deadline(deadline) {
                     Ok(m) => Some(m),
@@ -234,8 +280,11 @@ impl ShardWorker {
             };
             if let Some((slot, env)) = msg {
                 self.handle(slot as usize, env);
+                self.drain_local();
             }
+            // Timers and retransmissions emit through the same `wire`.
             self.tick();
+            self.drain_local();
         }
         // Commits are fsync-ed as they land ([`storage::SyncPolicy::EveryCommit`]);
         // flush any trailing truncate/prune frames on the way out.
@@ -249,6 +298,16 @@ impl ShardWorker {
             .into_iter()
             .map(|c| (c.id, (c.engine, c.app)))
             .collect()
+    }
+
+    /// Run the in-thread queue to empty: everything a same-shard message
+    /// causes on this shard is processed before the channel is looked at
+    /// again, through the same [`ShardWorker::handle`] a channel envelope
+    /// takes.
+    fn drain_local(&mut self) {
+        while let Some((slot, env)) = self.local.pop_front() {
+            self.handle(slot as usize, env);
+        }
     }
 
     /// Earliest pending timer, probe or retransmission deadline, if any.
@@ -289,7 +348,7 @@ impl ShardWorker {
         let (due, ahead) = x.due(since(self.epoch));
         self.next_retry = ahead.map(|t| self.epoch + Duration::from_nanos(t.0));
         for (from, to, seq) in due {
-            let slot = self.routes.slot(from);
+            let slot = self.routes.addr(from).1 as usize;
             let (mut host, ..) = self.split(slot);
             host::retry(&mut host, from, to, seq);
         }
@@ -379,6 +438,8 @@ impl ShardWorker {
         let cell = &mut self.nodes[slot];
         let host = ShardHost {
             epoch: self.epoch,
+            me: self.me,
+            local: &mut self.local,
             routes: &self.routes,
             events: &self.events,
             xport: &mut self.xport,

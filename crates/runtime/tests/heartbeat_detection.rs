@@ -14,7 +14,6 @@ fn n(c: u16, r: u32) -> NodeId {
 fn hb() -> HeartbeatConfig {
     HeartbeatConfig {
         period: Duration::from_millis(20),
-        timeout: Duration::from_millis(15),
     }
 }
 

@@ -7,6 +7,7 @@
 use hc3i_core::{AppPayload, PiggybackMode, ProtocolConfig, SeqNum};
 use netsim::NodeId;
 use runtime::{Federation, RtEvent, RuntimeConfig};
+use std::collections::HashMap;
 use std::time::Duration;
 
 const TICK: Duration = Duration::from_secs(5);
@@ -319,4 +320,101 @@ fn reliable_transport_survives_rollback_replay() {
         SeqNum(1),
         "sender never rolled back"
     );
+}
+
+/// Per-pair FIFO across the local/remote split. With global index `g` on
+/// shard `g % shards` (the documented placement), sender `a` reaches
+/// `same` through its worker's run queue and `other` through a channel,
+/// and for the interleaving sender `b` it is the other way round (at one
+/// shard everything is local). Whatever path a directed pair takes, it
+/// takes for the whole run: each pair's tags arrive in send order, and
+/// every tag exactly once.
+#[test]
+fn per_pair_fifo_holds_across_the_run_queue_and_the_channels() {
+    const PER_SENDER: u64 = 2_000;
+    for shards in [1usize, 2, 3, 8] {
+        let size = 2 * shards as u32 + 2;
+        let fed = Federation::spawn(RuntimeConfig::manual(vec![size]).with_shards(shards));
+        assert_eq!(fed.shards(), shards);
+        let g = |g: usize| n(0, g as u32);
+        let (a, same, other, b) = (g(0), g(shards), g(shards + 1), g(2 * shards + 1));
+        let senders = [a, b];
+        for k in 0..PER_SENDER {
+            let to = if k % 2 == 0 { same } else { other };
+            for (s, &from) in senders.iter().enumerate() {
+                fed.send_app(from, to, pay(s as u64 * PER_SENDER + k));
+            }
+        }
+        let mut last: HashMap<(NodeId, NodeId), u64> = HashMap::new();
+        let mut delivered = 0;
+        fed.wait_for(Duration::from_secs(30), |e| {
+            if let RtEvent::Delivered { to, from, payload } = e {
+                if let Some(prev) = last.insert((*from, *to), payload.tag) {
+                    assert!(
+                        prev < payload.tag,
+                        "{shards} shards: {from} -> {to} delivered tag {} after {prev}",
+                        payload.tag
+                    );
+                }
+                delivered += 1;
+            }
+            delivered == 2 * PER_SENDER
+        })
+        .unwrap_or_else(|| panic!("{shards} shards: {delivered} delivered"));
+        // Strictly increasing per pair and the full count: each tag once.
+        assert_eq!(last.len(), 4, "two senders x two destinations");
+        fed.quiesce(2, TICK);
+        assert!(
+            fed.drain_events()
+                .iter()
+                .all(|e| !matches!(e, RtEvent::Delivered { .. })),
+            "{shards} shards: a duplicate delivery"
+        );
+        fed.shutdown();
+    }
+}
+
+/// One ping round is a barrier for everything a shard does by itself: on
+/// one shard, when `quiesce(1)` returns, every consequence of the sends
+/// routed before it has been processed — an intra-cluster hop, and an
+/// inter-cluster one with the CLC it forces on 128 nodes (request, ack,
+/// commit and fragment fan-outs), its deferred delivery and its ack. The
+/// chains went through the run queue ahead of the pings, not onto the
+/// channel behind them.
+#[test]
+fn one_quiesce_round_flushes_every_same_shard_consequence() {
+    let fed = Federation::spawn(RuntimeConfig::manual(vec![128, 2]).with_shards(1));
+    fed.send_app(n(0, 0), n(0, 1), pay(7));
+    fed.send_app(n(1, 0), n(0, 5), pay(9));
+    assert_eq!(fed.quiesce(1, TICK), 130);
+    let seen = fed.drain_events();
+    for tag in [7, 9] {
+        assert!(
+            seen.iter()
+                .any(|e| matches!(e, RtEvent::Delivered { payload, .. } if payload.tag == tag)),
+            "tag {tag} not flushed by the barrier: {seen:?}"
+        );
+    }
+    let engines = fed.shutdown();
+    let ack = engines[&n(1, 0)].log().iter().next().unwrap().ack_sn;
+    assert_eq!(ack, Some(SeqNum(2)), "the ack is part of the chain");
+}
+
+/// `Duration::MAX` means "wait forever", not `Instant` overflow.
+#[test]
+fn an_unbounded_timeout_waits_instead_of_panicking() {
+    let fed = Federation::spawn(RuntimeConfig::manual(vec![2, 2]).with_shards(1));
+    fed.checkpoint_now(0);
+    let ev = fed.next_event(Duration::MAX).expect("an event");
+    assert!(
+        matches!(ev, RtEvent::Committed { cluster: 0, .. }),
+        "{ev:?}"
+    );
+    fed.checkpoint_now(1);
+    fed.wait_for(Duration::MAX, |e| {
+        matches!(e, RtEvent::Committed { cluster: 1, .. })
+    })
+    .expect("commit");
+    assert_eq!(fed.quiesce(1, Duration::MAX), 4);
+    fed.shutdown();
 }
