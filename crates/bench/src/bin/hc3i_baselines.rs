@@ -724,8 +724,9 @@ fn markdown(entries: &[Entry], quick: bool, seed: u64, old: Option<&[OldEntry]>)
         "\n## Ungated entries\n\n\
          `scaling_mega` (the 102,400-node ring) is a single-rep wall-time\n\
          recording, not rate-gated (see `gated` in the source); CI's\n\
-         `runtime-scale` job asserts its wall-clock ceiling and a 1 GiB\n\
-         ceiling on the run's peak RSS. `calibration` is the normalizer.\n",
+         `runtime-scale` job asserts its wall-clock ceiling and a ceiling\n\
+         on the run's peak RSS (`rss_ceiling_kb` there: 1.5 x the measured\n\
+         peak). `calibration` is the normalizer.\n",
     );
     s
 }

@@ -211,6 +211,36 @@ fn fault_on_a_node_outside_the_topology_is_a_usage_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `compute_mean` of zero parses as a duration, and a generator stepping
+/// its clock by zero never reaches the horizon: the file is refused with
+/// its line (exit 1, as for any bad config file) before anything is
+/// scheduled, instead of the run filling memory until the allocator
+/// aborts.
+#[test]
+fn a_zero_compute_mean_is_a_config_error_not_a_hang() {
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-zero-mean-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let args = small_configs(&dir);
+    let app = dir.join("application.conf");
+    std::fs::write(
+        &app,
+        "duration 60m\npayload 256\ncompute_mean 0 0s\ncompute_mean 1 30s\n\
+         pattern 0 0.9 0.1\npattern 1 0.1 0.9\n",
+    )
+    .unwrap();
+    let out = Command::new(bin()).args(&args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr).trim_end(),
+        format!(
+            "error: {}: line 3: compute_mean must be positive",
+            app.display()
+        )
+    );
+    assert!(out.stdout.is_empty(), "no report");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The simulator has one executive: the flag that used to pick a shard
 /// count is an unknown option on both subcommands. (Spelled in two
 /// halves so a grep of the tree for the old knob stays empty.)

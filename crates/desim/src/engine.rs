@@ -65,7 +65,7 @@ pub trait World {
 pub struct Ctx<'a, E> {
     now: SimTime,
     queue: &'a mut EventQueue<E>,
-    feed: &'a mut std::collections::VecDeque<(SimTime, E)>,
+    feed: &'a mut Feed<E>,
     inbox: &'a mut BTreeMap<(SimTime, InboxKey), E>,
     stop_requested: &'a mut bool,
 }
@@ -177,8 +177,8 @@ impl InstantBatch {
         if self.taken >= self.budget || *ctx.stop_requested {
             return None;
         }
-        let event = match ctx.feed.front() {
-            Some(&(ft, _)) if ft == self.at => ctx.feed.pop_front().expect("peeked").1,
+        let event = match ctx.feed.next_time() {
+            Some(ft) if ft == self.at => ctx.feed.pop(),
             _ => match ctx.queue.pop_if_at(self.at) {
                 Some(e) => e,
                 None => match ctx.inbox.first_key_value() {
@@ -191,6 +191,39 @@ impl InstantBatch {
         };
         self.taken += 1;
         Some(event)
+    }
+}
+
+/// The external workload: a time-sorted stream read one event ahead, so
+/// the executive holds one feed event however long the stream is.
+struct Feed<E> {
+    /// The next feed event to dispatch, already pulled from `rest`.
+    head: Option<(SimTime, E)>,
+    /// The stream behind `head`; `None` until a feed is installed.
+    rest: Option<Box<dyn Iterator<Item = (SimTime, E)>>>,
+}
+
+impl<E> Feed<E> {
+    /// Time of the next feed event, if any.
+    #[inline]
+    fn next_time(&self) -> Option<SimTime> {
+        self.head.as_ref().map(|&(at, _)| at)
+    }
+
+    /// Pull the event behind the current head (or the first one, with
+    /// `floor` the clock at install), refusing a step back in time.
+    fn advance(&mut self, floor: SimTime, what: &str) {
+        self.head = self.rest.as_mut().and_then(|rest| rest.next());
+        if let Some((at, _)) = self.head {
+            assert!(at >= floor, "workload feed {what}: {at} < {floor}");
+        }
+    }
+
+    /// Take the head event and read one ahead.
+    fn pop(&mut self) -> E {
+        let (at, event) = self.head.take().expect("peeked");
+        self.advance(at, "must be sorted by time");
+        event
     }
 }
 
@@ -212,9 +245,9 @@ pub struct Simulation<W: World> {
     world: W,
     queue: EventQueue<W::Event>,
     /// Pre-sorted external workload, merged lazily into the dispatch order
-    /// (see [`Simulation::feed_sorted`]). Kept outside the queue so a
-    /// bulk workload does not inflate the in-flight set for the whole run.
-    feed: std::collections::VecDeque<(SimTime, W::Event)>,
+    /// (see [`Simulation::feed_from`]). Kept outside the queue so a bulk
+    /// workload does not inflate the in-flight set for the whole run.
+    feed: Feed<W::Event>,
     /// Canonically-ordered side channel (see [`InboxKey`]): events here
     /// dispatch after the queue at their instant, in key order.
     inbox: BTreeMap<(SimTime, InboxKey), W::Event>,
@@ -229,7 +262,10 @@ impl<W: World> Simulation<W> {
         Simulation {
             world,
             queue: EventQueue::new(),
-            feed: std::collections::VecDeque::new(),
+            feed: Feed {
+                head: None,
+                rest: None,
+            },
             inbox: BTreeMap::new(),
             now: SimTime::ZERO,
             stop_requested: false,
@@ -268,35 +304,9 @@ impl<W: World> Simulation<W> {
         self.queue.push(at, event)
     }
 
-    /// Install a bulk external workload: `events` must be sorted by time
-    /// (ties fire in vector order) and is merged lazily into the dispatch
-    /// order. At equal timestamps a fed event fires **before** anything in
-    /// the pending-event set — exactly the order that scheduling the whole
-    /// workload up-front (before any other initial event) used to produce,
-    /// so runs are bit-identical to the eager schedule.
-    ///
-    /// The point is cost, not semantics: a 15k-send workload used to sit in
-    /// the pending set for the entire run, taxing every queue operation;
-    /// as a sorted side feed, the queue holds only in-flight events.
-    ///
-    /// # Panics
-    /// If a feed is already installed, or `events` is unsorted or starts in
-    /// the past.
-    pub fn feed_sorted(&mut self, events: Vec<(SimTime, W::Event)>) {
-        assert!(self.feed.is_empty(), "workload feed already installed");
-        assert!(
-            events.windows(2).all(|w| w[0].0 <= w[1].0),
-            "workload feed must be sorted by time"
-        );
-        if let Some(&(first, _)) = events.first() {
-            assert!(first >= self.now, "workload feed starts in the past");
-        }
-        self.feed = events.into();
-    }
-
     /// Time of the next event to dispatch (feed wins ties), if any.
     fn next_time(&mut self) -> Option<SimTime> {
-        let fq = match (self.feed.front().map(|&(at, _)| at), self.queue.peek_time()) {
+        let fq = match (self.feed.next_time(), self.queue.peek_time()) {
             (Some(f), Some(q)) => Some(f.min(q)),
             (Some(f), None) => Some(f),
             (None, q) => q,
@@ -374,6 +384,43 @@ impl<W: World> Simulation<W> {
             }
         }
         RunOutcome::Stopped
+    }
+}
+
+/// The workload feed. The stream is boxed as `'static`, hence the bound,
+/// which only these two entries carry.
+impl<W: World> Simulation<W>
+where
+    W::Event: 'static,
+{
+    /// Install a bulk external workload as a pulled stream: `events` must
+    /// yield in time order (ties fire in stream order) and is read one
+    /// event ahead of the dispatch, so the executive holds one feed event
+    /// at a time whatever the stream's length — the stream decides what,
+    /// if anything, is materialised behind it. At equal timestamps a fed
+    /// event fires **before** anything in the pending-event set — exactly
+    /// the order that scheduling the whole workload up-front (before any
+    /// other initial event) would produce, without the workload sitting
+    /// in the pending set for the entire run and taxing every queue
+    /// operation.
+    ///
+    /// # Panics
+    /// If a feed is already installed or the stream starts in the past;
+    /// and, when the offending event is pulled, if the stream steps back
+    /// in time.
+    pub fn feed_from<I>(&mut self, events: I)
+    where
+        I: Iterator<Item = (SimTime, W::Event)> + 'static,
+    {
+        assert!(self.feed.rest.is_none(), "workload feed already installed");
+        self.feed.rest = Some(Box::new(events));
+        self.feed.advance(self.now, "starts in the past");
+    }
+
+    /// [`Simulation::feed_from`] over a workload that is already a vector
+    /// (consumed front to back as it is dispatched).
+    pub fn feed_sorted(&mut self, events: Vec<(SimTime, W::Event)>) {
+        self.feed_from(events.into_iter());
     }
 }
 
@@ -809,5 +856,71 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Exhausted);
         expect.sort_by_key(|&(at, ev)| (at, (1_000..2_000).contains(&ev) as u32, ev));
         assert_eq!(sim.world().fired, expect);
+    }
+
+    /// Records every event it is handed.
+    struct Fired(Vec<u32>);
+    impl World for Fired {
+        type Event = u32;
+        fn handle(&mut self, _: &mut Ctx<'_, u32>, ev: u32) {
+            self.0.push(ev);
+        }
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    #[test]
+    fn feed_is_pulled_one_event_ahead() {
+        // The stream counts the events it yields: installing pulls the one
+        // look-ahead, and k dispatched feed events have pulled k + 1.
+        use std::cell::Cell;
+        use std::rc::Rc;
+        let pulled = Rc::new(Cell::new(0u32));
+        let counter = pulled.clone();
+        let mut sim = Simulation::new(Fired(vec![]));
+        sim.feed_from((0..1_000u32).map(move |i| {
+            counter.set(counter.get() + 1);
+            (secs(u64::from(i / 2)), i)
+        }));
+        assert_eq!(pulled.get(), 1, "install reads the look-ahead only");
+        for k in 1..=10 {
+            assert!(sim.step());
+            assert_eq!(pulled.get(), k + 1);
+        }
+        assert_eq!(sim.world().0, (0..10).collect::<Vec<_>>());
+        assert_eq!(sim.run(), RunOutcome::Exhausted);
+        assert_eq!(sim.events_processed(), 1_000);
+        assert_eq!(pulled.get(), 1_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be sorted by time")]
+    fn feed_stepping_back_in_time_panics_when_pulled() {
+        let mut sim = Simulation::new(Fired(vec![]));
+        sim.feed_sorted(vec![(secs(1), 1), (secs(3), 2), (secs(2), 3), (secs(4), 4)]);
+        // Installing and the first event are fine; dispatching the second
+        // pulls the offender.
+        assert!(sim.step());
+        assert_eq!(sim.world().0, vec![1]);
+        sim.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "starts in the past")]
+    fn feed_starting_before_now_panics() {
+        let mut sim = Simulation::new(Fired(vec![]));
+        sim.schedule_at(secs(5), 0);
+        sim.run();
+        sim.feed_sorted(vec![(secs(4), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "already installed")]
+    fn second_feed_panics() {
+        let mut sim = Simulation::new(Fired(vec![]));
+        sim.feed_sorted(vec![]);
+        sim.feed_sorted(vec![(secs(1), 1)]);
     }
 }

@@ -6,8 +6,8 @@
 //! * a simulated clock and cancellable future-event list ([`EventQueue`]) —
 //!   a `(time, seq)`-ordered binary heap over a generation-stamped slab,
 //!   giving O(1) hash-free cancellation and allocation-free steady-state
-//!   cycles (the bulk workload lives in a sorted side feed, so the heap
-//!   holds only what is in flight),
+//!   cycles (the bulk workload is pulled from a sorted side feed one event
+//!   ahead, so the heap holds only what is in flight),
 //! * an instant-batching event-scheduling executive ([`Simulation`] /
 //!   [`World`] / [`InstantBatch`]),
 //! * named, independent, reproducible RNG streams ([`RngStreams`]),

@@ -6,11 +6,14 @@
 //! this is what makes whole-federation runs bit-for-bit reproducible under
 //! a fixed seed.
 //!
-//! Why a plain heap: the executive keeps the bulk workload in a sorted
-//! side feed ([`Simulation::feed_sorted`](crate::Simulation::feed_sorted)),
-//! so the heap only ever holds what is in flight — protocol timers and
-//! messages on the wire. Measured, that is about 10³ events (peak 1,214 on
-//! a 512 x 100-node federation, 2,126 on 1024 x 100), where `log n` is ten
+//! Why a plain heap: the executive pulls the bulk workload from a sorted
+//! side feed one event ahead
+//! ([`Simulation::feed_from`](crate::Simulation::feed_from)), so the heap
+//! only ever holds what is in flight — protocol timers and messages on the
+//! wire — however long the schedule is (1.39 M sends on the paper's
+//! reference federation over 250 simulated hours). Measured, that is about
+//! 10³ events (peak 1,214 on a 512 x 100-node federation, 2,126 on
+//! 1024 x 100), where `log n` is ten
 //! comparisons over two or three cache lines. A 700-line timing structure
 //! tuned for 10⁵-event populations was A/B'd against this heap on every
 //! workload the repository runs and lost on all of them, including the one

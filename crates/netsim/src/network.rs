@@ -50,34 +50,45 @@ pub struct TrafficCell {
 
 /// The network model: timing + accounting.
 ///
-/// Hot-path layout: traffic accounts and contention pipes live in dense
-/// `clusters × clusters` arrays (the cluster-pair domain is known up
-/// front). The per-node-channel FIFO state follows the federation's
-/// hierarchy: *intra*-cluster channels — nearly all of the traffic, all
-/// ranks talking to all ranks — sit in one dense rank table per cluster,
-/// so an intra-cluster `send` hashes nothing and allocates nothing after
-/// its cluster's first message; *inter*-cluster channels — many possible,
-/// few used — share one hash map keyed by the node pair, so their memory
-/// is proportional to the channels that carried a message, not to
-/// `nodes²` per cluster pair.
+/// Hot-path layout: state is sized by what carried a message, never by
+/// federation width squared, and follows the federation's hierarchy.
+/// *Intra*-cluster traffic — nearly all of it, all ranks talking to all
+/// ranks — has one dense rank table of FIFO state and one `[App,
+/// Protocol, Ack]` account per cluster, so an intra-cluster `send` hashes
+/// nothing and allocates nothing after its cluster's first message.
+/// *Inter*-cluster traffic — many possible routes, few used: on a ring
+/// each cluster talks to two — shares two hash maps, one keyed by the
+/// directed node channel (FIFO state) and one by the directed cluster
+/// pair (contention pipe and accounts), each with an entry only for what
+/// has carried a message.
 pub struct Network {
     topology: Topology,
     contention: ContentionModel,
-    n_clusters: usize,
     /// Per directed intra-cluster node channel, indexed by cluster: last
     /// scheduled arrival (FIFO ordering). `None` until the cluster's first
     /// intra-cluster message.
     intra_channels: Vec<Option<IntraFifo>>,
     /// The same for every directed inter-cluster node channel in use.
     inter_channels: FastHashMap<(NodeId, NodeId), SimTime>,
-    /// Per directed cluster pair: when the shared pipe frees up (dense
-    /// `from * n + to`; `ZERO` = never used).
-    pipe_free_at: Vec<SimTime>,
-    /// Accounting: dense `(from * n + to) * 3 + class` cells.
-    accounts: Vec<TrafficCell>,
+    /// Accounting of each cluster's traffic to itself.
+    intra_accounts: Vec<Accounts>,
+    /// Pipe and accounting of every directed pair of distinct clusters
+    /// that has carried a message.
+    pairs: FastHashMap<(ClusterId, ClusterId), PairState>,
 }
 
 const N_CLASSES: usize = 3;
+
+/// One route's cumulative traffic, indexed as `[App, Protocol, Ack]`.
+type Accounts = [TrafficCell; N_CLASSES];
+
+/// What the network keeps per directed pair of distinct clusters.
+#[derive(Default)]
+struct PairState {
+    /// When the shared pipe frees up (`ZERO` = never contended for).
+    pipe_free_at: SimTime,
+    accounts: Accounts,
+}
 
 /// A cluster's `ranks × ranks` channel table is allocated densely up to
 /// this many cells (512 KiB, 256 ranks); larger clusters hash per cluster.
@@ -126,17 +137,11 @@ impl Network {
         Network {
             topology,
             contention: ContentionModel::default(),
-            n_clusters: n,
             intra_channels: (0..n).map(|_| None).collect(),
             inter_channels: FastHashMap::default(),
-            pipe_free_at: vec![SimTime::ZERO; n * n],
-            accounts: vec![TrafficCell::default(); n * n * N_CLASSES],
+            intra_accounts: vec![Accounts::default(); n],
+            pairs: FastHashMap::default(),
         }
-    }
-
-    #[inline]
-    fn account_index(&self, from: ClusterId, to: ClusterId, class: MessageClass) -> usize {
-        (from.index() * self.n_clusters + to.index()) * N_CLASSES + class_index(class)
     }
 
     /// Select the contention model.
@@ -163,36 +168,40 @@ impl Network {
         let link = self.topology.link_between(from.cluster, to.cluster);
         let transmit = link.transmit_time(bytes);
 
-        // Queueing under the chosen contention model.
-        let depart = match self.contention {
-            ContentionModel::Unlimited => now,
-            ContentionModel::InterClusterFifo if from.cluster != to.cluster => {
-                let pipe = &mut self.pipe_free_at
-                    [from.cluster.index() * self.n_clusters + to.cluster.index()];
-                let depart = (*pipe).max(now);
-                *pipe = depart.saturating_add(transmit);
-                depart
-            }
-            ContentionModel::InterClusterFifo => now,
-        };
-
-        let mut arrival = depart.saturating_add(transmit).saturating_add(link.latency);
-        // Enforce FIFO per directed node channel.
-        let last = if from.cluster == to.cluster {
-            let fifo = self.intra_channels[from.cluster.index()].get_or_insert_with(|| {
+        // Where this route's state lives: the departure under the chosen
+        // contention model (only inter-cluster transfers queue), the FIFO
+        // cell of the directed node channel, and the account to charge.
+        let (depart, last, accounts) = if from.cluster == to.cluster {
+            let c = from.cluster.index();
+            let fifo = self.intra_channels[c].get_or_insert_with(|| {
                 IntraFifo::new(self.topology.nodes_in(from.cluster) as usize)
             });
-            match fifo {
+            let last = match fifo {
                 IntraFifo::Dense { ranks, last } => {
                     &mut last[from.rank as usize * *ranks + to.rank as usize]
                 }
                 IntraFifo::Hash(m) => m.entry((from.rank, to.rank)).or_insert(SimTime::ZERO),
-            }
+            };
+            (now, last, &mut self.intra_accounts[c])
         } else {
-            self.inter_channels
+            let pair = self.pairs.entry((from.cluster, to.cluster)).or_default();
+            let depart = match self.contention {
+                ContentionModel::Unlimited => now,
+                ContentionModel::InterClusterFifo => {
+                    let depart = pair.pipe_free_at.max(now);
+                    pair.pipe_free_at = depart.saturating_add(transmit);
+                    depart
+                }
+            };
+            let last = self
+                .inter_channels
                 .entry((from, to))
-                .or_insert(SimTime::ZERO)
+                .or_insert(SimTime::ZERO);
+            (depart, last, &mut pair.accounts)
         };
+
+        let mut arrival = depart.saturating_add(transmit).saturating_add(link.latency);
+        // Enforce FIFO per directed node channel.
         if arrival <= *last {
             arrival = last.saturating_add(SimDuration::from_nanos(1));
         }
@@ -203,22 +212,22 @@ impl Network {
             arrival = now.saturating_add(SimDuration::from_nanos(1));
         }
 
-        let idx = self.account_index(from.cluster, to.cluster, class);
-        let cell = &mut self.accounts[idx];
+        let cell = &mut accounts[class_index(class)];
         cell.messages += 1;
         cell.bytes += bytes;
 
         arrival
     }
 
-    /// Traffic charged to a `(from, to, class)` account. Out-of-range
-    /// cluster ids report zero traffic (the function is total, as before
-    /// the dense-array rewrite).
+    /// Traffic charged to a `(from, to, class)` account. Total: a pair that
+    /// never carried a message, and out-of-range cluster ids, report zero.
     pub fn traffic(&self, from: ClusterId, to: ClusterId, class: MessageClass) -> TrafficCell {
-        if from.index() >= self.n_clusters || to.index() >= self.n_clusters {
-            return TrafficCell::default();
-        }
-        self.accounts[self.account_index(from, to, class)]
+        let accounts = if from == to {
+            self.intra_accounts.get(from.index())
+        } else {
+            self.pairs.get(&(from, to)).map(|pair| &pair.accounts)
+        };
+        accounts.map_or_else(TrafficCell::default, |a| a[class_index(class)])
     }
 
     /// All application messages from `from` to `to` (the Table 1 cells).
@@ -231,24 +240,28 @@ impl Network {
         self.total_by_class(MessageClass::Protocol)
     }
 
-    /// Every `(from, to)` account cell of one class, row-major.
-    fn cells_of_class(
-        &self,
-        class: MessageClass,
-    ) -> impl Iterator<Item = (usize, usize, &TrafficCell)> {
-        let n = self.n_clusters;
-        let k = class_index(class);
-        (0..n).flat_map(move |f| {
-            (0..n).map(move |t| (f, t, &self.accounts[(f * n + t) * N_CLASSES + k]))
-        })
+    /// Every route that has an account — each cluster to itself, and the
+    /// directed pairs that carried a message — with its cells as `[App,
+    /// Protocol, Ack]`, in no particular order. A route not yielded has
+    /// carried nothing.
+    pub fn accounts(&self) -> impl Iterator<Item = (ClusterId, ClusterId, &[TrafficCell; 3])> {
+        let intra = self.intra_accounts.iter().enumerate().map(|(c, cells)| {
+            let c = ClusterId(c as u16);
+            (c, c, cells)
+        });
+        let inter = self
+            .pairs
+            .iter()
+            .map(|(&(from, to), pair)| (from, to, &pair.accounts));
+        intra.chain(inter)
     }
 
     /// Messages and bytes of every class summed over all accounts, in one
-    /// sweep of the table; indexed as `[App, Protocol, Ack]`.
+    /// sweep; indexed as `[App, Protocol, Ack]`.
     pub fn class_totals(&self) -> [TrafficCell; 3] {
         let mut totals = [TrafficCell::default(); N_CLASSES];
-        for pair in self.accounts.chunks_exact(N_CLASSES) {
-            for (total, cell) in totals.iter_mut().zip(pair) {
+        for (_, _, cells) in self.accounts() {
+            for (total, cell) in totals.iter_mut().zip(cells) {
                 total.messages += cell.messages;
                 total.bytes += cell.bytes;
             }
@@ -268,10 +281,8 @@ impl Network {
 
     /// Inter-cluster messages of one class (excludes intra-cluster traffic).
     pub fn inter_cluster_by_class(&self, class: MessageClass) -> u64 {
-        self.cells_of_class(class)
-            .filter(|(f, t, _)| f != t)
-            .map(|(_, _, c)| c.messages)
-            .sum()
+        let k = class_index(class);
+        self.pairs.values().map(|p| p.accounts[k].messages).sum()
     }
 }
 

@@ -4,6 +4,7 @@
 use desim::{SimDuration, SimTime};
 use netsim::{
     ClusterId, ClusterSpec, ContentionModel, LinkSpec, MessageClass, Network, NodeId, Topology,
+    TrafficCell,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -159,26 +160,45 @@ fn wide_node_strategy() -> impl Strategy<Value = NodeId> {
     })
 }
 
-/// The network's timing rules restated over plain hash maps: one FIFO
-/// entry per directed node channel, one pipe per directed cluster pair.
-#[derive(Default)]
+/// The network's rules restated the plain way: one FIFO entry per
+/// directed node channel and one pipe per directed cluster pair in hash
+/// maps, and the accounts as the dense `clusters x clusters x class`
+/// table the network itself does not keep.
 struct ReferenceNetwork {
+    topology: Topology,
     contended: bool,
     last_arrival: HashMap<(NodeId, NodeId), SimTime>,
     pipe_free_at: HashMap<(ClusterId, ClusterId), SimTime>,
+    /// `accounts[from * n + to][class]`.
+    accounts: Vec<[TrafficCell; 3]>,
 }
 
+const CLASSES: [MessageClass; 3] = [MessageClass::App, MessageClass::Protocol, MessageClass::Ack];
+
 impl ReferenceNetwork {
-    fn send(
-        &mut self,
-        topo: &Topology,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> SimTime {
+    fn new(topology: Topology, contended: bool) -> Self {
+        let n = topology.num_clusters();
+        ReferenceNetwork {
+            topology,
+            contended,
+            last_arrival: HashMap::new(),
+            pipe_free_at: HashMap::new(),
+            accounts: vec![[TrafficCell::default(); 3]; n * n],
+        }
+    }
+
+    /// The network under test over the same topology and contention model.
+    fn network(&self) -> Network {
+        Network::new(self.topology.clone()).with_contention(if self.contended {
+            ContentionModel::InterClusterFifo
+        } else {
+            ContentionModel::Unlimited
+        })
+    }
+
+    fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64, class: u8) -> SimTime {
         let tick = SimDuration::from_nanos(1);
-        let link = topo.link_between(from.cluster, to.cluster);
+        let link = self.topology.link_between(from.cluster, to.cluster);
         let transmit = link.transmit_time(bytes);
         let mut depart = now;
         if self.contended && from.cluster != to.cluster {
@@ -195,15 +215,92 @@ impl ReferenceNetwork {
             arrival = last.saturating_add(tick);
         }
         *last = arrival;
+        let n = self.topology.num_clusters();
+        let cell = &mut self.accounts[from.cluster.index() * n + to.cluster.index()]
+            [class.min(2) as usize];
+        cell.messages += 1;
+        cell.bytes += bytes;
         arrival.max(now.saturating_add(tick))
+    }
+
+    /// Every accounting view of `net` against the dense table: each cell
+    /// of each class, the class totals, the inter-cluster sums, and zero
+    /// for ids the topology does not have.
+    fn check_accounts(&self, net: &Network) -> Result<(), TestCaseError> {
+        let n = self.topology.num_clusters();
+        let mut totals = [TrafficCell::default(); 3];
+        let mut inter = [0u64; 3];
+        for (slot, cells) in self.accounts.iter().enumerate() {
+            let (from, to) = (ClusterId((slot / n) as u16), ClusterId((slot % n) as u16));
+            for (k, &class) in CLASSES.iter().enumerate() {
+                prop_assert_eq!(net.traffic(from, to, class), cells[k], "{} -> {}", from, to);
+                totals[k].messages += cells[k].messages;
+                totals[k].bytes += cells[k].bytes;
+                if from != to {
+                    inter[k] += cells[k].messages;
+                }
+            }
+            prop_assert_eq!(net.app_messages(from, to), cells[0].messages);
+        }
+        prop_assert_eq!(net.class_totals(), totals);
+        let mut seen = vec![false; n * n];
+        for (from, to, cells) in net.accounts() {
+            let slot = from.index() * n + to.index();
+            prop_assert!(
+                !std::mem::replace(&mut seen[slot], true),
+                "route yielded twice"
+            );
+            prop_assert_eq!(cells, &self.accounts[slot]);
+        }
+        for (slot, cells) in self.accounts.iter().enumerate() {
+            prop_assert!(seen[slot] || *cells == [TrafficCell::default(); 3]);
+        }
+        let beyond = ClusterId(n as u16);
+        for (k, &class) in CLASSES.iter().enumerate() {
+            prop_assert_eq!(net.total_by_class(class), totals[k].messages);
+            prop_assert_eq!(net.total_bytes_by_class(class), totals[k].bytes);
+            prop_assert_eq!(net.inter_cluster_by_class(class), inter[k]);
+            for (from, to) in [
+                (beyond, ClusterId(0)),
+                (ClusterId(0), beyond),
+                (beyond, beyond),
+                (ClusterId(u16::MAX), ClusterId(u16::MAX - 1)),
+            ] {
+                prop_assert_eq!(net.traffic(from, to, class), TrafficCell::default());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A federation of `n` three-node clusters that talk along a ring
+/// (`c -> c ± 1`) or a star (`0 <-> c`): `n²` possible cluster pairs, `2n`
+/// used. `pick` names a cluster and `kind` what it does: 0 sends to
+/// itself, 1 along its edge, 2 against it.
+fn edge_of(star: bool, n: u16, pick: u16, kind: u8) -> (u16, u16) {
+    let c = pick % n;
+    let peer = if star {
+        if c == 0 {
+            1
+        } else {
+            0
+        }
+    } else {
+        (c + 1) % n
+    };
+    match kind {
+        0 => (c, c),
+        1 => (c, peer),
+        _ => (peer, c),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Whatever table a channel's FIFO state lives in, every arrival is
-    /// the reference model's, under both contention models.
+    /// Whatever table a channel's FIFO state lives in, every arrival and
+    /// every account is the reference model's, under both contention
+    /// models.
     #[test]
     fn arrivals_equal_the_reference_model(
         sends in prop::collection::vec(
@@ -212,14 +309,8 @@ proptest! {
         ),
         contended in any::<bool>(),
     ) {
-        let topo = wide_topology();
-        let model = if contended {
-            ContentionModel::InterClusterFifo
-        } else {
-            ContentionModel::Unlimited
-        };
-        let mut net = Network::new(topo.clone()).with_contention(model);
-        let mut reference = ReferenceNetwork { contended, ..Default::default() };
+        let mut reference = ReferenceNetwork::new(wide_topology(), contended);
+        let mut net = reference.network();
         let mut now = SimTime::ZERO;
         for &(gap_us, from, to, bytes, class_pick) in &sends {
             if from == to {
@@ -227,9 +318,43 @@ proptest! {
             }
             now += SimDuration::from_micros(gap_us);
             let got = net.send(now, from, to, bytes, class_of(class_pick));
-            let want = reference.send(&topo, now, from, to, bytes);
+            let want = reference.send(now, from, to, bytes, class_pick);
             prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
         }
+        reference.check_accounts(&net)?;
+    }
+
+    /// The same on federations of 64–256 clusters whose traffic follows a
+    /// ring or a star: pair state exists only for the edges that carried
+    /// a message, and every view of it still equals the dense table —
+    /// including the `n² - 2n` pairs that never did.
+    #[test]
+    fn rings_and_stars_equal_the_dense_model(
+        star in any::<bool>(),
+        n in 64u16..=256,
+        sends in prop::collection::vec(
+            (0u64..500, any::<u16>(), 0u8..3, 0u32..3, 0u32..3, 0u64..2_000_000, 0u8..3),
+            1..300,
+        ),
+        contended in any::<bool>(),
+    ) {
+        let cluster = ClusterSpec { nodes: 3, intra: LinkSpec::myrinet_like() };
+        let topology = Topology::new(vec![cluster; n as usize], LinkSpec::ethernet_like());
+        let mut reference = ReferenceNetwork::new(topology, contended);
+        let mut net = reference.network();
+        let mut now = SimTime::ZERO;
+        for &(gap_us, pick, kind, from_rank, to_rank, bytes, class_pick) in &sends {
+            let (from, to) = edge_of(star, n, pick, kind);
+            let (from, to) = (NodeId::new(from, from_rank), NodeId::new(to, to_rank));
+            if from == to {
+                continue;
+            }
+            now += SimDuration::from_micros(gap_us);
+            let got = net.send(now, from, to, bytes, class_of(class_pick));
+            let want = reference.send(now, from, to, bytes, class_pick);
+            prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
+        }
+        reference.check_accounts(&net)?;
     }
 }
 

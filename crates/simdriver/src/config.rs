@@ -29,7 +29,11 @@ pub struct SimConfig {
     pub detection_delay: SimDuration,
     /// Total simulated application time.
     pub duration: SimDuration,
-    /// The application send schedule.
+    /// The application send schedule, sorted by time as
+    /// [`workload::Workload::schedule`] returns it. [`run`](crate::run())
+    /// checks the order and panics on a schedule that steps back in time;
+    /// it holds the schedule once, walking it as the run proceeds, and a
+    /// send's tag is its index here.
     pub sends: Vec<SendEvent>,
     /// Scripted faults (in addition to MTBF-driven ones if the topology
     /// sets an MTBF).
@@ -122,7 +126,7 @@ impl SimConfig {
         self
     }
 
-    /// Replace the send schedule.
+    /// Replace the send schedule (time-sorted; see [`SimConfig::sends`]).
     pub fn with_sends(mut self, sends: Vec<SendEvent>) -> Self {
         self.sends = sends;
         self

@@ -14,7 +14,9 @@ const EVENT_BUDGET: u64 = 500_000_000;
 /// Run one federation simulation to completion and report.
 ///
 /// # Panics
-/// If the event budget is exhausted (a protocol livelock — never expected).
+/// If [`SimConfig::sends`] is not sorted by time (checked before the first
+/// event; the message names the first send out of order), or if the event
+/// budget is exhausted (a protocol livelock — never expected).
 pub fn run(cfg: SimConfig) -> RunReport {
     run_traced(cfg).0
 }
@@ -44,46 +46,43 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     let streams = RngStreams::new(sim.world().cfg.seed);
     let horizon = sim.world().cfg.horizon();
 
-    // Install the workload as a lazily-merged sorted feed: scheduling it
-    // first used to give every send the smallest sequence numbers, so
-    // sends fired before same-instant protocol events — the feed's
-    // tie-breaking rule reproduces exactly that order while keeping the
-    // bulk workload out of the pending-event heap (whose per-op cost
-    // scales with its depth).
-    let mut workload: Vec<(SimTime, Ev)> = sim
-        .world()
-        .cfg
-        .sends
-        .iter()
-        .enumerate()
-        .map(|(tag, s)| {
-            (
-                s.at,
-                Ev::AppSend {
-                    from: s.from,
-                    to: s.to,
-                    bytes: s.bytes,
-                    tag: tag as u64,
-                },
-            )
-        })
-        .collect();
-    // Stable: equal-time sends keep their schedule order, matching the
-    // old scheduling-sequence tie-break.
-    workload.sort_by_key(|&(at, _)| at);
-    sim.feed_sorted(workload);
+    // Install the workload as a pulled feed: scheduling it first would
+    // give every send the smallest sequence numbers, so sends fire before
+    // same-instant protocol events — the feed's tie-breaking rule
+    // reproduces exactly that order while keeping the bulk workload out
+    // of the pending-event heap (whose per-op cost scales with its depth).
+    // The schedule is moved out of the world and mapped as it is pulled,
+    // so the run holds it once; a send's tag is its index in `cfg.sends`.
+    let sends = std::mem::take(&mut sim.world_mut().cfg.sends);
+    if let Some(i) = sends.windows(2).position(|w| w[1].at < w[0].at) {
+        panic!(
+            "cfg.sends must be sorted by time: send {} at {} follows send {i} at {}",
+            i + 1,
+            sends[i + 1].at,
+            sends[i].at
+        );
+    }
+    sim.feed_from(sends.into_iter().enumerate().map(|(tag, s)| {
+        let ev = Ev::AppSend {
+            from: s.from,
+            to: s.to,
+            bytes: s.bytes,
+            tag: tag as u64,
+        };
+        (s.at, ev)
+    }));
 
     // Scripted faults, checkpoints and collections.
-    let faults = sim.world().cfg.faults.clone();
-    for f in faults {
+    for i in 0..sim.world().cfg.faults.len() {
+        let f = sim.world().cfg.faults[i];
         sim.schedule_at(f.at, Ev::Fault { node: f.node });
     }
-    let clcs = sim.world().cfg.scripted_clcs.clone();
-    for (at, cluster) in clcs {
+    for i in 0..sim.world().cfg.scripted_clcs.len() {
+        let (at, cluster) = sim.world().cfg.scripted_clcs[i];
         sim.schedule_at(at, Ev::ClcNow { cluster });
     }
-    let gcs = sim.world().cfg.scripted_gcs.clone();
-    for at in gcs {
+    for i in 0..sim.world().cfg.scripted_gcs.len() {
+        let at = sim.world().cfg.scripted_gcs[i];
         sim.schedule_at(at, Ev::GcNow);
     }
 
@@ -91,11 +90,12 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     // themselves are computed from the schedule at send time). Only ever
     // scheduled when partitions exist, keeping the pristine event stream
     // untouched.
-    let partitions = sim.world().cfg.partitions.clone();
-    for (index, p) in partitions.into_iter().enumerate() {
-        sim.schedule_at(p.at, Ev::PartitionStart { index });
-        if p.until < horizon {
-            sim.schedule_at(p.until, Ev::PartitionHeal { index });
+    for index in 0..sim.world().cfg.partitions.len() {
+        let p = &sim.world().cfg.partitions[index];
+        let (at, until) = (p.at, p.until);
+        sim.schedule_at(at, Ev::PartitionStart { index });
+        if until < horizon {
+            sim.schedule_at(until, Ev::PartitionHeal { index });
         }
     }
 
@@ -129,8 +129,8 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
 
     // Periodic timers (the GC timer belongs to the federation initiator,
     // node (0,0)).
-    let delays = sim.world().cfg.clc_delays.clone();
-    for (cluster, delay) in delays.into_iter().enumerate() {
+    for cluster in 0..sim.world().cfg.clc_delays.len() {
+        let delay = sim.world().cfg.clc_delays[cluster];
         if !delay.is_infinite() {
             let key = sim.schedule_at(SimTime::ZERO + delay, Ev::ClcTimer { cluster });
             sim.world_mut().clc_timer_keys[cluster] = Some(key);
@@ -225,6 +225,17 @@ mod tests {
         assert_eq!(report.app_matrix[0][0], 50);
         assert_eq!(report.app_matrix[0][1], 5);
         assert_eq!(report.late_crossings, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg.sends must be sorted by time: send 2 at")]
+    fn an_unsorted_schedule_is_refused_before_the_first_event() {
+        // Tags are indices into `cfg.sends`, so the schedule is never
+        // reordered behind the caller's back.
+        let mut sends = small_workload(10, vec![vec![50, 5], vec![5, 50]]);
+        sends[2].at = SimTime::ZERO;
+        assert!(sends[1].at > SimTime::ZERO);
+        run(small_cfg(10).with_sends(sends));
     }
 
     #[test]

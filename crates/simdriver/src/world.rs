@@ -12,7 +12,7 @@ use crate::report::RunReport;
 use desim::{Ctx, EventKey, SimTime, TraceLevel, Tracer, World};
 use hc3i_core::host::{self, Host, ProtoEvent, StoreOp, Xport};
 use hc3i_core::{Input, Msg, NodeEngine, OutputBuf};
-use netsim::{HostileNet, Network, NodeId};
+use netsim::{FastHashMap, HostileNet, Network, NodeId};
 
 /// Events of the federation world.
 #[derive(Debug, Clone)]
@@ -112,10 +112,10 @@ pub struct FederationWorld {
     /// `offsets[c]` = arena index of cluster `c`'s rank 0;
     /// `offsets[num_clusters]` = total node count.
     pub(crate) offsets: Vec<usize>,
-    /// Per directed cluster pair (`src * n + dst`): wire copies shipped so
-    /// far. The per-route sequence component of the canonical
-    /// [`desim::InboxKey`].
-    wire_seq: Vec<u64>,
+    /// Wire copies shipped so far per directed cluster route, keyed by the
+    /// route component of the canonical [`desim::InboxKey`] whose sequence
+    /// component it supplies. One entry per route that carried a message.
+    wire_seq: FastHashMap<u64, u64>,
     /// Struct-of-arrays mirror of each engine's failed flag, maintained at
     /// the single point engines mutate (`handle_engine`). Liveness
     /// sweeps (recovery-coordinator election, multi-failure collection,
@@ -201,7 +201,7 @@ impl FederationWorld {
             cfg,
             engines,
             offsets,
-            wire_seq: vec![0; n * n],
+            wire_seq: FastHashMap::default(),
             failed,
             net,
             clc_timer_keys: vec![None; n],
@@ -264,7 +264,8 @@ impl FederationWorld {
             .map(|r| r as u32)
     }
 
-    /// Fill in the end-of-run fields of the report.
+    /// Fill in the end-of-run fields of the report and hand it over (the
+    /// world is dropped next; it keeps an empty one).
     pub(crate) fn finalize(&mut self, now: SimTime, events: u64) -> RunReport {
         // A finished run leaves a fully flushed log (per-commit fsync only
         // covers commit frames; trailing truncate/prune frames are flushed
@@ -276,12 +277,8 @@ impl FederationWorld {
         for c in 0..n {
             self.stats.clusters[c].close(&self.engines[self.offsets[c]..self.offsets[c + 1]]);
         }
-        for i in 0..n {
-            for j in 0..n {
-                self.stats.app_matrix[i][j] = self
-                    .net
-                    .app_messages(netsim::ClusterId(i as u16), netsim::ClusterId(j as u16));
-            }
+        for (from, to, [app, ..]) in self.net.accounts() {
+            self.stats.app_matrix[from.index()][to.index()] = app.messages;
         }
         let [app, protocol, ack] = self.net.class_totals();
         self.stats.protocol_messages = protocol.messages;
@@ -291,7 +288,7 @@ impl FederationWorld {
         self.stats.app_bytes = app.bytes;
         self.stats.events_processed = events;
         self.stats.ended_at = now;
-        self.stats.clone()
+        std::mem::take(&mut self.stats)
     }
 
     /// Fold the hostile post-processor's counters into the side statistics
@@ -385,11 +382,10 @@ impl Host for SimHost<'_, '_> {
         // hostile duplicate), so same-instant arrivals dispatch in an
         // order the messages fix — the order every committed fingerprint
         // pins.
-        let n = w.cfg.topology.num_clusters();
-        let slot = source.cluster.index() * n + to.cluster.index();
-        let seq = w.wire_seq[slot];
-        w.wire_seq[slot] = seq + 1;
         let route = ((source.cluster.0 as u64) << 32) | to.cluster.0 as u64;
+        let next = w.wire_seq.entry(route).or_default();
+        let seq = *next;
+        *next += 1;
         let sent = ctx.now();
         if let Some(at) = duplicate_at {
             let ev = Ev::Deliver {

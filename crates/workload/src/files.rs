@@ -230,6 +230,10 @@ pub fn parse_application(
                 }
                 let d = parse_duration(tok.get(2).copied().unwrap_or(""))
                     .ok_or_else(|| err(ln, "bad compute_mean duration"))?;
+                if d == SimDuration::ZERO {
+                    // A zero mean never advances the generator's clock.
+                    return Err(err(ln, "compute_mean must be positive"));
+                }
                 compute[c] = d.as_secs_f64();
             }
             "pattern" => {
@@ -412,6 +416,22 @@ mtbf inf
             parse_application("duration 1h\n", &topo).is_err(),
             "missing rows"
         );
+    }
+
+    #[test]
+    fn application_rejects_a_zero_compute_mean() {
+        // A zero mean parses as a duration, and then the generator's clock
+        // never reaches the horizon.
+        let topo = parse_topology(TOPO).unwrap();
+        for zero in ["0s", "0ms"] {
+            let text = format!(
+                "duration 1h\ncompute_mean 0 1s\ncompute_mean 1 {zero}\n\
+                 pattern 0 0.9 0.1\npattern 1 0 1\n"
+            );
+            let e = parse_application(&text, &topo).unwrap_err();
+            assert_eq!(e.line, 3, "{zero}: {e}");
+            assert!(e.message.contains("compute_mean"), "{zero}: {e}");
+        }
     }
 
     #[test]

@@ -64,11 +64,21 @@ pub struct StochasticWorkload {
 }
 
 impl StochasticWorkload {
-    /// Validate dimensions and probability rows.
+    /// Validate dimensions, compute means and probability rows.
     pub fn validate(&self) -> Result<(), String> {
         let n = self.cluster_sizes.len();
         if self.compute_mean_secs.len() != n {
             return Err("compute_mean per cluster required".into());
+        }
+        // `schedule` steps each node's clock by draws around the mean until
+        // it passes the horizon: a mean that is not a positive number never
+        // gets there.
+        for (c, &mean) in self.compute_mean_secs.iter().enumerate() {
+            if !(mean.is_finite() && mean > 0.0) {
+                return Err(format!(
+                    "compute_mean of cluster {c} must be positive and finite, got {mean}"
+                ));
+            }
         }
         if self.pattern.len() != n || self.pattern.iter().any(|row| row.len() != n) {
             return Err("pattern must be an NxN matrix".into());
@@ -446,6 +456,16 @@ mod tests {
             (actual - expected).abs() < expected * 0.15,
             "got {actual}, expected ≈ {expected}"
         );
+    }
+
+    #[test]
+    fn stochastic_validation_catches_means_that_never_reach_the_horizon() {
+        for mean in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut w = stochastic();
+            w.compute_mean_secs[1] = mean;
+            let e = w.validate().unwrap_err();
+            assert!(e.contains("compute_mean of cluster 1"), "{mean}: {e}");
+        }
     }
 
     #[test]
