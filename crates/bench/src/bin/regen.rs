@@ -1,11 +1,22 @@
-//! Regenerate the paper's tables and figures.
+//! Regenerate the paper's tables and figures, and the two runs CI pins.
 //!
 //! ```text
 //! regen <name> [seed]   print one artifact
 //! regen all [seed]      print every artifact; at the default seed also
 //!                       rewrite paper/RESULTS.md (run from the repo root)
+//! regen fingerprint     print the determinism dump (bench/FINGERPRINT.txt)
+//! regen mega [seed]     run the 1024 x 100 ring once; print nodes, events, wall
 //! ```
+//!
+//! `fingerprint` and `mega` are not part of `all` or `paper/RESULTS.md`:
+//! one is a behaviour pin, the other a timing.
+use desim::{RngStreams, SimDuration, SimTime};
 use hc3i_bench::{experiments, render};
+use hc3i_core::{PiggybackMode, ProtocolConfig};
+use netsim::{ClusterSpec, HostileSpec, LinkSpec, NodeId, Topology};
+use simdriver::{RunReport, SimConfig};
+use std::fmt::Write as _;
+use workload::{TargetCountWorkload, Workload};
 
 const RESULTS: &str = "paper/RESULTS.md";
 
@@ -69,9 +80,118 @@ const ARTIFACTS: &[Artifact] = &[
     ),
 ];
 
+/// The reference event-loop workload: 2 clusters x 100 nodes, 10 simulated
+/// hours, 103 reverse messages, 30-minute timers, GC every 2 h (~230k
+/// events through `FederationWorld::handle`).
+fn reference_config(seed: u64, piggyback: PiggybackMode) -> SimConfig {
+    let w = TargetCountWorkload::paper_with_reverse_count(103);
+    let sends = w.schedule(&RngStreams::new(seed));
+    SimConfig::new(Topology::paper_reference(2), w.duration)
+        .with_sends(sends)
+        .with_seed(seed)
+        .with_protocol(ProtocolConfig::new(vec![100, 100]).with_piggyback(piggyback))
+        .with_clc_delay(0, SimDuration::from_minutes(30))
+        .with_clc_delay(1, SimDuration::from_minutes(30))
+        .with_gc_interval(SimDuration::from_hours(2))
+}
+
+/// A wide-federation ring: `n` clusters, small clusters, cross traffic to
+/// the next cluster over, 30-minute timers.
+fn ring_config(n: usize, nodes: u32, hours: u64, seed: u64) -> SimConfig {
+    let mut counts = vec![vec![0u64; n]; n];
+    for (i, row) in counts.iter_mut().enumerate() {
+        row[i] = 120;
+        row[(i + 1) % n] = 30;
+    }
+    let w = TargetCountWorkload {
+        cluster_sizes: vec![nodes; n],
+        duration: SimDuration::from_hours(hours),
+        counts,
+        payload_bytes: 1024,
+    };
+    let sends = w.schedule(&RngStreams::new(seed));
+    let mut cfg = SimConfig::new(
+        Topology::new(
+            vec![
+                ClusterSpec {
+                    nodes,
+                    intra: LinkSpec::myrinet_like(),
+                };
+                n
+            ],
+            LinkSpec::ethernet_like(),
+        ),
+        w.duration,
+    )
+    .with_sends(sends)
+    .with_seed(seed)
+    .with_protocol(ProtocolConfig::new(vec![nodes; n]));
+    for c in 0..n {
+        cfg = cfg.with_clc_delay(c, SimDuration::from_minutes(30));
+    }
+    cfg
+}
+
+/// Debug-dump a set of seeded reference runs. Any code change that
+/// preserves the determinism contract must reproduce this file
+/// byte-for-byte: CI `cmp`s it against `bench/FINGERPRINT.txt`.
+fn fingerprint() -> String {
+    let mut s = String::new();
+    for seed in [20040426u64, 7, 424242] {
+        let r = simdriver::run(reference_config(seed, PiggybackMode::SnOnly));
+        let _ = writeln!(s, "reference sn_only seed={seed}\n{r:#?}\n");
+        let r = simdriver::run(reference_config(seed, PiggybackMode::FullDdv));
+        let _ = writeln!(s, "reference full_ddv seed={seed}\n{r:#?}\n");
+    }
+    // Faulty run: rollback + alert + replay paths.
+    let mut cfg = reference_config(20040426, PiggybackMode::SnOnly);
+    for h in 1..8u64 {
+        cfg = cfg.with_fault(
+            SimTime::ZERO + SimDuration::from_minutes(h * 60 + 11),
+            NodeId::new((h % 2) as u16, (h * 13 % 100) as u32),
+        );
+    }
+    let r: RunReport = simdriver::run(cfg);
+    let _ = writeln!(s, "reference faulty seed=20040426\n{r:#?}\n");
+    // Wide ring: many clusters, forced-CLC heavy.
+    let r = simdriver::run(ring_config(12, 4, 2, 20040426));
+    let _ = writeln!(s, "ring 12x4 seed=20040426\n{r:#?}\n");
+    // Hostile ring: duplication + reordering + a lossy wire behind the
+    // reliable transport. The hostile ledger is fingerprinted alongside
+    // the report, so the per-pair RNG streams and the canonical inbox
+    // order are pinned too.
+    let spec = HostileSpec::seeded(20040426)
+        .with_duplication(0.10, SimDuration::from_millis(1))
+        .with_reorder(0.10, SimDuration::from_micros(500))
+        .with_loss(0.05);
+    let cfg = ring_config(6, 4, 1, 20040426)
+        .with_hostile(spec)
+        .with_reliable_transport();
+    let (r, h) = simdriver::run_hostile(cfg);
+    let _ = writeln!(s, "ring hostile 6x4 seed=20040426\n{r:#?}\n{h:#?}\n");
+    s
+}
+
+/// The order-of-magnitude scale run: 1024 clusters of 100 nodes = 102,400
+/// engines through the executive to completion, once. CI's `runtime-scale`
+/// job holds its wall time and polled peak RSS under ceilings.
+fn mega(seed: u64) -> String {
+    let (clusters, nodes) = (1024usize, 100u32);
+    let t0 = std::time::Instant::now();
+    let events = simdriver::run(ring_config(clusters, nodes, 1, seed)).events_processed;
+    format!(
+        "mega {clusters}x{nodes}: nodes={} events={events} wall_ms={:.0}\n",
+        clusters as u32 * nodes,
+        t0.elapsed().as_secs_f64() * 1e3
+    )
+}
+
 fn usage() -> ! {
     let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.0).collect();
-    eprintln!("usage: regen <all|{}> [seed]", names.join("|"));
+    eprintln!(
+        "usage: regen <all|{}|fingerprint|mega> [seed]",
+        names.join("|")
+    );
     std::process::exit(2);
 }
 
@@ -83,10 +203,15 @@ fn main() {
         None => experiments::DEFAULT_SEED,
     };
     if name != "all" {
-        let Some(artifact) = ARTIFACTS.iter().find(|a| a.0 == name) else {
-            usage()
+        let text = match name.as_str() {
+            "fingerprint" => fingerprint(),
+            "mega" => mega(seed),
+            _ => match ARTIFACTS.iter().find(|a| a.0 == name) {
+                Some(artifact) => artifact.2(seed),
+                None => usage(),
+            },
         };
-        print!("{}", artifact.2(seed));
+        print!("{text}");
         return;
     }
     let mut results = format!(

@@ -29,12 +29,6 @@ pub fn string_array(items: &[String]) -> String {
     format!("[{}]", quoted.join(", "))
 }
 
-/// Render a list of integers as a JSON array literal.
-pub fn u64_array(items: &[u64]) -> String {
-    let nums: Vec<String> = items.iter().map(|n| n.to_string()).collect();
-    format!("[{}]", nums.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,7 +45,5 @@ mod tests {
             string_array(&["x".into(), "y\"z".into()]),
             "[\"x\", \"y\\\"z\"]"
         );
-        assert_eq!(u64_array(&[1, 2, 3]), "[1, 2, 3]");
-        assert_eq!(u64_array(&[]), "[]");
     }
 }

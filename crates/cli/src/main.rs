@@ -280,10 +280,19 @@ fn cmd_run(args: &[String]) -> ExitCode {
             .map_err(|e| format!("{application}: {e}"))?;
         let timer_spec = workload::parse_timers(&read(&timers)?, topo.num_clusters())
             .map_err(|e| format!("{timers}: {e}"))?;
-        // A fault names a node of *this* topology: check it here, where
-        // the answer is a usage error, not an index panic mid-run.
+        // A fault names a node of *this* topology and a time the clock can
+        // hold: check both here, where the answer is a usage error, not an
+        // index panic mid-run or a wrapped-around fault time.
         for &(minutes, cluster, rank) in &faults {
-            if let Err(problem) = topo.check_node(NodeId::new(cluster, rank)) {
+            // `SimDuration::from_minutes` below multiplies unchecked.
+            let problem = if minutes.checked_mul(60 * 1_000_000_000).is_none() {
+                Some(format!(
+                    "{minutes} minutes is past the end of simulated time"
+                ))
+            } else {
+                topo.check_node(NodeId::new(cluster, rank)).err()
+            };
+            if let Some(problem) = problem {
                 eprintln!("error: --fault {minutes}:{cluster}:{rank}: {problem}");
                 return Ok(ExitCode::from(2));
             }

@@ -183,9 +183,10 @@ fn small_configs(dir: &std::path::Path) -> Vec<String> {
     args
 }
 
-/// `--fault` names a node the topology does not have: a usage error
-/// (exit 2, one `error:` line saying which part is out of range), not an
-/// index panic from inside the run.
+/// `--fault` names a node the topology does not have, or a minute count
+/// whose nanoseconds overflow the clock: a usage error (exit 2, one
+/// `error:` line saying which part is out of range), not an index panic
+/// from inside the run or a fault at the wrapped-around time (26 s in).
 #[test]
 fn fault_on_a_node_outside_the_topology_is_a_usage_error() {
     let dir = std::env::temp_dir().join(format!("hc3i-cli-fault-range-{}", std::process::id()));
@@ -194,6 +195,10 @@ fn fault_on_a_node_outside_the_topology_is_a_usage_error() {
     for (spec, problem) in [
         ("10:5:0", "cluster 5 out of range (topology has 2)"),
         ("10:0:999", "rank 999 out of range (cluster 0 has 3)"),
+        (
+            "307445735:0:2",
+            "307445735 minutes is past the end of simulated time",
+        ),
     ] {
         let out = Command::new(bin())
             .args(&args)
@@ -238,6 +243,45 @@ fn a_zero_compute_mean_is_a_config_error_not_a_hang() {
         )
     );
     assert!(out.stdout.is_empty(), "no report");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A zero CLC or GC delay re-arms its timer at the instant it fires and a
+/// zero bandwidth delivers nothing: each file is refused with its line
+/// before anything is scheduled, instead of a run that spins into the
+/// event budget, fills memory, or reports zero deliveries and exits 0.
+#[test]
+fn a_zero_timer_or_bandwidth_is_a_config_error_not_a_hang() {
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-zero-timer-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for (name, content, problem) in [
+        (
+            "timers.conf",
+            "clc_timer 0 0s\nclc_timer 1 7m\n",
+            "line 1: clc_timer delay must be positive",
+        ),
+        (
+            "timers.conf",
+            "clc_timer 0 5m\nclc_timer 1 7m\ngc_timer 0s\n",
+            "line 3: gc_timer delay must be positive",
+        ),
+        (
+            "topology.conf",
+            "clusters 2\nnodes 3 3\nintra 0 10us 0bps\n",
+            "line 3: link bandwidth must be positive",
+        ),
+    ] {
+        let args = small_configs(&dir);
+        let file = dir.join(name);
+        std::fs::write(&file, content).unwrap();
+        let out = Command::new(bin()).args(&args).output().expect("spawn");
+        assert_eq!(out.status.code(), Some(1), "{problem}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr).trim_end(),
+            format!("error: {}: {problem}", file.display())
+        );
+        assert!(out.stdout.is_empty(), "{problem}: no report");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

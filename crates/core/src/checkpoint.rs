@@ -293,33 +293,12 @@ pub struct NodeCheckpoint {
     pub app_state: Option<Vec<u8>>,
 }
 
-impl NodeCheckpoint {
-    /// Approximate in-memory size, for storage-cost accounting.
-    pub fn approx_bytes(&self) -> u64 {
-        let delivered = self.delivered.len() as u64 * 32;
-        let channel: u64 = self.channel_state.iter().map(|(_, p)| p.bytes + 16).sum();
-        let app = self.app_state.as_ref().map_or(0, |s| s.len() as u64);
-        delivered + channel + app
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn key(c: u16, r: u32, id: u64) -> DeliveredKey {
         (NodeId::new(c, r), id)
-    }
-
-    #[test]
-    fn approx_bytes_counts_components() {
-        let mut c = NodeCheckpoint::default();
-        assert_eq!(c.approx_bytes(), 0);
-        c.delivered.insert(key(0, 1, 7), SeqNum(2));
-        c.channel_state
-            .push((NodeId::new(0, 2), AppPayload { bytes: 100, tag: 1 }));
-        c.app_state = Some(vec![0; 50]);
-        assert_eq!(c.approx_bytes(), 32 + 116 + 50);
     }
 
     #[test]

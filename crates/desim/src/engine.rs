@@ -124,12 +124,6 @@ impl<'a, E> Ctx<'a, E> {
         *self.stop_requested = true;
     }
 
-    /// True once [`Ctx::stop`] has been called.
-    #[inline]
-    pub fn is_stopped(&self) -> bool {
-        *self.stop_requested
-    }
-
     /// Number of pending events (diagnostics).
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -234,8 +228,6 @@ pub enum RunOutcome {
     Exhausted,
     /// The world requested a stop.
     Stopped,
-    /// The time horizon passed; remaining events are still pending.
-    HorizonReached,
     /// The configured event budget was consumed.
     BudgetExhausted,
 }
@@ -369,22 +361,6 @@ impl<W: World> Simulation<W> {
         }
         RunOutcome::Stopped
     }
-
-    /// Run until simulated time strictly exceeds `horizon` (events at exactly
-    /// `horizon` are dispatched). The clock is left at the last dispatched
-    /// event's time.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        while !self.stop_requested {
-            match self.next_time() {
-                None => return RunOutcome::Exhausted,
-                Some(t) if t > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {
-                    self.step_instant(u64::MAX);
-                }
-            }
-        }
-        RunOutcome::Stopped
-    }
 }
 
 /// The workload feed. The stream is boxed as `'static`, hence the bound,
@@ -491,16 +467,6 @@ mod tests {
         }
         let mut sim = Simulation::new(Inert);
         assert_eq!(sim.run(), RunOutcome::Exhausted);
-    }
-
-    #[test]
-    fn horizon_stops_dispatch() {
-        let mut sim = pingpong(100);
-        let outcome = sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
-        assert_eq!(outcome, RunOutcome::HorizonReached);
-        // Events at t=0..=10s fired: ping@0, pong@1 ... 11 events.
-        assert_eq!(sim.events_processed(), 11);
-        assert!(sim.now() <= SimTime::ZERO + SimDuration::from_secs(10));
     }
 
     #[test]

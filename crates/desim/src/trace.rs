@@ -37,7 +37,6 @@ pub struct Tracer {
     level: TraceLevel,
     records: Vec<TraceRecord>,
     dropped: u64,
-    echo: bool,
 }
 
 impl Tracer {
@@ -47,14 +46,7 @@ impl Tracer {
             level,
             records: vec![],
             dropped: 0,
-            echo: false,
         }
-    }
-
-    /// Also print each kept record to stderr as it is recorded.
-    pub fn with_echo(mut self) -> Self {
-        self.echo = true;
-        self
     }
 
     /// The configured level.
@@ -97,15 +89,11 @@ impl Tracer {
             self.dropped += 1;
             return;
         }
-        let rec = TraceRecord {
+        self.records.push(TraceRecord {
             at,
             subsystem,
             detail: detail(),
-        };
-        if self.echo {
-            eprintln!("[{}] {}: {}", rec.at, rec.subsystem, rec.detail);
-        }
-        self.records.push(rec);
+        });
     }
 
     /// All kept records, in emission order.

@@ -232,12 +232,6 @@ impl HostileSpec {
     pub fn has_loss(&self) -> bool {
         self.loss > 0.0 || self.pair_loss.iter().any(|&(_, _, p)| p > 0.0)
     }
-
-    /// True if no feature is enabled (partitions are configured
-    /// separately).
-    pub fn is_quiet(&self) -> bool {
-        self.duplication <= 0.0 && self.reorder <= 0.0 && self.skew.is_empty() && !self.has_loss()
-    }
 }
 
 /// What the hostile layer did to one message.

@@ -95,11 +95,6 @@ impl<T: Copy> TriMatrix<T> {
         let idx = self.index(i, j);
         self.cells[idx] = value;
     }
-
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
 }
 
 /// The whole federation: clusters + inter-cluster link matrix + MTBF.

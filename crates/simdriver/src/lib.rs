@@ -20,8 +20,8 @@
 //! **Determinism contract:** a run is a pure function of its
 //! [`SimConfig`] (including the seed) — same config ⇒ bit-identical
 //! [`RunReport`], across runs and machines. Refactors must preserve this;
-//! `cargo run -p hc3i-bench --bin hc3i_baselines -- --fingerprint` captures a
-//! reference dump to diff against.
+//! `cargo run --release -p hc3i-bench --bin regen -- fingerprint` prints the
+//! dump CI `cmp`s against `bench/FINGERPRINT.txt`.
 
 #![warn(missing_docs)]
 

@@ -14,9 +14,11 @@ const EVENT_BUDGET: u64 = 500_000_000;
 /// Run one federation simulation to completion and report.
 ///
 /// # Panics
-/// If [`SimConfig::sends`] is not sorted by time (checked before the first
-/// event; the message names the first send out of order), or if the event
-/// budget is exhausted (a protocol livelock — never expected).
+/// Before the first event, if [`SimConfig::sends`] is not sorted by time
+/// (the message names the first send out of order) or a cluster's CLC
+/// delay or the GC interval is zero (such a timer re-arms at the instant
+/// it fires); or if the event budget is exhausted (a protocol livelock —
+/// never expected).
 pub fn run(cfg: SimConfig) -> RunReport {
     run_traced(cfg).0
 }
@@ -128,15 +130,24 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     }
 
     // Periodic timers (the GC timer belongs to the federation initiator,
-    // node (0,0)).
+    // node (0,0)). Each re-arms itself one delay after it fires, so a zero
+    // delay would never let the clock advance.
     for cluster in 0..sim.world().cfg.clc_delays.len() {
         let delay = sim.world().cfg.clc_delays[cluster];
+        assert!(
+            delay > SimDuration::ZERO,
+            "cluster {cluster}'s CLC delay must be positive"
+        );
         if !delay.is_infinite() {
             let key = sim.schedule_at(SimTime::ZERO + delay, Ev::ClcTimer { cluster });
             sim.world_mut().clc_timer_keys[cluster] = Some(key);
         }
     }
     if let Some(interval) = sim.world().cfg.gc_interval {
+        assert!(
+            interval > SimDuration::ZERO,
+            "the GC interval must be positive"
+        );
         sim.schedule_at(SimTime::ZERO + interval, Ev::GcTimer);
     }
 
@@ -236,6 +247,18 @@ mod tests {
         sends[2].at = SimTime::ZERO;
         assert!(sends[1].at > SimTime::ZERO);
         run(small_cfg(10).with_sends(sends));
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 1's CLC delay must be positive")]
+    fn a_zero_clc_delay_is_refused_before_the_first_event() {
+        run(small_cfg(10).with_clc_delay(1, SimDuration::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "the GC interval must be positive")]
+    fn a_zero_gc_interval_is_refused_before_the_first_event() {
+        run(small_cfg(10).with_gc_interval(SimDuration::ZERO));
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                     .get(1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(ln, "intra needs: cluster latency bandwidth"))?;
-                let link = parse_link(&tok[2..]).ok_or_else(|| err(ln, "bad link spec"))?;
+                let link = parse_link(&tok[2..]).map_err(|m| err(ln, m))?;
                 if c >= intra.len() {
                     return Err(err(ln, "intra cluster index out of range"));
                 }
@@ -128,8 +128,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
             "inter" => {
                 if tok.len() == 3 {
                     // `inter <latency> <bandwidth>`: default for all pairs.
-                    default_inter =
-                        parse_link(&tok[1..]).ok_or_else(|| err(ln, "bad link spec"))?;
+                    default_inter = parse_link(&tok[1..]).map_err(|m| err(ln, m))?;
                 } else {
                     let a: usize = tok
                         .get(1)
@@ -139,7 +138,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                         .get(2)
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| err(ln, "inter needs: a b latency bandwidth"))?;
-                    let link = parse_link(&tok[3..]).ok_or_else(|| err(ln, "bad link spec"))?;
+                    let link = parse_link(&tok[3..]).map_err(|m| err(ln, m))?;
                     inter.push((a, b, link));
                 }
             }
@@ -184,14 +183,19 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
     Ok(topo)
 }
 
-fn parse_link(tok: &[&str]) -> Option<LinkSpec> {
-    if tok.len() != 2 {
-        return None;
+fn parse_link(tok: &[&str]) -> Result<LinkSpec, &'static str> {
+    let [latency, bandwidth] = tok else {
+        return Err("bad link spec");
+    };
+    let link = LinkSpec {
+        latency: parse_duration(latency).ok_or("bad link spec")?,
+        bandwidth_bps: parse_bandwidth(bandwidth).ok_or("bad link spec")?,
+    };
+    if link.bandwidth_bps == 0 {
+        // Nothing sent over a zero-bandwidth link ever arrives.
+        return Err("link bandwidth must be positive");
     }
-    Some(LinkSpec {
-        latency: parse_duration(tok[0])?,
-        bandwidth_bps: parse_bandwidth(tok[1])?,
-    })
+    Ok(link)
 }
 
 /// Parse an application file into a [`StochasticWorkload`] (node counts
@@ -297,10 +301,17 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
                 }
                 clc[c] = parse_duration(tok.get(2).copied().unwrap_or(""))
                     .ok_or_else(|| err(ln, "bad delay"))?;
+                if clc[c] == SimDuration::ZERO {
+                    // A zero delay re-arms at the instant it fires.
+                    return Err(err(ln, "clc_timer delay must be positive"));
+                }
             }
             "gc_timer" => {
                 let d = parse_duration(tok.get(1).copied().unwrap_or(""))
                     .ok_or_else(|| err(ln, "bad gc delay"))?;
+                if d == SimDuration::ZERO {
+                    return Err(err(ln, "gc_timer delay must be positive"));
+                }
                 if !d.is_infinite() {
                     gc = Some(d);
                 }
@@ -379,6 +390,21 @@ mtbf inf
     }
 
     #[test]
+    fn topology_rejects_a_zero_bandwidth() {
+        // A message over a 0 bps link never arrives: the run would report
+        // zero deliveries and exit 0.
+        for (text, line) in [
+            ("clusters 2\nnodes 4 4\nintra 0 10us 0bps\n", 3),
+            ("clusters 2\nnodes 4 4\ninter 150us 0\n", 3),
+            ("clusters 2\nnodes 4 4\n# wan\ninter 0 1 150us 0.4bps\n", 4),
+        ] {
+            let e = parse_topology(text).unwrap_err();
+            assert_eq!(e.line, line, "{text}: {e}");
+            assert!(e.message.contains("bandwidth"), "{text}: {e}");
+        }
+    }
+
+    #[test]
     fn topology_rejects_overwide_federation() {
         // Neither sized (`vec![None; n]`) nor narrowed to a `u16` id.
         for n in ["65537", "99999999999"] {
@@ -445,6 +471,20 @@ mtbf inf
         assert!(spec.clc_delays[1].is_infinite());
         assert_eq!(spec.gc_interval, Some(SimDuration::from_hours(2)));
         assert_eq!(spec.detection_delay, SimDuration::from_millis(50));
+    }
+
+    #[test]
+    fn timers_reject_a_zero_delay() {
+        // A zero delay parses as a duration, and then the timer re-arms at
+        // the instant it fires: the run never advances.
+        for zero in ["0s", "0", "0ms"] {
+            let e = parse_timers(&format!("clc_timer 1 30m\nclc_timer 0 {zero}\n"), 2).unwrap_err();
+            assert_eq!(e.line, 2, "{zero}: {e}");
+            assert!(e.message.contains("clc_timer"), "{zero}: {e}");
+        }
+        let e = parse_timers("clc_timer 0 30m\n\ngc_timer 0s\n", 2).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("gc_timer"), "{e}");
     }
 
     #[test]
