@@ -42,17 +42,17 @@
 //! are `Arc`-shared between the live record and every stored checkpoint;
 //! stored `(SN, DDV)` stamps are `Arc`-shared across the store, the GC's
 //! collected lists ([`Msg::GcDdvList`]) and the recovery analyses, while
-//! the wire codec still serializes them by value; and a freeze emits one
-//! batched [`Output::SendFragments`] that hosts expand into the exact
-//! per-holder `FragmentReplica` messages (same order, same wire bytes)
-//! the unbatched fan-out sent. Content equality, persisted images and
-//! report fingerprints — including per-cluster byte counters — are
+//! [`Msg::wire_bytes`], the byte model, still sizes them by value; and a
+//! freeze emits one batched [`Output::SendFragments`] that hosts expand
+//! into the exact per-holder `FragmentReplica` messages (same order, same
+//! wire bytes) the unbatched fan-out sent. Content equality, persisted
+//! checkpoint bodies and report fingerprints — including per-cluster byte
+//! counters — are
 //! independent of the sharing; only allocations and wall time change.
 
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod codec;
 pub mod config;
 mod epoch;
 pub mod gc;

@@ -185,8 +185,8 @@ pub enum Msg {
         cluster: usize,
         /// Its stored checkpoints' stamps, oldest first. `Arc`-shared
         /// with the reporting store in-process (assembling the list clones
-        /// pointers); the wire codec still serializes the stamps by value,
-        /// so [`Msg::wire_bytes`] and the on-wire format are unchanged.
+        /// pointers); [`Msg::wire_bytes`], the byte model, still sizes the
+        /// stamps by value, so the sharing changes no charged byte.
         list: Vec<(SeqNum, Arc<Ddv>)>,
     },
     /// GC initiator → everyone (via coordinators): safe minimum SNs.

@@ -1,52 +1,58 @@
-//! Checkpoint persistence.
+//! The checkpoint entry-body format: what the durable segment log
+//! ([`storage::DurableStore`]) writes for each CLC a node commits, and
+//! [`storage::recover`] reads back.
 //!
 //! The paper implements stable storage as in-memory neighbour replication
 //! (one simultaneous fault per cluster). A deployment that must survive
-//! whole-cluster power loss needs checkpoints on disk; this module
-//! serializes a node's CLC store — protocol stamps, delivery records,
-//! channel state and application snapshots — in the same varint format as
-//! the wire codec (`codec`; both use [`storage::varint`]), and restores it
-//! byte-exactly.
+//! whole-cluster power loss needs checkpoints on disk: the segment log
+//! frames each chain entry's meta (SN, DDV, commit time, forced bit) and
+//! hands the checkpoint itself — delivery record, channel state and
+//! application snapshot — to [`CheckpointCodec`], which writes it with
+//! [`storage::varint`] and restores it byte-exactly.
 //!
 //! ## Format
 //!
-//! The image format is **v2**, which mirrors the in-memory copy-on-write
-//! [`DeliveredRecord`]: consecutive checkpoints in a store share their
-//! delivery-record prefix structurally, so each entry is written either
-//! as a *delta* against the previous entry (tag 1 — the common case,
-//! O(new deliveries) bytes) or in *full* (tag 0 — the first entry, or
-//! when the records do not share structure). Decoding rebuilds the same
+//! A body mirrors the in-memory copy-on-write [`DeliveredRecord`]:
+//! consecutive checkpoints in a chain share their delivery-record prefix
+//! structurally, so each body writes its record either as a *delta*
+//! against the previous entry's (tag 1 — the common case, O(new
+//! deliveries) bytes) or in *full* (tag 0 — a chain's first entry, or
+//! when the records do not share structure); a delivery is `(cluster,
+//! rank, log id, SN)`. The channel state (`(cluster, rank, bytes, tag)`
+//! per message) and the application snapshot (tag 0 for none, tag 1 and a
+//! length-prefixed byte string) follow. Decoding rebuilds the same
 //! generation chain — one sealed generation per entry, built straight
-//! from the bytes — so `encode(decode(bytes)) == bytes` for both
+//! from the bytes — so `encode(decode(body)) == body` for both
 //! representations, and entries within a record are always written in
-//! sorted key order, so images stay deterministic despite hash maps.
-//!
-//! v1 (every delivery record in full, no tag) is no longer read: no v1
-//! image was ever written outside this crate's own tests, and
-//! [`decode_store`] answers one with [`DecodeError::BadVersion`].
+//! sorted key order, so bodies stay deterministic despite hash maps. A
+//! body must be consumed exactly, and a cluster or rank out of its id
+//! type's range is an error, never a wrapped id.
 
 use crate::checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
-use crate::codec::{expect_end, get_node, put_node, DecodeError};
 use crate::msg::AppPayload;
-use desim::SimTime;
 use netsim::{FastHashMap, NodeId};
-use std::io::{Read, Write};
-use std::sync::Arc;
-use storage::varint::{put_ddv, put_u64, Cursor};
-use storage::{ClcMeta, ClcStore, SeqNum};
+use storage::varint::{put_u64, Cursor};
+use storage::SeqNum;
 
-/// Magic bytes + format version at the head of a store image.
-const MAGIC: &[u8; 4] = b"HC3I";
-/// The copy-on-write store format.
-const STORE_VERSION: u8 = 2;
-
-/// Delivered-record encoding tags inside a store entry.
+/// Delivered-record encoding tags at the head of a body.
 const DELIVERED_FULL: u8 = 0;
 const DELIVERED_DELTA: u8 = 1;
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u64(buf, b.len() as u64);
-    buf.extend_from_slice(b);
+fn put_node(buf: &mut Vec<u8>, n: NodeId) {
+    put_u64(buf, u64::from(n.cluster.0));
+    put_u64(buf, u64::from(n.rank));
+}
+
+// Forced inline: its `String` error paths put it over the inliner's
+// threshold, and the out-of-line call per delivery costs ~3 % of
+// `storage::recover`'s wall time on a 2048-node log.
+#[inline(always)]
+fn get_node(cur: &mut Cursor<'_>) -> Result<NodeId, String> {
+    let (cluster, rank) = (cur.u64()?, cur.u64()?);
+    match (u16::try_from(cluster), u32::try_from(rank)) {
+        (Ok(c), Ok(r)) => Ok(NodeId::new(c, r)),
+        _ => Err(format!("node id ({cluster}, {rank}) out of range")),
+    }
 }
 
 fn put_delivered_entries(buf: &mut Vec<u8>, entries: &[(DeliveredKey, SeqNum)]) {
@@ -62,13 +68,13 @@ fn put_delivered_entries(buf: &mut Vec<u8>, entries: &[(DeliveredKey, SeqNum)]) 
 /// built straight from the bytes (an entry is four varints).
 fn get_delivered_entries(
     cur: &mut Cursor<'_>,
-) -> Result<FastHashMap<DeliveredKey, SeqNum>, DecodeError> {
+) -> Result<FastHashMap<DeliveredKey, SeqNum>, String> {
     let n = cur.count(4)?;
     let mut entries = FastHashMap::with_capacity_and_hasher(n, Default::default());
     for _ in 0..n {
         let key = (get_node(cur)?, cur.u64()?);
         if entries.insert(key, SeqNum(cur.u64()?)).is_some() {
-            return Err(DecodeError::Invalid("duplicate delivery key"));
+            return Err("duplicate delivery key".into());
         }
     }
     Ok(entries)
@@ -85,7 +91,8 @@ fn put_channel_and_app(buf: &mut Vec<u8>, ckpt: &NodeCheckpoint) {
         None => buf.push(0),
         Some(state) => {
             buf.push(1);
-            put_bytes(buf, state);
+            put_u64(buf, state.len() as u64);
+            buf.extend_from_slice(state);
         }
     }
 }
@@ -93,7 +100,7 @@ fn put_channel_and_app(buf: &mut Vec<u8>, ckpt: &NodeCheckpoint) {
 /// Decoded channel-state and application-snapshot tail of a checkpoint.
 type ChannelAndApp = (Vec<(NodeId, AppPayload)>, Option<Vec<u8>>);
 
-fn get_channel_and_app(cur: &mut Cursor<'_>) -> Result<ChannelAndApp, DecodeError> {
+fn get_channel_and_app(cur: &mut Cursor<'_>) -> Result<ChannelAndApp, String> {
     let m = cur.count(4)?;
     let mut channel_state = Vec::with_capacity(m);
     for _ in 0..m {
@@ -105,174 +112,76 @@ fn get_channel_and_app(cur: &mut Cursor<'_>) -> Result<ChannelAndApp, DecodeErro
     let app_state = match cur.u8()? {
         0 => None,
         1 => Some(cur.bytes()?.to_vec()),
-        t => return Err(DecodeError::BadTag(t)),
+        t => return Err(format!("unknown app-state tag {t}")),
     };
     Ok((channel_state, app_state))
 }
 
-/// Encode a checkpoint as a store-entry body: the delivery record is a
-/// structural delta against `prev` when the records share their base.
-fn encode_entry_body(ckpt: &NodeCheckpoint, prev: Option<&DeliveredRecord>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    match prev.and_then(|p| ckpt.delivered.delta_since(p)) {
-        Some(mut delta) => {
-            buf.push(DELIVERED_DELTA);
-            delta.sort_unstable_by_key(|&(k, _)| k);
-            put_delivered_entries(&mut buf, &delta);
-        }
-        None => {
-            buf.push(DELIVERED_FULL);
-            put_delivered_entries(&mut buf, &ckpt.delivered.sorted_entries());
-        }
-    }
-    put_channel_and_app(&mut buf, ckpt);
-    buf
-}
-
-/// Decode a store-entry body (all of `buf`), rebuilding the structural
-/// sharing with the previous entry's record.
-fn decode_entry_body(
-    buf: &[u8],
-    prev: Option<&DeliveredRecord>,
-) -> Result<NodeCheckpoint, DecodeError> {
-    let mut cur = Cursor::new(buf);
-    let delivered = match cur.u8()? {
-        DELIVERED_FULL => DeliveredRecord::new().extended_with(get_delivered_entries(&mut cur)?),
-        DELIVERED_DELTA => {
-            let prev = prev.ok_or(DecodeError::BadTag(DELIVERED_DELTA))?;
-            let entries = get_delivered_entries(&mut cur)?;
-            // A delta shadowing keys the previous record already holds is
-            // corrupt: the live engine only seals fresh deliveries.
-            if entries.keys().any(|k| prev.get(k).is_some()) {
-                return Err(DecodeError::Invalid("delta overlaps previous record"));
-            }
-            prev.extended_with(entries)
-        }
-        t => return Err(DecodeError::BadTag(t)),
-    };
-    let (channel_state, app_state) = get_channel_and_app(&mut cur)?;
-    expect_end(&cur)?;
-    Ok(NodeCheckpoint {
-        delivered,
-        channel_state,
-        app_state,
-    })
-}
-
-/// The v2 checkpoint encoding as a [`storage::EntryCodec`]: what the
-/// durable segment log ([`storage::DurableStore`]) writes per chain entry.
-///
-/// Each entry body is exactly the v2 store-entry body — a structural
-/// delta against the previous chain entry's delivery record when they
-/// share their base, a full record otherwise — so a durable log entry is
-/// byte-identical to the corresponding span of [`encode_store`]'s image.
+/// The checkpoint entry-body encoding as a [`storage::EntryCodec`]: what
+/// the durable segment log writes per chain entry. The delivery record is
+/// a structural delta against the previous chain entry's when they share
+/// their base, a full record otherwise (layout in the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckpointCodec;
 
 impl storage::EntryCodec for CheckpointCodec {
     type Payload = NodeCheckpoint;
 
-    fn encode_payload(&self, payload: &NodeCheckpoint, prev: Option<&NodeCheckpoint>) -> Vec<u8> {
-        encode_entry_body(payload, prev.map(|p| &p.delivered))
+    fn encode_payload(&self, ckpt: &NodeCheckpoint, prev: Option<&NodeCheckpoint>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        match prev.and_then(|p| ckpt.delivered.delta_since(&p.delivered)) {
+            Some(mut delta) => {
+                buf.push(DELIVERED_DELTA);
+                delta.sort_unstable_by_key(|&(k, _)| k);
+                put_delivered_entries(&mut buf, &delta);
+            }
+            None => {
+                buf.push(DELIVERED_FULL);
+                put_delivered_entries(&mut buf, &ckpt.delivered.sorted_entries());
+            }
+        }
+        put_channel_and_app(&mut buf, ckpt);
+        buf
     }
 
+    /// Decode a body (all of `buf`), rebuilding the structural sharing
+    /// with the previous entry's record.
     fn decode_payload(
         &self,
         buf: &[u8],
         prev: Option<&NodeCheckpoint>,
     ) -> Result<NodeCheckpoint, String> {
-        decode_entry_body(buf, prev.map(|p| &p.delivered)).map_err(|e| e.to_string())
-    }
-}
-
-/// Serialize a whole CLC store (all checkpoints, oldest first).
-pub fn encode_store(store: &ClcStore<NodeCheckpoint>) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(MAGIC);
-    buf.push(STORE_VERSION);
-    put_u64(&mut buf, store.len() as u64);
-    let mut prev: Option<&DeliveredRecord> = None;
-    for entry in store.iter() {
-        put_u64(&mut buf, entry.meta.sn.0);
-        put_ddv(&mut buf, &entry.meta.ddv);
-        put_u64(&mut buf, entry.meta.committed_at.nanos());
-        buf.push(entry.meta.forced as u8);
-        let body = encode_entry_body(&entry.payload, prev);
-        put_bytes(&mut buf, &body);
-        prev = Some(&entry.payload.delivered);
-    }
-    buf
-}
-
-/// Deserialize a CLC store image.
-pub fn decode_store(buf: &[u8]) -> Result<ClcStore<NodeCheckpoint>, DecodeError> {
-    let mut cur = Cursor::new(buf);
-    let magic = cur.take(4)?;
-    if magic != MAGIC {
-        return Err(DecodeError::BadTag(magic[0]));
-    }
-    let version = cur.u8()?;
-    if version != STORE_VERSION {
-        return Err(DecodeError::BadVersion(version));
-    }
-    // An entry is four meta fields and a body length, at the least.
-    let n = cur.count(5)?;
-    let mut store: ClcStore<NodeCheckpoint> = ClcStore::new();
-    for _ in 0..n {
-        let sn = SeqNum(cur.u64()?);
-        let ddv = cur.ddv()?;
-        let committed_at = SimTime(cur.u64()?);
-        let forced = cur.u8()? != 0;
-        let last = store.latest();
-        let payload = decode_entry_body(cur.bytes()?, last.map(|e| &e.payload.delivered))?;
-        // Semantic validation before `ClcStore::commit` (which *asserts*
-        // these invariants): corrupt images must error, not panic.
-        if let Some(last) = last {
-            if sn <= last.meta.sn
-                || ddv.len() != last.meta.ddv.len()
-                || !last.meta.ddv.dominated_by(&ddv)
-            {
-                return Err(DecodeError::Invalid("non-monotone store entries"));
+        let mut cur = Cursor::new(buf);
+        let delivered = match cur.u8()? {
+            DELIVERED_FULL => {
+                DeliveredRecord::new().extended_with(get_delivered_entries(&mut cur)?)
             }
-        }
-        store.commit(
-            ClcMeta {
-                sn,
-                ddv: Arc::new(ddv),
-                committed_at,
-                forced,
-            },
-            payload,
-        );
+            DELIVERED_DELTA => {
+                let prev = &prev.ok_or("delta body without a previous entry")?.delivered;
+                let entries = get_delivered_entries(&mut cur)?;
+                // A delta shadowing keys the previous record already holds
+                // is corrupt: the live engine only seals fresh deliveries.
+                if entries.keys().any(|k| prev.get(k).is_some()) {
+                    return Err("delta overlaps previous record".into());
+                }
+                prev.extended_with(entries)
+            }
+            t => return Err(format!("unknown delivered tag {t}")),
+        };
+        let (channel_state, app_state) = get_channel_and_app(&mut cur)?;
+        cur.finish()?;
+        Ok(NodeCheckpoint {
+            delivered,
+            channel_state,
+            app_state,
+        })
     }
-    expect_end(&cur)?;
-    Ok(store)
-}
-
-/// Write a store image to a file (atomically: temp file + rename).
-pub fn save_store(store: &ClcStore<NodeCheckpoint>, path: &std::path::Path) -> std::io::Result<()> {
-    let bytes = encode_store(store);
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-/// Read a store image back from a file.
-pub fn load_store(path: &std::path::Path) -> std::io::Result<ClcStore<NodeCheckpoint>> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode_store(&bytes)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use storage::Ddv;
+    use storage::{varint, EntryCodec};
 
     fn sample_checkpoint(k: u64) -> NodeCheckpoint {
         let delivered = DeliveredRecord::from_entries([
@@ -292,61 +201,53 @@ mod tests {
         }
     }
 
-    fn sample_store() -> ClcStore<NodeCheckpoint> {
-        let mut store = ClcStore::new();
-        for k in 1..=4u64 {
-            let mut ddv = Ddv::zeros(3);
-            ddv.set(1, SeqNum(k));
-            ddv.raise(0, SeqNum(k / 2));
-            store.commit(
-                ClcMeta {
-                    sn: SeqNum(k),
-                    ddv: Arc::new(ddv),
-                    committed_at: SimTime(k * 1_000_000),
-                    forced: k.is_multiple_of(2),
-                },
-                sample_checkpoint(k),
-            );
-        }
-        store
+    /// Checkpoints sharing no structure: every body is a full record.
+    fn sample_chain() -> Vec<NodeCheckpoint> {
+        (1..=4).map(sample_checkpoint).collect()
     }
 
-    /// A store whose checkpoints share their delivery records the way a
-    /// live engine's do: each entry structurally extends the previous.
-    fn generational_store() -> ClcStore<NodeCheckpoint> {
-        let mut store = ClcStore::new();
+    /// Checkpoints sharing their delivery records the way a live engine's
+    /// do: each entry structurally extends the previous.
+    fn generational_chain() -> Vec<NodeCheckpoint> {
         let mut live = DeliveredRecord::new();
-        for k in 1..=5u64 {
-            live.insert((NodeId::new(1, (k % 3) as u32), 100 + k), SeqNum(k));
-            let mut ddv = Ddv::zeros(2);
-            ddv.set(0, SeqNum(k));
-            store.commit(
-                ClcMeta {
-                    sn: SeqNum(k),
-                    ddv: Arc::new(ddv),
-                    committed_at: SimTime(k),
-                    forced: false,
-                },
+        (1..=5u64)
+            .map(|k| {
+                live.insert((NodeId::new(1, (k % 3) as u32), 100 + k), SeqNum(k));
                 NodeCheckpoint {
                     delivered: live.seal(),
-                    channel_state: vec![],
-                    app_state: None,
-                },
-            );
-        }
-        store
+                    ..NodeCheckpoint::default()
+                }
+            })
+            .collect()
     }
 
-    fn stores_equal(a: &ClcStore<NodeCheckpoint>, b: &ClcStore<NodeCheckpoint>) -> bool {
-        a.len() == b.len()
-            && a.iter()
-                .zip(b.iter())
-                .all(|(x, y)| x.meta == y.meta && x.payload == y.payload)
+    /// Each body encoded against the previous checkpoint, as the segment
+    /// log writes a chain (`delta`), or against nothing.
+    fn encode_chain(chain: &[NodeCheckpoint], delta: bool) -> Vec<Vec<u8>> {
+        let mut prev = None;
+        chain
+            .iter()
+            .map(|c| {
+                let body = CheckpointCodec.encode_payload(c, prev.filter(|_| delta));
+                prev = Some(c);
+                body
+            })
+            .collect()
+    }
+
+    /// Each body decoded against the previous *decoded* checkpoint, as
+    /// recovery replays a chain.
+    fn decode_chain(bodies: &[Vec<u8>]) -> Result<Vec<NodeCheckpoint>, String> {
+        let mut chain: Vec<NodeCheckpoint> = Vec::new();
+        for body in bodies {
+            let c = CheckpointCodec.decode_payload(body, chain.last())?;
+            chain.push(c);
+        }
+        Ok(chain)
     }
 
     #[test]
     fn checkpoint_round_trips() {
-        use storage::EntryCodec;
         for k in 0..4 {
             let c = sample_checkpoint(k);
             let bytes = CheckpointCodec.encode_payload(&c, None);
@@ -356,93 +257,70 @@ mod tests {
 
     #[test]
     fn store_round_trips() {
-        let store = sample_store();
-        let bytes = encode_store(&store);
-        let back = decode_store(&bytes).unwrap();
-        assert!(stores_equal(&store, &back));
+        for chain in [sample_chain(), generational_chain()] {
+            assert_eq!(decode_chain(&encode_chain(&chain, true)), Ok(chain));
+        }
     }
 
     #[test]
     fn generational_store_round_trips_and_uses_deltas() {
-        let store = generational_store();
-        let bytes = encode_store(&store);
-        let back = decode_store(&bytes).unwrap();
-        assert!(stores_equal(&store, &back));
-        // Image size is O(total deliveries), not O(n * deliveries): the
+        let chain = generational_chain();
+        let bodies = encode_chain(&chain, true);
+        assert_eq!(decode_chain(&bodies).as_ref(), Ok(&chain));
+        assert!(bodies[1..].iter().all(|b| b[0] == DELIVERED_DELTA));
+        // Chain size is O(total deliveries), not O(n * deliveries): the
         // eager (all-full) encoding of the same content is strictly larger.
-        let mut eager = Vec::new();
-        eager.extend_from_slice(MAGIC);
-        eager.push(STORE_VERSION);
-        put_u64(&mut eager, store.len() as u64);
-        for entry in store.iter() {
-            put_u64(&mut eager, entry.meta.sn.0);
-            put_ddv(&mut eager, &entry.meta.ddv);
-            put_u64(&mut eager, entry.meta.committed_at.nanos());
-            eager.push(entry.meta.forced as u8);
-            let body = encode_entry_body(&entry.payload, None);
-            put_bytes(&mut eager, &body);
-        }
+        let size = |bodies: Vec<Vec<u8>>| bodies.concat().len();
+        let (delta, eager) = (size(bodies), size(encode_chain(&chain, false)));
         assert!(
-            bytes.len() < eager.len(),
-            "delta image ({}) not smaller than eager image ({})",
-            bytes.len(),
-            eager.len()
+            delta < eager,
+            "delta chain ({delta}) not smaller than eager chain ({eager})"
         );
     }
 
     #[test]
     fn encoding_is_byte_stable_across_round_trips() {
-        for store in [sample_store(), generational_store()] {
-            let bytes = encode_store(&store);
-            let reencoded = encode_store(&decode_store(&bytes).unwrap());
-            assert_eq!(bytes, reencoded, "encode∘decode must be byte-stable");
+        for chain in [sample_chain(), generational_chain()] {
+            let bodies = encode_chain(&chain, true);
+            let reencoded = encode_chain(&decode_chain(&bodies).unwrap(), true);
+            assert_eq!(bodies, reencoded, "encode∘decode must be byte-stable");
         }
     }
 
     #[test]
     fn encoding_is_deterministic_despite_hashmap() {
-        // The delivery record is hash-map backed; the image must still be
+        // The delivery record is hash-map backed; the bodies must still be
         // stable.
-        let a = encode_store(&sample_store());
-        let b = encode_store(&sample_store());
-        assert_eq!(a, b);
+        assert_eq!(
+            encode_chain(&sample_chain(), true),
+            encode_chain(&sample_chain(), true)
+        );
     }
 
     #[test]
     fn corrupt_images_are_rejected_not_panicked() {
-        let bytes = encode_store(&sample_store());
-        for cut in 0..bytes.len() {
-            assert!(decode_store(&bytes[..cut]).is_err(), "cut at {cut}");
+        for chain in [sample_chain(), generational_chain()] {
+            let bodies = encode_chain(&chain, true);
+            for (i, body) in bodies.iter().enumerate() {
+                let prev = i.checked_sub(1).map(|p| &chain[p]);
+                for cut in 0..body.len() {
+                    let r = CheckpointCodec.decode_payload(&body[..cut], prev);
+                    assert!(r.is_err(), "entry {i} cut at {cut}");
+                }
+                let mut bad = body.clone();
+                bad.push(0);
+                assert_eq!(
+                    CheckpointCodec.decode_payload(&bad, prev),
+                    Err(varint::Error::Trailing.into())
+                );
+            }
         }
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(decode_store(&bad).is_err(), "bad magic");
-        let mut bad = bytes.clone();
-        bad[4] = 99;
-        assert!(matches!(
-            decode_store(&bad),
-            Err(DecodeError::BadVersion(99))
-        ));
-        // v1 is no longer read.
-        let mut bad = bytes.clone();
-        bad[4] = 1;
-        assert!(matches!(
-            decode_store(&bad),
-            Err(DecodeError::BadVersion(1))
-        ));
-        let mut bad = bytes;
-        bad.push(0);
-        assert!(matches!(
-            decode_store(&bad),
-            Err(DecodeError::TrailingBytes(_))
-        ));
     }
 
     /// Lengths and counts no bytes back: an error, in debug and release,
     /// before anything is sized from them.
     #[test]
     fn crafted_lengths_and_counts_are_truncation_not_panic_or_allocation() {
-        use storage::EntryCodec;
         // FULL, no deliveries, no channel state, an app snapshot of
         // u64::MAX bytes (was `*pos + len` overflowing in debug builds).
         let app_len = [
@@ -454,36 +332,38 @@ mod tests {
         for body in [&app_len[..], &count[..]] {
             assert_eq!(
                 CheckpointCodec.decode_payload(body, None),
-                Err(DecodeError::Truncated.to_string())
+                Err(varint::Error::Truncated.into())
             );
-            // The same body inside a one-entry store image.
-            let mut image = b"HC3I\x02\x01\x01\x01\x00\x00\x00".to_vec();
-            put_bytes(&mut image, body);
-            assert_eq!(decode_store(&image).err(), Some(DecodeError::Truncated));
         }
     }
 
-    #[test]
-    fn file_round_trip() {
-        let store = sample_store();
-        let path =
-            std::env::temp_dir().join(format!("hc3i-persist-test-{}.clc", std::process::id()));
-        save_store(&store, &path).unwrap();
-        let back = load_store(&path).unwrap();
-        assert!(stores_equal(&store, &back));
-        std::fs::remove_file(&path).ok();
-    }
-
+    /// Every engine's store starts with an empty checkpoint: it is a full
+    /// body of four zero bytes, and an empty delta against itself.
     #[test]
     fn empty_store_round_trips() {
-        let store: ClcStore<NodeCheckpoint> = ClcStore::new();
-        let back = decode_store(&encode_store(&store)).unwrap();
-        assert_eq!(back.len(), 0);
+        let empty = NodeCheckpoint::default();
+        let bodies = encode_chain(&[empty.clone(), empty.clone()], true);
+        assert_eq!(
+            bodies,
+            [[DELIVERED_FULL, 0, 0, 0], [DELIVERED_DELTA, 0, 0, 0]]
+        );
+        assert_eq!(decode_chain(&bodies), Ok(vec![empty.clone(), empty]));
     }
 
+    /// A delivery or channel message from a cluster or rank that
+    /// [`NodeId`] cannot hold is corruption: an error, not an id wrapped to
+    /// another node's (which would also re-encode to different bytes).
     #[test]
-    fn missing_file_is_io_error() {
-        let path = std::env::temp_dir().join("hc3i-persist-does-not-exist.clc");
-        assert!(load_store(&path).is_err());
+    fn out_of_range_node_ids_are_errors() {
+        for (cluster, rank) in [(1 << 16, 0), (0, 1 << 32)] {
+            let delivery = [0, 1, cluster, rank, 7, 2, 0, 0];
+            let channel = [0, 0, 1, cluster, rank, 512, 40, 0];
+            for varints in [delivery, channel] {
+                let mut body = Vec::new();
+                varints.iter().for_each(|&v| put_u64(&mut body, v));
+                let r = CheckpointCodec.decode_payload(&body, None);
+                assert!(r.is_err(), "({cluster}, {rank}) decoded to {r:?}");
+            }
+        }
     }
 }

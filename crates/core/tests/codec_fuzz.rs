@@ -1,147 +1,26 @@
-//! Property tests for the wire codec and the versioned checkpoint-store
-//! codec: arbitrary messages and stores round-trip, and arbitrary byte
-//! soup never panics either decoder.
+//! Property tests for the segment log's checkpoint entry codec
+//! ([`CheckpointCodec`]) over chains built the way a live engine builds
+//! them: bodies round-trip byte-stably, deltas pay for themselves, and
+//! mutated, truncated or malformed bodies are errors — never panics, never
+//! a silently different checkpoint.
 
-use hc3i_core::codec::{decode, decode_envelope, encode, encode_envelope};
-use hc3i_core::persist::{decode_store, encode_store};
-use hc3i_core::{
-    AppPayload, ClcReason, Ddv, DeliveredRecord, LogId, Msg, NodeCheckpoint, Piggyback, SeqNum,
-};
+use hc3i_core::{AppPayload, CheckpointCodec, DeliveredRecord, NodeCheckpoint, SeqNum};
 use netsim::NodeId;
 use proptest::prelude::*;
-use storage::{ClcMeta, ClcStore};
+use storage::varint::put_u64;
+use storage::EntryCodec;
 
-fn ddv_strategy() -> impl Strategy<Value = Ddv> {
-    prop::collection::vec(any::<u64>(), 1..8)
-        .prop_map(|v| Ddv::from_entries(v.into_iter().map(SeqNum).collect()))
-}
-
-fn piggyback_strategy() -> impl Strategy<Value = Piggyback> {
-    prop_oneof![
-        any::<u64>().prop_map(|v| Piggyback::Sn(SeqNum(v))),
-        ddv_strategy().prop_map(|d| Piggyback::Ddv(std::sync::Arc::new(d))),
-    ]
-}
-
-fn payload_strategy() -> impl Strategy<Value = AppPayload> {
-    (any::<u64>(), any::<u64>()).prop_map(|(bytes, tag)| AppPayload { bytes, tag })
-}
-
-fn reason_strategy() -> impl Strategy<Value = ClcReason> {
-    prop_oneof![
-        Just(ClcReason::Timer),
-        (piggyback_strategy(), 0usize..16).prop_map(|(p, c)| ClcReason::Forced(p, c)),
-    ]
-}
-
-fn msg_strategy() -> impl Strategy<Value = Msg> {
-    prop_oneof![
-        (reason_strategy(), any::<u64>())
-            .prop_map(|(reason, epoch)| Msg::ClcInit { reason, epoch }),
-        (any::<u64>(), any::<u64>()).prop_map(|(round, epoch)| Msg::ClcRequest { round, epoch }),
-        (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(round, owner, epoch)| {
-            Msg::FragmentReplica {
-                round,
-                owner,
-                epoch,
-            }
-        }),
-        (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(round, holder, epoch)| {
-            Msg::FragmentStored {
-                round,
-                holder,
-                epoch,
-            }
-        }),
-        (any::<u64>(), any::<u32>(), any::<u64>()).prop_map(|(round, rank, epoch)| Msg::ClcAck {
-            round,
-            rank,
-            epoch
-        }),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            ddv_strategy(),
-            any::<bool>(),
-            any::<u64>()
-        )
-            .prop_map(|(round, sn, ddv, forced, epoch)| Msg::ClcCommit {
-                round,
-                sn: SeqNum(sn),
-                ddv: std::sync::Arc::new(ddv),
-                forced,
-                epoch,
-            }),
-        (payload_strategy(), any::<u64>()).prop_map(|(payload, sn)| Msg::AppIntra {
-            payload,
-            sent_at_sn: SeqNum(sn),
-        }),
-        (
-            payload_strategy(),
-            piggyback_strategy(),
-            any::<u64>(),
-            any::<bool>(),
-            any::<u64>()
-        )
-            .prop_map(
-                |(payload, piggyback, id, resend, sender_epoch)| Msg::AppInter {
-                    payload,
-                    piggyback,
-                    log_id: LogId(id),
-                    resend,
-                    sender_epoch,
-                }
-            ),
-        (any::<u64>(), any::<u64>()).prop_map(|(id, sn)| Msg::InterAck {
-            log_id: LogId(id),
-            receiver_sn: SeqNum(sn),
-        }),
-        (any::<u64>(), any::<u64>(), any::<u32>()).prop_map(|(sn, epoch, nc)| {
-            Msg::RollbackOrder {
-                restore_sn: SeqNum(sn),
-                epoch,
-                new_coordinator: nc,
-            }
-        }),
-        (0usize..16, any::<u64>(), any::<u64>()).prop_map(|(origin, sn, e)| Msg::RollbackAlert {
-            origin,
-            sn: SeqNum(sn),
-            origin_epoch: e,
-        }),
-        (0usize..16, any::<u64>(), any::<u64>()).prop_map(|(origin, sn, e)| Msg::AlertLocal {
-            origin,
-            sn: SeqNum(sn),
-            origin_epoch: e,
-        }),
-        Just(Msg::GcCollect),
-        (
-            0usize..16,
-            prop::collection::vec((any::<u64>(), ddv_strategy()), 0..6)
-        )
-            .prop_map(|(cluster, raw)| Msg::GcDdvList {
-                cluster,
-                list: raw
-                    .into_iter()
-                    .map(|(sn, ddv)| (SeqNum(sn), std::sync::Arc::new(ddv)))
-                    .collect(),
-            }),
-        prop::collection::vec(any::<u64>(), 0..8).prop_map(|v| Msg::GcPrune {
-            min_sns: v.into_iter().map(SeqNum).collect(),
-        }),
-    ]
-}
-
-/// One step of a random store history: deliveries recorded since the
-/// previous CLC, plus whether the application published a snapshot.
+/// One step of a random chain history: deliveries recorded since the
+/// previous CLC, the channel state captured at it, and whether the
+/// application published a snapshot.
 #[derive(Debug, Clone)]
-struct StoreStep {
+struct ChainStep {
     deliveries: Vec<(u16, u32, u64, u64)>,
     channel: Vec<(u16, u32, u64, u64)>,
     app_state: Option<Vec<u8>>,
-    forced: bool,
 }
 
-fn store_strategy() -> impl Strategy<Value = Vec<StoreStep>> {
+fn chain_strategy() -> impl Strategy<Value = Vec<ChainStep>> {
     prop::collection::vec(
         (
             prop::collection::vec((0u16..4, 0u32..4, any::<u64>(), any::<u64>()), 0..5),
@@ -149,40 +28,29 @@ fn store_strategy() -> impl Strategy<Value = Vec<StoreStep>> {
             // (the vendored proptest has no `prop::option`; model the
             // optional app snapshot with an explicit presence bool)
             (any::<bool>(), prop::collection::vec(any::<u8>(), 0..16)),
-            any::<bool>(),
         )
-            .prop_map(|(deliveries, channel, (has_app, app), forced)| StoreStep {
+            .prop_map(|(deliveries, channel, (has_app, app))| ChainStep {
                 deliveries,
                 channel,
                 app_state: has_app.then_some(app),
-                forced,
             }),
-        0..10,
+        1..10,
     )
 }
 
-/// Build a store the way a live engine does: one sealed, structurally
+/// Build a chain the way a live engine does: one sealed, structurally
 /// shared delivered-record per CLC.
-fn build_store(steps: &[StoreStep]) -> ClcStore<NodeCheckpoint> {
-    let mut store = ClcStore::new();
+fn build_chain(steps: &[ChainStep]) -> Vec<NodeCheckpoint> {
     let mut live = DeliveredRecord::new();
-    for (i, step) in steps.iter().enumerate() {
-        for &(c, r, id, sn) in &step.deliveries {
-            let key = (NodeId::new(c, r), id);
-            if live.get(&key).is_none() {
-                live.insert(key, SeqNum(sn));
+    steps
+        .iter()
+        .map(|step| {
+            for &(c, r, id, sn) in &step.deliveries {
+                let key = (NodeId::new(c, r), id);
+                if live.get(&key).is_none() {
+                    live.insert(key, SeqNum(sn));
+                }
             }
-        }
-        let sn = SeqNum(i as u64 + 1);
-        let mut ddv = Ddv::zeros(4);
-        ddv.set(0, sn);
-        store.commit(
-            ClcMeta {
-                sn,
-                ddv: std::sync::Arc::new(ddv),
-                committed_at: desim::SimTime(i as u64),
-                forced: step.forced,
-            },
             NodeCheckpoint {
                 delivered: live.seal(),
                 channel_state: step
@@ -191,114 +59,162 @@ fn build_store(steps: &[StoreStep]) -> ClcStore<NodeCheckpoint> {
                     .map(|&(c, r, bytes, tag)| (NodeId::new(c, r), AppPayload { bytes, tag }))
                     .collect(),
                 app_state: step.app_state.clone(),
-            },
-        );
-    }
-    store
+            }
+        })
+        .collect()
 }
 
-fn stores_equal(a: &ClcStore<NodeCheckpoint>, b: &ClcStore<NodeCheckpoint>) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.meta == y.meta && x.payload == y.payload)
+/// Each body encoded against the previous checkpoint, as the segment log
+/// writes a chain (`delta`), or against nothing.
+fn encode_chain(chain: &[NodeCheckpoint], delta: bool) -> Vec<Vec<u8>> {
+    let mut prev = None;
+    chain
+        .iter()
+        .map(|c| {
+            let body = CheckpointCodec.encode_payload(c, prev.filter(|_| delta));
+            prev = Some(c);
+            body
+        })
+        .collect()
+}
+
+/// Values at and around `max`, plus small and arbitrary ones.
+fn edge_strategy(max: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..4, max - 2..=max + 2, any::<u64>()]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// Decoding each body against the previous *decoded* checkpoint — as
+    /// recovery replays a chain — gives back the content, and re-encoding
+    /// gives back every body byte for byte (the decoder rebuilt the
+    /// structural deltas).
     #[test]
-    fn every_message_round_trips(msg in msg_strategy()) {
-        let wire = encode(&msg);
-        prop_assert_eq!(decode(&wire).unwrap(), msg);
-    }
-
-    #[test]
-    fn envelopes_round_trip(
-        msg in msg_strategy(),
-        fc in any::<u16>(), fr in any::<u32>(),
-        tc in any::<u16>(), tr in any::<u32>(),
-    ) {
-        let from = NodeId::new(fc, fr);
-        let to = NodeId::new(tc, tr);
-        let wire = encode_envelope(from, to, &msg);
-        let (f, t, m) = decode_envelope(&wire).unwrap();
-        prop_assert_eq!(f, from);
-        prop_assert_eq!(t, to);
-        prop_assert_eq!(m, msg);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode(&bytes);
-        let _ = decode_envelope(&bytes);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_mutated_valid_messages(
-        msg in msg_strategy(),
-        flip_at in any::<prop::sample::Index>(),
-        new_byte in any::<u8>(),
-    ) {
-        let mut wire = encode(&msg);
-        if wire.is_empty() {
-            return Ok(());
+    fn entry_chain_round_trips_byte_stably(steps in chain_strategy()) {
+        let chain = build_chain(&steps);
+        let bodies = encode_chain(&chain, true);
+        let mut back: Vec<NodeCheckpoint> = Vec::new();
+        for body in &bodies {
+            let c = CheckpointCodec.decode_payload(body, back.last()).unwrap();
+            prop_assert_eq!(&CheckpointCodec.encode_payload(&c, back.last()), body);
+            back.push(c);
         }
-        let idx = flip_at.index(wire.len());
-        wire[idx] = new_byte;
-        let _ = decode(&wire); // must not panic; Err or a different Msg are both fine
+        prop_assert_eq!(back, chain);
+    }
+
+    /// Chain size is O(total deliveries): once a CLC follows one that
+    /// holds deliveries, the delta chain is strictly smaller than the
+    /// all-full one.
+    #[test]
+    fn delta_chain_is_smaller_than_full_chain(steps in chain_strategy()) {
+        let chain = build_chain(&steps);
+        let size = |delta| encode_chain(&chain, delta).concat().len();
+        if chain.windows(2).any(|w| !w[0].delivered.is_empty()) {
+            prop_assert!(size(true) < size(false), "{} vs {}", size(true), size(false));
+        } else {
+            prop_assert_eq!(size(true), size(false));
+        }
+    }
+
+    /// Two encodings of the same hash-map-backed chain are equal.
+    #[test]
+    fn entry_encoding_is_deterministic(steps in chain_strategy()) {
+        let chain = build_chain(&steps);
+        prop_assert_eq!(encode_chain(&chain, true), encode_chain(&chain, true));
     }
 
     #[test]
-    fn encoding_is_deterministic(msg in msg_strategy()) {
-        prop_assert_eq!(encode(&msg), encode(&msg));
+    fn entry_decoder_never_panics_on_garbage(
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _ = CheckpointCodec.decode_payload(&bytes, None);
+        let _ = CheckpointCodec.decode_payload(&bytes, Some(&NodeCheckpoint::default()));
     }
 
     #[test]
-    fn versioned_store_encoding_round_trips_byte_stably(steps in store_strategy()) {
-        let store = build_store(&steps);
-        let bytes = encode_store(&store);
-        let back = decode_store(&bytes).unwrap();
-        prop_assert!(stores_equal(&store, &back), "content round-trip");
-        // Byte stability: re-encoding the decoded store reproduces the
-        // image exactly (the decoder rebuilt the structural deltas).
-        prop_assert_eq!(encode_store(&back), bytes);
-    }
-
-    #[test]
-    fn store_decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_store(&bytes);
-    }
-
-    #[test]
-    fn store_decoder_never_panics_on_mutated_valid_images(
-        steps in store_strategy(),
+    fn entry_decoder_never_panics_on_mutated_bodies(
+        steps in chain_strategy(),
+        entry_at in any::<prop::sample::Index>(),
         flip_at in any::<prop::sample::Index>(),
         new_byte in any::<u8>(),
     ) {
-        let mut bytes = encode_store(&build_store(&steps));
-        let idx = flip_at.index(bytes.len());
-        bytes[idx] = new_byte;
-        let _ = decode_store(&bytes); // Err or a different store; no panic
+        let chain = build_chain(&steps);
+        let bodies = encode_chain(&chain, true);
+        let i = entry_at.index(bodies.len());
+        let mut body = bodies[i].clone();
+        let idx = flip_at.index(body.len());
+        body[idx] = new_byte;
+        // Err or a different checkpoint; no panic.
+        let _ = CheckpointCodec.decode_payload(&body, i.checked_sub(1).map(|p| &chain[p]));
     }
 
-    // Every strict prefix of a valid image must fail to decode with a
-    // `DecodeError` — the decoder may never panic on missing bytes, and
-    // (because lengths are explicit and trailing bytes are rejected) may
-    // never silently return a shorter-but-valid store either. This is
-    // what the durable segment log leans on when a torn frame slips
-    // past framing: the payload decoder itself detects the cut.
+    // Every strict prefix of a valid body must fail to decode — the
+    // decoder may never panic on missing bytes, and (because lengths are
+    // explicit and trailing bytes are rejected) may never silently return
+    // a shorter-but-valid checkpoint either. This is what the durable
+    // segment log leans on when a torn frame slips past framing: the
+    // payload decoder itself detects the cut.
     #[test]
-    fn prefix_truncation_of_v2_images_always_errors(
-        steps in store_strategy(),
+    fn every_strict_prefix_of_an_entry_body_errors(
+        steps in chain_strategy(),
+        entry_at in any::<prop::sample::Index>(),
         cut_at in any::<prop::sample::Index>(),
     ) {
-        let bytes = encode_store(&build_store(&steps));
-        let cut = cut_at.index(bytes.len()); // 0..len: a strict prefix
+        let chain = build_chain(&steps);
+        let bodies = encode_chain(&chain, true);
+        let i = entry_at.index(bodies.len());
+        let cut = cut_at.index(bodies[i].len()); // 0..len: a strict prefix
+        let prev = i.checked_sub(1).map(|p| &chain[p]);
         prop_assert!(
-            decode_store(&bytes[..cut]).is_err(),
-            "truncation to {cut}/{} bytes must not decode",
-            bytes.len()
+            CheckpointCodec.decode_payload(&bodies[i][..cut], prev).is_err(),
+            "entry {i} truncated to {cut}/{} bytes must not decode",
+            bodies[i].len()
         );
+    }
+
+    /// A trailing byte, an unknown delivered tag and a DELTA body with no
+    /// previous entry are each an error.
+    #[test]
+    fn malformed_entry_bodies_are_rejected(
+        steps in chain_strategy(),
+        entry_at in any::<prop::sample::Index>(),
+        extra in any::<u8>(),
+        tag in 2u8..=255,
+    ) {
+        let chain = build_chain(&steps);
+        let bodies = encode_chain(&chain, true);
+        let i = entry_at.index(bodies.len());
+        let prev = i.checked_sub(1).map(|p| &chain[p]);
+        let mut trailing = bodies[i].clone();
+        trailing.push(extra);
+        prop_assert!(CheckpointCodec.decode_payload(&trailing, prev).is_err());
+        let mut unknown = bodies[i].clone();
+        unknown[0] = tag;
+        prop_assert!(CheckpointCodec.decode_payload(&unknown, prev).is_err());
+        let delta = CheckpointCodec.encode_payload(&chain[i], Some(&chain[i]));
+        prop_assert!(CheckpointCodec.decode_payload(&delta, None).is_err());
+    }
+
+    /// A delivery from a node id at or past the edges of `u16` clusters
+    /// and `u32` ranks decodes exactly when the id fits, and then
+    /// re-encodes to the same bytes — never wrapped into another node.
+    #[test]
+    fn node_ids_decode_only_in_range_and_byte_stably(
+        cluster in edge_strategy(u64::from(u16::MAX)),
+        rank in edge_strategy(u64::from(u32::MAX)),
+    ) {
+        let mut body = Vec::new();
+        for v in [0, 1, cluster, rank, 7, 2, 0, 0] {
+            put_u64(&mut body, v);
+        }
+        let fits = cluster <= u64::from(u16::MAX) && rank <= u64::from(u32::MAX);
+        match CheckpointCodec.decode_payload(&body, None) {
+            Ok(c) => {
+                prop_assert!(fits, "({cluster}, {rank}) decoded");
+                prop_assert_eq!(CheckpointCodec.encode_payload(&c, None), body);
+            }
+            Err(_) => prop_assert!(!fits, "({cluster}, {rank}) rejected"),
+        }
     }
 }

@@ -147,12 +147,6 @@ pub struct InstantBatch {
 }
 
 impl InstantBatch {
-    /// The instant this batch fires at.
-    #[inline]
-    pub fn at(&self) -> SimTime {
-        self.at
-    }
-
     /// Events yielded so far.
     #[inline]
     pub fn taken(&self) -> u64 {

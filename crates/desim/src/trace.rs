@@ -3,8 +3,8 @@
 //! The paper's simulator "can be compiled with different trace levels. With
 //! the higher trace level, we can observe each node time-stamped action".
 //! We reproduce that as a runtime-configurable tracer: models emit
-//! `(time, subsystem, message)` records; the sink either drops them, counts
-//! them, or stores/prints them, depending on the configured level.
+//! `(time, subsystem, message)` records; the sink either drops or stores
+//! them, depending on the configured level.
 
 use crate::time::SimTime;
 
@@ -36,7 +36,6 @@ pub struct TraceRecord {
 pub struct Tracer {
     level: TraceLevel,
     records: Vec<TraceRecord>,
-    dropped: u64,
 }
 
 impl Tracer {
@@ -45,19 +44,12 @@ impl Tracer {
         Tracer {
             level,
             records: vec![],
-            dropped: 0,
         }
-    }
-
-    /// The configured level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
     }
 
     /// Whether records needing `level` are currently kept. Hot paths guard
     /// on this to skip even *constructing* the record closure and its
-    /// captured arguments (a gated call also skips the dropped-record
-    /// counter, which only tallies records that reached the tracer).
+    /// captured arguments.
     #[inline]
     pub fn enabled(&self, level: TraceLevel) -> bool {
         self.level >= level
@@ -86,7 +78,6 @@ impl Tracer {
         detail: impl FnOnce() -> String,
     ) {
         if self.level < needs {
-            self.dropped += 1;
             return;
         }
         self.records.push(TraceRecord {
@@ -108,11 +99,6 @@ impl Tracer {
             .iter()
             .filter(move |r| r.subsystem == owned.as_str())
     }
-
-    /// How many records were suppressed by the level filter.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +111,6 @@ mod tests {
         t.protocol(SimTime::ZERO, "clc", || "commit".into());
         t.full(SimTime::ZERO, "net", || "send".into());
         assert!(t.records().is_empty());
-        assert_eq!(t.dropped(), 2);
     }
 
     #[test]
@@ -135,7 +120,6 @@ mod tests {
         t.full(SimTime::ZERO, "net", || "send".into());
         assert_eq!(t.records().len(), 1);
         assert_eq!(t.records()[0].subsystem, "clc");
-        assert_eq!(t.dropped(), 1);
     }
 
     #[test]

@@ -180,9 +180,10 @@ fn get_meta(cur: &mut Cursor<'_>) -> Result<ClcMeta, String> {
 /// Serializes one store entry's payload for the segment log.
 ///
 /// Defined here (below the protocol crate in the dependency order) so
-/// `hc3i-core` can plug in its byte-stable v2 checkpoint encoding: the
-/// `prev` argument is the node's previous chain entry, letting the codec
-/// write structural deltas exactly like the store-image format.
+/// `hc3i-core` can plug in its byte-stable checkpoint encoding
+/// (`CheckpointCodec`): the `prev` argument is the node's previous chain
+/// entry, letting the codec write a checkpoint's delivery record as a
+/// structural delta against it.
 pub trait EntryCodec {
     /// What a chain entry's payload is (a node checkpoint upstream).
     type Payload: Clone;
@@ -362,13 +363,13 @@ impl<C: EntryCodec> Replayer<'_, C> {
             }
             OP_TRUNCATE => {
                 let sn = SeqNum(cur.u64()?);
-                expect_end(&cur)?;
+                cur.finish()?;
                 self.stores.entry(node).or_default().truncate_after(sn);
                 Ok(())
             }
             OP_PRUNE => {
                 let min_sn = SeqNum(cur.u64()?);
-                expect_end(&cur)?;
+                cur.finish()?;
                 self.stores.entry(node).or_default().prune_below(min_sn);
                 Ok(())
             }
@@ -380,7 +381,7 @@ impl<C: EntryCodec> Replayer<'_, C> {
                     let meta = get_meta(&mut cur)?;
                     commit_next(self.codec, &mut chain, meta, cur.bytes()?)?;
                 }
-                expect_end(&cur)?;
+                cur.finish()?;
                 // A snapshot *replaces* the node's chain: replay is
                 // idempotent whether or not pre-compaction segments
                 // survived.
@@ -389,13 +390,6 @@ impl<C: EntryCodec> Replayer<'_, C> {
             }
             t => Err(format!("unknown frame op {t}")),
         }
-    }
-}
-
-fn expect_end(cur: &Cursor<'_>) -> Result<(), String> {
-    match cur.remaining() {
-        0 => Ok(()),
-        n => Err(format!("{n} trailing frame bytes")),
     }
 }
 
@@ -839,7 +833,7 @@ mod tests {
             for _ in 0..n {
                 vals.push(cur.u64()?);
             }
-            expect_end(&cur)?;
+            cur.finish()?;
             Ok(Nums(vals))
         }
     }

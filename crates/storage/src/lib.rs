@@ -32,11 +32,10 @@
 //! of length-prefixed, CRC-checksummed frames with snapshot compaction
 //! and crash-consistent recovery (see [`durable`] for the durability
 //! contract and torn-tail policy). The entry payload encoding is plugged
-//! in from above via [`EntryCodec`], so `hc3i-core` can reuse its
-//! byte-stable v2 checkpoint format without inverting the crate
-//! dependency order. Every integer in that log — and in `hc3i-core`'s
-//! store image and wire codec — is a [`varint`], read through one bounds-
-//! checking cursor.
+//! in from above via [`EntryCodec`], so `hc3i-core` can plug in its
+//! byte-stable checkpoint entry bodies without inverting the crate
+//! dependency order. Every integer in that log — frames and entry bodies
+//! alike — is a [`varint`], read through one bounds-checking cursor.
 
 #![warn(missing_docs)]
 

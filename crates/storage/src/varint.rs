@@ -1,6 +1,6 @@
-//! The one LEB128 implementation: what the segment log, the persisted
-//! store image and the wire codec all write integers, lengths and DDV
-//! stamps with.
+//! The one LEB128 implementation: what the segment log's frames and the
+//! checkpoint entry bodies inside them (`hc3i-core`'s `CheckpointCodec`)
+//! write integers, lengths and DDV stamps with.
 //!
 //! Writing is [`put_u64`] (7 bits per byte, low bits first, high bit set
 //! on every byte but the last). Reading goes through a [`Cursor`], a
@@ -16,6 +16,8 @@
 //!
 //! A varint is at most ten bytes; a tenth byte with its high bit set is
 //! [`Error::Overflow`], an input that ends first is [`Error::Truncated`].
+//! A decoder that has read a whole value ends with [`Cursor::finish`], so
+//! bytes after it are [`Error::Trailing`] rather than silently ignored.
 
 use crate::stamp::{Ddv, SeqNum};
 
@@ -26,6 +28,9 @@ pub enum Error {
     Truncated,
     /// A varint ran past ten bytes.
     Overflow,
+    /// Bytes followed a complete value. (No count: a payload would widen
+    /// every `Result` a read returns.)
+    Trailing,
 }
 
 impl std::fmt::Display for Error {
@@ -33,6 +38,7 @@ impl std::fmt::Display for Error {
         f.write_str(match self {
             Error::Truncated => "input truncated",
             Error::Overflow => "varint overflow",
+            Error::Trailing => "trailing bytes",
         })
     }
 }
@@ -79,6 +85,15 @@ impl<'a> Cursor<'a> {
     /// Everything not yet read.
     pub fn rest(self) -> &'a [u8] {
         self.0
+    }
+
+    /// End a read that must have consumed the whole input.
+    pub fn finish(self) -> Result<(), Error> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(Error::Trailing)
+        }
     }
 
     /// The next byte.
@@ -169,7 +184,11 @@ mod tests {
             put_u64(&mut buf, v);
             let mut cur = Cursor::new(&buf);
             assert_eq!(cur.u64(), Ok(v));
-            assert_eq!(cur.remaining(), 0);
+            assert_eq!(cur.finish(), Ok(()));
+            buf.push(0);
+            let mut cur = Cursor::new(&buf);
+            assert_eq!(cur.u64(), Ok(v));
+            assert_eq!(cur.finish(), Err(Error::Trailing));
         }
     }
 

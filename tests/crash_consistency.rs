@@ -5,7 +5,7 @@
 //! silently yields a wrong chain**: framing damage in the final segment
 //! is a torn write (discarded, recovery succeeds), anything else is
 //! [`storage::DurableError::Corrupt`]. This suite pins that contract on
-//! real images — v2 `CheckpointCodec` payloads produced by durable
+//! real images — `CheckpointCodec` payloads produced by durable
 //! simulator runs exercising commits, rollback truncations and GC prunes
 //! — with an exhaustive byte-truncation sweep and seeded bit-flip fuzz,
 //! on single- and multi-segment logs.
