@@ -119,10 +119,11 @@ impl ProtocolConfig {
         self.cluster_sizes[c]
     }
 
-    /// The default coordinator node of cluster `c` (rank 0). Recovery may
-    /// move the coordinator role to another rank; this is only the initial
-    /// assignment.
-    pub fn initial_coordinator(&self, c: usize) -> NodeId {
+    /// The coordinator of cluster `c`: rank 0, for the whole run — a failed
+    /// coordinator is revived by the rollback its cluster's recovery
+    /// performs. Cluster 0's coordinator is also the GC initiator.
+    #[inline]
+    pub fn coordinator(&self, c: usize) -> NodeId {
         NodeId::new(c as u16, 0)
     }
 
@@ -143,7 +144,7 @@ mod tests {
         assert_eq!(c.nodes_in(1), 100);
         assert_eq!(c.piggyback, PiggybackMode::SnOnly);
         assert_eq!(c.replication.degree(), 1);
-        assert_eq!(c.initial_coordinator(1), NodeId::new(1, 0));
+        assert_eq!(c.coordinator(1), NodeId::new(1, 0));
         assert_eq!(c.ddv_bytes(), 16);
     }
 

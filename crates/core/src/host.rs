@@ -9,16 +9,21 @@
 //! to a dead node, and which durable frame each store hook appends. This
 //! module is the single copy. Hosts implement [`Host`] and call
 //! [`perform`] after every `NodeEngine::handle`; they differ only in what
-//! a wire, a clock and a timer *are*.
+//! a wire, a clock and a timer *are*. The same goes for what a host feeds
+//! *in*: who coordinates, which live rank hears a fault, and where a node
+//! sits in the host's arena are decided here once.
 //!
 //! | Shared: this module, identical under every host | Supplied by the host |
 //! |---|---|
+//! | who coordinates: rank 0 ([`ProtocolConfig::coordinator`]) — for the engine, every CLC and GC timer, every scripted checkpoint | when a timer fires — a queue event, or a deadline on the coordinator's cell only |
+//! | which live rank hears a fault, about which ranks ([`FaultReports`], keyed by failure generation, [`is_down`]) | when a detection round runs — a `Detect` event after the detection delay, a heartbeat probe tick, or at once |
+//! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, shard cells, failure generations |
 //! | the `match` over [`Output`] ([`perform`]) | [`Host::now`] — simulated or wall-clock time |
 //! | fragment fan-out: one `FragmentReplica` per holder, in holder order, never through the transport | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue |
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window ([`receive`]) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
-//! | which durable frame each store hook appends ([`StoreOp::append`]) | [`Host::durable`] — which log, which node key, what an I/O error does |
+//! | which durable frame each store hook appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
 //! | the observable vocabulary ([`ProtoEvent`]) | [`Host::emit`] — trace + report fold, an event channel, or recording vectors |
 //! | re-entering the engine with the application's new snapshot | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
 //!
@@ -26,6 +31,7 @@
 //! behaviour is the same code in simulation and production; only network,
 //! time and storage callbacks are swapped.)
 
+use crate::config::ProtocolConfig;
 use crate::io::{Input, Output, OutputBuf};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
@@ -34,8 +40,10 @@ use crate::xport::{ReceiverChannel, SenderChannel, XportConfig};
 use desim::SimTime;
 use netsim::NodeId;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::Path;
-use storage::{DurableError, DurableOptions, DurableStore, SeqNum};
+use std::sync::Arc;
+use storage::{Ddv, DurableError, DurableOptions, DurableStore, SeqNum};
 
 /// What a host observes of a run: the typed vocabulary reports, event
 /// streams and traces are all derived from.
@@ -104,14 +112,15 @@ pub enum StoreOp {
 }
 
 impl StoreOp {
-    /// Append the frame mirroring this change to `log`, under the host's
-    /// key for the node.
+    /// Append the frame mirroring this change to `log`, keyed by the
+    /// engine's index in `layout`.
     pub fn append(
         self,
         log: &mut DurableStore<CheckpointCodec>,
-        node: u64,
+        layout: &Layout,
         engine: &NodeEngine,
     ) -> Result<(), DurableError> {
+        let node = layout.index(engine.id()) as u64;
         match self {
             StoreOp::Committed(sn) => {
                 let entry = engine.store().get(sn).expect("committed CLC is stored");
@@ -124,14 +133,15 @@ impl StoreOp {
 }
 
 /// Open the durable log of a fresh federation under `dir` and seed it with
-/// every engine's genesis chain, keyed by position in `engines` — the
-/// initial CLC is committed inside `NodeEngine::new`, so it never flows
-/// through [`Host::durable`].
+/// every engine's genesis chain, in the order given and keyed by `layout`
+/// — the initial CLC is committed inside `NodeEngine::new`, so it never
+/// flows through [`Host::durable`].
 ///
 /// # Panics
 /// If `dir` already holds a segment log.
 pub fn open_log<'a>(
     dir: &Path,
+    layout: &Layout,
     engines: impl IntoIterator<Item = &'a NodeEngine>,
 ) -> Result<DurableStore<CheckpointCodec>, DurableError> {
     // Asked before `open`, which would replay the log and trim its tail.
@@ -141,11 +151,164 @@ pub fn open_log<'a>(
         dir.display()
     );
     let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())?;
-    for (node, engine) in engines.into_iter().enumerate() {
-        log.snapshot_node(node as u64, engine.store())?;
+    for engine in engines {
+        log.snapshot_node(layout.index(engine.id()) as u64, engine.store())?;
     }
     log.sync()?;
     Ok(log)
+}
+
+/// Where every node of a federation sits in a host's arena: cluster-major
+/// order, cluster 0's ranks first. The one node index — the simulator's
+/// engine arena, the runtime's health table and shard placement, the test
+/// federation's engines and the durable log's node keys all use it.
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// `offsets[c]` = index of cluster `c`'s rank 0; the last entry is
+    /// the node count.
+    offsets: Vec<usize>,
+}
+
+impl Layout {
+    /// The layout of `cfg`'s federation.
+    pub fn new(cfg: &ProtocolConfig) -> Self {
+        let mut offsets = Vec::with_capacity(cfg.num_clusters() + 1);
+        let mut total = 0;
+        offsets.push(total);
+        for &nodes in &cfg.cluster_sizes {
+            total += nodes as usize;
+            offsets.push(total);
+        }
+        Layout { offsets }
+    }
+
+    /// `id`'s index.
+    #[inline]
+    pub fn index(&self, id: NodeId) -> usize {
+        self.offsets[id.cluster.index()] + id.rank as usize
+    }
+
+    /// The node at `index` (`index < self.nodes()`).
+    pub fn node(&self, index: usize) -> NodeId {
+        let c = self.offsets.partition_point(|&o| o <= index) - 1;
+        NodeId::new(c as u16, (index - self.offsets[c]) as u32)
+    }
+
+    /// The indices of cluster `c`, rank 0 first.
+    #[inline]
+    pub fn cluster(&self, c: usize) -> Range<usize> {
+        self.offsets[c]..self.offsets[c + 1]
+    }
+
+    /// Number of nodes.
+    pub fn nodes(&self) -> usize {
+        self.offsets[self.offsets.len() - 1]
+    }
+
+    /// Every node, in index order.
+    pub fn ids(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0..self.nodes()).map(|g| self.node(g))
+    }
+
+    /// A fresh engine for every node, in index order, from the `cfg` this
+    /// layout was built from. One `Arc` of the config for the whole arena
+    /// and one genesis DDV per cluster: with these shared and the engines'
+    /// epoch floors sparse, nothing an engine owns grows with the
+    /// federation's width, so the arena costs `nodes x constant`.
+    pub fn engines(&self, cfg: &ProtocolConfig) -> Vec<NodeEngine> {
+        let shared = Arc::new(cfg.clone());
+        let n = cfg.num_clusters();
+        let mut engines = Vec::with_capacity(self.nodes());
+        for c in 0..n {
+            let mut genesis = Ddv::zeros(n);
+            genesis.set(c, SeqNum(1));
+            let genesis = Arc::new(genesis);
+            for rank in 0..self.cluster(c).len() as u32 {
+                let id = NodeId::new(c as u16, rank);
+                engines.push(NodeEngine::with_initial_ddv(
+                    shared.clone(),
+                    id,
+                    genesis.clone(),
+                ));
+            }
+        }
+        engines
+    }
+}
+
+/// Whether a failure generation is a fail-stopped one. A node's failure
+/// generation counts its alive↔failed transitions: even = alive, odd =
+/// down, and a node revived and failed again carries a new odd value.
+#[inline]
+pub fn is_down(generation: u64) -> bool {
+    generation & 1 == 1
+}
+
+/// The input a fault report reaches an engine as: every rank in
+/// `failed_ranks` is down. What a detection round hands over
+/// ([`FaultReports::detect`]), and what a controller that detects by
+/// hand sends.
+pub fn fault_report(failed_ranks: Vec<u32>) -> Input {
+    Input::DetectFaults { failed_ranks }
+}
+
+/// What one detection round over a cluster found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Detection {
+    /// Nothing to report: no rank is newly failed, or the round's trigger
+    /// rank is not.
+    Nothing,
+    /// Ranks are newly failed but none is live to hear it. Nothing is
+    /// marked, so a later round reports them.
+    NoSurvivor,
+    /// Hand the input — one [`fault_report`] of every newly failed rank,
+    /// now marked reported — to this rank, the cluster's lowest live one,
+    /// which coordinates the recovery.
+    Report(u32, Input),
+}
+
+/// The fault reports of one cluster: the one rule every host routes a
+/// failure detection by. Concurrent faults reach the engine as *one*
+/// report, so they roll the cluster back once.
+#[derive(Debug, Default)]
+pub struct FaultReports {
+    /// The failure generation each reported rank was reported at. A rank
+    /// whose generation moved on was revived since — and, if down again,
+    /// is a fresh failure, even when no round saw it alive.
+    reported: HashMap<u32, u64>,
+}
+
+impl FaultReports {
+    /// One detection round over a cluster whose ranks have failure
+    /// `generations` (rank order; see [`is_down`]). A rank is *newly
+    /// failed* while it is down at a generation not yet reported. With a
+    /// `trigger`, the round reports only if that rank is newly failed —
+    /// and then reports every newly failed rank with it.
+    pub fn detect(
+        &mut self,
+        generations: impl IntoIterator<Item = u64>,
+        trigger: Option<u32>,
+    ) -> Detection {
+        let mut live = None;
+        let mut newly = Vec::new();
+        for (rank, generation) in (0u32..).zip(generations) {
+            if !is_down(generation) {
+                self.reported.remove(&rank);
+                live.get_or_insert(rank);
+            } else if self.reported.get(&rank) != Some(&generation) {
+                newly.push((rank, generation));
+            }
+        }
+        let triggered = trigger.is_none_or(|t| newly.iter().any(|&(r, _)| r == t));
+        if newly.is_empty() || !triggered {
+            return Detection::Nothing;
+        }
+        let Some(rank) = live else {
+            return Detection::NoSurvivor;
+        };
+        self.reported.extend(newly.iter().copied());
+        Detection::Report(rank, fault_report(newly.iter().map(|&(r, _)| r).collect()))
+    }
 }
 
 /// Reliable-transport state of one host: a sender and a receiver channel
@@ -434,7 +597,6 @@ pub fn retry<H: Host>(host: &mut H, from: NodeId, to: NodeId, seq: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ProtocolConfig;
     use desim::SimDuration;
 
     /// Everything a host can be asked to do, in the order it was asked.
@@ -693,6 +855,58 @@ mod tests {
         assert!(host.take().is_empty());
         // Without a transport there is nothing to retry.
         retry(&mut Recorder::new(None), ME, PEER, 0);
+    }
+
+    #[test]
+    fn layout_is_cluster_major_and_inverts() {
+        let cfg = ProtocolConfig::new(vec![3, 1, 2]);
+        let layout = Layout::new(&cfg);
+        assert_eq!(layout.nodes(), 6);
+        assert_eq!(layout.cluster(1), 3..4);
+        assert_eq!(layout.index(n(2, 1)), 5);
+        let ids: Vec<NodeId> = layout.ids().collect();
+        assert_eq!(ids, [n(0, 0), n(0, 1), n(0, 2), n(1, 0), n(2, 0), n(2, 1)]);
+        for (g, &id) in ids.iter().enumerate() {
+            assert_eq!((layout.index(id), layout.node(g)), (g, id));
+        }
+        let engines = layout.engines(&cfg);
+        assert!(engines.iter().map(NodeEngine::id).eq(ids));
+    }
+
+    fn report(rank: u32, failed_ranks: Vec<u32>) -> Detection {
+        Detection::Report(rank, Input::DetectFaults { failed_ranks })
+    }
+
+    #[test]
+    fn a_rank_revived_and_failed_again_between_rounds_is_reported_again() {
+        let mut reports = FaultReports::default();
+        assert_eq!(reports.detect([0, 1, 0], None), report(0, vec![1]));
+        assert_eq!(reports.detect([0, 1, 0], None), Detection::Nothing);
+        // Rank 1 revived (2) and failed again (3) with no round in between.
+        assert_eq!(reports.detect([0, 3, 0], None), report(0, vec![1]));
+    }
+
+    #[test]
+    fn a_cluster_with_no_live_rank_reports_nothing_and_marks_nothing() {
+        let mut reports = FaultReports::default();
+        assert_eq!(reports.detect([1, 1], None), Detection::NoSurvivor);
+        assert_eq!(reports.detect([1, 1], Some(1)), Detection::NoSurvivor);
+        // Rank 0 revived: rank 1 was never marked, so it is reported now.
+        assert_eq!(reports.detect([2, 1], None), report(0, vec![1]));
+    }
+
+    #[test]
+    fn a_trigger_that_is_not_newly_failed_reports_nothing() {
+        let mut reports = FaultReports::default();
+        assert_eq!(reports.detect([0, 1, 0], Some(1)), report(0, vec![1]));
+        // Rank 2 is newly failed, but neither the reported rank 1 nor the
+        // live rank 0 triggers a report.
+        assert_eq!(reports.detect([0, 1, 1], Some(1)), Detection::Nothing);
+        assert_eq!(reports.detect([0, 1, 1], Some(0)), Detection::Nothing);
+        // The rank-2 trigger reports rank 2 only: rank 1 is reported.
+        assert_eq!(reports.detect([0, 1, 1], Some(2)), report(0, vec![2]));
+        // Rank 0 down too: the lowest live rank is gone, so is the report.
+        assert_eq!(reports.detect([1, 1, 1], Some(0)), Detection::NoSurvivor);
     }
 
     #[test]

@@ -38,15 +38,11 @@ pub enum Input {
     /// This node fails (fail-stop). It stops reacting to everything except a
     /// `RollbackOrder`, which revives it from stable storage.
     Fail,
-    /// The failure detector reports `failed_rank` down. Delivered by the
-    /// hosting engine to the surviving node that should coordinate recovery.
-    DetectFault {
-        /// The failed node's rank within this cluster.
-        failed_rank: u32,
-    },
-    /// The failure detector reports several **simultaneous** in-cluster
-    /// failures (paper §7 extension, meaningful with replication degree
-    /// > 1). Recoverability is checked for the whole set at once.
+    /// The failure detector reports these ranks down, to the surviving
+    /// node that coordinates recovery ([`crate::host::FaultReports`] picks
+    /// it). Recoverability is checked for the whole set at once: several
+    /// **simultaneous** in-cluster failures (paper §7 extension,
+    /// meaningful with replication degree > 1) roll the cluster back once.
     DetectFaults {
         /// The failed ranks within this cluster.
         failed_ranks: Vec<u32>,

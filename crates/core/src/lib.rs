@@ -24,7 +24,10 @@
 //! vocabulary — exists once, here; the discrete-event simulator
 //! (`simdriver`), the threaded messaging runtime (`runtime`) and the
 //! instant test federation ([`testkit`]) are three [`Host`] impls that
-//! supply only a wire, a clock and a timer, so simulation results and
+//! supply only a wire, a clock and a timer — where a node sits
+//! ([`host::Layout`]) and whom a fault report goes to
+//! ([`host::FaultReports`]) are decided in [`host`] too — so simulation
+//! results and
 //! live-runtime behaviour come from identical protocol *and hosting* code
 //! — and the engine allocates nothing per input on the hot path (DDV
 //! stamps on outgoing messages and cluster-wide commit broadcasts are

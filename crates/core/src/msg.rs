@@ -151,8 +151,6 @@ pub enum Msg {
         restore_sn: SeqNum,
         /// The new (strictly larger) rollback epoch.
         epoch: u64,
-        /// Rank acting as coordinator from now on.
-        new_coordinator: u32,
     },
     /// Cluster coordinator → other clusters: we rolled back to `sn`.
     RollbackAlert {

@@ -95,9 +95,6 @@ struct GcState {
 /// roughly half the per-engine inline footprint off the cache-resident set.
 #[derive(Debug)]
 struct ColdState {
-    /// Rank coordinating this cluster (fixed at 0; a failed coordinator is
-    /// revived by the rollback that recovery performs).
-    coordinator_rank: u32,
     /// This node's checkpoint-fragment replica holders — a pure function
     /// of rank, cluster size and replication degree, so computed once and
     /// shared by reference with every per-commit fragment fan-out batch.
@@ -229,7 +226,6 @@ impl NodeEngine {
             min_epoch: EpochFloors::new(n),
             dirty: false,
             cold: Box::new(ColdState {
-                coordinator_rank: 0,
                 frag_holders,
                 store,
                 coord: CoordState::default(),
@@ -267,9 +263,9 @@ impl NodeEngine {
     pub fn is_failed(&self) -> bool {
         self.failed
     }
-    /// Whether the node currently acts as its cluster's coordinator.
+    /// Whether the node is its cluster's coordinator.
     pub fn is_coordinator(&self) -> bool {
-        self.id.rank == self.cold.coordinator_rank
+        self.id == self.my_coordinator()
     }
     /// Whether a CLC two-phase commit is in progress on this node.
     pub fn is_frozen(&self) -> bool {
@@ -296,8 +292,8 @@ impl NodeEngine {
         self.cfg.nodes_in(self.my_cluster())
     }
 
-    fn coordinator_of(&self, cluster: usize) -> NodeId {
-        NodeId::new(cluster as u16, 0)
+    fn my_coordinator(&self) -> NodeId {
+        self.cfg.coordinator(self.my_cluster())
     }
 
     fn current_piggyback(&mut self) -> Piggyback {
@@ -326,16 +322,11 @@ impl NodeEngine {
             // A failed node reacts only to the rollback order that revives
             // it from stable storage.
             if let Input::Receive {
-                msg:
-                    Msg::RollbackOrder {
-                        restore_sn,
-                        epoch,
-                        new_coordinator,
-                    },
+                msg: Msg::RollbackOrder { restore_sn, epoch },
                 ..
             } = &input
             {
-                self.apply_rollback(*restore_sn, *epoch, *new_coordinator, out);
+                self.apply_rollback(*restore_sn, *epoch, out);
             }
             return;
         }
@@ -347,7 +338,6 @@ impl NodeEngine {
             Input::Fail => {
                 self.failed = true;
             }
-            Input::DetectFault { failed_rank } => self.on_detect_faults(&[failed_rank], out),
             Input::DetectFaults { failed_ranks } => self.on_detect_faults(&failed_ranks, out),
             Input::AppStateUpdate { state } => {
                 self.cold.app_state = Some(state);
@@ -412,7 +402,7 @@ impl NodeEngine {
                     let rank = self.id.rank;
                     self.send_or_local(
                         now,
-                        NodeId::new(self.id.cluster.0, self.cold.coordinator_rank),
+                        self.my_coordinator(),
                         Msg::ClcAck {
                             round,
                             rank,
@@ -500,12 +490,8 @@ impl NodeEngine {
             }
 
             // ---- rollback ----
-            Msg::RollbackOrder {
-                restore_sn,
-                epoch,
-                new_coordinator,
-            } => {
-                self.apply_rollback(restore_sn, epoch, new_coordinator, out);
+            Msg::RollbackOrder { restore_sn, epoch } => {
+                self.apply_rollback(restore_sn, epoch, out);
             }
             Msg::RollbackAlert {
                 origin,
@@ -684,7 +670,7 @@ impl NodeEngine {
             let epoch = self.epoch;
             self.send_or_local(
                 now,
-                NodeId::new(self.id.cluster.0, self.cold.coordinator_rank),
+                self.my_coordinator(),
                 Msg::ClcInit { reason, epoch },
                 out,
             );
@@ -774,7 +760,7 @@ impl NodeEngine {
         if ack_immediately {
             let rank = self.id.rank;
             let epoch = self.epoch;
-            let coord = NodeId::new(self.id.cluster.0, self.cold.coordinator_rank);
+            let coord = self.my_coordinator();
             self.send_or_local(now, coord, Msg::ClcAck { round, rank, epoch }, out);
         }
     }
@@ -976,24 +962,21 @@ impl NodeEngine {
     /// Roll the whole cluster back to `restore_sn` and alert the federation.
     fn initiate_cluster_rollback(&mut self, restore_sn: SeqNum, out: &mut OutputBuf) {
         let new_epoch = self.epoch + 1;
-        let my_rank = self.id.rank;
         self.send_to_other_ranks(
             &Msg::RollbackOrder {
                 restore_sn,
                 epoch: new_epoch,
-                new_coordinator: self.cold.coordinator_rank,
             },
             out,
         );
-        let coord_rank = self.cold.coordinator_rank;
-        self.apply_rollback(restore_sn, new_epoch, coord_rank, out);
+        self.apply_rollback(restore_sn, new_epoch, out);
         // Alert every other cluster (paper §3.4), sent by the node that
         // initiated recovery.
         let my_cluster = self.my_cluster();
         for c in 0..self.cfg.num_clusters() {
             if c != my_cluster {
                 out.push(Output::Send {
-                    to: self.coordinator_of(c),
+                    to: self.cfg.coordinator(c),
                     msg: Msg::RollbackAlert {
                         origin: my_cluster,
                         sn: restore_sn,
@@ -1002,21 +985,13 @@ impl NodeEngine {
                 });
             }
         }
-        let _ = my_rank;
     }
 
-    fn apply_rollback(
-        &mut self,
-        restore_sn: SeqNum,
-        epoch: u64,
-        new_coordinator: u32,
-        out: &mut OutputBuf,
-    ) {
+    fn apply_rollback(&mut self, restore_sn: SeqNum, epoch: u64, out: &mut OutputBuf) {
         if epoch <= self.epoch {
             return; // stale or duplicate order
         }
         self.epoch = epoch;
-        self.cold.coordinator_rank = new_coordinator;
         self.failed = false;
         let entry = self
             .cold
@@ -1128,7 +1103,7 @@ impl NodeEngine {
     fn on_gc_timer(&mut self, out: &mut OutputBuf) {
         // Only the federation GC initiator (cluster 0's coordinator) runs
         // the centralized collection.
-        if self.my_cluster() != 0 || !self.is_coordinator() || self.cold.gc.is_some() {
+        if self.id != self.cfg.coordinator(0) || self.cold.gc.is_some() {
             return;
         }
         let mut lists = BTreeMap::new();
@@ -1141,7 +1116,7 @@ impl NodeEngine {
         }
         for c in 1..n {
             out.push(Output::Send {
-                to: self.coordinator_of(c),
+                to: self.cfg.coordinator(c),
                 msg: Msg::GcCollect,
             });
         }
@@ -1177,7 +1152,7 @@ impl NodeEngine {
         let min_sns = gc::safe_minimum_sns_k(&lists, self.cfg.gc_fault_tolerance);
         for c in 1..self.cfg.num_clusters() {
             out.push(Output::Send {
-                to: self.coordinator_of(c),
+                to: self.cfg.coordinator(c),
                 msg: Msg::GcPrune {
                     min_sns: min_sns.clone(),
                 },

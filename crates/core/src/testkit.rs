@@ -5,12 +5,14 @@
 //! queue dispatched in order until quiescence, its clock a counter, and it
 //! has no timers, no transport and no disk; what the engines emit is
 //! carried out by the shared interpreter ([`crate::host::perform`]) like
-//! under every other host. No timing model — this isolates the protocol
+//! under every other host, and its engines, coordinators and fault
+//! reports come from the same [`Layout`], [`ProtocolConfig::coordinator`]
+//! and [`FaultReports`]. No timing model — this isolates the protocol
 //! logic from the simulator, and is also handy for downstream crates'
 //! tests and for the worked examples.
 
 use crate::config::ProtocolConfig;
-use crate::host::{self, Host, ProtoEvent, StoreOp, Xport};
+use crate::host::{self, Detection, FaultReports, Host, Layout, ProtoEvent, StoreOp, Xport};
 use crate::io::{Input, OutputBuf};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
@@ -33,7 +35,9 @@ pub struct Delivery {
 /// A federation of node engines joined by an instant FIFO network.
 pub struct InstantFederation {
     cfg: ProtocolConfig,
-    engines: Vec<Vec<NodeEngine>>,
+    layout: Layout,
+    /// Every engine, at its [`Layout`] index.
+    engines: Vec<NodeEngine>,
     queue: VecDeque<(NodeId, NodeId, Msg)>,
     /// Reusable engine-output buffer (the sink `NodeEngine::handle` fills).
     buf: OutputBuf,
@@ -56,15 +60,11 @@ pub struct InstantFederation {
 impl InstantFederation {
     /// Build a federation from `cfg`, all engines freshly initialized.
     pub fn new(cfg: ProtocolConfig) -> Self {
-        let engines = (0..cfg.num_clusters())
-            .map(|c| {
-                (0..cfg.nodes_in(c))
-                    .map(|r| NodeEngine::new(cfg.clone(), NodeId::new(c as u16, r)))
-                    .collect()
-            })
-            .collect();
+        let layout = Layout::new(&cfg);
+        let engines = layout.engines(&cfg);
         InstantFederation {
             cfg,
+            layout,
             engines,
             queue: VecDeque::new(),
             buf: OutputBuf::new(),
@@ -85,7 +85,7 @@ impl InstantFederation {
 
     /// Immutable access to one engine.
     pub fn engine(&self, id: NodeId) -> &NodeEngine {
-        &self.engines[id.cluster.index()][id.rank as usize]
+        &self.engines[self.layout.index(id)]
     }
 
     /// Feed `input` to `node`, then run the network to quiescence.
@@ -99,16 +99,16 @@ impl InstantFederation {
     /// in-flight state mid-protocol.
     fn inject(&mut self, node: NodeId, input: Input) -> usize {
         self.now += SimDuration::from_nanos(1);
-        // The engine is lent out beside the host for the call: no `Host`
+        // The arena is lent out beside the host for the call: no `Host`
         // method of this federation reaches into `engines`.
-        let mut cluster = std::mem::take(&mut self.engines[node.cluster.index()]);
+        let mut engines = std::mem::take(&mut self.engines);
         let mut buf = std::mem::take(&mut self.buf);
-        let engine = &mut cluster[node.rank as usize];
+        let engine = &mut engines[self.layout.index(node)];
         engine.handle(self.now, input, &mut buf);
         let emitted = buf.len();
         host::perform(self, engine, &mut buf);
         self.buf = buf;
-        self.engines[node.cluster.index()] = cluster;
+        self.engines = engines;
         emitted
     }
 
@@ -128,29 +128,33 @@ impl InstantFederation {
 
     /// Convenience: fire the CLC timer of cluster `c`'s coordinator.
     pub fn fire_clc_timer(&mut self, c: usize) {
-        self.input(self.cfg.initial_coordinator(c), Input::ClcTimer);
+        self.input(self.cfg.coordinator(c), Input::ClcTimer);
     }
 
-    /// Convenience: fail a node and deliver detection to the recovery
-    /// coordinator (the lowest-ranked surviving node).
+    /// Convenience: fail a node and report every failed rank of its
+    /// cluster to the lowest-ranked surviving node, by the hosts' one
+    /// [`FaultReports`] rule.
+    ///
+    /// # Panics
+    /// If no rank of the cluster survives.
     pub fn fail_node(&mut self, node: NodeId) {
         self.input(node, Input::Fail);
-        let c = node.cluster.index();
-        let detector = (0..self.cfg.nodes_in(c))
-            .map(|r| NodeId::new(node.cluster.0, r))
-            .find(|&n| !self.engine(n).is_failed())
-            .expect("at least one survivor");
-        self.input(
-            detector,
-            Input::DetectFault {
-                failed_rank: node.rank,
-            },
-        );
+        let cluster = &self.engines[self.layout.cluster(node.cluster.index())];
+        // Detection here is immediate and runs to quiescence, so the rule
+        // keeps nothing between calls: a fresh set, generation 1 per down
+        // rank.
+        let generations = cluster.iter().map(|e| u64::from(e.is_failed()));
+        match FaultReports::default().detect(generations, None) {
+            Detection::Report(rank, report) => {
+                self.input(NodeId::new(node.cluster.0, rank), report);
+            }
+            outcome => panic!("no survivor to report {node}'s failure to: {outcome:?}"),
+        }
     }
 
     /// Convenience: run a garbage collection now.
     pub fn run_gc(&mut self) {
-        self.input(self.cfg.initial_coordinator(0), Input::GcTimer);
+        self.input(self.cfg.coordinator(0), Input::GcTimer);
     }
 
     /// Total committed CLCs in cluster `c` recorded so far (excluding the
@@ -523,7 +527,6 @@ mod tests {
                 msg: Msg::RollbackOrder {
                     restore_sn: SeqNum(1),
                     epoch: 1,
-                    new_coordinator: 0,
                 },
             },
         );
@@ -543,7 +546,12 @@ mod tests {
         let policy = fed.config().replication;
         assert!(!policy.recoverable(&[1, 2], 3));
         // Single-rank detection still succeeds for a lone fault.
-        fed.input(n(0, 0), Input::DetectFault { failed_rank: 1 });
+        fed.input(
+            n(0, 0),
+            Input::DetectFaults {
+                failed_ranks: vec![1],
+            },
+        );
         assert!(!fed.engine(n(0, 1)).is_failed());
     }
 

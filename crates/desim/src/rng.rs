@@ -41,11 +41,6 @@ impl RngStreams {
         RngStreams { root_seed }
     }
 
-    /// The root seed this factory was built from.
-    pub fn root_seed(&self) -> u64 {
-        self.root_seed
-    }
-
     /// Derive a stream from a name and an index (e.g. `("compute", node)`).
     pub fn stream(&self, name: &str, index: u64) -> StdRng {
         let mut state = self

@@ -11,9 +11,8 @@
 //!   crossing an active cut are held in the WAN and arrive just after the
 //!   heal, in send order; a cut can be *asymmetric*
 //!   ([`PartitionSpec::oneway`]): A→B severed while B→A flows;
-//! * **packet loss** — an inter-cluster message (or any *directed*
-//!   cluster pair's messages, via [`HostileSpec::with_pair_loss`]) simply
-//!   vanishes with probability `p`. Loss breaks the exactly-once transport
+//! * **packet loss** — an inter-cluster message simply vanishes with
+//!   probability `p`. Loss breaks the exactly-once transport
 //!   the protocol engine assumes, so lossy runs are expected to pair it
 //!   with the host-level reliability sub-layer (`hc3i_core::xport`):
 //!   sender-side retransmission with exponential backoff plus
@@ -140,18 +139,13 @@ pub struct PartitionSpec {
 }
 
 impl PartitionSpec {
-    /// True if the cut separates clusters `a` and `b` in at least one
-    /// direction.
-    pub fn severs(&self, a: ClusterId, b: ClusterId) -> bool {
-        self.group.contains(&a.0) != self.group.contains(&b.0)
-    }
-
     /// True if the cut severs the *directed* path `from → to`.
     pub fn severs_directed(&self, from: ClusterId, to: ClusterId) -> bool {
+        let (from_in, to_in) = (self.group.contains(&from.0), self.group.contains(&to.0));
         if self.oneway {
-            self.group.contains(&from.0) && !self.group.contains(&to.0)
+            from_in && !to_in
         } else {
-            self.severs(from, to)
+            from_in != to_in
         }
     }
 }
@@ -175,11 +169,8 @@ pub struct HostileSpec {
     pub reorder_jitter: SimDuration,
     /// Per *directed* cluster-pair latency skew `(from, to, dist)`.
     pub skew: Vec<(u16, u16, LatencyDist)>,
-    /// Probability that an inter-cluster message vanishes on the wire
-    /// (applies to every directed pair without an explicit override).
+    /// Probability that an inter-cluster message vanishes on the wire.
     pub loss: f64,
-    /// Per *directed* cluster-pair loss overrides `(from, to, p)`.
-    pub pair_loss: Vec<(u16, u16, f64)>,
 }
 
 impl HostileSpec {
@@ -220,18 +211,6 @@ impl HostileSpec {
         self.loss = p;
         self
     }
-
-    /// Override the loss probability of the directed pair `from → to`.
-    pub fn with_pair_loss(mut self, from: u16, to: u16, p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range");
-        self.pair_loss.push((from, to, p));
-        self
-    }
-
-    /// True if any loss probability is non-zero.
-    pub fn has_loss(&self) -> bool {
-        self.loss > 0.0 || self.pair_loss.iter().any(|&(_, _, p)| p > 0.0)
-    }
 }
 
 /// What the hostile layer did to one message.
@@ -260,7 +239,6 @@ pub struct HostileNet {
     /// [`Self::pair_seed`]).
     rngs: FastHashMap<(u16, u16), Mix64>,
     skew: FastHashMap<(u16, u16), LatencyDist>,
-    pair_loss: FastHashMap<(u16, u16), f64>,
     last_arrival: FastHashMap<(NodeId, NodeId), SimTime>,
     /// Messages held at a partition cut.
     pub held: u64,
@@ -282,16 +260,11 @@ impl HostileNet {
         for &(from, to, dist) in &spec.skew {
             skew.insert((from, to), dist);
         }
-        let mut pair_loss = FastHashMap::default();
-        for &(from, to, p) in &spec.pair_loss {
-            pair_loss.insert((from, to), p);
-        }
         HostileNet {
             spec,
             partitions,
             rngs: FastHashMap::default(),
             skew,
-            pair_loss,
             last_arrival: FastHashMap::default(),
             held: 0,
             duplicates: 0,
@@ -362,21 +335,14 @@ impl HostileNet {
         // 3. Packet loss: the message vanishes. A lost message constrains
         //    nothing downstream — no partition hold, no FIFO clamp state,
         //    no duplicate — so the early return is the whole story.
-        if inter {
-            let p = self
-                .pair_loss
-                .get(&(from.cluster.0, to.cluster.0))
-                .copied()
-                .unwrap_or(self.spec.loss);
-            if p > 0.0 && rng.chance(p) {
-                self.lost += 1;
-                return HostileOutcome {
-                    arrival,
-                    duplicate: None,
-                    held: false,
-                    lost: true,
-                };
-            }
+        if inter && self.spec.loss > 0.0 && rng.chance(self.spec.loss) {
+            self.lost += 1;
+            return HostileOutcome {
+                arrival,
+                duplicate: None,
+                held: false,
+                lost: true,
+            };
         }
 
         // 4. Partition hold: a message crossing an active cut sits in the
@@ -502,9 +468,10 @@ mod tests {
             group: vec![0, 1],
             oneway: false,
         };
-        assert!(cut.severs(ClusterId(0), ClusterId(2)));
-        assert!(!cut.severs(ClusterId(0), ClusterId(1)));
-        assert!(!cut.severs(ClusterId(2), ClusterId(3)));
+        assert!(cut.severs_directed(ClusterId(0), ClusterId(2)));
+        assert!(cut.severs_directed(ClusterId(2), ClusterId(0)));
+        assert!(!cut.severs_directed(ClusterId(0), ClusterId(1)));
+        assert!(!cut.severs_directed(ClusterId(2), ClusterId(3)));
         let mut h = HostileNet::new(HostileSpec::default(), vec![cut]);
         // Same side of the cut: untouched.
         assert!(!h.post(t(10), n(0, 0), n(1, 0), t(11)).held);
@@ -612,18 +579,6 @@ mod tests {
         let i = h.post(t(0), n(0, 0), n(0, 1), t(1));
         assert!(!i.lost);
         assert_eq!(h.lost, 1);
-    }
-
-    #[test]
-    fn pair_loss_overrides_global_loss_per_direction() {
-        let spec = HostileSpec::seeded(21)
-            .with_loss(1.0)
-            .with_pair_loss(1, 0, 0.0);
-        let mut h = HostileNet::new(spec, vec![]);
-        assert!(h.post(t(0), n(0, 0), n(1, 0), t(1)).lost);
-        assert!(!h.post(t(0), n(1, 0), n(0, 0), t(1)).lost);
-        assert!(HostileSpec::seeded(1).with_pair_loss(0, 1, 0.5).has_loss());
-        assert!(!HostileSpec::seeded(1).with_pair_loss(0, 1, 0.0).has_loss());
     }
 
     #[test]

@@ -235,11 +235,6 @@ impl Network {
         self.traffic(from, to, MessageClass::App).messages
     }
 
-    /// Total protocol-control messages (all cluster pairs).
-    pub fn total_protocol_messages(&self) -> u64 {
-        self.total_by_class(MessageClass::Protocol)
-    }
-
     /// Every route that has an account — each cluster to itself, and the
     /// directed pairs that carried a message — with its cells as `[App,
     /// Protocol, Ack]`, in no particular order. A route not yielded has
@@ -523,7 +518,7 @@ mod tests {
         assert_eq!(n.app_messages(c1, c0), 0);
         assert_eq!(n.traffic(c1, c0, MessageClass::Ack).messages, 1);
         assert_eq!(n.traffic(c1, c0, MessageClass::Ack).bytes, 30);
-        assert_eq!(n.total_protocol_messages(), 1);
+        assert_eq!(n.total_by_class(MessageClass::Protocol), 1);
         assert_eq!(n.total_by_class(MessageClass::App), 2);
         assert_eq!(n.total_bytes_by_class(MessageClass::App), 30);
         assert_eq!(n.inter_cluster_by_class(MessageClass::App), 1);

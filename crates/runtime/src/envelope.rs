@@ -1,7 +1,7 @@
 //! Wire envelopes and controller-visible events of the threaded runtime.
 
 use crossbeam::channel::Sender;
-use hc3i_core::{AppPayload, Msg};
+use hc3i_core::{AppPayload, Input, Msg};
 use netsim::NodeId;
 
 /// What a node can receive in its (shard-multiplexed) mailbox.
@@ -27,16 +27,10 @@ pub enum Envelope {
     GcNow,
     /// Fail-stop this node.
     Fail,
-    /// The failure detector reports `failed_rank` down.
-    Detect {
-        /// Failed rank within this node's cluster.
-        failed_rank: u32,
-    },
-    /// The failure detector reports several simultaneous failures.
-    DetectMulti {
-        /// Failed ranks within this node's cluster.
-        failed_ranks: Vec<u32>,
-    },
+    /// A fault report for this node's cluster, handed to the engine as
+    /// is: a heartbeat probe's [`hc3i_core::host::FaultReports`] round, or
+    /// [`crate::Federation::detect`].
+    Report(Input),
     /// Liveness probe (the controller's quiesce barrier). A healthy node
     /// replies `(rank, seq)` on the channel; a fail-stopped node stays
     /// silent.

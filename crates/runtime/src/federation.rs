@@ -14,8 +14,8 @@
 //! ## Shard-assignment determinism contract
 //!
 //! A node's shard is a pure function of the topology and the pool size:
-//! cluster-major global index (cluster 0's ranks, then cluster 1's, …)
-//! modulo the shard count — the same arena order the simulator uses.
+//! its [`Layout`] index (cluster 0's ranks, then cluster 1's, …) modulo
+//! the shard count — the same arena order the simulator uses.
 //! Protocol state is independent of the pool size: the `engines_agree`
 //! integration test and the `runtime_equivalence` property test pin that a
 //! quiesced scenario reaches bit-identical engine states at 1, 2 and 8
@@ -36,6 +36,7 @@ use crate::report::ReportCollector;
 use crate::shard::{NodeCell, ShardWorker};
 use crossbeam::channel::{self, Receiver, Sender};
 use desim::SimTime;
+use hc3i_core::host::{self, Layout};
 use hc3i_core::{AppPayload, CheckpointCodec, NodeEngine, ProtocolConfig, XportConfig};
 use netsim::NodeId;
 use simdriver::RunReport;
@@ -65,12 +66,13 @@ pub struct RuntimeConfig {
     /// Protocol parameters (shared with the simulator).
     pub protocol: ProtocolConfig,
     /// Wall-clock delay between unforced CLCs per cluster (`None` = only
-    /// explicit [`Federation::checkpoint_now`] calls).
+    /// explicit [`Federation::checkpoint_now`] calls); a deadline on the
+    /// coordinator's cell.
     pub clc_delays: Vec<Option<Duration>>,
     /// Optional per-node application (checkpointed state).
     pub app_factory: Option<AppFactory>,
     /// Optional heartbeat failure detection (one probe per cluster, run by
-    /// the shard homing the cluster's rank 0).
+    /// the shard homing the cluster's coordinator).
     pub heartbeat: Option<HeartbeatConfig>,
     /// Worker-pool size (`None` = `available_parallelism`, clamped to the
     /// node count).
@@ -146,12 +148,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable the host-level reliable transport with explicit tuning.
-    pub fn with_transport(mut self, xport: XportConfig) -> Self {
-        self.xport = Some(xport);
-        self
-    }
-
     /// Mirror every node's CLC store to an on-disk segment log under
     /// `dir` (must not already hold one).
     pub fn with_durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -160,18 +156,13 @@ impl RuntimeConfig {
     }
 }
 
-/// Shared fail-stop health table: one *failure generation* counter per
-/// node in cluster-major global order — even means alive, odd means
-/// fail-stopped. The shard owning a node bumps the counter whenever its
-/// engine's fail-stopped bit actually transitions (not per input, so the
-/// hot path writes nothing in steady state); heartbeat probes read the
-/// counters instead of timing pong round-trips, so detection never
-/// false-positives under load. The generation — not just the parity —
-/// is what probes record per report: a node that is revived by a rollback
-/// and fails again between two probe rounds carries a *new* odd
-/// generation and is re-reported, even though the probe never observed
-/// the alive window (the simulator's `reported` bookkeeping clears on
-/// re-fail the same way).
+/// Shared fail-stop health table: one failure generation
+/// ([`hc3i_core::host::is_down`]) per node, at its [`Layout`] index. The
+/// shard owning a node bumps the counter whenever its engine's
+/// fail-stopped bit actually transitions (not per input, so the hot path
+/// writes nothing in steady state); heartbeat probes read the counters
+/// instead of timing pong round-trips, so detection never false-positives
+/// under load.
 pub(crate) struct Health(Vec<AtomicU64>);
 
 impl Health {
@@ -180,47 +171,34 @@ impl Health {
     }
 
     /// Record one alive↔failed transition.
-    pub(crate) fn bump(&self, gidx: usize) {
-        self.0[gidx].fetch_add(1, Ordering::AcqRel);
+    pub(crate) fn bump(&self, index: usize) {
+        self.0[index].fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Current failure generation (odd = fail-stopped right now).
-    pub(crate) fn generation(&self, gidx: usize) -> u64 {
-        self.0[gidx].load(Ordering::Acquire)
-    }
-
-    /// Is the generation a fail-stopped one?
-    pub(crate) fn is_failed_generation(generation: u64) -> bool {
-        generation & 1 == 1
+    /// Current failure generation.
+    pub(crate) fn generation(&self, index: usize) -> u64 {
+        self.0[index].load(Ordering::Acquire)
     }
 }
 
 /// The routing table: maps a [`NodeId`] to its shard channel and slot.
 /// Shared (via `Arc`) by the controller and every shard worker.
 pub(crate) struct Routes {
-    /// `offsets[c]` = global index of cluster `c`'s rank 0; `offsets[n]` =
-    /// total node count.
-    offsets: Vec<usize>,
-    /// Every node, global (cluster-major) order.
-    ids: Vec<NodeId>,
-    /// Global index → `(shard, slot)`.
+    layout: Layout,
+    /// Layout index → `(shard, slot)`.
     addr: Vec<(u32, u32)>,
     shard_txs: Vec<Sender<(u32, Envelope)>>,
 }
 
 impl Routes {
-    pub(crate) fn global_index(&self, id: NodeId) -> usize {
-        self.offsets[id.cluster.index()] + id.rank as usize
+    /// Where each node sits: its health-table slot and durable log key.
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     /// `id`'s `(shard, slot)`: the worker that owns it and its index there.
     pub(crate) fn addr(&self, id: NodeId) -> (u32, u32) {
-        self.addr[self.global_index(id)]
-    }
-
-    /// Every node of the federation, cluster-major order.
-    pub(crate) fn ids(&self) -> &[NodeId] {
-        &self.ids
+        self.addr[self.layout.index(id)]
     }
 
     /// Route an envelope to `to`'s shard. Fails only once the shard worker
@@ -268,18 +246,8 @@ impl Federation {
     pub fn spawn(cfg: RuntimeConfig) -> Self {
         let epoch = Instant::now();
         let n_clusters = cfg.protocol.num_clusters();
-        let mut offsets = Vec::with_capacity(n_clusters + 1);
-        let mut ids = Vec::new();
-        let mut total = 0usize;
-        for c in 0..n_clusters {
-            offsets.push(total);
-            let nodes = cfg.protocol.nodes_in(c);
-            for r in 0..nodes {
-                ids.push(NodeId::new(c as u16, r));
-            }
-            total += nodes as usize;
-        }
-        offsets.push(total);
+        let layout = Layout::new(&cfg.protocol);
+        let total = layout.nodes();
 
         let num_shards = cfg
             .shards
@@ -298,55 +266,51 @@ impl Federation {
             shard_rxs.push(rx);
         }
 
-        // Deterministic assignment: global index `g` lives on shard
+        // Deterministic assignment: layout index `g` lives on shard
         // `g % num_shards` at slot `g / num_shards`.
         let health = Arc::new(Health::new(total));
         let mut addr = Vec::with_capacity(total);
         let mut cells: Vec<Vec<NodeCell>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let proto = Arc::new(cfg.protocol.clone());
-        for (g, &id) in ids.iter().enumerate() {
+        for (g, engine) in layout.engines(&cfg.protocol).into_iter().enumerate() {
+            let id = engine.id();
             let shard = g % num_shards;
             addr.push((shard as u32, cells[shard].len() as u32));
-            let delay = cfg.clc_delays[id.cluster.index()];
+            // Only a coordinator's timer starts a CLC round.
+            let c = id.cluster.index();
+            let clc_delay = cfg.clc_delays[c].filter(|_| id == cfg.protocol.coordinator(c));
             cells[shard].push(NodeCell {
                 id,
-                gidx: g,
-                engine: NodeEngine::new(proto.clone(), id),
+                engine,
                 app: cfg.app_factory.as_ref().map(|f| f(id)),
-                clc_delay: delay,
-                clc_deadline: delay.map(|d| Instant::now() + d),
+                clc_delay,
+                clc_deadline: clc_delay.map(|d| Instant::now() + d),
                 published_failed: false,
                 stopped: false,
             });
         }
-        // The log keys nodes by global index: seed in `addr` order.
+        // Seed the log in layout order.
         let durable: Option<SharedDurable> = cfg.durable_dir.as_ref().map(|dir| {
             let engines = addr
                 .iter()
                 .map(|&(shard, slot)| &cells[shard as usize][slot as usize].engine);
-            let log = hc3i_core::host::open_log(dir, engines)
+            let log = host::open_log(dir, &layout, engines)
                 .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()));
             Arc::new(Mutex::new(log))
         });
 
         let routes = Arc::new(Routes {
-            offsets: offsets.clone(),
-            ids,
+            layout,
             addr,
             shard_txs,
         });
 
-        // Each cluster's probe is homed on the shard owning its rank 0.
+        // Each cluster's probe is homed on the shard owning its
+        // coordinator.
         let mut probes: Vec<Vec<ClusterProbe>> = (0..num_shards).map(|_| Vec::new()).collect();
         if let Some(hb) = cfg.heartbeat {
-            for (c, &base) in offsets.iter().take(n_clusters).enumerate() {
-                probes[base % num_shards].push(ClusterProbe::new(
-                    c as u16,
-                    (0..cfg.protocol.nodes_in(c)).collect(),
-                    base,
-                    hb,
-                    Instant::now(),
-                ));
+            for c in 0..n_clusters {
+                let (shard, _) = routes.addr(cfg.protocol.coordinator(c));
+                probes[shard as usize].push(ClusterProbe::new(c, hb, Instant::now()));
             }
         }
 
@@ -413,12 +377,12 @@ impl Federation {
 
     /// Take an unforced CLC in `cluster` now.
     pub fn checkpoint_now(&self, cluster: usize) {
-        self.route(NodeId::new(cluster as u16, 0), Envelope::ClcNow);
+        self.route(self.cfg.protocol.coordinator(cluster), Envelope::ClcNow);
     }
 
     /// Run a garbage collection now.
     pub fn gc_now(&self) {
-        self.route(NodeId::new(0, 0), Envelope::GcNow);
+        self.route(self.cfg.protocol.coordinator(0), Envelope::GcNow);
     }
 
     /// Fail-stop a node.
@@ -426,9 +390,10 @@ impl Federation {
         self.route(node, Envelope::Fail);
     }
 
-    /// Deliver a failure-detector report to `detector`.
+    /// Report `failed_rank` of `detector`'s cluster down, to `detector`.
     pub fn detect(&self, detector: NodeId, failed_rank: u32) {
-        self.route(detector, Envelope::Detect { failed_rank });
+        let report = host::fault_report(vec![failed_rank]);
+        self.route(detector, Envelope::Report(report));
     }
 
     /// Next event, waiting up to `timeout`.
@@ -510,7 +475,7 @@ impl Federation {
         for _ in 0..rounds.max(1) {
             let (reply_tx, reply_rx) = channel::unbounded();
             let mut sent = 0usize;
-            for &id in self.routes.ids() {
+            for id in self.routes.layout().ids() {
                 if self
                     .routes
                     .send(
@@ -572,11 +537,8 @@ impl Federation {
         for ev in &remaining {
             collector.observe(ev, self.epoch);
         }
-        let cluster_sizes: Vec<u32> = (0..self.cfg.protocol.num_clusters())
-            .map(|c| self.cfg.protocol.nodes_in(c))
-            .collect();
         let collector = std::mem::replace(&mut *collector, ReportCollector::new(0));
-        collector.finalize(&engines, &cluster_sizes, ended_at)
+        collector.finalize(&engines, &self.cfg.protocol.cluster_sizes, ended_at)
     }
 
     /// Stop every node and return the final engines, keyed by node.
@@ -607,7 +569,7 @@ impl Federation {
     /// The one shutdown protocol: ask every node to stop (idempotent —
     /// stopped nodes drop the envelope, exited shards fail the send).
     fn request_shutdown(&self) {
-        for &id in self.routes.ids() {
+        for id in self.routes.layout().ids() {
             let _ = self.routes.send(id, Envelope::Shutdown);
         }
     }

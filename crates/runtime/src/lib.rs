@@ -7,8 +7,9 @@
 //! for what arrives from other threads and one in-thread run queue for
 //! what its own nodes send each other (reliable, FIFO per sender — the
 //! paper's network assumptions — and, like the paper's federation, nearly
-//! free where traffic is local), wall-clock CLC timers and heartbeat
-//! failure detection folded into shard ticks, and controller-driven fault
+//! free where traffic is local), wall-clock CLC timers (one deadline per
+//! timed cluster, on its coordinator's cell) and heartbeat failure
+//! detection folded into shard ticks, and controller-driven fault
 //! injection. Earlier revisions spawned one OS thread per node, which
 //! capped the live substrate at a few hundred nodes; the sharded executor
 //! runs thousands of nodes on a fixed-size pool (a 2048-node federation
@@ -18,13 +19,17 @@
 //! simulator uses, and carries out what it emits through the *same*
 //! interpreter ([`hc3i_core::host`]): a shard worker is a
 //! [`hc3i_core::Host`] whose wire is a queue or a channel, whose clock is
-//! the wall clock and whose timers are polled deadlines. So the protocol and
+//! the wall clock and whose timers are polled deadlines. Who coordinates,
+//! where a node sits ([`hc3i_core::host::Layout`]) and which live rank
+//! hears a fault report ([`hc3i_core::host::FaultReports`]) come from
+//! there too. So the protocol and
 //! hosting logic validated by simulation is exercised unchanged,
 //! allocation-free, on a real concurrent transport, and [`RtEvent`] is the
 //! shared `ProtoEvent` vocabulary the simulator's report is folded from.
 //!
-//! **Determinism contract:** shard assignment is cluster-major global
-//! index modulo the pool size, and protocol state is independent of the
+//! **Determinism contract:** shard assignment is the shared
+//! [`hc3i_core::host::Layout`] index modulo the pool size, and protocol
+//! state is independent of the
 //! pool size — the `engines_agree` and `runtime_equivalence` tests pin
 //! that quiesced scenarios reach identical engine states at 1, 2 and 8
 //! shards and match the simulator. [`Federation::quiesce`] provides the

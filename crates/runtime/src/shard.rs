@@ -1,10 +1,10 @@
 //! The shard worker: one OS thread multiplexing many node engines.
 //!
 //! Each worker owns a fixed set of [`NodeCell`]s (assigned round-robin by
-//! cluster-major global index — see the crate docs for the determinism
-//! contract) and has two sources of work. Its MPSC channel carries
-//! `(slot, Envelope)` pairs from other threads: the controller, the other
-//! shards, a probe's report. Its in-thread *run queue* carries every
+//! layout index — see the crate docs for the determinism contract) and
+//! has two sources of work. Its MPSC channel carries `(slot, Envelope)`
+//! pairs from other threads: the controller, the other shards, a probe's
+//! report. Its in-thread *run queue* carries every
 //! message one of its own nodes sends to another of them:
 //! [`ShardHost::wire`] looks the destination up in the routing table and
 //! pushes onto the queue when the owner is this shard, onto the owner's
@@ -28,10 +28,10 @@
 //! * *Shutdown strands nothing*: `live` is only re-read with the queue
 //!   empty.
 //!
-//! Between channel envelopes the worker *ticks*: it fires any due per-node
-//! CLC timers and runs the heartbeat probes of the clusters it homes
-//! ([`ClusterProbe`]), sleeping via `recv_deadline` until the earliest
-//! pending deadline when idle. One reusable [`OutputBuf`] serves all
+//! Between channel envelopes the worker *ticks*: it fires any due CLC
+//! timer of a coordinator it owns and runs the heartbeat probes of the
+//! clusters it homes ([`ClusterProbe`]), sleeping via `recv_deadline`
+//! until the earliest pending deadline when idle. One reusable [`OutputBuf`] serves all
 //! nodes of the shard, so steady-state message processing allocates
 //! nothing per event.
 //!
@@ -58,10 +58,10 @@ use std::time::{Duration, Instant};
 /// timer and application state.
 pub(crate) struct NodeCell {
     pub(crate) id: NodeId,
-    /// Cluster-major global arena index (health-table slot).
-    pub(crate) gidx: usize,
     pub(crate) engine: NodeEngine,
     pub(crate) app: Option<Box<dyn Application>>,
+    /// The cluster's CLC period: set on a timed cluster's coordinator
+    /// only, the one node whose timer starts a round.
     pub(crate) clc_delay: Option<Duration>,
     pub(crate) clc_deadline: Option<Instant>,
     /// Last fail-stop state published to the shared health table; the
@@ -98,7 +98,6 @@ struct ShardHost<'a> {
     next_retry: &'a mut Option<Instant>,
     next_clc: &'a mut Option<Instant>,
     durable: Option<&'a SharedDurable>,
-    gidx: usize,
     app: &'a mut Option<Box<dyn Application>>,
     clc_delay: Option<Duration>,
     clc_deadline: &'a mut Option<Instant>,
@@ -146,7 +145,7 @@ impl Host for ShardHost<'_> {
     fn durable(&mut self, engine: &NodeEngine, op: StoreOp) {
         if let Some(d) = self.durable {
             let mut log = d.lock().expect("durable log lock");
-            op.append(&mut log, self.gidx as u64, engine)
+            op.append(&mut log, self.routes.layout(), engine)
                 .unwrap_or_else(|e| panic!("durable append of {op:?} for {}: {e}", engine.id()));
         }
     }
@@ -170,7 +169,8 @@ impl Host for ShardHost<'_> {
 
 pub(crate) struct ShardWorker {
     nodes: Vec<NodeCell>,
-    /// Slots that ever arm a CLC deadline (timer scans skip the rest).
+    /// Slots that arm a CLC deadline: the timed coordinators this shard
+    /// owns.
     timer_slots: Vec<usize>,
     /// This worker's index in the pool: what [`Routes::addr`] reports for
     /// the nodes it owns.
@@ -364,8 +364,9 @@ impl ShardWorker {
             if due {
                 self.nodes[slot].clc_deadline = None;
                 self.input(slot, Input::ClcTimer);
-                // If no commit re-armed it (e.g. this node is not the
-                // coordinator), re-arm manually.
+                // If no commit re-armed it (the coordinator is down, or
+                // the reason merged into a running round), re-arm so
+                // periodic checkpointing survives — as the simulator does.
                 if self.nodes[slot].clc_deadline.is_none() {
                     if let Some(d) = self.nodes[slot].clc_delay {
                         self.nodes[slot].clc_deadline = Some(Instant::now() + d);
@@ -413,8 +414,7 @@ impl ShardWorker {
             Envelope::ClcNow => Input::ClcTimer,
             Envelope::GcNow => Input::GcTimer,
             Envelope::Fail => Input::Fail,
-            Envelope::Detect { failed_rank } => Input::DetectFault { failed_rank },
-            Envelope::DetectMulti { failed_ranks } => Input::DetectFaults { failed_ranks },
+            Envelope::Report(report) => report,
             Envelope::Ping { seq, reply } => {
                 // Liveness is a node property: a fail-stopped engine stays
                 // silent, everyone else answers.
@@ -446,7 +446,6 @@ impl ShardWorker {
             next_retry: &mut self.next_retry,
             next_clc: &mut self.next_clc,
             durable: self.durable.as_ref(),
-            gidx: cell.gidx,
             app: &mut cell.app,
             clc_delay: cell.clc_delay,
             clc_deadline: &mut cell.clc_deadline,
@@ -465,7 +464,7 @@ impl ShardWorker {
         let failed = cell.engine.is_failed();
         if failed != cell.published_failed {
             cell.published_failed = failed;
-            self.health.bump(cell.gidx);
+            self.health.bump(self.routes.layout().index(cell.id));
         }
     }
 }

@@ -67,6 +67,41 @@ fn refailure_right_after_recovery_is_redetected() {
 }
 
 #[test]
+fn a_failed_coordinator_recovers_and_its_timer_clcs_resume() {
+    // Only the coordinator's cell carries the cluster's CLC deadline: it
+    // must fire through the coordinator's failure and rollback.
+    let cfg = RuntimeConfig::manual(vec![3, 2])
+        .with_clc_delay(0, Duration::from_millis(30))
+        .with_heartbeat(hb());
+    let fed = Federation::spawn(cfg);
+    let timer_commit = |e: &RtEvent| {
+        matches!(
+            e,
+            RtEvent::Committed {
+                cluster: 0,
+                forced: false,
+                ..
+            }
+        )
+    };
+    fed.wait_for(Duration::from_secs(10), timer_commit)
+        .expect("a timer CLC before the fault");
+    let coordinator = n(0, 0);
+    fed.fail(coordinator);
+    fed.wait_for(
+        Duration::from_secs(10),
+        |e| matches!(e, RtEvent::RolledBack { node, .. } if *node == coordinator),
+    )
+    .expect("rank 1 hears the report and the rollback revives the coordinator");
+    for k in 0..2 {
+        fed.wait_for(Duration::from_secs(10), timer_commit)
+            .unwrap_or_else(|| panic!("timer CLC {k} after the rollback"));
+    }
+    let engines = fed.shutdown();
+    assert!(!engines[&coordinator].is_failed());
+}
+
+#[test]
 fn healthy_federation_sees_no_spurious_rollbacks() {
     let fed = Federation::spawn(RuntimeConfig::manual(vec![2, 2]).with_heartbeat(hb()));
     // Exchange some traffic while the detector probes in the background.

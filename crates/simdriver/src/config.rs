@@ -25,7 +25,7 @@ pub struct SimConfig {
     pub clc_delays: Vec<SimDuration>,
     /// Garbage-collection period (`None` = never).
     pub gc_interval: Option<SimDuration>,
-    /// Failure-detection latency (fault → DetectFault delivery).
+    /// Failure-detection latency (fault → its detection round).
     pub detection_delay: SimDuration,
     /// Total simulated application time.
     pub duration: SimDuration,
@@ -216,12 +216,6 @@ impl SimConfig {
     /// inter-cluster link.
     pub fn with_reliable_transport(mut self) -> Self {
         self.xport = Some(XportConfig::default());
-        self
-    }
-
-    /// Enable the host-level reliable transport with explicit tuning.
-    pub fn with_transport(mut self, xport: XportConfig) -> Self {
-        self.xport = Some(xport);
         self
     }
 

@@ -100,11 +100,6 @@ impl DeliveryLedger {
             .collect()
     }
 
-    /// Number of distinct tags sent.
-    pub fn sent_tags(&self) -> usize {
-        self.sent.len()
-    }
-
     /// Number of distinct tags delivered at least once.
     pub fn delivered_tags(&self) -> usize {
         self.delivered.iter().filter(|&&d| d > 0).count()
@@ -158,7 +153,6 @@ mod tests {
         // later send goes with it.
         l.record_rollback(0, t(988));
         assert_eq!(l.undelivered(), vec![0, 2]);
-        assert_eq!(l.sent_tags(), 3, "undone sends were still sent");
 
         // Sends issued after the rollback are fresh obligations.
         l.record_sent(3, 0, t(1100));

@@ -10,10 +10,11 @@
 //! is carried out by the shared interpreter (`hc3i_core::host`), and this
 //! crate supplies only the [`hc3i_core::Host`] that makes a wire out of
 //! the network model and the event queue, a clock out of simulated
-//! time, and an event sink out of the trace and [`RunReport::observe`].
+//! time, and an event sink out of the trace and [`RunReport::observe`];
+//! who coordinates and whom a fault report goes to are decided there too.
 //!
 //! The event hot path is allocation-free: engines live in a flat arena
-//! indexed by precomputed cluster offsets, outputs drain through one
+//! indexed by the shared `hc3i_core::host::Layout`, outputs drain through one
 //! reusable `OutputBuf`, and per-event trace formatting is gated behind
 //! the configured trace level.
 //!

@@ -5,7 +5,6 @@ use crate::hostile::HostileRunStats;
 use crate::report::RunReport;
 use crate::world::{Ev, FederationWorld};
 use desim::{exponential, RngStreams, RunOutcome, SimDuration, SimTime, Simulation};
-use netsim::NodeId;
 use rand::Rng;
 
 /// Hard ceiling on dispatched events, guarding against model bugs.
@@ -104,10 +103,6 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     // MTBF-driven faults.
     if let Some(mtbf) = sim.world().cfg.topology.mtbf {
         let total_nodes = sim.world().cfg.topology.total_nodes();
-        let cluster_sizes: Vec<u32> = {
-            let topo = &sim.world().cfg.topology;
-            topo.cluster_ids().map(|c| topo.nodes_in(c)).collect()
-        };
         let mut rng = streams.stream("faults", 0);
         let mut t = SimTime::ZERO;
         loop {
@@ -116,22 +111,17 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
             if t >= horizon {
                 break;
             }
-            let mut idx = rng.gen_range(0..total_nodes);
-            let mut node = NodeId::new(0, 0);
-            for (c, &size) in cluster_sizes.iter().enumerate() {
-                if idx < size as u64 {
-                    node = NodeId::new(c as u16, idx as u32);
-                    break;
-                }
-                idx -= size as u64;
-            }
+            let node = sim
+                .world()
+                .layout
+                .node(rng.gen_range(0..total_nodes) as usize);
             sim.schedule_at(t, Ev::Fault { node });
         }
     }
 
     // Periodic timers (the GC timer belongs to the federation initiator,
-    // node (0,0)). Each re-arms itself one delay after it fires, so a zero
-    // delay would never let the clock advance.
+    // cluster 0's coordinator). Each re-arms itself one delay after it
+    // fires, so a zero delay would never let the clock advance.
     for cluster in 0..sim.world().cfg.clc_delays.len() {
         let delay = sim.world().cfg.clc_delays[cluster];
         assert!(
@@ -175,8 +165,8 @@ fn run_inner(cfg: SimConfig) -> (RunReport, desim::Tracer, HostileRunStats) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::SimDuration;
-    use netsim::Topology;
+    use desim::{SimDuration, TraceLevel};
+    use netsim::{NodeId, Topology};
     use workload::{TargetCountWorkload, Workload};
 
     fn small_cfg(duration_min: u64) -> SimConfig {
@@ -315,6 +305,30 @@ mod tests {
         // Work lost is under one timer period (fault at 17 min, CLC at 15).
         assert!(report.clusters[0].work_lost[0] <= SimDuration::from_minutes(5));
         assert_eq!(report.late_crossings, 0);
+    }
+
+    #[test]
+    fn a_failed_coordinator_recovers_and_its_timer_clcs_resume() {
+        let cfg = small_cfg(60)
+            .with_clc_delay(0, SimDuration::from_minutes(5))
+            .with_fault(
+                SimTime::ZERO + SimDuration::from_minutes(17),
+                NodeId::new(0, 0),
+            )
+            .with_trace(TraceLevel::Protocol);
+        let (report, trace) = run_traced(cfg);
+        assert_eq!(report.clusters[0].rollbacks.len(), 1);
+        assert_eq!(report.unrecoverable_faults, 0);
+        let (rolled_back_at, ..) = report.clusters[0].rollbacks[0];
+        // Rank 1 hears the report and restores CLC 4 (5, 10, 15 min);
+        // the revived coordinator's timer then commits every 5 minutes
+        // again, at 22 through 57 min.
+        let resumed = trace
+            .by_subsystem("clc")
+            .filter(|r| r.at > rolled_back_at && r.detail.starts_with("cluster 0 committed"))
+            .count();
+        assert_eq!(resumed, 8, "timer CLCs after the rollback");
+        assert_eq!(report.clusters[0].forced_clcs, 0);
     }
 
     #[test]

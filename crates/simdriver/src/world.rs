@@ -10,7 +10,7 @@ use crate::config::SimConfig;
 use crate::hostile::HostileRunStats;
 use crate::report::RunReport;
 use desim::{Ctx, EventKey, SimTime, TraceLevel, Tracer, World};
-use hc3i_core::host::{self, Host, ProtoEvent, StoreOp, Xport};
+use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, ProtoEvent, StoreOp, Xport};
 use hc3i_core::{Input, Msg, NodeEngine, OutputBuf};
 use netsim::{FastHashMap, HostileNet, Network, NodeId};
 
@@ -93,12 +93,11 @@ pub enum Ev {
 
 /// The federation: engines + network + statistics.
 ///
-/// Engines live in one flat arena indexed by precomputed per-cluster
-/// offsets (`NodeId → offsets[cluster] + rank`), so the per-event dispatch
-/// is a single bounds-checked index instead of a nested `Vec<Vec<_>>`
-/// double indirection; engine outputs are drained through one reusable
-/// [`OutputBuf`] by the shared interpreter, so dispatching an event
-/// allocates nothing.
+/// Engines live in one flat arena indexed by the shared [`Layout`], so the
+/// per-event dispatch is a single bounds-checked index instead of a nested
+/// `Vec<Vec<_>>` double indirection; engine outputs are drained through
+/// one reusable [`OutputBuf`] by the shared interpreter, so dispatching an
+/// event allocates nothing.
 ///
 /// Intra-cluster deliveries ride the event queue in scheduling order;
 /// every inter-cluster delivery goes through the executive's
@@ -107,28 +106,26 @@ pub enum Ev {
 /// fixed by the messages themselves.
 pub struct FederationWorld {
     pub(crate) cfg: SimConfig,
-    /// Every engine of the federation, cluster-major.
-    pub(crate) engines: Vec<NodeEngine>,
-    /// `offsets[c]` = arena index of cluster `c`'s rank 0;
-    /// `offsets[num_clusters]` = total node count.
-    pub(crate) offsets: Vec<usize>,
+    /// Where each node's engine and failure generation sit.
+    pub(crate) layout: Layout,
+    /// Every engine of the federation, at its layout index.
+    engines: Vec<NodeEngine>,
     /// Wire copies shipped so far per directed cluster route, keyed by the
     /// route component of the canonical [`desim::InboxKey`] whose sequence
     /// component it supplies. One entry per route that carried a message.
     wire_seq: FastHashMap<u64, u64>,
-    /// Struct-of-arrays mirror of each engine's failed flag, maintained at
-    /// the single point engines mutate (`handle_engine`). Liveness
-    /// sweeps (recovery-coordinator election, multi-failure collection,
-    /// send gating) scan this dense array cache-linearly instead of
-    /// striding over whole [`NodeEngine`]s.
-    pub(crate) failed: Vec<bool>,
+    /// Struct-of-arrays mirror of each engine's failure generation
+    /// ([`host::is_down`]), bumped at the single point engines mutate
+    /// (`handle_engine`). Detection rounds and send gating scan this dense
+    /// array cache-linearly instead of striding over whole
+    /// [`NodeEngine`]s.
+    generations: Vec<u64>,
     pub(crate) net: Network,
     pub(crate) clc_timer_keys: Vec<Option<EventKey>>,
-    /// Per-cluster ranks already reported to the recovery coordinator and
-    /// not yet seen alive again (mirrors the runtime probe's `reported`
-    /// set): concurrent faults reach the engine as *one* multi-failure
-    /// report instead of one rollback per detection event.
-    reported: Vec<std::collections::HashSet<u32>>,
+    /// Per-cluster fault reports: concurrent faults reach the engine as
+    /// *one* multi-failure report instead of one rollback per detection
+    /// event.
+    reports: Vec<FaultReports>,
     pub(crate) stats: RunReport,
     pub(crate) tracer: Tracer,
     /// Reusable engine-output buffer threaded through `handle_engine`.
@@ -154,28 +151,8 @@ impl FederationWorld {
     /// Build the world (engines initialized, nothing scheduled yet).
     pub fn new(cfg: SimConfig) -> Self {
         let n = cfg.topology.num_clusters();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut engines = Vec::new();
-        // One shared config for the whole arena, one shared initial DDV
-        // per cluster: with these shared and the engines' epoch floors
-        // sparse, nothing an engine owns grows with the federation's
-        // width, so the arena costs `nodes x constant`.
-        let proto = std::sync::Arc::new(cfg.protocol.clone());
-        for c in 0..n {
-            offsets.push(engines.len());
-            let nodes = cfg.topology.nodes_in(netsim::ClusterId(c as u16));
-            let mut initial = storage::Ddv::zeros(n);
-            initial.set(c, storage::SeqNum(1));
-            let initial = std::sync::Arc::new(initial);
-            for r in 0..nodes {
-                engines.push(NodeEngine::with_initial_ddv(
-                    proto.clone(),
-                    NodeId::new(c as u16, r),
-                    initial.clone(),
-                ));
-            }
-        }
-        offsets.push(engines.len());
+        let layout = Layout::new(&cfg.protocol);
+        let engines = layout.engines(&cfg.protocol);
         let net = Network::new(cfg.topology.clone()).with_contention(cfg.contention);
         let stats = RunReport::new(n);
         let tracer = Tracer::new(cfg.trace);
@@ -191,21 +168,20 @@ impl FederationWorld {
             ledger: cfg.track_delivery.then(Default::default),
             ..Default::default()
         };
-        let failed = vec![false; engines.len()];
         let xport = cfg.xport.map(Xport::new);
         let durable = cfg.durable_dir.as_ref().map(|dir| {
-            host::open_log(dir, &engines)
+            host::open_log(dir, &layout, &engines)
                 .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()))
         });
         FederationWorld {
             cfg,
+            generations: vec![0; layout.nodes()],
+            layout,
             engines,
-            offsets,
             wire_seq: FastHashMap::default(),
-            failed,
             net,
             clc_timer_keys: vec![None; n],
-            reported: vec![std::collections::HashSet::new(); n],
+            reports: (0..n).map(|_| FaultReports::default()).collect(),
             stats,
             tracer,
             out_buf: OutputBuf::new(),
@@ -221,27 +197,28 @@ impl FederationWorld {
         &self.tracer
     }
 
-    /// Arena index of `id`.
-    #[inline]
-    fn engine_index(&self, id: NodeId) -> usize {
-        self.offsets[id.cluster.index()] + id.rank as usize
-    }
-
     /// Access an engine (tests, report finalization).
     pub fn engine(&self, id: NodeId) -> &NodeEngine {
-        &self.engines[self.engine_index(id)]
+        &self.engines[self.layout.index(id)]
+    }
+
+    /// Whether `id` is fail-stopped right now.
+    fn is_down(&self, id: NodeId) -> bool {
+        host::is_down(self.generations[self.layout.index(id)])
     }
 
     /// Feed one input to `node`'s engine and carry out what it emits. The
     /// arena is lent out beside the host for the call — no [`SimHost`]
     /// method reaches into `engines`.
     fn handle_engine(&mut self, ctx: &mut Ctx<'_, Ev>, node: NodeId, input: Input) {
-        let idx = self.engine_index(node);
+        let idx = self.layout.index(node);
         let mut buf = std::mem::take(&mut self.out_buf);
         let mut engines = std::mem::take(&mut self.engines);
         let engine = &mut engines[idx];
         engine.handle(ctx.now(), input, &mut buf);
-        self.failed[idx] = engine.is_failed();
+        if engine.is_failed() != host::is_down(self.generations[idx]) {
+            self.generations[idx] += 1;
+        }
         host::perform(&mut SimHost { w: self, ctx }, engine, &mut buf);
         self.engines = engines;
         self.out_buf = buf;
@@ -256,14 +233,6 @@ impl FederationWorld {
         }
     }
 
-    /// Lowest surviving rank in a cluster (the detector's report target).
-    fn recovery_coordinator(&self, cluster: usize) -> Option<u32> {
-        self.failed[self.offsets[cluster]..self.offsets[cluster + 1]]
-            .iter()
-            .position(|&f| !f)
-            .map(|r| r as u32)
-    }
-
     /// Fill in the end-of-run fields of the report and hand it over (the
     /// world is dropped next; it keeps an empty one).
     pub(crate) fn finalize(&mut self, now: SimTime, events: u64) -> RunReport {
@@ -275,7 +244,7 @@ impl FederationWorld {
         }
         let n = self.cfg.topology.num_clusters();
         for c in 0..n {
-            self.stats.clusters[c].close(&self.engines[self.offsets[c]..self.offsets[c + 1]]);
+            self.stats.clusters[c].close(&self.engines[self.layout.cluster(c)]);
         }
         for (from, to, [app, ..]) in self.net.accounts() {
             self.stats.app_matrix[from.index()][to.index()] = app.messages;
@@ -425,8 +394,7 @@ impl Host for SimHost<'_, '_> {
         let Some(log) = self.w.durable.as_mut() else {
             return;
         };
-        let node = self.w.offsets[engine.id().cluster.index()] + engine.id().rank as usize;
-        op.append(log, node as u64, engine)
+        op.append(log, &self.w.layout, engine)
             .unwrap_or_else(|e| panic!("durable append of {op:?} for {}: {e}", engine.id()));
         let crash_after = self.w.cfg.durable_crash_after;
         if matches!(op, StoreOp::Committed(_))
@@ -532,7 +500,7 @@ impl World for FederationWorld {
                     // sender-logging guarantee (§3.3). Intra-cluster
                     // traffic is covered by the coordinated checkpoint,
                     // and a failed node's application is down.
-                    let live = !self.failed[self.engine_index(from)];
+                    let live = !self.is_down(from);
                     if let Some(ledger) = self.hostile_stats.ledger.as_mut() {
                         if live && from.cluster != to.cluster {
                             ledger.record_sent(tag, from.cluster.index(), ctx.now());
@@ -564,7 +532,7 @@ impl World for FederationWorld {
             }
             Ev::ClcTimer { cluster } => {
                 self.clc_timer_keys[cluster] = None;
-                let coord = NodeId::new(cluster as u16, 0);
+                let coord = self.cfg.protocol.coordinator(cluster);
                 self.handle_engine(ctx, coord, Input::ClcTimer);
                 // If no commit resets it (e.g. the reason merged into a
                 // running round), re-arm so periodic checkpointing survives.
@@ -575,26 +543,24 @@ impl World for FederationWorld {
             Ev::ClcNow { cluster } => {
                 // One-shot: fire the coordinator's CLC input without
                 // touching the periodic timer bookkeeping.
-                let coord = NodeId::new(cluster as u16, 0);
+                let coord = self.cfg.protocol.coordinator(cluster);
                 self.handle_engine(ctx, coord, Input::ClcTimer);
             }
             Ev::GcTimer => {
-                let initiator = NodeId::new(0, 0);
+                let initiator = self.cfg.protocol.coordinator(0);
                 self.handle_engine(ctx, initiator, Input::GcTimer);
                 if let Some(interval) = self.cfg.gc_interval {
                     ctx.schedule_in(interval, Ev::GcTimer);
                 }
             }
             Ev::GcNow => {
-                self.handle_engine(ctx, NodeId::new(0, 0), Input::GcTimer);
+                let initiator = self.cfg.protocol.coordinator(0);
+                self.handle_engine(ctx, initiator, Input::GcTimer);
             }
             Ev::Fault { node } => {
-                if self.failed[self.engine_index(node)] {
+                if self.is_down(node) {
                     return;
                 }
-                // The node was alive this instant: an earlier report on it
-                // is spent, and this new failure is reportable again.
-                self.reported[node.cluster.index()].remove(&node.rank);
                 self.handle_engine(ctx, node, Input::Fail);
                 ctx.schedule_in(
                     self.cfg.detection_delay,
@@ -608,40 +574,20 @@ impl World for FederationWorld {
                 cluster,
                 failed_rank,
             } => {
-                // Revived ranks become reportable again; then skip stale
-                // detections (node already revived, or already part of an
-                // earlier report whose rollback is still in flight).
-                let base = self.offsets[cluster];
-                {
-                    let failed = &self.failed;
-                    self.reported[cluster].retain(|&r| failed[base + r as usize]);
-                }
-                if !self.failed[base + failed_rank as usize]
-                    || self.reported[cluster].contains(&failed_rank)
-                {
-                    return;
-                }
-                let Some(rank) = self.recovery_coordinator(cluster) else {
-                    self.stats.unrecoverable_faults += 1;
-                    return;
-                };
-                // One detection round observes *every* failed-and-unreported
-                // rank — concurrent faults in a cluster reach the engine as
-                // a single multi-failure report, exactly like the runtime's
-                // heartbeat probes (`Input::DetectFaults`); the later
-                // per-fault Detect events then skip as already reported.
-                let failed_ranks: Vec<u32> = self.failed[base..self.offsets[cluster + 1]]
+                // Acts only if its own rank is newly failed (not revived
+                // since, not in an earlier report whose rollback is still
+                // in flight); it then reports every newly failed rank, and
+                // the later per-fault Detect events find theirs reported.
+                let generations = self.generations[self.layout.cluster(cluster)]
                     .iter()
-                    .enumerate()
-                    .filter(|&(r, &f)| f && !self.reported[cluster].contains(&(r as u32)))
-                    .map(|(r, _)| r as u32)
-                    .collect();
-                self.reported[cluster].extend(failed_ranks.iter().copied());
-                self.handle_engine(
-                    ctx,
-                    NodeId::new(cluster as u16, rank),
-                    Input::DetectFaults { failed_ranks },
-                );
+                    .copied();
+                match self.reports[cluster].detect(generations, Some(failed_rank)) {
+                    Detection::Report(rank, report) => {
+                        self.handle_engine(ctx, NodeId::new(cluster as u16, rank), report);
+                    }
+                    Detection::NoSurvivor => self.stats.unrecoverable_faults += 1,
+                    Detection::Nothing => {}
+                }
             }
             Ev::PartitionStart { index } => {
                 self.hostile_stats.partitions_activated += 1;
