@@ -108,6 +108,7 @@ def self_test():
         return row[-1].rstrip(" |"), row[4], code, text
     quiet = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.03, 0.97]  # IQR 2 %
     noisy = [1.00, 1.30, 0.75, 1.20, 0.80, 1.20, 0.80, 1.25, 0.70, 1.00]  # IQR 40 %
+    flat = [50.2] * 10  # IQR 0 %, as peak_rss_mb reads: any consistent move is apart
     std_channel = ([0.513, 0.515, 0.538, 0.526, 0.532, 0.506, 0.513, 0.514, 0.527, 0.517],
                    [0.601, 0.597, 0.613, 0.586, 0.610, 0.624, 0.602, 0.609, 0.620, 0.609])
     for name, (verdict, wins, code, text), want in [
@@ -115,6 +116,7 @@ def self_test():
         ("worse inside the bound", case(*std_channel), ("worse", "0/10", 0)),
         ("regressed", case(quiet, [x * 1.3 for x in quiet]), ("regressed", "0/10", 1)),
         ("unresolved", case(noisy, [x * 1.3 for x in noisy]), ("unresolved", "0/10", 0)),
+        ("worse at zero spread", case(flat, [x * 1.001 for x in flat]), ("worse", "0/10", 0)),
         ("unchanged", case(quiet, quiet[::-1]), ("unchanged", "4/10 (2 ties)", 0)),
         ("ties count for neither", case(quiet, quiet[:8] + [0.5, 0.5]), ("unchanged", "2/10 (8 ties)", 0)),
         ("a \"correct\": false run", case(quiet, quiet, correct=False), ("unchanged", "0/10 (10 ties)", 1)),
@@ -123,7 +125,7 @@ def self_test():
         assert (verdict, wins, code) == want, f"{name}: got {(verdict, wins, code)}, want {want}\n{text}"
         assert (verdict in ("worse", "unresolved", "regressed")) == (f"**{verdict}**" in text), name
     assert "+18.0 %" in case(*std_channel)[3], "delta of medians"
-    print("pair.sh fold self-test: 8 cases pass")
+    print("pair.sh fold self-test: 9 cases pass")
 
 if sys.argv[1] == "--self-test":
     self_test()

@@ -55,7 +55,8 @@ flags:
   --full-ddv         piggyback the whole DDV (paper §7) instead of the SN
   --contention       inter-cluster link model: none (default) or fifo
                      (transfers on a directed cluster pair serialize)
-  --replication N    checkpoint-fragment replication degree (default 1)
+  --replication N    checkpoint-fragment replication degree, 1 to 64
+                     (default 1)
   --trace LEVEL      record protocol or full trace (default off)
   --trace-file PATH  write the trace to PATH instead of stdout (implies
                      --trace protocol unless a level is given)
@@ -199,6 +200,12 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "--replication" => {
                 replication = match it.next().and_then(|s| s.parse().ok()) {
                     Some(0) => return usage_error("--replication needs a degree >= 1"),
+                    Some(d) if d > ReplicationPolicy::MAX_DEGREE => {
+                        return usage_error(&format!(
+                            "--replication needs a degree <= {}",
+                            ReplicationPolicy::MAX_DEGREE
+                        ))
+                    }
                     Some(d) => Some(d),
                     None => return usage_error("--replication needs an integer"),
                 }

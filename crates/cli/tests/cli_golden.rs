@@ -149,6 +149,7 @@ fn bad_flag_values_fail_with_usage() {
     for args in [
         vec!["run", "--contention", "carrier-pigeon"],
         vec!["run", "--replication", "0"],
+        vec!["run", "--replication", "65"],
         vec!["run", "--replication", "many"],
         vec!["run", "--trace-file"],
     ] {

@@ -137,19 +137,24 @@ impl StoreOp {
 /// — the initial CLC is committed inside `NodeEngine::new`, so it never
 /// flows through [`Host::durable`].
 ///
-/// # Panics
-/// If `dir` already holds a segment log.
+/// A `dir` that already holds a segment log is refused with an
+/// [`ErrorKind::AlreadyExists`](std::io::ErrorKind::AlreadyExists) I/O
+/// error, and left untouched.
 pub fn open_log<'a>(
     dir: &Path,
     layout: &Layout,
     engines: impl IntoIterator<Item = &'a NodeEngine>,
 ) -> Result<DurableStore<CheckpointCodec>, DurableError> {
     // Asked before `open`, which would replay the log and trim its tail.
-    assert!(
-        !storage::holds_log(dir)?,
-        "durable dir {} already holds a segment log; recover it or use a fresh directory",
-        dir.display()
-    );
+    if storage::holds_log(dir)? {
+        return Err(DurableError::Io(std::io::Error::new(
+            std::io::ErrorKind::AlreadyExists,
+            format!(
+                "{} already holds a segment log; recover it or use a fresh directory",
+                dir.display()
+            ),
+        )));
+    }
     let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())?;
     for engine in engines {
         log.snapshot_node(layout.index(engine.id()) as u64, engine.store())?;
@@ -871,6 +876,27 @@ mod tests {
         }
         let engines = layout.engines(&cfg);
         assert!(engines.iter().map(NodeEngine::id).eq(ids));
+    }
+
+    #[test]
+    fn open_log_refuses_a_used_directory_with_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("hc3i-open-log-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ProtocolConfig::new(vec![2]);
+        let layout = Layout::new(&cfg);
+        let engines = layout.engines(&cfg);
+        drop(open_log(&dir, &layout, &engines).expect("a fresh directory opens"));
+        let used: Vec<_> = std::fs::read_dir(&dir).expect("log written").collect();
+        let err = open_log(&dir, &layout, &engines)
+            .err()
+            .expect("a used directory is refused");
+        assert!(
+            matches!(&err, DurableError::Io(e) if e.kind() == std::io::ErrorKind::AlreadyExists),
+            "{err}"
+        );
+        let after: Vec<_> = std::fs::read_dir(&dir).expect("log kept").collect();
+        assert_eq!(after.len(), used.len(), "the refusal wrote nothing");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn report(rank: u32, failed_ranks: Vec<u32>) -> Detection {

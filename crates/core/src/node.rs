@@ -38,25 +38,38 @@ struct PendingInter {
     log_id: LogId,
 }
 
-/// State held between a `ClcRequest` and the matching `ClcCommit`.
+/// What the freeze window holds back until its commit, in arrival order.
+/// The commit replays the kinds in this order, each in arrival order.
+#[derive(Debug)]
+enum Held {
+    /// An intra-cluster app message captured during the freeze (channel
+    /// state): recorded in the checkpoint *and* delivered at commit.
+    Channel(NodeId, AppPayload),
+    /// An inter-cluster app message received during the freeze,
+    /// re-processed at commit (after the held forced-CLC messages are
+    /// rechecked).
+    Inter(NodeId, Msg),
+    /// An application send issued during the freeze, sent at commit.
+    Send(NodeId, AppPayload),
+}
+
+/// State held between a `ClcRequest` and the matching `ClcCommit`: the
+/// staged checkpoint's parts and what the freeze holds back. Inline in
+/// [`ColdState`] so a round allocates nothing for it.
 #[derive(Debug)]
 struct FrozenState {
     round: u64,
-    staged: NodeCheckpoint,
-    /// Replica holders that have not yet confirmed storing our fragment
-    /// (a short vector — at most the replication degree — so membership
-    /// is a scan, not a hash probe).
-    awaiting_frag: Vec<u32>,
-    /// Whether our ClcAck has been sent to the coordinator.
-    acked: bool,
-    /// Intra-cluster app messages captured during the freeze (channel
-    /// state): recorded in the checkpoint *and* delivered at commit.
-    channel_msgs: Vec<(NodeId, AppPayload)>,
-    /// Inter-cluster app messages received during the freeze, re-processed
-    /// at commit.
-    deferred: Vec<(NodeId, Msg)>,
-    /// Application sends issued during the freeze, sent at commit.
-    out_queue: Vec<(NodeId, AppPayload)>,
+    /// The delivery record sealed at the freeze.
+    delivered: DeliveredRecord,
+    /// The application snapshot at the freeze.
+    app_state: Option<Vec<u8>>,
+    /// Replica holders that have not yet confirmed storing our fragment:
+    /// `frag_holders[i]`, the holder `(rank + i + 1) % n`, at bit `i` (the
+    /// degree is at most 64). The ack goes out on the confirmation that
+    /// clears the last bit, so a confirmation from a non-holder, or a
+    /// repeated one, never acks.
+    awaiting_frag: u64,
+    held: Vec<Held>,
 }
 
 /// A CLC round in progress at the coordinator.
@@ -93,6 +106,14 @@ struct GcState {
 /// behind [`NodeEngine::cold`] so the hot fields of 100k engines pack
 /// densely in the host's arena; one pointer chase on the rare paths buys
 /// roughly half the per-engine inline footprint off the cache-resident set.
+///
+/// Size: every node takes part in every CLC round of its cluster, so the
+/// freeze window sits inline here — boxing it cost two allocations per
+/// node per round. What only one node in a cluster uses (the
+/// coordinator's round state) or in a federation (the GC initiator's
+/// lists) is boxed instead, which pays for the window: the cold state is
+/// no larger than it was with the window boxed, 240 bytes (`layout_tests`
+/// holds it).
 #[derive(Debug)]
 struct ColdState {
     /// This node's checkpoint-fragment replica holders — a pure function
@@ -100,8 +121,16 @@ struct ColdState {
     /// shared by reference with every per-commit fragment fan-out batch.
     frag_holders: Arc<[u32]>,
     store: ClcStore<NodeCheckpoint>,
-    coord: CoordState,
-    gc: Option<GcState>,
+    /// The CLC window between a `ClcRequest` and its commit; `Some`
+    /// exactly when [`NodeEngine::frozen`] is set.
+    frozen: Option<FrozenState>,
+    /// Coordinator-only: `Some` exactly on the coordinator. Boxed at
+    /// construction, beside the engine's other long-lived allocations; a
+    /// box first allocated mid-run lands among short-lived ones and raised
+    /// `campaign_sweep`'s peak RSS (`bench/ABLATIONS.md`).
+    coord: Option<Box<CoordState>>,
+    /// GC-initiator-only, while a collection runs.
+    gc: Option<Box<GcState>>,
     /// Highest alert epoch processed per origin cluster (alert dedup);
     /// sparse, like the engine's ghost floors.
     alert_seen: EpochFloors,
@@ -115,9 +144,9 @@ struct ColdState {
 /// The per-node protocol engine.
 ///
 /// Layout: fields read on (nearly) every input live inline; everything
-/// the control plane alone touches sits behind the cold-state box, and
-/// the freeze window state — a whole staged [`NodeCheckpoint`] — is boxed
-/// because it exists only between a `ClcRequest` and its commit.
+/// the control plane alone touches sits behind the cold-state box,
+/// including the freeze window, of which the hot side keeps one flag for
+/// the per-message checks.
 ///
 /// Footprint: no field, hot or cold, is sized by the federation's width.
 /// The only `O(clusters)` data an engine references — the config and the
@@ -149,7 +178,9 @@ pub struct NodeEngine {
     delivered: DeliveredRecord,
     /// Inter-cluster messages awaiting a forced CLC.
     pending_inter: Vec<PendingInter>,
-    frozen: Option<Box<FrozenState>>,
+    /// A CLC two-phase commit is in progress: application messages are
+    /// held in [`ColdState::frozen`] until it commits.
+    frozen: bool,
     failed: bool,
     /// Ghost floor per origin cluster: inter-cluster messages stamped with
     /// an epoch below this are in-flight sends of a dead incarnation.
@@ -212,6 +243,7 @@ impl NodeEngine {
             },
             NodeCheckpoint::default(),
         );
+        let coord = (id == cfg.coordinator(id.cluster.index())).then(Box::default);
         NodeEngine {
             cfg,
             id,
@@ -221,14 +253,15 @@ impl NodeEngine {
             log: MessageLog::new(),
             delivered: DeliveredRecord::new(),
             pending_inter: vec![],
-            frozen: None,
+            frozen: false,
             failed: false,
             min_epoch: EpochFloors::new(n),
             dirty: false,
             cold: Box::new(ColdState {
                 frag_holders,
                 store,
-                coord: CoordState::default(),
+                frozen: None,
+                coord,
                 gc: None,
                 alert_seen: EpochFloors::new(n),
                 late_crossings: 0,
@@ -269,7 +302,7 @@ impl NodeEngine {
     }
     /// Whether a CLC two-phase commit is in progress on this node.
     pub fn is_frozen(&self) -> bool {
-        self.frozen.is_some()
+        self.frozen
     }
     /// Messages held for a pending forced CLC.
     pub fn pending_inter_count(&self) -> usize {
@@ -386,18 +419,20 @@ impl NodeEngine {
                 if epoch != self.epoch {
                     return;
                 }
-                let mut ack_now = false;
-                if let Some(f) = self.frozen.as_mut() {
-                    if f.round == round {
-                        if let Some(pos) = f.awaiting_frag.iter().position(|&h| h == holder) {
-                            f.awaiting_frag.swap_remove(pos);
-                        }
-                        if f.awaiting_frag.is_empty() && !f.acked {
-                            f.acked = true;
-                            ack_now = true;
-                        }
+                // No bit for a rank that holds no replica of ours.
+                let bit = self
+                    .cold
+                    .frag_holders
+                    .iter()
+                    .position(|&h| h == holder)
+                    .map_or(0, |i| 1u64 << i);
+                let ack_now = match self.cold.frozen.as_mut() {
+                    Some(f) if f.round == round && f.awaiting_frag & bit != 0 => {
+                        f.awaiting_frag &= !bit;
+                        f.awaiting_frag == 0
                     }
-                }
+                    _ => false,
+                };
                 if ack_now {
                     let rank = self.id.rank;
                     self.send_or_local(
@@ -434,10 +469,10 @@ impl NodeEngine {
                 payload,
                 sent_at_sn,
             } => {
-                if let Some(f) = self.frozen.as_mut() {
+                if self.frozen {
                     // Channel state: recorded in the checkpoint, delivered
                     // at commit.
-                    f.channel_msgs.push((from, payload));
+                    self.hold(Held::Channel(from, payload));
                 } else {
                     if sent_at_sn != self.sn {
                         self.cold.late_crossings += 1;
@@ -465,8 +500,8 @@ impl NodeEngine {
                 if sender_epoch > floor {
                     self.min_epoch.raise(origin, sender_epoch);
                 }
-                if let Some(f) = self.frozen.as_mut() {
-                    f.deferred.push((
+                if self.frozen {
+                    self.hold(Held::Inter(
                         from,
                         Msg::AppInter {
                             payload,
@@ -525,7 +560,7 @@ impl NodeEngine {
                 );
             }
             Msg::GcDdvList { cluster, list } => {
-                self.on_gc_list(now, cluster, list, out);
+                self.on_gc_list(cluster, list, out);
             }
             Msg::GcPrune { min_sns } => {
                 // A coordinator hearing this from outside its cluster
@@ -566,6 +601,16 @@ impl NodeEngine {
         }
     }
 
+    /// Hold `held` back until the open freeze window commits.
+    fn hold(&mut self, held: Held) {
+        self.cold
+            .frozen
+            .as_mut()
+            .expect("the frozen flag mirrors the window")
+            .held
+            .push(held);
+    }
+
     /// Send `msg` to `to`, short-circuiting messages to self.
     fn send_or_local(&mut self, now: SimTime, to: NodeId, msg: Msg, out: &mut OutputBuf) {
         if to == self.id {
@@ -586,9 +631,9 @@ impl NodeEngine {
 
     fn app_send(&mut self, to: NodeId, payload: AppPayload, out: &mut OutputBuf) {
         assert!(to != self.id, "self-sends are not messages");
-        if let Some(f) = self.frozen.as_mut() {
+        if self.frozen {
             // Application messages are frozen during the 2PC (paper §3.1).
-            f.out_queue.push((to, payload));
+            self.hold(Held::Send(to, payload));
             return;
         }
         self.do_send(to, payload, out);
@@ -724,18 +769,11 @@ impl NodeEngine {
     // ---- 2PC: node side ----------------------------------------------------
 
     fn freeze_and_stage(&mut self, now: SimTime, round: u64, out: &mut OutputBuf) {
-        if self.frozen.is_some() {
+        if self.frozen {
             // Duplicate request within a round (cannot happen with a
             // correct coordinator); ignore.
             return;
         }
-        let staged = NodeCheckpoint {
-            // O(delta) seal: deliveries since the last CLC move into the
-            // shared immutable base; nothing older is copied.
-            delivered: self.delivered.seal(),
-            channel_state: vec![],
-            app_state: self.cold.app_state.clone(),
-        };
         // One batched fan-out action per freeze: the hosting engine
         // expands it into per-holder `FragmentReplica` sends (identical
         // ordering and byte accounting to the old per-holder outputs).
@@ -746,18 +784,21 @@ impl NodeEngine {
                 epoch: self.epoch,
             });
         }
-        let awaiting = self.cold.frag_holders.to_vec();
-        let ack_immediately = awaiting.is_empty();
-        self.frozen = Some(Box::new(FrozenState {
+        // One bit per holder (at most 64); none left means ack now.
+        let awaiting_frag = u64::MAX
+            .checked_shr(64 - self.cold.frag_holders.len() as u32)
+            .unwrap_or(0);
+        self.cold.frozen = Some(FrozenState {
             round,
-            staged,
-            awaiting_frag: awaiting,
-            acked: ack_immediately,
-            channel_msgs: vec![],
-            deferred: vec![],
-            out_queue: vec![],
-        }));
-        if ack_immediately {
+            // O(delta) seal: deliveries since the last CLC move into the
+            // shared immutable base; nothing older is copied.
+            delivered: self.delivered.seal(),
+            app_state: self.cold.app_state.clone(),
+            awaiting_frag,
+            held: Vec::new(),
+        });
+        self.frozen = true;
+        if awaiting_frag == 0 {
             let rank = self.id.rank;
             let epoch = self.epoch;
             let coord = self.my_coordinator();
@@ -774,21 +815,28 @@ impl NodeEngine {
         forced: bool,
         out: &mut OutputBuf,
     ) {
-        let Some(frozen) = self.frozen.take() else {
-            return; // stale commit after a rollback
+        let frozen = match self.cold.frozen.take() {
+            Some(f) if f.round == round => f,
+            // A stale commit after a rollback, or one for another round.
+            other => {
+                self.cold.frozen = other;
+                return;
+            }
         };
-        if frozen.round != round {
-            self.frozen = Some(frozen);
-            return;
-        }
+        self.frozen = false;
         let FrozenState {
-            mut staged,
-            channel_msgs,
-            deferred,
-            out_queue,
+            delivered,
+            app_state,
+            held,
             ..
-        } = *frozen;
-        staged.channel_state = channel_msgs.clone();
+        } = frozen;
+        let channel = |h: &Held| match *h {
+            Held::Channel(from, payload) => Some((from, payload)),
+            _ => None,
+        };
+        // Sized exactly: the store keeps it until a collection prunes it.
+        let mut channel_state = Vec::with_capacity(held.iter().filter_map(channel).count());
+        channel_state.extend(held.iter().filter_map(channel));
         self.cold.store.commit(
             ClcMeta {
                 sn,
@@ -796,7 +844,11 @@ impl NodeEngine {
                 committed_at: now,
                 forced,
             },
-            staged,
+            NodeCheckpoint {
+                delivered,
+                channel_state,
+                app_state,
+            },
         );
         self.sn = sn;
         // The commit's shared stamp *is* the live DDV, the stored stamp
@@ -809,22 +861,26 @@ impl NodeEngine {
             out.push(Output::ResetClcTimer);
         }
         // Deliver the channel state (messages that arrived while frozen).
-        for (from, payload) in channel_msgs {
+        for (from, payload) in held.iter().filter_map(channel) {
             out.push(Output::DeliverApp { from, payload });
         }
         // Held inter-cluster messages may now be deliverable.
         self.recheck_pending(out);
         // Re-process inter-cluster messages deferred by the freeze.
-        for (from, msg) in deferred {
-            self.handle_msg(now, from, msg, out);
+        for h in &held {
+            if let Held::Inter(from, msg) = h {
+                self.handle_msg(now, *from, msg.clone(), out);
+            }
         }
         // Release the application sends queued during the freeze.
-        for (to, payload) in out_queue {
-            if let Some(f) = self.frozen.as_mut() {
-                // A nested forced round already started; keep them frozen.
-                f.out_queue.push((to, payload));
-            } else {
-                self.do_send(to, payload, out);
+        for h in held {
+            if let Held::Send(to, payload) = h {
+                if self.frozen {
+                    // A nested forced round already started; keep them frozen.
+                    self.hold(Held::Send(to, payload));
+                } else {
+                    self.do_send(to, payload, out);
+                }
             }
         }
         // Coordinator: start a follow-up round if relevant reasons queued.
@@ -839,13 +895,22 @@ impl NodeEngine {
         if !self.reason_relevant(&reason) {
             return;
         }
-        match self.cold.coord.current {
+        let coord = self.coord();
+        match coord.current {
             Some(ref mut round) => round.reasons.push(reason),
             None => {
-                self.cold.coord.queued.push(reason);
+                coord.queued.push(reason);
                 self.coord_maybe_start(now, out);
             }
         }
+    }
+
+    /// The coordinator's round state.
+    fn coord(&mut self) -> &mut CoordState {
+        self.cold
+            .coord
+            .as_deref_mut()
+            .expect("only the coordinator runs rounds")
     }
 
     fn on_clc_timer(&mut self, now: SimTime, out: &mut OutputBuf) {
@@ -863,21 +928,22 @@ impl NodeEngine {
     }
 
     fn coord_maybe_start(&mut self, now: SimTime, out: &mut OutputBuf) {
-        if self.cold.coord.current.is_some() {
+        let coord = self.coord();
+        if coord.current.is_some() {
             return;
         }
-        let reasons: Vec<ClcReason> = std::mem::take(&mut self.cold.coord.queued)
-            .into_iter()
-            .filter(|r| self.reason_relevant(r))
-            .collect();
+        let mut reasons = std::mem::take(&mut coord.queued);
+        reasons.retain(|r| self.reason_relevant(r));
         if reasons.is_empty() {
             return;
         }
-        self.cold.coord.next_round += 1;
-        let round = self.cold.coord.next_round;
-        self.cold.coord.current = Some(RoundState {
+        let acked = vec![false; self.cluster_size() as usize];
+        let coord = self.coord();
+        coord.next_round += 1;
+        let round = coord.next_round;
+        coord.current = Some(RoundState {
             round,
-            acked: vec![false; self.cluster_size() as usize],
+            acked,
             ack_count: 0,
             reasons,
         });
@@ -887,7 +953,8 @@ impl NodeEngine {
 
     fn coord_ack(&mut self, now: SimTime, round: u64, rank: u32, out: &mut OutputBuf) {
         let size = self.cluster_size();
-        let complete = match self.cold.coord.current.as_mut() {
+        let coord = self.coord();
+        let complete = match coord.current.as_mut() {
             Some(r) if r.round == round => {
                 let idx = rank as usize;
                 if idx < r.acked.len() && !r.acked[idx] {
@@ -901,7 +968,7 @@ impl NodeEngine {
         if !complete {
             return;
         }
-        let round_state = self.cold.coord.current.take().expect("round exists");
+        let round_state = coord.current.take().expect("round exists");
         // Compute the committed stamp: apply every DDV raise, then bump SN.
         // The one DDV allocation of the whole CLC round happens here, at
         // the coordinator; everyone else shares the broadcast `Arc`.
@@ -1006,10 +1073,13 @@ impl NodeEngine {
         let channel_replay = entry.payload.channel_state.clone();
         let discarded = self.cold.store.truncate_after(restore_sn);
         self.log.truncate_after_rollback(restore_sn);
-        self.frozen = None;
+        self.frozen = false;
+        self.cold.frozen = None;
         self.pending_inter.clear();
-        self.cold.coord.current = None;
-        self.cold.coord.queued.clear();
+        if let Some(coord) = self.cold.coord.as_deref_mut() {
+            coord.current = None;
+            coord.queued.clear();
+        }
         self.cold.gc = None;
         self.dirty = false;
         out.push(Output::RolledBack {
@@ -1108,10 +1178,10 @@ impl NodeEngine {
         }
         let mut lists = BTreeMap::new();
         lists.insert(self.my_cluster(), self.cold.store.ddv_list());
-        self.cold.gc = Some(GcState { lists });
+        self.cold.gc = Some(Box::new(GcState { lists }));
         let n = self.cfg.num_clusters();
         if n == 1 {
-            self.gc_finish(SimTime::ZERO, out);
+            self.gc_finish(out);
             return;
         }
         for c in 1..n {
@@ -1122,13 +1192,7 @@ impl NodeEngine {
         }
     }
 
-    fn on_gc_list(
-        &mut self,
-        now: SimTime,
-        cluster: usize,
-        list: Vec<(SeqNum, Arc<Ddv>)>,
-        out: &mut OutputBuf,
-    ) {
+    fn on_gc_list(&mut self, cluster: usize, list: Vec<(SeqNum, Arc<Ddv>)>, out: &mut OutputBuf) {
         let n = self.cfg.num_clusters();
         let complete = match self.cold.gc.as_mut() {
             Some(g) => {
@@ -1138,11 +1202,11 @@ impl NodeEngine {
             None => false,
         };
         if complete {
-            self.gc_finish(now, out);
+            self.gc_finish(out);
         }
     }
 
-    fn gc_finish(&mut self, now: SimTime, out: &mut OutputBuf) {
+    fn gc_finish(&mut self, out: &mut OutputBuf) {
         let mut g = self.cold.gc.take().expect("gc in progress");
         // Move the collected lists out — the stamps inside stay shared
         // with the stores they came from; nothing is deep-copied.
@@ -1165,7 +1229,6 @@ impl NodeEngine {
             },
             out,
         );
-        let _ = now;
         self.apply_gc_prune(&min_sns, out);
     }
 
@@ -1189,26 +1252,245 @@ impl NodeEngine {
 #[cfg(test)]
 mod layout_tests {
     use super::*;
+    use storage::ReplicationPolicy;
 
     /// The simulator arena stores engines inline, so the inline size is
     /// what 100k-node sweeps keep cache-resident. The hot/cold split holds
-    /// it to 200 bytes (232 before PR 18 deleted the delivered high-water
-    /// map; ~450 with `ColdState` inline, which `bench/ABLATIONS.md`
-    /// measured: +8 % peak RSS on `campaign_sweep`, 0/10 pairs). If this
-    /// fires, the new field probably belongs in `ColdState` — or boxed,
-    /// like the freeze window state.
+    /// it to 192 bytes (~450 with `ColdState` inline, which
+    /// `bench/ABLATIONS.md` measured: +8 % peak RSS on `campaign_sweep`,
+    /// 0/10 pairs). If this fires, the new field probably belongs in
+    /// `ColdState`.
     #[test]
     fn hot_engine_stays_within_four_cache_lines() {
         let hot = std::mem::size_of::<NodeEngine>();
-        assert!(hot <= 200, "NodeEngine inline size grew to {hot} bytes");
-        // The split only pays off while the cold side carries real weight.
+        assert!(hot <= 192, "NodeEngine inline size grew to {hot} bytes");
+        // The freeze window sits inline in the cold state, paid for by
+        // boxing what only a coordinator or the GC initiator uses: no
+        // larger than the 240 bytes it was with the window boxed.
         let cold = std::mem::size_of::<ColdState>();
+        assert!(cold <= 240, "ColdState grew to {cold} bytes");
+        // The split only pays off while the cold side carries real weight.
         assert!(
             cold >= 128,
             "ColdState shrank to {cold} bytes — fold it back?"
         );
-        // The freeze window (a whole staged checkpoint) must stay boxed:
-        // it exists only between a ClcRequest and its commit.
-        assert_eq!(std::mem::size_of::<Option<Box<FrozenState>>>(), 8);
+    }
+
+    fn n(c: u16, r: u32) -> NodeId {
+        NodeId::new(c, r)
+    }
+
+    fn pay(tag: u64) -> AppPayload {
+        AppPayload { bytes: 8, tag }
+    }
+
+    fn intra(tag: u64) -> Msg {
+        Msg::AppIntra {
+            payload: pay(tag),
+            sent_at_sn: SeqNum(1),
+        }
+    }
+
+    /// An inter-cluster message piggybacking its sender cluster's `sn`,
+    /// logged there as `log_id`.
+    fn inter(tag: u64, sn: u64, log_id: u64) -> Msg {
+        Msg::AppInter {
+            payload: pay(tag),
+            piggyback: Piggyback::Sn(SeqNum(sn)),
+            log_id: LogId(log_id),
+            resend: false,
+            sender_epoch: 0,
+        }
+    }
+
+    fn stored(round: u64, holder: u32) -> Msg {
+        Msg::FragmentStored {
+            round,
+            holder,
+            epoch: 0,
+        }
+    }
+
+    fn commit(round: u64, sns: [u64; 2], forced: bool) -> Msg {
+        let mut ddv = Ddv::zeros(2);
+        ddv.set(0, SeqNum(sns[0]));
+        ddv.set(1, SeqNum(sns[1]));
+        Msg::ClcCommit {
+            round,
+            sn: SeqNum(sns[0]),
+            ddv: Arc::new(ddv),
+            forced,
+            epoch: 0,
+        }
+    }
+
+    /// What `engine` emits for `input`.
+    fn feed(engine: &mut NodeEngine, input: Input) -> Vec<Output> {
+        let mut out = OutputBuf::new();
+        engine.handle(SimTime::ZERO, input, &mut out);
+        out.drain().collect()
+    }
+
+    fn recv(engine: &mut NodeEngine, from: NodeId, msg: Msg) -> Vec<Output> {
+        feed(engine, Input::Receive { from, msg })
+    }
+
+    fn send(engine: &mut NodeEngine, to: NodeId, tag: u64) -> Vec<Output> {
+        feed(
+            engine,
+            Input::AppSend {
+                to,
+                payload: pay(tag),
+            },
+        )
+    }
+
+    /// The application-visible part of `outs`, in order: deliveries,
+    /// intra-cluster sends and inter-cluster acks, by tag or log id.
+    fn app_trace(outs: &[Output]) -> Vec<String> {
+        outs.iter()
+            .filter_map(|o| match o {
+                Output::DeliverApp { payload, .. } => Some(format!("deliver {}", payload.tag)),
+                Output::Send {
+                    msg: Msg::AppIntra { payload, .. },
+                    ..
+                } => Some(format!("send {}", payload.tag)),
+                Output::Send {
+                    msg: Msg::InterAck { log_id, .. },
+                    ..
+                } => Some(format!("ack {}", log_id.0)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn acks(outs: &[Output]) -> bool {
+        outs.iter().any(|o| {
+            matches!(
+                o,
+                Output::Send {
+                    msg: Msg::ClcAck { .. },
+                    ..
+                }
+            )
+        })
+    }
+
+    #[test]
+    fn the_commit_replays_the_window_kind_by_kind_in_arrival_order() {
+        let mut e = NodeEngine::new(ProtocolConfig::new(vec![3, 2]), n(0, 1));
+        // Held for a forced CLC before the freeze: cluster 1 is at SN 1,
+        // this node's DDV knows 0.
+        recv(&mut e, n(1, 0), inter(10, 1, 100));
+        assert_eq!(e.pending_inter_count(), 1);
+        recv(&mut e, n(0, 0), Msg::ClcRequest { round: 1, epoch: 0 });
+        assert!(e.is_frozen());
+        // The three kinds interleaved: nothing leaves the window.
+        let window = [
+            send(&mut e, n(0, 2), 1),
+            recv(&mut e, n(0, 2), intra(2)),
+            recv(&mut e, n(1, 1), inter(3, 1, 300)),
+            send(&mut e, n(0, 0), 4),
+            recv(&mut e, n(0, 0), intra(5)),
+        ];
+        assert!(window.iter().all(Vec::is_empty), "{window:?}");
+        assert!(acks(&recv(&mut e, n(0, 2), stored(1, 2))));
+        let outs = recv(&mut e, n(0, 0), commit(1, [2, 1], true));
+        assert!(!e.is_frozen());
+        // Channel state, then the held forced-CLC message, then the
+        // deferred inter-cluster one, then the queued sends.
+        assert_eq!(
+            app_trace(&outs),
+            [
+                "deliver 2",
+                "deliver 5",
+                "deliver 10",
+                "ack 100",
+                "deliver 3",
+                "ack 300",
+                "send 1",
+                "send 4"
+            ]
+        );
+        let latest = e.store().latest().expect("committed");
+        assert_eq!(latest.meta.sn, SeqNum(2));
+        assert_eq!(
+            latest.payload.channel_state,
+            [(n(0, 2), pay(2)), (n(0, 0), pay(5))]
+        );
+    }
+
+    #[test]
+    fn a_nested_forced_round_refreezes_the_remaining_sends() {
+        // The coordinator of a two-node cluster: its replay of a deferred
+        // inter-cluster message starts the next round on the spot.
+        let mut e = NodeEngine::new(ProtocolConfig::new(vec![2, 1]), n(0, 0));
+        feed(&mut e, Input::ClcTimer);
+        assert!(e.is_frozen());
+        send(&mut e, n(0, 1), 1);
+        recv(&mut e, n(1, 0), inter(2, 2, 200));
+        send(&mut e, n(0, 1), 3);
+        recv(&mut e, n(0, 1), stored(1, 1));
+        let ack = |round| Msg::ClcAck {
+            round,
+            rank: 1,
+            epoch: 0,
+        };
+        let outs = recv(&mut e, n(0, 1), ack(1));
+        assert!(
+            outs.contains(&Output::Send {
+                to: n(0, 1),
+                msg: Msg::ClcRequest { round: 2, epoch: 0 },
+            }),
+            "{outs:?}"
+        );
+        assert!(e.is_frozen(), "round 2 froze the replay");
+        assert_eq!(e.pending_inter_count(), 1);
+        assert_eq!(app_trace(&outs), Vec::<String>::new(), "sends re-frozen");
+        recv(&mut e, n(0, 1), stored(2, 1));
+        let outs = recv(&mut e, n(0, 1), ack(2));
+        assert!(!e.is_frozen());
+        assert_eq!(e.sn(), SeqNum(3));
+        assert_eq!(
+            app_trace(&outs),
+            ["deliver 2", "ack 200", "send 1", "send 3"]
+        );
+    }
+
+    #[test]
+    fn only_the_last_holder_confirmation_acks() {
+        let request = Msg::ClcRequest { round: 1, epoch: 0 };
+        // Rank 3 of 4 at degree 2: holders wrap around to 0 and 1.
+        let cfg = ProtocolConfig::new(vec![4]).with_replication(ReplicationPolicy::with_degree(2));
+        let mut e = NodeEngine::new(cfg, n(0, 3));
+        recv(&mut e, n(0, 0), request.clone());
+        let mut confirm =
+            |round, holder| acks(&recv(&mut e, n(0, holder % 4), stored(round, holder)));
+        // A non-holder, ourselves, ranks outside the cluster, another
+        // round, then a repeated holder: none of them acks.
+        for (round, holder) in [
+            (1, 2),
+            (1, 3),
+            (1, 4),
+            (1, u32::MAX),
+            (2, 0),
+            (1, 0),
+            (1, 0),
+        ] {
+            assert!(!confirm(round, holder), "round {round}, holder {holder}");
+        }
+        assert!(confirm(1, 1), "the last holder acks");
+        assert!(!confirm(1, 1) && !confirm(1, 0), "once");
+
+        // At the widest mask, rank 1 of 66: holders 2..=65 are bits 0..=63;
+        // rank 0 is 65 ranks on, past the mask.
+        let cfg =
+            ProtocolConfig::new(vec![66]).with_replication(ReplicationPolicy::with_degree(64));
+        let mut e = NodeEngine::new(cfg, n(0, 1));
+        recv(&mut e, n(0, 0), request);
+        for holder in (0..66).filter(|&h| h != 1) {
+            let last = holder == 65;
+            assert_eq!(acks(&recv(&mut e, n(0, holder), stored(1, holder))), last);
+        }
     }
 }

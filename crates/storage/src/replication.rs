@@ -15,6 +15,11 @@ pub struct ReplicationPolicy {
 }
 
 impl ReplicationPolicy {
+    /// The largest replication degree: an engine tracks which holders have
+    /// stored its fragment in one 64-bit mask, holder `(rank + d) % n` at
+    /// bit `d - 1`.
+    pub const MAX_DEGREE: u32 = 64;
+
     /// The paper's policy: one replica on the next node (degree 1).
     pub fn paper_default() -> Self {
         ReplicationPolicy { degree: 1 }
@@ -24,9 +29,15 @@ impl ReplicationPolicy {
     ///
     /// # Panics
     /// If `degree == 0` (a fragment existing only on its owner cannot
-    /// survive that owner's failure).
+    /// survive that owner's failure) or `degree` exceeds
+    /// [`ReplicationPolicy::MAX_DEGREE`].
     pub fn with_degree(degree: u32) -> Self {
         assert!(degree > 0, "replication degree must be at least 1");
+        assert!(
+            degree <= Self::MAX_DEGREE,
+            "replication degree must be at most {}, got {degree}",
+            Self::MAX_DEGREE
+        );
         ReplicationPolicy { degree }
     }
 
@@ -94,6 +105,13 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn degree_zero_rejected() {
         ReplicationPolicy::with_degree(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64, got 65")]
+    fn degree_above_the_holder_mask_rejected() {
+        assert_eq!(ReplicationPolicy::with_degree(64).degree(), 64);
+        ReplicationPolicy::with_degree(65);
     }
 
     #[test]
