@@ -8,18 +8,44 @@
 # (`coordinator_rank`; ProtocolConfig::coordinator is the one answer).
 # Comment lines and everything from a file's first `#[cfg(test)]` on are
 # not code a host runs, and are skipped.
+#
+# Also one window into a run: the simulator's world records typed trace
+# records and `simdriver::trace::render` formats them, so a `format!(` in
+# world.rs's code is a second trace path; and the report fold lives in
+# hc3i-core, so the runtime never depends on the simulator.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-hits=$(find crates/simdriver/src crates/runtime/src crates/core/src/testkit.rs -name '*.rs' -print0 |
-  xargs -0 awk '
-    FNR == 1 { in_tests = 0 }
-    /#\[cfg\(test\)\]/ { in_tests = 1 }
-    in_tests || /^[[:space:]]*\/\// { next }
-    /Output::|Msg::Reliable|Msg::XportAck|Input::DetectFaults|coordinator_rank/ { print FILENAME ":" FNR ": " $0 }
-  ')
+code_matching() {
+  local pattern=$1
+  shift
+  find "$@" -name '*.rs' -print0 |
+    xargs -0 awk -v pattern="$pattern" '
+      FNR == 1 { in_tests = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      in_tests || /^[[:space:]]*\/\// { next }
+      $0 ~ pattern { print FILENAME ":" FNR ": " $0 }
+    '
+}
+status=0
+hits=$(code_matching 'Output::|Msg::Reliable|Msg::XportAck|Input::DetectFaults|coordinator_rank' \
+  crates/simdriver/src crates/runtime/src crates/core/src/testkit.rs)
 if [ -n "$hits" ]; then
   echo "host code decides what hc3i_core::host decides (interpreter, transport frames, fault reports, coordinator):"
   echo "$hits"
-  exit 1
+  status=1
+fi
+hits=$(code_matching 'format![(]' crates/simdriver/src/world.rs)
+if [ -n "$hits" ]; then
+  echo "the world formats a trace line; record a simdriver::TraceEvent and let trace::render format it:"
+  echo "$hits"
+  status=1
+fi
+if grep -n 'simdriver' crates/runtime/Cargo.toml; then
+  echo "crates/runtime depends on the simulator; RunReport and its fold live in hc3i-core"
+  status=1
+fi
+if [ "$status" -ne 0 ]; then
+  exit "$status"
 fi
 echo "one interpreter: no Output:: / Msg::Reliable / Msg::XportAck / Input::DetectFaults / coordinator_rank in simdriver, runtime or testkit"
+echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"

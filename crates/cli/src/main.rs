@@ -17,10 +17,10 @@
 //! discrete-event simulator, and prints the identical report format via
 //! [`runtime::Federation::report`].
 
-use desim::{RngStreams, SimDuration, SimTime, TraceLevel};
+use desim::{RngStreams, SimDuration, SimTime};
 use hc3i_core::{PiggybackMode, ProtocolConfig, ReplicationPolicy};
 use netsim::{ContentionModel, NodeId};
-use simdriver::SimConfig;
+use simdriver::{SimConfig, TraceLevel};
 use std::io::{self, Write};
 use std::process::ExitCode;
 use workload::Workload;
@@ -59,7 +59,8 @@ flags:
                      (default 1)
   --trace LEVEL      record protocol or full trace (default off)
   --trace-file PATH  write the trace to PATH instead of stdout (implies
-                     --trace protocol unless a level is given)
+                     --trace protocol unless a level is given; not with
+                     --trace off)
   --runtime          drive the live sharded substrate instead of the
                      simulator and report via Federation::report (faults,
                      contention and tracing are simulator-only; clusters
@@ -147,7 +148,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut seed = 42u64;
     let mut faults: Vec<(u64, u16, u32)> = vec![];
     let mut full_ddv = false;
-    let mut trace = TraceLevel::Off;
+    let mut trace: Option<TraceLevel> = None;
     let mut trace_file: Option<String> = None;
     let mut contention = ContentionModel::Unlimited;
     let mut replication: Option<u32> = None;
@@ -212,9 +213,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
             "--trace" => {
                 trace = match it.next().map(String::as_str) {
-                    Some("protocol") => TraceLevel::Protocol,
-                    Some("full") => TraceLevel::Full,
-                    Some("off") => TraceLevel::Off,
+                    Some("protocol") => Some(TraceLevel::Protocol),
+                    Some("full") => Some(TraceLevel::Full),
+                    Some("off") => Some(TraceLevel::Off),
                     _ => return usage_error("--trace wants protocol|full|off"),
                 }
             }
@@ -243,6 +244,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
 
+    // A trace file without a level gets the protocol trace; beside an
+    // explicit `off` it would be a file nobody asked to fill.
+    let trace = match (trace, &trace_file) {
+        (Some(TraceLevel::Off), Some(_)) => {
+            return usage_error("--trace-file wants a trace, not --trace off")
+        }
+        (None, Some(_)) => TraceLevel::Protocol,
+        (level, _) => level.unwrap_or_default(),
+    };
+
     let (Some(topology), Some(application), Some(timers)) = (topology, application, timers) else {
         return usage_error("need --topology, --application and --timers");
     };
@@ -266,12 +277,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     if durable_crash_after.is_some() && durable_dir.is_none() {
         return usage_error("--durable-crash-after requires --durable-dir");
-    }
-
-    // A trace file without an explicit level would silently be empty;
-    // default to the protocol level instead.
-    if trace_file.is_some() && trace == TraceLevel::Off {
-        trace = TraceLevel::Protocol;
     }
 
     let read = |path: &str| -> Result<String, String> {
@@ -352,22 +357,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
 
         cfg = cfg.with_trace(trace);
-        let (report, tracer) = simdriver::run_traced(cfg);
+        let (report, records) = simdriver::run_traced(cfg);
         if let Some(path) = &trace_file {
-            let mut f = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
-            let mut write_all = || -> std::io::Result<()> {
-                for rec in tracer.records() {
-                    writeln!(f, "[{}] {:<9} {}", rec.at, rec.subsystem, rec.detail)?;
-                }
-                Ok(())
+            let write = || -> io::Result<()> {
+                let mut f = io::BufWriter::new(std::fs::File::create(path)?);
+                simdriver::trace::render(&mut f, &records)?;
+                f.flush()
             };
-            write_all().map_err(|e| format!("{path}: {e}"))?;
-            eprintln!("trace: {} records -> {path}", tracer.records().len());
+            write().map_err(|e| format!("{path}: {e}"))?;
+            eprintln!("trace: {} records -> {path}", records.len());
         } else if trace != TraceLevel::Off {
-            writeln!(out, "== trace ({} records) ==", tracer.records().len())?;
-            for rec in tracer.records() {
-                writeln!(out, "[{}] {:<9} {}", rec.at, rec.subsystem, rec.detail)?;
-            }
+            writeln!(out, "== trace ({} records) ==", records.len())?;
+            simdriver::trace::render(out, &records)?;
             writeln!(out)?;
         }
         print_report(out, &report)?;

@@ -1,12 +1,13 @@
 //! Golden-output tests of `hc3i-sim run`.
 //!
 //! A simulation is a pure function of its configuration and seed, so the
-//! CLI's report must match the checked-in fixture byte for byte — on any
-//! machine. Regenerate the fixture after an *intentional* behaviour change
-//! with the command embedded in `golden_args` below, e.g.:
+//! CLI's report and its protocol trace must match the checked-in fixtures
+//! byte for byte — on any machine. Regenerate both after an *intentional*
+//! behaviour change with the command embedded in `golden_args` below, e.g.:
 //!
 //! ```text
 //! hc3i-sim sample-configs /tmp/d && hc3i-sim run --topology … \
+//!     --trace-file crates/cli/tests/golden/run_reference.trace \
 //!     > crates/cli/tests/golden/run_reference.stdout
 //! ```
 
@@ -80,23 +81,16 @@ fn report_matches_golden_fixture_exactly() {
          intentional, regenerate crates/cli/tests/golden/run_reference.stdout"
     );
 
-    // The trace went to the file, not stdout.
+    // The trace went to the file, not stdout, and every line of it —
+    // commits, the scripted fault's rollback, the periodic GC — is pinned.
     assert!(!got.contains("== trace"), "trace leaked into stdout");
     let trace = std::fs::read_to_string(&trace_path).expect("trace file written");
-    assert_eq!(trace.lines().count(), 245, "protocol-level record count");
-    assert!(
-        trace
-            .lines()
-            .next()
-            .unwrap()
-            .contains("committed CLC 2 (forced)"),
-        "first record: {trace:.120}"
+    assert_eq!(
+        trace,
+        include_str!("golden/run_reference.trace"),
+        "trace deviates from the golden fixture — if the change is \
+         intentional, regenerate crates/cli/tests/golden/run_reference.trace"
     );
-    assert!(
-        trace.contains("rollback"),
-        "the scripted fault must be traced"
-    );
-    assert!(trace.contains("gc"), "the periodic GC must be traced");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -152,10 +146,31 @@ fn bad_flag_values_fail_with_usage() {
         vec!["run", "--replication", "65"],
         vec!["run", "--replication", "many"],
         vec!["run", "--trace-file"],
+        vec!["run", "--trace", "off", "--trace-file", "t.txt"],
     ] {
         let out = Command::new(bin()).args(&args).output().expect("spawn");
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("usage"), "{args:?}: {err}");
     }
+}
+
+#[test]
+fn a_trace_file_beside_trace_off_is_a_usage_error() {
+    // An explicit `off` is not the default a trace file upgrades: the run
+    // stops before reading its configs or writing any file.
+    let dir = sample_dir("trace-off");
+    let trace = dir.join("trace.txt");
+    let mut args = golden_args(&dir, &trace);
+    let level = args.iter().position(|a| a == "protocol").unwrap();
+    args[level] = "off".into();
+    let out = Command::new(bin()).args(&args).output().expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--trace off") && err.contains("usage"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty() && !trace.exists());
+    std::fs::remove_dir_all(&dir).ok();
 }

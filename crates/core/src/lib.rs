@@ -21,7 +21,7 @@
 //! feed it [`Input`]s, and [`host::perform`] the [`Output`]s it emits into
 //! a caller-owned reusable sink ([`OutputBuf`]). That interpreter — fan-out,
 //! reliable-transport wrap/unwrap, durable frames, the [`ProtoEvent`]
-//! vocabulary — exists once, here; the discrete-event simulator
+//! vocabulary and the [`RunReport`] fold over it — exists once, here; the discrete-event simulator
 //! (`simdriver`), the threaded messaging runtime (`runtime`) and the
 //! instant test federation ([`testkit`]) are three [`Host`] impls that
 //! supply only a wire, a clock and a timer — where a node sits
@@ -65,6 +65,7 @@ pub mod msg;
 pub mod node;
 pub mod persist;
 pub mod recovery;
+pub mod report;
 pub mod testkit;
 pub mod xport;
 
@@ -76,6 +77,7 @@ pub use msg::{AppPayload, ClcReason, Msg, Piggyback};
 pub use node::NodeEngine;
 pub use persist::CheckpointCodec;
 pub use recovery::{is_consistent_cut, recovery_line, recovery_line_multi, RecoveryLine};
+pub use report::{ClusterStats, RunReport};
 pub use xport::{ReceiverChannel, SenderChannel, XportConfig};
 
 // Re-export the storage vocabulary used throughout the public API.

@@ -1,7 +1,14 @@
-//! End-of-run metrics.
+//! End-of-run metrics, folded from the [`ProtoEvent`] vocabulary.
+//!
+//! [`RunReport::observe`] is the one fold from events to report fields:
+//! the simulator calls it from its [`Host::emit`](crate::Host::emit), the
+//! threaded runtime from its controller as it drains the event channel.
+//! A report's `Debug` dump is the determinism fingerprint, so field names
+//! and order are part of the contract.
 
+use crate::host::ProtoEvent;
+use crate::node::NodeEngine;
 use desim::{SimDuration, SimTime};
-use hc3i_core::{NodeEngine, ProtoEvent};
 use storage::SeqNum;
 
 /// Per-cluster checkpointing statistics.
@@ -75,9 +82,9 @@ pub struct RunReport {
     pub late_crossings: u64,
     /// Unrecoverable-fault reports (fragment lost).
     pub unrecoverable_faults: u64,
-    /// Events the simulator dispatched.
+    /// Events the host dispatched.
     pub events_processed: u64,
-    /// Simulated time at which the run ended.
+    /// Time at which the run ended.
     pub ended_at: SimTime,
 }
 

@@ -123,11 +123,6 @@ impl<'a, E> Ctx<'a, E> {
     pub fn stop(&mut self) {
         *self.stop_requested = true;
     }
-
-    /// Number of pending events (diagnostics).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// One simulated instant's worth of events, pulled lazily from the

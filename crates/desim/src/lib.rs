@@ -10,9 +10,11 @@
 //!   ahead, so the heap holds only what is in flight),
 //! * an instant-batching event-scheduling executive ([`Simulation`] /
 //!   [`World`] / [`InstantBatch`]),
-//! * named, independent, reproducible RNG streams ([`RngStreams`]),
-//! * configurable tracing mirroring the paper's compile-time trace levels
-//!   ([`Tracer`]).
+//! * named, independent, reproducible RNG streams ([`RngStreams`]).
+//!
+//! What a run records of itself is the model's business, not the
+//! executive's: the federation simulator keeps a typed trace of protocol
+//! events (`simdriver::trace`).
 //!
 //! Unlike C++SIM's process threads, the executive is strictly sequential and
 //! deterministic: events at equal timestamps fire in scheduling order, so a
@@ -45,10 +47,8 @@ pub mod engine;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Ctx, InboxKey, InstantBatch, RunOutcome, Simulation, World};
 pub use queue::{EventKey, EventQueue};
 pub use rng::{exponential, pareto, uniform, RngStreams};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceLevel, TraceRecord, Tracer};

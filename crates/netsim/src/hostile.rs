@@ -273,11 +273,6 @@ impl HostileNet {
         }
     }
 
-    /// The partition schedule.
-    pub fn partitions(&self) -> &[PartitionSpec] {
-        &self.partitions
-    }
-
     /// Seed of the directed pair `from → to`'s embedded stream: one
     /// SplitMix64 scramble of the spec seed and the pair identity. Pure
     /// function, exposed so tests can reproduce a pair's draw sequence.

@@ -150,11 +150,6 @@ impl Network {
         self
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Compute the arrival time of a message sent now, update FIFO state and
     /// charge the traffic account. Never returns a time `<= now`.
     pub fn send(

@@ -82,7 +82,7 @@ impl ClusterProbe {
             .map(|g| health.generation(g));
         if let Detection::Report(rank, report) = self.reports.detect(generations, None) {
             let to = NodeId::new(self.cluster as u16, rank);
-            let _ = routes.send(to, Envelope::Report(report));
+            let _ = routes.send(to, Envelope::Input(report));
         }
     }
 }

@@ -25,7 +25,10 @@
 //! there too. So the protocol and
 //! hosting logic validated by simulation is exercised unchanged,
 //! allocation-free, on a real concurrent transport, and [`RtEvent`] is the
-//! shared `ProtoEvent` vocabulary the simulator's report is folded from.
+//! shared `ProtoEvent` vocabulary. [`Federation::report`] folds it into the
+//! same [`RunReport`] the simulator prints, through the same
+//! `RunReport::observe`; both live in `hc3i-core`, so this crate needs
+//! nothing of the simulator.
 //!
 //! **Determinism contract:** shard assignment is the shared
 //! [`hc3i_core::host::Layout`] index modulo the pool size, and protocol
@@ -41,11 +44,10 @@ pub mod app;
 pub mod detector;
 pub mod envelope;
 pub mod federation;
-pub mod report;
 mod shard;
 
 pub use app::{Application, CounterApp};
 pub use detector::HeartbeatConfig;
 pub use envelope::{Envelope, RtEvent};
 pub use federation::{AppFactory, Federation, RuntimeConfig};
-pub use simdriver::RunReport;
+pub use hc3i_core::RunReport;

@@ -81,7 +81,7 @@ fn lower(bound: &mut Option<Instant>, deadline: Instant) {
 }
 
 /// The runtime's clock: wall time since the federation's spawn instant.
-fn since(epoch: Instant) -> SimTime {
+pub(crate) fn since(epoch: Instant) -> SimTime {
     SimTime(epoch.elapsed().as_nanos() as u64)
 }
 
@@ -410,16 +410,12 @@ impl ShardWorker {
                 };
                 Input::Receive { from, msg }
             }
-            Envelope::AppSend { to, payload } => Input::AppSend { to, payload },
-            Envelope::ClcNow => Input::ClcTimer,
-            Envelope::GcNow => Input::GcTimer,
-            Envelope::Fail => Input::Fail,
-            Envelope::Report(report) => report,
-            Envelope::Ping { seq, reply } => {
+            Envelope::Input(input) => input,
+            Envelope::Ping { reply } => {
                 // Liveness is a node property: a fail-stopped engine stays
                 // silent, everyone else answers.
                 if !self.nodes[slot].engine.is_failed() {
-                    let _ = reply.send((self.nodes[slot].id.rank, seq));
+                    let _ = reply.send(());
                 }
                 return;
             }

@@ -1,9 +1,23 @@
 //! Simulation configuration.
 
-use desim::{SimDuration, SimTime, TraceLevel};
+use desim::{SimDuration, SimTime};
 use hc3i_core::{ProtocolConfig, XportConfig};
 use netsim::{ContentionModel, HostileSpec, NodeId, PartitionSpec, Topology};
 use workload::SendEvent;
+
+/// How much of a run the trace keeps (the paper's compile-time trace
+/// levels, chosen at run time; `hc3i-sim run --trace off|protocol|full`).
+/// Which records each level keeps is [`TraceEvent::level`](crate::TraceEvent::level).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
+pub enum TraceLevel {
+    /// Keep nothing (statistics only) — the paper's "lowest output".
+    #[default]
+    Off,
+    /// Keep protocol-level actions (checkpoints, rollbacks, GC, partitions).
+    Protocol,
+    /// Keep everything, including every wire copy and delivery.
+    Full,
+}
 
 /// A scripted node failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

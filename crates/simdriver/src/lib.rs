@@ -10,13 +10,15 @@
 //! is carried out by the shared interpreter (`hc3i_core::host`), and this
 //! crate supplies only the [`hc3i_core::Host`] that makes a wire out of
 //! the network model and the event queue, a clock out of simulated
-//! time, and an event sink out of the trace and [`RunReport::observe`];
-//! who coordinates and whom a fault report goes to are decided there too.
+//! time, and an event sink out of [`RunReport::observe`] (the fold lives
+//! beside the event vocabulary in `hc3i-core`) and the [`trace`]; who
+//! coordinates and whom a fault report goes to are decided there too.
 //!
 //! The event hot path is allocation-free: engines live in a flat arena
 //! indexed by the shared `hc3i_core::host::Layout`, outputs drain through one
-//! reusable `OutputBuf`, and per-event trace formatting is gated behind
-//! the configured trace level.
+//! reusable `OutputBuf`, and the trace is typed records ([`TraceEvent`]),
+//! kept per [`TraceLevel`] and absent altogether when it is off; the one
+//! place they become text is [`trace::render`].
 //!
 //! **Determinism contract:** a run is a pure function of its
 //! [`SimConfig`] (including the seed) — same config ⇒ bit-identical
@@ -28,12 +30,13 @@
 
 pub mod config;
 pub mod hostile;
-pub mod report;
 pub mod run;
+pub mod trace;
 pub mod world;
 
-pub use config::{FaultEvent, SimConfig};
+pub use config::{FaultEvent, SimConfig, TraceLevel};
+pub use hc3i_core::{ClusterStats, RunReport};
 pub use hostile::{DeliveryLedger, HostileRunStats};
-pub use report::{ClusterStats, RunReport};
 pub use run::{run, run_hostile, run_traced};
+pub use trace::TraceEvent;
 pub use world::{Ev, FederationWorld};

@@ -2,9 +2,10 @@
 
 use crate::config::SimConfig;
 use crate::hostile::HostileRunStats;
-use crate::report::RunReport;
+use crate::trace::TraceEvent;
 use crate::world::{Ev, FederationWorld};
 use desim::{exponential, RngStreams, RunOutcome, SimDuration, SimTime, Simulation};
+use hc3i_core::RunReport;
 use rand::Rng;
 
 /// Hard ceiling on dispatched events, guarding against model bugs.
@@ -22,11 +23,12 @@ pub fn run(cfg: SimConfig) -> RunReport {
     run_traced(cfg).0
 }
 
-/// Like [`run`], but also returns the collected trace (records only at
-/// the level set by [`SimConfig::trace`]).
-pub fn run_traced(cfg: SimConfig) -> (RunReport, desim::Tracer) {
-    let (report, tracer, _) = run_inner(cfg);
-    (report, tracer)
+/// Like [`run`], but also returns the trace: the records the level set
+/// by [`SimConfig::trace`] keeps, in the order they happened (empty, and
+/// never allocated, when it is off). [`crate::trace::render`] prints it.
+pub fn run_traced(cfg: SimConfig) -> (RunReport, Vec<(SimTime, TraceEvent)>) {
+    let (report, trace, _) = run_inner(cfg);
+    (report, trace)
 }
 
 /// Like [`run`], but also returns the hostile-network side statistics
@@ -144,7 +146,9 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     sim.schedule_at(horizon, Ev::End);
 }
 
-fn run_inner(cfg: SimConfig) -> (RunReport, desim::Tracer, HostileRunStats) {
+type Trace = Vec<(SimTime, TraceEvent)>;
+
+fn run_inner(cfg: SimConfig) -> (RunReport, Trace, HostileRunStats) {
     let mut sim = Simulation::new(FederationWorld::new(cfg));
     seed_events(&mut sim);
 
@@ -158,14 +162,16 @@ fn run_inner(cfg: SimConfig) -> (RunReport, desim::Tracer, HostileRunStats) {
     let events = sim.events_processed();
     let report = sim.world_mut().finalize(now, events);
     let hostile = sim.world_mut().finalize_hostile();
-    let world = sim.into_world();
-    (report, world.tracer, hostile)
+    let trace = sim.into_world().trace.unwrap_or_default();
+    (report, trace, hostile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::{SimDuration, TraceLevel};
+    use crate::config::TraceLevel;
+    use desim::SimDuration;
+    use hc3i_core::ProtoEvent;
     use netsim::{NodeId, Topology};
     use workload::{TargetCountWorkload, Workload};
 
@@ -324,8 +330,14 @@ mod tests {
         // the revived coordinator's timer then commits every 5 minutes
         // again, at 22 through 57 min.
         let resumed = trace
-            .by_subsystem("clc")
-            .filter(|r| r.at > rolled_back_at && r.detail.starts_with("cluster 0 committed"))
+            .iter()
+            .filter(|(at, r)| {
+                *at > rolled_back_at
+                    && matches!(
+                        r,
+                        TraceEvent::Proto(ProtoEvent::Committed { cluster: 0, .. })
+                    )
+            })
             .count();
         assert_eq!(resumed, 8, "timer CLCs after the rollback");
         assert_eq!(report.clusters[0].forced_clcs, 0);

@@ -4,14 +4,16 @@
 //! [`hc3i_core::host`]; this file supplies the simulator's [`Host`]: the
 //! wire is the network model plus the event queue (`SimHost::wire`),
 //! the clock is simulated time, timers are queue events, and the event
-//! sink is the trace, the [`RunReport`] fold and the delivery ledger.
+//! sink is the [`RunReport`] fold, the delivery ledger and the typed
+//! trace ([`TraceEvent`]), which this file only records — rendering is
+//! [`crate::trace::render`]'s.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, TraceLevel};
 use crate::hostile::HostileRunStats;
-use crate::report::RunReport;
-use desim::{Ctx, EventKey, SimTime, TraceLevel, Tracer, World};
+use crate::trace::TraceEvent;
+use desim::{Ctx, EventKey, SimTime, World};
 use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, ProtoEvent, StoreOp, Xport};
-use hc3i_core::{Input, Msg, NodeEngine, OutputBuf};
+use hc3i_core::{Input, Msg, NodeEngine, OutputBuf, RunReport};
 use netsim::{FastHashMap, HostileNet, Network, NodeId};
 
 /// Events of the federation world.
@@ -127,7 +129,9 @@ pub struct FederationWorld {
     /// event.
     reports: Vec<FaultReports>,
     pub(crate) stats: RunReport,
-    pub(crate) tracer: Tracer,
+    /// The records [`SimConfig::trace`] keeps, in the order they happened;
+    /// `None` at [`TraceLevel::Off`], so an untraced run builds none.
+    pub(crate) trace: Option<Vec<(SimTime, TraceEvent)>>,
     /// Reusable engine-output buffer threaded through `handle_engine`.
     out_buf: OutputBuf,
     /// Hostile post-processor; `None` on the pristine path, whose event
@@ -155,7 +159,7 @@ impl FederationWorld {
         let engines = layout.engines(&cfg.protocol);
         let net = Network::new(cfg.topology.clone()).with_contention(cfg.contention);
         let stats = RunReport::new(n);
-        let tracer = Tracer::new(cfg.trace);
+        let trace = (cfg.trace != TraceLevel::Off).then(Vec::new);
         let hostile = if cfg.hostile.is_some() || !cfg.partitions.is_empty() {
             Some(HostileNet::new(
                 cfg.hostile.clone().unwrap_or_default(),
@@ -183,18 +187,13 @@ impl FederationWorld {
             clc_timer_keys: vec![None; n],
             reports: (0..n).map(|_| FaultReports::default()).collect(),
             stats,
-            tracer,
+            trace,
             out_buf: OutputBuf::new(),
             hostile,
             hostile_stats,
             xport,
             durable,
         }
-    }
-
-    /// The trace collected so far (level per [`SimConfig::trace`]).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Access an engine (tests, report finalization).
@@ -278,6 +277,24 @@ impl FederationWorld {
     }
 }
 
+/// Append `record()` at `at` to `trace` if `level` keeps it
+/// ([`TraceEvent::level`]); untraced, the closure never runs. A free
+/// function so that the closure may borrow the rest of the world.
+#[inline]
+pub(crate) fn record(
+    trace: &mut Option<Vec<(SimTime, TraceEvent)>>,
+    level: TraceLevel,
+    at: SimTime,
+    record: impl FnOnce() -> TraceEvent,
+) {
+    if let Some(trace) = trace.as_mut() {
+        let record = record();
+        if record.level().is_some_and(|l| l <= level) {
+            trace.push((at, record));
+        }
+    }
+}
+
 /// The simulator as a [`Host`]: one world plus the executive's context
 /// for the event being dispatched.
 struct SimHost<'a, 'c> {
@@ -303,24 +320,23 @@ impl Host for SimHost<'_, '_> {
         // delivery event, a duplicate copy is a ghost the network never
         // charges for, and a lost message was charged but never arrives.
         let mut duplicate_at = None;
+        let mut lost = false;
         if let Some(h) = w.hostile.as_mut() {
             let outcome = h.post(ctx.now(), source, to, arrival);
-            if outcome.lost {
-                w.hostile_stats.messages_lost += 1;
-                if w.tracer.enabled(TraceLevel::Full) {
-                    w.tracer.full(ctx.now(), "net", || {
-                        format!("{source} -> {to}: {msg:?} ({bytes} B, LOST)")
-                    });
-                }
-                return;
-            }
+            lost = outcome.lost;
             arrival = outcome.arrival;
             duplicate_at = outcome.duplicate;
         }
-        if w.tracer.enabled(TraceLevel::Full) {
-            w.tracer.full(ctx.now(), "net", || {
-                format!("{source} -> {to}: {msg:?} ({bytes} B, arrives {arrival})")
-            });
+        record(&mut w.trace, w.cfg.trace, ctx.now(), || TraceEvent::Wire {
+            from: source,
+            to,
+            msg: msg.clone(),
+            bytes,
+            arrival: (!lost).then_some(arrival),
+        });
+        if lost {
+            w.hostile_stats.messages_lost += 1;
+            return;
         }
         if source.cluster == to.cluster {
             // Intra-cluster traffic rides the event queue in scheduling
@@ -412,73 +428,30 @@ impl Host for SimHost<'_, '_> {
         let (w, now) = (&mut *self.w, self.ctx.now());
         let mut restored_at = None;
         match ev {
-            ProtoEvent::Delivered { to, from, payload } => {
-                if from.cluster != to.cluster {
-                    if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
-                        // Ledger incarnation = rollbacks the receiving
-                        // cluster completed before this delivery.
-                        let incarnation = w.stats.clusters[to.cluster.index()].rollbacks.len();
-                        ledger.record_delivered(payload.tag, incarnation);
-                    }
-                }
-                if w.tracer.enabled(TraceLevel::Full) {
-                    w.tracer.full(now, "app", || {
-                        format!("{to} delivered tag {} from {from}", payload.tag)
-                    });
-                }
-            }
-            ProtoEvent::Committed {
-                cluster,
-                sn,
-                forced,
-            } => {
-                if w.tracer.enabled(TraceLevel::Protocol) {
-                    w.tracer.protocol(now, "clc", || {
-                        format!(
-                            "cluster {cluster} committed CLC {sn}{}",
-                            if forced { " (forced)" } else { "" }
-                        )
-                    });
+            ProtoEvent::Delivered { to, from, payload } if from.cluster != to.cluster => {
+                if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
+                    // Ledger incarnation = rollbacks the receiving
+                    // cluster completed before this delivery.
+                    let incarnation = w.stats.clusters[to.cluster.index()].rollbacks.len();
+                    ledger.record_delivered(payload.tag, incarnation);
                 }
             }
             ProtoEvent::RolledBack {
-                node,
-                restore_sn,
-                discarded_clcs,
+                node, restore_sn, ..
             } if node.rank == 0 => {
-                let cluster = node.cluster.index();
-                if w.tracer.enabled(TraceLevel::Protocol) {
-                    w.tracer.protocol(now, "rollback", || {
-                        format!(
-                            "cluster {cluster} restored CLC {restore_sn} ({discarded_clcs} discarded)"
-                        )
-                    });
-                }
                 let committed_at = engine
                     .store()
                     .get(restore_sn)
                     .map_or(SimTime::ZERO, |e| e.meta.committed_at);
                 if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
-                    ledger.record_rollback(cluster, committed_at);
+                    ledger.record_rollback(node.cluster.index(), committed_at);
                 }
                 restored_at = Some(committed_at);
             }
-            ProtoEvent::GcReport {
-                cluster,
-                before,
-                after,
-            } => {
-                if w.tracer.enabled(TraceLevel::Protocol) {
-                    w.tracer.protocol(now, "gc", || {
-                        format!("cluster {cluster} pruned {before} -> {after} CLCs")
-                    });
-                }
-            }
-            ProtoEvent::RolledBack { .. }
-            | ProtoEvent::Unrecoverable { .. }
-            | ProtoEvent::LateCrossing { .. } => {}
+            _ => {}
         }
         w.stats.observe(now, &ev, restored_at);
+        record(&mut w.trace, w.cfg.trace, now, || TraceEvent::Proto(ev));
     }
 }
 
@@ -591,19 +564,16 @@ impl World for FederationWorld {
             }
             Ev::PartitionStart { index } => {
                 self.hostile_stats.partitions_activated += 1;
-                if self.tracer.enabled(TraceLevel::Protocol) {
+                record(&mut self.trace, self.cfg.trace, ctx.now(), || {
                     let group = self.cfg.partitions[index].group.clone();
-                    self.tracer.protocol(ctx.now(), "partition", || {
-                        format!("cut {index} active: clusters {group:?} severed")
-                    });
-                }
+                    TraceEvent::Cut { index, group }
+                });
             }
             Ev::PartitionHeal { index } => {
                 self.hostile_stats.partitions_healed += 1;
-                if self.tracer.enabled(TraceLevel::Protocol) {
-                    self.tracer
-                        .protocol(ctx.now(), "partition", || format!("cut {index} healed"));
-                }
+                record(&mut self.trace, self.cfg.trace, ctx.now(), || {
+                    TraceEvent::Heal { index }
+                });
             }
             Ev::XportRetry { from, to, seq } => {
                 host::retry(&mut SimHost { w: self, ctx }, from, to, seq);

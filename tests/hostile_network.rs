@@ -6,10 +6,12 @@
 //! bit-deterministic for its seed.
 
 use campaign::invariants::{self, FaultWave};
-use desim::{RngStreams, SimDuration, SimTime, TraceLevel};
+use desim::{RngStreams, SimDuration, SimTime};
 use hc3i::prelude::*;
+use hc3i_core::ProtoEvent;
 use netsim::{ClusterSpec, HostileSpec, LinkSpec, NodeId};
 use proptest::prelude::*;
+use simdriver::{TraceEvent, TraceLevel};
 
 fn minutes(m: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_minutes(m)
@@ -315,7 +317,7 @@ fn hostile_ring_replays_identically_trace_and_all() {
     let (report_a, trace_a) = simdriver::run_traced(cfg());
     let (report_b, trace_b) = simdriver::run_traced(cfg());
     assert_eq!(format!("{report_a:#?}"), format!("{report_b:#?}"));
-    assert_eq!(trace_a.records(), trace_b.records());
+    assert_eq!(trace_a, trace_b);
 
     // The run was worth replaying: every hostile mechanism fired, the
     // fault rolled its cluster back, and the trace saw all of it.
@@ -323,6 +325,14 @@ fn hostile_ring_replays_identically_trace_and_all() {
     assert!(hostile.duplicates_injected > 0 && hostile.messages_reordered > 0);
     assert!(hostile.messages_lost > 0 && hostile.retransmissions > 0);
     assert!(!report_a.clusters[2].rollbacks.is_empty());
-    assert!(trace_a.by_subsystem("rollback").next().is_some());
-    assert!(trace_a.records().len() as u64 > report_a.app_sent);
+    assert!(trace_a.iter().any(|(_, r)| matches!(
+        r,
+        TraceEvent::Proto(ProtoEvent::RolledBack { node, .. }) if node.cluster.index() == 2
+    )));
+    let lost = |r: &TraceEvent| matches!(r, TraceEvent::Wire { arrival: None, .. });
+    assert_eq!(
+        trace_a.iter().filter(|(_, r)| lost(r)).count() as u64,
+        hostile.messages_lost
+    );
+    assert!(trace_a.len() as u64 > report_a.app_sent);
 }
