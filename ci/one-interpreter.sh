@@ -9,6 +9,10 @@
 # Comment lines and everything from a file's first `#[cfg(test)]` on are
 # not code a host runs, and are skipped.
 #
+# The engine says what happened: it pushes every ProtoEvent finished, so
+# host.rs's code names no variant but `Delivered` (which it emits once the
+# application has the payload) — a second one is a translation arm.
+#
 # Also one window into a run: the simulator's world records typed trace
 # records and `simdriver::trace::render` formats them, so a `format!(` in
 # world.rs's code is a second trace path; and the report fold lives in
@@ -34,6 +38,13 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(code_matching 'ProtoEvent::' crates/core/src/host.rs |
+  awk '{ line = $0 " "; gsub(/ProtoEvent::Delivered[^A-Za-z0-9_]/, "", line) } line ~ /ProtoEvent::/')
+if [ -n "$hits" ]; then
+  echo "host.rs builds a ProtoEvent the engine should push finished (only Delivered is the interpreter's):"
+  echo "$hits"
+  status=1
+fi
 hits=$(code_matching 'format![(]' crates/simdriver/src/world.rs)
 if [ -n "$hits" ]; then
   echo "the world formats a trace line; record a simdriver::TraceEvent and let trace::render format it:"
@@ -48,4 +59,5 @@ if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
 echo "one interpreter: no Output:: / Msg::Reliable / Msg::XportAck / Input::DetectFaults / coordinator_rank in simdriver, runtime or testkit"
+echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"

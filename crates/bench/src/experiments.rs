@@ -6,6 +6,7 @@
 //! full-fidelity simulation and returns the rows the paper plots.
 
 use desim::{RngStreams, SimDuration};
+use hc3i_core::msg::FRAGMENT_BYTES;
 use hc3i_core::{PiggybackMode, ProtocolConfig};
 use netsim::Topology;
 use simdriver::{run, RunReport, SimConfig};
@@ -352,7 +353,7 @@ pub fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
         sends,
         duration: w.duration,
         ckpt_periods: vec![SimDuration::from_minutes(30); 2],
-        fragment_bytes: 4 << 20,
+        fragment_bytes: FRAGMENT_BYTES,
         faults: fault_times.to_vec(),
     };
     for report in [

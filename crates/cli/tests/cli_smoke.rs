@@ -249,7 +249,9 @@ fn a_zero_compute_mean_is_a_config_error_not_a_hang() {
 /// A zero CLC or GC delay re-arms its timer at the instant it fires and a
 /// zero bandwidth delivers nothing: each file is refused with its line
 /// before anything is scheduled, instead of a run that spins into the
-/// event budget, fills memory, or reports zero deliveries and exits 0.
+/// event budget, fills memory, or reports zero deliveries and exits 0. An
+/// empty cluster (which used to panic the run) and a self-link are refused
+/// the same way, at their line.
 #[test]
 fn a_zero_timer_or_bandwidth_is_a_config_error_not_a_hang() {
     let dir = std::env::temp_dir().join(format!("hc3i-cli-zero-timer-{}", std::process::id()));
@@ -269,6 +271,16 @@ fn a_zero_timer_or_bandwidth_is_a_config_error_not_a_hang() {
             "topology.conf",
             "clusters 2\nnodes 3 3\nintra 0 10us 0bps\n",
             "line 3: link bandwidth must be positive",
+        ),
+        (
+            "topology.conf",
+            "clusters 2\nnodes 0 100\n",
+            "line 2: a cluster needs at least one node",
+        ),
+        (
+            "topology.conf",
+            "clusters 2\nnodes 3 3\ninter 0 0 150us 100Mbps\n",
+            "line 3: inter pair out of range",
         ),
     ] {
         let args = small_configs(&dir);

@@ -1,5 +1,6 @@
 //! Protocol configuration.
 
+use crate::msg::DDV_ENTRY_BYTES;
 use netsim::{NodeId, MAX_CLUSTERS};
 use storage::ReplicationPolicy;
 
@@ -15,32 +16,6 @@ pub enum PiggybackMode {
     FullDdv,
 }
 
-/// Wire-size model for protocol messages (drives the network cost
-/// accounting; the protocol logic itself never reads these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireSizes {
-    /// Size of a bare control message (requests, acks, commits, alerts).
-    pub control: u64,
-    /// Size of an inter-cluster application-message acknowledgement.
-    pub ack: u64,
-    /// Size of one node's checkpoint fragment (replicated to neighbours at
-    /// every CLC — the dominant storage/network cost of checkpointing).
-    pub fragment: u64,
-    /// Bytes added per DDV entry when a DDV travels on the wire.
-    pub per_ddv_entry: u64,
-}
-
-impl Default for WireSizes {
-    fn default() -> Self {
-        WireSizes {
-            control: 64,
-            ack: 16,
-            fragment: 4 << 20, // 4 MiB of process state per node
-            per_ddv_entry: 8,
-        }
-    }
-}
-
 /// Static configuration shared by every node engine of a federation.
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
@@ -50,8 +25,6 @@ pub struct ProtocolConfig {
     pub piggyback: PiggybackMode,
     /// In-cluster stable-storage replication policy.
     pub replication: ReplicationPolicy,
-    /// Wire-size model.
-    pub sizes: WireSizes,
     /// How many *simultaneous cluster failures* the garbage collector must
     /// preserve recovery lines for (paper §7 extension; the paper's
     /// protocol is `1`).
@@ -78,7 +51,6 @@ impl ProtocolConfig {
             cluster_sizes,
             piggyback: PiggybackMode::default(),
             replication: ReplicationPolicy::paper_default(),
-            sizes: WireSizes::default(),
             gc_fault_tolerance: 1,
         }
     }
@@ -92,12 +64,6 @@ impl ProtocolConfig {
     /// Switch the replication policy.
     pub fn with_replication(mut self, policy: ReplicationPolicy) -> Self {
         self.replication = policy;
-        self
-    }
-
-    /// Override wire sizes.
-    pub fn with_sizes(mut self, sizes: WireSizes) -> Self {
-        self.sizes = sizes;
         self
     }
 
@@ -129,7 +95,7 @@ impl ProtocolConfig {
 
     /// Wire size of a DDV of federation dimension.
     pub fn ddv_bytes(&self) -> u64 {
-        self.sizes.per_ddv_entry * self.num_clusters() as u64
+        DDV_ENTRY_BYTES * self.num_clusters() as u64
     }
 }
 
@@ -171,14 +137,9 @@ mod tests {
         let c = ProtocolConfig::new(vec![2])
             .with_piggyback(PiggybackMode::FullDdv)
             .with_replication(storage::ReplicationPolicy::with_degree(2))
-            .with_sizes(WireSizes {
-                control: 1,
-                ack: 2,
-                fragment: 3,
-                per_ddv_entry: 4,
-            });
+            .with_gc_fault_tolerance(3);
         assert_eq!(c.piggyback, PiggybackMode::FullDdv);
         assert_eq!(c.replication.degree(), 2);
-        assert_eq!(c.sizes.fragment, 3);
+        assert_eq!(c.gc_fault_tolerance, 3);
     }
 }

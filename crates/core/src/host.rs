@@ -1,12 +1,14 @@
 //! The one interpreter of engine [`Output`]s, and the seam a host fills in.
 //!
-//! A [`NodeEngine`] only *asks* for things: put this message on the wire,
-//! re-arm the checkpoint timer, this CLC is now in my store. Something has
-//! to carry those requests out, and that something used to be written
+//! A [`NodeEngine`] only *asks* for things — put this message on the wire,
+//! re-arm the checkpoint timer, hand this payload to the application — and
+//! *states* what happened: this CLC is now in my store, my cluster
+//! committed, I rolled back. Something has to carry the requests out and
+//! sink the statements, and that something used to be written
 //! three times — in the simulator, in the threaded runtime and in the
 //! test federation — each copy re-deciding how a fragment batch fans out,
 //! which traffic the reliable transport wraps, who acks a frame addressed
-//! to a dead node, and which durable frame each store hook appends. This
+//! to a dead node, and which durable frame each store change appends. This
 //! module is the single copy. Hosts implement [`Host`] and call
 //! [`perform`] after every `NodeEngine::handle`; they differ only in what
 //! a wire, a clock and a timer *are*. The same goes for what a host feeds
@@ -23,8 +25,8 @@
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window ([`receive`]) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
-//! | which durable frame each store hook appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
-//! | the observable vocabulary ([`ProtoEvent`]) | [`Host::emit`] — trace + report fold, an event channel, or recording vectors |
+//! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
+//! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, [`perform`] only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or recording vectors |
 //! | re-entering the engine with the application's new snapshot | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
 //!
 //! (After the Calimero `sync_sim` table: everything that decides protocol
@@ -32,7 +34,7 @@
 //! time and storage callbacks are swapped.)
 
 use crate::config::ProtocolConfig;
-use crate::io::{Input, Output, OutputBuf};
+use crate::io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
 use crate::persist::CheckpointCodec;
@@ -44,72 +46,6 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 use storage::{Ddv, DurableError, DurableOptions, DurableStore, SeqNum};
-
-/// What a host observes of a run: the typed vocabulary reports, event
-/// streams and traces are all derived from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtoEvent {
-    /// `to` delivered an application payload originally sent by `from`.
-    Delivered {
-        /// Receiving node.
-        to: NodeId,
-        /// Original sender.
-        from: NodeId,
-        /// The payload.
-        payload: AppPayload,
-    },
-    /// A CLC committed (reported once per CLC, by the coordinator).
-    Committed {
-        /// Cluster index.
-        cluster: usize,
-        /// Committed sequence number.
-        sn: SeqNum,
-        /// Communication-induced?
-        forced: bool,
-    },
-    /// A node restored a checkpoint (every node of a rolling-back cluster
-    /// reports; rank 0's report stands for the cluster).
-    RolledBack {
-        /// The node.
-        node: NodeId,
-        /// Restored sequence number.
-        restore_sn: SeqNum,
-        /// How many newer CLCs the restore discarded.
-        discarded_clcs: usize,
-    },
-    /// Garbage collection ran on a cluster.
-    GcReport {
-        /// Cluster index.
-        cluster: usize,
-        /// Stored CLCs before.
-        before: usize,
-        /// Stored CLCs after.
-        after: usize,
-    },
-    /// A fault exceeded the replication degree.
-    Unrecoverable {
-        /// Cluster index.
-        cluster: usize,
-        /// The unrecoverable rank.
-        rank: u32,
-    },
-    /// Consistency-monitor alarm (should never fire).
-    LateCrossing {
-        /// Observing node.
-        node: NodeId,
-    },
-}
-
-/// One change to a node's local CLC store that a durable log must mirror.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreOp {
-    /// The node committed this CLC (`engine.store().get(sn)` holds it).
-    Committed(SeqNum),
-    /// Garbage collection pruned the store below this bound.
-    Pruned(SeqNum),
-    /// A rollback restored this CLC, discarding everything newer.
-    RolledBack(SeqNum),
-}
 
 impl StoreOp {
     /// Append the frame mirroring this change to `log`, keyed by the
@@ -456,52 +392,10 @@ pub fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut Output
                     },
                 );
             }
-            Output::Committed { sn, forced } => {
-                let cluster = id.cluster.index();
-                host.emit(
-                    engine,
-                    ProtoEvent::Committed {
-                        cluster,
-                        sn,
-                        forced,
-                    },
-                );
-            }
             Output::ResetClcTimer => host.reset_clc_timer(id),
-            Output::StoreCommitted { sn } => host.durable(engine, StoreOp::Committed(sn)),
-            Output::StorePruned { min_sn } => host.durable(engine, StoreOp::Pruned(min_sn)),
-            Output::RolledBack {
-                restore_sn,
-                discarded_clcs,
-            } => {
-                host.durable(engine, StoreOp::RolledBack(restore_sn));
-                let ev = ProtoEvent::RolledBack {
-                    node: id,
-                    restore_sn,
-                    discarded_clcs,
-                };
-                host.emit(engine, ev);
-            }
-            Output::GcReport { before, after } => {
-                let cluster = id.cluster.index();
-                host.emit(
-                    engine,
-                    ProtoEvent::GcReport {
-                        cluster,
-                        before,
-                        after,
-                    },
-                );
-            }
-            Output::Unrecoverable { failed_rank } => {
-                let ev = ProtoEvent::Unrecoverable {
-                    cluster: id.cluster.index(),
-                    rank: failed_rank,
-                };
-                host.emit(engine, ev);
-            }
-            Output::LateCrossing { .. } => host.emit(engine, ProtoEvent::LateCrossing { node: id }),
             Output::RestoreApp { state } => host.restore_app(id, state.as_deref()),
+            Output::Store(op) => host.durable(engine, op),
+            Output::Event(ev) => host.emit(engine, ev),
         }
     }
 }
@@ -933,35 +827,5 @@ mod tests {
         assert_eq!(reports.detect([0, 1, 1], Some(2)), report(0, vec![2]));
         // Rank 0 down too: the lowest live rank is gone, so is the report.
         assert_eq!(reports.detect([1, 1, 1], Some(0)), Detection::NoSurvivor);
-    }
-
-    #[test]
-    fn store_hooks_map_to_store_ops_and_a_rollback_both_truncates_and_emits() {
-        let mut host = Recorder::new(None);
-        let calls = perform_outputs(
-            &mut host,
-            ME,
-            vec![
-                Output::StoreCommitted { sn: SeqNum(4) },
-                Output::StorePruned { min_sn: SeqNum(3) },
-                Output::RolledBack {
-                    restore_sn: SeqNum(2),
-                    discarded_clcs: 2,
-                },
-            ],
-        );
-        assert_eq!(
-            calls,
-            vec![
-                Call::Durable(StoreOp::Committed(SeqNum(4))),
-                Call::Durable(StoreOp::Pruned(SeqNum(3))),
-                Call::Durable(StoreOp::RolledBack(SeqNum(2))),
-                Call::Emit(ProtoEvent::RolledBack {
-                    node: ME,
-                    restore_sn: SeqNum(2),
-                    discarded_clcs: 2,
-                }),
-            ]
-        );
     }
 }

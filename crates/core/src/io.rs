@@ -7,6 +7,11 @@
 //! This is what lets the identical protocol code run under every
 //! substrate — and, because the buffer is reusable, lets a host drive
 //! millions of inputs without a heap allocation per event.
+//!
+//! An `Output` is either an effect only a host can carry out (a send, a
+//! delivery, a timer, an application restore) or a finished record the
+//! engine states once and the host merely sinks: a [`StoreOp`] for its
+//! durable log, a [`ProtoEvent`] for its reports and traces.
 
 use crate::msg::{AppPayload, Msg};
 use netsim::NodeId;
@@ -57,7 +62,7 @@ pub enum Input {
     },
 }
 
-/// One action requested by a node engine.
+/// One action a node engine requests, or one record it states.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Output {
     /// Put `msg` on the wire to `to`.
@@ -90,67 +95,93 @@ pub enum Output {
         /// Payload.
         payload: AppPayload,
     },
-    /// A CLC committed in this node's cluster (emitted by the coordinator
-    /// only, once per CLC).
-    Committed {
-        /// The committed sequence number.
-        sn: SeqNum,
-        /// Whether an inter-cluster message forced it.
-        forced: bool,
-    },
-    /// This node committed a CLC into its local store — emitted by
-    /// **every** node of the cluster (unlike [`Output::Committed`], which
-    /// only the coordinator emits for statistics). The hook a durability
-    /// sink uses to append the freshly committed entry
-    /// (`engine.store().get(sn)`) to its log.
-    StoreCommitted {
-        /// The committed sequence number.
-        sn: SeqNum,
-    },
-    /// Garbage collection shrank this node's local store — emitted by
-    /// every node whose store actually dropped entries (durability hook;
-    /// the coordinator-only [`Output::GcReport`] carries the statistics).
-    StorePruned {
-        /// The safe-minimum bound the store was pruned below.
-        min_sn: SeqNum,
-    },
-    /// This node restored the CLC numbered `restore_sn`.
-    RolledBack {
-        /// Restored sequence number.
-        restore_sn: SeqNum,
-        /// How many newer CLCs were discarded.
-        discarded_clcs: usize,
-    },
     /// (Re-)arm the cluster's unforced-CLC timer (coordinator only; the
     /// hosting engine applies the configured delay, cancelling any pending
     /// timer — the paper resets the timer at every commit).
     ResetClcTimer,
-    /// Garbage collection ran on this node's cluster (coordinator only).
-    GcReport {
-        /// Stored CLCs before pruning.
-        before: usize,
-        /// Stored CLCs after pruning.
-        after: usize,
-    },
-    /// The cluster cannot recover the failed node's fragment (more
-    /// simultaneous faults than the replication degree tolerates).
-    Unrecoverable {
-        /// The rank whose fragment is lost.
-        failed_rank: u32,
-    },
-    /// Consistency monitor: an intra-cluster message crossed a checkpoint
-    /// boundary outside a freeze window (should never happen while the
-    /// freeze-window assumption holds; counted, not fatal).
-    LateCrossing {
-        /// Sender of the crossing message.
-        from: NodeId,
-    },
     /// A rollback restored this application state (emitted right before
     /// the channel-state re-deliveries; `None` when the application never
     /// published a snapshot before the restored checkpoint).
     RestoreApp {
         /// The serialized state captured in the restored checkpoint.
         state: Option<Vec<u8>>,
+    },
+    /// This node's local CLC store changed: a durable log mirrors it
+    /// ([`crate::Host::durable`]).
+    Store(StoreOp),
+    /// Something observable happened at this node ([`crate::Host::emit`]).
+    Event(ProtoEvent),
+}
+
+/// One change to a node's local CLC store that a durable log must mirror.
+/// Every node of a cluster reports its own store's changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreOp {
+    /// The node committed this CLC (`engine.store().get(sn)` holds it).
+    Committed(SeqNum),
+    /// Garbage collection pruned the store below this bound (reported
+    /// only when entries actually went).
+    Pruned(SeqNum),
+    /// A rollback restored this CLC, discarding everything newer.
+    RolledBack(SeqNum),
+}
+
+/// What a host observes of a run: the typed vocabulary reports, event
+/// streams and traces are all derived from. The engine pushes every
+/// variant as an [`Output::Event`] except `Delivered`, which the
+/// interpreter emits once the application has the payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ProtoEvent {
+    /// `to` delivered an application payload originally sent by `from`.
+    Delivered {
+        /// Receiving node.
+        to: NodeId,
+        /// Original sender.
+        from: NodeId,
+        /// The payload.
+        payload: AppPayload,
+    },
+    /// A CLC committed (reported once per CLC, by the coordinator).
+    Committed {
+        /// Cluster index.
+        cluster: usize,
+        /// Committed sequence number.
+        sn: SeqNum,
+        /// Communication-induced?
+        forced: bool,
+    },
+    /// A node restored a checkpoint (every node of a rolling-back cluster
+    /// reports; rank 0's report stands for the cluster).
+    RolledBack {
+        /// The node.
+        node: NodeId,
+        /// Restored sequence number.
+        restore_sn: SeqNum,
+        /// How many newer CLCs the restore discarded.
+        discarded_clcs: usize,
+    },
+    /// Garbage collection ran on a cluster (reported by its coordinator).
+    GcReport {
+        /// Cluster index.
+        cluster: usize,
+        /// Stored CLCs before.
+        before: usize,
+        /// Stored CLCs after.
+        after: usize,
+    },
+    /// A fault exceeded the replication degree.
+    Unrecoverable {
+        /// Cluster index.
+        cluster: usize,
+        /// The unrecoverable rank.
+        rank: u32,
+    },
+    /// Consistency-monitor alarm: an intra-cluster message crossed a
+    /// checkpoint boundary outside a freeze window (should never fire
+    /// while the freeze-window assumption holds; counted, not fatal).
+    LateCrossing {
+        /// Observing node.
+        node: NodeId,
     },
 }
 

@@ -19,9 +19,12 @@
 //!
 //! The protocol is packaged as a per-node state machine ([`NodeEngine`]):
 //! feed it [`Input`]s, and [`host::perform`] the [`Output`]s it emits into
-//! a caller-owned reusable sink ([`OutputBuf`]). That interpreter — fan-out,
-//! reliable-transport wrap/unwrap, durable frames, the [`ProtoEvent`]
-//! vocabulary and the [`RunReport`] fold over it — exists once, here; the discrete-event simulator
+//! a caller-owned reusable sink ([`OutputBuf`]). The engine states what
+//! happened itself — finished [`StoreOp`]s for a durable log and
+//! [`ProtoEvent`]s for reports and traces — and asks the host for the
+//! rest. That interpreter — fan-out, reliable-transport wrap/unwrap,
+//! durable frames, and the [`RunReport`] fold over the events — exists
+//! once, here; the discrete-event simulator
 //! (`simdriver`), the threaded messaging runtime (`runtime`) and the
 //! instant test federation ([`testkit`]) are three [`Host`] impls that
 //! supply only a wire, a clock and a timer — where a node sits
@@ -70,9 +73,9 @@ pub mod testkit;
 pub mod xport;
 
 pub use checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
-pub use config::{PiggybackMode, ProtocolConfig, WireSizes};
-pub use host::{Host, ProtoEvent, StoreOp, Xport};
-pub use io::{Input, Output, OutputBuf};
+pub use config::{PiggybackMode, ProtocolConfig};
+pub use host::{Host, Xport};
+pub use io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};
 pub use msg::{AppPayload, ClcReason, Msg, Piggyback};
 pub use node::NodeEngine;
 pub use persist::CheckpointCodec;

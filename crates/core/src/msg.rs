@@ -5,6 +5,19 @@ use netsim::MessageClass;
 use std::sync::Arc;
 use storage::{Ddv, LogId, SeqNum};
 
+// The wire-size model: what each message costs the network accounting
+// ([`Msg::wire_bytes`]); the protocol logic itself never reads these.
+
+/// A bare control message (requests, acks, commits, alerts).
+pub const CONTROL_BYTES: u64 = 64;
+/// An inter-cluster application-message acknowledgement, or a transport ack.
+pub const ACK_BYTES: u64 = 16;
+/// One node's checkpoint fragment, replicated to its holders at every CLC:
+/// 4 MiB of process state, the dominant cost of checkpointing.
+pub const FRAGMENT_BYTES: u64 = 4 << 20;
+/// One DDV entry, when a DDV travels on the wire.
+pub const DDV_ENTRY_BYTES: u64 = 8;
+
 /// An application payload as the protocol sees it: opaque content of a known
 /// size, tagged by the workload layer for end-to-end tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -225,9 +238,9 @@ impl Msg {
         }
     }
 
-    /// Bytes this message occupies on the wire under `cfg`'s size model.
+    /// Bytes this message occupies on the wire in a federation of `cfg`'s
+    /// width.
     pub fn wire_bytes(&self, cfg: &ProtocolConfig) -> u64 {
-        let s = &cfg.sizes;
         match self {
             Msg::AppIntra { payload, .. } => payload.bytes,
             Msg::AppInter {
@@ -239,14 +252,16 @@ impl Msg {
                         Piggyback::Ddv(_) => cfg.ddv_bytes(),
                     }
             }
-            Msg::InterAck { .. } => s.ack,
-            Msg::FragmentReplica { .. } => s.fragment,
-            Msg::ClcCommit { .. } => s.control + cfg.ddv_bytes(),
-            Msg::GcDdvList { list, .. } => s.control + list.len() as u64 * (8 + cfg.ddv_bytes()),
-            Msg::GcPrune { min_sns } => s.control + 8 * min_sns.len() as u64,
+            Msg::InterAck { .. } => ACK_BYTES,
+            Msg::FragmentReplica { .. } => FRAGMENT_BYTES,
+            Msg::ClcCommit { .. } => CONTROL_BYTES + cfg.ddv_bytes(),
+            Msg::GcDdvList { list, .. } => {
+                CONTROL_BYTES + list.len() as u64 * (8 + cfg.ddv_bytes())
+            }
+            Msg::GcPrune { min_sns } => CONTROL_BYTES + 8 * min_sns.len() as u64,
             Msg::Reliable { inner, .. } => inner.wire_bytes(cfg) + 8,
-            Msg::XportAck { .. } => s.ack,
-            _ => s.control,
+            Msg::XportAck { .. } => ACK_BYTES,
+            _ => CONTROL_BYTES,
         }
     }
 }

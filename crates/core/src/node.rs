@@ -2,8 +2,9 @@
 //!
 //! One [`NodeEngine`] per node of the federation. The engine is a pure
 //! state machine ([`NodeEngine::handle`] consumes an [`Input`], returns
-//! [`Output`] actions) so the identical protocol code runs under the
-//! discrete-event simulator and the threaded message-passing runtime.
+//! [`Output`] actions and the finished [`ProtoEvent`] and [`StoreOp`]
+//! records of what happened) so the identical protocol code runs under
+//! the discrete-event simulator and the threaded message-passing runtime.
 //!
 //! Protocol roles:
 //!
@@ -19,7 +20,7 @@ use crate::checkpoint::{DeliveredRecord, NodeCheckpoint};
 use crate::config::{PiggybackMode, ProtocolConfig};
 use crate::epoch::EpochFloors;
 use crate::gc;
-use crate::io::{Input, Output, OutputBuf};
+use crate::io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, ClcReason, Msg, Piggyback};
 use desim::SimTime;
 use netsim::NodeId;
@@ -476,7 +477,7 @@ impl NodeEngine {
                 } else {
                     if sent_at_sn != self.sn {
                         self.cold.late_crossings += 1;
-                        out.push(Output::LateCrossing { from });
+                        out.push(Output::Event(ProtoEvent::LateCrossing { node: self.id }));
                     }
                     self.dirty = true;
                     out.push(Output::DeliverApp { from, payload });
@@ -855,9 +856,13 @@ impl NodeEngine {
         // and the new outgoing piggyback — no per-node vector clone.
         self.ddv = ddv;
         self.dirty = true;
-        out.push(Output::StoreCommitted { sn });
+        out.push(Output::Store(StoreOp::Committed(sn)));
         if self.is_coordinator() {
-            out.push(Output::Committed { sn, forced });
+            out.push(Output::Event(ProtoEvent::Committed {
+                cluster: self.my_cluster(),
+                sn,
+                forced,
+            }));
             out.push(Output::ResetClcTimer);
         }
         // Deliver the channel state (messages that arrived while frozen).
@@ -1011,8 +1016,9 @@ impl NodeEngine {
             .replication
             .recoverable(failed_ranks, self.cluster_size())
         {
-            for &failed_rank in failed_ranks {
-                out.push(Output::Unrecoverable { failed_rank });
+            let cluster = self.my_cluster();
+            for &rank in failed_ranks {
+                out.push(Output::Event(ProtoEvent::Unrecoverable { cluster, rank }));
             }
             return;
         }
@@ -1082,10 +1088,12 @@ impl NodeEngine {
         }
         self.cold.gc = None;
         self.dirty = false;
-        out.push(Output::RolledBack {
+        out.push(Output::Store(StoreOp::RolledBack(restore_sn)));
+        out.push(Output::Event(ProtoEvent::RolledBack {
+            node: self.id,
             restore_sn,
             discarded_clcs: discarded,
-        });
+        }));
         out.push(Output::RestoreApp {
             state: restored_app,
         });
@@ -1238,13 +1246,17 @@ impl NodeEngine {
         self.cold.store.prune_below(min_sn);
         let after = self.cold.store.len();
         if after < before {
-            out.push(Output::StorePruned { min_sn });
+            out.push(Output::Store(StoreOp::Pruned(min_sn)));
         }
         for (c, &min_sn) in min_sns.iter().enumerate() {
             self.log.prune(c, min_sn);
         }
         if self.is_coordinator() {
-            out.push(Output::GcReport { before, after });
+            out.push(Output::Event(ProtoEvent::GcReport {
+                cluster: self.my_cluster(),
+                before,
+                after,
+            }));
         }
     }
 }
@@ -1455,6 +1467,91 @@ mod layout_tests {
             app_trace(&outs),
             ["deliver 2", "ack 200", "send 1", "send 3"]
         );
+    }
+
+    /// The records in `outs` — store changes, events and timer re-arms —
+    /// in the order a durable log and a report see them.
+    fn records(outs: Vec<Output>) -> Vec<Output> {
+        outs.into_iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    Output::Store(_) | Output::Event(_) | Output::ResetClcTimer
+                )
+            })
+            .collect()
+    }
+
+    /// Commits round 1 of a 2 + 1 federation at `e` (either rank of
+    /// cluster 0) and returns what the commit emitted.
+    fn commit_round_one(e: &mut NodeEngine) -> Vec<Output> {
+        if e.is_coordinator() {
+            feed(e, Input::ClcTimer);
+            recv(e, n(0, 1), stored(1, 1));
+            let ack = Msg::ClcAck {
+                round: 1,
+                rank: 1,
+                epoch: 0,
+            };
+            recv(e, n(0, 1), ack)
+        } else {
+            recv(e, n(0, 0), Msg::ClcRequest { round: 1, epoch: 0 });
+            recv(e, n(0, 0), stored(1, 0));
+            recv(e, n(0, 0), commit(1, [2, 0], false))
+        }
+    }
+
+    #[test]
+    fn a_commit_stores_before_the_coordinator_reports_and_rearms() {
+        let cfg = Arc::new(ProtocolConfig::new(vec![2, 1]));
+        let mut coord = NodeEngine::new(cfg.clone(), n(0, 0));
+        assert_eq!(
+            records(commit_round_one(&mut coord)),
+            [
+                Output::Store(StoreOp::Committed(SeqNum(2))),
+                Output::Event(ProtoEvent::Committed {
+                    cluster: 0,
+                    sn: SeqNum(2),
+                    forced: false,
+                }),
+                Output::ResetClcTimer,
+            ]
+        );
+        // Every other node mirrors its own store and reports nothing.
+        let mut member = NodeEngine::new(cfg, n(0, 1));
+        assert_eq!(
+            records(commit_round_one(&mut member)),
+            [Output::Store(StoreOp::Committed(SeqNum(2)))]
+        );
+    }
+
+    #[test]
+    fn a_rollback_truncates_the_store_before_it_reports() {
+        let cfg = Arc::new(ProtocolConfig::new(vec![2, 1]));
+        for rank in [0, 1] {
+            let mut e = NodeEngine::new(cfg.clone(), n(0, rank));
+            commit_round_one(&mut e);
+            let order = Msg::RollbackOrder {
+                restore_sn: SeqNum(1),
+                epoch: 1,
+            };
+            let mut expected = vec![
+                Output::Store(StoreOp::RolledBack(SeqNum(1))),
+                Output::Event(ProtoEvent::RolledBack {
+                    node: n(0, rank),
+                    restore_sn: SeqNum(1),
+                    discarded_clcs: 1,
+                }),
+            ];
+            if rank == 0 {
+                expected.push(Output::ResetClcTimer);
+            }
+            assert_eq!(
+                records(recv(&mut e, n(0, 0), order)),
+                expected,
+                "rank {rank}"
+            );
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! A report's `Debug` dump is the determinism fingerprint, so field names
 //! and order are part of the contract.
 
-use crate::host::ProtoEvent;
+use crate::io::ProtoEvent;
 use crate::node::NodeEngine;
 use desim::{SimDuration, SimTime};
 use storage::SeqNum;

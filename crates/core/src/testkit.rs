@@ -12,8 +12,8 @@
 //! tests and for the worked examples.
 
 use crate::config::ProtocolConfig;
-use crate::host::{self, Detection, FaultReports, Host, Layout, ProtoEvent, StoreOp, Xport};
-use crate::io::{Input, OutputBuf};
+use crate::host::{self, Detection, FaultReports, Host, Layout, Xport};
+use crate::io::{Input, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
 use desim::{SimDuration, SimTime};

@@ -10,11 +10,12 @@
 //! federation of 2 clusters and of 4096 — measured here with the test
 //! binary's own counting allocator. The same allocator gates the CLC
 //! round: in steady state it allocates only at the coordinator, so a round
-//! costs as many allocations on a wide cluster as on a narrow one.
+//! costs as many allocations on a wide cluster as on a narrow one. And
+//! what an engine emits per input stays one cache line per action.
 
 use desim::SimTime;
 use hc3i_core::testkit::InstantFederation;
-use hc3i_core::{Ddv, Input, Msg, NodeEngine, OutputBuf, ProtocolConfig, SeqNum};
+use hc3i_core::{Ddv, Input, Msg, NodeEngine, Output, OutputBuf, ProtocolConfig, SeqNum};
 use netsim::NodeId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -165,6 +166,16 @@ fn clc_round_allocations(nodes: u32) -> u64 {
     let count = allocations_in(|| fed.fire_clc_timer(0));
     assert_eq!(fed.commits.len(), 6, "every round committed");
     count
+}
+
+/// Every action an engine emits sits in its host's reused buffer at this
+/// size. The finished store and event records ride in the buffer without
+/// widening it: 64 bytes, what an `Output` was when each record had a
+/// variant of its own, and what a `Send` of the largest `Msg` needs.
+#[test]
+fn an_output_fits_one_cache_line() {
+    let size = std::mem::size_of::<Output>();
+    assert!(size <= 64, "Output grew to {size} bytes");
 }
 
 #[test]

@@ -47,8 +47,8 @@ use crate::envelope::{Envelope, RtEvent};
 use crate::federation::{Health, NodeFinalState, Routes, SharedDurable};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use desim::SimTime;
-use hc3i_core::host::{self, Host, StoreOp, Xport};
-use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, XportConfig};
+use hc3i_core::host::{self, Host, Xport};
+use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, StoreOp, XportConfig};
 use netsim::NodeId;
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -33,7 +33,7 @@ pub struct FaultEvent {
 pub struct SimConfig {
     /// Clusters, nodes and links.
     pub topology: Topology,
-    /// Protocol parameters (piggyback mode, replication, wire sizes).
+    /// Protocol parameters (piggyback mode, replication, GC fault tolerance).
     pub protocol: ProtocolConfig,
     /// Delay between unforced CLCs, per cluster (`INFINITE` = never).
     pub clc_delays: Vec<SimDuration>,

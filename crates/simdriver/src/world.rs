@@ -12,8 +12,8 @@ use crate::config::{SimConfig, TraceLevel};
 use crate::hostile::HostileRunStats;
 use crate::trace::TraceEvent;
 use desim::{Ctx, EventKey, SimTime, World};
-use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, ProtoEvent, StoreOp, Xport};
-use hc3i_core::{Input, Msg, NodeEngine, OutputBuf, RunReport};
+use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, Xport};
+use hc3i_core::{Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport, StoreOp};
 use netsim::{FastHashMap, HostileNet, Network, NodeId};
 
 /// Events of the federation world.

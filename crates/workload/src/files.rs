@@ -81,10 +81,11 @@ fn content_lines(text: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
 
 /// Parse a topology file into a [`Topology`].
 pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
-    let mut n_clusters: Option<usize> = None;
-    let mut nodes: Vec<u32> = vec![];
+    // Each count with the line that set it, for the cross-line checks.
+    let mut n_clusters: Option<(usize, usize)> = None;
+    let mut nodes: (Vec<u32>, usize) = (vec![], 0);
     let mut intra: Vec<Option<LinkSpec>> = vec![];
-    let mut inter: Vec<(usize, usize, LinkSpec)> = vec![];
+    let mut inter: Vec<(usize, usize, usize, LinkSpec)> = vec![];
     let mut default_inter = LinkSpec::ethernet_like();
     let mut mtbf = None;
 
@@ -104,15 +105,19 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                         format!("a federation has at most {MAX_CLUSTERS} clusters, got {n}"),
                     ));
                 }
-                n_clusters = Some(n);
+                n_clusters = Some((n, ln));
                 intra = vec![None; n];
             }
             "nodes" => {
-                nodes = tok[1..]
+                let counts: Vec<u32> = tok[1..]
                     .iter()
                     .map(|s| s.parse())
                     .collect::<Result<_, _>>()
                     .map_err(|_| err(ln, "nodes must be integers"))?;
+                if counts.contains(&0) {
+                    return Err(err(ln, "a cluster needs at least one node"));
+                }
+                nodes = (counts, ln);
             }
             "intra" => {
                 let c: usize = tok
@@ -139,7 +144,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                         .and_then(|s| s.parse().ok())
                         .ok_or_else(|| err(ln, "inter needs: a b latency bandwidth"))?;
                     let link = parse_link(&tok[3..]).map_err(|m| err(ln, m))?;
-                    inter.push((a, b, link));
+                    inter.push((ln, a, b, link));
                 }
             }
             "mtbf" => {
@@ -153,10 +158,13 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
         }
     }
 
-    let n = n_clusters.ok_or_else(|| err(0, "missing `clusters`"))?;
+    let (n, clusters_ln) = n_clusters.ok_or_else(|| err(0, "missing `clusters`"))?;
+    let (nodes, nodes_ln) = nodes;
     if nodes.len() != n {
+        // At the `nodes` line, or at `clusters` when there is none.
+        let line = if nodes_ln == 0 { clusters_ln } else { nodes_ln };
         return Err(err(
-            0,
+            line,
             format!("expected {n} node counts, got {}", nodes.len()),
         ));
     }
@@ -169,9 +177,9 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
         })
         .collect();
     let mut topo = Topology::new(clusters, default_inter);
-    for (a, b, link) in inter {
+    for (ln, a, b, link) in inter {
         if a >= n || b >= n || a == b {
-            return Err(err(0, "inter pair out of range"));
+            return Err(err(ln, "inter pair out of range"));
         }
         topo.set_inter_link(
             netsim::ClusterId(a as u16),
@@ -383,10 +391,27 @@ mtbf inf
         let e = parse_topology("banana 1\n").unwrap_err();
         assert!(e.message.contains("banana"));
         assert!(parse_topology("nodes 4\n").is_err(), "missing clusters");
-        assert!(
-            parse_topology("clusters 2\nnodes 4\n").is_err(),
-            "count mismatch"
-        );
+        // Each error names the line that caused it, also when it is only
+        // found once the whole file is read.
+        for (text, line, problem) in [
+            ("clusters 2\n\nnodes 4\n", 3, "expected 2 node counts"),
+            ("# no nodes\nclusters 2\n", 2, "expected 2 node counts"),
+            ("clusters 2\nnodes 100 0\n", 2, "at least one node"),
+            (
+                "clusters 2\nnodes 4 4\ninter 0 0 1ms 1Mbps\n",
+                3,
+                "out of range",
+            ),
+            (
+                "inter 0 2 1ms 1Mbps\nclusters 2\nnodes 4 4\n",
+                1,
+                "out of range",
+            ),
+        ] {
+            let e = parse_topology(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+            assert!(e.message.contains(problem), "{text:?}: {e}");
+        }
     }
 
     #[test]
