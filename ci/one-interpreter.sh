@@ -9,6 +9,11 @@
 # Comment lines and everything from a file's first `#[cfg(test)]` on are
 # not code a host runs, and are skipped.
 #
+# One way into an engine: a host hands every input to host::input, which
+# terminates transport frames, calls `NodeEngine::handle` and interprets
+# the outputs; a host calling `handle` itself is a second entry point.
+# (`perform` and `receive` are private, so the compiler stops the rest.)
+#
 # The engine says what happened: it pushes every ProtoEvent finished, so
 # host.rs's code names no variant but `Delivered` (which it emits once the
 # application has the payload) — a second one is a translation arm.
@@ -38,6 +43,13 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(code_matching '[.]handle[(]|NodeEngine::handle' \
+  crates/simdriver/src crates/runtime/src crates/core/src/testkit.rs)
+if [ -n "$hits" ]; then
+  echo "host code calls NodeEngine::handle itself; feed the engine through hc3i_core::host::input:"
+  echo "$hits"
+  status=1
+fi
 hits=$(code_matching 'ProtoEvent::' crates/core/src/host.rs |
   awk '{ line = $0 " "; gsub(/ProtoEvent::Delivered[^A-Za-z0-9_]/, "", line) } line ~ /ProtoEvent::/')
 if [ -n "$hits" ]; then
@@ -59,5 +71,6 @@ if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
 echo "one interpreter: no Output:: / Msg::Reliable / Msg::XportAck / Input::DetectFaults / coordinator_rank in simdriver, runtime or testkit"
+echo "one entry point: no NodeEngine::handle call in simdriver, runtime or testkit (host::input only)"
 echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"

@@ -792,12 +792,19 @@ fn cmd_sample(args: &[String]) -> ExitCode {
              detection_delay 100ms\n",
         ),
     ];
-    for (name, content) in files {
-        if let Err(e) = std::fs::write(dir.join(name), content) {
-            eprintln!("error writing {name}: {e}");
-            return ExitCode::FAILURE;
+    with_stdout(|out| {
+        // A reader that left stops the printing, not the writing.
+        let mut printed = Ok(());
+        for (name, content) in files {
+            if let Err(e) = std::fs::write(dir.join(name), content) {
+                eprintln!("error writing {name}: {e}");
+                return Ok(ExitCode::FAILURE);
+            }
+            if printed.is_ok() {
+                printed = writeln!(out, "wrote {}", dir.join(name).display());
+            }
         }
-        println!("wrote {}", dir.join(name).display());
-    }
-    ExitCode::SUCCESS
+        printed?;
+        Ok(ExitCode::SUCCESS)
+    })
 }

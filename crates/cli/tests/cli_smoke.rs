@@ -365,6 +365,29 @@ fn durable_dir_that_holds_a_log_is_refused_and_left_alone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `hc3i-sim sample-configs DIR | head -0`: the reader is gone before the
+/// first line. The files are the work, so all three are written, and the
+/// exit is a quiet success, not a panic from printing.
+#[test]
+fn sample_configs_into_a_closed_pipe_still_writes_every_file() {
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-sample-pipe-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(bin())
+        .args(["sample-configs", dir.to_str().unwrap()])
+        .stdout(writer)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert_eq!(stderr, "");
+    for name in ["topology.conf", "application.conf", "timers.conf"] {
+        assert!(dir.join(name).is_file(), "{name} written");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn a_closed_stdout_pipe_is_a_quiet_success() {
     use std::io::Read;

@@ -9,24 +9,25 @@
 //! test federation — each copy re-deciding how a fragment batch fans out,
 //! which traffic the reliable transport wraps, who acks a frame addressed
 //! to a dead node, and which durable frame each store change appends. This
-//! module is the single copy. Hosts implement [`Host`] and call
-//! [`perform`] after every `NodeEngine::handle`; they differ only in what
-//! a wire, a clock and a timer *are*. The same goes for what a host feeds
-//! *in*: who coordinates, which live rank hears a fault, and where a node
-//! sits in the host's arena are decided here once.
+//! module is the single copy. Hosts implement [`Host`] and hand every
+//! engine input to [`input`] — the one way into an engine; they differ only
+//! in what a wire, a clock and a timer *are*. The same goes for what a host
+//! feeds *in*: who coordinates, which live rank hears a fault, and where a
+//! node sits in the host's arena are decided here once.
 //!
 //! | Shared: this module, identical under every host | Supplied by the host |
 //! |---|---|
+//! | how an input reaches an engine: transport termination for a `Receive`, `NodeEngine::handle` at [`Host::now`], then the interpreter ([`input`]) | which `(node, Input)` comes next — an event queue, a shard's channel and run queue, or a FIFO queue |
 //! | who coordinates: rank 0 ([`ProtocolConfig::coordinator`]) — for the engine, every CLC and GC timer, every scripted checkpoint | when a timer fires — a queue event, or a deadline on the coordinator's cell only |
 //! | which live rank hears a fault, about which ranks ([`FaultReports`], keyed by failure generation, [`is_down`]) | when a detection round runs — a `Detect` event after the detection delay, a heartbeat probe tick, or at once |
 //! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, shard cells, failure generations |
-//! | the `match` over [`Output`] ([`perform`]) | [`Host::now`] — simulated or wall-clock time |
+//! | the `match` over [`Output`] (`perform`) | [`Host::now`] — simulated or wall-clock time |
 //! | fragment fan-out: one `FragmentReplica` per holder, in holder order, never through the transport | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue |
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::xport`] — where the [`Xport`] lives, or `None` |
-//! | transport termination: ack every copy (dead engines included), dedup, release the window ([`receive`]) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
+//! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
 //! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
-//! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, [`perform`] only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or recording vectors |
+//! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, `perform` only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or a report fold alone |
 //! | re-entering the engine with the application's new snapshot | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
 //!
 //! (After the Calimero `sync_sim` table: everything that decides protocol
@@ -301,7 +302,7 @@ impl Xport {
 
 /// What hosting a federation of [`NodeEngine`]s takes: a wire, a clock, a
 /// timer, and sinks for storage changes and events. Everything else is
-/// [`perform`], [`send`], [`receive`] and [`retry`].
+/// [`input`], [`send`] and [`retry`].
 pub trait Host {
     /// The host's current time.
     fn now(&self) -> SimTime;
@@ -344,17 +345,37 @@ pub trait Host {
     }
 }
 
+/// Feed `input` to `engine` and carry out everything it emits into `outs`
+/// (a reusable, empty buffer): the one way a host drives an engine. A
+/// `Receive` first passes transport termination — a frame the transport
+/// consumes (an ack, a duplicate copy) never reaches the engine — then the
+/// engine handles the input at [`Host::now`], and `perform` carries out
+/// its outputs.
+#[inline]
+pub fn input<H: Host>(host: &mut H, engine: &mut NodeEngine, input: Input, outs: &mut OutputBuf) {
+    let input = match input {
+        Input::Receive { from, msg } if host.xport().is_some() => {
+            match receive(host, from, engine.id(), msg) {
+                Some(msg) => Input::Receive { from, msg },
+                None => return,
+            }
+        }
+        input => input,
+    };
+    engine.handle(host.now(), input, outs);
+    perform(host, engine, outs);
+}
+
 /// Carry out everything `engine` just emitted into `outs`.
 ///
-/// Out of line on purpose: a host calls this right after
-/// `NodeEngine::handle`, and inlined there the two merge into one
-/// oversized frame. Measured again by PR 18 on the benchmark's `sim_mega`,
-/// on top of the heap queue: without the attribute `wall_s` is higher in
-/// 10/10 rounds, 0.476 to 0.551 s at the medians (+16 %;
-/// `bench/ABLATIONS.md`). What runs per output — [`send`] and the host's
-/// own methods — does inline into it.
+/// Out of line on purpose: it runs right after `NodeEngine::handle`, and
+/// inlined there the two merge into one oversized frame. Measured again
+/// by PR 18 on the benchmark's `sim_mega`, on top of the heap queue:
+/// without the attribute `wall_s` is higher in 10/10 rounds, 0.476 to
+/// 0.551 s at the medians (+16 %; `bench/ABLATIONS.md`). What runs per
+/// output — [`send`] and the host's own methods — does inline into it.
 #[inline(never)]
-pub fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf) {
+fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf) {
     let id = engine.id();
     for out in outs.drain() {
         match out {
@@ -445,9 +466,9 @@ fn wire_reliable<H: Host>(host: &mut H, from: NodeId, to: NodeId, seq: u64, msg:
 /// (sender logging + replay), not the transport's — and only its first
 /// sighting is returned. An `XportAck` frees its slot and wires whatever
 /// the window had parked. Without a transport every message passes
-/// through (hosts may skip the call).
+/// through ([`input`] skips the call).
 #[inline]
-pub fn receive<H: Host>(host: &mut H, from: NodeId, to: NodeId, msg: Msg) -> Option<Msg> {
+fn receive<H: Host>(host: &mut H, from: NodeId, to: NodeId, msg: Msg) -> Option<Msg> {
     if host.xport().is_none() {
         return Some(msg);
     }
@@ -669,6 +690,28 @@ mod tests {
         let frame = reliable(5, m(1));
         assert_eq!(receive(&mut plain, PEER, ME, frame.clone()), Some(frame));
         assert!(plain.take().is_empty());
+    }
+
+    #[test]
+    fn input_hands_the_engine_no_transport_frame() {
+        let mut host = Recorder::new(Some(XportConfig::default()));
+        let (mut me, mut buf) = (engine(ME), OutputBuf::new());
+        assert_eq!(receive(&mut host, PEER, ME, reliable(5, m(1))), Some(m(1)));
+        host.take();
+        // A duplicate copy and a stray ack are both consumed by the
+        // transport; a frame reaching the engine trips its debug assertion.
+        for msg in [reliable(5, m(1)), Msg::XportAck { seq: 9 }] {
+            input(
+                &mut host,
+                &mut me,
+                Input::Receive { from: PEER, msg },
+                &mut buf,
+            );
+        }
+        assert_eq!(
+            host.take(),
+            vec![Call::Wire(ME, PEER, Msg::XportAck { seq: 5 })]
+        );
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Engine inputs and outputs.
 //!
 //! The node engine is a pure state machine: it consumes one [`Input`] at a
-//! time and emits [`Output`] actions into a caller-owned [`OutputBuf`],
-//! which [`crate::host::perform`] carries out against whatever hosts the
-//! engine (discrete-event simulator, threaded runtime, test federation).
+//! time and emits [`Output`] actions into a caller-owned [`OutputBuf`].
+//! Every host — discrete-event simulator, threaded runtime, test
+//! federation — hands each input over through [`crate::host::input`],
+//! which also carries the outputs out against that host.
 //! This is what lets the identical protocol code run under every
 //! substrate — and, because the buffer is reusable, lets a host drive
 //! millions of inputs without a heap allocation per event.

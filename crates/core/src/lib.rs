@@ -17,9 +17,11 @@
 //!   reached (§3.4); a centralized garbage collector prunes CLCs and logs
 //!   no failure could ever need (§3.5).
 //!
-//! The protocol is packaged as a per-node state machine ([`NodeEngine`]):
-//! feed it [`Input`]s, and [`host::perform`] the [`Output`]s it emits into
-//! a caller-owned reusable sink ([`OutputBuf`]). The engine states what
+//! The protocol is packaged as a per-node state machine ([`NodeEngine`])
+//! that consumes [`Input`]s and emits [`Output`]s into a caller-owned
+//! reusable sink ([`OutputBuf`]); a host drives it through one entry
+//! point, [`host::input`], which hands over each input and carries out
+//! what the engine emits. The engine states what
 //! happened itself — finished [`StoreOp`]s for a durable log and
 //! [`ProtoEvent`]s for reports and traces — and asks the host for the
 //! rest. That interpreter — fan-out, reliable-transport wrap/unwrap,

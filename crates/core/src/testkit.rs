@@ -2,24 +2,25 @@
 //!
 //! [`InstantFederation`] wires a set of [`NodeEngine`]s through an instant,
 //! reliable, FIFO network. It is the smallest [`Host`]: its wire is a
-//! queue dispatched in order until quiescence, its clock a counter, and it
-//! has no timers, no transport and no disk; what the engines emit is
-//! carried out by the shared interpreter ([`crate::host::perform`]) like
-//! under every other host, and its engines, coordinators and fault
-//! reports come from the same [`Layout`], [`ProtocolConfig::coordinator`]
-//! and [`FaultReports`]. No timing model — this isolates the protocol
-//! logic from the simulator, and is also handy for downstream crates'
-//! tests and for the worked examples.
+//! queue of `(node, Input)` pairs dispatched in order until quiescence,
+//! its clock a counter, and it has no timers, no transport and no disk.
+//! Every input reaches its engine through the shared entry point
+//! ([`crate::host::input`]) like under every other host, what the engines
+//! report is folded by the same [`RunReport::observe`], and its engines,
+//! coordinators and fault reports come from the same [`Layout`],
+//! [`ProtocolConfig::coordinator`] and [`FaultReports`]. No timing model —
+//! this isolates the protocol logic from the simulator, and is also handy
+//! for downstream crates' tests and for the worked examples.
 
 use crate::config::ProtocolConfig;
 use crate::host::{self, Detection, FaultReports, Host, Layout, Xport};
 use crate::io::{Input, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
+use crate::report::RunReport;
 use desim::{SimDuration, SimTime};
 use netsim::NodeId;
 use std::collections::VecDeque;
-use storage::SeqNum;
 
 /// A recorded application delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,23 +39,16 @@ pub struct InstantFederation {
     layout: Layout,
     /// Every engine, at its [`Layout`] index.
     engines: Vec<NodeEngine>,
-    queue: VecDeque<(NodeId, NodeId, Msg)>,
+    /// Inputs waiting for their engine, oldest first.
+    queue: VecDeque<(NodeId, Input)>,
     /// Reusable engine-output buffer (the sink `NodeEngine::handle` fills).
     buf: OutputBuf,
     now: SimTime,
+    /// Every event the engines reported, folded as it passes
+    /// ([`InstantFederation::report`]).
+    stats: RunReport,
     /// Every application delivery, in order.
     pub deliveries: Vec<Delivery>,
-    /// Every committed CLC: `(cluster, sn, forced)`.
-    pub commits: Vec<(usize, SeqNum, bool)>,
-    /// Every cluster rollback observed at a coordinator:
-    /// `(cluster, restored sn)`.
-    pub rollbacks: Vec<(usize, SeqNum)>,
-    /// GC reports: `(cluster, before, after)`.
-    pub gc_reports: Vec<(usize, usize, usize)>,
-    /// Unrecoverable-fault reports.
-    pub unrecoverable: Vec<(usize, u32)>,
-    /// Late-crossing monitor events.
-    pub late_crossings: u64,
 }
 
 impl InstantFederation {
@@ -63,6 +57,7 @@ impl InstantFederation {
         let layout = Layout::new(&cfg);
         let engines = layout.engines(&cfg);
         InstantFederation {
+            stats: RunReport::new(cfg.num_clusters()),
             cfg,
             layout,
             engines,
@@ -70,11 +65,6 @@ impl InstantFederation {
             buf: OutputBuf::new(),
             now: SimTime::ZERO,
             deliveries: vec![],
-            commits: vec![],
-            rollbacks: vec![],
-            gc_reports: vec![],
-            unrecoverable: vec![],
-            late_crossings: 0,
         }
     }
 
@@ -94,30 +84,29 @@ impl InstantFederation {
         self.run_to_quiescence();
     }
 
-    /// Feed `input` to `node` without draining the network; returns how
-    /// many outputs the engine emitted. Used by tests that need to observe
-    /// in-flight state mid-protocol.
-    fn inject(&mut self, node: NodeId, input: Input) -> usize {
+    /// Feed `input` to `node` without draining the network. Used by tests
+    /// that need to observe in-flight state mid-protocol.
+    fn inject(&mut self, node: NodeId, input: Input) {
         self.now += SimDuration::from_nanos(1);
+        if matches!(input, Input::AppSend { .. }) {
+            self.stats.app_sent += 1;
+        }
         // The arena is lent out beside the host for the call: no `Host`
         // method of this federation reaches into `engines`.
         let mut engines = std::mem::take(&mut self.engines);
         let mut buf = std::mem::take(&mut self.buf);
         let engine = &mut engines[self.layout.index(node)];
-        engine.handle(self.now, input, &mut buf);
-        let emitted = buf.len();
-        host::perform(self, engine, &mut buf);
+        host::input(self, engine, input, &mut buf);
         self.buf = buf;
         self.engines = engines;
-        emitted
     }
 
-    /// Dispatch the oldest queued message; `false` when the queue is empty.
+    /// Dispatch the oldest queued input; `false` when the queue is empty.
     fn step(&mut self) -> bool {
-        let Some((from, to, msg)) = self.queue.pop_front() else {
+        let Some((node, input)) = self.queue.pop_front() else {
             return false;
         };
-        self.inject(to, Input::Receive { from, msg });
+        self.inject(node, input);
         true
     }
 
@@ -160,17 +149,20 @@ impl InstantFederation {
     /// Total committed CLCs in cluster `c` recorded so far (excluding the
     /// initial CLC), split `(unforced, forced)`.
     pub fn clc_counts(&self, c: usize) -> (usize, usize) {
-        let forced = self
-            .commits
-            .iter()
-            .filter(|&&(cc, _, f)| cc == c && f)
-            .count();
-        let unforced = self
-            .commits
-            .iter()
-            .filter(|&&(cc, _, f)| cc == c && !f)
-            .count();
-        (unforced, forced)
+        let c = &self.stats.clusters[c];
+        (c.unforced_clcs as usize, c.forced_clcs as usize)
+    }
+
+    /// The run so far as a [`RunReport`], folded like the simulator's and
+    /// the runtime's, with every cluster closed from its engines. Like
+    /// the runtime's, rollbacks record zero work lost; the wire counters
+    /// and the message matrix stay zero, as nothing here models a wire.
+    pub fn report(&self) -> RunReport {
+        let mut report = self.stats.clone();
+        for (c, stats) in report.clusters.iter_mut().enumerate() {
+            stats.close(&self.engines[self.layout.cluster(c)]);
+        }
+        report
     }
 
     /// Payload tags delivered to `node`, in order.
@@ -198,7 +190,7 @@ impl Host for InstantFederation {
     }
 
     fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
-        self.queue.push_back((from, to, msg));
+        self.queue.push_back((to, Input::Receive { from, msg }));
     }
 
     fn xport(&mut self) -> Option<&mut Xport> {
@@ -212,30 +204,10 @@ impl Host for InstantFederation {
     fn durable(&mut self, _engine: &NodeEngine, _op: StoreOp) {}
 
     fn emit(&mut self, _engine: &NodeEngine, ev: ProtoEvent) {
-        match ev {
-            ProtoEvent::Delivered { to, from, payload } => {
-                self.deliveries.push(Delivery { from, to, payload })
-            }
-            ProtoEvent::Committed {
-                cluster,
-                sn,
-                forced,
-            } => self.commits.push((cluster, sn, forced)),
-            ProtoEvent::RolledBack {
-                node, restore_sn, ..
-            } => {
-                if node.rank == 0 {
-                    self.rollbacks.push((node.cluster.index(), restore_sn));
-                }
-            }
-            ProtoEvent::GcReport {
-                cluster,
-                before,
-                after,
-            } => self.gc_reports.push((cluster, before, after)),
-            ProtoEvent::Unrecoverable { cluster, rank } => self.unrecoverable.push((cluster, rank)),
-            ProtoEvent::LateCrossing { .. } => self.late_crossings += 1,
+        if let ProtoEvent::Delivered { to, from, payload } = ev {
+            self.deliveries.push(Delivery { from, to, payload });
         }
+        self.stats.observe(self.now, &ev, None);
     }
 }
 
@@ -255,6 +227,7 @@ impl InstantFederation {
 mod tests {
     use super::*;
     use crate::config::PiggybackMode;
+    use storage::SeqNum;
 
     fn n(c: u16, r: u32) -> NodeId {
         NodeId::new(c, r)
@@ -262,6 +235,16 @@ mod tests {
 
     fn pay(tag: u64) -> AppPayload {
         AppPayload { bytes: 1024, tag }
+    }
+
+    /// `(cluster, restored SN)` of every cluster rollback, cluster by
+    /// cluster.
+    fn rollbacks(fed: &InstantFederation) -> Vec<(usize, SeqNum)> {
+        let report = fed.report();
+        let per_cluster = report.clusters.iter().enumerate();
+        per_cluster
+            .flat_map(|(c, s)| s.rollbacks.iter().map(move |&(_, sn, _)| (c, sn)))
+            .collect()
     }
 
     fn two_by_three() -> InstantFederation {
@@ -283,7 +266,7 @@ mod tests {
         }
         // Cluster 1 untouched.
         assert_eq!(fed.engine(n(1, 0)).sn(), SeqNum(1));
-        assert_eq!(fed.commits, vec![(0, SeqNum(2), false)]);
+        assert_eq!(fed.clc_counts(0), (1, 0));
     }
 
     #[test]
@@ -310,7 +293,7 @@ mod tests {
         let mut fed = two_by_three();
         fed.app_send(n(0, 1), n(0, 2), pay(7));
         assert_eq!(fed.delivered_tags(n(0, 2)), vec![7]);
-        assert_eq!(fed.late_crossings, 0);
+        assert_eq!(fed.report().late_crossings, 0);
         // Intra messages are never logged.
         assert!(fed.engine(n(0, 1)).log().is_empty());
     }
@@ -426,7 +409,7 @@ mod tests {
         fed.fire_clc_timer(0);
         fed.fire_clc_timer(1);
         fed.fail_node(n(0, 2));
-        assert_eq!(fed.rollbacks, vec![(0, SeqNum(2))]);
+        assert_eq!(rollbacks(&fed), vec![(0, SeqNum(2))]);
         assert!(!fed.engine(n(0, 2)).is_failed(), "revived by rollback");
         assert_eq!(fed.engine(n(1, 0)).sn(), SeqNum(2), "cluster 1 untouched");
     }
@@ -439,12 +422,12 @@ mod tests {
         // Receiver cluster fails and restores CLC2 — whose state predates
         // the delivery of tag 9. The sender must replay it.
         fed.fail_node(n(1, 1));
-        assert_eq!(fed.rollbacks, vec![(1, SeqNum(2))]);
+        assert_eq!(rollbacks(&fed), vec![(1, SeqNum(2))]);
         // Sender cluster did not roll back…
         assert_eq!(fed.engine(n(0, 0)).sn(), SeqNum(1));
         // …and the message was re-delivered from the log exactly once more.
         assert_eq!(fed.delivered_tags(n(1, 2)), vec![9, 9]);
-        assert_eq!(fed.late_crossings, 0);
+        assert_eq!(fed.report().late_crossings, 0);
     }
 
     #[test]
@@ -456,8 +439,8 @@ mod tests {
                                                 // cluster 1 restores CLC2 itself: the forced CLC committed before
                                                 // the message was delivered, so its state is clean of the ghost.
         fed.fail_node(n(0, 0));
-        assert!(fed.rollbacks.contains(&(0, SeqNum(1))));
-        assert!(fed.rollbacks.contains(&(1, SeqNum(2))));
+        assert!(rollbacks(&fed).contains(&(0, SeqNum(1))));
+        assert!(rollbacks(&fed).contains(&(1, SeqNum(2))));
         let receiver = fed.engine(n(1, 2));
         assert_eq!(receiver.sn(), SeqNum(2));
         assert_eq!(
@@ -483,7 +466,7 @@ mod tests {
                                // Now the send predates the sender's restored CLC2? No: the send
                                // happened at sender SN 1, before CLC2. Restoring CLC2 keeps it.
         fed.fail_node(n(0, 0));
-        assert_eq!(fed.rollbacks, vec![(0, SeqNum(2))]);
+        assert_eq!(rollbacks(&fed), vec![(0, SeqNum(2))]);
         assert_eq!(
             fed.engine(n(1, 2)).sn(),
             SeqNum(2),
@@ -502,7 +485,7 @@ mod tests {
         // alert 3 -> no resend at all).
         fed.fire_clc_timer(1);
         fed.fail_node(n(1, 1));
-        assert_eq!(fed.rollbacks, vec![(1, SeqNum(3))]);
+        assert_eq!(rollbacks(&fed), vec![(1, SeqNum(3))]);
         assert_eq!(
             fed.delivered_tags(n(1, 2)),
             vec![9],
@@ -572,9 +555,9 @@ mod tests {
                 assert_eq!(fed.engine(n(c, r)).store().len(), 1, "C{c} n{r}");
             }
         }
-        assert_eq!(fed.gc_reports.len(), 2);
-        assert_eq!(fed.gc_reports[0].1, 6, "before");
-        assert_eq!(fed.gc_reports[0].2, 1, "after");
+        let clusters = fed.report().clusters;
+        assert_eq!(clusters[0].gc_before_after, vec![(6, 1)], "before, after");
+        assert_eq!(clusters[1].gc_before_after.len(), 1);
     }
 
     #[test]
@@ -652,7 +635,11 @@ mod tests {
                 failed_ranks: vec![1, 2],
             },
         );
-        assert_eq!(fed.unrecoverable.len(), 2, "both ranks reported lost");
+        assert_eq!(
+            fed.report().unrecoverable_faults,
+            2,
+            "both ranks reported lost"
+        );
         assert!(fed.engine(n(0, 1)).is_failed(), "no rollback happened");
 
         // Same pair at degree 2: jointly recoverable, cluster rolls back.
@@ -669,10 +656,10 @@ mod tests {
                 failed_ranks: vec![1, 2],
             },
         );
-        assert!(fed.unrecoverable.is_empty());
+        assert_eq!(fed.report().unrecoverable_faults, 0);
         assert!(!fed.engine(n(0, 1)).is_failed(), "revived");
         assert!(!fed.engine(n(0, 2)).is_failed(), "revived");
-        assert_eq!(fed.rollbacks, vec![(0, SeqNum(2))]);
+        assert_eq!(rollbacks(&fed), vec![(0, SeqNum(2))]);
     }
 
     #[test]
@@ -707,7 +694,7 @@ mod tests {
             sn_before_1,
             sn_after_1
         );
-        assert_eq!(fed.late_crossings, 0);
+        assert_eq!(fed.report().late_crossings, 0);
         // Follow-up traffic still works after the cascade.
         fed.app_send(n(0, 0), n(1, 2), pay(99));
         assert!(fed.delivered_tags(n(1, 2)).contains(&99));
@@ -732,14 +719,15 @@ mod tests {
                 payload: pay(42),
             },
         );
-        let emitted = fed.inject(
+        let queued = fed.queue.len();
+        fed.inject(
             n(0, 0),
             Input::AppSend {
                 to: n(0, 2),
                 payload: pay(43),
             },
         );
-        assert_eq!(emitted, 0, "send frozen during 2PC");
+        assert_eq!(fed.queue.len(), queued, "send frozen during 2PC");
         fed.run_to_quiescence();
         let tags = fed.delivered_tags(n(0, 2));
         assert!(tags.contains(&42) && tags.contains(&43), "tags {tags:?}");
@@ -757,7 +745,8 @@ mod tests {
         assert!(fed.engine(n(0, 1)).is_frozen());
         // Node 1 already sent a message to node 2 logically "in flight":
         // inject an AppIntra delivery to the frozen node 2.
-        let emitted = fed.inject(
+        let queued = fed.queue.len();
+        fed.inject(
             n(0, 2),
             Input::Receive {
                 from: n(0, 1),
@@ -767,7 +756,8 @@ mod tests {
                 },
             },
         );
-        assert_eq!(emitted, 0, "queued as channel state, not delivered");
+        assert_eq!(fed.queue.len(), queued, "queued as channel state…");
+        assert!(fed.deliveries.is_empty(), "…not delivered");
         fed.run_to_quiescence();
         // Delivered at commit…
         assert_eq!(fed.delivered_tags(n(0, 2)), vec![77]);
@@ -776,6 +766,6 @@ mod tests {
         let latest = store.latest().unwrap();
         assert_eq!(latest.payload.channel_state.len(), 1);
         assert_eq!(latest.payload.channel_state[0].1.tag, 77);
-        assert_eq!(fed.late_crossings, 0);
+        assert_eq!(fed.report().late_crossings, 0);
     }
 }

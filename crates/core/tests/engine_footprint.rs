@@ -164,7 +164,7 @@ fn clc_round_allocations(nodes: u32) -> u64 {
     fed.run_gc();
     fed.fire_clc_timer(0);
     let count = allocations_in(|| fed.fire_clc_timer(0));
-    assert_eq!(fed.commits.len(), 6, "every round committed");
+    assert_eq!(fed.clc_counts(0), (6, 0), "every round committed");
     count
 }
 

@@ -7,16 +7,15 @@
 //! view C++SIM's process threads expose, but deterministic and with no
 //! thread-scheduling nondeterminism.
 //!
-//! Dispatch is **instant-batched**: when the executive reaches a simulated
-//! instant it drains *every* event firing at that instant through one
-//! [`World::handle_batch`] call, instead of re-entering the executive once
-//! per event. The default `handle_batch` simply loops [`World::handle`], so
-//! worlds keep their one-event-at-a-time shape; worlds with per-entry setup
-//! cost (sink swaps, stats flushes) override it to hoist that cost to
-//! per-instant. Order within the batch is the global `(time, seq)` dispatch
-//! order — events a handler schedules *at the same instant* get larger
-//! `seq`s and join the tail of the same batch, exactly as the one-per-step
-//! executive would have dispatched them, so runs are bit-identical.
+//! Dispatch is **instant-drained**: when the executive reaches a simulated
+//! instant it hands *every* event firing at that instant to
+//! [`World::handle`] in one loop, instead of re-entering the executive
+//! (and re-finding the next instant) once per event. Order within the
+//! instant is the global `(time, seq)` dispatch order — events a handler
+//! schedules *at the same instant* get larger `seq`s and join the tail of
+//! the same drain, exactly as a one-event-per-step executive would have
+//! dispatched them, so runs are bit-identical. (Measured against one event
+//! per step: that costs `sim_dense` +7.2 % `wall_s`; `bench/ABLATIONS.md`.)
 
 use crate::queue::{EventKey, EventQueue};
 use crate::time::SimTime;
@@ -43,22 +42,6 @@ pub trait World {
 
     /// Handle `event` occurring at `ctx.now()`. Schedule follow-ups via `ctx`.
     fn handle(&mut self, ctx: &mut Ctx<'_, Self::Event>, event: Self::Event);
-
-    /// Handle one simulated instant's whole batch of events. Pull events
-    /// with [`InstantBatch::next`] until it returns `None`; the batch ends
-    /// when the instant has no further events, the executive's event budget
-    /// for this instant is spent, or the world called [`Ctx::stop`].
-    ///
-    /// The default implementation dispatches each event through
-    /// [`World::handle`]; override it to amortise per-event overhead
-    /// (e.g. output-sink swaps) across the instant. Implementations must
-    /// drive the batch through `next` — events left unpulled simply remain
-    /// pending, which after a stop is exactly right.
-    fn handle_batch(&mut self, ctx: &mut Ctx<'_, Self::Event>, batch: &mut InstantBatch) {
-        while let Some(event) = batch.next(ctx) {
-            self.handle(ctx, event);
-        }
-    }
 }
 
 /// Scheduling handle passed to [`World::handle`].
@@ -123,57 +106,28 @@ impl<'a, E> Ctx<'a, E> {
     pub fn stop(&mut self) {
         *self.stop_requested = true;
     }
-}
 
-/// One simulated instant's worth of events, pulled lazily from the
-/// executive by [`World::handle_batch`].
-///
-/// `next` yields the instant's events in global `(time, seq)` dispatch
-/// order: external feed events first (the feed wins ties, as with the
-/// one-per-step executive), then queued events — including any the world
-/// schedules *at this instant* while the batch is being drained. Events are
-/// only removed from the pending set as they are yielded, so a mid-batch
-/// [`Ctx::cancel`] of a not-yet-yielded event works exactly as it did
-/// pre-batching, and a mid-batch stop leaves the rest pending.
-pub struct InstantBatch {
-    at: SimTime,
-    budget: u64,
-    taken: u64,
-}
-
-impl InstantBatch {
-    /// Events yielded so far.
-    #[inline]
-    pub fn taken(&self) -> u64 {
-        self.taken
-    }
-
-    /// Pull the next event of this instant, or `None` when the instant is
-    /// drained, the budget is spent, or a stop was requested.
-    ///
-    /// Within the instant the order is: feed events first (the feed wins
-    /// ties), then queued events in scheduling order (including events
-    /// scheduled *at* this instant mid-batch), then inbox events in
-    /// canonical key order. Inbox insertion is strictly future, so the
-    /// inbox tail of an instant is complete before it starts draining.
-    pub fn next<E>(&mut self, ctx: &mut Ctx<'_, E>) -> Option<E> {
-        if self.taken >= self.budget || *ctx.stop_requested {
-            return None;
-        }
-        let event = match ctx.feed.next_time() {
-            Some(ft) if ft == self.at => ctx.feed.pop(),
-            _ => match ctx.queue.pop_if_at(self.at) {
-                Some(e) => e,
-                None => match ctx.inbox.first_key_value() {
-                    Some((&(at, _), _)) if at == self.at => {
-                        ctx.inbox.pop_first().expect("peeked").1
+    /// Take the next event firing at `at`, the current instant, or `None`
+    /// when the instant is drained. The order: feed events first (the feed
+    /// wins ties), then queued events in scheduling order (including
+    /// events scheduled *at* this instant while it drains), then inbox
+    /// events in canonical key order. Inbox insertion is strictly future,
+    /// so the inbox tail of an instant is complete before it starts
+    /// draining. Events leave the pending set only as they are taken, so
+    /// a handler's [`Ctx::cancel`] of a later same-instant event works.
+    fn pop_at(&mut self, at: SimTime) -> Option<E> {
+        match self.feed.next_time() {
+            Some(ft) if ft == at => Some(self.feed.pop()),
+            _ => match self.queue.pop_if_at(at) {
+                Some(e) => Some(e),
+                None => match self.inbox.first_key_value() {
+                    Some((&(t, _), _)) if t == at => {
+                        Some(self.inbox.pop_first().expect("peeked").1)
                     }
-                    _ => return None,
+                    _ => None,
                 },
             },
-        };
-        self.taken += 1;
-        Some(event)
+        }
     }
 }
 
@@ -300,8 +254,9 @@ impl<W: World> Simulation<W> {
     }
 
     /// Advance to the next pending instant and dispatch up to `max_events`
-    /// of its events through one [`World::handle_batch`] call. Returns the
-    /// number of events dispatched (0 when nothing is pending).
+    /// of its events, stopping early if the world calls [`Ctx::stop`] (the
+    /// rest stay pending). Returns the number of events dispatched (0 when
+    /// nothing is pending).
     pub fn step_instant(&mut self, max_events: u64) -> u64 {
         let Some(at) = self.next_time() else {
             return 0;
@@ -315,14 +270,14 @@ impl<W: World> Simulation<W> {
             inbox: &mut self.inbox,
             stop_requested: &mut self.stop_requested,
         };
-        let mut batch = InstantBatch {
-            at,
-            budget: max_events,
-            taken: 0,
-        };
-        self.world.handle_batch(&mut ctx, &mut batch);
-        self.events_processed += batch.taken;
-        batch.taken
+        let mut taken = 0;
+        while taken < max_events && !*ctx.stop_requested {
+            let Some(event) = ctx.pop_at(at) else { break };
+            taken += 1;
+            self.world.handle(&mut ctx, event);
+        }
+        self.events_processed += taken;
+        taken
     }
 
     /// Dispatch a single event. Returns `false` if none is pending.
@@ -566,35 +521,6 @@ mod tests {
         assert_eq!(sim.run(), RunOutcome::Exhausted);
         assert_eq!(sim.world().fired, vec![0, 1, 99], "99 after pending 1");
         assert_eq!(sim.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn batched_world_sees_whole_instant() {
-        // An overriding world observes batch boundaries: one handle_batch
-        // call per instant, covering every event at that instant.
-        struct Batches {
-            sizes: Vec<u64>,
-        }
-        impl World for Batches {
-            type Event = u32;
-            fn handle(&mut self, _: &mut Ctx<'_, u32>, _: u32) {}
-            fn handle_batch(&mut self, ctx: &mut Ctx<'_, u32>, batch: &mut InstantBatch) {
-                while let Some(ev) = batch.next(ctx) {
-                    self.handle(ctx, ev);
-                }
-                self.sizes.push(batch.taken());
-            }
-        }
-        let mut sim = Simulation::new(Batches { sizes: vec![] });
-        let t1 = SimTime::ZERO + SimDuration::from_secs(1);
-        let t2 = SimTime::ZERO + SimDuration::from_secs(2);
-        for i in 0..3 {
-            sim.schedule_at(t1, i);
-        }
-        sim.schedule_at(t2, 3);
-        assert_eq!(sim.run(), RunOutcome::Exhausted);
-        assert_eq!(sim.world().sizes, vec![3, 1]);
-        assert_eq!(sim.events_processed(), 4);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!   giving O(1) hash-free cancellation and allocation-free steady-state
 //!   cycles (the bulk workload is pulled from a sorted side feed one event
 //!   ahead, so the heap holds only what is in flight),
-//! * an instant-batching event-scheduling executive ([`Simulation`] /
-//!   [`World`] / [`InstantBatch`]),
+//! * an event-scheduling executive that drains each simulated instant in
+//!   one loop ([`Simulation`]) over a one-method model ([`World`]),
 //! * named, independent, reproducible RNG streams ([`RngStreams`]).
 //!
 //! What a run records of itself is the model's business, not the
@@ -48,7 +48,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Ctx, InboxKey, InstantBatch, RunOutcome, Simulation, World};
+pub use engine::{Ctx, InboxKey, RunOutcome, Simulation, World};
 pub use queue::{EventKey, EventQueue};
 pub use rng::{exponential, pareto, uniform, RngStreams};
 pub use time::{SimDuration, SimTime};

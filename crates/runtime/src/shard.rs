@@ -35,8 +35,9 @@
 //! nodes of the shard, so steady-state message processing allocates
 //! nothing per event.
 //!
-//! What an engine emits is carried out by the shared interpreter in
-//! [`hc3i_core::host`]; the shard supplies [`ShardHost`]: the wire is the
+//! Every engine input — a message from another node included — arrives as
+//! an [`Envelope::Input`] and goes through the shared entry point
+//! [`hc3i_core::host::input`]; the shard supplies [`ShardHost`]: the wire is the
 //! run queue or the routing table's channels, the clock is time since the
 //! federation's spawn, timers are cached earliest-deadline bounds the tick
 //! polls, and the event sink is the controller's channel.
@@ -114,7 +115,7 @@ impl Host for ShardHost<'_> {
     /// fan-out is queue entries, not stack frames.
     fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
         let (shard, slot) = self.routes.addr(to);
-        let env = Envelope::Net { from, msg };
+        let env = Envelope::Input(Input::Receive { from, msg });
         if shard == self.me {
             self.local.push_back((slot, env));
         } else {
@@ -279,7 +280,7 @@ impl ShardWorker {
                 },
             };
             if let Some((slot, env)) = msg {
-                self.handle(slot as usize, env);
+                self.dispatch(slot as usize, env);
                 self.drain_local();
             }
             // Timers and retransmissions emit through the same `wire`.
@@ -302,11 +303,11 @@ impl ShardWorker {
 
     /// Run the in-thread queue to empty: everything a same-shard message
     /// causes on this shard is processed before the channel is looked at
-    /// again, through the same [`ShardWorker::handle`] a channel envelope
+    /// again, through the same [`ShardWorker::dispatch`] a channel envelope
     /// takes.
     fn drain_local(&mut self) {
         while let Some((slot, env)) = self.local.pop_front() {
-            self.handle(slot as usize, env);
+            self.dispatch(slot as usize, env);
         }
     }
 
@@ -389,43 +390,24 @@ impl ShardWorker {
             .min();
     }
 
-    fn handle(&mut self, slot: usize, env: Envelope) {
+    fn dispatch(&mut self, slot: usize, env: Envelope) {
         if self.nodes[slot].stopped {
             return;
         }
-        let input = match env {
-            Envelope::Net { from, msg } => {
-                // Transport frames terminate at the shard: engines never
-                // see them. Without a transport there is nothing to
-                // terminate, and the hot path skips the call.
-                let msg = if self.xport.is_some() {
-                    let me = self.nodes[slot].id;
-                    let (mut host, ..) = self.split(slot);
-                    match host::receive(&mut host, from, me, msg) {
-                        Some(msg) => msg,
-                        None => return,
-                    }
-                } else {
-                    msg
-                };
-                Input::Receive { from, msg }
-            }
-            Envelope::Input(input) => input,
+        match env {
+            Envelope::Input(input) => self.input(slot, input),
             Envelope::Ping { reply } => {
                 // Liveness is a node property: a fail-stopped engine stays
                 // silent, everyone else answers.
                 if !self.nodes[slot].engine.is_failed() {
                     let _ = reply.send(());
                 }
-                return;
             }
             Envelope::Shutdown => {
                 self.nodes[slot].stopped = true;
                 self.live -= 1;
-                return;
             }
-        };
-        self.input(slot, input);
+        }
     }
 
     /// The [`Host`] view of the node at `slot`, with its engine and the
@@ -449,13 +431,11 @@ impl ShardWorker {
         (host, &mut cell.engine, &mut self.buf)
     }
 
-    /// Feed one input to a node's engine, perform everything it emits, and
+    /// Feed one input to a node's engine through [`host::input`], and
     /// publish any fail-stop transition to the shared health table.
     fn input(&mut self, slot: usize, input: Input) {
-        let now = since(self.epoch);
         let (mut host, engine, buf) = self.split(slot);
-        engine.handle(now, input, buf);
-        host::perform(&mut host, engine, buf);
+        host::input(&mut host, engine, input, buf);
         let cell = &mut self.nodes[slot];
         let failed = cell.engine.is_failed();
         if failed != cell.published_failed {

@@ -5,7 +5,7 @@ use crate::hostile::HostileRunStats;
 use crate::trace::TraceEvent;
 use crate::world::{Ev, FederationWorld};
 use desim::{exponential, RngStreams, RunOutcome, SimDuration, SimTime, Simulation};
-use hc3i_core::RunReport;
+use hc3i_core::{AppPayload, Input, RunReport};
 use rand::Rng;
 
 /// Hard ceiling on dispatched events, guarding against model bugs.
@@ -66,27 +66,33 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
         );
     }
     sim.feed_from(sends.into_iter().enumerate().map(|(tag, s)| {
-        let ev = Ev::AppSend {
-            from: s.from,
-            to: s.to,
+        let (node, tag) = (s.from, tag as u64);
+        let payload = AppPayload {
             bytes: s.bytes,
-            tag: tag as u64,
+            tag,
         };
-        (s.at, ev)
+        let input = Input::AppSend { to: s.to, payload };
+        (s.at, Ev::Input { node, input })
     }));
 
-    // Scripted faults, checkpoints and collections.
+    // Scripted faults, checkpoints and collections. A scripted checkpoint
+    // or collection is the coordinator's timer input, fired once: the
+    // periodic timers are left alone.
     for i in 0..sim.world().cfg.faults.len() {
         let f = sim.world().cfg.faults[i];
         sim.schedule_at(f.at, Ev::Fault { node: f.node });
     }
     for i in 0..sim.world().cfg.scripted_clcs.len() {
         let (at, cluster) = sim.world().cfg.scripted_clcs[i];
-        sim.schedule_at(at, Ev::ClcNow { cluster });
+        let node = sim.world().cfg.protocol.coordinator(cluster);
+        let input = Input::ClcTimer;
+        sim.schedule_at(at, Ev::Input { node, input });
     }
     for i in 0..sim.world().cfg.scripted_gcs.len() {
         let at = sim.world().cfg.scripted_gcs[i];
-        sim.schedule_at(at, Ev::GcNow);
+        let node = sim.world().cfg.protocol.coordinator(0);
+        let input = Input::GcTimer;
+        sim.schedule_at(at, Ev::Input { node, input });
     }
 
     // Scripted partition cuts and heals (bookkeeping events; the holds

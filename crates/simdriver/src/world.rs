@@ -1,7 +1,9 @@
 //! The discrete-event world binding protocol engines to the network model.
 //!
-//! What the engines emit is carried out by the shared interpreter in
-//! [`hc3i_core::host`]; this file supplies the simulator's [`Host`]: the
+//! Every engine input — a workload send, a message off the wire, a
+//! scripted checkpoint — is one [`Ev::Input`] event, handed to the shared
+//! entry point [`hc3i_core::host::input`]; this file supplies the
+//! simulator's [`Host`]: the
 //! wire is the network model plus the event queue (`SimHost::wire`),
 //! the clock is simulated time, timers are queue events, and the event
 //! sink is the [`RunReport`] fold, the delivery ledger and the typed
@@ -19,41 +21,25 @@ use netsim::{FastHashMap, HostileNet, Network, NodeId};
 /// Events of the federation world.
 #[derive(Debug, Clone)]
 pub enum Ev {
-    /// The workload issues an application send.
-    AppSend {
-        /// Sender.
-        from: NodeId,
-        /// Destination.
-        to: NodeId,
-        /// Payload size.
-        bytes: u64,
-        /// Workload tag.
-        tag: u64,
-    },
-    /// A message arrives at `to`.
-    Deliver {
-        /// Sender.
-        from: NodeId,
-        /// Receiver.
-        to: NodeId,
-        /// The message.
-        msg: Msg,
+    /// An input reaches `node`'s engine: a workload send
+    /// ([`Input::AppSend`]), a message off the wire ([`Input::Receive`]),
+    /// or a scripted one-shot checkpoint or collection (the coordinator's
+    /// [`Input::ClcTimer`] or [`Input::GcTimer`], which never re-arms the
+    /// periodic timers — the simulator counterpart of the runtime
+    /// controller's `checkpoint_now` and `gc_now`).
+    Input {
+        /// The receiving node.
+        node: NodeId,
+        /// What it receives.
+        input: Input,
     },
     /// A cluster's unforced-CLC timer fires.
     ClcTimer {
         /// The cluster.
         cluster: usize,
     },
-    /// A scripted one-shot unforced CLC (the simulator counterpart of the
-    /// runtime controller's `checkpoint_now`; never re-arms timers).
-    ClcNow {
-        /// The cluster.
-        cluster: usize,
-    },
     /// The federation GC timer fires.
     GcTimer,
-    /// A scripted one-shot garbage collection (runtime `gc_now`).
-    GcNow,
     /// A node fail-stops.
     Fault {
         /// The failing node.
@@ -206,19 +192,18 @@ impl FederationWorld {
         host::is_down(self.generations[self.layout.index(id)])
     }
 
-    /// Feed one input to `node`'s engine and carry out what it emits. The
+    /// Feed one input to `node`'s engine through [`host::input`]. The
     /// arena is lent out beside the host for the call — no [`SimHost`]
-    /// method reaches into `engines`.
+    /// method reaches into `engines` or `generations`.
     fn handle_engine(&mut self, ctx: &mut Ctx<'_, Ev>, node: NodeId, input: Input) {
         let idx = self.layout.index(node);
         let mut buf = std::mem::take(&mut self.out_buf);
         let mut engines = std::mem::take(&mut self.engines);
         let engine = &mut engines[idx];
-        engine.handle(ctx.now(), input, &mut buf);
+        host::input(&mut SimHost { w: self, ctx }, engine, input, &mut buf);
         if engine.is_failed() != host::is_down(self.generations[idx]) {
             self.generations[idx] += 1;
         }
-        host::perform(&mut SimHost { w: self, ctx }, engine, &mut buf);
         self.engines = engines;
         self.out_buf = buf;
     }
@@ -338,27 +323,17 @@ impl Host for SimHost<'_, '_> {
             w.hostile_stats.messages_lost += 1;
             return;
         }
+        let arrive = |msg| Ev::Input {
+            node: to,
+            input: Input::Receive { from: source, msg },
+        };
         if source.cluster == to.cluster {
             // Intra-cluster traffic rides the event queue in scheduling
             // order.
             if let Some(at) = duplicate_at {
-                ctx.schedule_at(
-                    at,
-                    Ev::Deliver {
-                        from: source,
-                        to,
-                        msg: msg.clone(),
-                    },
-                );
+                ctx.schedule_at(at, arrive(msg.clone()));
             }
-            ctx.schedule_at(
-                arrival,
-                Ev::Deliver {
-                    from: source,
-                    to,
-                    msg,
-                },
-            );
+            ctx.schedule_at(arrival, arrive(msg));
             return;
         }
         // Inter-cluster copies go through the canonically-ordered inbox.
@@ -373,19 +348,9 @@ impl Host for SimHost<'_, '_> {
         *next += 1;
         let sent = ctx.now();
         if let Some(at) = duplicate_at {
-            let ev = Ev::Deliver {
-                from: source,
-                to,
-                msg: msg.clone(),
-            };
-            ctx.schedule_inbox(at, (sent, route, (seq << 1) | 1), ev);
+            ctx.schedule_inbox(at, (sent, route, (seq << 1) | 1), arrive(msg.clone()));
         }
-        let ev = Ev::Deliver {
-            from: source,
-            to,
-            msg,
-        };
-        ctx.schedule_inbox(arrival, (sent, route, seq << 1), ev);
+        ctx.schedule_inbox(arrival, (sent, route, seq << 1), arrive(msg));
     }
 
     #[inline]
@@ -460,48 +425,22 @@ impl World for FederationWorld {
 
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
         match event {
-            Ev::AppSend {
-                from,
-                to,
-                bytes,
-                tag,
-            } => {
-                self.stats.app_sent += 1;
-                if self.hostile_stats.ledger.is_some() {
+            Ev::Input { node, input } => {
+                if let Input::AppSend { to, payload } = &input {
+                    self.stats.app_sent += 1;
                     // Only inter-cluster sends from a live node enter the
                     // ledger: their eventual delivery is the protocol's
                     // sender-logging guarantee (§3.3). Intra-cluster
                     // traffic is covered by the coordinated checkpoint,
                     // and a failed node's application is down.
-                    let live = !self.is_down(from);
                     if let Some(ledger) = self.hostile_stats.ledger.as_mut() {
-                        if live && from.cluster != to.cluster {
-                            ledger.record_sent(tag, from.cluster.index(), ctx.now());
+                        let live = !host::is_down(self.generations[self.layout.index(node)]);
+                        if live && node.cluster != to.cluster {
+                            ledger.record_sent(payload.tag, node.cluster.index(), ctx.now());
                         }
                     }
                 }
-                self.handle_engine(
-                    ctx,
-                    from,
-                    Input::AppSend {
-                        to,
-                        payload: hc3i_core::AppPayload { bytes, tag },
-                    },
-                );
-            }
-            Ev::Deliver { from, to, msg } => {
-                // Transport frames terminate at the host: engines never
-                // see them. Without a transport there is nothing to
-                // terminate, and the hot path skips the call.
-                let msg = if self.xport.is_some() {
-                    match host::receive(&mut SimHost { w: self, ctx }, from, to, msg) {
-                        Some(msg) => msg,
-                        None => return,
-                    }
-                } else {
-                    msg
-                };
-                self.handle_engine(ctx, to, Input::Receive { from, msg });
+                self.handle_engine(ctx, node, input);
             }
             Ev::ClcTimer { cluster } => {
                 self.clc_timer_keys[cluster] = None;
@@ -513,22 +452,12 @@ impl World for FederationWorld {
                     self.arm_clc_timer(ctx, cluster);
                 }
             }
-            Ev::ClcNow { cluster } => {
-                // One-shot: fire the coordinator's CLC input without
-                // touching the periodic timer bookkeeping.
-                let coord = self.cfg.protocol.coordinator(cluster);
-                self.handle_engine(ctx, coord, Input::ClcTimer);
-            }
             Ev::GcTimer => {
                 let initiator = self.cfg.protocol.coordinator(0);
                 self.handle_engine(ctx, initiator, Input::GcTimer);
                 if let Some(interval) = self.cfg.gc_interval {
                     ctx.schedule_in(interval, Ev::GcTimer);
                 }
-            }
-            Ev::GcNow => {
-                let initiator = self.cfg.protocol.coordinator(0);
-                self.handle_engine(ctx, initiator, Input::GcTimer);
             }
             Ev::Fault { node } => {
                 if self.is_down(node) {

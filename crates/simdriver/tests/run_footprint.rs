@@ -118,3 +118,12 @@ fn a_run_holds_its_schedule_once() {
          ({n_sends} sends): something holds the schedule a second time"
     );
 }
+
+/// Every pending event of the executive is one `Ev`, and a message off the
+/// wire is one of them (`Ev::Input` carrying `Input::Receive`): a variant
+/// that widens it widens every queue slot of every run.
+#[test]
+fn an_event_fits_72_bytes() {
+    let size = std::mem::size_of::<simdriver::Ev>();
+    assert!(size <= 72, "Ev grew to {size} bytes");
+}

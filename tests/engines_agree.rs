@@ -2,8 +2,8 @@
 //! the instant test network and through the threaded messaging runtime
 //! must leave the protocol in the same state.
 //!
-//! Both substrates run the one output interpreter (`hc3i_core::host`), so
-//! what this checks is two host shims — a FIFO queue with a counter clock
+//! Both substrates feed their engines through the one entry point
+//! (`hc3i_core::host::input`), so what this checks is two host shims — a FIFO queue with a counter clock
 //! against shard channels with a wall clock — not two copies of the
 //! protocol's hosting logic.
 

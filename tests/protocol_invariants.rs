@@ -70,7 +70,11 @@ fn run_ops(ops: &[Op], piggyback: PiggybackMode) -> InstantFederation {
 
 fn check_invariants(fed: &InstantFederation) {
     // 1. The consistency monitor never fired.
-    assert_eq!(fed.late_crossings, 0, "intra message crossed a checkpoint");
+    assert_eq!(
+        fed.report().late_crossings,
+        0,
+        "intra message crossed a checkpoint"
+    );
 
     for (c, &size) in SIZES.iter().enumerate() {
         let coord = fed.engine(NodeId::new(c as u16, 0));
@@ -180,12 +184,8 @@ proptest! {
         // Between two rollbacks of the receiving cluster, a given
         // (sender, tag) pair is delivered at most once.
         let fed = run_ops(&ops, PiggybackMode::SnOnly);
-        let mut rollback_idx = 0usize;
-        // Reconstruct delivery epochs per receiving cluster from the order
-        // of recorded events: conservatively split on every rollback.
         let mut seen: std::collections::HashMap<(NodeId, u64, usize), u32> =
             std::collections::HashMap::new();
-        let _ = &mut rollback_idx;
         // The testkit records rollbacks and deliveries separately; a full
         // interleaved log is not kept, so check the weaker global bound:
         // duplicates can appear at most (1 + rollbacks of the receiving
@@ -193,12 +193,9 @@ proptest! {
         for d in &fed.deliveries {
             *seen.entry((d.from, d.payload.tag, d.to.cluster.index())).or_default() += 1;
         }
+        let report = fed.report();
         for ((_, tag, cluster), count) in seen {
-            let rb = fed
-                .rollbacks
-                .iter()
-                .filter(|&&(c, _)| c == cluster)
-                .count() as u32;
+            let rb = report.clusters[cluster].rollbacks.len() as u32;
             prop_assert!(
                 count <= 1 + rb,
                 "tag {tag} delivered {count} times with only {rb} rollbacks in cluster {cluster}"
@@ -234,5 +231,5 @@ fn figure5_scenario_regression() {
     assert_eq!(fed.engine(n(1, 0)).sn(), SeqNum(3));
     assert_eq!(fed.engine(n(2, 0)).sn(), SeqNum(3));
     assert_eq!(fed.engine(n(0, 0)).sn(), SeqNum(3));
-    assert_eq!(fed.late_crossings, 0);
+    assert_eq!(fed.report().late_crossings, 0);
 }

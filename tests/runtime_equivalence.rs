@@ -1,31 +1,36 @@
-//! Property test: the sharded runtime and the discrete-event simulator
-//! agree on every random workload, at every shard count.
+//! Property test: the sharded runtime, the discrete-event simulator and
+//! the instant test federation agree on every random workload, at every
+//! shard count.
 //!
 //! Each case generates a random scripted scenario (sends, manual
-//! checkpoints, single faults, garbage collections) and runs it twice:
+//! checkpoints, single faults, garbage collections) and runs it on every
+//! host:
 //!
 //! * through `simdriver`, with the steps spaced one simulated second
 //!   apart (each step fully quiesces before the next — network latencies
-//!   are sub-millisecond) and the checkpoints/GCs injected via the
-//!   scripted `ClcNow`/`GcNow` events;
+//!   are sub-millisecond) and the checkpoints/GCs scripted as the
+//!   coordinator's one-shot `ClcTimer`/`GcTimer` inputs;
 //! * through the threaded [`runtime::Federation`] at shard counts
-//!   {1, 2, 8}, with a ping barrier quiescing each step.
+//!   {1, 2, 8}, with a ping barrier quiescing each step;
+//! * through [`InstantFederation`], which runs each step to quiescence on
+//!   its FIFO queue.
 //!
-//! Both substrates produce a `RunReport` — the simulator natively, the
-//! runtime through [`runtime::Federation::report`] — and the comparable
-//! artifact is a fingerprint over the deterministic protocol outcomes:
-//! commit counts by kind, rollback restore points and discard counts,
-//! end-of-run storage and log occupancy, deliveries and soundness
-//! counters. Wall-clock timings and wire-byte totals are
-//! substrate-specific and excluded. All four runs must produce the
-//! identical fingerprint.
+//! Every host produces a `RunReport` — the simulator natively, the
+//! runtime through [`runtime::Federation::report`], the test federation
+//! through [`InstantFederation::report`] — and the comparable artifact is
+//! a fingerprint over the deterministic protocol outcomes: commit counts
+//! by kind, rollback restore points and discard counts, end-of-run
+//! storage and log occupancy, deliveries and soundness counters.
+//! Timings and wire-byte totals are host-specific and excluded. All five
+//! runs must produce the identical fingerprint.
 //!
-//! Simulator and runtime share the engine, the output interpreter
-//! (`hc3i_core::host::perform`) and the report fold
-//! (`RunReport::observe`); what differs, and what this test therefore
-//! checks, is the two `Host` shims — how each carries a message, tells
-//! the time and arms a timer.
+//! The hosts share the engine, the one entry point into it
+//! (`hc3i_core::host::input`) and the report fold (`RunReport::observe`);
+//! what differs, and what this test therefore checks, is the `Host` shims
+//! — how each carries a message, tells the time and arms a timer.
 
+use hc3i::core::testkit::InstantFederation;
+use hc3i::core::{AppPayload, ProtocolConfig};
 use hc3i::prelude::*;
 use netsim::NodeId;
 use proptest::prelude::*;
@@ -164,11 +169,7 @@ fn threaded_report(steps: &[Step], shards: usize) -> RunReport {
         match *s {
             Step::Send { from, to } => {
                 let tag = k as u64;
-                fed.send_app(
-                    node(from),
-                    node(to),
-                    hc3i::core::AppPayload { bytes: 512, tag },
-                );
+                fed.send_app(node(from), node(to), AppPayload { bytes: 512, tag });
                 wait(
                     &fed,
                     "delivery",
@@ -224,6 +225,22 @@ fn threaded_report(steps: &[Step], shards: usize) -> RunReport {
     fed.report()
 }
 
+fn instant_report(steps: &[Step]) -> RunReport {
+    let mut fed = InstantFederation::new(ProtocolConfig::new(vec![PER_CLUSTER; CLUSTERS]));
+    for (k, s) in steps.iter().enumerate() {
+        match *s {
+            Step::Send { from, to } => {
+                let tag = k as u64;
+                fed.app_send(node(from), node(to), AppPayload { bytes: 512, tag });
+            }
+            Step::Checkpoint { cluster } => fed.fire_clc_timer(cluster),
+            Step::Fault { victim } => fed.fail_node(node(victim)),
+            Step::Gc => fed.run_gc(),
+        }
+    }
+    fed.report()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -232,6 +249,14 @@ proptest! {
         let sim = sim_report(&steps);
         prop_assert_eq!(&sim.late_crossings, &0u64, "sim must stay sound: {:?}", steps);
         let sim_fp = Fingerprint::of(&sim);
+        let instant = instant_report(&steps);
+        prop_assert_eq!(&instant.app_sent, &sim.app_sent, "send counts disagree on {:?}", steps);
+        prop_assert_eq!(
+            &sim_fp,
+            &Fingerprint::of(&instant),
+            "the test federation disagrees on {:?}",
+            steps
+        );
         for shards in SHARD_COUNTS {
             let threaded = threaded_report(&steps, shards);
             prop_assert_eq!(
