@@ -13,6 +13,8 @@
 # terminates transport frames, calls `NodeEngine::handle` and interprets
 # the outputs; a host calling `handle` itself is a second entry point.
 # (`perform` and `receive` are private, so the compiler stops the rest.)
+# Inside host.rs too, `input` is the one function that calls `handle`:
+# the interpreter carries effects out and never re-enters the engine.
 #
 # The engine says what happened: it pushes every ProtoEvent finished, so
 # host.rs's code names no variant but `Delivered` (which it emits once the
@@ -50,6 +52,17 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(awk '
+  /#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }
+  match($0, /fn [A-Za-z_][A-Za-z0-9_]*/) { fn = substr($0, RSTART + 3, RLENGTH - 3) }
+  /[.]handle[(]/ && fn != "input" { print FILENAME ":" FNR ": " $0 }
+' crates/core/src/host.rs)
+if [ -n "$hits" ]; then
+  echo "host.rs calls NodeEngine::handle outside host::input, a second way into the engine:"
+  echo "$hits"
+  status=1
+fi
 hits=$(code_matching 'ProtoEvent::' crates/core/src/host.rs |
   awk '{ line = $0 " "; gsub(/ProtoEvent::Delivered[^A-Za-z0-9_]/, "", line) } line ~ /ProtoEvent::/')
 if [ -n "$hits" ]; then
@@ -71,6 +84,6 @@ if [ "$status" -ne 0 ]; then
   exit "$status"
 fi
 echo "one interpreter: no Output:: / Msg::Reliable / Msg::XportAck / Input::DetectFaults / coordinator_rank in simdriver, runtime or testkit"
-echo "one entry point: no NodeEngine::handle call in simdriver, runtime or testkit (host::input only)"
+echo "one entry point: no NodeEngine::handle call in simdriver, runtime or testkit, nor in host.rs outside host::input"
 echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"

@@ -5,11 +5,15 @@
 #   ci/pair.sh <parent-tree> <change-tree> [--pairs N] [--workload W]...
 #   ci/pair.sh --self-test
 #
-# Builds both trees (each through its own benchmark/run.sh, into its own
-# benchmark/target), then per workload takes N pairs (default 10) of
-# `benchmark/run.sh --workload W --seconds S --trace 0`, alternating which
-# side goes first, and folds each run's last stdout line into a markdown
-# table, every raw value and a stamp, on stdout. Workloads, S, metric
+# Builds both trees at one path, one after the other: each tree is copied
+# to the same scratch directory and built there by its own
+# benchmark/run.sh, and its `hc3i-benchmark` and `hc3i-sim` are copied out.
+# A checkout's path is compiled into its binaries, and two paths read as a
+# set-up difference the code did not make. Then per workload it takes N
+# pairs (default 10) of those copies' `hc3i-benchmark --workload W
+# --seconds S --trace 0`, alternating which side goes first, and folds each
+# run's last stdout line into a markdown table, every raw value and a
+# stamp, on stdout. Workloads, S, metric
 # names, directions and bounds are BENCHMARK.json's; this file adds no
 # number of its own. Per (workload, metric), medians and quartiles over the
 # runs of a side:
@@ -171,32 +175,41 @@ if ! diff -rq -x target -x out "$parent/benchmark" "$change/benchmark" >&2 ||
   exit 0
 fi
 
-# Each side builds into its own benchmark/target, before the first timed run.
-harness() { local tree=$1; shift; env -u CARGO_TARGET_DIR bash "$tree/benchmark/run.sh" "$@"; }
-for tree in "$parent" "$change"; do
-  echo "building $tree …" >&2
-  harness "$tree" --print-benchmark-json > /dev/null
+# One scratch path for both builds, in turn; both sides' runs share one
+# output directory too. Everything is built before the first timed run.
+work=$(mktemp -d) && trap 'rm -rf "$work"' EXIT
+for side in parent change; do
+  tree=${!side}
+  echo "building $tree at $work/tree …" >&2
+  mkdir "$work/tree"
+  tar -C "$tree" --exclude=./.git --exclude=./target --exclude=./benchmark/target \
+    --exclude=./benchmark/out -cf - . | tar -C "$work/tree" -xf -
+  env -u CARGO_TARGET_DIR bash "$work/tree/benchmark/run.sh" --print-benchmark-json > /dev/null
+  mkdir "$work/$side"
+  cp "$work/tree/benchmark/target/release/"{hc3i-benchmark,hc3i-sim} "$work/$side/"
+  rm -rf "$work/tree"
 done
 read -r seconds all <<< "$(python3 -c 'import json, sys; b = json.load(open(sys.argv[1]))
 print(b["run_seconds"], *[w["name"] for w in b["workloads"]])' "$change/BENCHMARK.json")"
 [ ${#workloads[@]} -gt 0 ] || read -ra workloads <<< "$all"
 
-runs=$(mktemp) && trap 'rm -f "$runs"' EXIT
-run() { # side tree workload
-  printf '%s\t%s\t' "$1" "$3" >> "$runs"
-  harness "$2" --workload "$3" --seconds "$seconds" --trace 0 | tail -n 1 >> "$runs"
+runs=$work/runs
+run() { # side workload
+  printf '%s\t%s\t' "$1" "$2" >> "$runs"
+  (cd "$work" && "$work/$1/hc3i-benchmark" --out-dir "$work/out" --workload "$2" \
+    --seconds "$seconds" --trace 0) | tail -n 1 >> "$runs"
 }
 for w in "${workloads[@]}"; do
   for i in $(seq "$pairs"); do
     echo "$w: pair $i/$pairs" >&2
-    if ((i % 2)); then run parent "$parent" "$w"; run change "$change" "$w"
-    else run change "$change" "$w"; run parent "$parent" "$w"; fi
+    if ((i % 2)); then run parent "$w"; run change "$w"
+    else run change "$w"; run parent "$w"; fi
   done
 done
 
 code=0; fold "$change/BENCHMARK.json" "$runs" || code=$?
 cat <<EOF
 
-Stamp: parent \`$(commit_of "$parent")\`, change \`$(commit_of "$change")\`; $pairs alternating pairs of \`benchmark/run.sh --workload W --seconds $seconds --trace 0\`, fresh process each; \`nproc\` $(nproc), $(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs); kernel \`$(uname -r)\`; \`$(rustc --version)\`; $(date -u +%F).
+Stamp: parent \`$(commit_of "$parent")\`, change \`$(commit_of "$change")\`, both built at one path in turn; $pairs alternating pairs of \`hc3i-benchmark --workload W --seconds $seconds --trace 0\`, fresh process each; \`nproc\` $(nproc), $(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs); kernel \`$(uname -r)\`; \`$(rustc --version)\`; $(date -u +%F).
 EOF
 exit $code

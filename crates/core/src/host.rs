@@ -6,9 +6,9 @@
 //! committed, I rolled back. Something has to carry the requests out and
 //! sink the statements, and that something used to be written
 //! three times — in the simulator, in the threaded runtime and in the
-//! test federation — each copy re-deciding how a fragment batch fans out,
-//! which traffic the reliable transport wraps, who acks a frame addressed
-//! to a dead node, and which durable frame each store change appends. This
+//! test federation — each copy re-deciding which traffic the reliable
+//! transport wraps, who acks a frame addressed to a dead node, and which
+//! durable frame each store change appends. This
 //! module is the single copy. Hosts implement [`Host`] and hand every
 //! engine input to [`input`] — the one way into an engine; they differ only
 //! in what a wire, a clock and a timer *are*. The same goes for what a host
@@ -22,13 +22,12 @@
 //! | which live rank hears a fault, about which ranks ([`FaultReports`], keyed by failure generation, [`is_down`]) | when a detection round runs — a `Detect` event after the detection delay, a heartbeat probe tick, or at once |
 //! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, shard cells, failure generations |
 //! | the `match` over [`Output`] (`perform`) | [`Host::now`] — simulated or wall-clock time |
-//! | fragment fan-out: one `FragmentReplica` per holder, in holder order, never through the transport | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue |
-//! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::xport`] — where the [`Xport`] lives, or `None` |
+//! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue; [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
 //! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
 //! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, `perform` only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or a report fold alone |
-//! | re-entering the engine with the application's new snapshot | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
+//! | handing the application's new snapshot to the engine, which checkpoints it | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
 //!
 //! (After the Calimero `sync_sim` table: everything that decides protocol
 //! behaviour is the same code in simulation and production; only network,
@@ -328,8 +327,8 @@ pub trait Host {
     /// durable log. The one place a durable I/O error surfaces.
     fn durable(&mut self, engine: &NodeEngine, op: StoreOp);
 
-    /// Something observable happened at `engine`.
-    fn emit(&mut self, engine: &NodeEngine, ev: ProtoEvent);
+    /// Something observable happened.
+    fn emit(&mut self, ev: ProtoEvent);
 
     /// Hand a delivery to `to`'s application; return its new serialized
     /// state for the engine to checkpoint. Hosts whose application is
@@ -380,43 +379,20 @@ fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf)
     for out in outs.drain() {
         match out {
             Output::Send { to, msg } => send(host, id, to, msg),
-            Output::SendFragments {
-                holders,
-                round,
-                epoch,
-            } => {
-                // Same per-message wire bytes, accounting and order as
-                // one send per holder; all holders are in-cluster, so the
-                // transport never sees them.
-                for &h in holders.iter() {
-                    let msg = Msg::FragmentReplica {
-                        round,
-                        owner: id.rank,
-                        epoch,
-                    };
-                    host.wire(id, NodeId::new(id.cluster.0, h), msg);
-                }
-            }
             Output::DeliverApp { from, payload } => {
                 if let Some(state) = host.deliver_app(id, from, payload) {
-                    // Publishing a snapshot emits nothing.
-                    let mut none = OutputBuf::new();
-                    engine.handle(host.now(), Input::AppStateUpdate { state }, &mut none);
-                    debug_assert!(none.is_empty());
+                    engine.set_app_state(state);
                 }
-                host.emit(
-                    engine,
-                    ProtoEvent::Delivered {
-                        to: id,
-                        from,
-                        payload,
-                    },
-                );
+                host.emit(ProtoEvent::Delivered {
+                    to: id,
+                    from,
+                    payload,
+                });
             }
             Output::ResetClcTimer => host.reset_clc_timer(id),
             Output::RestoreApp { state } => host.restore_app(id, state.as_deref()),
             Output::Store(op) => host.durable(engine, op),
-            Output::Event(ev) => host.emit(engine, ev),
+            Output::Event(ev) => host.emit(ev),
         }
     }
 }
@@ -568,7 +544,7 @@ mod tests {
         fn durable(&mut self, _engine: &NodeEngine, op: StoreOp) {
             self.calls.push(Call::Durable(op));
         }
-        fn emit(&mut self, _engine: &NodeEngine, ev: ProtoEvent) {
+        fn emit(&mut self, ev: ProtoEvent) {
             self.calls.push(Call::Emit(ev));
         }
     }
@@ -620,34 +596,6 @@ mod tests {
         cluster: netsim::ClusterId(1),
         rank: 0,
     };
-
-    #[test]
-    fn fragments_fan_out_per_holder_in_order_and_bypass_the_transport() {
-        let mut host = Recorder::new(Some(XportConfig::default()));
-        let calls = perform_outputs(
-            &mut host,
-            ME,
-            vec![Output::SendFragments {
-                holders: vec![3, 0, 2].into(),
-                round: 9,
-                epoch: 4,
-            }],
-        );
-        let replica = Msg::FragmentReplica {
-            round: 9,
-            owner: ME.rank,
-            epoch: 4,
-        };
-        assert_eq!(
-            calls,
-            [3, 0, 2].map(|h| Call::Wire(ME, n(0, h), replica.clone()))
-        );
-        let (due, ahead) = host.xport.as_ref().unwrap().due(t(1_000_000));
-        assert!(
-            due.is_empty() && ahead.is_none(),
-            "nothing entered a window"
-        );
-    }
 
     #[test]
     fn only_inter_cluster_sends_are_wrapped_and_the_retry_follows_the_wire() {

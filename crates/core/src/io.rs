@@ -15,8 +15,8 @@
 //! durable log, a [`ProtoEvent`] for its reports and traces.
 
 use crate::msg::{AppPayload, Msg};
+use desim::SimTime;
 use netsim::NodeId;
-use std::sync::Arc;
 use storage::SeqNum;
 
 /// One stimulus for a node engine.
@@ -53,14 +53,6 @@ pub enum Input {
         /// The failed ranks within this cluster.
         failed_ranks: Vec<u32>,
     },
-    /// The local application publishes its serialized state. The engine
-    /// includes the most recent snapshot in every staged checkpoint and
-    /// returns it via [`Output::RestoreApp`] after a rollback. (The paper's
-    /// system model: the node "is able to save the processes states".)
-    AppStateUpdate {
-        /// Serialized application state.
-        state: Vec<u8>,
-    },
 }
 
 /// One action a node engine requests, or one record it states.
@@ -72,22 +64,6 @@ pub enum Output {
         to: NodeId,
         /// The message.
         msg: Msg,
-    },
-    /// Replicate this node's staged checkpoint fragment to its replica
-    /// holders (all in the node's own cluster): one batched action per
-    /// CLC freeze instead of one `Send` per holder. The interpreter
-    /// expands the batch into one [`Msg::FragmentReplica`] per holder *in
-    /// holder order*, charging each the same wire bytes as an individual
-    /// send — so network accounting and delivery ordering are identical
-    /// to the unbatched fan-out, while the engine-side output is a single
-    /// entry sharing the (engine-lifetime) holder list by reference.
-    SendFragments {
-        /// Replica-holder ranks within the sender's cluster.
-        holders: Arc<[u32]>,
-        /// The CLC round the fragment belongs to.
-        round: u64,
-        /// The sender's rollback epoch.
-        epoch: u64,
     },
     /// Hand `payload` to the local application.
     DeliverApp {
@@ -160,6 +136,8 @@ pub enum ProtoEvent {
         restore_sn: SeqNum,
         /// How many newer CLCs the restore discarded.
         discarded_clcs: usize,
+        /// When the restored CLC committed: the work since then is lost.
+        committed_at: SimTime,
     },
     /// Garbage collection ran on a cluster (reported by its coordinator).
     GcReport {

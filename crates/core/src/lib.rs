@@ -24,8 +24,8 @@
 //! what the engine emits. The engine states what
 //! happened itself — finished [`StoreOp`]s for a durable log and
 //! [`ProtoEvent`]s for reports and traces — and asks the host for the
-//! rest. That interpreter — fan-out, reliable-transport wrap/unwrap,
-//! durable frames, and the [`RunReport`] fold over the events — exists
+//! rest. That interpreter — reliable-transport wrap/unwrap, durable
+//! frames, and the [`RunReport`] fold over the events — exists
 //! once, here; the discrete-event simulator
 //! (`simdriver`), the threaded messaging runtime (`runtime`) and the
 //! instant test federation ([`testkit`]) are three [`Host`] impls that
@@ -48,15 +48,12 @@
 //! anything observable. Staging a CLC seals the per-node delivery record
 //! ([`DeliveredRecord`]) in O(new deliveries) — the sealed generations
 //! are `Arc`-shared between the live record and every stored checkpoint;
-//! stored `(SN, DDV)` stamps are `Arc`-shared across the store, the GC's
-//! collected lists ([`Msg::GcDdvList`]) and the recovery analyses, while
-//! [`Msg::wire_bytes`], the byte model, still sizes them by value; and a
-//! freeze emits one batched [`Output::SendFragments`] that hosts expand
-//! into the exact per-holder `FragmentReplica` messages (same order, same
-//! wire bytes) the unbatched fan-out sent. Content equality, persisted
-//! checkpoint bodies and report fingerprints — including per-cluster byte
-//! counters — are
-//! independent of the sharing; only allocations and wall time change.
+//! and stored `(SN, DDV)` stamps are `Arc`-shared across the store, the
+//! GC's collected lists ([`Msg::GcDdvList`]) and the recovery analyses,
+//! while [`Msg::wire_bytes`], the byte model, still sizes them by value.
+//! Content equality, persisted checkpoint bodies and report fingerprints —
+//! including per-cluster byte counters — are independent of the sharing;
+//! only allocations and wall time change.
 
 #![warn(missing_docs)]
 

@@ -118,9 +118,8 @@ struct GcState {
 #[derive(Debug)]
 struct ColdState {
     /// This node's checkpoint-fragment replica holders — a pure function
-    /// of rank, cluster size and replication degree, so computed once and
-    /// shared by reference with every per-commit fragment fan-out batch.
-    frag_holders: Arc<[u32]>,
+    /// of rank, cluster size and replication degree, so computed once.
+    frag_holders: Box<[u32]>,
     store: ClcStore<NodeCheckpoint>,
     /// The CLC window between a `ClcRequest` and its commit; `Some`
     /// exactly when [`NodeEngine::frozen`] is set.
@@ -230,7 +229,7 @@ impl NodeEngine {
             }),
             "initial DDV must be the cluster's first-CLC stamp"
         );
-        let frag_holders: Arc<[u32]> = cfg
+        let frag_holders: Box<[u32]> = cfg
             .replication
             .replica_holders(id.rank, cfg.nodes_in(id.cluster.index()))
             .into();
@@ -373,10 +372,16 @@ impl NodeEngine {
                 self.failed = true;
             }
             Input::DetectFaults { failed_ranks } => self.on_detect_faults(&failed_ranks, out),
-            Input::AppStateUpdate { state } => {
-                self.cold.app_state = Some(state);
-            }
         }
+    }
+
+    /// The local application published its serialized state: the engine
+    /// includes the most recent snapshot in every staged checkpoint and
+    /// returns it through [`Output::RestoreApp`] after a rollback. (The
+    /// paper's system model: the node "is able to save the processes
+    /// states".) Set by the interpreter right after a delivery.
+    pub(crate) fn set_app_state(&mut self, state: Vec<u8>) {
+        self.cold.app_state = Some(state);
     }
 
     fn handle_msg(&mut self, now: SimTime, from: NodeId, msg: Msg, out: &mut OutputBuf) {
@@ -775,14 +780,17 @@ impl NodeEngine {
             // correct coordinator); ignore.
             return;
         }
-        // One batched fan-out action per freeze: the hosting engine
-        // expands it into per-holder `FragmentReplica` sends (identical
-        // ordering and byte accounting to the old per-holder outputs).
-        if !self.cold.frag_holders.is_empty() {
-            out.push(Output::SendFragments {
-                holders: self.cold.frag_holders.clone(),
-                round,
-                epoch: self.epoch,
+        // One replica per holder, in holder order. All holders are in
+        // this cluster, so the transport never sees them.
+        let (owner, epoch) = (self.id.rank, self.epoch);
+        for &h in self.cold.frag_holders.iter() {
+            out.push(Output::Send {
+                to: NodeId::new(self.id.cluster.0, h),
+                msg: Msg::FragmentReplica {
+                    round,
+                    owner,
+                    epoch,
+                },
             });
         }
         // One bit per holder (at most 64); none left means ack now.
@@ -1073,6 +1081,7 @@ impl NodeEngine {
             .expect("rollback target must be stored");
         self.sn = restore_sn;
         self.ddv = entry.meta.ddv.clone();
+        let committed_at = entry.meta.committed_at;
         self.delivered = entry.payload.delivered.clone();
         let restored_app = entry.payload.app_state.clone();
         self.cold.app_state = restored_app.clone();
@@ -1093,6 +1102,7 @@ impl NodeEngine {
             node: self.id,
             restore_sn,
             discarded_clcs: discarded,
+            committed_at,
         }));
         out.push(Output::RestoreApp {
             state: restored_app,
@@ -1541,6 +1551,7 @@ mod layout_tests {
                     node: n(0, rank),
                     restore_sn: SeqNum(1),
                     discarded_clcs: 1,
+                    committed_at: SimTime::ZERO,
                 }),
             ];
             if rank == 0 {
@@ -1552,6 +1563,28 @@ mod layout_tests {
                 "rank {rank}"
             );
         }
+    }
+
+    #[test]
+    fn a_freeze_sends_one_replica_per_holder_in_holder_order() {
+        // Rank 3 of 5 at degree 3: holders 4, 0 and 1, wrapping around.
+        let cfg = ProtocolConfig::new(vec![5]).with_replication(ReplicationPolicy::with_degree(3));
+        let mut e = NodeEngine::new(cfg, n(0, 3));
+        let order = Msg::RollbackOrder {
+            restore_sn: SeqNum(1),
+            epoch: 2,
+        };
+        recv(&mut e, n(0, 0), order);
+        let outs = recv(&mut e, n(0, 0), Msg::ClcRequest { round: 7, epoch: 2 });
+        let replica = |h| Output::Send {
+            to: n(0, h),
+            msg: Msg::FragmentReplica {
+                round: 7,
+                owner: 3,
+                epoch: 2,
+            },
+        };
+        assert_eq!(outs, [4, 0, 1].map(replica));
     }
 
     #[test]

@@ -24,7 +24,8 @@ pub struct ClusterStats {
     pub peak_stored_clcs: usize,
     /// Rollbacks this cluster performed: `(time, restored SN, discarded)`.
     pub rollbacks: Vec<(SimTime, SeqNum, usize)>,
-    /// Simulated work lost per rollback (now − restored CLC's commit time).
+    /// Work lost per rollback: the rollback instant minus the restored
+    /// CLC's commit instant.
     pub work_lost: Vec<SimDuration>,
     /// GC before/after stored-CLC counts, one pair per collection.
     pub gc_before_after: Vec<(usize, usize)>,
@@ -99,12 +100,9 @@ impl RunReport {
     }
 
     /// Fold one protocol event observed at `at` — the single fold behind
-    /// the simulator's report and the runtime's. `restored_at` is the
-    /// commit time of the CLC a `RolledBack` restored, for observers that
-    /// can see the engine's store (the simulator); the runtime's
-    /// controller thread cannot, passes `None` and records zero work lost.
+    /// every host's report. It reads the event and nothing else.
     #[inline]
-    pub fn observe(&mut self, at: SimTime, ev: &ProtoEvent, restored_at: Option<SimTime>) {
+    pub fn observe(&mut self, at: SimTime, ev: &ProtoEvent) {
         match *ev {
             ProtoEvent::Delivered { .. } => self.app_delivered += 1,
             ProtoEvent::Committed {
@@ -121,13 +119,13 @@ impl RunReport {
                 node,
                 restore_sn,
                 discarded_clcs,
+                committed_at,
             } => {
                 // One entry per cluster rollback: rank 0's.
                 if node.rank == 0 {
                     let c = &mut self.clusters[node.cluster.index()];
                     c.rollbacks.push((at, restore_sn, discarded_clcs));
-                    c.work_lost
-                        .push(at.saturating_since(restored_at.unwrap_or(at)));
+                    c.work_lost.push(at.saturating_since(committed_at));
                 }
             }
             ProtoEvent::GcReport {

@@ -154,9 +154,9 @@ impl InstantFederation {
     }
 
     /// The run so far as a [`RunReport`], folded like the simulator's and
-    /// the runtime's, with every cluster closed from its engines. Like
-    /// the runtime's, rollbacks record zero work lost; the wire counters
-    /// and the message matrix stay zero, as nothing here models a wire.
+    /// the runtime's, with every cluster closed from its engines. The wire
+    /// counters and the message matrix stay zero, as nothing here models a
+    /// wire; the clock is one nanosecond per dispatched input.
     pub fn report(&self) -> RunReport {
         let mut report = self.stats.clone();
         for (c, stats) in report.clusters.iter_mut().enumerate() {
@@ -203,11 +203,11 @@ impl Host for InstantFederation {
 
     fn durable(&mut self, _engine: &NodeEngine, _op: StoreOp) {}
 
-    fn emit(&mut self, _engine: &NodeEngine, ev: ProtoEvent) {
+    fn emit(&mut self, ev: ProtoEvent) {
         if let ProtoEvent::Delivered { to, from, payload } = ev {
             self.deliveries.push(Delivery { from, to, payload });
         }
-        self.stats.observe(self.now, &ev, None);
+        self.stats.observe(self.now, &ev);
     }
 }
 
@@ -412,6 +412,24 @@ mod tests {
         assert_eq!(rollbacks(&fed), vec![(0, SeqNum(2))]);
         assert!(!fed.engine(n(0, 2)).is_failed(), "revived by rollback");
         assert_eq!(fed.engine(n(1, 0)).sn(), SeqNum(2), "cluster 1 untouched");
+    }
+
+    #[test]
+    fn a_rollback_loses_the_work_since_the_restored_commit() {
+        let mut fed = two_by_three();
+        fed.fire_clc_timer(0);
+        let latest = fed.engine(n(0, 0)).store().latest().expect("committed");
+        let committed_at = latest.meta.committed_at;
+        for tag in 0..3 {
+            fed.app_send(n(0, 1), n(0, 2), pay(tag));
+        }
+        fed.fail_node(n(0, 2));
+        let report = fed.report();
+        let stats = &report.clusters[0];
+        let (rolled_back_at, restore_sn, _) = stats.rollbacks[0];
+        assert_eq!(restore_sn, SeqNum(2));
+        assert!(rolled_back_at > committed_at);
+        assert_eq!(stats.work_lost, [rolled_back_at - committed_at]);
     }
 
     #[test]

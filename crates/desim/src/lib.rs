@@ -50,5 +50,5 @@ pub mod time;
 
 pub use engine::{Ctx, InboxKey, RunOutcome, Simulation, World};
 pub use queue::{EventKey, EventQueue};
-pub use rng::{exponential, pareto, uniform, RngStreams};
+pub use rng::{exponential, pareto, splitmix64, uniform, RngStreams};
 pub use time::{SimDuration, SimTime};

@@ -9,9 +9,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// SplitMix64 step — the standard seed-sequencing mixer.
+/// SplitMix64 step — the standard seed-sequencing mixer: advance `state`
+/// and return the next draw.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

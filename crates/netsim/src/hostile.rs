@@ -48,8 +48,8 @@ use crate::hashing::FastHashMap;
 use crate::ids::{ClusterId, NodeId};
 use desim::{SimDuration, SimTime};
 
-/// SplitMix64 generator, embedded so the fault model needs no external RNG
-/// dependency and its draws cannot perturb any other stream of a run.
+/// SplitMix64 generator ([`desim::splitmix64`]) with a state of its own, so
+/// the fault model's draws cannot perturb any other stream of a run.
 #[derive(Debug, Clone)]
 pub struct Mix64 {
     state: u64,
@@ -63,11 +63,7 @@ impl Mix64 {
 
     /// Next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        desim::splitmix64(&mut self.state)
     }
 
     /// Bernoulli draw with probability `p` (clamped to `[0, 1]`).
@@ -414,6 +410,20 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    #[test]
+    fn mix64_draws_the_reference_splitmix64_sequence() {
+        let mut rng = Mix64::new(0);
+        let draws = [rng.next_u64(), rng.next_u64(), rng.next_u64()];
+        assert_eq!(
+            draws,
+            [
+                0xE220_A839_7B1D_CDAF,
+                0x6E78_9E6A_A1B9_65F4,
+                0x06C4_5D18_8009_454F
+            ]
+        );
     }
 
     #[test]

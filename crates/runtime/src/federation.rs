@@ -367,7 +367,7 @@ impl Federation {
         } else {
             SimTime::ZERO
         };
-        report.observe(at, ev, None);
+        report.observe(at, ev);
     }
 
     /// The worker-pool size actually in use.
@@ -530,11 +530,12 @@ impl Federation {
     /// at shard counts {1, 2, 8}). `events_processed` counts the events
     /// the controller observed, and the message matrix counts end-to-end
     /// deliveries per cluster pair. Wall-clock-derived fields (`ended_at`,
-    /// rollback timestamps) carry real elapsed time. Work-lost durations
-    /// stay zero — they need the restored CLC's commit time, which the
-    /// event stream does not carry — and so do the wire-byte counters:
-    /// the in-process transport ships `Msg` values, not serialized bytes,
-    /// so the runtime does not guess at a byte model the simulator owns.
+    /// rollback timestamps, work lost) carry real elapsed time: a
+    /// rollback is stamped when the controller observes it, and its work
+    /// lost runs from the restored CLC's commit to that stamp. The
+    /// wire-byte counters stay zero: the in-process transport ships `Msg`
+    /// values, not serialized bytes, so the runtime does not guess at a
+    /// byte model the simulator owns.
     pub fn report(mut self) -> RunReport {
         for ev in self.events_rx.try_iter() {
             self.record(&ev);

@@ -151,7 +151,7 @@ impl Host for ShardHost<'_> {
         }
     }
 
-    fn emit(&mut self, _engine: &NodeEngine, ev: RtEvent) {
+    fn emit(&mut self, ev: RtEvent) {
         let _ = self.events.send(ev);
     }
 

@@ -181,6 +181,42 @@ fn sender_fault_cascades_receiver_rollback() {
 }
 
 #[test]
+fn a_rollback_reports_the_work_it_lost() {
+    let fed = Federation::spawn(RuntimeConfig::manual(vec![2, 2]));
+    fed.checkpoint_now(0);
+    fed.wait_for(
+        TICK,
+        |e| matches!(e, RtEvent::Committed { cluster: 0, sn, .. } if *sn == SeqNum(2)),
+    )
+    .expect("commit");
+    // Work the rollback will lose: at least this pause.
+    let pause = Duration::from_millis(20);
+    std::thread::sleep(pause);
+    fed.fail(n(0, 1));
+    fed.detect(n(0, 0), 1);
+    let seen = fed
+        .wait_for(
+            TICK,
+            |e| matches!(e, RtEvent::RolledBack { node, .. } if *node == n(0, 0)),
+        )
+        .expect("rollback");
+    let Some(&RtEvent::RolledBack {
+        restore_sn,
+        committed_at,
+        ..
+    }) = seen.last()
+    else {
+        unreachable!("wait_for returns the match last")
+    };
+    assert_eq!(restore_sn, SeqNum(2));
+    let report = fed.report();
+    let stats = &report.clusters[0];
+    let (rolled_back_at, _, _) = stats.rollbacks[0];
+    assert_eq!(stats.work_lost, [rolled_back_at - committed_at]);
+    assert!(stats.work_lost[0].nanos() >= pause.as_nanos() as u64);
+}
+
+#[test]
 fn gc_prunes_across_threads() {
     let fed = Federation::spawn(RuntimeConfig::manual(vec![2, 2]));
     // Sequence the checkpoints: back-to-back requests would coalesce into

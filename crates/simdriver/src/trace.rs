@@ -107,6 +107,7 @@ impl fmt::Display for TraceEvent {
                     node,
                     restore_sn,
                     discarded_clcs,
+                    ..
                 } => write!(
                     f,
                     "cluster {} restored CLC {restore_sn} ({discarded_clcs} discarded)",

@@ -251,9 +251,7 @@ impl FederationWorld {
             self.hostile_stats.messages_held = h.held;
             self.hostile_stats.duplicates_injected = h.duplicates;
             self.hostile_stats.messages_reordered = h.reordered;
-            // `messages_lost` is counted at the ship site (per wire copy,
-            // retransmissions included), which matches `h.lost` exactly.
-            debug_assert_eq!(self.hostile_stats.messages_lost, h.lost);
+            self.hostile_stats.messages_lost = h.lost;
         }
         if let Some(x) = self.xport.as_ref() {
             self.hostile_stats.retransmissions = x.retransmissions();
@@ -320,7 +318,6 @@ impl Host for SimHost<'_, '_> {
             arrival: (!lost).then_some(arrival),
         });
         if lost {
-            w.hostile_stats.messages_lost += 1;
             return;
         }
         let arrive = |msg| Ev::Input {
@@ -389,9 +386,8 @@ impl Host for SimHost<'_, '_> {
     }
 
     #[inline]
-    fn emit(&mut self, engine: &NodeEngine, ev: ProtoEvent) {
+    fn emit(&mut self, ev: ProtoEvent) {
         let (w, now) = (&mut *self.w, self.ctx.now());
-        let mut restored_at = None;
         match ev {
             ProtoEvent::Delivered { to, from, payload } if from.cluster != to.cluster => {
                 if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
@@ -402,20 +398,15 @@ impl Host for SimHost<'_, '_> {
                 }
             }
             ProtoEvent::RolledBack {
-                node, restore_sn, ..
+                node, committed_at, ..
             } if node.rank == 0 => {
-                let committed_at = engine
-                    .store()
-                    .get(restore_sn)
-                    .map_or(SimTime::ZERO, |e| e.meta.committed_at);
                 if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
                     ledger.record_rollback(node.cluster.index(), committed_at);
                 }
-                restored_at = Some(committed_at);
             }
             _ => {}
         }
-        w.stats.observe(now, &ev, restored_at);
+        w.stats.observe(now, &ev);
         record(&mut w.trace, w.cfg.trace, now, || TraceEvent::Proto(ev));
     }
 }

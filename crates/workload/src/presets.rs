@@ -32,32 +32,6 @@ pub fn pipeline(
     }
 }
 
-/// Two modules exchanging both ways (the paper's "exchanges between two
-/// modules" pattern) with a configurable cross fraction per direction.
-pub fn exchange(
-    nodes_per_cluster: u32,
-    duration: SimDuration,
-    cross_fraction: f64,
-) -> StochasticWorkload {
-    assert!((0.0..0.5).contains(&cross_fraction));
-    StochasticWorkload {
-        cluster_sizes: vec![nodes_per_cluster; 2],
-        duration,
-        compute_mean_secs: vec![30.0, 30.0],
-        pattern: vec![
-            vec![1.0 - cross_fraction, cross_fraction],
-            vec![cross_fraction, 1.0 - cross_fraction],
-        ],
-        payload_bytes: 1024,
-    }
-}
-
-/// The evaluation's reference workload: a simulation on cluster 0 feeding a
-/// trace processor on cluster 1 (paper §5.2, Table 1 counts).
-pub fn paper_reference() -> TargetCountWorkload {
-    TargetCountWorkload::paper_table1()
-}
-
 /// A three-cluster variant for the paper's Table 3: "Cluster 2 is a clone
 /// of cluster 1. There's approximately 200 messages that leave and arrive
 /// in each cluster."
@@ -156,13 +130,6 @@ mod tests {
         assert!(schedule
             .iter()
             .all(|e| e.to.cluster.0 == e.from.cluster.0 || e.to.cluster.0 == e.from.cluster.0 + 1));
-    }
-
-    #[test]
-    fn exchange_is_symmetric_in_expectation() {
-        let w = exchange(8, SimDuration::from_hours(1), 0.02);
-        w.validate().unwrap();
-        assert_eq!(w.pattern[0][1], w.pattern[1][0]);
     }
 
     #[test]
