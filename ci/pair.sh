@@ -13,7 +13,13 @@
 # pairs (default 10) of those copies' `hc3i-benchmark --workload W
 # --seconds S --trace 0`, alternating which side goes first, and folds each
 # run's last stdout line into a markdown table, every raw value and a
-# stamp, on stdout. Workloads, S, metric
+# stamp, on stdout. Each pair runs from a directory of its own that holds
+# fresh copies of both sides' binaries, is the working directory of both
+# runs and holds their output: where a process's executable, arguments and
+# files sit moves its memory layout, and one fixed layout can favour one
+# side. The directory's name has a random length per pair, the same for
+# both sides ("parent" and "change" are one length), and the stamp lists
+# the lengths. Workloads, S, metric
 # names, directions and bounds are BENCHMARK.json's; this file adds no
 # number of its own. Per (workload, metric), medians and quartiles over the
 # runs of a side:
@@ -175,8 +181,9 @@ if ! diff -rq -x target -x out "$parent/benchmark" "$change/benchmark" >&2 ||
   exit 0
 fi
 
-# One scratch path for both builds, in turn; both sides' runs share one
-# output directory too. Everything is built before the first timed run.
+# One scratch path for both builds, in turn; both sides' runs of a pair
+# share that pair's directory. Everything is built before the first
+# timed run.
 work=$(mktemp -d) && trap 'rm -rf "$work"' EXIT
 for side in parent change; do
   tree=${!side}
@@ -193,23 +200,27 @@ read -r seconds all <<< "$(python3 -c 'import json, sys; b = json.load(open(sys.
 print(b["run_seconds"], *[w["name"] for w in b["workloads"]])' "$change/BENCHMARK.json")"
 [ ${#workloads[@]} -gt 0 ] || read -ra workloads <<< "$all"
 
-runs=$work/runs
-run() { # side workload
-  printf '%s\t%s\t' "$1" "$2" >> "$runs"
-  (cd "$work" && "$work/$1/hc3i-benchmark" --out-dir "$work/out" --workload "$2" \
+runs=$work/runs lengths=()
+run() { # pair-directory side workload
+  printf '%s\t%s\t' "$2" "$3" >> "$runs"
+  (cd "$1" && "$1/$2/hc3i-benchmark" --out-dir "$1/out" --workload "$3" \
     --seconds "$seconds" --trace 0) | tail -n 1 >> "$runs"
 }
 for w in "${workloads[@]}"; do
   for i in $(seq "$pairs"); do
     echo "$w: pair $i/$pairs" >&2
-    if ((i % 2)); then run parent "$w"; run change "$w"
-    else run change "$w"; run parent "$w"; fi
+    len=$((1 + RANDOM % 64)) && lengths+=("$len")
+    dir=$work/$(head -c "$len" /dev/zero | tr '\0' p)
+    mkdir "$dir" && cp -r "$work/parent" "$work/change" "$dir/"
+    if ((i % 2)); then run "$dir" parent "$w"; run "$dir" change "$w"
+    else run "$dir" change "$w"; run "$dir" parent "$w"; fi
+    rm -rf "$dir"
   done
 done
 
 code=0; fold "$change/BENCHMARK.json" "$runs" || code=$?
 cat <<EOF
 
-Stamp: parent \`$(commit_of "$parent")\`, change \`$(commit_of "$change")\`, both built at one path in turn; $pairs alternating pairs of \`hc3i-benchmark --workload W --seconds $seconds --trace 0\`, fresh process each; \`nproc\` $(nproc), $(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs); kernel \`$(uname -r)\`; \`$(rustc --version)\`; $(date -u +%F).
+Stamp: parent \`$(commit_of "$parent")\`, change \`$(commit_of "$change")\`, both built at one path in turn; $pairs alternating pairs of \`hc3i-benchmark --workload W --seconds $seconds --trace 0\`, fresh process each, each pair from its own copy directory (name lengths, in run order: ${lengths[*]}); \`nproc\` $(nproc), $(grep -m1 'model name' /proc/cpuinfo | cut -d: -f2- | xargs); kernel \`$(uname -r)\`; \`$(rustc --version)\`; $(date -u +%F).
 EOF
 exit $code

@@ -130,10 +130,10 @@ fn with_stdout(body: impl FnOnce(&mut dyn Write) -> Result<ExitCode, Stop>) -> E
 }
 
 /// `--durable-dir` of a run must be fresh: refuse one that holds a log
-/// before anything opens (and trims) it.
+/// or cannot be created, before anything opens (and trims) it.
 fn require_fresh(dir: &str) -> Result<(), String> {
     match storage::holds_log(std::path::Path::new(dir)) {
-        Ok(false) => Ok(()),
+        Ok(false) => std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}")),
         Ok(true) => Err(format!(
             "{dir} already holds a segment log; recover it or use a fresh directory"
         )),
@@ -310,7 +310,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
         }
 
-        let sends = app.schedule(&RngStreams::new(seed));
         let mut protocol = ProtocolConfig::new(app.cluster_sizes.clone());
         if full_ddv {
             protocol = protocol.with_piggyback(PiggybackMode::FullDdv);
@@ -322,7 +321,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             let report = run_live(
                 &app.cluster_sizes,
                 protocol,
-                &sends,
+                &app.schedule(&RngStreams::new(seed)),
                 &timer_spec,
                 shards,
                 durable_dir.as_deref(),
@@ -331,8 +330,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
             print_report(out, &report)?;
             return Ok(ExitCode::SUCCESS);
         }
+        // The simulator draws the model's sends from the seed as it
+        // reaches them.
         let mut cfg = SimConfig::new(topo, app.duration)
-            .with_sends(sends)
+            .with_sends(app)
             .with_seed(seed)
             .with_protocol(protocol);
         if let Some(dir) = &durable_dir {

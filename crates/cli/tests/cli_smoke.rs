@@ -365,6 +365,36 @@ fn durable_dir_that_holds_a_log_is_refused_and_left_alone() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--durable-dir` names a directory that cannot be created (`/proc` holds
+/// no new entries): one `error:` line naming it, exit 1, no report —
+/// refused before a store is opened, not a panic's 101 from opening it.
+fn uncreatable_durable_dir_is_an_error(substrate: &[&str], tag: &str) {
+    let dir = std::env::temp_dir().join(format!("hc3i-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(bin())
+        .args(small_configs(&dir))
+        .args(["--durable-dir", "/proc/nope/x"])
+        .args(substrate)
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(1), "{substrate:?}");
+    assert!(out.stdout.is_empty(), "{substrate:?}: no report");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.starts_with("error: /proc/nope/x: "), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_uncreatable_durable_dir_is_an_error_not_a_panic() {
+    uncreatable_durable_dir_is_an_error(&[], "nodir-sim");
+}
+
+#[test]
+fn an_uncreatable_durable_dir_is_an_error_not_a_panic_on_the_runtime() {
+    uncreatable_durable_dir_is_an_error(&["--runtime", "--shards", "1"], "nodir-rt");
+}
+
 /// `hc3i-sim sample-configs DIR | head -0`: the reader is gone before the
 /// first line. The files are the work, so all three are written, and the
 /// exit is a quiet success, not a panic from printing.

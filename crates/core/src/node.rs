@@ -73,24 +73,21 @@ struct FrozenState {
     held: Vec<Held>,
 }
 
-/// A CLC round in progress at the coordinator.
-#[derive(Debug)]
-struct RoundState {
-    round: u64,
-    /// Per-rank ack flags plus a running count (duplicate-proof without
-    /// hashing on the commit hot path).
-    acked: Vec<bool>,
-    ack_count: u32,
-    reasons: Vec<ClcReason>,
-}
-
-/// Coordinator-only state.
+/// Coordinator-only state. One CLC round runs at a time; its ack bitmap
+/// and reason list keep their buffers from round to round, so once grown
+/// a round allocates nothing here.
 #[derive(Debug, Default)]
 struct CoordState {
     next_round: u64,
-    current: Option<RoundState>,
-    /// Reasons that arrived while a round was running.
-    queued: Vec<ClcReason>,
+    /// The round in progress.
+    current: Option<u64>,
+    /// The current round's acks, one bit per rank, plus a running count
+    /// (duplicate-proof without hashing on the commit hot path).
+    acked: Vec<u64>,
+    ack_count: u32,
+    /// Why the current round runs: a reason that arrives while it runs
+    /// joins it, one that arrives between rounds starts the next.
+    reasons: Vec<ClcReason>,
 }
 
 /// GC-initiator-only state: DDV lists collected so far (stamps are
@@ -896,10 +893,6 @@ impl NodeEngine {
                 }
             }
         }
-        // Coordinator: start a follow-up round if relevant reasons queued.
-        if self.is_coordinator() {
-            self.coord_maybe_start(now, out);
-        }
     }
 
     // ---- 2PC: coordinator side ---------------------------------------------
@@ -909,12 +902,9 @@ impl NodeEngine {
             return;
         }
         let coord = self.coord();
-        match coord.current {
-            Some(ref mut round) => round.reasons.push(reason),
-            None => {
-                coord.queued.push(reason);
-                self.coord_maybe_start(now, out);
-            }
+        coord.reasons.push(reason);
+        if coord.current.is_none() {
+            self.coord_start(now, out);
         }
     }
 
@@ -940,26 +930,15 @@ impl NodeEngine {
         }
     }
 
-    fn coord_maybe_start(&mut self, now: SimTime, out: &mut OutputBuf) {
+    fn coord_start(&mut self, now: SimTime, out: &mut OutputBuf) {
+        let words = self.cluster_size().div_ceil(64) as usize;
         let coord = self.coord();
-        if coord.current.is_some() {
-            return;
-        }
-        let mut reasons = std::mem::take(&mut coord.queued);
-        reasons.retain(|r| self.reason_relevant(r));
-        if reasons.is_empty() {
-            return;
-        }
-        let acked = vec![false; self.cluster_size() as usize];
-        let coord = self.coord();
+        coord.acked.clear();
+        coord.acked.resize(words, 0);
+        coord.ack_count = 0;
         coord.next_round += 1;
         let round = coord.next_round;
-        coord.current = Some(RoundState {
-            round,
-            acked,
-            ack_count: 0,
-            reasons,
-        });
+        coord.current = Some(round);
         let epoch = self.epoch;
         self.broadcast_cluster(now, Msg::ClcRequest { round, epoch }, out);
     }
@@ -967,27 +946,25 @@ impl NodeEngine {
     fn coord_ack(&mut self, now: SimTime, round: u64, rank: u32, out: &mut OutputBuf) {
         let size = self.cluster_size();
         let coord = self.coord();
-        let complete = match coord.current.as_mut() {
-            Some(r) if r.round == round => {
-                let idx = rank as usize;
-                if idx < r.acked.len() && !r.acked[idx] {
-                    r.acked[idx] = true;
-                    r.ack_count += 1;
-                }
-                r.ack_count == size
-            }
-            _ => false,
-        };
-        if !complete {
+        if coord.current != Some(round) {
             return;
         }
-        let round_state = coord.current.take().expect("round exists");
+        let (word, bit) = ((rank / 64) as usize, 1 << (rank % 64));
+        if rank < size && coord.acked[word] & bit == 0 {
+            coord.acked[word] |= bit;
+            coord.ack_count += 1;
+        }
+        if coord.ack_count != size {
+            return;
+        }
+        coord.current = None;
+        let mut reasons = std::mem::take(&mut coord.reasons);
         // Compute the committed stamp: apply every DDV raise, then bump SN.
         // The one DDV allocation of the whole CLC round happens here, at
         // the coordinator; everyone else shares the broadcast `Arc`.
         let mut ddv = (*self.ddv).clone();
         let mut forced = false;
-        for reason in &round_state.reasons {
+        for reason in &reasons {
             match reason {
                 ClcReason::Timer => {}
                 ClcReason::Forced(Piggyback::Sn(sn), cluster) => {
@@ -1000,13 +977,15 @@ impl NodeEngine {
                 }
             }
         }
+        reasons.clear();
+        self.coord().reasons = reasons;
         let sn = self.sn.next();
         ddv.set(self.my_cluster(), sn);
         let epoch = self.epoch;
         self.broadcast_cluster(
             now,
             Msg::ClcCommit {
-                round: round_state.round,
+                round,
                 sn,
                 ddv: Arc::new(ddv),
                 forced,
@@ -1093,7 +1072,7 @@ impl NodeEngine {
         self.pending_inter.clear();
         if let Some(coord) = self.cold.coord.as_deref_mut() {
             coord.current = None;
-            coord.queued.clear();
+            coord.reasons.clear();
         }
         self.cold.gc = None;
         self.dirty = false;

@@ -3,7 +3,7 @@
 use desim::{SimDuration, SimTime};
 use hc3i_core::{ProtocolConfig, XportConfig};
 use netsim::{ContentionModel, HostileSpec, NodeId, PartitionSpec, Topology};
-use workload::SendEvent;
+use workload::{SendEvent, StochasticWorkload};
 
 /// How much of a run the trace keeps (the paper's compile-time trace
 /// levels, chosen at run time; `hc3i-sim run --trace off|protocol|full`).
@@ -28,6 +28,29 @@ pub struct FaultEvent {
     pub node: NodeId,
 }
 
+/// Where a run's application sends come from
+/// ([`SimConfig::with_sends`]).
+#[derive(Debug, Clone)]
+pub enum Sends {
+    /// An explicit, time-sorted schedule: [`SimConfig::sends`].
+    List(Vec<SendEvent>),
+    /// The paper's model, drawn from the run's seed as the run pulls its
+    /// sends: [`SimConfig::stochastic`].
+    Stochastic(StochasticWorkload),
+}
+
+impl From<Vec<SendEvent>> for Sends {
+    fn from(list: Vec<SendEvent>) -> Self {
+        Sends::List(list)
+    }
+}
+
+impl From<StochasticWorkload> for Sends {
+    fn from(model: StochasticWorkload) -> Self {
+        Sends::Stochastic(model)
+    }
+}
+
 /// Everything a federation run needs.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -43,12 +66,21 @@ pub struct SimConfig {
     pub detection_delay: SimDuration,
     /// Total simulated application time.
     pub duration: SimDuration,
-    /// The application send schedule, sorted by time as
+    /// An explicit application send schedule, sorted by time as
     /// [`workload::Workload::schedule`] returns it. [`run`](crate::run())
     /// checks the order and panics on a schedule that steps back in time;
-    /// it holds the schedule once, walking it as the run proceeds, and a
-    /// send's tag is its index here.
+    /// it moves the schedule into the event feed, walking it as the run
+    /// proceeds, and a send's tag is its index here. Set through
+    /// [`with_sends`](Self::with_sends), like [`stochastic`](Self::stochastic).
     pub sends: Vec<SendEvent>,
+    /// The paper's application model, in place of an explicit schedule:
+    /// [`run`](crate::run()) draws its sends from [`seed`](Self::seed)
+    /// as the event feed pulls them ([`StochasticWorkload::sends`]), so
+    /// the seed picks the schedule and no schedule is held. The sends and
+    /// their tags are those of `sends` set to the model's
+    /// [`schedule`](workload::Workload::schedule) at the same seed.
+    /// [`run`](crate::run()) panics if `sends` is not empty as well.
+    pub stochastic: Option<StochasticWorkload>,
     /// Scripted faults (in addition to MTBF-driven ones if the topology
     /// sets an MTBF).
     pub faults: Vec<FaultEvent>,
@@ -113,6 +145,7 @@ impl SimConfig {
             detection_delay: SimDuration::from_millis(100),
             duration,
             sends: vec![],
+            stochastic: None,
             faults: vec![],
             scripted_clcs: vec![],
             scripted_gcs: vec![],
@@ -140,9 +173,14 @@ impl SimConfig {
         self
     }
 
-    /// Replace the send schedule (time-sorted; see [`SimConfig::sends`]).
-    pub fn with_sends(mut self, sends: Vec<SendEvent>) -> Self {
-        self.sends = sends;
+    /// Replace the application's sends: a time-sorted schedule (see
+    /// [`SimConfig::sends`]) or the paper's model, drawn as the run
+    /// proceeds (see [`SimConfig::stochastic`]).
+    pub fn with_sends(mut self, sends: impl Into<Sends>) -> Self {
+        (self.sends, self.stochastic) = match sends.into() {
+            Sends::List(list) => (list, None),
+            Sends::Stochastic(model) => (vec![], Some(model)),
+        };
         self
     }
 
@@ -269,7 +307,7 @@ mod tests {
         let c = SimConfig::new(Topology::paper_reference(2), SimDuration::from_hours(1));
         assert!(c.clc_delays.iter().all(|d| d.is_infinite()));
         assert!(c.gc_interval.is_none());
-        assert!(c.sends.is_empty());
+        assert!(c.sends.is_empty() && c.stochastic.is_none());
         assert_eq!(c.protocol.num_clusters(), 2);
         assert_eq!(c.horizon(), SimTime::ZERO + SimDuration::from_hours(1));
     }
@@ -289,6 +327,28 @@ mod tests {
         assert_eq!(c.gc_interval, Some(SimDuration::from_hours(2)));
         assert_eq!(c.faults.len(), 1);
         assert_eq!(c.seed, 7);
+    }
+
+    #[test]
+    fn sends_come_from_one_source() {
+        let model = workload::parse_application(
+            "duration 1h\npayload 64\ncompute_mean 0 10s\ncompute_mean 1 10s\n\
+             pattern 0 1 0\npattern 1 0 1\n",
+            &Topology::paper_reference(2),
+        )
+        .unwrap();
+        let send = SendEvent {
+            at: SimTime::ZERO,
+            from: NodeId::new(0, 0),
+            to: NodeId::new(0, 1),
+            bytes: 64,
+        };
+        let c = SimConfig::new(Topology::paper_reference(2), SimDuration::from_hours(1))
+            .with_sends(vec![send])
+            .with_sends(model);
+        assert!(c.sends.is_empty() && c.stochastic.is_some());
+        let c = c.with_sends(vec![send]);
+        assert_eq!((c.sends, c.stochastic.is_none()), (vec![send], true));
     }
 
     #[test]

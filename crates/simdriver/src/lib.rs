@@ -34,7 +34,7 @@ pub mod run;
 pub mod trace;
 pub mod world;
 
-pub use config::{FaultEvent, SimConfig, TraceLevel};
+pub use config::{FaultEvent, Sends, SimConfig, TraceLevel};
 pub use hc3i_core::{ClusterStats, RunReport};
 pub use hostile::{DeliveryLedger, HostileRunStats};
 pub use run::{run, run_hostile, run_traced};

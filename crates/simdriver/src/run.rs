@@ -7,15 +7,22 @@ use crate::world::{Ev, FederationWorld};
 use desim::{exponential, RngStreams, RunOutcome, SimDuration, SimTime, Simulation};
 use hc3i_core::{AppPayload, Input, RunReport};
 use rand::Rng;
+use workload::SendEvent;
 
 /// Hard ceiling on dispatched events, guarding against model bugs.
 const EVENT_BUDGET: u64 = 500_000_000;
 
 /// Run one federation simulation to completion and report.
 ///
+/// The application's sends are pulled as simulated time reaches them:
+/// walked from [`SimConfig::sends`], or drawn from
+/// [`SimConfig::stochastic`] with [`SimConfig::seed`], which then picks
+/// the schedule as well as the MTBF faults.
+///
 /// # Panics
 /// Before the first event, if [`SimConfig::sends`] is not sorted by time
-/// (the message names the first send out of order) or a cluster's CLC
+/// (the message names the first send out of order) or is set alongside
+/// [`SimConfig::stochastic`], or a cluster's CLC
 /// delay or the GC interval is zero (such a timer re-arms at the instant
 /// it fires); or if the event budget is exhausted (a protocol livelock —
 /// never expected).
@@ -54,26 +61,31 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     // same-instant protocol events — the feed's tie-breaking rule
     // reproduces exactly that order while keeping the bulk workload out
     // of the pending-event heap (whose per-op cost scales with its depth).
-    // The schedule is moved out of the world and mapped as it is pulled,
-    // so the run holds it once; a send's tag is its index in `cfg.sends`.
+    // An explicit schedule is moved out of the world and mapped as it is
+    // pulled, so the run holds it once; the model is drawn as it is
+    // pulled, so the run holds no schedule at all. A send's tag is its
+    // pull index either way.
     let sends = std::mem::take(&mut sim.world_mut().cfg.sends);
-    if let Some(i) = sends.windows(2).position(|w| w[1].at < w[0].at) {
-        panic!(
-            "cfg.sends must be sorted by time: send {} at {} follows send {i} at {}",
-            i + 1,
-            sends[i + 1].at,
-            sends[i].at
-        );
+    match sim.world_mut().cfg.stochastic.take() {
+        Some(model) => {
+            assert!(
+                sends.is_empty(),
+                "cfg.sends and cfg.stochastic are both set: a run has one source of sends"
+            );
+            feed_sends(sim, model.sends(&streams));
+        }
+        None => {
+            if let Some(i) = sends.windows(2).position(|w| w[1].at < w[0].at) {
+                panic!(
+                    "cfg.sends must be sorted by time: send {} at {} follows send {i} at {}",
+                    i + 1,
+                    sends[i + 1].at,
+                    sends[i].at
+                );
+            }
+            feed_sends(sim, sends.into_iter());
+        }
     }
-    sim.feed_from(sends.into_iter().enumerate().map(|(tag, s)| {
-        let (node, tag) = (s.from, tag as u64);
-        let payload = AppPayload {
-            bytes: s.bytes,
-            tag,
-        };
-        let input = Input::AppSend { to: s.to, payload };
-        (s.at, Ev::Input { node, input })
-    }));
 
     // Scripted faults, checkpoints and collections. A scripted checkpoint
     // or collection is the coordinator's timer input, fired once: the
@@ -150,6 +162,23 @@ fn seed_events(sim: &mut Simulation<FederationWorld>) {
     }
 
     sim.schedule_at(horizon, Ev::End);
+}
+
+/// Install time-sorted `sends` as the run's workload feed, each an
+/// application send input tagged with its pull index.
+fn feed_sends(
+    sim: &mut Simulation<FederationWorld>,
+    sends: impl Iterator<Item = SendEvent> + 'static,
+) {
+    sim.feed_from(sends.enumerate().map(|(tag, s)| {
+        let (node, tag) = (s.from, tag as u64);
+        let payload = AppPayload {
+            bytes: s.bytes,
+            tag,
+        };
+        let input = Input::AppSend { to: s.to, payload };
+        (s.at, Ev::Input { node, input })
+    }));
 }
 
 type Trace = Vec<(SimTime, TraceEvent)>;
@@ -249,6 +278,46 @@ mod tests {
         sends[2].at = SimTime::ZERO;
         assert!(sends[1].at > SimTime::ZERO);
         run(small_cfg(10).with_sends(sends));
+    }
+
+    #[test]
+    fn a_model_drawn_as_pulled_runs_as_its_schedule() {
+        let model = workload::StochasticWorkload {
+            cluster_sizes: vec![4, 4],
+            duration: SimDuration::from_minutes(30),
+            compute_mean_secs: vec![2.0, 3.0],
+            pattern: vec![vec![0.9, 0.1], vec![0.1, 0.9]],
+            payload_bytes: 256,
+        };
+        let cfg = small_cfg(30)
+            .with_clc_delay(0, SimDuration::from_minutes(5))
+            .with_fault(
+                SimTime::ZERO + SimDuration::from_minutes(17),
+                NodeId::new(1, 2),
+            )
+            .with_seed(11)
+            .with_trace(TraceLevel::Full);
+        let schedule = model.schedule(&RngStreams::new(11));
+        let (listed, listed_trace) = run_traced(cfg.clone().with_sends(schedule));
+        let (drawn, drawn_trace) = run_traced(cfg.with_sends(model));
+        assert!(drawn.app_sent > 1000 && drawn.total_rollbacks() == 1);
+        assert_eq!(format!("{drawn:?}"), format!("{listed:?}"));
+        assert_eq!(drawn_trace, listed_trace, "same sends, same tags");
+    }
+
+    #[test]
+    #[should_panic(expected = "cfg.sends and cfg.stochastic are both set")]
+    fn a_schedule_beside_a_model_is_refused_before_the_first_event() {
+        let model = workload::StochasticWorkload {
+            cluster_sizes: vec![4, 4],
+            duration: SimDuration::from_minutes(10),
+            compute_mean_secs: vec![2.0, 3.0],
+            pattern: vec![vec![0.9, 0.1], vec![0.1, 0.9]],
+            payload_bytes: 256,
+        };
+        let mut cfg = small_cfg(10).with_sends(model);
+        cfg.sends = small_workload(10, vec![vec![5, 5], vec![5, 5]]);
+        run(cfg);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! Traffic generation.
 //!
-//! Two generators, both producing a deterministic, time-sorted schedule of
-//! application sends from a seed:
+//! Three generators, each producing a deterministic, time-sorted schedule
+//! of application sends from a seed:
 //!
 //! * [`StochasticWorkload`] — the paper's application model (§5.1): each
 //!   node alternates exponentially-distributed computation phases with
 //!   sends whose destinations follow a cluster-to-cluster probability
-//!   matrix.
+//!   matrix. Every node's draws are already in time order, so
+//!   [`StochasticWorkload::sends`] merges them lazily, as a run pulls
+//!   them, and no schedule is ever materialised or sorted.
 //! * [`TargetCountWorkload`] — fixes the *number* of messages per directed
 //!   cluster pair and spreads them uniformly over the run. This is what
 //!   regenerates Table 1's exact message counts and Figure 9's
@@ -17,7 +19,10 @@
 
 use desim::{exponential, pareto, RngStreams, SimDuration, SimTime};
 use netsim::NodeId;
+use rand::rngs::StdRng;
 use rand::Rng;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// One application-level send.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +101,19 @@ impl StochasticWorkload {
     }
 }
 
+/// Draw a destination cluster from a pattern row.
+fn pick_cluster(rng: &mut impl Rng, row: &[f64]) -> usize {
+    let u: f64 = rng.gen();
+    let mut acc = 0.0;
+    for (j, &p) in row.iter().enumerate() {
+        acc += p;
+        if u < acc {
+            return j;
+        }
+    }
+    row.len() - 1
+}
+
 /// Pick a destination node in `cluster`, different from `from`.
 fn pick_node_in(rng: &mut impl Rng, cluster: usize, size: u32, from: NodeId) -> Option<NodeId> {
     if size == 0 {
@@ -114,51 +132,153 @@ fn pick_node_in(rng: &mut impl Rng, cluster: usize, size: u32, from: NodeId) -> 
     }
 }
 
-impl Workload for StochasticWorkload {
-    fn schedule(&self, streams: &RngStreams) -> Vec<SendEvent> {
+impl StochasticWorkload {
+    /// The schedule [`Workload::schedule`] returns, drawn as it is pulled.
+    ///
+    /// Each node draws from its own `workload.node` stream exactly as a
+    /// whole schedule would, so its sends come out in time order; a
+    /// min-heap holding each node's next instant merges the nodes, and a
+    /// node's same-instant sends come out by destination. The stream is
+    /// therefore the schedule in its `(at, from, to)` order, and it holds
+    /// one pending instant per node instead of every send of the run.
+    ///
+    /// # Panics
+    /// If the workload does not [`validate`](Self::validate).
+    pub fn sends(&self, streams: &RngStreams) -> impl Iterator<Item = SendEvent> + 'static {
         self.validate().expect("invalid stochastic workload");
-        let mut events = Vec::new();
-        let horizon = SimTime::ZERO + self.duration;
-        for (c, &size) in self.cluster_sizes.iter().enumerate() {
+        let model = self.clone();
+        let horizon = SimTime::ZERO + model.duration;
+        let mut nodes = Vec::new();
+        let mut heap = BinaryHeap::new();
+        for (c, &size) in model.cluster_sizes.iter().enumerate() {
             for rank in 0..size {
-                let from = NodeId::new(c as u16, rank);
-                let mut rng = streams.stream("workload.node", (c as u64) << 32 | rank as u64);
-                let mut t = SimTime::ZERO;
-                loop {
-                    let step = exponential(&mut rng, self.compute_mean_secs[c]);
-                    t = t.saturating_add(SimDuration::from_secs_f64(step));
-                    if t >= horizon {
-                        break;
-                    }
-                    // Draw the destination cluster from the pattern row.
-                    let u: f64 = rng.gen();
-                    let mut acc = 0.0;
-                    let mut dest_cluster = self.pattern[c].len() - 1;
-                    for (j, &p) in self.pattern[c].iter().enumerate() {
-                        acc += p;
-                        if u < acc {
-                            dest_cluster = j;
-                            break;
-                        }
-                    }
-                    if let Some(to) = pick_node_in(
-                        &mut rng,
-                        dest_cluster,
-                        self.cluster_sizes[dest_cluster],
-                        from,
-                    ) {
-                        events.push(SendEvent {
-                            at: t,
-                            from,
-                            to,
-                            bytes: self.payload_bytes,
-                        });
-                    }
+                let mut node = NodeDraws {
+                    rng: streams.stream("workload.node", (c as u64) << 32 | rank as u64),
+                    from: NodeId::new(c as u16, rank),
+                    clock: SimTime::ZERO,
+                    due: Vec::new(),
+                    ahead: None,
+                };
+                node.ahead = node.draw(&model, horizon);
+                node.refill(&model, horizon);
+                if let Some(next) = node.due.last() {
+                    heap.push(Reverse(merge_key(next.at, nodes.len())));
+                }
+                nodes.push(node);
+            }
+        }
+        StochasticSends {
+            model,
+            horizon,
+            nodes,
+            heap,
+        }
+    }
+}
+
+/// A node's `(at, index)` as one heap key: the instant in the high 64
+/// bits, so the earliest instant wins and a tie goes to the lower index,
+/// which is the lower `NodeId`.
+fn merge_key(at: SimTime, index: usize) -> u128 {
+    (at.0 as u128) << 64 | index as u128
+}
+
+/// One node of a [`StochasticWorkload`], drawing its sends one at a time.
+struct NodeDraws {
+    rng: StdRng,
+    from: NodeId,
+    /// End of the last computation phase drawn.
+    clock: SimTime,
+    /// The drawn sends of the node's next instant, highest destination
+    /// first: they leave from the back.
+    due: Vec<SendEvent>,
+    /// The first drawn send past that instant; `None` once the node has
+    /// drawn past the horizon.
+    ahead: Option<SendEvent>,
+}
+
+impl NodeDraws {
+    /// The node's next send: one computation phase, then a destination
+    /// drawn from the pattern row, until a phase ends past the horizon.
+    fn draw(&mut self, model: &StochasticWorkload, horizon: SimTime) -> Option<SendEvent> {
+        let c = self.from.cluster.index();
+        loop {
+            let step = exponential(&mut self.rng, model.compute_mean_secs[c]);
+            self.clock = self.clock.saturating_add(SimDuration::from_secs_f64(step));
+            if self.clock >= horizon {
+                return None;
+            }
+            let dest_cluster = pick_cluster(&mut self.rng, &model.pattern[c]);
+            if let Some(to) = pick_node_in(
+                &mut self.rng,
+                dest_cluster,
+                model.cluster_sizes[dest_cluster],
+                self.from,
+            ) {
+                return Some(SendEvent {
+                    at: self.clock,
+                    from: self.from,
+                    to,
+                    bytes: model.payload_bytes,
+                });
+            }
+        }
+    }
+
+    /// Move the send drawn ahead, and every later draw at its instant,
+    /// into `due`, leaving the first draw past that instant ahead.
+    fn refill(&mut self, model: &StochasticWorkload, horizon: SimTime) {
+        let Some(first) = self.ahead.take() else {
+            return;
+        };
+        self.due.push(first);
+        loop {
+            match self.draw(model, horizon) {
+                Some(send) if send.at == first.at => self.due.push(send),
+                later => {
+                    self.ahead = later;
+                    break;
                 }
             }
         }
-        sort_schedule(&mut events);
-        events
+        if self.due.len() > 1 {
+            self.due.sort_unstable_by_key(|s| Reverse(s.to));
+        }
+    }
+}
+
+/// The iterator [`StochasticWorkload::sends`] returns.
+struct StochasticSends {
+    model: StochasticWorkload,
+    horizon: SimTime,
+    nodes: Vec<NodeDraws>,
+    /// One [`merge_key`] per node with a send due, earliest first.
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl Iterator for StochasticSends {
+    type Item = SendEvent;
+
+    fn next(&mut self) -> Option<SendEvent> {
+        let mut top = self.heap.peek_mut()?;
+        let index = top.0 as u64 as usize;
+        let node = &mut self.nodes[index];
+        let send = node.due.pop().expect("a node in the heap has a send due");
+        if node.due.is_empty() {
+            node.refill(&self.model, self.horizon);
+        }
+        match node.due.last() {
+            // The node's next instant replaces its key in place.
+            Some(next) => *top = Reverse(merge_key(next.at, index)),
+            None => drop(PeekMut::pop(top)),
+        }
+        Some(send)
+    }
+}
+
+impl Workload for StochasticWorkload {
+    fn schedule(&self, streams: &RngStreams) -> Vec<SendEvent> {
+        self.sends(streams).collect()
     }
 }
 
@@ -267,22 +387,6 @@ pub struct BurstyWorkload {
     pub flash_fanout: u32,
 }
 
-impl BurstyWorkload {
-    fn pick_dest_cluster(&self, rng: &mut impl Rng, from_cluster: usize) -> usize {
-        let u: f64 = rng.gen();
-        let mut acc = 0.0;
-        let mut dest = self.pattern[from_cluster].len() - 1;
-        for (j, &p) in self.pattern[from_cluster].iter().enumerate() {
-            acc += p;
-            if u < acc {
-                dest = j;
-                break;
-            }
-        }
-        dest
-    }
-}
-
 impl Workload for BurstyWorkload {
     fn schedule(&self, streams: &RngStreams) -> Vec<SendEvent> {
         assert!(self.gap_scale_secs > 0.0, "gap scale must be positive");
@@ -301,7 +405,7 @@ impl Workload for BurstyWorkload {
                     if t >= horizon {
                         break;
                     }
-                    let dest = self.pick_dest_cluster(&mut rng, c);
+                    let dest = pick_cluster(&mut rng, &self.pattern[c]);
                     if let Some(to) = pick_node_in(&mut rng, dest, self.cluster_sizes[dest], from) {
                         events.push(SendEvent {
                             at: t,
@@ -323,7 +427,7 @@ impl Workload for BurstyWorkload {
                         if at >= horizon {
                             continue;
                         }
-                        let dest = self.pick_dest_cluster(&mut rng, c);
+                        let dest = pick_cluster(&mut rng, &self.pattern[c]);
                         if let Some(to) =
                             pick_node_in(&mut rng, dest, self.cluster_sizes[dest], from)
                         {
