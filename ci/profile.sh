@@ -2,7 +2,7 @@
 # Where a process spends its time, without perf, gdb or valgrind: a timer
 # sampler preloaded into the command, folded through addr2line.
 #
-#   ci/profile.sh [--top N] [--repeat R] COMMAND [ARGS...]
+#   ci/profile.sh [--top N] [--repeat R] [--focus FN] COMMAND [ARGS...]
 #
 # Builds a small shared object with cc. Preloaded (LD_PRELOAD), it arms a
 # timer (`timer_create` on CLOCK_MONOTONIC, one SIGPROF per millisecond,
@@ -31,13 +31,19 @@
 # that function and crate. Symbols need the binary's debug info, which
 # the workspace's release profile keeps. The command's stdout and stderr
 # go to stderr; the report is on stdout.
+#
+# `--focus FN` adds a fifth table, for the samples whose inline chain has
+# a function whose name contains FN: their hottest N addresses, each with
+# its `addr2line -i` chain of function and file:line, innermost first —
+# which instruction of FN, or of what was inlined into it, the time is on.
 set -euo pipefail
 
-top=30 repeat=1
+top=30 repeat=1 focus=
 while [ $# -gt 0 ]; do
   case "$1" in
     --top) top=${2:?--top needs a count}; shift 2 ;;
     --repeat) repeat=${2:?--repeat needs a count}; shift 2 ;;
+    --focus) focus=${2:?--focus needs a function name}; shift 2 ;;
     *) break ;;
   esac
 done
@@ -118,10 +124,10 @@ for _ in $(seq "$repeat"); do
   LD_PRELOAD="$tmp/sampler.so" "$@" >&2 || code=$?
 done
 
-python3 - "$tmp" "$top" <<'PY'
+python3 - "$tmp" "$top" "$focus" <<'PY'
 import collections, glob, os, subprocess, sys
 
-tmp, top = sys.argv[1], int(sys.argv[2])
+tmp, top, focus = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 files = glob.glob(os.path.join(tmp, "*.samples"))
 if not files:
     sys.exit("profile.sh: no samples written (did the command exit through exit()?)")
@@ -183,10 +189,13 @@ if addrs:
             cur, want_function = int(line, 16), True
             chains[cur] = []
         elif want_function:
-            chains[cur].append(line)
+            chains[cur].append([line])
             want_function = False
         else:
+            chains[cur][-1].append(line)
             want_function = True
+lines = {a: [at for _, at in chain] for a, chain in chains.items()}
+chains = {a: [f for f, _ in chain] for a, chain in chains.items()}
 
 def short(name):
     """A symbol without generic arguments: `<Vec<T> as Drop>::drop` reads
@@ -232,5 +241,21 @@ for title, counts in (("self", self_n), ("own", own_n), ("crate", crate_n), ("in
     print(f"\n| {title} % | samples | {'crate' if counts is crate_n else 'function'} |\n|---:|---:|---|")
     for name, n in counts.most_common(top):
         print(f"| {100 * n / total:.1f} | {n} | `{name}` |")
+
+if focus:
+    hot = collections.Counter(a for a, _ in placed
+                              if a is not None and any(focus in f for f in chains.get(a, [])))
+    n_focus = sum(hot.values())
+    print(f"\n{n_focus} samples have `{focus}` on their inline chain")
+    print(f"\n| focus % | samples | address | inline chain, innermost first |\n|---:|---:|---|---|")
+    def where(at):
+        """file:line, relative to the working directory; the standard
+        library's from its `library/` directory."""
+        if "/rustc/" in at:
+            return "library/" + at.split("/library/", 1)[-1]
+        return os.path.relpath(at) if at.startswith("/") else at
+    for addr, n in hot.most_common(top):
+        chain = "<br>".join(f"`{short(f)}` {where(at)}" for f, at in zip(chains[addr], lines[addr]))
+        print(f"| {100 * n / n_focus:.1f} | {n} | {addr:#x} | {chain} |")
 PY
 exit $code

@@ -47,7 +47,7 @@ usage:
            [--trace protocol|full] [--trace-file PATH]
            [--durable-dir DIR [--durable-crash-after N]]
            [--runtime [--shards N]]
-  hc3i-sim campaign [--json PATH] [--seeds N,N,...]
+  hc3i-sim campaign [--json PATH] [--seeds LIST]
   hc3i-sim recover --durable-dir DIR [--verify-prefix-of DIR]
   hc3i-sim sample-configs DIR
 
@@ -78,7 +78,9 @@ flags:
 
 campaign flags:
   --json PATH        write the deterministic JSON summary to PATH
-  --seeds N,N,...    override the default seed set (20040426,7,424242)
+  --seeds LIST       override the default seed set (20040426,7,424242):
+                     a comma list of seeds N and ranges A..=B, as in
+                     1..=400 or 7,20040426..=20040433
 
 recover flags:
   --durable-dir DIR  the segment-log directory to scan (read-only)
@@ -489,10 +491,9 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
                 let Some(list) = it.next() else {
                     return usage_error("--seeds needs a comma-separated list");
                 };
-                let parsed: Result<Vec<u64>, _> = list.split(',').map(str::parse).collect();
-                match parsed {
-                    Ok(seeds) if !seeds.is_empty() => plan.seeds = seeds,
-                    _ => return usage_error("--seeds wants integers like 1,2,3"),
+                match parse_seeds(list) {
+                    Ok(seeds) => plan.seeds = seeds,
+                    Err(msg) => return usage_error(&msg),
                 }
             }
             other => return usage_error(&format!("unknown campaign flag {other}")),
@@ -525,6 +526,29 @@ fn cmd_campaign(args: &[String]) -> ExitCode {
         writeln!(out, "campaign passed: {} cells clean", summary.cells.len())?;
         Ok(ExitCode::SUCCESS)
     })
+}
+
+/// `--seeds`' comma list: seeds `N` and inclusive ranges `A..=B`, in the
+/// order given.
+fn parse_seeds(list: &str) -> Result<Vec<u64>, String> {
+    let wrong = || format!("--seeds wants seeds and ranges like 1,2,3 or 1..=400, not {list}");
+    let mut seeds = Vec::new();
+    for item in list.split(',') {
+        match item.split_once("..=") {
+            Some((first, last)) => {
+                let (first, last): (u64, u64) = match (first.parse(), last.parse()) {
+                    (Ok(first), Ok(last)) => (first, last),
+                    _ => return Err(wrong()),
+                };
+                if first > last {
+                    return Err(format!("--seeds range {item} is reversed"));
+                }
+                seeds.extend(first..=last);
+            }
+            None => seeds.push(item.parse().map_err(|_| wrong())?),
+        }
+    }
+    Ok(seeds)
 }
 
 /// One cell's line and its violations, flushed as the cell finishes:

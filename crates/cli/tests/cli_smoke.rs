@@ -469,3 +469,39 @@ fn a_closed_stdout_pipe_is_a_quiet_success() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--seeds` takes `A..=B` ranges among its comma-separated seeds, in the
+/// order given.
+#[test]
+fn campaign_seeds_take_ranges() {
+    let out = Command::new(bin())
+        .args(["campaign", "--seeds", "9,7..=8"])
+        .output()
+        .expect("spawn");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    // Seeds vary fastest: every scenario x topology runs 9, 7, 8.
+    let seeds: Vec<&str> = stdout
+        .lines()
+        .filter_map(|line| line.split_whitespace().skip_while(|w| *w != "seed").nth(1))
+        .collect();
+    assert_eq!(seeds.len(), 63, "{stdout}");
+    assert!(seeds.chunks(3).all(|c| c == ["9", "7", "8"]), "{stdout}");
+}
+
+/// A range whose end is below its start is a usage error, before any cell
+/// runs.
+#[test]
+fn campaign_rejects_a_reversed_seed_range() {
+    let out = Command::new(bin())
+        .args(["campaign", "--seeds", "7,400..=1"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no cell may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: --seeds range 400..=1 is reversed") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+}

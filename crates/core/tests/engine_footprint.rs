@@ -10,8 +10,10 @@
 //! federation of 2 clusters and of 4096 — measured here with the test
 //! binary's own counting allocator. The same allocator gates the CLC
 //! round: in steady state it allocates only at the coordinator, so a round
-//! costs as many allocations on a wide cluster as on a narrow one. And
-//! what an engine emits per input stays one cache line per action.
+//! costs as many allocations on a wide cluster as on a narrow one, and its
+//! stamp holds only non-zero entries, so it costs as many bytes in a wide
+//! federation as in a narrow one. And what an engine emits per input stays
+//! one cache line per action.
 
 use desim::SimTime;
 use hc3i_core::testkit::InstantFederation;
@@ -75,11 +77,11 @@ fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (value, BYTES.with(Cell::get) - before)
 }
 
-/// How many allocations this thread made while `f` ran.
-fn allocations_in(f: impl FnOnce()) -> u64 {
+/// How many allocations this thread made while `f` ran, and their bytes.
+fn allocations_in(f: impl FnOnce()) -> (u64, u64) {
     let before = COUNT.with(Cell::get);
-    f();
-    COUNT.with(Cell::get) - before
+    let ((), bytes) = allocated_by(f);
+    (COUNT.with(Cell::get) - before, bytes)
 }
 
 const WIDTHS: [usize; 2] = [2, 4096];
@@ -151,10 +153,10 @@ fn first_alert_from_the_last_origin_grows_the_engine_by_a_constant() {
     }
 }
 
-/// Allocations made by one timer CLC round of cluster 0, two clusters of
-/// `nodes` nodes each, in steady state.
-fn clc_round_allocations(nodes: u32) -> u64 {
-    let mut fed = InstantFederation::new(ProtocolConfig::new(vec![nodes; 2]));
+/// Allocations made by one timer CLC round of cluster 0, `width` clusters
+/// of `nodes` nodes each, in steady state, and their bytes.
+fn clc_round_allocations(width: usize, nodes: u32) -> (u64, u64) {
+    let mut fed = InstantFederation::new(ProtocolConfig::new(vec![nodes; width]));
     // Grow every store, queue and buffer to its working size, prune the
     // stores back with a collection, then take the round to be measured
     // once unmeasured: the measured one reuses what this one grew.
@@ -163,9 +165,9 @@ fn clc_round_allocations(nodes: u32) -> u64 {
     }
     fed.run_gc();
     fed.fire_clc_timer(0);
-    let count = allocations_in(|| fed.fire_clc_timer(0));
+    let allocated = allocations_in(|| fed.fire_clc_timer(0));
     assert_eq!(fed.clc_counts(0), (6, 0), "every round committed");
-    count
+    allocated
 }
 
 /// Every action an engine emits sits in its host's reused buffer at this
@@ -180,7 +182,7 @@ fn an_output_fits_one_cache_line() {
 
 #[test]
 fn a_clc_round_allocates_only_at_the_coordinator() {
-    let [narrow, wide] = [4, 64].map(clc_round_allocations);
+    let [narrow, wide] = [4, 64].map(|nodes| clc_round_allocations(2, nodes).0);
     assert_eq!(
         narrow, wide,
         "a CLC round allocates per node: {narrow} allocations on 4 nodes, {wide} on 64"
@@ -188,4 +190,20 @@ fn a_clc_round_allocates_only_at_the_coordinator() {
     // The committed stamp, a DDV, and the `Arc` every member shares it
     // through: the coordinator's ack bitmap and reason list are reused.
     assert_eq!(narrow, 2, "allocations of one steady-state CLC round");
+}
+
+/// The committed stamp holds the cluster's dependencies, not one entry per
+/// cluster of the federation: a round with none but its own SN costs the
+/// same bytes at every width. (Two nodes a cluster: the width is what is
+/// measured, and the collection's recovery lines are quadratic in it.)
+#[test]
+fn a_clc_round_allocates_the_same_bytes_at_every_width() {
+    let [narrow, wide] = WIDTHS.map(|w| clc_round_allocations(w, 2).1);
+    assert!(narrow > 0, "the counting allocator is not installed");
+    assert_eq!(
+        narrow, wide,
+        "a CLC round's stamp is sized by the federation's width \
+         ({narrow} B at {} clusters, {wide} B at {})",
+        WIDTHS[0], WIDTHS[1]
+    );
 }

@@ -226,7 +226,8 @@ pub struct HostileOutcome {
 /// Post-processor applied to every scheduled delivery. Owns its own FIFO
 /// clamp state: once any message of a run is touched, arrival order per
 /// channel is re-established here (except where reordering deliberately
-/// breaks it).
+/// breaks it). The state covers only the channels this layer can move —
+/// inter-cluster ones, and intra-cluster ones of a skewed cluster.
 #[derive(Debug)]
 pub struct HostileNet {
     spec: HostileSpec,
@@ -294,6 +295,19 @@ impl HostileNet {
         arrival: SimTime,
     ) -> HostileOutcome {
         let inter = from.cluster != to.cluster;
+        let skew = self.skew.get(&(from.cluster.0, to.cluster.0)).copied();
+        // Reorder, loss, holds and duplication are inter-cluster only, and
+        // the base network already keeps every channel FIFO: without a
+        // skew of its own cluster, nothing below can move an intra-cluster
+        // copy, so it draws nothing and leaves no clamp state.
+        if !inter && skew.is_none() {
+            return HostileOutcome {
+                arrival,
+                duplicate: None,
+                held: false,
+                lost: false,
+            };
+        }
         let mut arrival = arrival;
         let mut reordered = false;
         let mut held = false;
@@ -308,7 +322,7 @@ impl HostileNet {
             .or_insert_with(|| Mix64::new(Self::pair_seed(seed, from.cluster, to.cluster)));
 
         // 1. Asymmetric per-pair latency skew.
-        if let Some(dist) = self.skew.get(&(from.cluster.0, to.cluster.0)).copied() {
+        if let Some(dist) = skew {
             arrival = arrival.saturating_add(dist.sample(rng));
         }
 

@@ -10,6 +10,17 @@
 //! DDV entries are monotone over a cluster's CLC sequence, which is what
 //! makes the rollback rule ("oldest CLC whose entry for the faulty cluster
 //! is >= the alert SN") a simple scan.
+//!
+//! A [`Ddv`] is stored **sparse**: its width and the `(cluster, SN)` pairs
+//! of its non-zero entries. An entry records a *direct* dependency, and in
+//! a federation built on the hierarchy a cluster talks to few others, so a
+//! stamp is almost all zeros — a ring of 128 clusters commits stamps with
+//! two non-zero entries, which a dense vector kept as 1 KiB each, and
+//! every CLC of every node carries one. A zero is never stored, so the
+//! stored form is canonical and the derived `Eq` and `Hash` are content
+//! equality. [`Ddv::iter`], `Display` and `Debug` still show every entry,
+//! zeros included, so the segment format, the wire sizes and the
+//! fingerprints read the same as the dense form's.
 
 use std::fmt;
 
@@ -43,71 +54,97 @@ impl fmt::Display for SeqNum {
     }
 }
 
-/// A Direct Dependency Vector: one [`SeqNum`] per cluster of the federation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A Direct Dependency Vector: one [`SeqNum`] per cluster of the federation,
+/// stored as its non-zero entries (see the module documentation).
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Ddv {
-    entries: Vec<SeqNum>,
+    width: usize,
+    /// Strictly increasing clusters below `width`, no zero SN.
+    nonzero: Vec<(usize, SeqNum)>,
 }
 
 impl Ddv {
-    /// All-zero DDV for a federation of `n` clusters.
+    /// All-zero DDV for a federation of `n` clusters. Allocates nothing.
     pub fn zeros(n: usize) -> Self {
         Ddv {
-            entries: vec![SeqNum::ZERO; n],
+            width: n,
+            nonzero: Vec::new(),
         }
     }
 
     /// Build from explicit entries.
     pub fn from_entries(entries: Vec<SeqNum>) -> Self {
-        Ddv { entries }
+        let width = entries.len();
+        let nonzero = entries.into_iter().enumerate();
+        let nonzero = nonzero.filter(|&(_, sn)| sn != SeqNum::ZERO).collect();
+        Ddv::from_nonzero(width, nonzero)
+    }
+
+    /// Build from a width and the non-zero entries in strictly increasing
+    /// cluster order, below `width` — what the segment decoder reads.
+    pub(crate) fn from_nonzero(width: usize, nonzero: Vec<(usize, SeqNum)>) -> Self {
+        debug_assert!(nonzero.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(nonzero
+            .iter()
+            .all(|&(c, sn)| c < width && sn != SeqNum::ZERO));
+        Ddv { width, nonzero }
     }
 
     /// Number of clusters this DDV covers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.width
     }
 
     /// True for a zero-cluster DDV (degenerate).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.width == 0
+    }
+
+    /// Where cluster `i`'s entry is stored, or would be inserted.
+    #[inline]
+    fn find(&self, i: usize) -> Result<usize, usize> {
+        assert!(i < self.width, "DDV index {i} out of {}", self.width);
+        self.nonzero.binary_search_by_key(&i, |&(c, _)| c)
     }
 
     /// Entry for cluster `i`.
     #[inline]
     pub fn get(&self, i: usize) -> SeqNum {
-        self.entries[i]
+        match self.find(i) {
+            Ok(at) => self.nonzero[at].1,
+            Err(_) => SeqNum::ZERO,
+        }
     }
 
     /// Set entry for cluster `i`.
     #[inline]
     pub fn set(&mut self, i: usize, sn: SeqNum) {
-        self.entries[i] = sn;
+        match (self.find(i), sn == SeqNum::ZERO) {
+            (Ok(at), false) => self.nonzero[at].1 = sn,
+            (Ok(at), true) => {
+                self.nonzero.remove(at);
+            }
+            (Err(at), false) => self.nonzero.insert(at, (i, sn)),
+            (Err(_), true) => {}
+        }
     }
 
     /// Raise entry `i` to at least `sn`; returns `true` if it changed.
     pub fn raise(&mut self, i: usize, sn: SeqNum) -> bool {
-        if sn > self.entries[i] {
-            self.entries[i] = sn;
-            true
-        } else {
-            false
+        let raised = sn > self.get(i);
+        if raised {
+            self.set(i, sn);
         }
+        raised
     }
 
     /// Component-wise max merge (the FullDdv transitive variant, paper §7).
     /// Returns `true` if any entry increased.
     pub fn merge_max(&mut self, other: &Ddv) -> bool {
-        assert_eq!(
-            self.entries.len(),
-            other.entries.len(),
-            "DDV dimension mismatch"
-        );
+        assert_eq!(self.width, other.width, "DDV dimension mismatch");
         let mut changed = false;
-        for (mine, theirs) in self.entries.iter_mut().zip(&other.entries) {
-            if theirs > mine {
-                *mine = *theirs;
-                changed = true;
-            }
+        for &(c, sn) in &other.nonzero {
+            changed |= self.raise(c, sn);
         }
         changed
     }
@@ -115,20 +152,45 @@ impl Ddv {
     /// Component-wise `<=` (is every dependency of `self` covered by
     /// `other`?). Used by consistency checks.
     pub fn dominated_by(&self, other: &Ddv) -> bool {
-        assert_eq!(self.entries.len(), other.entries.len());
-        self.entries.iter().zip(&other.entries).all(|(a, b)| a <= b)
+        assert_eq!(self.width, other.width);
+        let mut theirs = other.nonzero.iter().peekable();
+        self.nonzero.iter().all(|&(c, sn)| {
+            while theirs.next_if(|&&(t, _)| t < c).is_some() {}
+            matches!(theirs.peek(), Some(&&(t, bound)) if t == c && sn <= bound)
+        })
     }
 
-    /// Iterate entries in cluster order.
+    /// Iterate all [`len`](Ddv::len) entries in cluster order, zeros
+    /// included.
     pub fn iter(&self) -> impl Iterator<Item = SeqNum> + '_ {
-        self.entries.iter().copied()
+        let mut nonzero = self.nonzero.iter().peekable();
+        (0..self.width).map(move |i| match nonzero.next_if(|&&(c, _)| c == i) {
+            Some(&(_, sn)) => sn,
+            None => SeqNum::ZERO,
+        })
+    }
+}
+
+/// The text the derived `Debug` of a dense `Ddv { entries: Vec<SeqNum> }`
+/// printed, which fingerprints hash.
+impl fmt::Debug for Ddv {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Entries<'a>(&'a Ddv);
+        impl fmt::Debug for Entries<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Ddv")
+            .field("entries", &Entries(self))
+            .finish()
     }
 }
 
 impl fmt::Display for Ddv {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, e) in self.entries.iter().enumerate() {
+        for (i, e) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, " ")?;
             }

@@ -154,22 +154,38 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// A DDV written by [`put_ddv`]. A stamp whose entries are all below
-    /// 128 (one byte each) is widened in one pass.
+    /// A DDV written by [`put_ddv`], read straight into its sparse form:
+    /// zeros are skipped and the non-zero entries counted first, so the
+    /// stamp is allocated once at its exact size. A stamp whose entries
+    /// are all below 128 (one byte each) is read as a byte run.
     pub fn ddv(&mut self) -> Result<Ddv, Error> {
         let n = self.count(1)?;
         let run = &self.0[..n];
-        let entries = if run.iter().fold(0, |acc, b| acc | b) < 0x80 {
+        let nonzero = if run.iter().fold(0, |acc, b| acc | b) < 0x80 {
             self.0 = &self.0[n..];
-            run.iter().map(|&b| SeqNum(u64::from(b))).collect()
+            let mut nonzero = Vec::with_capacity(run.iter().filter(|&&b| b != 0).count());
+            nonzero.extend(
+                (run.iter().enumerate())
+                    .filter(|&(_, &b)| b != 0)
+                    .map(|(c, &b)| (c, SeqNum(u64::from(b)))),
+            );
+            nonzero
         } else {
-            let mut entries = Vec::with_capacity(n);
+            let mut scan = Cursor(self.0);
+            let mut count = 0;
             for _ in 0..n {
-                entries.push(SeqNum(self.u64()?));
+                count += usize::from(scan.u64()? != 0);
             }
-            entries
+            let mut nonzero = Vec::with_capacity(count);
+            for c in 0..n {
+                match self.u64()? {
+                    0 => {}
+                    sn => nonzero.push((c, SeqNum(sn))),
+                }
+            }
+            nonzero
         };
-        Ok(Ddv::from_entries(entries))
+        Ok(Ddv::from_nonzero(n, nonzero))
     }
 }
 
