@@ -30,7 +30,7 @@ pub struct BaselineInput {
 impl BaselineInput {
     /// Effective checkpoint instants for cluster `c`: `period, 2·period, …`
     /// up to the horizon (plus the initial checkpoint at t = 0).
-    pub fn checkpoint_times(&self, c: usize) -> Vec<SimTime> {
+    pub(crate) fn checkpoint_times(&self, c: usize) -> Vec<SimTime> {
         let mut times = vec![SimTime::ZERO];
         let period = self.ckpt_periods[c];
         if period.is_infinite() || period.nanos() == 0 {
@@ -46,7 +46,7 @@ impl BaselineInput {
     }
 
     /// Latest checkpoint of cluster `c` at or before `t`.
-    pub fn last_checkpoint_before(&self, c: usize, t: SimTime) -> SimTime {
+    pub(crate) fn last_checkpoint_before(&self, c: usize, t: SimTime) -> SimTime {
         self.checkpoint_times(c)
             .into_iter()
             .take_while(|&ck| ck <= t)

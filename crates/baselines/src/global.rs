@@ -10,7 +10,6 @@
 
 use crate::common::{BaselineInput, BaselineReport, RollbackSummary};
 use desim::{SimDuration, SimTime};
-use netsim::ClusterId;
 
 /// Evaluate global coordinated checkpointing on the input.
 pub fn evaluate(input: &BaselineInput) -> BaselineReport {
@@ -91,11 +90,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         peak_log_bytes: 0, // no message logging
         rollbacks,
     }
-}
-
-/// Convenience: count nodes in a cluster (test helper re-export).
-pub fn nodes_in(input: &BaselineInput, c: usize) -> u64 {
-    input.topology.nodes_in(ClusterId(c as u16)) as u64
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 
 #![warn(missing_docs)]
 
-pub mod common;
+mod common;
 pub mod global;
 pub mod independent;
 pub mod pessimistic;

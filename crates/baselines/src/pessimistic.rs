@@ -87,11 +87,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
     }
 }
 
-/// The PWD assumption this baseline rests on, for documentation surfaces.
-pub const ASSUMPTION: &str =
-    "piecewise-deterministic execution: all non-deterministic events can be \
-     logged and replayed identically";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,10 +150,5 @@ mod tests {
         assert_eq!(r.rollbacks[0].clusters_rolled_back, 0);
         // 50 - 30 = 20 minutes of one node's work.
         assert!((r.rollbacks[0].lost_node_seconds - 20.0 * 60.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn assumption_is_documented() {
-        assert!(ASSUMPTION.contains("deterministic"));
     }
 }

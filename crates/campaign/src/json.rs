@@ -7,7 +7,7 @@
 //! golden diff rests on.
 
 /// Escape a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for ch in s.chars() {
         match ch {
@@ -24,7 +24,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// Render a list of strings as a JSON array literal.
-pub fn string_array(items: &[String]) -> String {
+pub(crate) fn string_array(items: &[String]) -> String {
     let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", escape(s))).collect();
     format!("[{}]", quoted.join(", "))
 }

@@ -16,9 +16,9 @@
 //!   crowds) over small topology presets, each mapping `(topology, seed)`
 //!   to a runnable [`SimConfig`](simdriver::SimConfig) plus its expected
 //!   fault waves.
-//! * [`runner`] — sweeps the scenario × topology × seed matrix, checks
-//!   every invariant on every cell, and renders a deterministic JSON
-//!   summary that CI diffs against a committed golden
+//! * the runner ([`run_campaign`]) — sweeps the scenario × topology ×
+//!   seed matrix, checks every invariant on every cell, and renders a
+//!   deterministic JSON summary that CI diffs against a committed golden
 //!   (`campaign/GOLDEN.json`).
 //!
 //! Everything downstream of a [`SimConfig`](simdriver::SimConfig) is a
@@ -28,8 +28,8 @@
 #![warn(missing_docs)]
 
 pub mod invariants;
-pub mod json;
-pub mod runner;
+mod json;
+mod runner;
 pub mod scenarios;
 
 pub use invariants::{FaultWave, GcExpectation};

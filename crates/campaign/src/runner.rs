@@ -75,11 +75,6 @@ pub struct CampaignSummary {
 }
 
 impl CampaignSummary {
-    /// True when no cell recorded a violation.
-    pub fn passed(&self) -> bool {
-        self.cells.iter().all(|c| c.violations.is_empty())
-    }
-
     /// Cells with at least one violation.
     pub fn failures(&self) -> Vec<&CellOutcome> {
         self.cells
@@ -286,6 +281,46 @@ mod tests {
         assert!(cell.violations.is_empty(), "{:?}", cell.violations);
     }
 
+    /// The seven cells `campaign --seeds 256,336,340` fails, all losing
+    /// inter-cluster sends after a rollback: tag 74 (seed 336 on
+    /// `lan_pair`), tags 135/136 (seed 256) and tag 141 (seed 336) on
+    /// `wan_triangle`, each in `partition_heal` and `asymmetric_cut`, and
+    /// 19 tags in `churn_partition` (seed 340 on `wan_triangle`). The
+    /// coordinator sends its `RollbackOrder`s and `RollbackAlert`s in one
+    /// instant. The order to the failed node queues on the FIFO
+    /// intra-cluster link behind a checkpoint fragment of the interrupted
+    /// round, so the other clusters act on the alert and resend their
+    /// logged messages before that node is revived (seed 336 on
+    /// `lan_pair`: tag 74 reaches C0.n1 at 1200.100 s, its order at
+    /// 1200.111 s). A failed engine ignores every input but its order, and
+    /// nothing resends again. No lost tag was ghost-dropped.
+    #[test]
+    #[ignore = "protocol defect: the alert overtakes the revival of the failed node"]
+    fn an_alert_does_not_overtake_the_revival_of_the_failed_node() {
+        let failing: Vec<String> = [
+            ("partition_heal", "wan_triangle", 256),
+            ("asymmetric_cut", "wan_triangle", 256),
+            ("partition_heal", "lan_pair", 336),
+            ("asymmetric_cut", "lan_pair", 336),
+            ("partition_heal", "wan_triangle", 336),
+            ("asymmetric_cut", "wan_triangle", 336),
+            ("churn_partition", "wan_triangle", 340),
+        ]
+        .into_iter()
+        .filter_map(|(scenario, topology, seed)| {
+            let cell = named_cell(scenario, topology, seed);
+            (!cell.violations.is_empty())
+                .then(|| format!("{scenario} x {topology} seed {seed}: {:?}", cell.violations))
+        })
+        .collect();
+        assert!(
+            failing.is_empty(),
+            "{} cells fail:\n{}",
+            failing.len(),
+            failing.join("\n")
+        );
+    }
+
     #[test]
     fn json_shape_is_stable() {
         let summary = CampaignSummary {
@@ -312,7 +347,6 @@ mod tests {
         assert!(j.starts_with("{\n  \"schema\": \"hc3i-campaign-v1\""));
         assert!(j.contains("\"violations\": [\"v\"]"));
         assert!(j.ends_with("  ]\n}\n"));
-        assert!(!summary.passed());
         assert_eq!(summary.failures().len(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Per-node checkpoint content.
 
 use crate::msg::AppPayload;
-use netsim::{FastHashMap as HashMap, NodeId};
+use hc3i_types::{FastHashMap as HashMap, NodeId};
 use std::sync::Arc;
 use storage::SeqNum;
 
@@ -66,7 +66,7 @@ impl DeliveredRecord {
 
     /// Build a record holding exactly `entries` (one flat generation).
     /// Keys must be distinct.
-    pub fn from_entries(entries: impl IntoIterator<Item = (DeliveredKey, SeqNum)>) -> Self {
+    pub(crate) fn from_entries(entries: impl IntoIterator<Item = (DeliveredKey, SeqNum)>) -> Self {
         let mut rec = DeliveredRecord::new();
         for (k, sn) in entries {
             rec.insert(k, sn);
@@ -178,7 +178,10 @@ impl DeliveredRecord {
     /// generation chain). Returns `None` when the records do not share
     /// structure that way — callers then fall back to a full copy.
     /// Used by the persisted encoding to store only per-CLC deltas.
-    pub fn delta_since(&self, ancestor: &DeliveredRecord) -> Option<Vec<(DeliveredKey, SeqNum)>> {
+    pub(crate) fn delta_since(
+        &self,
+        ancestor: &DeliveredRecord,
+    ) -> Option<Vec<(DeliveredKey, SeqNum)>> {
         if !ancestor.delta.is_empty() {
             return None; // not a sealed snapshot
         }
@@ -206,7 +209,7 @@ impl DeliveredRecord {
     /// generation as it is — never rehashed, never collapsed — so
     /// re-encoding a decoded store reproduces the same structural deltas
     /// byte-for-byte.
-    pub fn extended_with(&self, add: HashMap<DeliveredKey, SeqNum>) -> Self {
+    pub(crate) fn extended_with(&self, add: HashMap<DeliveredKey, SeqNum>) -> Self {
         let mut base = self.base.clone();
         if !add.is_empty() {
             let (plen, pdepth) = base.as_ref().map_or((0, 0), |g| (g.len, g.depth));

@@ -1,7 +1,7 @@
 //! Protocol configuration.
 
 use crate::msg::DDV_ENTRY_BYTES;
-use netsim::{NodeId, MAX_CLUSTERS};
+use hc3i_types::{NodeId, MAX_CLUSTERS};
 use storage::ReplicationPolicy;
 
 /// What inter-cluster application messages piggyback for dependency
@@ -67,21 +67,13 @@ impl ProtocolConfig {
         self
     }
 
-    /// Make the GC preserve recovery lines for up to `k` simultaneous
-    /// cluster failures (paper §7 extension).
-    pub fn with_gc_fault_tolerance(mut self, k: usize) -> Self {
-        assert!(k >= 1, "must tolerate at least one failure");
-        self.gc_fault_tolerance = k;
-        self
-    }
-
     /// Number of clusters in the federation.
     pub fn num_clusters(&self) -> usize {
         self.cluster_sizes.len()
     }
 
     /// Number of nodes in cluster `c`.
-    pub fn nodes_in(&self, c: usize) -> u32 {
+    pub(crate) fn nodes_in(&self, c: usize) -> u32 {
         self.cluster_sizes[c]
     }
 
@@ -136,10 +128,8 @@ mod tests {
     fn builders_compose() {
         let c = ProtocolConfig::new(vec![2])
             .with_piggyback(PiggybackMode::FullDdv)
-            .with_replication(storage::ReplicationPolicy::with_degree(2))
-            .with_gc_fault_tolerance(3);
+            .with_replication(storage::ReplicationPolicy::with_degree(2));
         assert_eq!(c.piggyback, PiggybackMode::FullDdv);
         assert_eq!(c.replication.degree(), 2);
-        assert_eq!(c.gc_fault_tolerance, 3);
     }
 }

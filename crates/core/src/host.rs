@@ -22,7 +22,7 @@
 //! | which live rank hears a fault, about which ranks ([`FaultReports`], keyed by failure generation, [`is_down`]) | when a detection round runs — a `Detect` event after the detection delay, a heartbeat probe tick, or at once |
 //! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, shard cells, failure generations |
 //! | the `match` over [`Output`] (`perform`) | [`Host::now`] — simulated or wall-clock time |
-//! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking ([`send`]) | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue; [`Host::xport`] — where the [`Xport`] lives, or `None` |
+//! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking (`send`) | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue; [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
 //! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
@@ -39,8 +39,7 @@ use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
 use crate::persist::CheckpointCodec;
 use crate::xport::{ReceiverChannel, SenderChannel, XportConfig};
-use desim::SimTime;
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimTime};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
@@ -301,7 +300,7 @@ impl Xport {
 
 /// What hosting a federation of [`NodeEngine`]s takes: a wire, a clock, a
 /// timer, and sinks for storage changes and events. Everything else is
-/// [`input`], [`send`] and [`retry`].
+/// [`input`], `send` and [`retry`].
 pub trait Host {
     /// The host's current time.
     fn now(&self) -> SimTime;
@@ -402,7 +401,7 @@ fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf)
 /// bounded window, retransmit timer — and travels wrapped in
 /// [`Msg::Reliable`]; everything else goes straight to [`Host::wire`].
 #[inline]
-pub fn send<H: Host>(host: &mut H, from: NodeId, to: NodeId, msg: Msg) {
+pub(crate) fn send<H: Host>(host: &mut H, from: NodeId, to: NodeId, msg: Msg) {
     if from.cluster == to.cluster || host.xport().is_none() {
         return host.wire(from, to, msg);
     }
@@ -493,7 +492,7 @@ pub fn retry<H: Host>(host: &mut H, from: NodeId, to: NodeId, seq: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use desim::SimDuration;
+    use hc3i_types::SimDuration;
 
     /// Everything a host can be asked to do, in the order it was asked.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -584,16 +583,16 @@ mod tests {
             buf.push(out);
         }
         perform(host, &mut engine(id), &mut buf);
-        assert!(buf.is_empty(), "perform drains the buffer");
+        assert_eq!(buf.drain().count(), 0, "perform drains the buffer");
         host.take()
     }
 
     const ME: NodeId = NodeId {
-        cluster: netsim::ClusterId(0),
+        cluster: hc3i_types::ClusterId(0),
         rank: 1,
     };
     const PEER: NodeId = NodeId {
-        cluster: netsim::ClusterId(1),
+        cluster: hc3i_types::ClusterId(1),
         rank: 0,
     };
 

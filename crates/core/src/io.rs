@@ -15,8 +15,7 @@
 //! durable log, a [`ProtoEvent`] for its reports and traces.
 
 use crate::msg::{AppPayload, Msg};
-use desim::SimTime;
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimTime};
 use storage::SeqNum;
 
 /// One stimulus for a node engine.
@@ -192,18 +191,8 @@ impl OutputBuf {
 
     /// Append one action.
     #[inline]
-    pub fn push(&mut self, out: Output) {
+    pub(crate) fn push(&mut self, out: Output) {
         self.items.push(out);
-    }
-
-    /// Number of buffered actions.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True when no action is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Move every buffered action out, keeping the backing storage for
@@ -224,9 +213,9 @@ mod tests {
         buf.push(Output::ResetClcTimer);
         let cap = buf.items.capacity();
         assert_eq!(buf.drain().count(), 2);
-        assert!(buf.is_empty());
+        assert!(buf.items.is_empty());
         assert_eq!(buf.items.capacity(), cap, "drain keeps the allocation");
         buf.push(Output::ResetClcTimer);
-        assert_eq!(buf.len(), 1);
+        assert_eq!(buf.items.len(), 1);
     }
 }

@@ -57,19 +57,19 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
-pub mod config;
+mod checkpoint;
+mod config;
 mod epoch;
 pub mod gc;
 pub mod host;
-pub mod io;
+mod io;
 pub mod msg;
-pub mod node;
-pub mod persist;
-pub mod recovery;
-pub mod report;
+mod node;
+mod persist;
+mod recovery;
+mod report;
 pub mod testkit;
-pub mod xport;
+mod xport;
 
 pub use checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
 pub use config::{PiggybackMode, ProtocolConfig};
@@ -78,9 +78,9 @@ pub use io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};
 pub use msg::{AppPayload, ClcReason, Msg, Piggyback};
 pub use node::NodeEngine;
 pub use persist::CheckpointCodec;
-pub use recovery::{is_consistent_cut, recovery_line, recovery_line_multi, RecoveryLine};
+pub use recovery::{is_consistent_cut, recovery_line, RecoveryLine};
 pub use report::{ClusterStats, RunReport};
 pub use xport::{ReceiverChannel, SenderChannel, XportConfig};
 
 // Re-export the storage vocabulary used throughout the public API.
-pub use storage::{ClcMeta, Ddv, LogId, ReplicationPolicy, SeqNum};
+pub use storage::{Ddv, LogId, ReplicationPolicy, SeqNum};

@@ -1,7 +1,7 @@
 //! Wire messages of the HC3I protocol.
 
 use crate::config::ProtocolConfig;
-use netsim::MessageClass;
+use hc3i_types::MessageClass;
 use std::sync::Arc;
 use storage::{Ddv, LogId, SeqNum};
 
@@ -9,14 +9,14 @@ use storage::{Ddv, LogId, SeqNum};
 // ([`Msg::wire_bytes`]); the protocol logic itself never reads these.
 
 /// A bare control message (requests, acks, commits, alerts).
-pub const CONTROL_BYTES: u64 = 64;
+pub(crate) const CONTROL_BYTES: u64 = 64;
 /// An inter-cluster application-message acknowledgement, or a transport ack.
-pub const ACK_BYTES: u64 = 16;
+pub(crate) const ACK_BYTES: u64 = 16;
 /// One node's checkpoint fragment, replicated to its holders at every CLC:
 /// 4 MiB of process state, the dominant cost of checkpointing.
 pub const FRAGMENT_BYTES: u64 = 4 << 20;
 /// One DDV entry, when a DDV travels on the wire.
-pub const DDV_ENTRY_BYTES: u64 = 8;
+pub(crate) const DDV_ENTRY_BYTES: u64 = 8;
 
 /// An application payload as the protocol sees it: opaque content of a known
 /// size, tagged by the workload layer for end-to-end tracking.
@@ -42,16 +42,6 @@ pub enum Piggyback {
     Sn(SeqNum),
     /// The sender cluster's whole DDV (paper §7 transitive extension).
     Ddv(Arc<Ddv>),
-}
-
-impl Piggyback {
-    /// The sender's own-cluster SN carried by this piggyback.
-    pub fn sender_sn(&self, sender_cluster: usize) -> SeqNum {
-        match self {
-            Piggyback::Sn(sn) => *sn,
-            Piggyback::Ddv(ddv) => ddv.get(sender_cluster),
-        }
-    }
 }
 
 /// Why a node asks its coordinator to start a CLC round.
@@ -211,7 +201,7 @@ pub enum Msg {
     /// network: the sending host assigns `seq` per directed node pair,
     /// retransmits with exponential backoff until acknowledged, and the
     /// receiving host dedups by `seq` before handing `inner` to the
-    /// engine. Engines never see this variant (see [`crate::xport`]).
+    /// engine. Engines never see this variant (see [`crate::SenderChannel`]).
     Reliable {
         /// Per-directed-node-pair transport sequence number.
         seq: u64,
@@ -298,13 +288,6 @@ mod tests {
             MessageClass::Protocol
         );
         assert_eq!(Msg::GcCollect.class(), MessageClass::Protocol);
-    }
-
-    #[test]
-    fn piggyback_sender_sn() {
-        assert_eq!(Piggyback::Sn(SeqNum(4)).sender_sn(2), SeqNum(4));
-        let ddv = Ddv::from_entries(vec![SeqNum(1), SeqNum(2), SeqNum(3)]);
-        assert_eq!(Piggyback::Ddv(Arc::new(ddv)).sender_sn(2), SeqNum(3));
     }
 
     #[test]

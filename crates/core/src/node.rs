@@ -22,8 +22,7 @@ use crate::epoch::EpochFloors;
 use crate::gc;
 use crate::io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, ClcReason, Msg, Piggyback};
-use desim::SimTime;
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimTime};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use storage::{ClcMeta, ClcStore, Ddv, LogId, MessageLog, SeqNum};
@@ -294,7 +293,7 @@ impl NodeEngine {
         self.failed
     }
     /// Whether the node is its cluster's coordinator.
-    pub fn is_coordinator(&self) -> bool {
+    pub(crate) fn is_coordinator(&self) -> bool {
         self.id == self.my_coordinator()
     }
     /// Whether a CLC two-phase commit is in progress on this node.

@@ -30,7 +30,7 @@
 
 use crate::checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
 use crate::msg::AppPayload;
-use netsim::{FastHashMap, NodeId};
+use hc3i_types::{FastHashMap, NodeId};
 use storage::varint::{put_u64, Cursor};
 use storage::SeqNum;
 

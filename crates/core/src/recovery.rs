@@ -33,7 +33,7 @@ use storage::{Ddv, SeqNum};
 /// ([`storage::ClcStore::ddv_list`]): the recovery-line and GC analyses
 /// borrow the stored DDVs structurally instead of deep-copying one vector
 /// per checkpoint per query.
-pub type ClcList = Vec<(SeqNum, Arc<Ddv>)>;
+pub(crate) type ClcList = Vec<(SeqNum, Arc<Ddv>)>;
 
 /// The recovery line: for each cluster, the SN of the CLC it ends up
 /// restoring (its current latest if it does not roll back).
@@ -45,13 +45,6 @@ pub struct RecoveryLine {
     /// post-checkpoint execution — including restores of their *latest*
     /// CLC (the paper's C1 in Figure 5 "has to rollback to its last CLC").
     pub rolled_back: Vec<bool>,
-}
-
-impl RecoveryLine {
-    /// Number of clusters that rolled back.
-    pub fn rollback_count(&self) -> usize {
-        self.rolled_back.iter().filter(|&&b| b).count()
-    }
 }
 
 /// Compute the recovery line after a failure in cluster `faulty`.
@@ -75,7 +68,7 @@ pub fn recovery_line(lists: &[ClcList], faulty: usize) -> RecoveryLine {
 /// # Panics
 /// If any cluster has no stored CLC, `faulty_set` is empty, or an index is
 /// out of range.
-pub fn recovery_line_multi(lists: &[ClcList], faulty_set: &[usize]) -> RecoveryLine {
+pub(crate) fn recovery_line_multi(lists: &[ClcList], faulty_set: &[usize]) -> RecoveryLine {
     assert!(!faulty_set.is_empty(), "need at least one faulty cluster");
     for &faulty in faulty_set {
         assert!(faulty < lists.len(), "faulty cluster out of range");
@@ -240,7 +233,11 @@ mod tests {
         ];
         let line = recovery_line(&lists, 0);
         assert_eq!(line.sns, vec![SeqNum(2), SeqNum(2)]);
-        assert_eq!(line.rollback_count(), 1, "only the faulty cluster");
+        assert_eq!(
+            line.rolled_back,
+            vec![true, false],
+            "only the faulty cluster"
+        );
         assert!(is_consistent_cut(&lists, &line.sns, &line.rolled_back));
     }
 

@@ -8,7 +8,7 @@
 
 use crate::io::ProtoEvent;
 use crate::node::NodeEngine;
-use desim::{SimDuration, SimTime};
+use hc3i_types::{SimDuration, SimTime};
 use storage::SeqNum;
 
 /// Per-cluster checkpointing statistics.

@@ -18,8 +18,7 @@ use crate::io::{Input, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
 use crate::report::RunReport;
-use desim::{SimDuration, SimTime};
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// A recorded application delivery.
@@ -66,11 +65,6 @@ impl InstantFederation {
             now: SimTime::ZERO,
             deliveries: vec![],
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.cfg
     }
 
     /// Immutable access to one engine.
@@ -544,7 +538,7 @@ mod tests {
         // replica holder) is also down — the engine-level check only sees
         // single-fault recoverability, so emulate the detector asking about
         // the pair via replication policy:
-        let policy = fed.config().replication;
+        let policy = fed.cfg.replication;
         assert!(!policy.recoverable(&[1, 2], 3));
         // Single-rank detection still succeeds for a lone fault.
         fed.input(
@@ -616,9 +610,10 @@ mod tests {
         // every CLC that any *pair* of simultaneous failures could need,
         // so it can never prune more than the k=1 collector.
         let run = |k: usize| {
-            let mut fed = InstantFederation::new(
-                ProtocolConfig::new(vec![2, 2, 2]).with_gc_fault_tolerance(k),
-            );
+            let mut fed = InstantFederation::new(ProtocolConfig {
+                gc_fault_tolerance: k,
+                ..ProtocolConfig::new(vec![2, 2, 2])
+            });
             // Interleaved cross traffic and checkpoints.
             fed.app_send(n(0, 0), n(1, 0), pay(1));
             fed.fire_clc_timer(0);

@@ -30,7 +30,7 @@
 //! configuration and seed.
 
 use crate::msg::Msg;
-use desim::{SimDuration, SimTime};
+use hc3i_types::{SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Tuning of the reliability sub-layer.
@@ -98,7 +98,7 @@ pub struct SenderChannel {
 impl SenderChannel {
     /// Accept `msg` for reliable delivery. Returns the assigned sequence
     /// if the window had room (the caller puts `Reliable{seq, msg}` on
-    /// the wire and arms a retransmit timer at [`SenderChannel::deadline`]);
+    /// the wire and arms a retransmit timer at the copy's deadline);
     /// `None` means the message queued and enters the wire later, from
     /// [`SenderChannel::ack`]'s released batch.
     pub fn send(&mut self, now: SimTime, cfg: &XportConfig, msg: Msg) -> Option<u64> {
@@ -148,7 +148,7 @@ impl SenderChannel {
     /// deadline has passed: bump the backoff and return the wire copy plus
     /// the new deadline. `None` means the copy was acked meanwhile (or the
     /// deadline moved) — the caller's timer event is stale, ignore it.
-    pub fn retransmit(
+    pub(crate) fn retransmit(
         &mut self,
         now: SimTime,
         cfg: &XportConfig,
@@ -165,24 +165,14 @@ impl SenderChannel {
     }
 
     /// The retransmission deadline of one in-flight sequence.
-    pub fn deadline(&self, seq: u64) -> Option<SimTime> {
+    pub(crate) fn deadline(&self, seq: u64) -> Option<SimTime> {
         self.inflight.get(&seq).map(|e| e.next_at)
     }
 
     /// `(seq, deadline)` of every in-flight copy, in sequence order (what
     /// a polling host scans for due retransmissions).
-    pub fn deadlines(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
+    pub(crate) fn deadlines(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
         self.inflight.iter().map(|(&seq, e)| (seq, e.next_at))
-    }
-
-    /// Unacknowledged copies currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Messages parked behind a full window.
-    pub fn queued(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -221,11 +211,6 @@ impl ReceiverChannel {
         self.watermark = w;
         true
     }
-
-    /// Sequences retained above the watermark (test introspection).
-    pub fn gap_backlog(&self) -> usize {
-        self.above.len()
-    }
 }
 
 #[cfg(test)]
@@ -251,11 +236,11 @@ mod tests {
         assert_eq!(s.send(t(0), &cfg, probe(0)), Some(0));
         assert_eq!(s.send(t(0), &cfg, probe(1)), Some(1));
         assert_eq!(s.send(t(0), &cfg, probe(2)), None, "window full: queued");
-        assert_eq!((s.in_flight(), s.queued()), (2, 1));
+        assert_eq!((s.inflight.len(), s.queue.len()), (2, 1));
         // Ack frees a slot and releases the queued message under seq 2.
         let released = s.ack(t(1), &cfg, 0);
         assert_eq!(released, vec![(2, probe(2))]);
-        assert_eq!((s.in_flight(), s.queued()), (2, 0));
+        assert_eq!((s.inflight.len(), s.queue.len()), (2, 0));
         // Duplicate ack: no-op.
         assert!(s.ack(t(2), &cfg, 0).is_empty());
     }
@@ -299,9 +284,9 @@ mod tests {
         assert!(r.accept(3), "gap: admitted above the watermark");
         assert!(r.accept(2));
         assert!(!r.accept(3), "duplicate above the watermark");
-        assert_eq!(r.gap_backlog(), 2);
+        assert_eq!(r.above.len(), 2);
         assert!(r.accept(1), "fills the gap");
-        assert_eq!(r.gap_backlog(), 0, "watermark swallowed 1,2,3");
+        assert_eq!(r.above.len(), 0, "watermark swallowed 1,2,3");
         for seq in 0..=3 {
             assert!(!r.accept(seq), "seq {seq} replayed after compaction");
         }

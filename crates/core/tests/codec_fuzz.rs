@@ -5,7 +5,7 @@
 //! a silently different checkpoint.
 
 use hc3i_core::{AppPayload, CheckpointCodec, DeliveredRecord, NodeCheckpoint, SeqNum};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use proptest::prelude::*;
 use storage::varint::put_u64;
 use storage::EntryCodec;

@@ -17,7 +17,7 @@
 //! encoding agree at every step.
 
 use hc3i_core::{CheckpointCodec, DeliveredKey, DeliveredRecord, NodeCheckpoint, SeqNum};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use proptest::prelude::*;
 use std::collections::HashMap;
 use storage::EntryCodec;

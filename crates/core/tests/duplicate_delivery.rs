@@ -10,7 +10,7 @@ use hc3i_core::{
     AppPayload, Ddv, Input, LogId, Msg, NodeEngine, Output, OutputBuf, Piggyback, ProtocolConfig,
     SeqNum,
 };
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use std::sync::Arc;
 
 fn receive(from: NodeId, msg: Msg) -> Input {
@@ -122,7 +122,7 @@ fn pending_duplicate_delivers_exactly_once() {
     let mut engine = NodeEngine::new(cfg, me);
     let mut out = OutputBuf::new();
     let sender = NodeId::new(0, 0);
-    let t = |n: u64| desim::SimTime::ZERO + desim::SimDuration::from_nanos(n);
+    let t = |n: u64| hc3i_types::SimTime::ZERO + hc3i_types::SimDuration::from_nanos(n);
     let app_inter = || {
         receive(
             sender,
@@ -294,7 +294,7 @@ fn retransmission_after_clc_is_reacked_with_original_sn() {
     let mut engine = NodeEngine::new(cfg, me);
     let mut out = OutputBuf::new();
     let sender = NodeId::new(0, 0);
-    let t = |n: u64| desim::SimTime::ZERO + desim::SimDuration::from_nanos(n);
+    let t = |n: u64| hc3i_types::SimTime::ZERO + hc3i_types::SimDuration::from_nanos(n);
     let app_inter = |resend: bool| {
         receive(
             sender,
@@ -410,7 +410,7 @@ fn duplicate_alert_and_ghost_from_the_last_of_300_clusters() {
         )
     };
     let mut handle = |input: Input| -> Vec<Output> {
-        engine.handle(desim::SimTime::ZERO, input, &mut out);
+        engine.handle(hc3i_types::SimTime::ZERO, input, &mut out);
         out.drain().collect()
     };
     let delivered = |outs: &[Output]| outs.iter().any(|o| matches!(o, Output::DeliverApp { .. }));

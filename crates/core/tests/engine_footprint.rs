@@ -15,10 +15,9 @@
 //! federation as in a narrow one. And what an engine emits per input stays
 //! one cache line per action.
 
-use desim::SimTime;
 use hc3i_core::testkit::InstantFederation;
 use hc3i_core::{Ddv, Input, Msg, NodeEngine, Output, OutputBuf, ProtocolConfig, SeqNum};
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;

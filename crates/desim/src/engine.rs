@@ -18,7 +18,7 @@
 //! per step: that costs `sim_dense` +7.2 % `wall_s`; `bench/ABLATIONS.md`.)
 
 use crate::queue::{EventKey, EventQueue};
-use crate::time::SimTime;
+use hc3i_types::SimTime;
 use std::collections::BTreeMap;
 
 /// Canonical ordering key for [inbox](Ctx::schedule_inbox) events: an
@@ -73,7 +73,7 @@ impl<'a, E> Ctx<'a, E> {
     }
 
     /// Schedule `event` after `delay` from now, saturating at the end of time.
-    pub fn schedule_in(&mut self, delay: crate::time::SimDuration, event: E) -> EventKey {
+    pub fn schedule_in(&mut self, delay: hc3i_types::SimDuration, event: E) -> EventKey {
         let at = self.now.saturating_add(delay);
         self.queue.push(at, event)
     }
@@ -257,7 +257,7 @@ impl<W: World> Simulation<W> {
     /// of its events, stopping early if the world calls [`Ctx::stop`] (the
     /// rest stay pending). Returns the number of events dispatched (0 when
     /// nothing is pending).
-    pub fn step_instant(&mut self, max_events: u64) -> u64 {
+    pub(crate) fn step_instant(&mut self, max_events: u64) -> u64 {
         let Some(at) = self.next_time() else {
             return 0;
         };
@@ -278,11 +278,6 @@ impl<W: World> Simulation<W> {
         }
         self.events_processed += taken;
         taken
-    }
-
-    /// Dispatch a single event. Returns `false` if none is pending.
-    pub fn step(&mut self) -> bool {
-        self.step_instant(1) > 0
     }
 
     /// Run until the event set drains or the world calls [`Ctx::stop`].
@@ -347,7 +342,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use hc3i_types::SimDuration;
 
     /// A world that plays ping-pong `limit` times.
     struct PingPong {
@@ -767,7 +762,7 @@ mod tests {
         }));
         assert_eq!(pulled.get(), 1, "install reads the look-ahead only");
         for k in 1..=10 {
-            assert!(sim.step());
+            assert_eq!(sim.step_instant(1), 1);
             assert_eq!(pulled.get(), k + 1);
         }
         assert_eq!(sim.world().0, (0..10).collect::<Vec<_>>());
@@ -783,9 +778,9 @@ mod tests {
         sim.feed_sorted(vec![(secs(1), 1), (secs(3), 2), (secs(2), 3), (secs(4), 4)]);
         // Installing and the first event are fine; dispatching the second
         // pulls the offender.
-        assert!(sim.step());
+        assert_eq!(sim.step_instant(1), 1);
         assert_eq!(sim.world().0, vec![1]);
-        sim.step();
+        sim.step_instant(1);
     }
 
     #[test]

@@ -43,12 +43,11 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod queue;
-pub mod rng;
-pub mod time;
+mod engine;
+mod queue;
+mod rng;
 
 pub use engine::{Ctx, InboxKey, RunOutcome, Simulation, World};
+pub use hc3i_types::{SimDuration, SimTime};
 pub use queue::{EventKey, EventQueue};
-pub use rng::{exponential, pareto, splitmix64, uniform, RngStreams};
-pub use time::{SimDuration, SimTime};
+pub use rng::{exponential, pareto, splitmix64, RngStreams};

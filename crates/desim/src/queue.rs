@@ -29,7 +29,7 @@
 //! list, so a steady-state simulation reaches zero allocations per
 //! schedule/fire cycle.
 
-use crate::time::SimTime;
+use hc3i_types::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -201,7 +201,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use hc3i_types::SimDuration;
 
     fn t(s: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(s)

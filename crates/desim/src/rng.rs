@@ -80,14 +80,6 @@ pub fn pareto(rng: &mut impl Rng, scale: f64, alpha: f64) -> f64 {
     scale / u.powf(1.0 / alpha)
 }
 
-/// Draw uniformly from `[lo, hi)`; degenerate ranges return `lo`.
-pub fn uniform(rng: &mut impl Rng, lo: f64, hi: f64) -> f64 {
-    if hi <= lo {
-        return lo;
-    }
-    rng.gen_range(lo..hi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,16 +171,5 @@ mod tests {
             (estimate - 1.5).abs() < 0.05,
             "sample mean {estimate} too far from 1.5"
         );
-    }
-
-    #[test]
-    fn uniform_respects_bounds() {
-        let mut rng = RngStreams::new(11).stream("uni", 0);
-        for _ in 0..1_000 {
-            let x = uniform(&mut rng, 2.0, 5.0);
-            assert!((2.0..5.0).contains(&x));
-        }
-        assert_eq!(uniform(&mut rng, 3.0, 3.0), 3.0);
-        assert_eq!(uniform(&mut rng, 5.0, 2.0), 5.0);
     }
 }

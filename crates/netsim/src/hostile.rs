@@ -44,9 +44,7 @@
 //! outcomes are independent of dispatch order: reordering same-instant
 //! events of different clusters cannot move a single draw.
 
-use crate::hashing::FastHashMap;
-use crate::ids::{ClusterId, NodeId};
-use desim::{SimDuration, SimTime};
+use hc3i_types::{ClusterId, FastHashMap, NodeId, SimDuration, SimTime};
 
 /// SplitMix64 generator ([`desim::splitmix64`]) with a state of its own, so
 /// the fault model's draws cannot perturb any other stream of a run.
@@ -79,7 +77,7 @@ impl Mix64 {
     }
 
     /// Uniform duration in `[0, max)`; zero for a zero bound.
-    pub fn jitter(&mut self, max: SimDuration) -> SimDuration {
+    pub(crate) fn jitter(&mut self, max: SimDuration) -> SimDuration {
         if max.nanos() == 0 {
             return SimDuration::ZERO;
         }
@@ -273,7 +271,7 @@ impl HostileNet {
     /// Seed of the directed pair `from → to`'s embedded stream: one
     /// SplitMix64 scramble of the spec seed and the pair identity. Pure
     /// function, exposed so tests can reproduce a pair's draw sequence.
-    pub fn pair_seed(seed: u64, from: ClusterId, to: ClusterId) -> u64 {
+    pub(crate) fn pair_seed(seed: u64, from: ClusterId, to: ClusterId) -> u64 {
         let pair = ((from.0 as u64) << 32) | to.0 as u64;
         Mix64::new(seed ^ pair.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64()
     }

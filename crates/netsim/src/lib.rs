@@ -10,14 +10,11 @@
 
 #![warn(missing_docs)]
 
-pub mod hashing;
-pub mod hostile;
-pub mod ids;
-pub mod network;
-pub mod topology;
+mod hostile;
+mod network;
+mod topology;
 
-pub use hashing::{FastHashMap, FastHasher};
+pub use hc3i_types::{ClusterId, FastHashMap, FastHasher, MessageClass, NodeId, MAX_CLUSTERS};
 pub use hostile::{HostileNet, HostileOutcome, HostileSpec, LatencyDist, Mix64, PartitionSpec};
-pub use ids::{ClusterId, NodeId, MAX_CLUSTERS};
-pub use network::{ContentionModel, MessageClass, Network, TrafficCell};
-pub use topology::{ClusterSpec, LinkSpec, Topology, TriMatrix};
+pub use network::{ContentionModel, Network, TrafficCell};
+pub use topology::{ClusterSpec, LinkSpec, Topology};

@@ -11,21 +11,8 @@
 //! to a `(from_cluster, to_cluster, class)` account — the paper's Table 1 is
 //! exactly a dump of those accounts for the application class.
 
-use crate::hashing::FastHashMap;
-use crate::ids::{ClusterId, NodeId};
 use crate::topology::Topology;
-use desim::{SimDuration, SimTime};
-
-/// What a message is, for accounting purposes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MessageClass {
-    /// Application payload.
-    App,
-    /// Checkpointing-protocol control traffic (2PC rounds, alerts, GC).
-    Protocol,
-    /// Acknowledgements of inter-cluster application messages.
-    Ack,
-}
+use hc3i_types::{ClusterId, FastHashMap, MessageClass, NodeId, SimDuration, SimTime};
 
 /// How concurrent transfers share a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

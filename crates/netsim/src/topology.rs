@@ -4,8 +4,7 @@
 //! cluster, bandwidth and latency inside each cluster and between every
 //! cluster pair (a triangular matrix), and the federation MTBF.
 
-use crate::ids::{ClusterId, NodeId, MAX_CLUSTERS};
-use desim::SimDuration;
+use hc3i_types::{ClusterId, NodeId, SimDuration, MAX_CLUSTERS};
 
 /// Latency + bandwidth of a (bidirectional) link class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,14 +64,14 @@ pub struct ClusterSpec {
 
 /// A symmetric cluster-pair matrix stored as a lower triangle.
 #[derive(Debug, Clone)]
-pub struct TriMatrix<T> {
+pub(crate) struct TriMatrix<T> {
     n: usize,
     cells: Vec<T>,
 }
 
 impl<T: Copy> TriMatrix<T> {
     /// `n`×`n` symmetric matrix (diagonal excluded) filled with `fill`.
-    pub fn new(n: usize, fill: T) -> Self {
+    pub(crate) fn new(n: usize, fill: T) -> Self {
         let cells = vec![fill; n * (n.saturating_sub(1)) / 2];
         TriMatrix { n, cells }
     }
@@ -86,12 +85,12 @@ impl<T: Copy> TriMatrix<T> {
     }
 
     /// Read the entry for the unordered pair `{i, j}`.
-    pub fn get(&self, i: usize, j: usize) -> T {
+    pub(crate) fn get(&self, i: usize, j: usize) -> T {
         self.cells[self.index(i, j)]
     }
 
     /// Write the entry for the unordered pair `{i, j}`.
-    pub fn set(&mut self, i: usize, j: usize, value: T) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, value: T) {
         let idx = self.index(i, j);
         self.cells[idx] = value;
     }
@@ -146,11 +145,6 @@ impl Topology {
     /// Number of clusters in the federation.
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
-    }
-
-    /// Specification of one cluster.
-    pub fn cluster(&self, c: ClusterId) -> &ClusterSpec {
-        &self.clusters[c.index()]
     }
 
     /// Nodes in cluster `c`.

@@ -8,7 +8,7 @@
 //! checkpointed snapshot after a rollback.
 
 use hc3i_core::AppPayload;
-use netsim::NodeId;
+use hc3i_types::NodeId;
 
 /// A node-local application driven by the threaded runtime.
 pub trait Application: Send {

@@ -26,7 +26,7 @@
 use crate::envelope::Envelope;
 use crate::federation::{Health, Routes};
 use hc3i_core::host::{Detection, FaultReports};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use std::time::{Duration, Instant};
 
 /// Heartbeat parameters.

@@ -5,7 +5,7 @@ use hc3i_core::Input;
 
 /// What a node can receive in its (shard-multiplexed) mailbox.
 #[derive(Debug, Clone)]
-pub enum Envelope {
+pub(crate) enum Envelope {
     /// An input for this node's engine, handed over as is: a protocol
     /// message from another node (`Input::Receive`), an application send,
     /// a checkpoint or collection request, a fail-stop from the

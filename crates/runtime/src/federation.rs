@@ -34,12 +34,11 @@ use crate::detector::{ClusterProbe, HeartbeatConfig};
 use crate::envelope::{Envelope, RtEvent};
 use crate::shard::{since, NodeCell, ShardWorker};
 use crossbeam::channel::{self, Receiver, Sender};
-use desim::SimTime;
 use hc3i_core::host::{self, Layout};
 use hc3i_core::{
     AppPayload, CheckpointCodec, Input, NodeEngine, ProtocolConfig, RunReport, XportConfig,
 };
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -58,7 +57,7 @@ use storage::DurableStore;
 pub(crate) type SharedDurable = Arc<Mutex<DurableStore<CheckpointCodec>>>;
 
 /// Factory producing one application instance per node.
-pub type AppFactory = Arc<dyn Fn(NodeId) -> Box<dyn Application> + Send + Sync>;
+pub(crate) type AppFactory = Arc<dyn Fn(NodeId) -> Box<dyn Application> + Send + Sync>;
 
 /// Configuration of a sharded federation.
 #[derive(Clone)]
@@ -222,7 +221,7 @@ fn remaining(deadline: Option<Instant>) -> Option<Duration> {
 }
 
 /// Final per-node state returned by [`Federation::shutdown_with_apps`].
-pub type NodeFinalState = (NodeEngine, Option<Box<dyn Application>>);
+pub(crate) type NodeFinalState = (NodeEngine, Option<Box<dyn Application>>);
 
 /// A running sharded federation.
 pub struct Federation {

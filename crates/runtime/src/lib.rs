@@ -40,14 +40,14 @@
 
 #![warn(missing_docs)]
 
-pub mod app;
-pub mod detector;
-pub mod envelope;
-pub mod federation;
+mod app;
+mod detector;
+mod envelope;
+mod federation;
 mod shard;
 
 pub use app::{Application, CounterApp};
 pub use detector::HeartbeatConfig;
-pub use envelope::{Envelope, RtEvent};
-pub use federation::{AppFactory, Federation, RuntimeConfig};
+pub use envelope::RtEvent;
+pub use federation::{Federation, RuntimeConfig};
 pub use hc3i_core::RunReport;

@@ -47,10 +47,9 @@ use crate::detector::ClusterProbe;
 use crate::envelope::{Envelope, RtEvent};
 use crate::federation::{Health, NodeFinalState, Routes, SharedDurable};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
-use desim::SimTime;
 use hc3i_core::host::{self, Host, Xport};
 use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, StoreOp, XportConfig};
-use netsim::NodeId;
+use hc3i_types::{NodeId, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -6,7 +6,7 @@
 //! must re-apply only the deliveries the rollback lost.
 
 use hc3i_core::AppPayload;
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use runtime::{Application, CounterApp, Federation, RtEvent, RuntimeConfig};
 use std::time::Duration;
 

@@ -18,7 +18,7 @@
 //! ```
 
 use hc3i_core::AppPayload;
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use runtime::{Federation, RtEvent, RuntimeConfig};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

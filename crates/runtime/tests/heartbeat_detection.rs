@@ -3,7 +3,7 @@
 //! proceeds on its own.
 
 use hc3i_core::{AppPayload, ProtocolConfig, SeqNum};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use runtime::{Federation, HeartbeatConfig, RtEvent, RuntimeConfig};
 use std::time::Duration;
 

@@ -2,7 +2,7 @@
 //! read back from its durable segment log.
 
 use hc3i_core::{AppPayload, CheckpointCodec, SeqNum};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use runtime::{Application, CounterApp, Federation, RtEvent, RuntimeConfig};
 use std::time::Duration;
 

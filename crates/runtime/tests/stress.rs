@@ -14,7 +14,7 @@
 //! all 2048 engines).
 
 use hc3i_core::{AppPayload, SeqNum};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use runtime::{Federation, HeartbeatConfig, RtEvent, RuntimeConfig};
 use std::time::{Duration, Instant};
 

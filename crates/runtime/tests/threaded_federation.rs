@@ -5,7 +5,7 @@
 //! suppression and GC over OS threads and channels.
 
 use hc3i_core::{AppPayload, PiggybackMode, ProtocolConfig, SeqNum};
-use netsim::NodeId;
+use hc3i_types::NodeId;
 use runtime::{Federation, RtEvent, RuntimeConfig};
 use std::collections::HashMap;
 use std::time::Duration;

@@ -7,7 +7,7 @@ use workload::{SendEvent, StochasticWorkload};
 
 /// How much of a run the trace keeps (the paper's compile-time trace
 /// levels, chosen at run time; `hc3i-sim run --trace off|protocol|full`).
-/// Which records each level keeps is [`TraceEvent::level`](crate::TraceEvent::level).
+/// Which records each level keeps is decided per [`TraceEvent`](crate::TraceEvent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// Keep nothing (statistics only) — the paper's "lowest output".

@@ -28,11 +28,11 @@
 
 #![warn(missing_docs)]
 
-pub mod config;
-pub mod hostile;
-pub mod run;
+mod config;
+mod hostile;
+mod run;
 pub mod trace;
-pub mod world;
+mod world;
 
 pub use config::{FaultEvent, Sends, SimConfig, TraceLevel};
 pub use hc3i_core::{ClusterStats, RunReport};

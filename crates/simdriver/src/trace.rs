@@ -52,7 +52,7 @@ impl TraceEvent {
     /// The lowest level that keeps this record; `None` for what no level
     /// traces (a non-coordinator's restore — rank 0's stands for the
     /// cluster — and the two soundness alarms, which the report counts).
-    pub fn level(&self) -> Option<TraceLevel> {
+    pub(crate) fn level(&self) -> Option<TraceLevel> {
         match self {
             TraceEvent::Proto(ProtoEvent::Committed { .. } | ProtoEvent::GcReport { .. })
             | TraceEvent::Cut { .. }

@@ -182,11 +182,6 @@ impl FederationWorld {
         }
     }
 
-    /// Access an engine (tests, report finalization).
-    pub fn engine(&self, id: NodeId) -> &NodeEngine {
-        &self.engines[self.layout.index(id)]
-    }
-
     /// Whether `id` is fail-stopped right now.
     fn is_down(&self, id: NodeId) -> bool {
         host::is_down(self.generations[self.layout.index(id)])

@@ -12,7 +12,7 @@
 //! * GC pruning below a safe sequence number.
 
 use crate::stamp::{Ddv, SeqNum};
-use desim::SimTime;
+use hc3i_types::SimTime;
 use std::sync::Arc;
 
 /// Metadata of one committed CLC.

@@ -70,7 +70,7 @@
 use crate::clc_store::{ClcMeta, ClcStore};
 use crate::stamp::SeqNum;
 use crate::varint::{put_ddv, put_u64, Cursor};
-use desim::SimTime;
+use hc3i_types::SimTime;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -519,9 +519,6 @@ pub struct DurableStore<C: EntryCodec> {
     /// (`Arc`-backed stamps and records), so this mirrors pointers, not
     /// deep state.
     mirror: BTreeMap<u64, ClcStore<C::Payload>>,
-    /// What recovery discarded when this store was opened over an
-    /// interrupted log.
-    torn: Option<TornTail>,
     /// Commit frames appended by this handle (crash-injection hooks and
     /// tests key off it).
     commits: u64,
@@ -567,19 +564,8 @@ impl<C: EntryCodec> DurableStore<C> {
             pending: Vec::new(),
             appended: 0,
             mirror: recovered.stores,
-            torn: recovered.torn,
             commits: 0,
         })
-    }
-
-    /// True when the log replayed to nothing (a fresh directory).
-    pub fn is_fresh(&self) -> bool {
-        self.mirror.is_empty()
-    }
-
-    /// The tail span recovery discarded when this handle was opened.
-    pub fn torn_tail(&self) -> Option<TornTail> {
-        self.torn
     }
 
     /// Commit frames appended through this handle.
@@ -901,7 +887,10 @@ mod tests {
     fn round_trip_through_recovery() {
         let dir = tmpdir("roundtrip");
         let mut store = DurableStore::open(&dir, NumsCodec, opts_manual()).unwrap();
-        assert!(store.is_fresh());
+        assert!(
+            store.mirror.is_empty(),
+            "a fresh directory replays to nothing"
+        );
         populate(&mut store);
         assert_state(store.stores());
         drop(store);
@@ -911,7 +900,7 @@ mod tests {
         assert_state(&rec.stores);
         // Reopen (write-path recovery) sees the same state.
         let store = DurableStore::open(&dir, NumsCodec, opts_manual()).unwrap();
-        assert!(!store.is_fresh());
+        assert!(!store.mirror.is_empty());
         assert_state(store.stores());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -978,7 +967,6 @@ mod tests {
         assert_eq!(rec.stores[&1].len(), 3, "truncate survived");
         // The write path truncates the tear and appends cleanly after it.
         let mut store = DurableStore::open(&dir, NumsCodec, opts_manual()).unwrap();
-        assert_eq!(store.torn_tail(), Some(t));
         store.append_prune(0, SeqNum(2)).unwrap();
         drop(store);
         let rec = recover(&dir, &NumsCodec).unwrap();

@@ -39,11 +39,11 @@
 
 #![warn(missing_docs)]
 
-pub mod clc_store;
+mod clc_store;
 pub mod durable;
-pub mod log_store;
-pub mod replication;
-pub mod stamp;
+mod log_store;
+mod replication;
+mod stamp;
 pub mod varint;
 
 pub use clc_store::{ClcEntry, ClcMeta, ClcStore};

@@ -148,13 +148,6 @@ impl<P> MessageLog<P> {
         before - self.entries.len()
     }
 
-    /// Remove every logged message.
-    pub fn clear(&mut self) -> usize {
-        let n = self.entries.len();
-        self.entries.clear();
-        n
-    }
-
     /// Apply a *sender-side* rollback restoring the CLC numbered
     /// `restore_sn`: entries logged at own SN `>= restore_sn` belong to the
     /// discarded execution suffix (those sends will happen again) and are
@@ -178,11 +171,6 @@ impl<P> MessageLog<P> {
     /// High-water mark of simultaneously logged messages.
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Total bytes currently held.
-    pub fn bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
     }
 
     /// Iterate current entries in logging order.
@@ -268,7 +256,7 @@ mod tests {
     #[test]
     fn clear_on_sender_rollback() {
         let mut l = filled();
-        assert_eq!(l.clear(), 3);
+        assert_eq!(l.truncate_after_rollback(SeqNum(1)), 3);
         assert!(l.is_empty());
         assert_eq!(l.peak(), 3, "peak survives clear");
     }
@@ -276,9 +264,10 @@ mod tests {
     #[test]
     fn byte_accounting() {
         let mut l = filled();
-        assert_eq!(l.bytes(), 600);
+        let bytes = |l: &MessageLog<&str>| l.iter().map(|e| e.bytes).sum::<u64>();
+        assert_eq!(bytes(&l), 600);
         l.prune(1, SeqNum(5));
-        assert_eq!(l.bytes(), 500);
+        assert_eq!(bytes(&l), 500);
     }
 
     #[test]

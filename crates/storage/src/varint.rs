@@ -8,7 +8,7 @@
 //! bounds rules so that arbitrary bytes never panic a decoder or make it
 //! allocate beyond the buffer it was handed:
 //!
-//! * a **length** is honoured only by [`Cursor::take`], which compares it
+//! * a **length** is honoured only by `Cursor::take`, which compares it
 //!   with the bytes that remain — there is no `pos + len` to overflow;
 //! * a **count** is read only by [`Cursor::count`], which refuses one that
 //!   the remaining bytes could not back at the item's smallest encoding —
@@ -78,12 +78,12 @@ impl<'a> Cursor<'a> {
     }
 
     /// Bytes not yet read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.0.len()
     }
 
     /// Everything not yet read.
-    pub fn rest(self) -> &'a [u8] {
+    pub(crate) fn rest(self) -> &'a [u8] {
         self.0
     }
 
@@ -131,7 +131,7 @@ impl<'a> Cursor<'a> {
 
     /// The next `len` bytes, if that many remain.
     #[inline]
-    pub fn take(&mut self, len: u64) -> Result<&'a [u8], Error> {
+    pub(crate) fn take(&mut self, len: u64) -> Result<&'a [u8], Error> {
         let len = usize::try_from(len).map_err(|_| Error::Truncated)?;
         let (head, rest) = self.0.split_at_checked(len).ok_or(Error::Truncated)?;
         self.0 = rest;

@@ -14,8 +14,8 @@ use storage::{Ddv, SeqNum};
 /// The dense stamp, with the derived `Debug` the sparse one reproduces.
 mod dense {
     #[derive(Debug)]
-    pub struct Ddv {
-        pub entries: Vec<storage::SeqNum>,
+    pub(crate) struct Ddv {
+        pub(crate) entries: Vec<storage::SeqNum>,
     }
 }
 

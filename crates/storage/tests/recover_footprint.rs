@@ -8,7 +8,7 @@
 //! 4096, and the heap the image keeps, per entry, must match within a
 //! constant. Measured with the test binary's own counting allocator.
 
-use desim::SimTime;
+use hc3i_types::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;

@@ -12,11 +12,9 @@ use std::fmt;
 pub struct ClusterId(pub u16);
 
 /// The widest federation a [`ClusterId`] can address. Everything that
-/// accepts a cluster count from outside (topology files, [`Topology::new`],
-/// the protocol configuration) rejects more, because a wider index would
-/// silently wrap when narrowed to an id.
-///
-/// [`Topology::new`]: crate::Topology::new
+/// accepts a cluster count from outside (topology files, `netsim`'s
+/// `Topology::new`, the protocol configuration) rejects more, because a
+/// wider index would silently wrap when narrowed to an id.
 pub const MAX_CLUSTERS: usize = u16::MAX as usize + 1;
 
 impl ClusterId {
@@ -51,12 +49,6 @@ impl NodeId {
             rank,
         }
     }
-
-    /// True if `other` lives in the same cluster.
-    #[inline]
-    pub fn same_cluster(self, other: NodeId) -> bool {
-        self.cluster == other.cluster
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -73,12 +65,6 @@ mod tests {
     fn display_is_compact() {
         assert_eq!(NodeId::new(2, 17).to_string(), "C2.n17");
         assert_eq!(ClusterId(0).to_string(), "C0");
-    }
-
-    #[test]
-    fn same_cluster_predicate() {
-        assert!(NodeId::new(1, 0).same_cluster(NodeId::new(1, 9)));
-        assert!(!NodeId::new(1, 0).same_cluster(NodeId::new(2, 0)));
     }
 
     #[test]

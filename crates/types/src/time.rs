@@ -37,14 +37,8 @@ impl SimTime {
 
     /// Convert to fractional seconds (for reporting only).
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    #[inline]
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 
     /// Saturating addition of a duration.

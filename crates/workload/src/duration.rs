@@ -4,7 +4,7 @@ use desim::SimDuration;
 
 /// Parse a duration literal: `10us`, `150ms`, `30s`, `15m`, `2h`, `inf`,
 /// or a bare number of seconds (`42`). Returns `None` on malformed input.
-pub fn parse_duration(s: &str) -> Option<SimDuration> {
+pub(crate) fn parse_duration(s: &str) -> Option<SimDuration> {
     let s = s.trim();
     if s.eq_ignore_ascii_case("inf") || s.eq_ignore_ascii_case("infinite") {
         return Some(SimDuration::INFINITE);
@@ -28,7 +28,7 @@ pub fn parse_duration(s: &str) -> Option<SimDuration> {
 
 /// Parse a bandwidth literal: `80Mbps`, `1Gbps`, `100kbps`, or bare bits
 /// per second (`1000000`).
-pub fn parse_bandwidth(s: &str) -> Option<u64> {
+pub(crate) fn parse_bandwidth(s: &str) -> Option<u64> {
     let s = s.trim();
     let (num, unit) = split_unit(s);
     let value: f64 = num.parse().ok()?;

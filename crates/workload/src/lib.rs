@@ -9,11 +9,10 @@
 
 #![warn(missing_docs)]
 
-pub mod duration;
+mod duration;
 pub mod files;
-pub mod generate;
+mod generate;
 pub mod presets;
 
-pub use duration::{parse_bandwidth, parse_duration};
 pub use files::{parse_application, parse_timers, parse_topology, ParseError, TimerSpec};
 pub use generate::{BurstyWorkload, SendEvent, StochasticWorkload, TargetCountWorkload, Workload};

@@ -52,7 +52,7 @@ pub fn paper_three_clusters() -> TargetCountWorkload {
 /// separated by long silences), mostly-local with a configurable cross
 /// fraction to the next cluster. Stresses dense-timestamp regimes —
 /// many sends inside one network round trip.
-pub fn heavy_tailed(
+pub(crate) fn heavy_tailed(
     num_clusters: usize,
     nodes_per_cluster: u32,
     duration: SimDuration,
@@ -81,7 +81,7 @@ pub fn heavy_tailed(
     }
 }
 
-/// [`heavy_tailed`] plus `crowds` evenly-spaced flash crowds: 100 ms
+/// `heavy_tailed` plus `crowds` evenly-spaced flash crowds: 100 ms
 /// windows in which every node fires `fanout` extra sends — checkpoint
 /// rounds race a spike of near-simultaneous application traffic.
 pub fn flash_crowd(

@@ -9,6 +9,10 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
+//! * [`types`] (`hc3i-types`) — the std-only vocabulary every crate
+//!   shares: simulated time, node and cluster ids, message classes and a
+//!   deterministic hasher (the engine side depends on it, not on the
+//!   simulators, which re-export it);
 //! * [`core`] (`hc3i-core`) — the protocol engine (the paper's
 //!   contribution), packaged as a per-node state machine;
 //! * [`desim`] — deterministic discrete-event simulation engine (the
@@ -54,6 +58,7 @@
 pub use baselines;
 pub use desim;
 pub use hc3i_core as core;
+pub use hc3i_types as types;
 pub use netsim;
 pub use runtime;
 pub use simdriver;
