@@ -24,6 +24,12 @@
 # records and `simdriver::trace::render` formats them, so a `format!(` in
 # world.rs's code is a second trace path; and the report fold lives in
 # hc3i-core, so the runtime never depends on the simulator.
+#
+# One owner of fail-stop state: the engine counts its own failures
+# (`NodeEngine::failure_generation`), so a host that stores generations,
+# a failed flag or a table of atomics per node, derives a generation from
+# `is_failed()`, or compares `is_failed()` with a stored copy, keeps a
+# mirror that can drift from the engine.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 code_matching() {
@@ -76,6 +82,13 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(code_matching 'generations?[[:space:]]*:[^:]|_failed[[:space:]]*:|Vec<Atomic|is_failed[(][)][[:space:]]*[!=]=|[!=]=[^;]*is_failed[(][)]|published_failed|::from[(][^)]*is_failed' \
+  crates/simdriver/src crates/runtime/src crates/core/src/testkit.rs)
+if [ -n "$hits" ]; then
+  echo "host code keeps fail-stop state of its own; read the engine's failure_generation() / is_failed():"
+  echo "$hits"
+  status=1
+fi
 if grep -n 'simdriver' crates/runtime/Cargo.toml; then
   echo "crates/runtime depends on the simulator; RunReport and its fold live in hc3i-core"
   status=1
@@ -87,3 +100,4 @@ echo "one interpreter: no Output:: / Msg::Reliable / Msg::XportAck / Input::Dete
 echo "one entry point: no NodeEngine::handle call in simdriver, runtime or testkit, nor in host.rs outside host::input"
 echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"
+echo "one owner of fail-stop state: no stored failure generation, failed flag or health table, and no is_failed() mirror check, in simdriver, runtime or testkit"

@@ -67,7 +67,8 @@ flags:
                      with a finite clc_timer take one explicit CLC after
                      the workload drains, and gc_timer maps to one final
                      collection)
-  --shards N         worker-pool size for --runtime (default: all cores)
+  --shards N         worker-pool cap for --runtime (default: all cores; at
+                     most one shard per cluster, each cluster on one)
   --durable-dir DIR  mirror every node's CLC store to an on-disk segment
                      log under DIR (must not already hold one); a
                      hard-killed run recovers via `hc3i-sim recover`

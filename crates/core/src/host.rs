@@ -20,7 +20,7 @@
 //! | how an input reaches an engine: transport termination for a `Receive`, `NodeEngine::handle` at [`Host::now`], then the interpreter ([`input`]) | which `(node, Input)` comes next — an event queue, a shard's channel and run queue, or a FIFO queue |
 //! | who coordinates: rank 0 ([`ProtocolConfig::coordinator`]) — for the engine, every CLC and GC timer, every scripted checkpoint | when a timer fires — a queue event, or a deadline on the coordinator's cell only |
 //! | which live rank hears a fault, about which ranks ([`FaultReports`], keyed by failure generation, [`is_down`]) | when a detection round runs — a `Detect` event after the detection delay, a heartbeat probe tick, or at once |
-//! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, shard cells, failure generations |
+//! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, or shard cells; each engine counts its own failures ([`NodeEngine::failure_generation`]), so no host keeps a copy |
 //! | the `match` over [`Output`] (`perform`) | [`Host::now`] — simulated or wall-clock time |
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking (`send`) | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue; [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
@@ -100,7 +100,7 @@ pub fn open_log<'a>(
 
 /// Where every node of a federation sits in a host's arena: cluster-major
 /// order, cluster 0's ranks first. The one node index — the simulator's
-/// engine arena, the runtime's health table and shard placement, the test
+/// engine arena, the runtime's shard placement and probe slots, the test
 /// federation's engines and the durable log's node keys all use it.
 #[derive(Debug, Clone)]
 pub struct Layout {
@@ -176,11 +176,11 @@ impl Layout {
     }
 }
 
-/// Whether a failure generation is a fail-stopped one. A node's failure
-/// generation counts its alive↔failed transitions: even = alive, odd =
-/// down, and a node revived and failed again carries a new odd value.
+/// Whether a failure generation ([`NodeEngine::failure_generation`]) is a
+/// fail-stopped one: even = alive, odd = down, and a node revived and
+/// failed again carries a new odd value.
 #[inline]
-pub fn is_down(generation: u64) -> bool {
+pub fn is_down(generation: u32) -> bool {
     generation & 1 == 1
 }
 
@@ -215,7 +215,7 @@ pub struct FaultReports {
     /// The failure generation each reported rank was reported at. A rank
     /// whose generation moved on was revived since — and, if down again,
     /// is a fresh failure, even when no round saw it alive.
-    reported: HashMap<u32, u64>,
+    reported: HashMap<u32, u32>,
 }
 
 impl FaultReports {
@@ -226,7 +226,7 @@ impl FaultReports {
     /// and then reports every newly failed rank with it.
     pub fn detect(
         &mut self,
-        generations: impl IntoIterator<Item = u64>,
+        generations: impl IntoIterator<Item = u32>,
         trigger: Option<u32>,
     ) -> Detection {
         let mut live = None;

@@ -177,7 +177,9 @@ pub struct NodeEngine {
     /// A CLC two-phase commit is in progress: application messages are
     /// held in [`ColdState::frozen`] until it commits.
     frozen: bool,
-    failed: bool,
+    /// Failure generation: alive↔failed transitions so far, odd while the
+    /// node is fail-stopped ([`NodeEngine::failure_generation`]).
+    failures: u32,
     /// Ghost floor per origin cluster: inter-cluster messages stamped with
     /// an epoch below this are in-flight sends of a dead incarnation.
     /// Sparse: only origins that ever rolled back hold an entry.
@@ -250,7 +252,7 @@ impl NodeEngine {
             delivered: DeliveredRecord::new(),
             pending_inter: vec![],
             frozen: false,
-            failed: false,
+            failures: 0,
             min_epoch: EpochFloors::new(n),
             dirty: false,
             cold: Box::new(ColdState {
@@ -290,7 +292,15 @@ impl NodeEngine {
     }
     /// Whether the node is currently failed.
     pub fn is_failed(&self) -> bool {
-        self.failed
+        crate::host::is_down(self.failures)
+    }
+    /// The node's failure generation: how many times it has failed or been
+    /// revived — even while alive, odd while fail-stopped. A node revived
+    /// and failed again carries a new odd value, so a fault report keyed
+    /// by it ([`crate::host::FaultReports`]) tells the two failures apart
+    /// without any host keeping a copy.
+    pub fn failure_generation(&self) -> u32 {
+        self.failures
     }
     /// Whether the node is its cluster's coordinator.
     pub(crate) fn is_coordinator(&self) -> bool {
@@ -347,7 +357,7 @@ impl NodeEngine {
     /// to `out` (a reusable, caller-owned buffer — hosts keep one alive
     /// across events so the hot path allocates nothing).
     pub fn handle(&mut self, now: SimTime, input: Input, out: &mut OutputBuf) {
-        if self.failed {
+        if self.is_failed() {
             // A failed node reacts only to the rollback order that revives
             // it from stable storage.
             if let Input::Receive {
@@ -364,9 +374,7 @@ impl NodeEngine {
             Input::AppSend { to, payload } => self.app_send(to, payload, out),
             Input::ClcTimer => self.on_clc_timer(now, out),
             Input::GcTimer => self.on_gc_timer(out),
-            Input::Fail => {
-                self.failed = true;
-            }
+            Input::Fail => self.failures += 1,
             Input::DetectFaults { failed_ranks } => self.on_detect_faults(&failed_ranks, out),
         }
     }
@@ -1051,7 +1059,9 @@ impl NodeEngine {
             return; // stale or duplicate order
         }
         self.epoch = epoch;
-        self.failed = false;
+        if self.is_failed() {
+            self.failures += 1;
+        }
         let entry = self
             .cold
             .store
@@ -1541,6 +1551,29 @@ mod layout_tests {
                 "rank {rank}"
             );
         }
+    }
+
+    #[test]
+    fn the_failure_generation_counts_transitions_only() {
+        let mut e = NodeEngine::new(ProtocolConfig::new(vec![3]), n(0, 1));
+        let order = |epoch| Msg::RollbackOrder {
+            restore_sn: SeqNum(1),
+            epoch,
+        };
+        feed(&mut e, Input::Fail);
+        feed(&mut e, Input::Fail);
+        assert_eq!(e.failure_generation(), 1, "a second fail is no transition");
+        recv(&mut e, n(0, 0), order(0));
+        assert_eq!(e.failure_generation(), 1, "a stale order revives nothing");
+        assert!(e.is_failed());
+        recv(&mut e, n(0, 0), order(1));
+        assert_eq!(e.failure_generation(), 2, "revived");
+        assert!(!e.is_failed());
+        feed(&mut e, Input::Fail);
+        assert_eq!(e.failure_generation(), 3, "failed again");
+        recv(&mut e, n(0, 0), order(2));
+        recv(&mut e, n(0, 0), order(3));
+        assert_eq!(e.failure_generation(), 4, "a live rollback is no revival");
     }
 
     #[test]

@@ -124,9 +124,9 @@ impl InstantFederation {
         self.input(node, Input::Fail);
         let cluster = &self.engines[self.layout.cluster(node.cluster.index())];
         // Detection here is immediate and runs to quiescence, so the rule
-        // keeps nothing between calls: a fresh set, generation 1 per down
-        // rank.
-        let generations = cluster.iter().map(|e| u64::from(e.is_failed()));
+        // keeps nothing between calls: a fresh set over the engines' own
+        // generations.
+        let generations = cluster.iter().map(NodeEngine::failure_generation);
         match FaultReports::default().detect(generations, None) {
             Detection::Report(rank, report) => {
                 self.input(NodeId::new(node.cluster.0, rank), report);

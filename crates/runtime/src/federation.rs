@@ -14,8 +14,12 @@
 //! ## Shard-assignment determinism contract
 //!
 //! A node's shard is a pure function of the topology and the pool size:
-//! its [`Layout`] index (cluster 0's ranks, then cluster 1's, …) modulo
-//! the shard count — the same arena order the simulator uses.
+//! a cluster is the paper's unit of coordinated checkpointing and of
+//! recovery, so it lives whole on one shard — cluster `c` on shard
+//! `c % shards`, its ranks at contiguous slots in rank order. Its
+//! two-phase commit, fragment replicas, fault detection and rollback
+//! therefore run on one thread, over the run queue; only inter-cluster
+//! traffic crosses a channel.
 //! Protocol state is independent of the pool size: the `engines_agree`
 //! integration test and the `runtime_equivalence` property test pin that a
 //! quiesced scenario reaches bit-identical engine states at 1, 2 and 8
@@ -25,7 +29,8 @@
 //!
 //! [`RuntimeConfig::with_shards`] overrides the default. More shards than
 //! hardware threads only adds context switching; fewer trades latency for
-//! locality. The pool is clamped to the node count, and thousands of nodes
+//! locality. Either way the request is an upper bound: the pool has at
+//! most one shard per cluster, so no shard is empty. Thousands of nodes
 //! run fine on a single shard — the executor multiplexes, it never blocks
 //! on a per-node resource.
 
@@ -42,7 +47,6 @@ use hc3i_types::{NodeId, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -71,10 +75,10 @@ pub struct RuntimeConfig {
     /// Optional per-node application (checkpointed state).
     pub app_factory: Option<AppFactory>,
     /// Optional heartbeat failure detection (one probe per cluster, run by
-    /// the shard homing the cluster's coordinator).
+    /// the shard homing the cluster).
     pub heartbeat: Option<HeartbeatConfig>,
-    /// Worker-pool size (`None` = `available_parallelism`, clamped to the
-    /// node count).
+    /// Upper bound on the worker-pool size (`None` =
+    /// `available_parallelism`); the pool never exceeds the cluster count.
     pub shards: Option<usize>,
     /// Host-level reliable transport for inter-cluster traffic
     /// (retransmission + dedup; see `hc3i_core::xport`). The crossbeam
@@ -134,7 +138,8 @@ impl RuntimeConfig {
         self
     }
 
-    /// Fix the worker-pool size (default: `available_parallelism`).
+    /// Cap the worker-pool size (default: `available_parallelism`; never
+    /// more than one shard per cluster).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -155,31 +160,6 @@ impl RuntimeConfig {
     }
 }
 
-/// Shared fail-stop health table: one failure generation
-/// ([`hc3i_core::host::is_down`]) per node, at its [`Layout`] index. The
-/// shard owning a node bumps the counter whenever its engine's
-/// fail-stopped bit actually transitions (not per input, so the hot path
-/// writes nothing in steady state); heartbeat probes read the counters
-/// instead of timing pong round-trips, so detection never false-positives
-/// under load.
-pub(crate) struct Health(Vec<AtomicU64>);
-
-impl Health {
-    fn new(total: usize) -> Self {
-        Health((0..total).map(|_| AtomicU64::new(0)).collect())
-    }
-
-    /// Record one alive↔failed transition.
-    pub(crate) fn bump(&self, index: usize) {
-        self.0[index].fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Current failure generation.
-    pub(crate) fn generation(&self, index: usize) -> u64 {
-        self.0[index].load(Ordering::Acquire)
-    }
-}
-
 /// The routing table: maps a [`NodeId`] to its shard channel and slot.
 /// Shared (via `Arc`) by the controller and every shard worker.
 pub(crate) struct Routes {
@@ -190,7 +170,7 @@ pub(crate) struct Routes {
 }
 
 impl Routes {
-    /// Where each node sits: its health-table slot and durable log key.
+    /// Where each node sits: its durable log key.
     pub(crate) fn layout(&self) -> &Layout {
         &self.layout
     }
@@ -255,7 +235,7 @@ impl Federation {
                     .map(|n| n.get())
                     .unwrap_or(1)
             })
-            .clamp(1, total.max(1));
+            .clamp(1, n_clusters);
 
         let mut shard_txs = Vec::with_capacity(num_shards);
         let mut shard_rxs = Vec::with_capacity(num_shards);
@@ -265,17 +245,16 @@ impl Federation {
             shard_rxs.push(rx);
         }
 
-        // Deterministic assignment: layout index `g` lives on shard
-        // `g % num_shards` at slot `g / num_shards`.
-        let health = Arc::new(Health::new(total));
+        // Deterministic assignment: cluster `c` lives on shard
+        // `c % num_shards`, its ranks appended in layout (= rank) order.
         let mut addr = Vec::with_capacity(total);
         let mut cells: Vec<Vec<NodeCell>> = (0..num_shards).map(|_| Vec::new()).collect();
-        for (g, engine) in layout.engines(&cfg.protocol).into_iter().enumerate() {
+        for engine in layout.engines(&cfg.protocol) {
             let id = engine.id();
-            let shard = g % num_shards;
+            let c = id.cluster.index();
+            let shard = c % num_shards;
             addr.push((shard as u32, cells[shard].len() as u32));
             // Only a coordinator's timer starts a CLC round.
-            let c = id.cluster.index();
             let clc_delay = cfg.clc_delays[c].filter(|_| id == cfg.protocol.coordinator(c));
             cells[shard].push(NodeCell {
                 id,
@@ -283,7 +262,6 @@ impl Federation {
                 app: cfg.app_factory.as_ref().map(|f| f(id)),
                 clc_delay,
                 clc_deadline: clc_delay.map(|d| Instant::now() + d),
-                published_failed: false,
                 stopped: false,
             });
         }
@@ -303,13 +281,15 @@ impl Federation {
             shard_txs,
         });
 
-        // Each cluster's probe is homed on the shard owning its
-        // coordinator.
+        // Each cluster's probe is homed on the shard owning the cluster,
+        // over the cluster's slots there.
         let mut probes: Vec<Vec<ClusterProbe>> = (0..num_shards).map(|_| Vec::new()).collect();
         if let Some(hb) = cfg.heartbeat {
             for c in 0..n_clusters {
-                let (shard, _) = routes.addr(cfg.protocol.coordinator(c));
-                probes[shard as usize].push(ClusterProbe::new(c, hb, Instant::now()));
+                let ranks = routes.layout.cluster(c);
+                let first = routes.addr[ranks.start].1 as usize;
+                let slots = first..first + ranks.len();
+                probes[c % num_shards].push(ClusterProbe::new(slots, hb, Instant::now()));
             }
         }
 
@@ -324,7 +304,6 @@ impl Federation {
                     nodes,
                     rx,
                     routes.clone(),
-                    health.clone(),
                     events_tx.clone(),
                     epoch,
                     shard_probes,
@@ -610,5 +589,43 @@ impl Drop for Federation {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Cluster-affine placement: cluster `c` on shard `c % S`, its ranks
+    /// at contiguous slots in rank order, every shard's slots dense, and
+    /// never more shards than clusters.
+    #[test]
+    fn a_cluster_lives_whole_on_one_shard() {
+        let sizes = vec![3, 1, 4, 2, 5];
+        for (requested, granted) in [(1, 1), (2, 2), (3, 3), (8, 5)] {
+            let fed =
+                Federation::spawn(RuntimeConfig::manual(sizes.clone()).with_shards(requested));
+            assert_eq!(fed.shards(), granted, "{requested} requested");
+            let mut slots: Vec<Vec<u32>> = vec![Vec::new(); granted];
+            for (c, &size) in sizes.iter().enumerate() {
+                let (_, first) = fed.routes.addr(NodeId::new(c as u16, 0));
+                for rank in 0..size {
+                    let (shard, slot) = fed.routes.addr(NodeId::new(c as u16, rank));
+                    assert_eq!(shard as usize, c % granted, "cluster {c}'s shard");
+                    assert_eq!(slot, first + rank, "cluster {c}'s slots");
+                    slots[shard as usize].push(slot);
+                }
+            }
+            for (shard, mut held) in slots.into_iter().enumerate() {
+                held.sort_unstable();
+                assert!(
+                    held.iter().copied().eq(0..held.len() as u32),
+                    "shard {shard}"
+                );
+            }
+            fed.shutdown();
+        }
+        let fed = Federation::spawn(RuntimeConfig::manual(vec![4, 4]).with_shards(8));
+        assert_eq!(fed.shards(), 2, "two clusters, two shards");
     }
 }

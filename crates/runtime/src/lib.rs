@@ -30,9 +30,13 @@
 //! `RunReport::observe`; both live in `hc3i-core`, so this crate needs
 //! nothing of the simulator.
 //!
-//! **Determinism contract:** shard assignment is the shared
-//! [`hc3i_core::host::Layout`] index modulo the pool size, and protocol
-//! state is independent of the
+//! **Determinism contract:** shard assignment is cluster-affine — cluster
+//! `c` lives whole on shard `c` modulo the pool size, its ranks at
+//! contiguous slots in [`hc3i_core::host::Layout`] order, and the pool
+//! never exceeds the cluster count — so a cluster's two-phase commit,
+//! failure detection and rollback run on one thread, and a probe reads
+//! its cluster's failure generations from the engines it shares a thread
+//! with. Protocol state is independent of the
 //! pool size — the `engines_agree` and `runtime_equivalence` tests pin
 //! that quiesced scenarios reach identical engine states at 1, 2 and 8
 //! shards and match the simulator. [`Federation::quiesce`] provides the

@@ -1,16 +1,17 @@
 //! The shard worker: one OS thread multiplexing many node engines.
 //!
-//! Each worker owns a fixed set of [`NodeCell`]s (assigned round-robin by
-//! layout index — see the crate docs for the determinism contract) and
+//! Each worker owns a fixed set of [`NodeCell`]s — whole clusters, dealt
+//! round-robin (see the crate docs for the determinism contract) — and
 //! has two sources of work. Its MPSC channel carries `(slot, Envelope)`
-//! pairs from other threads: the controller, the other shards, a probe's
-//! report. Its in-thread *run queue* carries every
-//! message one of its own nodes sends to another of them:
+//! pairs from other threads: the controller and the other shards. Its
+//! in-thread *run queue* carries every message one of its own nodes sends
+//! to another of them, and every report of its own heartbeat probes:
 //! [`ShardHost::wire`] looks the destination up in the routing table and
 //! pushes onto the queue when the owner is this shard, onto the owner's
-//! channel otherwise. Local traffic — all of a cluster's 2PC when the
-//! cluster sits on one shard — therefore costs a `VecDeque` push and pop:
-//! no atomics, no park/unpark, no tick, no clock read of its own.
+//! channel otherwise. Local traffic — all of a cluster's 2PC, since a
+//! cluster sits on one shard, and its probe's fault reports — therefore
+//! costs a `VecDeque` push and pop: no atomics, no park/unpark, no tick,
+//! no clock read of its own.
 //!
 //! **The run queue is empty whenever the worker polls or blocks on its
 //! channel** — the worker drains it after every envelope it takes from the
@@ -30,8 +31,9 @@
 //!
 //! Between channel envelopes the worker *ticks*: it fires any due CLC
 //! timer of a coordinator it owns and runs the heartbeat probes of the
-//! clusters it homes ([`ClusterProbe`]), sleeping via `recv_deadline`
-//! until the earliest pending deadline when idle. One reusable [`OutputBuf`] serves all
+//! clusters it owns ([`ClusterProbe`], which read the engines' failure
+//! generations straight from the cells). When idle it sleeps via
+//! `recv_deadline` until the earliest pending deadline. One reusable [`OutputBuf`] serves all
 //! nodes of the shard, so steady-state message processing allocates
 //! nothing per event.
 //!
@@ -45,7 +47,7 @@
 use crate::app::Application;
 use crate::detector::ClusterProbe;
 use crate::envelope::{Envelope, RtEvent};
-use crate::federation::{Health, NodeFinalState, Routes, SharedDurable};
+use crate::federation::{NodeFinalState, Routes, SharedDurable};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use hc3i_core::host::{self, Host, Xport};
 use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, StoreOp, XportConfig};
@@ -64,9 +66,6 @@ pub(crate) struct NodeCell {
     /// only, the one node whose timer starts a round.
     pub(crate) clc_delay: Option<Duration>,
     pub(crate) clc_deadline: Option<Instant>,
-    /// Last fail-stop state published to the shared health table; the
-    /// table is only written on transitions, never per input.
-    pub(crate) published_failed: bool,
     /// Set by `Envelope::Shutdown`; a stopped node drops every later
     /// envelope, exactly as a joined node thread used to.
     pub(crate) stopped: bool,
@@ -181,7 +180,6 @@ pub(crate) struct ShardWorker {
     /// worker polls or blocks on `rx` (see [`ShardWorker::run`]).
     local: VecDeque<(u32, Envelope)>,
     routes: Arc<Routes>,
-    health: Arc<Health>,
     events: Sender<RtEvent>,
     epoch: Instant,
     probes: Vec<ClusterProbe>,
@@ -211,7 +209,6 @@ impl ShardWorker {
         nodes: Vec<NodeCell>,
         rx: Receiver<(u32, Envelope)>,
         routes: Arc<Routes>,
-        health: Arc<Health>,
         events: Sender<RtEvent>,
         epoch: Instant,
         probes: Vec<ClusterProbe>,
@@ -233,7 +230,6 @@ impl ShardWorker {
             rx,
             local: VecDeque::new(),
             routes,
-            health,
             events,
             epoch,
             probes,
@@ -335,8 +331,8 @@ impl ShardWorker {
         if self.next_retry.is_some_and(|t| t <= now) {
             self.retransmit_due();
         }
-        for i in 0..self.probes.len() {
-            self.probes[i].tick(now, &self.routes, &self.health);
+        for probe in &mut self.probes {
+            probe.tick(now, &self.nodes, &mut self.local);
         }
     }
 
@@ -430,16 +426,9 @@ impl ShardWorker {
         (host, &mut cell.engine, &mut self.buf)
     }
 
-    /// Feed one input to a node's engine through [`host::input`], and
-    /// publish any fail-stop transition to the shared health table.
+    /// Feed one input to a node's engine through [`host::input`].
     fn input(&mut self, slot: usize, input: Input) {
         let (mut host, engine, buf) = self.split(slot);
         host::input(&mut host, engine, input, buf);
-        let cell = &mut self.nodes[slot];
-        let failed = cell.engine.is_failed();
-        if failed != cell.published_failed {
-            cell.published_failed = failed;
-            self.health.bump(self.routes.layout().index(cell.id));
-        }
     }
 }

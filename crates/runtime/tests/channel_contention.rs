@@ -24,8 +24,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// All-to-all storm: `msgs` messages fan out so consecutive sends target
-/// *different* destination clusters (and thus, with cluster-major
-/// round-robin assignment, different shards), then every delivery is
+/// *different* destination clusters (and thus, with whole clusters dealt
+/// round-robin to shards, different shards), then every delivery is
 /// awaited and counted. Panics on any lost or duplicated message.
 fn all_to_all_storm(clusters: usize, per_cluster: u32, shards: usize, msgs: u64) {
     let t0 = Instant::now();

@@ -46,24 +46,39 @@ fn refailure_right_after_recovery_is_redetected() {
     // The refailure typically lands inside the same probe period as the
     // revival, so the probe never observes the alive window — the
     // failure-generation counter (not parity alone) is what makes the
-    // second failure reportable.
-    let fed = Federation::spawn(RuntimeConfig::manual(vec![3, 2]).with_heartbeat(hb()));
-    let victim = n(0, 2);
-    for round in 0..3 {
-        fed.fail(victim);
-        fed.wait_for(
-            Duration::from_secs(10),
-            |e| matches!(e, RtEvent::RolledBack { node, .. } if *node == victim),
-        )
-        .unwrap_or_else(|| panic!("round {round}: failure must be (re-)detected"));
-        // Settle the rollback, then refail without waiting out a period.
-        fed.quiesce(2, Duration::from_secs(5));
+    // second failure reportable. At one shard both clusters share the
+    // worker; at two each has its own.
+    for shards in [1, 2] {
+        let fed = Federation::spawn(
+            RuntimeConfig::manual(vec![3, 2])
+                .with_heartbeat(hb())
+                .with_shards(shards),
+        );
+        assert_eq!(fed.shards(), shards);
+        let victim = n(0, 2);
+        for round in 0..3 {
+            fed.fail(victim);
+            fed.wait_for(
+                Duration::from_secs(10),
+                |e| matches!(e, RtEvent::RolledBack { node, .. } if *node == victim),
+            )
+            .unwrap_or_else(|| {
+                panic!("{shards} shards, round {round}: failure must be (re-)detected")
+            });
+            // Settle the rollback, then refail without waiting out a period.
+            fed.quiesce(2, Duration::from_secs(5));
+        }
+        let engines = fed.shutdown();
+        assert!(
+            !engines[&victim].is_failed(),
+            "{shards} shards: revived after the last round"
+        );
+        assert_eq!(
+            engines[&victim].failure_generation(),
+            6,
+            "{shards} shards: three failures, three revivals"
+        );
     }
-    let engines = fed.shutdown();
-    assert!(
-        !engines[&victim].is_failed(),
-        "revived after the last round"
-    );
 }
 
 #[test]

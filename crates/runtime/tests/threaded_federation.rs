@@ -358,29 +358,36 @@ fn reliable_transport_survives_rollback_replay() {
     );
 }
 
-/// Per-pair FIFO across the local/remote split. With global index `g` on
-/// shard `g % shards` (the documented placement), sender `a` reaches
-/// `same` through its worker's run queue and `other` through a channel,
-/// and for the interleaving sender `b` it is the other way round (at one
-/// shard everything is local). Whatever path a directed pair takes, it
-/// takes for the whole run: each pair's tags arrive in send order, and
-/// every tag exactly once.
+/// Per-pair FIFO across the local/remote split. Cluster `c` lives whole
+/// on shard `c % shards` (the documented placement), so with
+/// `CLUSTERS` clusters every request of 1, 2, 3 and 8 shards is granted.
+/// Each sender reaches a peer of its own cluster through its worker's run
+/// queue and a node of the next cluster — on another shard unless there
+/// is only one — through a channel. Whatever path a directed pair takes,
+/// it takes for the whole run: each pair's tags arrive in send order,
+/// and every tag exactly once.
 #[test]
 fn per_pair_fifo_holds_across_the_run_queue_and_the_channels() {
-    const PER_SENDER: u64 = 2_000;
+    const CLUSTERS: u16 = 8;
+    const PER_SENDER: u64 = 500;
     for shards in [1usize, 2, 3, 8] {
-        let size = 2 * shards as u32 + 2;
-        let fed = Federation::spawn(RuntimeConfig::manual(vec![size]).with_shards(shards));
+        let fed = Federation::spawn(
+            RuntimeConfig::manual(vec![2; CLUSTERS as usize]).with_shards(shards),
+        );
         assert_eq!(fed.shards(), shards);
-        let g = |g: usize| n(0, g as u32);
-        let (a, same, other, b) = (g(0), g(shards), g(shards + 1), g(2 * shards + 1));
-        let senders = [a, b];
+        // Rank 0 of every cluster sends to its own rank 1 and to the next
+        // cluster's rank 1, interleaved.
+        let mut pairs = Vec::new();
+        for c in 0..CLUSTERS {
+            pairs.push((n(c, 0), n(c, 1)));
+            pairs.push((n(c, 0), n((c + 1) % CLUSTERS, 1)));
+        }
         for k in 0..PER_SENDER {
-            let to = if k % 2 == 0 { same } else { other };
-            for (s, &from) in senders.iter().enumerate() {
-                fed.send_app(from, to, pay(s as u64 * PER_SENDER + k));
+            for (p, &(from, to)) in pairs.iter().enumerate() {
+                fed.send_app(from, to, pay(p as u64 * PER_SENDER + k));
             }
         }
+        let total = pairs.len() as u64 * PER_SENDER;
         let mut last: HashMap<(NodeId, NodeId), u64> = HashMap::new();
         let mut delivered = 0;
         fed.wait_for(Duration::from_secs(30), |e| {
@@ -394,11 +401,11 @@ fn per_pair_fifo_holds_across_the_run_queue_and_the_channels() {
                 }
                 delivered += 1;
             }
-            delivered == 2 * PER_SENDER
+            delivered == total
         })
         .unwrap_or_else(|| panic!("{shards} shards: {delivered} delivered"));
         // Strictly increasing per pair and the full count: each tag once.
-        assert_eq!(last.len(), 4, "two senders x two destinations");
+        assert_eq!(last.len(), pairs.len(), "every pair delivered");
         fed.quiesce(2, TICK);
         assert!(
             fed.drain_events()

@@ -94,7 +94,7 @@ pub enum Ev {
 /// fixed by the messages themselves.
 pub struct FederationWorld {
     pub(crate) cfg: SimConfig,
-    /// Where each node's engine and failure generation sit.
+    /// Where each node's engine sits.
     pub(crate) layout: Layout,
     /// Every engine of the federation, at its layout index.
     engines: Vec<NodeEngine>,
@@ -102,12 +102,6 @@ pub struct FederationWorld {
     /// route component of the canonical [`desim::InboxKey`] whose sequence
     /// component it supplies. One entry per route that carried a message.
     wire_seq: FastHashMap<u64, u64>,
-    /// Struct-of-arrays mirror of each engine's failure generation
-    /// ([`host::is_down`]), bumped at the single point engines mutate
-    /// (`handle_engine`). Detection rounds and send gating scan this dense
-    /// array cache-linearly instead of striding over whole
-    /// [`NodeEngine`]s.
-    generations: Vec<u64>,
     pub(crate) net: Network,
     pub(crate) clc_timer_keys: Vec<Option<EventKey>>,
     /// Per-cluster fault reports: concurrent faults reach the engine as
@@ -165,7 +159,6 @@ impl FederationWorld {
         });
         FederationWorld {
             cfg,
-            generations: vec![0; layout.nodes()],
             layout,
             engines,
             wire_seq: FastHashMap::default(),
@@ -182,23 +175,14 @@ impl FederationWorld {
         }
     }
 
-    /// Whether `id` is fail-stopped right now.
-    fn is_down(&self, id: NodeId) -> bool {
-        host::is_down(self.generations[self.layout.index(id)])
-    }
-
     /// Feed one input to `node`'s engine through [`host::input`]. The
     /// arena is lent out beside the host for the call — no [`SimHost`]
-    /// method reaches into `engines` or `generations`.
+    /// method reaches into `engines`.
     fn handle_engine(&mut self, ctx: &mut Ctx<'_, Ev>, node: NodeId, input: Input) {
-        let idx = self.layout.index(node);
         let mut buf = std::mem::take(&mut self.out_buf);
         let mut engines = std::mem::take(&mut self.engines);
-        let engine = &mut engines[idx];
+        let engine = &mut engines[self.layout.index(node)];
         host::input(&mut SimHost { w: self, ctx }, engine, input, &mut buf);
-        if engine.is_failed() != host::is_down(self.generations[idx]) {
-            self.generations[idx] += 1;
-        }
         self.engines = engines;
         self.out_buf = buf;
     }
@@ -420,7 +404,7 @@ impl World for FederationWorld {
                     // traffic is covered by the coordinated checkpoint,
                     // and a failed node's application is down.
                     if let Some(ledger) = self.hostile_stats.ledger.as_mut() {
-                        let live = !host::is_down(self.generations[self.layout.index(node)]);
+                        let live = !self.engines[self.layout.index(node)].is_failed();
                         if live && node.cluster != to.cluster {
                             ledger.record_sent(payload.tag, node.cluster.index(), ctx.now());
                         }
@@ -446,7 +430,7 @@ impl World for FederationWorld {
                 }
             }
             Ev::Fault { node } => {
-                if self.is_down(node) {
+                if self.engines[self.layout.index(node)].is_failed() {
                     return;
                 }
                 self.handle_engine(ctx, node, Input::Fail);
@@ -466,9 +450,9 @@ impl World for FederationWorld {
                 // since, not in an earlier report whose rollback is still
                 // in flight); it then reports every newly failed rank, and
                 // the later per-fault Detect events find theirs reported.
-                let generations = self.generations[self.layout.cluster(cluster)]
+                let generations = self.engines[self.layout.cluster(cluster)]
                     .iter()
-                    .copied();
+                    .map(NodeEngine::failure_generation);
                 match self.reports[cluster].detect(generations, Some(failed_rank)) {
                     Detection::Report(rank, report) => {
                         self.handle_engine(ctx, NodeId::new(cluster as u16, rank), report);
