@@ -30,6 +30,12 @@
 # a failed flag or a table of atomics per node, derives a generation from
 # `is_failed()`, or compares `is_failed()` with a stored copy, keeps a
 # mirror that can drift from the engine.
+#
+# The transport comes with the loss: the simulator's world builds the
+# reliable transport exactly when its hostile spec can drop a copy, and
+# the runtime's channels never drop one, so `XportConfig` or
+# `with_reliable_transport` in the simulator's config, the runtime or the
+# campaign is the transport growing back as a setting.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 code_matching() {
@@ -89,6 +95,13 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(code_matching 'XportConfig|with_reliable_transport' \
+  crates/simdriver/src/config.rs crates/runtime/src crates/campaign/src)
+if [ -n "$hits" ]; then
+  echo "the reliable transport is a setting again; the simulator runs it exactly when its hostile spec has loss > 0:"
+  echo "$hits"
+  status=1
+fi
 if grep -n 'simdriver' crates/runtime/Cargo.toml; then
   echo "crates/runtime depends on the simulator; RunReport and its fold live in hc3i-core"
   status=1
@@ -101,3 +114,4 @@ echo "one entry point: no NodeEngine::handle call in simdriver, runtime or testk
 echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"
 echo "one owner of fail-stop state: no stored failure generation, failed flag or health table, and no is_failed() mirror check, in simdriver, runtime or testkit"
+echo "the transport comes with the loss: no XportConfig or with_reliable_transport in simdriver's config, runtime or campaign"

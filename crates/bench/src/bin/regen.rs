@@ -156,17 +156,16 @@ fn fingerprint() -> String {
     // Wide ring: many clusters, forced-CLC heavy.
     let r = simdriver::run(ring_config(12, 4, 2, 20040426));
     let _ = writeln!(s, "ring 12x4 seed=20040426\n{r:#?}\n");
-    // Hostile ring: duplication + reordering + a lossy wire behind the
-    // reliable transport. The hostile ledger is fingerprinted alongside
-    // the report, so the per-pair RNG streams and the canonical inbox
-    // order are pinned too.
+    // Hostile ring: duplication + reordering + a lossy wire, which brings
+    // the reliable transport. The hostile side statistics (injected
+    // duplicates, reorders, losses, retransmissions) are fingerprinted
+    // alongside the report, so the per-pair RNG streams are pinned too;
+    // no delivery ledger is tracked (`ledger: None`).
     let spec = HostileSpec::seeded(20040426)
         .with_duplication(0.10, SimDuration::from_millis(1))
         .with_reorder(0.10, SimDuration::from_micros(500))
         .with_loss(0.05);
-    let cfg = ring_config(6, 4, 1, 20040426)
-        .with_hostile(spec)
-        .with_reliable_transport();
+    let cfg = ring_config(6, 4, 1, 20040426).with_hostile(spec);
     let (r, h) = simdriver::run_hostile(cfg);
     let _ = writeln!(s, "ring hostile 6x4 seed=20040426\n{r:#?}\n{h:#?}\n");
     s

@@ -271,7 +271,6 @@ fn lossy_wan(topo: &Topology, seed: u64) -> ScenarioRun {
     let spec = HostileSpec::seeded(seed ^ 0x1055).with_loss(0.5);
     let cfg = base_config(topo, seed)
         .with_hostile(spec)
-        .with_reliable_transport()
         .with_fault(minutes(14), NodeId::new(0, 1));
     ScenarioRun {
         cfg,
@@ -289,7 +288,6 @@ fn asymmetric_cut(topo: &Topology, seed: u64) -> ScenarioRun {
     let spec = HostileSpec::seeded(seed ^ 0xA5CF).with_loss(0.1);
     let cfg = base_config(topo, seed)
         .with_hostile(spec)
-        .with_reliable_transport()
         .with_oneway_partition(minutes(10), minutes(12), vec![0])
         .with_fault(minutes(20), NodeId::new(0, 1));
     ScenarioRun {
@@ -308,7 +306,6 @@ fn partition_during_cascade(topo: &Topology, seed: u64) -> ScenarioRun {
     let spec = HostileSpec::seeded(seed ^ 0xCA5C).with_loss(0.25);
     let cfg = base_config(topo, seed)
         .with_hostile(spec)
-        .with_reliable_transport()
         .with_partition(minutes(16), heal, vec![0])
         .with_fault(minutes(18), NodeId::new(0, 1));
     ScenarioRun {

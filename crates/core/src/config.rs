@@ -25,10 +25,6 @@ pub struct ProtocolConfig {
     pub piggyback: PiggybackMode,
     /// In-cluster stable-storage replication policy.
     pub replication: ReplicationPolicy,
-    /// How many *simultaneous cluster failures* the garbage collector must
-    /// preserve recovery lines for (paper §7 extension; the paper's
-    /// protocol is `1`).
-    pub gc_fault_tolerance: usize,
 }
 
 impl ProtocolConfig {
@@ -51,7 +47,6 @@ impl ProtocolConfig {
             cluster_sizes,
             piggyback: PiggybackMode::default(),
             replication: ReplicationPolicy::paper_default(),
-            gc_fault_tolerance: 1,
         }
     }
 

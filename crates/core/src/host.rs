@@ -23,7 +23,7 @@
 //! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, or shard cells; each engine counts its own failures ([`NodeEngine::failure_generation`]), so no host keeps a copy |
 //! | the `match` over [`Output`] (`perform`) | [`Host::now`] — simulated or wall-clock time |
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking (`send`) | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue; [`Host::xport`] — where the [`Xport`] lives, or `None` |
-//! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event, or a cached polling bound |
+//! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event |
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
 //! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
 //! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, `perform` only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or a report fold alone |
@@ -276,25 +276,6 @@ impl Xport {
     /// Total retransmitted copies across all channels.
     pub fn retransmissions(&self) -> u64 {
         self.senders.values().map(|s| s.retransmissions).sum()
-    }
-
-    /// For hosts that poll instead of scheduling one timer per copy: the
-    /// `(from, to, seq)` of every in-flight copy whose deadline has
-    /// passed (hand each to [`retry`]), and the earliest deadline still
-    /// ahead.
-    pub fn due(&self, now: SimTime) -> (Vec<(NodeId, NodeId, u64)>, Option<SimTime>) {
-        let mut due = Vec::new();
-        let mut ahead: Option<SimTime> = None;
-        for (&(from, to), ch) in &self.senders {
-            for (seq, at) in ch.deadlines() {
-                if at <= now {
-                    due.push((from, to, seq));
-                } else {
-                    ahead = Some(ahead.map_or(at, |a| a.min(at)));
-                }
-            }
-        }
-        (due, ahead)
     }
 }
 
@@ -711,16 +692,8 @@ mod tests {
         host.now = t(49);
         retry(&mut host, ME, PEER, 0);
         assert!(host.take().is_empty(), "not due yet");
-        assert_eq!(
-            host.xport.as_ref().unwrap().due(t(49)),
-            (vec![], Some(t(50)))
-        );
 
         host.now = t(50);
-        assert_eq!(
-            host.xport.as_ref().unwrap().due(t(50)),
-            (vec![(ME, PEER, 0)], None)
-        );
         retry(&mut host, ME, PEER, 0);
         assert_eq!(
             host.take(),

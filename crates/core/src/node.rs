@@ -1219,7 +1219,7 @@ impl NodeEngine {
         let lists: Vec<Vec<(SeqNum, Arc<Ddv>)>> = (0..self.cfg.num_clusters())
             .map(|c| g.lists.remove(&c).expect("list collected"))
             .collect();
-        let min_sns = gc::safe_minimum_sns_k(&lists, self.cfg.gc_fault_tolerance);
+        let min_sns = gc::safe_minimum_sns(&lists);
         for c in 1..self.cfg.num_clusters() {
             out.push(Output::Send {
                 to: self.cfg.coordinator(c),

@@ -605,36 +605,6 @@ mod tests {
     // ---- freeze-window behaviour ----
 
     #[test]
-    fn gc_fault_tolerance_two_keeps_deeper_clcs() {
-        // Same history, two GC settings: the k=2 collector must keep
-        // every CLC that any *pair* of simultaneous failures could need,
-        // so it can never prune more than the k=1 collector.
-        let run = |k: usize| {
-            let mut fed = InstantFederation::new(ProtocolConfig {
-                gc_fault_tolerance: k,
-                ..ProtocolConfig::new(vec![2, 2, 2])
-            });
-            // Interleaved cross traffic and checkpoints.
-            fed.app_send(n(0, 0), n(1, 0), pay(1));
-            fed.fire_clc_timer(0);
-            fed.app_send(n(1, 0), n(2, 0), pay(2));
-            fed.fire_clc_timer(1);
-            fed.app_send(n(2, 0), n(0, 0), pay(3));
-            fed.fire_clc_timer(2);
-            fed.app_send(n(0, 1), n(2, 1), pay(4));
-            fed.run_gc();
-            (0..3u16)
-                .map(|c| fed.engine(n(c, 0)).store().len())
-                .collect::<Vec<_>>()
-        };
-        let k1 = run(1);
-        let k2 = run(2);
-        for (a, b) in k1.iter().zip(&k2) {
-            assert!(b >= a, "k=2 pruned more than k=1: {k1:?} vs {k2:?}");
-        }
-    }
-
-    #[test]
     fn multi_rank_detection_checks_joint_recoverability() {
         let mut fed = InstantFederation::new(ProtocolConfig::new(vec![4, 2]));
         fed.fire_clc_timer(0);

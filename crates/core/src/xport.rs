@@ -20,11 +20,12 @@
 //!   each sequence — a cumulative watermark plus a sparse above-watermark
 //!   set make the dedup state O(reordering window), not O(messages).
 //!
-//! The state machines here are substrate-neutral, and so is the code that
-//! drives them ([`crate::host`]'s `send`/`receive`/`retry`): the
-//! discrete-event simulator arms one `desim` timer event per copy and the
-//! threaded runtime polls from its shard ticks, both expressing "now" as a
-//! [`SimTime`].
+//! The transport comes with the loss: a host runs it exactly when its wire
+//! can drop a copy. The simulator does so whenever its hostile spec has
+//! `loss > 0` and arms one `desim` timer event per copy; the threaded
+//! runtime, whose channels never lose a copy, runs none. The state
+//! machines here are substrate-neutral, and so is the code that drives
+//! them ([`crate::host`]'s `send`/`receive`/`retry`).
 //! Everything is deterministic — no randomness, iteration in sequence
 //! order — so simulator fingerprints stay a pure function of the
 //! configuration and seed.
@@ -168,12 +169,6 @@ impl SenderChannel {
     pub(crate) fn deadline(&self, seq: u64) -> Option<SimTime> {
         self.inflight.get(&seq).map(|e| e.next_at)
     }
-
-    /// `(seq, deadline)` of every in-flight copy, in sequence order (what
-    /// a polling host scans for due retransmissions).
-    pub(crate) fn deadlines(&self) -> impl Iterator<Item = (u64, SimTime)> + '_ {
-        self.inflight.iter().map(|(&seq, e)| (seq, e.next_at))
-    }
 }
 
 /// Receiver side of one directed node pair: exactly-once admission by
@@ -269,11 +264,11 @@ mod tests {
             "cap reached: +300"
         );
         assert_eq!(s.retransmissions, 3);
-        assert_eq!(s.deadlines().collect::<Vec<_>>(), vec![(0, t(650))]);
+        assert_eq!(s.deadline(0), Some(t(650)));
         // Ack cancels everything.
         s.ack(t(651), &cfg, 0);
         assert_eq!(s.retransmit(t(10_000), &cfg, 0), None);
-        assert_eq!(s.deadlines().next(), None);
+        assert_eq!(s.deadline(0), None);
     }
 
     #[test]

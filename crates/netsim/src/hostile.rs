@@ -13,8 +13,9 @@
 //!   ([`PartitionSpec::oneway`]): A→B severed while B→A flows;
 //! * **packet loss** — an inter-cluster message simply vanishes with
 //!   probability `p`. Loss breaks the exactly-once transport
-//!   the protocol engine assumes, so lossy runs are expected to pair it
-//!   with the host-level reliability sub-layer (`hc3i_core::xport`):
+//!   the protocol engine assumes, so a simulated federation whose spec
+//!   has `loss > 0` always runs the host-level reliability sub-layer
+//!   (`hc3i_core::xport`):
 //!   sender-side retransmission with exponential backoff plus
 //!   receiver-side dedup restore exactly-once delivery *despite* loss —
 //!   every retransmitted copy re-enters this post-processor and is drawn
@@ -199,7 +200,9 @@ impl HostileSpec {
         self
     }
 
-    /// Drop every inter-cluster message with probability `p`.
+    /// Drop every inter-cluster message with probability `p`. A simulated
+    /// federation over a spec with `p > 0` runs the reliable transport
+    /// (`hc3i_core::xport`) on its inter-cluster links; `p = 0` runs none.
     pub fn with_loss(mut self, p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.loss = p;

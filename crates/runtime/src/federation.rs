@@ -40,9 +40,7 @@ use crate::envelope::{Envelope, RtEvent};
 use crate::shard::{since, NodeCell, ShardWorker};
 use crossbeam::channel::{self, Receiver, Sender};
 use hc3i_core::host::{self, Layout};
-use hc3i_core::{
-    AppPayload, CheckpointCodec, Input, NodeEngine, ProtocolConfig, RunReport, XportConfig,
-};
+use hc3i_core::{AppPayload, CheckpointCodec, Input, NodeEngine, ProtocolConfig, RunReport};
 use hc3i_types::{NodeId, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -80,12 +78,6 @@ pub struct RuntimeConfig {
     /// Upper bound on the worker-pool size (`None` =
     /// `available_parallelism`); the pool never exceeds the cluster count.
     pub shards: Option<usize>,
-    /// Host-level reliable transport for inter-cluster traffic
-    /// (retransmission + dedup; see `hc3i_core::xport`). The crossbeam
-    /// channels are already reliable, so this is off by default — enable
-    /// it to mirror a deployment whose WAN can drop packets, or to keep a
-    /// scenario config identical to a lossy simulator run.
-    pub xport: Option<XportConfig>,
     /// Mirror every node's CLC store to an on-disk segment log under this
     /// directory (`storage::DurableStore`): commits, rollback truncations
     /// and GC prunes are appended as checksummed frames, fsync-ed per
@@ -106,7 +98,6 @@ impl RuntimeConfig {
             app_factory: None,
             heartbeat: None,
             shards: None,
-            xport: None,
             durable_dir: None,
         }
     }
@@ -118,7 +109,15 @@ impl RuntimeConfig {
     }
 
     /// Replace the protocol config.
+    ///
+    /// # Panics
+    /// If `protocol` has another cluster count than this config.
     pub fn with_protocol(mut self, protocol: ProtocolConfig) -> Self {
+        assert_eq!(
+            protocol.num_clusters(),
+            self.clc_delays.len(),
+            "protocol/config cluster count mismatch"
+        );
         self.protocol = protocol;
         self
     }
@@ -142,13 +141,6 @@ impl RuntimeConfig {
     /// more than one shard per cluster).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Enable the host-level reliable transport (default tuning) on every
-    /// inter-cluster link.
-    pub fn with_reliable_transport(mut self) -> Self {
-        self.xport = Some(XportConfig::default());
         self
     }
 
@@ -308,7 +300,6 @@ impl Federation {
                     epoch,
                     shard_probes,
                 )
-                .with_xport(cfg.xport)
                 .with_durable(durable.clone());
                 std::thread::Builder::new()
                     .name(format!("hc3i-shard-{s}"))
@@ -627,5 +618,13 @@ mod tests {
         }
         let fed = Federation::spawn(RuntimeConfig::manual(vec![4, 4]).with_shards(8));
         assert_eq!(fed.shards(), 2, "two clusters, two shards");
+    }
+
+    /// A protocol over more clusters than the config's timers cover is
+    /// refused where it is set, not by an index out of bounds at spawn.
+    #[test]
+    #[should_panic(expected = "protocol/config cluster count mismatch")]
+    fn with_protocol_rejects_another_cluster_count() {
+        let _ = RuntimeConfig::manual(vec![2, 2]).with_protocol(ProtocolConfig::new(vec![2, 2, 2]));
     }
 }

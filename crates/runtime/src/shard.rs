@@ -50,7 +50,7 @@ use crate::envelope::{Envelope, RtEvent};
 use crate::federation::{NodeFinalState, Routes, SharedDurable};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
 use hc3i_core::host::{self, Host, Xport};
-use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, StoreOp, XportConfig};
+use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, StoreOp};
 use hc3i_types::{NodeId, SimTime};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -93,8 +93,6 @@ struct ShardHost<'a> {
     local: &'a mut VecDeque<(u32, Envelope)>,
     routes: &'a Routes,
     events: &'a Sender<RtEvent>,
-    xport: &'a mut Option<Xport>,
-    next_retry: &'a mut Option<Instant>,
     next_clc: &'a mut Option<Instant>,
     durable: Option<&'a SharedDurable>,
     app: &'a mut Option<Box<dyn Application>>,
@@ -122,14 +120,12 @@ impl Host for ShardHost<'_> {
         }
     }
 
-    #[inline]
+    /// The crossbeam channels never lose a copy, so no transport runs.
     fn xport(&mut self) -> Option<&mut Xport> {
-        self.xport.as_mut()
+        None
     }
 
-    fn arm_retry(&mut self, _from: NodeId, _to: NodeId, _seq: u64, at: SimTime) {
-        lower(self.next_retry, self.epoch + Duration::from_nanos(at.0));
-    }
+    fn arm_retry(&mut self, _from: NodeId, _to: NodeId, _seq: u64, _at: SimTime) {}
 
     fn reset_clc_timer(&mut self, _node: NodeId) {
         if let Some(d) = self.clc_delay {
@@ -190,15 +186,6 @@ pub(crate) struct ShardWorker {
     next_clc: Option<Instant>,
     /// Nodes not yet stopped; the worker exits when this reaches zero.
     live: usize,
-    /// Reliable-transport state of this shard — sender channels for its
-    /// own nodes' outgoing inter-cluster traffic, receiver channels for
-    /// what arrives here, so no state is shared across workers. `None`
-    /// leaves the envelope traffic of a transport-free federation
-    /// untouched.
-    xport: Option<Xport>,
-    /// Lower bound on the earliest retransmission deadline; `None` when
-    /// nothing is in flight. Maintained like `next_clc`.
-    next_retry: Option<Instant>,
     /// The federation's shared on-disk segment log; `None` keeps every
     /// CLC store in memory only.
     durable: Option<SharedDurable>,
@@ -236,17 +223,8 @@ impl ShardWorker {
             buf: OutputBuf::new(),
             next_clc,
             live,
-            xport: None,
-            next_retry: None,
             durable: None,
         }
-    }
-
-    /// Enable the reliable transport for this shard's inter-cluster
-    /// traffic (chained at construction; `None` is a no-op).
-    pub(crate) fn with_xport(mut self, cfg: Option<XportConfig>) -> Self {
-        self.xport = cfg.map(Xport::new);
-        self
     }
 
     /// Attach the federation's shared durable segment log (chained at
@@ -278,7 +256,7 @@ impl ShardWorker {
                 self.dispatch(slot as usize, env);
                 self.drain_local();
             }
-            // Timers and retransmissions emit through the same `wire`.
+            // Timers and probes emit through the same `wire`.
             self.tick();
             self.drain_local();
         }
@@ -306,14 +284,10 @@ impl ShardWorker {
         }
     }
 
-    /// Earliest pending timer, probe or retransmission deadline, if any.
-    /// O(#probes): the CLC and transport sides are cached bounds, not
-    /// scans.
+    /// Earliest pending timer or probe deadline, if any. O(#probes): the
+    /// CLC side is a cached bound, not a scan.
     fn next_deadline(&self) -> Option<Instant> {
         let mut next = self.next_clc;
-        if let Some(t) = self.next_retry {
-            lower(&mut next, t);
-        }
         for p in &self.probes {
             lower(&mut next, p.next_deadline());
         }
@@ -328,25 +302,8 @@ impl ShardWorker {
         if self.next_clc.is_some_and(|t| t <= now) {
             self.fire_due_clcs(now);
         }
-        if self.next_retry.is_some_and(|t| t <= now) {
-            self.retransmit_due();
-        }
         for probe in &mut self.probes {
             probe.tick(now, &self.nodes, &mut self.local);
-        }
-    }
-
-    /// Put every overdue in-flight copy back on the wire. The cached
-    /// bound restarts from the earliest deadline still ahead; each
-    /// retransmitted copy lowers it again as it re-arms.
-    fn retransmit_due(&mut self) {
-        let Some(x) = self.xport.as_ref() else { return };
-        let (due, ahead) = x.due(since(self.epoch));
-        self.next_retry = ahead.map(|t| self.epoch + Duration::from_nanos(t.0));
-        for (from, to, seq) in due {
-            let slot = self.routes.addr(from).1 as usize;
-            let (mut host, ..) = self.split(slot);
-            host::retry(&mut host, from, to, seq);
         }
     }
 
@@ -415,8 +372,6 @@ impl ShardWorker {
             local: &mut self.local,
             routes: &self.routes,
             events: &self.events,
-            xport: &mut self.xport,
-            next_retry: &mut self.next_retry,
             next_clc: &mut self.next_clc,
             durable: self.durable.as_ref(),
             app: &mut cell.app,

@@ -303,61 +303,6 @@ fn duplicate_suppression_under_replay_race() {
     assert_eq!(engines[&n(1, 0)].sn(), SeqNum(2));
 }
 
-#[test]
-fn reliable_transport_is_transparent_under_concurrent_traffic() {
-    // The crossbeam layer never drops, so the transport must be a pure
-    // pass-through here: every message still delivered exactly once, the
-    // sequence wrappers and acks invisible to the protocol outcome.
-    let fed = Federation::spawn(
-        RuntimeConfig::manual(vec![4, 4])
-            .with_protocol(ProtocolConfig::new(vec![4, 4]).with_piggyback(PiggybackMode::FullDdv))
-            .with_reliable_transport(),
-    );
-    let total = 200u64;
-    for k in 0..total {
-        let from = n((k % 2) as u16, (k % 4) as u32);
-        let to = n(((k + 1) % 2) as u16, ((k + 1) % 4) as u32);
-        fed.send_app(from, to, pay(1000 + k));
-    }
-    let mut delivered = 0;
-    let ok = fed.wait_for(Duration::from_secs(20), |e| {
-        if matches!(e, RtEvent::Delivered { payload, .. } if payload.tag >= 1000) {
-            delivered += 1;
-        }
-        delivered == total
-    });
-    assert!(ok.is_some(), "delivered {delivered}/{total}");
-    fed.shutdown();
-}
-
-#[test]
-fn reliable_transport_survives_rollback_replay() {
-    // Rollback replay rides the transport too: the replayed copy gets a
-    // fresh sequence, the engine's own dedup (not the transport's)
-    // decides redelivery after the restore.
-    let fed = Federation::spawn(RuntimeConfig::manual(vec![2, 3]).with_reliable_transport());
-    fed.send_app(n(0, 0), n(1, 2), pay(5));
-    fed.wait_for(
-        TICK,
-        |e| matches!(e, RtEvent::Delivered { payload, .. } if payload.tag == 5),
-    )
-    .expect("first delivery");
-    fed.fail(n(1, 1));
-    fed.detect(n(1, 0), 1);
-    fed.wait_for(TICK, |e| {
-        matches!(e, RtEvent::Delivered { payload, to, .. }
-            if payload.tag == 5 && *to == n(1, 2))
-    })
-    .expect("replayed delivery through the transport");
-    let engines = fed.shutdown();
-    assert!(!engines[&n(1, 1)].is_failed(), "revived");
-    assert_eq!(
-        engines[&n(0, 0)].sn(),
-        SeqNum(1),
-        "sender never rolled back"
-    );
-}
-
 /// Per-pair FIFO across the local/remote split. Cluster `c` lives whole
 /// on shard `c % shards` (the documented placement), so with
 /// `CLUSTERS` clusters every request of 1, 2, 3 and 8 shards is granted.

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use desim::{SimDuration, SimTime};
-use hc3i_core::{ProtocolConfig, XportConfig};
+use hc3i_core::ProtocolConfig;
 use netsim::{ContentionModel, HostileSpec, NodeId, PartitionSpec, Topology};
 use workload::{SendEvent, StochasticWorkload};
 
@@ -96,9 +96,13 @@ pub struct SimConfig {
     pub seed: u64,
     /// Trace level (the paper's compile-time trace levels, made runtime).
     pub trace: TraceLevel,
-    /// Hostile-network behaviour (duplication, reordering, latency skew).
-    /// `None` keeps the pristine network and the exact event stream of a
-    /// run that predates the hostile model.
+    /// Hostile-network behaviour (duplication, reordering, latency skew,
+    /// loss). `None` keeps the pristine network and the exact event stream
+    /// of a run that predates the hostile model. A spec with `loss > 0`
+    /// brings the host-level reliable transport (retransmission + dedup;
+    /// see `hc3i_core::xport`) on every inter-cluster link, so the engine's
+    /// exactly-once assumption survives the loss; without loss no copy is
+    /// wrapped and the wire is that of a run that predates the transport.
     pub hostile: Option<HostileSpec>,
     /// Scripted cluster partitions with heal times. Inter-cluster messages
     /// crossing an active cut are held until the heal.
@@ -107,12 +111,6 @@ pub struct SimConfig {
     /// [`run_hostile`](crate::run_hostile). Observation only; the run
     /// itself is unaffected.
     pub track_delivery: bool,
-    /// Host-level reliable transport for inter-cluster traffic
-    /// (retransmission + dedup; see `hc3i_core::xport`). Required for the
-    /// engine's exactly-once assumptions to survive hostile packet loss.
-    /// `None` keeps the wire format and event stream of a run that
-    /// predates the transport.
-    pub xport: Option<XportConfig>,
     /// Mirror every node's CLC store to an on-disk segment log under this
     /// directory (`storage::DurableStore`): commits, rollback truncations
     /// and GC prunes are appended as checksummed frames, fsync-ed per
@@ -155,7 +153,6 @@ impl SimConfig {
             hostile: None,
             partitions: vec![],
             track_delivery: false,
-            xport: None,
             durable_dir: None,
             durable_crash_after: None,
         }
@@ -261,13 +258,6 @@ impl SimConfig {
             group,
             oneway: true,
         });
-        self
-    }
-
-    /// Enable the host-level reliable transport (default tuning) on every
-    /// inter-cluster link.
-    pub fn with_reliable_transport(mut self) -> Self {
-        self.xport = Some(XportConfig::default());
         self
     }
 

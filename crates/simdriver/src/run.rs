@@ -206,8 +206,8 @@ mod tests {
     use super::*;
     use crate::config::TraceLevel;
     use desim::SimDuration;
-    use hc3i_core::ProtoEvent;
-    use netsim::{NodeId, Topology};
+    use hc3i_core::{Msg, ProtoEvent};
+    use netsim::{HostileSpec, NodeId, Topology};
     use workload::{TargetCountWorkload, Workload};
 
     fn small_cfg(duration_min: u64) -> SimConfig {
@@ -447,5 +447,56 @@ mod tests {
             "expected at least one MTBF fault"
         );
         assert_eq!(report.unrecoverable_faults, 0);
+    }
+
+    /// The transport comes with the loss: a hostile run that cannot drop
+    /// a copy puts no transport frame on the wire and retransmits
+    /// nothing; the same run over a lossy wire wraps and retransmits.
+    #[test]
+    fn the_reliable_transport_runs_exactly_when_the_wire_can_lose() {
+        let traced = |spec: HostileSpec| {
+            let cfg = small_cfg(10)
+                .with_sends(small_workload(10, vec![vec![20, 40], vec![40, 20]]))
+                .with_clc_delay(0, SimDuration::from_minutes(2))
+                .with_clc_delay(1, SimDuration::from_minutes(2))
+                .with_hostile(spec)
+                .with_partition(
+                    SimTime::ZERO + SimDuration::from_minutes(3),
+                    SimTime::ZERO + SimDuration::from_minutes(4),
+                    vec![0],
+                )
+                .with_trace(TraceLevel::Full);
+            let (_, trace, hostile) = run_inner(cfg);
+            let frames = trace
+                .iter()
+                .filter(|(_, r)| {
+                    matches!(
+                        r,
+                        TraceEvent::Wire {
+                            msg: Msg::Reliable { .. } | Msg::XportAck { .. },
+                            ..
+                        }
+                    )
+                })
+                .count();
+            (frames, hostile)
+        };
+        let spec = HostileSpec::seeded(7)
+            .with_duplication(0.2, SimDuration::from_millis(1))
+            .with_reorder(0.2, SimDuration::from_micros(500));
+
+        let (frames, hostile) = traced(spec.clone());
+        assert!(hostile.duplicates_injected > 0 && hostile.messages_reordered > 0);
+        assert!(hostile.messages_held > 0, "the partition held traffic");
+        assert_eq!(
+            (frames, hostile.retransmissions),
+            (0, 0),
+            "no loss, no transport"
+        );
+
+        let (frames, hostile) = traced(spec.with_loss(0.2));
+        assert!(hostile.messages_lost > 0, "a 20% wire drops something");
+        assert!(frames > 0, "loss brings Reliable frames and acks");
+        assert!(hostile.retransmissions > 0, "and retransmits what it lost");
     }
 }

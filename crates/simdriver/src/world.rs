@@ -15,7 +15,7 @@ use crate::hostile::HostileRunStats;
 use crate::trace::TraceEvent;
 use desim::{Ctx, EventKey, SimTime, World};
 use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, Xport};
-use hc3i_core::{Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport, StoreOp};
+use hc3i_core::{Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport, StoreOp, XportConfig};
 use netsim::{FastHashMap, HostileNet, Network, NodeId};
 
 /// Events of the federation world.
@@ -120,8 +120,9 @@ pub struct FederationWorld {
     /// Side statistics of the hostile run (never part of the fingerprinted
     /// [`RunReport`]).
     pub(crate) hostile_stats: HostileRunStats,
-    /// Reliable transport; `None` keeps the wire and event stream of a
-    /// transport-free run byte-identical.
+    /// Reliable transport, run exactly when the hostile spec can lose a
+    /// copy; `None` keeps the wire and event stream of a loss-free run
+    /// byte-identical to one that predates the transport.
     pub(crate) xport: Option<Xport>,
     /// On-disk mirror of every engine's CLC store
     /// ([`SimConfig::durable_dir`]), keyed by global arena index; `None`
@@ -152,7 +153,11 @@ impl FederationWorld {
             ledger: cfg.track_delivery.then(Default::default),
             ..Default::default()
         };
-        let xport = cfg.xport.map(Xport::new);
+        let xport = cfg
+            .hostile
+            .as_ref()
+            .is_some_and(|h| h.loss > 0.0)
+            .then(|| Xport::new(XportConfig::default()));
         let durable = cfg.durable_dir.as_ref().map(|dir| {
             host::open_log(dir, &layout, &engines)
                 .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()))

@@ -46,8 +46,7 @@ struct Schedule {
     /// flows throughout the window.
     oneway: bool,
     /// Inter-cluster packet-loss probability in percent. Non-zero loss
-    /// enables the host-level reliable transport — without it, a lossy
-    /// wire genuinely loses committed work.
+    /// brings the host-level reliable transport with it.
     loss_pct: u32,
     /// Whether node (0, 1) fails at minute 7.
     fault: bool,
@@ -96,9 +95,6 @@ fn build_config(s: &Schedule) -> SimConfig {
         .with_clc_delay(1, SimDuration::from_minutes(1))
         .with_hostile(spec)
         .with_delivery_ledger();
-    if s.loss_pct > 0 {
-        cfg = cfg.with_reliable_transport();
-    }
     if let Some((at, len)) = s.partition {
         cfg = if s.oneway {
             cfg.with_oneway_partition(minutes(at), minutes(at + len), vec![0])
@@ -243,11 +239,8 @@ fn half_lossy_wire_with_transport_delivers_everything() {
             .with_delivery_ledger()
     };
     let (baseline, _) = simdriver::run_hostile(base_cfg());
-    let (report, hostile) = simdriver::run_hostile(
-        base_cfg()
-            .with_hostile(HostileSpec::seeded(0xB057).with_loss(0.5))
-            .with_reliable_transport(),
-    );
+    let (report, hostile) =
+        simdriver::run_hostile(base_cfg().with_hostile(HostileSpec::seeded(0xB057).with_loss(0.5)));
     assert!(hostile.messages_lost > 0, "a 50% wire must drop something");
     assert!(
         hostile.retransmissions > 0,
@@ -306,7 +299,6 @@ fn hostile_ring_replays_identically_trace_and_all() {
             .with_sends(w.schedule(&RngStreams::new(20040426)))
             .with_seed(20040426)
             .with_hostile(spec)
-            .with_reliable_transport()
             .with_fault(minutes(14), NodeId::new(2, 1))
             .with_trace(TraceLevel::Full);
         for c in 0..CLUSTERS {
