@@ -441,8 +441,11 @@ fn a_closed_stdout_pipe_is_a_quiet_success() {
             storage::DurableOptions::default(),
         )
         .expect("open log");
+        let mut chain = storage::ClcStore::new();
+        let initial = genesis.store().latest().expect("initial CLC");
+        chain.commit(initial.meta.clone(), hc3i_core::NodeCheckpoint::default());
         for node in 0..2000 {
-            log.snapshot_node(node, genesis.store()).expect("seed");
+            log.snapshot_node(node, &chain).expect("seed");
         }
         log.sync().expect("sync");
     }

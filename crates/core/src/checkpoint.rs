@@ -41,11 +41,12 @@ struct DeliveredGen {
 /// operations map onto it directly:
 ///
 /// * delivering a message inserts into the delta — O(1);
-/// * `freeze_and_stage` calls [`DeliveredRecord::seal`], which moves the
-///   delta into a new shared generation — O(1) moves, no per-entry copy,
-///   where the eager representation cloned the whole map at every CLC;
-/// * a rollback restores the stored checkpoint's record by cloning it —
-///   an `Arc` bump, not a rebuild.
+/// * `freeze_and_stage` seals it ([`DeliveredRecord::seal`]), which moves
+///   the delta into a new shared generation — O(1) moves, no per-entry
+///   copy, where the eager representation cloned the whole map at every
+///   CLC — and stages the new base alone;
+/// * a rollback rebuilds the live record from the stored checkpoint's
+///   base — an `Arc` bump, not a rebuild.
 ///
 /// Lookups check the delta, then walk the generation chain; chains are
 /// flattened once they exceed an internal depth bound, so lookups stay
@@ -107,11 +108,16 @@ impl DeliveredRecord {
     }
 
     /// Seal the current content into the shared immutable base and return
-    /// a snapshot of it (what a staged checkpoint stores). O(delta): the
-    /// delta map is *moved* into a new generation; nothing already sealed
-    /// is copied. Afterwards the live record continues on an empty delta
-    /// over the new base.
+    /// a snapshot of it. O(delta): the delta map is *moved* into a new
+    /// generation; nothing already sealed is copied. Afterwards the live
+    /// record continues on an empty delta over the new base.
     pub fn seal(&mut self) -> DeliveredRecord {
+        self.seal_base().record()
+    }
+
+    /// [`DeliveredRecord::seal`], returning the snapshot in its 8-byte
+    /// sealed form (what a staged checkpoint stores).
+    pub(crate) fn seal_base(&mut self) -> SealedRecord {
         if !self.delta.is_empty() {
             let parent = self.base.take();
             let (plen, pdepth) = parent.as_ref().map_or((0, 0), |g| (g.len, g.depth));
@@ -126,10 +132,7 @@ impl DeliveredRecord {
         if self.base.as_ref().is_some_and(|g| g.depth > COLLAPSE_DEPTH) {
             self.collapse();
         }
-        DeliveredRecord {
-            base: self.base.clone(),
-            delta: HashMap::default(),
-        }
+        SealedRecord(self.base.clone())
     }
 
     /// Flatten the generation chain into a single generation (bounds the
@@ -227,6 +230,24 @@ impl DeliveredRecord {
     }
 }
 
+/// A delivery record as a CLC sealed it: the shared generation chain
+/// alone. A sealed record's delta is always empty, so this form drops the
+/// map and keeps 8 bytes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SealedRecord(Option<Arc<DeliveredGen>>);
+
+impl SealedRecord {
+    /// The live record this seal restores to — an `Arc` bump, sharing
+    /// every generation, so a durable body built from it still encodes as
+    /// a delta against its predecessor's.
+    pub(crate) fn record(&self) -> DeliveredRecord {
+        DeliveredRecord {
+            base: self.0.clone(),
+            delta: HashMap::default(),
+        }
+    }
+}
+
 struct DeliveredIter<'a> {
     delta: std::collections::hash_map::Iter<'a, DeliveredKey, SeqNum>,
     gen: Option<&'a DeliveredGen>,
@@ -270,7 +291,11 @@ impl FromIterator<(DeliveredKey, SeqNum)> for DeliveredRecord {
     }
 }
 
-/// What one node stores at each CLC, besides the protocol stamp.
+/// The durable body of one checkpoint: what the segment log writes for
+/// a committed CLC ([`CheckpointCodec`](crate::CheckpointCodec)'s
+/// payload) and what [`storage::recover`] rebuilds. An engine keeps the
+/// compact [`StoredCheckpoint`] instead; `hc3i_core::host` converts at
+/// the durable boundary.
 ///
 /// In the discrete-event simulator the application state is abstract, but
 /// the protocol-level content is real: the receiver-side delivery record
@@ -280,9 +305,9 @@ impl FromIterator<(DeliveredKey, SeqNum)> for DeliveredRecord {
 /// re-delivered after a restore). The threaded runtime additionally stores
 /// the serialized application state.
 ///
-/// The delivery record is a copy-on-write [`DeliveredRecord`]: staged
-/// checkpoints share their content with the engine's live record and with
-/// older checkpoints instead of deep-cloning a map per CLC.
+/// The delivery record is a copy-on-write [`DeliveredRecord`]: consecutive
+/// bodies of one node share their sealed prefix, which the codec writes
+/// as a delta.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeCheckpoint {
     /// Inter-cluster messages delivered so far:
@@ -294,6 +319,78 @@ pub struct NodeCheckpoint {
     /// Opaque serialized application state (used by the threaded runtime;
     /// `None` under the simulator).
     pub app_state: Option<Vec<u8>>,
+}
+
+/// Content equality: a durable body equals the stored checkpoint it was
+/// written from (and that [`storage::recover`] read back).
+impl PartialEq<StoredCheckpoint> for NodeCheckpoint {
+    fn eq(&self, stored: &StoredCheckpoint) -> bool {
+        self.delivered == stored.delivered()
+            && self.channel_state == stored.channel_state()
+            && self.app_state.as_deref() == stored.app_state()
+    }
+}
+
+/// What an engine's CLC store keeps per checkpoint: the sealed delivery
+/// record, and the channel state and application snapshot boxed together
+/// only when one of them is non-empty. 16 bytes, so a stored entry with
+/// its [`storage::ClcMeta`] is 48 — a flat [`NodeCheckpoint`] would make
+/// it 120, and under the simulator the other 72 are always empty.
+#[derive(Debug, Clone, Default)]
+pub struct StoredCheckpoint {
+    delivered: SealedRecord,
+    extra: Option<Box<CheckpointExtra>>,
+}
+
+/// The rarely-present part of a [`StoredCheckpoint`].
+#[derive(Debug, Clone)]
+struct CheckpointExtra {
+    channel_state: Vec<(NodeId, AppPayload)>,
+    app_state: Option<Vec<u8>>,
+}
+
+impl StoredCheckpoint {
+    pub(crate) fn new(
+        delivered: SealedRecord,
+        channel_state: Vec<(NodeId, AppPayload)>,
+        app_state: Option<Vec<u8>>,
+    ) -> Self {
+        let extra = (!channel_state.is_empty() || app_state.is_some()).then(|| {
+            Box::new(CheckpointExtra {
+                channel_state,
+                app_state,
+            })
+        });
+        StoredCheckpoint { delivered, extra }
+    }
+
+    /// The delivery record this checkpoint restores (an `Arc` bump).
+    pub fn delivered(&self) -> DeliveredRecord {
+        self.delivered.record()
+    }
+
+    /// Intra-cluster application messages captured during the freeze
+    /// window, re-delivered after a restore.
+    pub fn channel_state(&self) -> &[(NodeId, AppPayload)] {
+        self.extra.as_ref().map_or(&[], |x| &x.channel_state)
+    }
+
+    /// The application snapshot taken at the freeze, if the host
+    /// published one.
+    pub fn app_state(&self) -> Option<&[u8]> {
+        self.extra.as_ref()?.app_state.as_deref()
+    }
+
+    /// The durable body of this checkpoint. Its delivery record shares
+    /// the engine's generations, so the codec writes it as a delta
+    /// against the previous body's, as it would the engine's own.
+    pub(crate) fn to_durable(&self) -> NodeCheckpoint {
+        NodeCheckpoint {
+            delivered: self.delivered(),
+            channel_state: self.channel_state().to_vec(),
+            app_state: self.app_state().map(<[u8]>::to_vec),
+        }
+    }
 }
 
 #[cfg(test)]

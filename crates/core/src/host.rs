@@ -44,11 +44,13 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
-use storage::{Ddv, DurableError, DurableOptions, DurableStore, SeqNum};
+use storage::{ClcStore, Ddv, DurableError, DurableOptions, DurableStore, SeqNum};
 
 impl StoreOp {
     /// Append the frame mirroring this change to `log`, keyed by the
-    /// engine's index in `layout`.
+    /// engine's index in `layout`. A commit's body is the stored
+    /// checkpoint's [`NodeCheckpoint`](crate::NodeCheckpoint) form, built
+    /// here, the one place an engine's checkpoint becomes a durable body.
     pub fn append(
         self,
         log: &mut DurableStore<CheckpointCodec>,
@@ -59,7 +61,7 @@ impl StoreOp {
         match self {
             StoreOp::Committed(sn) => {
                 let entry = engine.store().get(sn).expect("committed CLC is stored");
-                log.append_commit(node, &entry.meta, &entry.payload)
+                log.append_commit(node, &entry.meta, &entry.payload.to_durable())
             }
             StoreOp::Pruned(min_sn) => log.append_prune(node, min_sn),
             StoreOp::RolledBack(restore_sn) => log.append_truncate(node, restore_sn),
@@ -92,7 +94,11 @@ pub fn open_log<'a>(
     }
     let mut log = DurableStore::open(dir, CheckpointCodec, DurableOptions::default())?;
     for engine in engines {
-        log.snapshot_node(layout.index(engine.id()) as u64, engine.store())?;
+        let mut chain = ClcStore::new();
+        for entry in engine.store().iter() {
+            chain.commit(entry.meta.clone(), entry.payload.to_durable());
+        }
+        log.snapshot_node(layout.index(engine.id()) as u64, &chain)?;
     }
     log.sync()?;
     Ok(log)

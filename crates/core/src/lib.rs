@@ -47,9 +47,11 @@
 //! shares state structurally instead of duplicating it, without changing
 //! anything observable. Staging a CLC seals the per-node delivery record
 //! ([`DeliveredRecord`]) in O(new deliveries) — the sealed generations
-//! are `Arc`-shared between the live record and every stored checkpoint;
-//! and stored `(SN, DDV)` stamps are `Arc`-shared across the store, the
-//! GC's collected lists ([`Msg::GcDdvList`]) and the recovery analyses,
+//! are `Arc`-shared between the live record and every stored checkpoint,
+//! which keeps the sealed base alone ([`StoredCheckpoint`], converted to
+//! the segment log's [`NodeCheckpoint`] body only when [`host`] appends a
+//! commit); and stored `(SN, DDV)` stamps are `Arc`-shared across the
+//! store, the GC's collected lists ([`Msg::GcDdvList`]) and the recovery analyses,
 //! while [`Msg::wire_bytes`], the byte model, still sizes them by value.
 //! Content equality, persisted checkpoint bodies and report fingerprints —
 //! including per-cluster byte counters — are independent of the sharing;
@@ -71,7 +73,7 @@ mod report;
 pub mod testkit;
 mod xport;
 
-pub use checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
+pub use checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint, StoredCheckpoint};
 pub use config::{PiggybackMode, ProtocolConfig};
 pub use host::{Host, Xport};
 pub use io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};

@@ -278,6 +278,56 @@ mod tests {
         );
     }
 
+    /// An engine stores a compact checkpoint and `StoreOp::append` turns
+    /// it into a durable body: the bodies of two consecutive CLCs must
+    /// still share their record, or the second is written in full.
+    #[test]
+    fn consecutive_engine_clcs_appended_by_the_host_are_delta_bodies() {
+        use crate::host::{open_log, Layout};
+        use crate::testkit::InstantFederation;
+        use crate::{ProtocolConfig, StoreOp};
+        let dir = std::env::temp_dir().join(format!("hc3i-persist-delta-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let cfg = ProtocolConfig::new(vec![1, 1]);
+        let layout = Layout::new(&cfg);
+        let mut fed = InstantFederation::new(cfg);
+        let mut log = open_log(&dir, &layout, layout.ids().map(|id| fed.engine(id))).expect("log");
+        // The first delivery forces SN 2; each timer CLC then seals one
+        // more delivery (SN 3 and 4).
+        let (receiver, sender) = (NodeId::new(0, 0), NodeId::new(1, 0));
+        for tag in 1..=2 {
+            fed.app_send(sender, receiver, AppPayload { bytes: 8, tag });
+            fed.fire_clc_timer(0);
+        }
+        let engine = fed.engine(receiver);
+        let sns: Vec<SeqNum> = engine.store().iter().map(|e| e.meta.sn).collect();
+        assert_eq!(sns, [SeqNum(1), SeqNum(2), SeqNum(3), SeqNum(4)]);
+        for &sn in &sns[1..] {
+            StoreOp::Committed(sn)
+                .append(&mut log, &layout, engine)
+                .expect("append");
+        }
+        // The log's own chain is what it encoded each body against.
+        let chain = log.store(layout.index(receiver) as u64).expect("chain");
+        let bodies: Vec<&NodeCheckpoint> = chain.iter().map(|e| &e.payload).collect();
+        let (third, fourth) = (bodies[2], bodies[3]);
+        assert_eq!(third.delivered.len(), 1);
+        assert_eq!(
+            CheckpointCodec.encode_payload(fourth, Some(third))[0],
+            DELIVERED_DELTA,
+            "SN 4's body is a delta against SN 3's"
+        );
+        assert_eq!(
+            fourth
+                .delivered
+                .delta_since(&third.delivered)
+                .map(|d| d.len()),
+            Some(1)
+        );
+        drop(log);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn encoding_is_byte_stable_across_round_trips() {
         for chain in [sample_chain(), generational_chain()] {

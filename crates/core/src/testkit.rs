@@ -463,7 +463,7 @@ mod tests {
         // The restored checkpoint's delivery record is empty: the ghost
         // message is no longer marked delivered.
         assert_eq!(
-            receiver.store().latest().unwrap().payload.delivered.len(),
+            receiver.store().latest().unwrap().payload.delivered().len(),
             0
         );
         // The sender's log entry for the lost send was truncated.
@@ -747,8 +747,8 @@ mod tests {
         // …and recorded in the committed checkpoint.
         let store = fed.engine(n(0, 2)).store();
         let latest = store.latest().unwrap();
-        assert_eq!(latest.payload.channel_state.len(), 1);
-        assert_eq!(latest.payload.channel_state[0].1.tag, 77);
+        assert_eq!(latest.payload.channel_state().len(), 1);
+        assert_eq!(latest.payload.channel_state()[0].1.tag, 77);
         assert_eq!(fed.report().late_crossings, 0);
     }
 }

@@ -173,7 +173,7 @@ fn sender_fault_cascades_receiver_rollback() {
             .latest()
             .unwrap()
             .payload
-            .delivered
+            .delivered()
             .is_empty(),
         "the ghost delivery is gone from the restored state"
     );

@@ -10,6 +10,11 @@
 //!   for the faulty cluster is *below* the alert SN — everything from the
 //!   oldest offending CLC onward is discarded),
 //! * GC pruning below a safe sequence number.
+//!
+//! Under a large federation these stores are the bulk of the heap (every
+//! node keeps several entries until a collection prunes them), so the
+//! engine's payload is kept small: an entry is 48 bytes, the 32-byte
+//! [`ClcMeta`] and a 16-byte checkpoint.
 
 use crate::stamp::{Ddv, SeqNum};
 use hc3i_types::SimTime;
@@ -33,14 +38,18 @@ pub struct ClcMeta {
     pub forced: bool,
 }
 
-/// One stored CLC: metadata plus an engine-specific payload (unit for the
-/// discrete-event simulator, per-node state fragments for the threaded
-/// runtime).
+/// One stored CLC: metadata plus a checkpoint payload. The store is
+/// generic over it: an engine keeps its compact `StoredCheckpoint` (the
+/// sealed delivery record, plus channel state and app snapshot boxed only
+/// when present) under every host, the durable log's in-memory mirror and
+/// [`recover`](crate::recover) keep the codec's payload
+/// (`NodeCheckpoint`, the segment log's body), and tests and probes use
+/// `()`.
 #[derive(Debug, Clone)]
 pub struct ClcEntry<T> {
     /// Protocol-visible metadata.
     pub meta: ClcMeta,
-    /// Engine-specific checkpoint content.
+    /// The checkpoint content.
     pub payload: T,
 }
 

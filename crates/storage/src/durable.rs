@@ -515,9 +515,12 @@ pub struct DurableStore<C: EntryCodec> {
     appended: u64,
     /// In-memory replica of what the log replays to — the write path's
     /// source of `prev` payloads for delta encoding, and what compaction
-    /// flattens. Payload clones share structure with the engines' stores
-    /// (`Arc`-backed stamps and records), so this mirrors pointers, not
-    /// deep state.
+    /// flattens. [`DurableStore::append_commit`] keeps a clone of each
+    /// payload. A sealed payload shares structure with the engine's store
+    /// (`Arc`-backed stamps and sealed records), so that clone copies
+    /// pointers; an unsealed one is copied whole — a `DeliveredRecord`
+    /// that was never sealed clones its entire delivery map, as the
+    /// benchmark's `recovery_replay` image build does at every append.
     mirror: BTreeMap<u64, ClcStore<C::Payload>>,
     /// Commit frames appended by this handle (crash-injection hooks and
     /// tests key off it).

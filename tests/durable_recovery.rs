@@ -5,7 +5,7 @@
 //! and GC prunes.
 
 use desim::{SimDuration, SimTime};
-use hc3i::core::{AppPayload, CheckpointCodec, NodeCheckpoint};
+use hc3i::core::{AppPayload, CheckpointCodec, NodeCheckpoint, StoredCheckpoint};
 use netsim::NodeId;
 use simdriver::SimConfig;
 use std::path::PathBuf;
@@ -56,7 +56,7 @@ fn busy_cfg() -> SimConfig {
 fn assert_chains_equal(
     what: &str,
     disk: &ClcStore<NodeCheckpoint>,
-    mem: &ClcStore<NodeCheckpoint>,
+    mem: &ClcStore<StoredCheckpoint>,
 ) {
     assert_eq!(disk.len(), mem.len(), "{what}: chain length");
     for (d, m) in disk.iter().zip(mem.iter()) {
