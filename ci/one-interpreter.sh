@@ -36,6 +36,13 @@
 # the runtime's channels never drop one, so `XportConfig` or
 # `with_reliable_transport` in the simulator's config, the runtime or the
 # campaign is the transport growing back as a setting.
+#
+# The runtime's unit is the cluster: a shard keeps one record per cluster
+# it homes (its slots, its CLC timer, its probe), and pings and stops
+# whole shards. A `stopped`, `clc_delay` or `clc_deadline` field in
+# `NodeCell`, a `timer_slots` list, a `live` node count, or a `Ping` or
+# `Shutdown` sent inside a loop over `ids()` is per-node control state
+# growing back in crates/runtime/src.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 code_matching() {
@@ -102,6 +109,34 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(
+  code_matching 'timer_slots|self[.]live([^A-Za-z0-9_]|$)|^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?live[[:space:]]*:' \
+    crates/runtime/src
+  find crates/runtime/src -name '*.rs' -print0 |
+    xargs -0 awk '
+      FNR == 1 { in_tests = 0; cell = 0; loop = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      in_tests || /^[[:space:]]*\/\// { next }
+      /struct NodeCell[^A-Za-z0-9_]/ { cell = 1 }
+      cell && /(stopped|clc_delay|clc_deadline)[[:space:]]*:/ { print FILENAME ":" FNR ": " $0 }
+      cell && /^}/ { cell = 0 }
+      !loop && (/for .* in .*ids[(][)]/ || /ids[(][)][.](for_each|map|filter)/) { loop = 1; depth = 0; opened = 0 }
+      loop {
+        if ($0 ~ /Envelope::(Ping|Shutdown)/) print FILENAME ":" FNR ": " $0
+        line = $0
+        opens = gsub(/[{(]/, "", line)
+        closes = gsub(/[})]/, "", line)
+        depth += opens - closes
+        if (opens > 0) opened = 1
+        if (opened && depth <= 0) loop = 0
+      }
+    '
+)
+if [ -n "$hits" ]; then
+  echo "the runtime keeps per-node control state; a shard keeps one record per cluster it homes and pings and stops whole shards:"
+  echo "$hits"
+  status=1
+fi
 if grep -n 'simdriver' crates/runtime/Cargo.toml; then
   echo "crates/runtime depends on the simulator; RunReport and its fold live in hc3i-core"
   status=1
@@ -115,3 +150,4 @@ echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"
 echo "one owner of fail-stop state: no stored failure generation, failed flag or health table, and no is_failed() mirror check, in simdriver, runtime or testkit"
 echo "the transport comes with the loss: no XportConfig or with_reliable_transport in simdriver's config, runtime or campaign"
+echo "the runtime's unit is the cluster: no stopped/clc_delay/clc_deadline in NodeCell, no timer_slots, no live node count, no Ping or Shutdown sent per node in runtime"

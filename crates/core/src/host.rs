@@ -18,13 +18,13 @@
 //! | Shared: this module, identical under every host | Supplied by the host |
 //! |---|---|
 //! | how an input reaches an engine: transport termination for a `Receive`, `NodeEngine::handle` at [`Host::now`], then the interpreter ([`input`]) | which `(node, Input)` comes next — an event queue, a shard's channel and run queue, or a FIFO queue |
-//! | who coordinates: rank 0 ([`ProtocolConfig::coordinator`]) — for the engine, every CLC and GC timer, every scripted checkpoint | when a timer fires — a queue event, or a deadline on the coordinator's cell only |
+//! | who coordinates: rank 0 ([`ProtocolConfig::coordinator`]) — for the engine, every CLC and GC timer, every scripted checkpoint | when a timer fires — a queue event, or a deadline in the shard's record of the cluster, fired on the coordinator |
 //! | which live rank hears a fault, about which ranks ([`FaultReports`], keyed by failure generation, [`is_down`]) | when a detection round runs — a `Detect` event after the detection delay, a heartbeat probe tick, or at once |
 //! | where a node sits: the cluster-major index, the arena constructor, the durable log's node key ([`Layout`]) | what the arena holds — engines, or shard cells; each engine counts its own failures ([`NodeEngine::failure_generation`]), so no host keeps a copy |
 //! | the `match` over [`Output`] (`perform`) | [`Host::now`] — simulated or wall-clock time |
 //! | which sends take the reliable transport (inter-cluster only), the `Reliable` wrap, window parking (`send`) | [`Host::wire`] — network model + event queue, shard channel, or FIFO queue; [`Host::xport`] — where the [`Xport`] lives, or `None` |
 //! | transport termination: ack every copy (dead engines included), dedup, release the window (`receive`) | [`Host::arm_retry`] — a queue event |
-//! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule, or a deadline field |
+//! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule the cluster's timer event, or re-arm the cluster's deadline |
 //! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
 //! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, `perform` only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or a report fold alone |
 //! | handing the application's new snapshot to the engine, which checkpoints it | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |

@@ -10,30 +10,30 @@
 //! perfectly healthy node would be reported dead.
 //!
 //! The sharded executor therefore folds detection into the shard tick. A
-//! cluster lives whole on one shard, and so does its one probe
-//! (`ClusterProbe`): once per [`HeartbeatConfig::period`] it reads the
-//! failure generation ([`hc3i_core::NodeEngine::failure_generation`]) of
-//! every engine of the cluster straight from the shard's cells, hands them
-//! to the hosts' one report rule ([`hc3i_core::host::FaultReports`]) and
-//! queues what it returns — every newly failed rank, in one report, to
-//! the lowest-ranked live node — on the shard's run queue. The rule is
+//! cluster lives whole on one shard, and its one probe (`ClusterProbe`)
+//! sits in the shard's record of that cluster, beside the cluster's slots
+//! and its CLC timer. Once per [`HeartbeatConfig::period`] the tick hands
+//! the probe the cluster's cells; it reads the failure generation
+//! ([`hc3i_core::NodeEngine::failure_generation`]) of each engine, hands
+//! them to the hosts' one report rule ([`hc3i_core::host::FaultReports`])
+//! and returns what it gives — every newly failed rank, in one report, to
+//! the lowest-ranked live node — for the shard's run queue. The rule is
 //! keyed by generation, so a node revived by a rollback becomes reportable
 //! again even if it fails anew before the probe ever observes the alive
 //! window. Detection latency is bounded by one period plus shard
 //! scheduling, and false positives are impossible: the generation is the
 //! engine's own fail-stop state, not a missed-pong heuristic.
 
-use crate::envelope::Envelope;
 use crate::shard::NodeCell;
 use hc3i_core::host::{Detection, FaultReports};
-use std::collections::VecDeque;
-use std::ops::Range;
+use hc3i_core::Input;
 use std::time::{Duration, Instant};
 
 /// Heartbeat parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct HeartbeatConfig {
-    /// Time between detection rounds.
+    /// Time between detection rounds; must be positive
+    /// ([`crate::Federation::spawn`] panics otherwise).
     pub period: Duration,
 }
 
@@ -46,20 +46,16 @@ impl Default for HeartbeatConfig {
 }
 
 /// Per-cluster failure-detection state machine, ticked by the shard that
-/// owns the cluster.
+/// homes the cluster.
 pub(crate) struct ClusterProbe {
-    /// The cluster's slots on the owning shard: rank `r` at
-    /// `slots.start + r`.
-    slots: Range<usize>,
     period: Duration,
     next_round: Instant,
     reports: FaultReports,
 }
 
 impl ClusterProbe {
-    pub(crate) fn new(slots: Range<usize>, cfg: HeartbeatConfig, now: Instant) -> Self {
+    pub(crate) fn new(cfg: HeartbeatConfig, now: Instant) -> Self {
         ClusterProbe {
-            slots,
             period: cfg.period,
             next_round: now + cfg.period,
             reports: FaultReports::default(),
@@ -71,26 +67,20 @@ impl ClusterProbe {
         self.next_round
     }
 
-    /// Run a detection round over the shard's `cells` if one is due, and
-    /// queue its report on the shard's `run_queue`. No survivor at all
-    /// means the whole cluster is gone — excluded by the fail-stop model;
-    /// the rule marks nothing then, and the next round retries.
-    pub(crate) fn tick(
-        &mut self,
-        now: Instant,
-        cells: &[NodeCell],
-        run_queue: &mut VecDeque<(u32, Envelope)>,
-    ) {
+    /// Run a detection round over the cluster's `cells`, rank 0 first, if
+    /// one is due. Returns the rank to hand a report and the report. No
+    /// survivor at all means the whole cluster is gone — excluded by the
+    /// fail-stop model; the rule marks nothing then, and the next round
+    /// retries.
+    pub(crate) fn tick(&mut self, now: Instant, cells: &[NodeCell]) -> Option<(usize, Input)> {
         if now < self.next_round {
-            return;
+            return None;
         }
         self.next_round = now + self.period;
-        let generations = cells[self.slots.clone()]
-            .iter()
-            .map(|c| c.engine.failure_generation());
-        if let Detection::Report(rank, report) = self.reports.detect(generations, None) {
-            let slot = self.slots.start + rank as usize;
-            run_queue.push_back((slot as u32, Envelope::Input(report)));
-        }
+        let generations = cells.iter().map(|c| c.engine.failure_generation());
+        let Detection::Report(rank, report) = self.reports.detect(generations, None) else {
+            return None;
+        };
+        Some((rank as usize, report))
     }
 }

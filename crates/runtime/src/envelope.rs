@@ -3,24 +3,26 @@
 use crossbeam::channel::Sender;
 use hc3i_core::Input;
 
-/// What a node can receive in its (shard-multiplexed) mailbox.
+/// What a shard's channel carries, each beside a slot: an input for the
+/// node at that slot, or a control message for the whole shard (whose
+/// slot is unused).
 #[derive(Debug, Clone)]
 pub(crate) enum Envelope {
     /// An input for this node's engine, handed over as is: a protocol
-    /// message from another node (`Input::Receive`), an application send,
-    /// a checkpoint or collection request, a fail-stop from the
-    /// controller, or a fault report — a heartbeat probe's
-    /// [`hc3i_core::host::FaultReports`] round or
+    /// message from a node on another shard (`Input::Receive`), an
+    /// application send, a checkpoint or collection request, a fail-stop
+    /// from the controller, or a fault report from
     /// [`crate::Federation::detect`].
     Input(Input),
-    /// Liveness probe (the controller's quiesce barrier). A healthy node
-    /// answers on `reply`; a fail-stopped node stays silent.
+    /// Liveness probe of the shard (the controller's quiesce barrier). The
+    /// shard answers on `reply` with its number of engines that are not
+    /// fail-stopped.
     Ping {
-        /// Where to send the pong.
-        reply: Sender<()>,
+        /// Where to send the count.
+        reply: Sender<usize>,
     },
-    /// Stop the node: its shard drops every later envelope addressed to it
-    /// and returns its engine at join.
+    /// Stop the shard: its worker exits, drops every later envelope and
+    /// returns its engines at join.
     Shutdown,
 }
 

@@ -1,22 +1,27 @@
 //! The sharded message-passing federation.
 //!
 //! A fixed pool of worker threads — default [`std::thread::available_parallelism`] —
-//! multiplexes every node of the federation: each worker owns a shard of
-//! [`NodeEngine`]s and drains one unbounded crossbeam channel of
+//! multiplexes every node of the federation: each worker homes a shard of
+//! whole clusters, keeps one record per cluster (its slots, CLC timer and
+//! heartbeat probe) and one cell per node (its [`NodeEngine`] and
+//! application), and drains one unbounded crossbeam channel of
 //! `(slot, envelope)` pairs from other threads, plus an in-thread run
 //! queue of what its own nodes send each other (the "hand-rolled
 //! messaging layer": reliable, per-sender-FIFO — the same properties the
 //! paper assumes of its network). The engines are the *identical* state
 //! machines the discrete-event simulator uses; only the transport
 //! differs. The controller injects application sends, checkpoints, faults
-//! and GC, and observes a stream of [`RtEvent`]s.
+//! and GC, observes a stream of [`RtEvent`]s, and talks to the shards
+//! themselves for the rest: one `Ping` per shard per quiesce round, one
+//! `Shutdown` per shard at the end.
 //!
 //! ## Shard-assignment determinism contract
 //!
 //! A node's shard is a pure function of the topology and the pool size:
 //! a cluster is the paper's unit of coordinated checkpointing and of
 //! recovery, so it lives whole on one shard — cluster `c` on shard
-//! `c % shards`, its ranks at contiguous slots in rank order. Its
+//! `c % shards`, its ranks at contiguous slots in rank order, so the
+//! routing table keeps one `(shard, first slot)` entry per cluster. Its
 //! two-phase commit, fragment replicas, fault detection and rollback
 //! therefore run on one thread, over the run queue; only inter-cluster
 //! traffic crosses a channel.
@@ -35,9 +40,9 @@
 //! on a per-node resource.
 
 use crate::app::Application;
-use crate::detector::{ClusterProbe, HeartbeatConfig};
+use crate::detector::HeartbeatConfig;
 use crate::envelope::{Envelope, RtEvent};
-use crate::shard::{since, NodeCell, ShardWorker};
+use crate::shard::{since, ClusterCell, NodeCell, ShardWorker};
 use crossbeam::channel::{self, Receiver, Sender};
 use hc3i_core::host::{self, Layout};
 use hc3i_core::{AppPayload, CheckpointCodec, Input, NodeEngine, ProtocolConfig, RunReport};
@@ -67,8 +72,9 @@ pub struct RuntimeConfig {
     /// Protocol parameters (shared with the simulator).
     pub protocol: ProtocolConfig,
     /// Wall-clock delay between unforced CLCs per cluster (`None` = only
-    /// explicit [`Federation::checkpoint_now`] calls); a deadline on the
-    /// coordinator's cell.
+    /// explicit [`Federation::checkpoint_now`] calls); a deadline in the
+    /// shard's record of the cluster, fired on its coordinator. A delay
+    /// must be positive ([`Federation::spawn`] panics otherwise).
     pub clc_delays: Vec<Option<Duration>>,
     /// Optional per-node application (checkpointed state).
     pub app_factory: Option<AppFactory>,
@@ -156,8 +162,8 @@ impl RuntimeConfig {
 /// Shared (via `Arc`) by the controller and every shard worker.
 pub(crate) struct Routes {
     layout: Layout,
-    /// Layout index → `(shard, slot)`.
-    addr: Vec<(u32, u32)>,
+    /// Cluster → `(shard, first slot)`: rank `r` sits at `first + r`.
+    clusters: Vec<(u32, u32)>,
     shard_txs: Vec<Sender<(u32, Envelope)>>,
 }
 
@@ -169,7 +175,13 @@ impl Routes {
 
     /// `id`'s `(shard, slot)`: the worker that owns it and its index there.
     pub(crate) fn addr(&self, id: NodeId) -> (u32, u32) {
-        self.addr[self.layout.index(id)]
+        let (shard, first) = self.clusters[id.cluster.index()];
+        (shard, first + id.rank)
+    }
+
+    /// Cluster `c`'s index among the clusters its shard homes.
+    pub(crate) fn home(&self, c: usize) -> usize {
+        c / self.shard_txs.len()
     }
 
     /// Route an envelope to `to`'s shard. Fails only once the shard worker
@@ -179,6 +191,16 @@ impl Routes {
         self.shard_txs[shard as usize]
             .send((slot, env))
             .map_err(|_| ())
+    }
+
+    /// Hand each shard worker still running one shard-addressed envelope
+    /// (a `Ping` or a `Shutdown`; its slot is unused). Returns how many
+    /// took one.
+    fn to_every_shard(&self, mut env: impl FnMut() -> Envelope) -> usize {
+        self.shard_txs
+            .iter()
+            .filter(|tx| tx.send((0, env())).is_ok())
+            .count()
     }
 }
 
@@ -214,11 +236,26 @@ pub struct Federation {
 
 impl Federation {
     /// Spawn the worker pool and connect all shard channels.
+    ///
+    /// # Panics
+    /// If a cluster's CLC delay or the heartbeat period is zero: a timer
+    /// re-armed at `now + 0` after each firing would spin its shard.
     pub fn spawn(cfg: RuntimeConfig) -> Self {
+        for (c, delay) in cfg.clc_delays.iter().enumerate() {
+            assert!(
+                delay.is_none_or(|d| !d.is_zero()),
+                "cluster {c}'s CLC delay must be positive"
+            );
+        }
+        if let Some(hb) = cfg.heartbeat {
+            assert!(
+                !hb.period.is_zero(),
+                "the heartbeat period must be positive"
+            );
+        }
         let epoch = Instant::now();
         let n_clusters = cfg.protocol.num_clusters();
         let layout = Layout::new(&cfg.protocol);
-        let total = layout.nodes();
 
         let num_shards = cfg
             .shards
@@ -238,67 +275,59 @@ impl Federation {
         }
 
         // Deterministic assignment: cluster `c` lives on shard
-        // `c % num_shards`, its ranks appended in layout (= rank) order.
-        let mut addr = Vec::with_capacity(total);
+        // `c % num_shards`, its ranks appended in layout (= rank) order,
+        // its record `c / num_shards`-th among the shard's clusters.
+        let mut homes = Vec::with_capacity(n_clusters);
         let mut cells: Vec<Vec<NodeCell>> = (0..num_shards).map(|_| Vec::new()).collect();
-        for engine in layout.engines(&cfg.protocol) {
-            let id = engine.id();
-            let c = id.cluster.index();
+        let mut clusters: Vec<Vec<ClusterCell>> = (0..num_shards).map(|_| Vec::new()).collect();
+        let mut engines = layout.engines(&cfg.protocol).into_iter();
+        for c in 0..n_clusters {
             let shard = c % num_shards;
-            addr.push((shard as u32, cells[shard].len() as u32));
-            // Only a coordinator's timer starts a CLC round.
-            let clc_delay = cfg.clc_delays[c].filter(|_| id == cfg.protocol.coordinator(c));
-            cells[shard].push(NodeCell {
-                id,
+            let first = cells[shard].len();
+            let ranks = layout.cluster(c).len();
+            homes.push((shard as u32, first as u32));
+            cells[shard].extend(engines.by_ref().take(ranks).map(|engine| NodeCell {
+                app: cfg.app_factory.as_ref().map(|f| f(engine.id())),
                 engine,
-                app: cfg.app_factory.as_ref().map(|f| f(id)),
-                clc_delay,
-                clc_deadline: clc_delay.map(|d| Instant::now() + d),
-                stopped: false,
-            });
+            }));
+            clusters[shard].push(ClusterCell::new(
+                first..first + ranks,
+                cfg.clc_delays[c],
+                cfg.heartbeat,
+                Instant::now(),
+            ));
         }
+        let routes = Arc::new(Routes {
+            layout,
+            clusters: homes,
+            shard_txs,
+        });
         // Seed the log in layout order.
         let durable: Option<SharedDurable> = cfg.durable_dir.as_ref().map(|dir| {
-            let engines = addr
-                .iter()
-                .map(|&(shard, slot)| &cells[shard as usize][slot as usize].engine);
-            let log = host::open_log(dir, &layout, engines)
+            let engines = routes.layout.ids().map(|id| {
+                let (shard, slot) = routes.addr(id);
+                &cells[shard as usize][slot as usize].engine
+            });
+            let log = host::open_log(dir, &routes.layout, engines)
                 .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()));
             Arc::new(Mutex::new(log))
         });
-
-        let routes = Arc::new(Routes {
-            layout,
-            addr,
-            shard_txs,
-        });
-
-        // Each cluster's probe is homed on the shard owning the cluster,
-        // over the cluster's slots there.
-        let mut probes: Vec<Vec<ClusterProbe>> = (0..num_shards).map(|_| Vec::new()).collect();
-        if let Some(hb) = cfg.heartbeat {
-            for c in 0..n_clusters {
-                let ranks = routes.layout.cluster(c);
-                let first = routes.addr[ranks.start].1 as usize;
-                let slots = first..first + ranks.len();
-                probes[c % num_shards].push(ClusterProbe::new(slots, hb, Instant::now()));
-            }
-        }
 
         let (events_tx, events_rx) = channel::unbounded();
         let handles = shard_rxs
             .into_iter()
             .zip(cells)
-            .zip(probes)
+            .zip(clusters)
             .enumerate()
-            .map(|(s, ((rx, nodes), shard_probes))| {
+            .map(|(s, ((rx, nodes), clusters))| {
                 let worker = ShardWorker::new(
+                    s as u32,
                     nodes,
+                    clusters,
                     rx,
                     routes.clone(),
                     events_tx.clone(),
                     epoch,
-                    shard_probes,
                 )
                 .with_durable(durable.clone());
                 std::thread::Builder::new()
@@ -434,48 +463,46 @@ impl Federation {
 
     /// Flush in-flight traffic with a ping barrier.
     ///
-    /// Shard channels are FIFO and a worker runs its own queue to empty
-    /// before it looks at its channel again, so one round of pings
-    /// guarantees every node has processed everything that was routed to
-    /// it before the round started *and every consequence of that on the
-    /// same shard*. Only a hop to another shard outlives a round, so
-    /// `rounds` consecutive barriers flush protocol chains with up to
-    /// `rounds` cross-shard hops. On one shard a single round flushes any
-    /// chain of engine-to-engine messages; at every pool size a chain's
-    /// length in messages (send → deliver → ack is 2, an alert cascade
-    /// with log replay ~4) bounds the rounds it needs. Call this before
-    /// [`Federation::shutdown`] when final engine states must reflect all
-    /// consequences of previously injected inputs — otherwise a message
-    /// still in flight races the `Shutdown` envelope.
+    /// Each round sends one `Ping` to every shard. Shard channels are FIFO
+    /// and a worker runs its own queue to empty before it looks at its
+    /// channel again, so one round guarantees every node has processed
+    /// everything that was routed to it before the round started *and
+    /// every consequence of that on the same shard*. Only a hop to another
+    /// shard outlives a round, so `rounds` consecutive barriers flush
+    /// protocol chains with up to `rounds` cross-shard hops. On one shard a
+    /// single round flushes any chain of engine-to-engine messages; at
+    /// every pool size a chain's length in messages (send → deliver → ack
+    /// is 2, an alert cascade with log replay ~4) bounds the rounds it
+    /// needs. Call this before [`Federation::shutdown`] when final engine
+    /// states must reflect all consequences of previously injected inputs
+    /// — otherwise a message still in flight races the `Shutdown`
+    /// envelope.
     ///
-    /// Returns the number of nodes that answered the final round
-    /// (fail-stopped nodes stay silent, so a fully healthy federation
-    /// answers with its total node count).
+    /// Returns the number of live nodes the final round counted: each
+    /// shard answers with its engines that are not fail-stopped, so a
+    /// fully healthy federation answers with its total node count. A shard
+    /// that does not answer within `timeout` counts none.
     pub fn quiesce(&self, rounds: usize, timeout: Duration) -> usize {
-        let mut answered = 0;
+        let mut live_nodes = 0;
         for _ in 0..rounds.max(1) {
             let (reply_tx, reply_rx) = channel::unbounded();
-            let mut sent = 0usize;
-            for id in self.routes.layout().ids() {
-                let reply = reply_tx.clone();
-                if self.routes.send(id, Envelope::Ping { reply }).is_ok() {
-                    sent += 1;
-                }
-            }
+            let sent = self.routes.to_every_shard(|| Envelope::Ping {
+                reply: reply_tx.clone(),
+            });
             drop(reply_tx);
             let deadline = Instant::now().checked_add(timeout);
-            answered = 0;
-            while answered < sent {
+            live_nodes = 0;
+            for _ in 0..sent {
                 let Some(left) = remaining(deadline) else {
                     break;
                 };
-                if reply_rx.recv_timeout(left).is_err() {
+                let Ok(live) = reply_rx.recv_timeout(left) else {
                     break;
-                }
-                answered += 1;
+                };
+                live_nodes += live;
             }
         }
-        answered
+        live_nodes
     }
 
     /// Stop the federation and produce the run's [`RunReport`] — the same
@@ -557,19 +584,17 @@ impl Federation {
             .collect()
     }
 
-    /// The one shutdown protocol: ask every node to stop (idempotent —
-    /// stopped nodes drop the envelope, exited shards fail the send).
+    /// The one shutdown protocol: ask every shard to stop (idempotent —
+    /// an exited shard fails the send).
     fn request_shutdown(&self) {
-        for id in self.routes.layout().ids() {
-            let _ = self.routes.send(id, Envelope::Shutdown);
-        }
+        self.routes.to_every_shard(|| Envelope::Shutdown);
     }
 }
 
 impl Drop for Federation {
     /// Dropping without an explicit shutdown still stops the pool: shard
     /// workers hold the routing table (and thus each other's channels)
-    /// alive, so they only exit on `Shutdown` envelopes. Unlike
+    /// alive, so they only exit on their `Shutdown` envelope. Unlike
     /// [`Federation::shutdown_with_apps`], a worker panic is swallowed
     /// here — drop glue must not double-panic.
     fn drop(&mut self) {
@@ -618,6 +643,27 @@ mod tests {
         }
         let fed = Federation::spawn(RuntimeConfig::manual(vec![4, 4]).with_shards(8));
         assert_eq!(fed.shards(), 2, "two clusters, two shards");
+    }
+
+    /// A zero CLC delay would re-arm the timer at `now + 0` after every
+    /// commit and spin its shard: refused at spawn, in the simulator's
+    /// words. A write to the `clc_delays` field is checked too.
+    #[test]
+    #[should_panic(expected = "cluster 1's CLC delay must be positive")]
+    fn a_zero_clc_delay_is_refused_at_spawn() {
+        let mut cfg = RuntimeConfig::manual(vec![2, 2]).with_clc_delay(0, Duration::from_secs(1));
+        cfg.clc_delays[1] = Some(Duration::ZERO);
+        let _ = Federation::spawn(cfg);
+    }
+
+    /// A zero heartbeat period would run a probe round on every tick.
+    #[test]
+    #[should_panic(expected = "the heartbeat period must be positive")]
+    fn a_zero_heartbeat_period_is_refused_at_spawn() {
+        let hb = HeartbeatConfig {
+            period: Duration::ZERO,
+        };
+        let _ = Federation::spawn(RuntimeConfig::manual(vec![2, 2]).with_heartbeat(hb));
     }
 
     /// A protocol over more clusters than the config's timers cover is

@@ -7,10 +7,11 @@
 //! for what arrives from other threads and one in-thread run queue for
 //! what its own nodes send each other (reliable, FIFO per sender — the
 //! paper's network assumptions — and, like the paper's federation, nearly
-//! free where traffic is local), wall-clock CLC timers (one deadline per
-//! timed cluster, on its coordinator's cell) and heartbeat failure
-//! detection folded into shard ticks, and controller-driven fault
-//! injection. Earlier revisions spawned one OS thread per node, which
+//! free where traffic is local), wall-clock CLC timers and heartbeat
+//! failure detection folded into shard ticks (one record per cluster a
+//! shard homes holds its slots, its timer's deadline and its probe), and
+//! controller-driven fault injection; the controller pings and stops whole
+//! shards. Earlier revisions spawned one OS thread per node, which
 //! capped the live substrate at a few hundred nodes; the sharded executor
 //! runs thousands of nodes on a fixed-size pool (a 2048-node federation
 //! completes on a single worker).

@@ -1,17 +1,19 @@
 //! The shard worker: one OS thread multiplexing many node engines.
 //!
-//! Each worker owns a fixed set of [`NodeCell`]s — whole clusters, dealt
-//! round-robin (see the crate docs for the determinism contract) — and
-//! has two sources of work. Its MPSC channel carries `(slot, Envelope)`
-//! pairs from other threads: the controller and the other shards. Its
-//! in-thread *run queue* carries every message one of its own nodes sends
-//! to another of them, and every report of its own heartbeat probes:
-//! [`ShardHost::wire`] looks the destination up in the routing table and
-//! pushes onto the queue when the owner is this shard, onto the owner's
-//! channel otherwise. Local traffic — all of a cluster's 2PC, since a
-//! cluster sits on one shard, and its probe's fault reports — therefore
-//! costs a `VecDeque` push and pop: no atomics, no park/unpark, no tick,
-//! no clock read of its own.
+//! Each worker homes a fixed set of clusters — cluster `c` on shard
+//! `c % S`, see the crate docs for the determinism contract — and keeps
+//! one [`ClusterCell`] per cluster it homes (its slots, its CLC timer, its
+//! heartbeat probe) beside one [`NodeCell`] per node (its engine and
+//! application). It has two sources of work. Its MPSC channel carries
+//! `(slot, Envelope)` pairs from other threads: the controller and the
+//! other shards. Its in-thread *run queue* carries every message one of
+//! its own nodes sends to another of them, and every report of its own
+//! heartbeat probes: [`ShardHost::wire`] computes the destination's
+//! address from the routing table and pushes onto the queue when the
+//! owner is this shard, onto the owner's channel otherwise. Local traffic
+//! — all of a cluster's 2PC, since a cluster sits on one shard, and its
+//! probe's fault reports — therefore costs a `VecDeque` push and pop: no
+//! atomics, no park/unpark, no tick, no clock read of its own.
 //!
 //! **The run queue is empty whenever the worker polls or blocks on its
 //! channel** — the worker drains it after every envelope it takes from the
@@ -22,30 +24,33 @@
 //!   pair uses one path for the whole run — same shard, the queue; else
 //!   the destination's channel — and each path is FIFO. Order between
 //!   different senders was never promised.
-//! * *The ping barrier.* When a `Ping` is answered, everything routed to
-//!   this shard before it, and every same-shard consequence of that, has
-//!   been processed; only a hop to another shard outlives the round
-//!   ([`crate::Federation::quiesce`]).
-//! * *Shutdown strands nothing*: `live` is only re-read with the queue
-//!   empty.
+//! * *The ping barrier.* A `Ping` is addressed to the shard. When it is
+//!   answered, everything routed to this shard before it, and every
+//!   same-shard consequence of that, has been processed; only a hop to
+//!   another shard outlives the round ([`crate::Federation::quiesce`]).
+//! * *Shutdown strands nothing*: the shard's one `Shutdown` is taken from
+//!   the channel with the queue empty, and the worker exits on it, so no
+//!   local consequence of an earlier envelope is left unprocessed.
 //!
-//! Between channel envelopes the worker *ticks*: it fires any due CLC
-//! timer of a coordinator it owns and runs the heartbeat probes of the
-//! clusters it owns ([`ClusterProbe`], which read the engines' failure
-//! generations straight from the cells). When idle it sleeps via
-//! `recv_deadline` until the earliest pending deadline. One reusable [`OutputBuf`] serves all
-//! nodes of the shard, so steady-state message processing allocates
-//! nothing per event.
+//! Between channel envelopes, once the earliest deadline of its cluster
+//! cells is due, the worker *ticks*: one pass over the cells fires each
+//! due CLC timer (on the cluster's coordinator, rank 0), runs each due
+//! heartbeat probe ([`ClusterProbe`], which reads the engines' failure
+//! generations straight from the cells) and finds the next deadline.
+//! When idle it sleeps via `recv_deadline` until that deadline. One
+//! reusable [`OutputBuf`] serves all nodes of the shard, so steady-state
+//! message processing allocates nothing per event.
 //!
 //! Every engine input — a message from another node included — arrives as
-//! an [`Envelope::Input`] and goes through the shared entry point
-//! [`hc3i_core::host::input`]; the shard supplies [`ShardHost`]: the wire is the
-//! run queue or the routing table's channels, the clock is time since the
-//! federation's spawn, timers are cached earliest-deadline bounds the tick
-//! polls, and the event sink is the controller's channel.
+//! an [`Envelope::Input`] or on the run queue, and goes through the shared
+//! entry point [`hc3i_core::host::input`]; the shard supplies
+//! [`ShardHost`]: the wire is the run queue or the routing table's
+//! channels, the clock is time since the federation's spawn, a timer is
+//! its cluster cell's deadline, which the tick polls, and the event sink
+//! is the controller's channel.
 
 use crate::app::Application;
-use crate::detector::ClusterProbe;
+use crate::detector::{ClusterProbe, HeartbeatConfig};
 use crate::envelope::{Envelope, RtEvent};
 use crate::federation::{NodeFinalState, Routes, SharedDurable};
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender};
@@ -53,30 +58,55 @@ use hc3i_core::host::{self, Host, Xport};
 use hc3i_core::{AppPayload, Input, Msg, NodeEngine, OutputBuf, StoreOp};
 use hc3i_types::{NodeId, SimTime};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One node multiplexed onto a shard: the engine plus its runtime-side
-/// timer and application state.
+/// One node multiplexed onto a shard: its engine and its application.
 pub(crate) struct NodeCell {
-    pub(crate) id: NodeId,
     pub(crate) engine: NodeEngine,
     pub(crate) app: Option<Box<dyn Application>>,
-    /// The cluster's CLC period: set on a timed cluster's coordinator
-    /// only, the one node whose timer starts a round.
-    pub(crate) clc_delay: Option<Duration>,
-    pub(crate) clc_deadline: Option<Instant>,
-    /// Set by `Envelope::Shutdown`; a stopped node drops every later
-    /// envelope, exactly as a joined node thread used to.
-    pub(crate) stopped: bool,
 }
 
-/// Lower a cached earliest-deadline bound to cover a newly armed
-/// deadline. Arming only ever lowers a bound (O(1) on the message path);
-/// the exact minimum is recomputed when it comes due — so a waking worker
-/// may scan and find nothing to fire, but a due timer is never missed.
-fn lower(bound: &mut Option<Instant>, deadline: Instant) {
-    *bound = Some(bound.map_or(deadline, |b| b.min(deadline)));
+/// One cluster a shard homes: where its nodes sit, its CLC timer and its
+/// heartbeat probe. The shard keeps one per cluster it homes, cluster `c`
+/// at index `c / S`.
+pub(crate) struct ClusterCell {
+    /// The cluster's slots on the shard: rank `r` at `slots.start + r`.
+    slots: Range<usize>,
+    /// The cluster's CLC period, `None` for a manual-checkpoint cluster.
+    clc_delay: Option<Duration>,
+    /// When the timer next fires on the coordinator, rank 0.
+    clc_deadline: Option<Instant>,
+    probe: Option<ClusterProbe>,
+}
+
+impl ClusterCell {
+    pub(crate) fn new(
+        slots: Range<usize>,
+        clc_delay: Option<Duration>,
+        heartbeat: Option<HeartbeatConfig>,
+        now: Instant,
+    ) -> Self {
+        ClusterCell {
+            slots,
+            clc_delay,
+            clc_deadline: clc_delay.map(|d| now + d),
+            probe: heartbeat.map(|hb| ClusterProbe::new(hb, now)),
+        }
+    }
+
+    /// The earlier of the CLC deadline and the next probe round, if any.
+    fn next_deadline(&self) -> Option<Instant> {
+        let probe = self.probe.as_ref().map(ClusterProbe::next_deadline);
+        self.clc_deadline.into_iter().chain(probe).min()
+    }
+
+    /// Re-arm the CLC timer one period from now (a no-op for a
+    /// manual-checkpoint cluster).
+    fn arm_clc(&mut self) {
+        self.clc_deadline = self.clc_delay.map(|d| Instant::now() + d);
+    }
 }
 
 /// The runtime's clock: wall time since the federation's spawn instant.
@@ -90,14 +120,12 @@ pub(crate) fn since(epoch: Instant) -> SimTime {
 struct ShardHost<'a> {
     epoch: Instant,
     me: u32,
-    local: &'a mut VecDeque<(u32, Envelope)>,
+    local: &'a mut VecDeque<(u32, Input)>,
     routes: &'a Routes,
     events: &'a Sender<RtEvent>,
-    next_clc: &'a mut Option<Instant>,
+    clusters: &'a mut [ClusterCell],
     durable: Option<&'a SharedDurable>,
     app: &'a mut Option<Box<dyn Application>>,
-    clc_delay: Option<Duration>,
-    clc_deadline: &'a mut Option<Instant>,
 }
 
 impl Host for ShardHost<'_> {
@@ -111,12 +139,12 @@ impl Host for ShardHost<'_> {
     /// fan-out is queue entries, not stack frames.
     fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
         let (shard, slot) = self.routes.addr(to);
-        let env = Envelope::Input(Input::Receive { from, msg });
+        let input = Input::Receive { from, msg };
         if shard == self.me {
-            self.local.push_back((slot, env));
+            self.local.push_back((slot, input));
         } else {
             // A vanished route only happens at shutdown; drop then.
-            let _ = self.routes.send(to, env);
+            let _ = self.routes.send(to, Envelope::Input(input));
         }
     }
 
@@ -127,12 +155,10 @@ impl Host for ShardHost<'_> {
 
     fn arm_retry(&mut self, _from: NodeId, _to: NodeId, _seq: u64, _at: SimTime) {}
 
-    fn reset_clc_timer(&mut self, _node: NodeId) {
-        if let Some(d) = self.clc_delay {
-            let deadline = Instant::now() + d;
-            *self.clc_deadline = Some(deadline);
-            lower(self.next_clc, deadline);
-        }
+    /// The node's cluster's timer, as the simulator keys it by cluster.
+    fn reset_clc_timer(&mut self, node: NodeId) {
+        let home = self.routes.home(node.cluster.index());
+        self.clusters[home].arm_clc();
     }
 
     /// Appends happen under the lock — a node lives on exactly one shard,
@@ -164,28 +190,23 @@ impl Host for ShardHost<'_> {
 
 pub(crate) struct ShardWorker {
     nodes: Vec<NodeCell>,
-    /// Slots that arm a CLC deadline: the timed coordinators this shard
-    /// owns.
-    timer_slots: Vec<usize>,
+    /// The clusters this shard homes, cluster `c` at `c / S`.
+    clusters: Vec<ClusterCell>,
     /// This worker's index in the pool: what [`Routes::addr`] reports for
     /// the nodes it owns.
     me: u32,
     rx: Receiver<(u32, Envelope)>,
     /// The in-thread run queue: every message one of this shard's nodes
-    /// sent to another of them, in emission order. Empty whenever the
-    /// worker polls or blocks on `rx` (see [`ShardWorker::run`]).
-    local: VecDeque<(u32, Envelope)>,
+    /// sent to another of them, in emission order, and every fault report
+    /// of its probes. Empty whenever the worker polls or blocks on `rx`
+    /// (see [`ShardWorker::run`]).
+    local: VecDeque<(u32, Input)>,
     routes: Arc<Routes>,
     events: Sender<RtEvent>,
     epoch: Instant,
-    probes: Vec<ClusterProbe>,
     /// Reusable sink the engines emit into (same API the simulator
     /// drives; zero allocation per input).
     buf: OutputBuf,
-    /// Lower bound on the earliest armed CLC deadline (see [`lower`]).
-    next_clc: Option<Instant>,
-    /// Nodes not yet stopped; the worker exits when this reaches zero.
-    live: usize,
     /// The federation's shared on-disk segment log; `None` keeps every
     /// CLC store in memory only.
     durable: Option<SharedDurable>,
@@ -193,36 +214,24 @@ pub(crate) struct ShardWorker {
 
 impl ShardWorker {
     pub(crate) fn new(
+        me: u32,
         nodes: Vec<NodeCell>,
+        clusters: Vec<ClusterCell>,
         rx: Receiver<(u32, Envelope)>,
         routes: Arc<Routes>,
         events: Sender<RtEvent>,
         epoch: Instant,
-        probes: Vec<ClusterProbe>,
     ) -> Self {
-        let timer_slots: Vec<usize> = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.clc_delay.is_some())
-            .map(|(s, _)| s)
-            .collect();
-        let next_clc = nodes.iter().filter_map(|c| c.clc_deadline).min();
-        let live = nodes.len();
-        // This worker is whichever shard the table says owns its nodes.
-        let me = nodes.first().map_or(0, |c| routes.addr(c.id).0);
         ShardWorker {
             nodes,
-            timer_slots,
+            clusters,
             me,
             rx,
             local: VecDeque::new(),
             routes,
             events,
             epoch,
-            probes,
             buf: OutputBuf::new(),
-            next_clc,
-            live,
             durable: None,
         }
     }
@@ -234,31 +243,41 @@ impl ShardWorker {
         self
     }
 
-    /// Drain the shard until every owned node has been shut down; return
-    /// the final engine (and application) of each.
+    /// Drain the shard until its `Shutdown`; return the final engine (and
+    /// application) of each node it owns.
     pub(crate) fn run(mut self) -> Vec<(NodeId, NodeFinalState)> {
-        while self.live > 0 {
+        // A lower bound on every homed cluster's next CLC timer and probe
+        // round. Between ticks a deadline only moves later (`arm_clc` sets
+        // `now + delay`), so an envelope before it costs no cluster scan.
+        // Due at once: the first pass ticks and finds the real bound.
+        let mut deadline = Some(Instant::now());
+        loop {
             // The invariant of the module docs: never touch the channel
             // with local work pending.
             debug_assert!(self.local.is_empty(), "run queue drained before polling");
-            let msg = match self.next_deadline() {
-                Some(deadline) => match self.rx.recv_deadline(deadline) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
-                None => match self.rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
+            let msg = match deadline {
+                Some(at) => self.rx.recv_deadline(at),
+                None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
             };
-            if let Some((slot, env)) = msg {
-                self.dispatch(slot as usize, env);
-                self.drain_local();
+            match msg {
+                Ok((slot, Envelope::Input(input))) => {
+                    self.input(slot as usize, input);
+                    self.drain_local();
+                }
+                // Liveness is a node property: a fail-stopped engine is
+                // not counted.
+                Ok((_, Envelope::Ping { reply })) => {
+                    let live = self.nodes.iter().filter(|c| !c.engine.is_failed());
+                    let _ = reply.send(live.count());
+                }
+                Ok((_, Envelope::Shutdown)) | Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {}
             }
             // Timers and probes emit through the same `wire`.
-            self.tick();
-            self.drain_local();
+            if deadline.is_some_and(|at| at <= Instant::now()) {
+                deadline = self.tick();
+                self.drain_local();
+            }
         }
         // Commits are fsync-ed as they land ([`storage::SyncPolicy::EveryCommit`]);
         // flush any trailing truncate/prune frames on the way out.
@@ -270,96 +289,49 @@ impl ShardWorker {
         }
         self.nodes
             .into_iter()
-            .map(|c| (c.id, (c.engine, c.app)))
+            .map(|c| (c.engine.id(), (c.engine, c.app)))
             .collect()
     }
 
     /// Run the in-thread queue to empty: everything a same-shard message
     /// causes on this shard is processed before the channel is looked at
-    /// again, through the same [`ShardWorker::dispatch`] a channel envelope
+    /// again, through the same [`ShardWorker::input`] a channel envelope
     /// takes.
     fn drain_local(&mut self) {
-        while let Some((slot, env)) = self.local.pop_front() {
-            self.dispatch(slot as usize, env);
+        while let Some((slot, input)) = self.local.pop_front() {
+            self.input(slot as usize, input);
         }
     }
 
-    /// Earliest pending timer or probe deadline, if any. O(#probes): the
-    /// CLC side is a cached bound, not a scan.
-    fn next_deadline(&self) -> Option<Instant> {
-        let mut next = self.next_clc;
-        for p in &self.probes {
-            lower(&mut next, p.next_deadline());
-        }
-        next
-    }
-
-    /// Fire due CLC timers and heartbeat probes. The timer-slot scan only
-    /// runs when the cached bound is actually due, so per-message ticks
-    /// are O(#probes).
-    fn tick(&mut self) {
+    /// Fire each homed cluster's due CLC timer and heartbeat probe, in one
+    /// pass that also returns the earliest deadline left.
+    fn tick(&mut self) -> Option<Instant> {
         let now = Instant::now();
-        if self.next_clc.is_some_and(|t| t <= now) {
-            self.fire_due_clcs(now);
-        }
-        for probe in &mut self.probes {
-            probe.tick(now, &self.nodes, &mut self.local);
-        }
-    }
-
-    fn fire_due_clcs(&mut self, now: Instant) {
-        for i in 0..self.timer_slots.len() {
-            let slot = self.timer_slots[i];
-            let due = {
-                let cell = &self.nodes[slot];
-                !cell.stopped && cell.clc_deadline.is_some_and(|d| d <= now)
-            };
-            if due {
-                self.nodes[slot].clc_deadline = None;
-                self.input(slot, Input::ClcTimer);
+        let mut next = None;
+        for k in 0..self.clusters.len() {
+            let cluster = &mut self.clusters[k];
+            if cluster.clc_deadline.is_some_and(|d| d <= now) {
+                cluster.clc_deadline = None;
+                let coordinator = cluster.slots.start;
+                self.input(coordinator, Input::ClcTimer);
                 // If no commit re-armed it (the coordinator is down, or
                 // the reason merged into a running round), re-arm so
                 // periodic checkpointing survives — as the simulator does.
-                if self.nodes[slot].clc_deadline.is_none() {
-                    if let Some(d) = self.nodes[slot].clc_delay {
-                        self.nodes[slot].clc_deadline = Some(Instant::now() + d);
-                    }
+                let cluster = &mut self.clusters[k];
+                if cluster.clc_deadline.is_none() {
+                    cluster.arm_clc();
                 }
             }
-        }
-        // Fires and re-arms done: replace the bound with the exact minimum.
-        self.next_clc = self
-            .timer_slots
-            .iter()
-            .filter_map(|&s| {
-                let cell = &self.nodes[s];
-                if cell.stopped {
-                    None
-                } else {
-                    cell.clc_deadline
-                }
-            })
-            .min();
-    }
-
-    fn dispatch(&mut self, slot: usize, env: Envelope) {
-        if self.nodes[slot].stopped {
-            return;
-        }
-        match env {
-            Envelope::Input(input) => self.input(slot, input),
-            Envelope::Ping { reply } => {
-                // Liveness is a node property: a fail-stopped engine stays
-                // silent, everyone else answers.
-                if !self.nodes[slot].engine.is_failed() {
-                    let _ = reply.send(());
+            let cluster = &mut self.clusters[k];
+            if let Some(probe) = &mut cluster.probe {
+                if let Some((rank, report)) = probe.tick(now, &self.nodes[cluster.slots.clone()]) {
+                    let slot = cluster.slots.start + rank;
+                    self.local.push_back((slot as u32, report));
                 }
             }
-            Envelope::Shutdown => {
-                self.nodes[slot].stopped = true;
-                self.live -= 1;
-            }
+            next = next.into_iter().chain(cluster.next_deadline()).min();
         }
+        next
     }
 
     /// The [`Host`] view of the node at `slot`, with its engine and the
@@ -372,11 +344,9 @@ impl ShardWorker {
             local: &mut self.local,
             routes: &self.routes,
             events: &self.events,
-            next_clc: &mut self.next_clc,
+            clusters: &mut self.clusters,
             durable: self.durable.as_ref(),
             app: &mut cell.app,
-            clc_delay: cell.clc_delay,
-            clc_deadline: &mut cell.clc_deadline,
         };
         (host, &mut cell.engine, &mut self.buf)
     }

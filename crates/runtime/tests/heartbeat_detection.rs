@@ -83,8 +83,8 @@ fn refailure_right_after_recovery_is_redetected() {
 
 #[test]
 fn a_failed_coordinator_recovers_and_its_timer_clcs_resume() {
-    // Only the coordinator's cell carries the cluster's CLC deadline: it
-    // must fire through the coordinator's failure and rollback.
+    // The cluster's CLC deadline fires on its coordinator only: it must
+    // keep firing through the coordinator's failure and rollback.
     let cfg = RuntimeConfig::manual(vec![3, 2])
         .with_clc_delay(0, Duration::from_millis(30))
         .with_heartbeat(hb());

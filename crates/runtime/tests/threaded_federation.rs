@@ -8,7 +8,7 @@ use hc3i_core::{AppPayload, PiggybackMode, ProtocolConfig, SeqNum};
 use hc3i_types::NodeId;
 use runtime::{Federation, RtEvent, RuntimeConfig};
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TICK: Duration = Duration::from_secs(5);
 
@@ -405,4 +405,24 @@ fn an_unbounded_timeout_waits_instead_of_panicking() {
     .expect("commit");
     assert_eq!(fed.quiesce(1, Duration::MAX), 4);
     fed.shutdown();
+}
+
+/// A barrier counts the live nodes: with one node fail-stopped and no
+/// heartbeat to revive it, every shard still answers, and the count leaves
+/// the failed node out — without waiting out the timeout, at one shard
+/// and at two.
+#[test]
+fn a_quiesce_counts_the_live_nodes_around_a_failed_one() {
+    for shards in [1, 2] {
+        let fed = Federation::spawn(RuntimeConfig::manual(vec![2, 2]).with_shards(shards));
+        fed.fail(n(1, 1));
+        let start = Instant::now();
+        assert_eq!(fed.quiesce(1, TICK), 3, "{shards} shards");
+        assert!(
+            start.elapsed() < TICK,
+            "{shards} shards: the barrier timed out"
+        );
+        let engines = fed.shutdown();
+        assert!(engines[&n(1, 1)].is_failed(), "{shards} shards");
+    }
 }
