@@ -1,6 +1,10 @@
 #!/usr/bin/env bash
-# Structural gate: LEB128 is read and written, and input lengths are
-# honoured, in crates/storage/src/varint.rs only. Fails if a private
+# Structural gate: LEB128 is read and written, and the lengths inside a
+# frame are honoured, in crates/storage/src/varint.rs only. A frame's own
+# length field is honoured in one other place, the framing reader
+# (`scan_segment` in crates/storage/src/durable.rs): it reads the body
+# through a reader bounded by that length, so a body the segment does not
+# back is a short read, with no offset arithmetic. Fails if a private
 # `put_u64` / `get_u64` copy, or a decoder indexing its input by hand
 # (`pos + len`, `buf.get(pos..)`, `*pos += …`), grows back in
 # crates/{storage,core}/src — every decoder there reads through

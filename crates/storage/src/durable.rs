@@ -66,6 +66,14 @@
 //! arbitrary bytes: every invariant [`ClcStore::commit`] asserts is
 //! checked (and turned into an error) first, and every length and count
 //! is checked against the bytes that back it ([`crate::varint`]).
+//!
+//! Each segment is read as a stream, frame by frame, through one buffer
+//! of at most 64 KiB into one reused frame buffer: recovery's memory is the image it
+//! rebuilds plus one frame, whatever the segment's size. A frame's body
+//! is read no further than the segment backs it, so a length field that
+//! overruns the file is a short read and allocates nothing of its size.
+//! A segment is read as far as its size when recovery opens it: on the
+//! directory of a live store, frames flushed after that are not read.
 
 use crate::clc_store::{ClcMeta, ClcStore};
 use crate::stamp::SeqNum;
@@ -73,7 +81,7 @@ use crate::varint::{put_ddv, put_u64, Cursor};
 use hc3i_types::SimTime;
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -87,7 +95,8 @@ const OP_SNAPSHOT: u8 = 4;
 /// Ceiling on a single frame payload (a snapshot of one node's chain);
 /// anything larger in a length field is damage, not data.
 const MAX_FRAME: u32 = 1 << 26;
-/// The pending buffer is written out once it holds this much.
+/// The pending buffer is written out once it holds this much, and
+/// recovery reads a segment through a buffer of this size.
 const FLUSH_BYTES: usize = 64 << 10;
 
 // ---- CRC-32 (IEEE 802.3, reflected), slicing-by-8 --------------------------
@@ -416,7 +425,19 @@ fn commit_next<C: EntryCodec>(
     Ok(())
 }
 
-/// Replay one segment; returns the torn span if its tail was discarded.
+/// Fill `buf` from `src`; `false` if `src` ends first.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> std::io::Result<bool> {
+    match src.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Replay one segment, frame by frame: the file is read through one
+/// buffer of at most `FLUSH_BYTES`, each frame into one reused frame
+/// buffer, and only as far as its size at open. Returns the torn span if
+/// its tail was discarded.
 fn scan_segment<C: EntryCodec>(
     index: u64,
     path: &Path,
@@ -424,50 +445,61 @@ fn scan_segment<C: EntryCodec>(
     replayer: &mut Replayer<'_, C>,
     frames: &mut u64,
 ) -> Result<Option<TornTail>, DurableError> {
-    let bytes = fs::read(path)?;
-    let corrupt = |offset: usize, what: String| DurableError::Corrupt {
+    let file = File::open(path)?;
+    let size = file.metadata()?.len();
+    // What is still unread; its limit is the bytes left before the end.
+    // (A segment smaller than the buffer gets a buffer of its own size.)
+    let buffer = size.min(FLUSH_BYTES as u64) as usize;
+    let mut rest = BufReader::with_capacity(buffer, file).take(size);
+    let corrupt = |left: u64, what: String| DurableError::Corrupt {
         segment: index,
-        offset: offset as u64,
+        offset: size - left,
         what,
     };
-    // Framing damage at `offset`: a torn write (discard from there on) in
-    // the final segment, corruption anywhere else.
-    let damaged = |offset: usize, what: &str| {
+    // Framing damage where `left` bytes remain: a torn write (discard from
+    // there on) in the final segment, corruption anywhere else.
+    let damaged = |left: u64, what: &str| {
         if is_final {
             Ok(Some(TornTail {
                 segment: index,
-                offset: offset as u64,
-                discarded: (bytes.len() - offset) as u64,
+                offset: size - left,
+                discarded: left,
             }))
         } else {
-            Err(corrupt(offset, what.to_string()))
+            Err(corrupt(left, what.to_string()))
         }
     };
-    let mut cur = Cursor::new(&bytes);
     // A final segment whose very header is incomplete is a crash during
     // segment creation: the whole file is discarded.
-    if cur.take(SEG_MAGIC.len() as u64) != Ok(&SEG_MAGIC[..]) {
-        return damaged(0, "bad segment header");
+    let mut magic = [0; SEG_MAGIC.len()];
+    if !read_full(&mut rest, &mut magic)? || magic != *SEG_MAGIC {
+        return damaged(size, "bad segment header");
     }
-    while cur.remaining() > 0 {
-        let offset = bytes.len() - cur.remaining();
+    let mut frame = Vec::new();
+    while rest.limit() > 0 {
+        let left = rest.limit();
         // Frame header: [len u32][crc u32].
-        let Ok(head) = cur.take(8) else {
-            return damaged(offset, "truncated frame header");
-        };
-        let (len, crc) = head.split_at(4);
-        let len = u32::from_le_bytes(len.try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
-        let payload = match cur.take(u64::from(len)) {
-            Ok(payload) if len <= MAX_FRAME => payload,
-            _ => return damaged(offset, "frame length overruns segment"),
-        };
-        if crc32(payload) != crc {
-            return damaged(offset, "frame checksum mismatch");
+        let mut head = [0; 8];
+        if !read_full(&mut rest, &mut head)? {
+            return damaged(left, "truncated frame header");
         }
-        replayer
-            .apply(payload)
-            .map_err(|what| corrupt(offset, what))?;
+        let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
+        let len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
+        // The body is read as far as the segment backs it, so a length
+        // past the end is a short read, never an allocation of that size.
+        frame.clear();
+        let read = match len {
+            ..=MAX_FRAME => (&mut rest).take(u64::from(len)).read_to_end(&mut frame)?,
+            _ => 0,
+        };
+        if read != len as usize {
+            return damaged(left, "frame length overruns segment");
+        }
+        if crc32(&frame) != crc {
+            return damaged(left, "frame checksum mismatch");
+        }
+        replayer.apply(&frame).map_err(|what| corrupt(left, what))?;
         *frames += 1;
     }
     Ok(None)
@@ -475,6 +507,11 @@ fn scan_segment<C: EntryCodec>(
 
 /// Rebuild every node's chain from the segment log in `dir` without
 /// modifying it (the torn tail, if any, is skipped but left on disk).
+///
+/// Holds the image it rebuilds plus one read buffer and one frame, never
+/// a whole segment. Each segment is read as the prefix present when it is
+/// opened, so on a live store's directory this is the log as of the last
+/// flush point before that (see the module docs).
 pub fn recover<C: EntryCodec>(dir: &Path, codec: &C) -> Result<Recovered<C>, DurableError> {
     let segs = list_segments(dir)?;
     let mut replayer = Replayer {
@@ -986,16 +1023,33 @@ mod tests {
         drop(store);
         let (_, path) = list_segments(&dir).unwrap().pop().unwrap();
         let full = fs::read(&path).unwrap();
-        for cut in 0..full.len() {
-            fs::write(&path, &full[..cut]).unwrap();
-            // Must never panic; a shorter log is always *recoverable*
-            // (every prefix of valid frames is a state we passed through).
-            let rec = recover(&dir, &NumsCodec).unwrap();
-            if cut == full.len() - 1 {
-                assert!(rec.torn.is_some());
-            }
-        }
         fs::remove_dir_all(&dir).unwrap();
+        every_cut_tears_at_its_frame("cuts", &full);
+        // The read buffer's edges: a frame header split by the end of the
+        // first buffer (the first frame ends 4 bytes before it) …
+        let first = (FLUSH_BYTES - 40..)
+            .map(|n| commit_frame(1, n))
+            .find(|f| SEG_MAGIC.len() + f.len() == FLUSH_BYTES - 4)
+            .unwrap();
+        let split = [
+            &SEG_MAGIC[..],
+            &first,
+            &commit_frame(2, 20),
+            &commit_frame(3, 5),
+        ]
+        .concat();
+        every_cut_tears_at_its_frame("split-header", &split);
+        // … and a frame larger than the buffer, between two small ones.
+        let big = commit_frame(2, FLUSH_BYTES + 4096);
+        assert!(big.len() > FLUSH_BYTES);
+        let long = [
+            &SEG_MAGIC[..],
+            &commit_frame(1, 10),
+            &big,
+            &commit_frame(3, 5),
+        ]
+        .concat();
+        every_cut_tears_at_its_frame("long-frame", &long);
     }
 
     #[test]
@@ -1034,9 +1088,104 @@ mod tests {
         let bytes = fs::read(&snap_path).unwrap();
         fs::copy(&snap_path, segment_path(&dir, idx + 1)).unwrap();
         fs::write(&snap_path, &bytes[..bytes.len() - 2]).unwrap();
+        let last_frame = *frame_starts(&bytes).last().unwrap() as u64;
         match recover(&dir, &NumsCodec) {
-            Err(DurableError::Corrupt { segment, .. }) => assert_eq!(segment, idx),
+            Err(DurableError::Corrupt {
+                segment,
+                offset,
+                what,
+            }) => {
+                assert_eq!(segment, idx);
+                assert_eq!(offset, last_frame, "the cut frame is the damage");
+                assert_eq!(what, "frame length overruns segment");
+            }
             other => panic!("expected Corrupt, got {:?}", other.map(|r| r.frames)),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_in_the_final_segment_tears_there() {
+        let dir = tmpdir("payload-flip");
+        let mut store = DurableStore::open(&dir, NumsCodec, opts_manual()).unwrap();
+        populate(&mut store);
+        drop(store);
+        let (idx, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let last_frame = *frame_starts(&bytes).last().unwrap() as u64;
+        // The last byte is the prune's `min_sn` (2): flipped, it still
+        // decodes (to 67), so only the checksum tells it from data.
+        *bytes.last_mut().unwrap() ^= 0x41;
+        fs::write(&path, &bytes).unwrap();
+        let rec = recover(&dir, &NumsCodec).unwrap();
+        assert_eq!(
+            rec.torn,
+            Some(TornTail {
+                segment: idx,
+                offset: last_frame,
+                discarded: bytes.len() as u64 - last_frame,
+            })
+        );
+        assert_eq!(rec.stores[&0].len(), 4, "the flipped prune is not applied");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Where each frame of an intact segment image starts, walked by the
+    /// length fields.
+    fn frame_starts(image: &[u8]) -> Vec<usize> {
+        let mut starts = Vec::new();
+        let mut at = SEG_MAGIC.len();
+        while at < image.len() {
+            starts.push(at);
+            let len = u32::from_le_bytes(image[at..at + 4].try_into().unwrap());
+            at += 8 + len as usize;
+        }
+        assert_eq!(at, image.len(), "the image ends on a frame boundary");
+        starts
+    }
+
+    /// The commit frame of node 0's `sn`-th CLC with a full body of `n`
+    /// values, each one byte: what `append_commit` writes for it.
+    fn commit_frame(sn: u64, n: usize) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame_into(&mut frame, |f| {
+            f.push(OP_COMMIT);
+            put_u64(f, 0);
+            put_meta(f, &meta(sn, &[sn], false));
+            f.extend(NumsCodec.encode_payload(&Nums(vec![sn; n]), None));
+        });
+        frame
+    }
+
+    /// Write `image` cut at every byte as the only segment, and check that
+    /// each cut replays exactly the frames wholly before it and discards
+    /// the rest from the start of the frame it cuts (from 0 when it cuts
+    /// the segment header).
+    fn every_cut_tears_at_its_frame(tag: &str, image: &[u8]) {
+        let starts = frame_starts(image);
+        let ends: Vec<usize> = starts[1..].iter().copied().chain([image.len()]).collect();
+        let dir = tmpdir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let path = segment_path(&dir, 0);
+        fs::write(&path, image).unwrap();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        // Shortest last, so each cut is a truncation and not a rewrite.
+        for cut in (0..=image.len()).rev() {
+            file.set_len(cut as u64).unwrap();
+            let rec = recover(&dir, &NumsCodec).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let torn_at = if cut < SEG_MAGIC.len() {
+                Some(0)
+            } else {
+                Some(starts.get(whole).copied().unwrap_or(cut)).filter(|&at| at < cut)
+            };
+            let expected = torn_at.map(|at| TornTail {
+                segment: 0,
+                offset: at as u64,
+                discarded: (cut - at) as u64,
+            });
+            assert_eq!(rec.torn, expected, "{tag}: cut at {cut}");
+            assert_eq!(rec.frames, whole as u64, "{tag}: cut at {cut}");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

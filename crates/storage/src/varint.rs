@@ -9,7 +9,11 @@
 //! allocate beyond the buffer it was handed:
 //!
 //! * a **length** is honoured only by `Cursor::take`, which compares it
-//!   with the bytes that remain — there is no `pos + len` to overflow;
+//!   with the bytes that remain — there is no `pos + len` to overflow.
+//!   The one length read outside a `Cursor` is a segment frame's `u32`
+//!   length field, which the framing reader in `durable` honours with a
+//!   read of the file bounded by it: a body the file does not back is a
+//!   short read;
 //! * a **count** is read only by [`Cursor::count`], which refuses one that
 //!   the remaining bytes could not back at the item's smallest encoding —
 //!   so `with_capacity(count)` is bounded by the input's own size.
@@ -77,11 +81,6 @@ impl<'a> Cursor<'a> {
         Cursor(buf)
     }
 
-    /// Bytes not yet read.
-    pub(crate) fn remaining(&self) -> usize {
-        self.0.len()
-    }
-
     /// Everything not yet read.
     pub(crate) fn rest(self) -> &'a [u8] {
         self.0
@@ -131,7 +130,7 @@ impl<'a> Cursor<'a> {
 
     /// The next `len` bytes, if that many remain.
     #[inline]
-    pub(crate) fn take(&mut self, len: u64) -> Result<&'a [u8], Error> {
+    fn take(&mut self, len: u64) -> Result<&'a [u8], Error> {
         let len = usize::try_from(len).map_err(|_| Error::Truncated)?;
         let (head, rest) = self.0.split_at_checked(len).ok_or(Error::Truncated)?;
         self.0 = rest;

@@ -1,12 +1,15 @@
-//! Footprint gate: a recovered image holds each stamp's dependencies, not
-//! one entry per cluster of the federation.
+//! Footprint gates on what [`storage::recover`] holds, measured with the
+//! test binary's own counting allocator.
 //!
-//! The segment format writes every DDV entry, so a log of a wide
-//! federation is wide on disk; what [`storage::recover`] rebuilds from it
-//! must not be. A ring-shaped chain — each CLC stamped with its own
-//! cluster's SN and its predecessor's — is recovered at 2 clusters and at
-//! 4096, and the heap the image keeps, per entry, must match within a
-//! constant. Measured with the test binary's own counting allocator.
+//! * A recovered image holds each stamp's dependencies, not one entry per
+//!   cluster of the federation. The segment format writes every DDV
+//!   entry, so a log of a wide federation is wide on disk; what recovery
+//!   rebuilds from it must not be. A ring-shaped chain — each CLC stamped
+//!   with its own cluster's SN and its predecessor's — is recovered at 2
+//!   clusters and at 4096, and the heap the image keeps, per entry, must
+//!   match within a constant.
+//! * Recovery reads the log frame by frame: beside the image it builds, it
+//!   holds one read buffer and one frame, not the segment file.
 
 use hc3i_types::SimTime;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,12 +22,18 @@ thread_local! {
     /// Bytes this thread holds: allocated minus freed. Const-initialised
     /// and without a destructor, so the allocator can read it.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has read since the last reset.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
 fn note(delta: i64) {
-    LIVE.with(|b| b.set(b.get() + delta));
+    let live = LIVE.with(|b| {
+        b.set(b.get() + delta);
+        b.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(live)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -133,4 +142,70 @@ fn a_recovered_stamp_is_sized_by_its_dependencies() {
         wide - narrow <= 16,
         "a recovered entry holds {wide} B at 4096 clusters, {narrow} B at 2"
     );
+}
+
+/// Entries whose encoded payload is `FILLER` bytes that decode to nothing:
+/// the segment is large on disk, the image it rebuilds is small.
+struct Filler;
+
+const FILLER: usize = 4 << 10;
+
+impl EntryCodec for Filler {
+    type Payload = ();
+
+    fn encode_payload(&self, _: &(), _: Option<&()>) -> Vec<u8> {
+        vec![0xA5; FILLER]
+    }
+
+    fn decode_payload(&self, buf: &[u8], _: Option<&()>) -> Result<(), String> {
+        if buf.len() == FILLER && buf.iter().all(|&b| b == 0xA5) {
+            Ok(())
+        } else {
+            Err("not filler".into())
+        }
+    }
+}
+
+#[test]
+fn recovery_holds_one_frame_beside_the_image_not_the_segment() {
+    const SEGMENT_BYTES: u64 = 16 << 20;
+    let dir = std::env::temp_dir().join(format!("hc3i-recover-transient-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = DurableOptions {
+        sync: SyncPolicy::Manual,
+        compact_bytes: None,
+    };
+    let mut log = DurableStore::open(&dir, Filler, opts).expect("open log");
+    // Bodies alone fill `SEGMENT_BYTES`; the frame headers and metas top it.
+    let clcs = SEGMENT_BYTES / (NODES * FILLER as u64);
+    for node in 0..NODES {
+        for k in 1..=clcs {
+            let meta = ClcMeta {
+                sn: SeqNum(k),
+                ddv: Arc::new(Ddv::zeros(1)),
+                committed_at: SimTime(k),
+                forced: false,
+            };
+            log.append_commit(node, &meta, &()).expect("append");
+        }
+    }
+    log.sync().expect("sync");
+    drop(log);
+    let segment = dir.join("seg-00000000.log");
+    let size = std::fs::metadata(&segment).expect("one segment").len();
+    assert!(size >= SEGMENT_BYTES, "a {size}-byte segment");
+
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let image = storage::recover(&dir, &Filler).expect("recover");
+    let held = LIVE.with(Cell::get) - before;
+    let transient = PEAK.with(Cell::get) - before - held;
+    assert_eq!(image.total_entries(), NODES * clcs);
+    assert!(held > 0, "the counting allocator is not installed");
+    assert!(
+        transient < 1 << 20,
+        "recovering a {size}-byte segment peaked {transient} B above the {held} B image"
+    );
+    drop(image);
+    std::fs::remove_dir_all(&dir).expect("remove log");
 }
