@@ -39,10 +39,13 @@ pub struct TrafficCell {
 ///
 /// Hot-path layout: state is sized by what carried a message, never by
 /// federation width squared, and follows the federation's hierarchy.
-/// *Intra*-cluster traffic — nearly all of it, all ranks talking to all
-/// ranks — has one dense rank table of FIFO state and one `[App,
-/// Protocol, Ack]` account per cluster, so an intra-cluster `send` hashes
-/// nothing and allocates nothing after its cluster's first message.
+/// *Intra*-cluster traffic has one FIFO table and one `[App, Protocol,
+/// Ack]` account per cluster. The FIFO table starts as a hash map with an
+/// entry per channel in use, and turns into a dense `ranks × ranks` table
+/// once the map would grow past that table's bytes: a cluster whose ranks
+/// all talk to all ranks goes dense, and its `send` then hashes nothing
+/// and allocates nothing; a cluster that uses a few hundred of its
+/// channels keeps a map of a few hundred entries.
 /// *Inter*-cluster traffic — many possible routes, few used: on a ring
 /// each cluster talks to two — shares two hash maps, one keyed by the
 /// directed node channel (FIFO state) and one by the directed cluster
@@ -52,9 +55,8 @@ pub struct Network {
     topology: Topology,
     contention: ContentionModel,
     /// Per directed intra-cluster node channel, indexed by cluster: last
-    /// scheduled arrival (FIFO ordering). `None` until the cluster's first
-    /// intra-cluster message.
-    intra_channels: Vec<Option<IntraFifo>>,
+    /// scheduled arrival (FIFO ordering).
+    intra_channels: Vec<IntraFifo>,
     /// The same for every directed inter-cluster node channel in use.
     inter_channels: FastHashMap<(NodeId, NodeId), SimTime>,
     /// Accounting of each cluster's traffic to itself.
@@ -77,35 +79,89 @@ struct PairState {
     accounts: Accounts,
 }
 
-/// A cluster's `ranks × ranks` channel table is allocated densely up to
-/// this many cells (512 KiB, 256 ranks); larger clusters hash per cluster.
-/// An input-size guard, not a tuning knob: a topology file may name a
-/// cluster of any `u32` size, and a dense table for 100,000 ranks would be
-/// 80 GB. No committed workload has a cluster above 100 ranks, so only
-/// `hashed_intra_channels_time_like_the_dense_table` runs the hashed arm.
+/// A cluster's channel map turns into a dense `ranks × ranks` table only
+/// up to this many cells (512 KiB, 256 ranks); larger clusters keep the
+/// map however many channels they use. An input-size guard, not a tuning
+/// knob: a topology file may name a cluster of any `u32` size, and a
+/// dense table for 100,000 ranks would be 80 GB.
 const DENSE_CHANNEL_LIMIT: usize = 65_536;
 
-/// FIFO last-arrival state of one cluster's intra-cluster node channels.
+/// FIFO last-arrival state of one cluster's intra-cluster node channels,
+/// keyed by the channel's cell `from_rank * ranks + to_rank`.
 /// `SimTime::ZERO` means "channel never used" — a real arrival is always
 /// strictly later.
+///
+/// Every cluster starts as a `Map` and allocates nothing until its first
+/// message. A `Map` turns `Dense`, once and for good, when a new channel
+/// would grow it past the dense table's bytes; every entry is copied, so
+/// the FIFO clamps of messages in flight carry over.
 enum IntraFifo {
+    /// The channels that carried a message.
+    Map {
+        ranks: usize,
+        last: FastHashMap<u64, SimTime>,
+    },
     /// `last[from_rank * ranks + to_rank]`.
     Dense { ranks: usize, last: Box<[SimTime]> },
-    /// Clusters too large for a dense rank product.
-    Hash(FastHashMap<(u32, u32), SimTime>),
 }
 
 impl IntraFifo {
     fn new(ranks: usize) -> Self {
-        if ranks * ranks <= DENSE_CHANNEL_LIMIT {
-            IntraFifo::Dense {
-                ranks,
-                last: vec![SimTime::ZERO; ranks * ranks].into_boxed_slice(),
-            }
-        } else {
-            IntraFifo::Hash(FastHashMap::default())
+        IntraFifo::Map {
+            ranks,
+            last: FastHashMap::default(),
         }
     }
+
+    /// The last-arrival cell of channel `from -> to`. A channel the map
+    /// lacks, arriving when the map is full, first turns the map dense if
+    /// the map would otherwise outgrow the dense table.
+    #[inline]
+    fn cell(&mut self, from: u32, to: u32) -> &mut SimTime {
+        if let IntraFifo::Map { ranks, last } = self {
+            let key = from as u64 * *ranks as u64 + to as u64;
+            if last.len() == last.capacity()
+                && outgrows_dense(last.capacity(), *ranks)
+                && !last.contains_key(&key)
+            {
+                self.promote();
+            }
+        }
+        match self {
+            IntraFifo::Dense { ranks, last } => &mut last[from as usize * *ranks + to as usize],
+            IntraFifo::Map { ranks, last } => last
+                .entry(from as u64 * *ranks as u64 + to as u64)
+                .or_insert(SimTime::ZERO),
+        }
+    }
+
+    /// Turns a `Map` into the `Dense` table, copying every entry. Once per
+    /// cluster at most, so kept out of `cell`'s inlined body.
+    #[cold]
+    #[inline(never)]
+    fn promote(&mut self) {
+        if let IntraFifo::Map { ranks, last } = self {
+            let mut dense = vec![SimTime::ZERO; *ranks * *ranks].into_boxed_slice();
+            for (&cell, &at) in last.iter() {
+                dense[cell as usize] = at;
+            }
+            *self = IntraFifo::Dense {
+                ranks: *ranks,
+                last: dense,
+            };
+        }
+    }
+}
+
+/// Whether a full channel map of `capacity` entries, once grown, holds
+/// more bytes than the dense table of a `ranks`-rank cluster, which may
+/// take its place. The map doubles as it grows, from a smallest table of
+/// four buckets, and each bucket is an entry and a control byte.
+fn outgrows_dense(capacity: usize, ranks: usize) -> bool {
+    let cells = ranks.saturating_mul(ranks);
+    let bucket = std::mem::size_of::<(u64, SimTime)>() + 1;
+    cells <= DENSE_CHANNEL_LIMIT
+        && (2 * capacity).max(4) * bucket > cells * std::mem::size_of::<SimTime>()
 }
 
 #[inline]
@@ -121,10 +177,13 @@ impl Network {
     /// A network over `topology` with the default (unlimited) contention.
     pub fn new(topology: Topology) -> Self {
         let n = topology.num_clusters();
+        let intra_channels = (0..n)
+            .map(|c| IntraFifo::new(topology.nodes_in(ClusterId(c as u16)) as usize))
+            .collect();
         Network {
             topology,
             contention: ContentionModel::default(),
-            intra_channels: (0..n).map(|_| None).collect(),
+            intra_channels,
             inter_channels: FastHashMap::default(),
             intra_accounts: vec![Accounts::default(); n],
             pairs: FastHashMap::default(),
@@ -155,15 +214,7 @@ impl Network {
         // cell of the directed node channel, and the account to charge.
         let (depart, last, accounts) = if from.cluster == to.cluster {
             let c = from.cluster.index();
-            let fifo = self.intra_channels[c].get_or_insert_with(|| {
-                IntraFifo::new(self.topology.nodes_in(from.cluster) as usize)
-            });
-            let last = match fifo {
-                IntraFifo::Dense { ranks, last } => {
-                    &mut last[from.rank as usize * *ranks + to.rank as usize]
-                }
-                IntraFifo::Hash(m) => m.entry((from.rank, to.rank)).or_insert(SimTime::ZERO),
-            };
+            let last = self.intra_channels[c].cell(from.rank, to.rank);
             (now, last, &mut self.intra_accounts[c])
         } else {
             let pair = self.pairs.entry((from.cluster, to.cluster)).or_default();
@@ -338,31 +389,101 @@ mod tests {
         assert!(a2 > a1, "FIFO violated: {a2:?} <= {a1:?}");
     }
 
+    /// One cluster of `nodes` ranks on the SAN.
+    fn cluster(nodes: u32) -> Network {
+        Network::new(Topology::new(
+            vec![ClusterSpec {
+                nodes,
+                intra: LinkSpec::myrinet_like(),
+            }],
+            LinkSpec::ethernet_like(),
+        ))
+    }
+
+    fn is_dense(n: &Network) -> bool {
+        matches!(n.intra_channels[0], IntraFifo::Dense { .. })
+    }
+
+    /// Sends one message on every channel `from -> to` with `from` below
+    /// `senders` and `to` a different rank below `ranks`, in order.
+    fn all_pairs(n: &mut Network, senders: u32, ranks: u32) -> usize {
+        let mut sent = 0;
+        for from in 0..senders {
+            for to in (0..ranks).filter(|&to| to != from) {
+                let (from, to) = (NodeId::new(0, from), NodeId::new(0, to));
+                n.send(SimTime::ZERO, from, to, 64, MessageClass::Protocol);
+                sent += 1;
+            }
+        }
+        sent
+    }
+
+    #[test]
+    fn an_over_limit_cluster_never_promotes() {
+        // 300 ranks is 90,000 cells, over the limit: 29,900 channels grow
+        // the map past the 720,000 B a dense table would take, and it
+        // stays a map.
+        let mut n = cluster(300);
+        assert_eq!(all_pairs(&mut n, 100, 300), 29_900);
+        match &n.intra_channels[0] {
+            IntraFifo::Map { last, .. } => assert_eq!(last.len(), 29_900),
+            IntraFifo::Dense { .. } => panic!("a 300-rank cluster went dense"),
+        }
+    }
+
+    #[test]
+    fn all_to_all_traffic_promotes() {
+        // A 100-rank cluster's map holds 3,584 channels in 4,096 buckets
+        // (69,632 B, under the 80,000 B table); the 3,585th would double
+        // it past the table, so it turns dense instead, and stays dense.
+        let mut n = cluster(100);
+        // Ranks 0..36 to every other rank: 36 x 99 = 3,564 channels, then
+        // 20 of rank 36's.
+        all_pairs(&mut n, 36, 100);
+        for to in 0..20 {
+            let (from, to) = (NodeId::new(0, 36), NodeId::new(0, to));
+            n.send(SimTime::ZERO, from, to, 64, MessageClass::App);
+        }
+        assert!(!is_dense(&n), "a map of 3,584 channels fits its buckets");
+        // An old channel does not grow the map.
+        n.send(
+            SimTime::ZERO,
+            NodeId::new(0, 0),
+            NodeId::new(0, 1),
+            64,
+            MessageClass::App,
+        );
+        assert!(!is_dense(&n));
+        n.send(
+            SimTime::ZERO,
+            NodeId::new(0, 36),
+            NodeId::new(0, 20),
+            64,
+            MessageClass::App,
+        );
+        assert!(is_dense(&n), "the 3,585th channel");
+        all_pairs(&mut n, 100, 100);
+        assert!(is_dense(&n));
+        assert_eq!(n.app_messages(ClusterId(0), ClusterId(0)), 22);
+    }
+
     #[test]
     fn hashed_intra_channels_time_like_the_dense_table() {
-        // The same traffic among the first 256 ranks of a 300-rank cluster
-        // (hashed: 90,000 cells is over the dense limit) and of a 256-rank
-        // cluster (dense: exactly at it) must arrive at the same instants,
-        // FIFO clamps included.
-        let cluster = |nodes| {
-            Network::new(Topology::new(
-                vec![ClusterSpec {
-                    nodes,
-                    intra: LinkSpec::myrinet_like(),
-                }],
-                LinkSpec::ethernet_like(),
-            ))
-        };
-        let (mut hashed, mut dense) = (cluster(300), cluster(256));
+        // The same traffic among the first 40 ranks of a 300-rank cluster
+        // (over the limit: a map throughout) and of a 40-rank cluster
+        // (which turns dense partway, with big messages in flight) must
+        // arrive at the same instants, FIFO clamps included.
+        let (mut hashed, mut switching) = (cluster(300), cluster(40));
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut step = || {
             x = x.wrapping_mul(0xd1342543de82ef95).rotate_left(23) ^ 0x5bd1;
             x >> 33
         };
         let mut now = SimTime::ZERO;
-        for _ in 0..20_000 {
-            // 16 hot ranks, big-then-small sizes: plenty of FIFO clamps.
-            let (from, to) = (step() % 16, step() % 256);
+        let mut promoted_at = None;
+        for i in 0..20_000 {
+            // 16 hot senders, big-then-small sizes: plenty of FIFO clamps.
+            let (from, to) = (step() % 16, step() % 40);
             if from == to {
                 continue;
             }
@@ -375,14 +496,18 @@ mod tests {
             let (from, to) = (NodeId::new(0, from as u32), NodeId::new(0, to as u32));
             assert_eq!(
                 hashed.send(now, from, to, bytes, MessageClass::App),
-                dense.send(now, from, to, bytes, MessageClass::App),
+                switching.send(now, from, to, bytes, MessageClass::App),
             );
+            if promoted_at.is_none() && is_dense(&switching) {
+                promoted_at = Some(i);
+            }
         }
-        assert!(matches!(hashed.intra_channels[0], Some(IntraFifo::Hash(_))));
-        assert!(matches!(
-            dense.intra_channels[0],
-            Some(IntraFifo::Dense { .. })
-        ));
+        let promoted_at = promoted_at.expect("the 40-rank cluster turns dense");
+        assert!(
+            (100..10_000).contains(&promoted_at),
+            "promoted at send {promoted_at}, not partway"
+        );
+        assert!(!is_dense(&hashed));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Footprint gate: what a `Network` allocates follows the cluster pairs
-//! that talk, not the pairs that could.
+//! and the node channels that talk, not the ones that could.
 //!
 //! A federation of `n` clusters has `n²` directed cluster pairs, and on
 //! the topologies the paper's hierarchy suggests — a ring, a star, a few
 //! coupled codes — a cluster talks to a handful of them. Pipe and account
-//! tables indexed by pair were 56 MiB of an idle 1,024-cluster network;
+//! tables indexed by pair were 56 MiB of an idle 1,024-cluster network.
+//! Inside a cluster the same holds for its `ranks²` node channels: a
+//! dense FIFO table per cluster was 40 MiB of a 512 x 100 ring. Both
 //! measured here with the test binary's own counting allocator.
 
 use desim::{SimDuration, SimTime};
@@ -120,4 +122,69 @@ fn a_ring_round_allocates_per_edge_not_per_pair() {
     );
     // And the whole round stays far below one `n x n` table of `u64`s.
     assert!(wide < 1 << 20, "{wide} B against 8 MiB");
+}
+
+/// Bytes requested while one 100-rank cluster carries the intra-cluster
+/// traffic of a CLC-driven run on a ring federation: the coordinator's
+/// fan-out to every rank and the replies, each rank's checkpoint fragment
+/// to its ring neighbour and the ack back, and 120 application messages
+/// between random pairs.
+fn one_cluster_of_a_ring_run(ranks: u32) -> (u64, usize) {
+    let topology = Topology::new(
+        vec![ClusterSpec {
+            nodes: ranks,
+            intra: LinkSpec::myrinet_like(),
+        }],
+        LinkSpec::ethernet_like(),
+    );
+    let mut net = Network::new(topology);
+    let mut traffic = Vec::new();
+    for rank in 1..ranks {
+        traffic.push((0, rank, MessageClass::Protocol));
+        traffic.push((rank, 0, MessageClass::Protocol));
+    }
+    for rank in 0..ranks {
+        let holder = (rank + 1) % ranks;
+        traffic.push((rank, holder, MessageClass::Protocol));
+        traffic.push((holder, rank, MessageClass::Ack));
+    }
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut pairs = 0;
+    while pairs < 120 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let (from, to) = ((x % ranks as u64) as u32, ((x >> 32) % ranks as u64) as u32);
+        if from != to {
+            traffic.push((from, to, MessageClass::App));
+            pairs += 1;
+        }
+    }
+    let mut now = SimTime::ZERO;
+    let ((), bytes) = allocated_by(|| {
+        for &(from, to, class) in &traffic {
+            now += SimDuration::from_micros(10);
+            net.send(now, NodeId::new(0, from), NodeId::new(0, to), 1024, class);
+        }
+    });
+    assert_eq!(
+        net.class_totals().iter().map(|c| c.messages).sum::<u64>(),
+        traffic.len() as u64
+    );
+    (bytes, traffic.len())
+}
+
+#[test]
+fn a_cluster_allocates_per_channel_in_use_not_per_rank_pair() {
+    // 518 messages on some 500 of the cluster's 9,900 channels: the FIFO
+    // state is a map of those channels (1,024 buckets, 17,424 B), and
+    // every table it outgrew on the way adds up to about as much again.
+    // Half the 80,000 B `100 x 100` table of `u64`s bounds the lot.
+    let (bytes, messages) = one_cluster_of_a_ring_run(100);
+    assert_eq!(messages, 518);
+    assert!(bytes > 0, "the counting allocator is not installed");
+    assert!(
+        bytes < 40_000,
+        "{bytes} B for one 100-rank cluster's run, against the 80,000 B dense table"
+    );
 }

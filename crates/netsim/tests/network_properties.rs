@@ -358,6 +358,96 @@ proptest! {
     }
 }
 
+/// Clusters of 5, 6 and 8 ranks: each one's channel map turns into a
+/// dense table partway through its channels (at the 8th of 20, the 15th
+/// of 30 and the 29th of 56).
+const PROMOTING_RANKS: [u32; 3] = [5, 6, 8];
+
+/// `steps` sends inside the clusters of [`PROMOTING_RANKS`]: each cluster
+/// opens its channels in an order shuffled by `seed`, and a step whose
+/// `repeat` pick is even resends on a channel already open instead, so
+/// every channel of every cluster opens (and every cluster crosses its
+/// promotion point) with FIFO clamps pending on the channels opened
+/// before it.
+fn promoting_sends(
+    seed: u64,
+    steps: &[(u64, u8, u8, u64, u8)],
+) -> Vec<(u64, NodeId, NodeId, u64, u8)> {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut closed: Vec<Vec<(u32, u32)>> = PROMOTING_RANKS
+        .iter()
+        .map(|&n| {
+            let mut pairs: Vec<_> = (0..n)
+                .flat_map(|f| (0..n).filter(move |&t| t != f).map(move |t| (f, t)))
+                .collect();
+            for i in (1..pairs.len()).rev() {
+                pairs.swap(i, next() as usize % (i + 1));
+            }
+            pairs
+        })
+        .collect();
+    let mut open: Vec<Vec<(u32, u32)>> = vec![Vec::new(); PROMOTING_RANKS.len()];
+    let mut sends = Vec::new();
+    for &(gap_us, cluster, repeat, bytes, class_pick) in steps {
+        let c = cluster as usize % PROMOTING_RANKS.len();
+        let (from, to) = if (repeat % 2 == 0 && !open[c].is_empty()) || closed[c].is_empty() {
+            open[c][repeat as usize % open[c].len()]
+        } else {
+            let pair = closed[c].pop().expect("a closed channel");
+            open[c].push(pair);
+            pair
+        };
+        let (from, to) = (NodeId::new(c as u16, from), NodeId::new(c as u16, to));
+        sends.push((gap_us, from, to, bytes, class_pick));
+    }
+    // The rest of every cluster's channels, so each crosses its promotion.
+    for (c, pairs) in closed.into_iter().enumerate() {
+        for (from, to) in pairs {
+            let (from, to) = (NodeId::new(c as u16, from), NodeId::new(c as u16, to));
+            sends.push((next() % 50, from, to, next() % 2_000_000, 0));
+        }
+    }
+    sends
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Across the point where a cluster's channel map turns dense, with
+    /// megabyte messages still in flight on the channels it copies, every
+    /// arrival and every account is the reference model's, send by send.
+    #[test]
+    fn promotion_mid_flight_equals_the_reference_model(
+        seed in any::<u64>(),
+        steps in prop::collection::vec(
+            (0u64..200, any::<u8>(), any::<u8>(), 0u64..2_000_000, 0u8..3),
+            0..160,
+        ),
+    ) {
+        let cluster = |nodes| ClusterSpec { nodes, intra: LinkSpec::myrinet_like() };
+        let topology = Topology::new(
+            PROMOTING_RANKS.iter().map(|&n| cluster(n)).collect(),
+            LinkSpec::ethernet_like(),
+        );
+        let mut reference = ReferenceNetwork::new(topology, false);
+        let mut net = reference.network();
+        let mut now = SimTime::ZERO;
+        for (gap_us, from, to, bytes, class_pick) in promoting_sends(seed, &steps) {
+            now += SimDuration::from_micros(gap_us);
+            let got = net.send(now, from, to, bytes, class_of(class_pick));
+            let want = reference.send(now, from, to, bytes, class_pick);
+            prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
+            reference.check_accounts(&net)?;
+        }
+    }
+}
+
 /// A random hostile schedule for the partition/reorder/loss interaction
 /// property below.
 #[derive(Debug, Clone)]
