@@ -10,22 +10,26 @@ pub type DeliveredKey = (NodeId, u64);
 
 /// Generations deeper than this are flattened at the next seal, bounding
 /// the lookup chain walk. The value trades the duplicate-check miss cost
-/// (every inter-cluster receive probes up to `depth + 1` maps) against
-/// the amortized flatten: each entry is copied at most once per
-/// `COLLAPSE_DEPTH` CLCs, still a `COLLAPSE_DEPTH`-fold reduction in copy
-/// volume over the eager clone-per-CLC representation this replaced.
+/// (every inter-cluster receive probes the delta map and binary-searches
+/// up to `depth` sorted runs) against the amortized flatten: each entry is
+/// copied at most once per `COLLAPSE_DEPTH` CLCs, still a
+/// `COLLAPSE_DEPTH`-fold reduction in copy volume over the eager
+/// clone-per-CLC representation this replaced.
 const COLLAPSE_DEPTH: usize = 8;
 
 /// One sealed, immutable generation of delivery records.
 ///
-/// A generation owns the entries recorded between two consecutive CLCs and
-/// links to the generation sealed at the previous CLC. Chains are shared
-/// (`Arc`) between the live engine record and every stored checkpoint, so
-/// sealing a checkpoint never copies what older checkpoints already hold.
+/// A generation owns the entries recorded between two consecutive CLCs —
+/// a key-sorted, exact-size run, 24 bytes an entry, searched by bisection
+/// — and links to the generation sealed at the previous CLC. Chains are
+/// shared (`Arc`) between the live engine record and every stored
+/// checkpoint, so sealing a checkpoint never copies what older checkpoints
+/// already hold.
 #[derive(Debug)]
 struct DeliveredGen {
     parent: Option<Arc<DeliveredGen>>,
-    entries: HashMap<DeliveredKey, SeqNum>,
+    /// Strictly increasing keys.
+    entries: Box<[(DeliveredKey, SeqNum)]>,
     /// Cumulative entry count including all parents (keys are recorded at
     /// most once across a chain, so the sum is exact).
     len: usize,
@@ -40,19 +44,20 @@ struct DeliveredGen {
 /// **delta** holding only the deliveries since the last seal. The protocol
 /// operations map onto it directly:
 ///
-/// * delivering a message inserts into the delta — O(1);
-/// * `freeze_and_stage` seals it ([`DeliveredRecord::seal`]), which moves
-///   the delta into a new shared generation — O(1) moves, no per-entry
-///   copy, where the eager representation cloned the whole map at every
+/// * delivering a message inserts into the delta map — O(1);
+/// * `freeze_and_stage` seals it ([`DeliveredRecord::seal`]), which sorts
+///   the delta's entries into a new shared generation — O(delta log
+///   delta), where the eager representation cloned the whole map at every
 ///   CLC — and stages the new base alone;
 /// * a rollback rebuilds the live record from the stored checkpoint's
 ///   base — an `Arc` bump, not a rebuild.
 ///
-/// Lookups check the delta, then walk the generation chain; chains are
-/// flattened once they exceed an internal depth bound, so lookups stay
-/// O(1) amortized. Content equality and the persisted encoding are
-/// independent of the generation structure (two records with the same
-/// entries are equal however they were sealed).
+/// Lookups check the delta, then binary-search each sealed run down the
+/// chain; chains are flattened into one run once they exceed an internal
+/// depth bound, so a lookup probes a bounded number of runs. Content
+/// equality and the persisted encoding are independent of the generation
+/// structure (two records with the same entries are equal however they
+/// were sealed).
 #[derive(Debug, Clone, Default)]
 pub struct DeliveredRecord {
     base: Option<Arc<DeliveredGen>>,
@@ -82,8 +87,8 @@ impl DeliveredRecord {
         }
         let mut gen = self.base.as_deref();
         while let Some(g) = gen {
-            if let Some(sn) = g.entries.get(key) {
-                return Some(*sn);
+            if let Ok(i) = g.entries.binary_search_by(|(k, _)| k.cmp(key)) {
+                return Some(g.entries[i].1);
             }
             gen = g.parent.as_deref();
         }
@@ -108,9 +113,9 @@ impl DeliveredRecord {
     }
 
     /// Seal the current content into the shared immutable base and return
-    /// a snapshot of it. O(delta): the delta map is *moved* into a new
-    /// generation; nothing already sealed is copied. Afterwards the live
-    /// record continues on an empty delta over the new base.
+    /// a snapshot of it. O(delta log delta): the delta's entries are sorted
+    /// into a new generation; nothing already sealed is copied. Afterwards
+    /// the live record continues on an empty delta over the new base.
     pub fn seal(&mut self) -> DeliveredRecord {
         self.seal_base().record()
     }
@@ -121,7 +126,9 @@ impl DeliveredRecord {
         if !self.delta.is_empty() {
             let parent = self.base.take();
             let (plen, pdepth) = parent.as_ref().map_or((0, 0), |g| (g.len, g.depth));
-            let entries = std::mem::take(&mut self.delta);
+            let mut entries: Vec<_> = std::mem::take(&mut self.delta).into_iter().collect();
+            entries.sort_unstable_by_key(|&(k, _)| k);
+            let entries = entries.into_boxed_slice();
             self.base = Some(Arc::new(DeliveredGen {
                 len: plen + entries.len(),
                 depth: pdepth + 1,
@@ -137,21 +144,20 @@ impl DeliveredRecord {
 
     /// Flatten the generation chain into a single generation (bounds the
     /// lookup walk; sharing with already-stored checkpoints is unaffected —
-    /// they keep their own chains).
+    /// they keep their own chains). The runs are concatenated and sorted
+    /// once: the stable sort finds the sorted runs and merges them.
     fn collapse(&mut self) {
-        let mut entries: HashMap<DeliveredKey, SeqNum> =
-            HashMap::with_capacity_and_hasher(self.len(), Default::default());
+        let mut entries = Vec::with_capacity(self.len());
         let mut gen = self.base.as_deref();
         while let Some(g) = gen {
-            for (k, sn) in &g.entries {
-                entries.insert(*k, *sn);
-            }
+            entries.extend_from_slice(&g.entries);
             gen = g.parent.as_deref();
         }
+        entries.sort_by_key(|&(k, _)| k);
         let len = entries.len();
         self.base = Some(Arc::new(DeliveredGen {
             parent: None,
-            entries,
+            entries: entries.into_boxed_slice(),
             len,
             depth: 1,
         }));
@@ -162,7 +168,7 @@ impl DeliveredRecord {
         DeliveredIter {
             delta: self.delta.iter(),
             gen: self.base.as_deref(),
-            gen_iter: None,
+            gen_iter: [].iter(),
         }
     }
 
@@ -196,7 +202,7 @@ impl DeliveredRecord {
                 (None, None) => break,
                 (Some(g), Some(a)) if Arc::ptr_eq(g, a) => break,
                 (Some(g), _) => {
-                    out.extend(g.entries.iter().map(|(k, sn)| (*k, *sn)));
+                    out.extend_from_slice(&g.entries);
                     gen = g.parent.as_ref();
                 }
                 (None, Some(_)) => return None,
@@ -205,14 +211,15 @@ impl DeliveredRecord {
         Some(out)
     }
 
-    /// Extend a sealed snapshot by the finished generation `add` (keys
-    /// distinct from the snapshot's — the decoder checks), producing the
-    /// record a delta-encoded checkpoint round-trips back to (decode-side
-    /// companion of [`DeliveredRecord::delta_since`]). The map becomes the
-    /// generation as it is — never rehashed, never collapsed — so
-    /// re-encoding a decoded store reproduces the same structural deltas
-    /// byte-for-byte.
-    pub(crate) fn extended_with(&self, add: HashMap<DeliveredKey, SeqNum>) -> Self {
+    /// Extend a sealed snapshot by the finished generation `add` (a
+    /// key-sorted run, keys distinct from the snapshot's — the decoder
+    /// checks both), producing the record a delta-encoded checkpoint
+    /// round-trips back to (decode-side companion of
+    /// [`DeliveredRecord::delta_since`]). The run becomes the generation as
+    /// it is — never re-sorted, never collapsed — so re-encoding a decoded
+    /// store reproduces the same structural deltas byte-for-byte.
+    pub(crate) fn extended_with(&self, add: Vec<(DeliveredKey, SeqNum)>) -> Self {
+        debug_assert!(add.windows(2).all(|w| w[0].0 < w[1].0), "unsorted run");
         let mut base = self.base.clone();
         if !add.is_empty() {
             let (plen, pdepth) = base.as_ref().map_or((0, 0), |g| (g.len, g.depth));
@@ -220,7 +227,7 @@ impl DeliveredRecord {
                 len: plen + add.len(),
                 depth: pdepth + 1,
                 parent: base,
-                entries: add,
+                entries: add.into_boxed_slice(),
             }));
         }
         DeliveredRecord {
@@ -251,7 +258,7 @@ impl SealedRecord {
 struct DeliveredIter<'a> {
     delta: std::collections::hash_map::Iter<'a, DeliveredKey, SeqNum>,
     gen: Option<&'a DeliveredGen>,
-    gen_iter: Option<std::collections::hash_map::Iter<'a, DeliveredKey, SeqNum>>,
+    gen_iter: std::slice::Iter<'a, (DeliveredKey, SeqNum)>,
 }
 
 impl Iterator for DeliveredIter<'_> {
@@ -262,13 +269,11 @@ impl Iterator for DeliveredIter<'_> {
             return Some((*k, *sn));
         }
         loop {
-            if let Some(it) = self.gen_iter.as_mut() {
-                if let Some((k, sn)) = it.next() {
-                    return Some((*k, *sn));
-                }
+            if let Some(&entry) = self.gen_iter.next() {
+                return Some(entry);
             }
             let g = self.gen?;
-            self.gen_iter = Some(g.entries.iter());
+            self.gen_iter = g.entries.iter();
             self.gen = g.parent.as_deref();
         }
     }
@@ -514,7 +519,8 @@ mod tests {
         let base = live.seal();
         live.insert(key(2, 1, 7), SeqNum(4));
         let next = live.seal();
-        let delta = next.delta_since(&base).expect("extends");
-        assert_eq!(base.extended_with(delta.into_iter().collect()), next);
+        let mut delta = next.delta_since(&base).expect("extends");
+        delta.sort_unstable_by_key(|&(k, _)| k);
+        assert_eq!(base.extended_with(delta), next);
     }
 }

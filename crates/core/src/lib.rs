@@ -46,12 +46,13 @@
 //! **Copy-on-write checkpoint contract:** the checkpoint/GC data plane
 //! shares state structurally instead of duplicating it, without changing
 //! anything observable. Staging a CLC seals the per-node delivery record
-//! ([`DeliveredRecord`]) in O(new deliveries) — the sealed generations
-//! are `Arc`-shared between the live record and every stored checkpoint,
-//! which keeps the sealed base alone ([`StoredCheckpoint`], converted to
-//! the segment log's [`NodeCheckpoint`] body only when [`host`] appends a
-//! commit); and stored `(SN, DDV)` stamps are `Arc`-shared across the
-//! store, the GC's collected lists ([`Msg::GcDdvList`]) and the recovery analyses,
+//! ([`DeliveredRecord`]) by sorting only the new deliveries into a run —
+//! the sealed generations are `Arc`-shared between the live record and
+//! every stored checkpoint, which keeps the sealed base alone
+//! ([`StoredCheckpoint`], converted to the segment log's
+//! [`NodeCheckpoint`] body only when [`host`] appends a commit); and
+//! stored `(SN, DDV)` stamps are `Arc`-shared across the store, the
+//! GC's collected lists ([`Msg::GcDdvList`]) and the recovery analyses,
 //! while [`Msg::wire_bytes`], the byte model, still sizes them by value.
 //! Content equality, persisted checkpoint bodies and report fingerprints —
 //! including per-cluster byte counters — are independent of the sharing;

@@ -23,14 +23,18 @@
 //! length-prefixed byte string) follow. Decoding rebuilds the same
 //! generation chain — one sealed generation per entry, built straight
 //! from the bytes — so `encode(decode(body)) == body` for both
-//! representations, and entries within a record are always written in
-//! sorted key order, so bodies stay deterministic despite hash maps. A
-//! body must be consumed exactly, and a cluster or rank out of its id
-//! type's range is an error, never a wrapped id.
+//! representations. The keys `(cluster, rank, log id)` of a body's
+//! deliveries are strictly increasing: the encoder writes them in sorted
+//! key order, so bodies stay deterministic despite the live record's hash
+//! map, and the decoder checks it, so a body with a repeated or
+//! descending key is an error. The sorted bytes are the sealed
+//! generation's run as it is, without a rebuild. A body must be consumed
+//! exactly, and a cluster or rank out of its id type's range is an error,
+//! never a wrapped id.
 
 use crate::checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
 use crate::msg::AppPayload;
-use hc3i_types::{FastHashMap, NodeId};
+use hc3i_types::NodeId;
 use storage::varint::{put_u64, Cursor};
 use storage::SeqNum;
 
@@ -64,18 +68,18 @@ fn put_delivered_entries(buf: &mut Vec<u8>, entries: &[(DeliveredKey, SeqNum)]) 
     }
 }
 
-/// One record's entries as the finished map of a delivery generation,
-/// built straight from the bytes (an entry is four varints).
-fn get_delivered_entries(
-    cur: &mut Cursor<'_>,
-) -> Result<FastHashMap<DeliveredKey, SeqNum>, String> {
+/// One record's entries as the finished sorted run of a delivery
+/// generation, built straight from the bytes (an entry is four varints).
+/// Keys must be strictly increasing, which also rules out a repeat.
+fn get_delivered_entries(cur: &mut Cursor<'_>) -> Result<Vec<(DeliveredKey, SeqNum)>, String> {
     let n = cur.count(4)?;
-    let mut entries = FastHashMap::with_capacity_and_hasher(n, Default::default());
+    let mut entries: Vec<(DeliveredKey, SeqNum)> = Vec::with_capacity(n);
     for _ in 0..n {
         let key = (get_node(cur)?, cur.u64()?);
-        if entries.insert(key, SeqNum(cur.u64()?)).is_some() {
-            return Err("duplicate delivery key".into());
+        if entries.last().is_some_and(|&(prev, _)| prev >= key) {
+            return Err("delivery keys not strictly increasing".into());
         }
+        entries.push((key, SeqNum(cur.u64()?)));
     }
     Ok(entries)
 }
@@ -161,7 +165,7 @@ impl storage::EntryCodec for CheckpointCodec {
                 let entries = get_delivered_entries(&mut cur)?;
                 // A delta shadowing keys the previous record already holds
                 // is corrupt: the live engine only seals fresh deliveries.
-                if entries.keys().any(|k| prev.get(k).is_some()) {
+                if entries.iter().any(|(k, _)| prev.get(k).is_some()) {
                     return Err("delta overlaps previous record".into());
                 }
                 prev.extended_with(entries)
@@ -339,8 +343,8 @@ mod tests {
 
     #[test]
     fn encoding_is_deterministic_despite_hashmap() {
-        // The delivery record is hash-map backed; the bodies must still be
-        // stable.
+        // The live delivery record's delta is a hash map; the bodies must
+        // still be stable.
         assert_eq!(
             encode_chain(&sample_chain(), true),
             encode_chain(&sample_chain(), true)
@@ -398,6 +402,110 @@ mod tests {
             [[DELIVERED_FULL, 0, 0, 0], [DELIVERED_DELTA, 0, 0, 0]]
         );
         assert_eq!(decode_chain(&bodies), Ok(vec![empty.clone(), empty]));
+    }
+
+    /// A full body of `deliveries` `(cluster, rank, log id, SN)`, no
+    /// channel state and no application snapshot, varint by varint.
+    fn full_body(deliveries: &[[u64; 4]]) -> Vec<u8> {
+        let mut body = vec![DELIVERED_FULL];
+        put_u64(&mut body, deliveries.len() as u64);
+        deliveries
+            .iter()
+            .flatten()
+            .for_each(|&v| put_u64(&mut body, v));
+        body.extend([0, 0]);
+        body
+    }
+
+    const NOT_INCREASING: &str = "delivery keys not strictly increasing";
+
+    /// Two bodies that break the key-order rule — descending keys, and a
+    /// key written twice — beside the ascending body they are made from.
+    fn misordered_bodies() -> [Vec<u8>; 3] {
+        [
+            full_body(&[[0, 0, 9, 2], [0, 1, 5, 1]]),
+            full_body(&[[0, 1, 5, 1], [0, 0, 9, 2]]),
+            full_body(&[[1, 2, 3, 1], [1, 2, 3, 2]]),
+        ]
+    }
+
+    /// Keys in a body are strictly increasing, and decoding checks it: a
+    /// descending or repeated key is an error, not a panic and not a
+    /// record the encoder would write differently.
+    #[test]
+    fn descending_or_repeated_delivery_keys_are_errors() {
+        let [sorted, descending, repeated] = misordered_bodies();
+        let ok = CheckpointCodec
+            .decode_payload(&sorted, None)
+            .expect("sorted");
+        assert_eq!(ok.delivered.len(), 2);
+        assert_eq!(CheckpointCodec.encode_payload(&ok, None), sorted);
+        for body in [descending, repeated] {
+            assert_eq!(
+                CheckpointCodec.decode_payload(&body, None),
+                Err(NOT_INCREASING.into())
+            );
+            // A delta body's deliveries are held to the same rule.
+            let mut delta = body;
+            delta[0] = DELIVERED_DELTA;
+            assert_eq!(
+                CheckpointCodec.decode_payload(&delta, Some(&NodeCheckpoint::default())),
+                Err(NOT_INCREASING.into())
+            );
+        }
+    }
+
+    /// Writes each payload's bytes as the entry body, unchecked.
+    struct RawBodies;
+
+    impl EntryCodec for RawBodies {
+        type Payload = Vec<u8>;
+
+        fn encode_payload(&self, body: &Vec<u8>, _: Option<&Vec<u8>>) -> Vec<u8> {
+            body.clone()
+        }
+
+        fn decode_payload(&self, buf: &[u8], _: Option<&Vec<u8>>) -> Result<Vec<u8>, String> {
+            Ok(buf.to_vec())
+        }
+    }
+
+    /// Through [`storage::recover`], a checksummed frame whose body breaks
+    /// the key-order rule is a `Corrupt` frame, in the final segment too.
+    #[test]
+    fn recovery_reports_misordered_delivery_keys_as_corrupt() {
+        use std::sync::Arc;
+        use storage::{ClcMeta, Ddv, DurableError, DurableOptions, DurableStore, SyncPolicy};
+        let [sorted, descending, repeated] = misordered_bodies();
+        for (name, body) in [("descending", descending), ("repeated", repeated)] {
+            let dir = std::env::temp_dir()
+                .join(format!("hc3i-persist-order-{name}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let opts = DurableOptions {
+                sync: SyncPolicy::Manual,
+                compact_bytes: None,
+            };
+            let mut log = DurableStore::open(&dir, RawBodies, opts).expect("open log");
+            for (k, body) in [&sorted, &body].into_iter().enumerate() {
+                let meta = ClcMeta {
+                    sn: SeqNum(k as u64 + 1),
+                    ddv: Arc::new(Ddv::zeros(1)),
+                    committed_at: hc3i_types::SimTime(k as u64),
+                    forced: false,
+                };
+                log.append_commit(0, &meta, body).expect("append");
+            }
+            log.sync().expect("sync");
+            drop(log);
+            match storage::recover(&dir, &CheckpointCodec) {
+                Err(DurableError::Corrupt { what, .. }) => assert_eq!(what, NOT_INCREASING),
+                other => panic!(
+                    "{name}: expected Corrupt, got {:?}",
+                    other.map(|r| r.frames)
+                ),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// A delivery or channel message from a cluster or rank that

@@ -130,7 +130,7 @@ fn a_run_holds_its_schedule_once() {
 ///
 /// No send crosses: an engine keeps every inter-cluster delivery it has
 /// made for the duplicate check (`DeliveredRecord`, which nothing prunes:
-/// ~100 B per crossing send at the paper's 5 %), so cross traffic grows
+/// ~110 B of peak heap per crossing send at 5 %), so cross traffic grows
 /// the live heap with the run's length through the protocol's own state,
 /// and this gate is about the schedule.
 fn stochastic_run_peak(hours: u64) -> (usize, u64) {
