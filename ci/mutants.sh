@@ -17,16 +17,24 @@
 #              (libtest quiet, cargo's status lines kept so a failing test
 #              names its binary)
 #   campaign   `hc3i-sim campaign --seeds 1..=40`
+# Each test binary of tier-1 runs under coreutils `timeout` (cargo's
+# target runner): one that has not exited after `limit` seconds (300,
+# ~60 times the slowest binary's unmutated run) is stopped (SIGTERM, then
+# SIGKILL 10 s later) and counts as a failed target that `timed out`,
+# named in the mutant's row; the rest of tier-1 still runs. A hang costs
+# a mutant five minutes, not the CI job's ninety.
 # A check kills a mutant when it fails a test, a test target or a cell
 # that it does not fail on the baseline; the baseline's own failures (the
 # seed-16 cell of ROADMAP item 1(a)) are subtracted. A copy that does not
 # build counts as killed by the compiler. Prints the kill matrix as
-# markdown, with a stamp, on stdout; progress goes to stderr. Exits 1 on a
-# bad list, a baseline that does not build or a tree left changed, and not
-# on a surviving mutant: survivors are what the matrix reports.
+# markdown, with a stamp, on stdout, and under it the captured output
+# (`---- name stdout ----`) of every test the baseline fails, so a flaky
+# baseline failure names its assertion; progress goes to stderr. Exits 1
+# on a bad list, a baseline that does not build or a tree left changed,
+# and not on a surviving mutant: survivors are what the matrix reports.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
-root=$PWD list=ci/mutants.tsv seeds=1..=40 check=0
+root=$PWD list=ci/mutants.tsv seeds=1..=40 check=0 limit=300
 case "${1-}:$#" in
   :0) ;;
   --check:1) check=1 ;;
@@ -74,37 +82,62 @@ copy=$work/tree
 mkdir "$copy"
 git ls-files -z -co --exclude-standard | tar --null -T - --ignore-failed-read -cf - | tar -xf - -C "$copy"
 
+# Every test binary runs through $work/run-test, cargo's runner for the
+# host target: under `timeout`, and when the limit stops it (exit status
+# 124, or 137 after SIGKILL) the runner says so in the log, which cargo
+# does not under --no-fail-fast.
+cat > "$work/run-test" <<EOF
+#!/usr/bin/env bash
+timeout --kill-after=10 $limit "\$@"
+status=\$?
+case \$status in 124 | 137) echo "mutants.sh: timed out after $limit s: \$1" >&2 ;; esac
+exit \$status
+EOF
+chmod +x "$work/run-test"
+host=$(rustc -vV | sed -n 's/^host: //p')
+export "CARGO_TARGET_$(tr 'a-z-' 'A-Z_' <<< "$host")_RUNNER=$work/run-test"
+
 # score LABEL: run both checks in the copy; LABEL.tests gets one failing
-# test or test target a line, LABEL.cells one failing cell a line and
-# LABEL.total the campaign's cell count. A copy that does not build
-# writes `build` to LABEL.tests.
+# test or test target a line (a target that timed out ends in
+# ` timed out`), LABEL.failures the captured output of the failing tests,
+# LABEL.cells one failing cell a line and LABEL.total the campaign's cell
+# count. A copy that does not build writes `build` to LABEL.tests.
 score() {
   local out=$work/$1
-  : > "$out.tests" && : > "$out.cells" && echo 0 > "$out.total"
+  : > "$out.tests" && : > "$out.failures" && : > "$out.cells" && echo 0 > "$out.total"
   if ! (cd "$copy" && cargo build --release -q) > "$out.build.log" 2>&1 ||
     ! (cd "$copy" && cargo test --no-run -q) >> "$out.build.log" 2>&1; then
     echo build > "$out.tests"
     return
   fi
   (cd "$copy" && cargo test --no-fail-fast -- --quiet) > "$out.test.log" 2>&1 || true
-  python3 - "$out.test.log" > "$out.tests" <<'PY'
+  python3 - "$out.test.log" "$out.failures" > "$out.tests" <<'PY'
 import re, sys
-binary, block, failed = "?", None, set()
+binary, block, failed, timed_out = "?", None, set(), False
+captured, name = open(sys.argv[2], "w"), None
 for line in open(sys.argv[1], errors="replace"):
     line = line.rstrip("\n")
     if m := re.match(r"\s+Running \S+(?: \S+)? \((?:.*/)?(.+?)(?:-[0-9a-f]{16})?\)$", line):
-        binary = m.group(1)
+        binary, name = m.group(1), None
     elif m := re.match(r"\s+Doc-tests (\S+)$", line):
-        binary = "doc:" + m.group(1)
+        binary, name = "doc:" + m.group(1), None
+    elif m := re.match(r"---- (.+?) stdout ----$", line):
+        name = f"{binary}::{m.group(1)}"
+        captured.write(f"{name}\t{line}\n")
     elif line == "failures:":
-        block = []  # the last block before `test result:` lists the names
+        block, name = [], None  # the last block before `test result:` lists the names
     elif line.startswith("test result:"):
-        failed.update(f"{binary}::{name}" for name in block or [])
+        failed.update(f"{binary}::{n}" for n in block or [])
         block = None
     elif block is not None and (m := re.match(r"    (\S.*)$", line)):
         block.append(m.group(1))
+    elif line.startswith("mutants.sh: timed out after "):
+        timed_out, name = True, None  # cargo names the target next
     elif m := re.search(r"to rerun pass `(.+)`", line):
-        failed.add(f"target {m.group(1)}")
+        failed.add(f"target {m.group(1)}" + (" timed out" if timed_out else ""))
+        timed_out, name = False, None
+    elif name:
+        captured.write(f"{name}\t{line}\n")
 print("\n".join(sorted(failed)))
 PY
   sed -i '/^$/d' "$out.tests"
@@ -164,13 +197,18 @@ for n in names:
     new_tests = sorted(set(tests) - base_tests)
     new_cells = sorted(set(lines(n, "cells")) - base_cells)
     # A failing test fails its target too; a target counts on its own
-    # only when it failed with no test named (a crashed binary).
+    # only when it failed with no test named (a crashed binary), or when
+    # it timed out, which the row names.
     named = [t for t in new_tests if not t.startswith("target ")]
+    timed = [t.removesuffix(" timed out") for t in new_tests if t.endswith(" timed out")]
     by = [k for k, hit in (("tier-1", new_tests), ("campaign", new_cells)) if hit]
     killed += bool(by)
-    print(f"| {n} | {rules[n]} | {len(named)} | {len(new_cells)} | {' and '.join(by) or '**survives**'} |")
-    for t in named or new_tests:
+    failures = f"{len(named)}" + (f" and {len(timed)} timed out" if timed else "")
+    print(f"| {n} | {rules[n]} | {failures} | {len(new_cells)} | {' and '.join(by) or '**survives**'} |")
+    for t in named or [t for t in new_tests if not t.endswith(" timed out")]:
         details.append(f"- {n}, tier-1: `{t}`")
+    for t in timed:
+        details.append(f"- {n}, tier-1: `{t.removeprefix('target ')}` timed out")
     for c in new_cells[:5]:
         details.append(f"- {n}, campaign: `{c}`")
     if len(new_cells) > 5:
@@ -185,6 +223,24 @@ if details:
     print("What killed each mutant:")
     print()
     print("\n".join(details))
+# What each failing baseline test printed, indented as a code block.
+captured = {}
+for line in open(f"{work}/baseline.failures", errors="replace"):
+    test, _, text = line.rstrip("\n").partition("\t")
+    captured.setdefault(test, []).append(text)
+base_named = sorted(t for t in base_tests if not t.startswith("target "))
+if base_named:
+    print()
+    print("What the baseline's failing tests printed:")
+    for t in base_named:
+        print()
+        print(f"- `{t}`:")
+        print()
+        texts = captured.get(t, ["(nothing captured)"])
+        while texts and not texts[-1].strip():
+            texts.pop()
+        for text in texts:
+            print(f"      {text}".rstrip())
 PY
 cat <<EOF
 

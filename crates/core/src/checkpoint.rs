@@ -8,6 +8,15 @@ use storage::SeqNum;
 /// Key of one inter-cluster delivery: `(sender node, sender log id)`.
 pub type DeliveredKey = (NodeId, u64);
 
+/// A delivery key as one integer, `cluster << 96 | rank << 64 | log id`,
+/// whose order is exactly [`DeliveredKey`]'s derived `Ord` (cluster, then
+/// rank, then log id). Every sort of delivery keys sorts on it: one
+/// 128-bit comparison instead of the tuple's three-level one. Searches and
+/// the decoder's order check compare keys directly; both orders are one.
+pub(crate) fn order_key((node, log_id): DeliveredKey) -> u128 {
+    u128::from(node.cluster.0) << 96 | u128::from(node.rank) << 64 | u128::from(log_id)
+}
+
 /// Generations deeper than this are flattened at the next seal, bounding
 /// the lookup chain walk. The value trades the duplicate-check miss cost
 /// (every inter-cluster receive probes the delta map and binary-searches
@@ -127,7 +136,7 @@ impl DeliveredRecord {
             let parent = self.base.take();
             let (plen, pdepth) = parent.as_ref().map_or((0, 0), |g| (g.len, g.depth));
             let mut entries: Vec<_> = std::mem::take(&mut self.delta).into_iter().collect();
-            entries.sort_unstable_by_key(|&(k, _)| k);
+            entries.sort_unstable_by_key(|&(k, _)| order_key(k));
             let entries = entries.into_boxed_slice();
             self.base = Some(Arc::new(DeliveredGen {
                 len: plen + entries.len(),
@@ -144,16 +153,38 @@ impl DeliveredRecord {
 
     /// Flatten the generation chain into a single generation (bounds the
     /// lookup walk; sharing with already-stored checkpoints is unaffected —
-    /// they keep their own chains). The runs are concatenated and sorted
-    /// once: the stable sort finds the sorted runs and merges them.
+    /// they keep their own chains). The sorted runs are merged straight
+    /// into the new run, with no scratch buffer: the run with the smallest
+    /// head gives up every entry below the smallest other head at once
+    /// (keys are distinct across the chain, so no two heads are equal).
     fn collapse(&mut self) {
-        let mut entries = Vec::with_capacity(self.len());
+        let mut runs: Vec<&[(DeliveredKey, SeqNum)]> = Vec::new();
         let mut gen = self.base.as_deref();
         while let Some(g) = gen {
-            entries.extend_from_slice(&g.entries);
+            if !g.entries.is_empty() {
+                runs.push(&g.entries);
+            }
             gen = g.parent.as_deref();
         }
-        entries.sort_by_key(|&(k, _)| k);
+        let head = |run: &[(DeliveredKey, SeqNum)]| order_key(run[0].0);
+        let mut entries = Vec::with_capacity(self.len());
+        while let Some(i) = (0..runs.len()).min_by_key(|&i| head(runs[i])) {
+            let next = (0..runs.len())
+                .filter(|&j| j != i)
+                .map(|j| head(runs[j]))
+                .min()
+                .unwrap_or(u128::MAX);
+            let run = runs[i];
+            let take = run
+                .iter()
+                .position(|&(k, _)| order_key(k) > next)
+                .unwrap_or(run.len());
+            entries.extend_from_slice(&run[..take]);
+            runs[i] = &run[take..];
+            if runs[i].is_empty() {
+                runs.swap_remove(i);
+            }
+        }
         let len = entries.len();
         self.base = Some(Arc::new(DeliveredGen {
             parent: None,
@@ -176,8 +207,9 @@ impl DeliveredRecord {
     /// the persisted encoding and anything else that must be
     /// representation-independent).
     pub fn sorted_entries(&self) -> Vec<(DeliveredKey, SeqNum)> {
-        let mut v: Vec<_> = self.iter().collect();
-        v.sort_unstable_by_key(|&(k, _)| k);
+        let mut v = Vec::with_capacity(self.len());
+        v.extend(self.iter());
+        v.sort_unstable_by_key(|&(k, _)| order_key(k));
         v
     }
 
@@ -401,9 +433,29 @@ impl StoredCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn key(c: u16, r: u32, id: u64) -> DeliveredKey {
         (NodeId::new(c, r), id)
+    }
+
+    /// Values at and around `max`, plus small and arbitrary ones.
+    fn edge(max: u64) -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..4, max - 3..=max, 0..=max]
+    }
+
+    fn any_key() -> impl Strategy<Value = DeliveredKey> {
+        (edge(u16::MAX.into()), edge(u32::MAX.into()), edge(u64::MAX))
+            .prop_map(|(c, r, id)| key(c as u16, r as u32, id))
+    }
+
+    proptest! {
+        /// The packed key orders every pair of keys as the key's own
+        /// `Ord` does, the id types' maxima included.
+        #[test]
+        fn order_key_orders_as_the_key_does(a in any_key(), b in any_key()) {
+            prop_assert_eq!(order_key(a).cmp(&order_key(b)), a.cmp(&b));
+        }
     }
 
     #[test]

@@ -23,16 +23,18 @@
 //! length-prefixed byte string) follow. Decoding rebuilds the same
 //! generation chain — one sealed generation per entry, built straight
 //! from the bytes — so `encode(decode(body)) == body` for both
-//! representations. The keys `(cluster, rank, log id)` of a body's
-//! deliveries are strictly increasing: the encoder writes them in sorted
-//! key order, so bodies stay deterministic despite the live record's hash
+//! representations. The key order is defined once, by the delivery key
+//! itself: cluster, then rank, then log id, which is the order of the one
+//! packed integer every sort of keys sorts on (`order_key`). A body's
+//! delivery keys are strictly increasing in it: the encoder writes them
+//! sorted, so bodies stay deterministic despite the live record's hash
 //! map, and the decoder checks it, so a body with a repeated or
 //! descending key is an error. The sorted bytes are the sealed
 //! generation's run as it is, without a rebuild. A body must be consumed
 //! exactly, and a cluster or rank out of its id type's range is an error,
 //! never a wrapped id.
 
-use crate::checkpoint::{DeliveredKey, DeliveredRecord, NodeCheckpoint};
+use crate::checkpoint::{order_key, DeliveredKey, DeliveredRecord, NodeCheckpoint};
 use crate::msg::AppPayload;
 use hc3i_types::NodeId;
 use storage::varint::{put_u64, Cursor};
@@ -131,21 +133,19 @@ pub struct CheckpointCodec;
 impl storage::EntryCodec for CheckpointCodec {
     type Payload = NodeCheckpoint;
 
-    fn encode_payload(&self, ckpt: &NodeCheckpoint, prev: Option<&NodeCheckpoint>) -> Vec<u8> {
-        let mut buf = Vec::new();
+    fn encode_into(&self, ckpt: &NodeCheckpoint, prev: Option<&NodeCheckpoint>, out: &mut Vec<u8>) {
         match prev.and_then(|p| ckpt.delivered.delta_since(&p.delivered)) {
             Some(mut delta) => {
-                buf.push(DELIVERED_DELTA);
-                delta.sort_unstable_by_key(|&(k, _)| k);
-                put_delivered_entries(&mut buf, &delta);
+                out.push(DELIVERED_DELTA);
+                delta.sort_unstable_by_key(|&(k, _)| order_key(k));
+                put_delivered_entries(out, &delta);
             }
             None => {
-                buf.push(DELIVERED_FULL);
-                put_delivered_entries(&mut buf, &ckpt.delivered.sorted_entries());
+                out.push(DELIVERED_FULL);
+                put_delivered_entries(out, &ckpt.delivered.sorted_entries());
             }
         }
-        put_channel_and_app(&mut buf, ckpt);
-        buf
+        put_channel_and_app(out, ckpt);
     }
 
     /// Decode a body (all of `buf`), rebuilding the structural sharing
@@ -461,8 +461,8 @@ mod tests {
     impl EntryCodec for RawBodies {
         type Payload = Vec<u8>;
 
-        fn encode_payload(&self, body: &Vec<u8>, _: Option<&Vec<u8>>) -> Vec<u8> {
-            body.clone()
+        fn encode_into(&self, body: &Vec<u8>, _: Option<&Vec<u8>>, out: &mut Vec<u8>) {
+            out.extend_from_slice(body);
         }
 
         fn decode_payload(&self, buf: &[u8], _: Option<&Vec<u8>>) -> Result<Vec<u8>, String> {

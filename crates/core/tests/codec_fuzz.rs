@@ -117,6 +117,28 @@ proptest! {
         }
     }
 
+    /// Behind any bytes already in the buffer — as the segment log
+    /// encodes a body into its frame — `encode_into` leaves them as they
+    /// are and appends exactly the body `encode_payload` returns, for
+    /// full and delta chains.
+    #[test]
+    fn encode_into_appends_the_body_behind_a_prefix(
+        steps in chain_strategy(),
+        prefix in prop::collection::vec(any::<u8>(), 1..64),
+    ) {
+        let chain = build_chain(&steps);
+        for delta in [false, true] {
+            let mut prev = None;
+            for (c, body) in chain.iter().zip(encode_chain(&chain, delta)) {
+                let mut out = prefix.clone();
+                CheckpointCodec.encode_into(c, prev.filter(|_| delta), &mut out);
+                prop_assert_eq!(&out[..prefix.len()], &prefix[..]);
+                prop_assert_eq!(&out[prefix.len()..], &body[..]);
+                prev = Some(c);
+            }
+        }
+    }
+
     /// Two encodings of the same hash-map-backed chain are equal.
     #[test]
     fn entry_encoding_is_deterministic(steps in chain_strategy()) {

@@ -23,8 +23,14 @@
 //!
 //! ## The pending buffer and its flush points
 //!
-//! Frames are assembled in one buffer inside the [`DurableStore`] and reach
-//! the file in a single `write` at each **flush point**:
+//! Frames are assembled in one buffer inside the [`DurableStore`]. A
+//! commit frame is written there in one pass: op, node and meta, then the
+//! codec encodes the body straight behind them
+//! ([`EntryCodec::encode_into`]), so a body has no buffer of its own and
+//! is never copied. A snapshot frame prefixes each body with its length,
+//! so its bodies go through one scratch buffer, reused across entries and
+//! nodes. The frames reach the file in a single `write` at each **flush
+//! point**:
 //!
 //! 1. a commit under [`SyncPolicy::EveryCommit`] (followed by the `fsync`);
 //! 2. [`DurableStore::sync`] (likewise);
@@ -192,17 +198,30 @@ fn get_meta(cur: &mut Cursor<'_>) -> Result<ClcMeta, String> {
 /// `hc3i-core` can plug in its byte-stable checkpoint encoding
 /// (`CheckpointCodec`): the `prev` argument is the node's previous chain
 /// entry, letting the codec write a checkpoint's delivery record as a
-/// structural delta against it.
+/// structural delta against it. [`EntryCodec::encode_into`] is the one
+/// encoder a codec writes: it appends to a buffer it is handed, which on
+/// the write path is the commit's frame itself.
+/// [`EntryCodec::encode_payload`] wraps it for a body on its own.
 pub trait EntryCodec {
     /// What a chain entry's payload is (a node checkpoint upstream).
     type Payload: Clone;
 
-    /// Encode `payload`, optionally as a delta against `prev` (the entry
-    /// immediately below it in the node's chain).
-    fn encode_payload(&self, payload: &Self::Payload, prev: Option<&Self::Payload>) -> Vec<u8>;
+    /// Append the encoding of `payload` to `out`, optionally as a delta
+    /// against `prev` (the entry immediately below it in the node's
+    /// chain). The bytes already in `out` stay as they are: the segment
+    /// log encodes a commit's body straight into its frame, behind the
+    /// op, node and meta it has written there.
+    fn encode_into(&self, payload: &Self::Payload, prev: Option<&Self::Payload>, out: &mut Vec<u8>);
 
-    /// Decode one payload written by [`EntryCodec::encode_payload`] with
-    /// the same `prev`. Must consume `buf` exactly and must *never* panic
+    /// [`EntryCodec::encode_into`] a fresh buffer: the body alone.
+    fn encode_payload(&self, payload: &Self::Payload, prev: Option<&Self::Payload>) -> Vec<u8> {
+        let mut body = Vec::new();
+        self.encode_into(payload, prev, &mut body);
+        body
+    }
+
+    /// Decode one payload written by [`EntryCodec::encode_into`] with the
+    /// same `prev`. Must consume `buf` exactly and must *never* panic
     /// on arbitrary bytes.
     fn decode_payload(
         &self,
@@ -632,19 +651,20 @@ impl<C: EntryCodec> DurableStore<C> {
         meta: &ClcMeta,
         payload: &C::Payload,
     ) -> Result<(), DurableError> {
+        // One pass: the body is encoded into the frame, against the
+        // chain's newest entry, with no buffer of its own.
         let store = self.mirror.entry(node).or_default();
-        let body = {
-            let prev = store.latest().map(|e| &e.payload);
-            self.codec.encode_payload(payload, prev)
-        };
-        store.commit(meta.clone(), payload.clone());
-        self.commits += 1;
-        self.append(|_, frame| {
+        let prev = store.latest().map(|e| &e.payload);
+        let codec = &self.codec;
+        let bytes = frame_into(&mut self.pending, |frame| {
             frame.push(OP_COMMIT);
             put_u64(frame, node);
             put_meta(frame, meta);
-            frame.extend_from_slice(&body);
-        })?;
+            codec.encode_into(payload, prev, frame);
+        });
+        store.commit(meta.clone(), payload.clone());
+        self.commits += 1;
+        self.framed(bytes)?;
         if self.opts.sync == SyncPolicy::EveryCommit {
             self.sync()?;
         }
@@ -683,7 +703,8 @@ impl<C: EntryCodec> DurableStore<C> {
         store: &ClcStore<C::Payload>,
     ) -> Result<(), DurableError> {
         self.mirror.insert(node, store.clone());
-        self.append(|codec, frame| put_snapshot(frame, codec, node, store))?;
+        let mut body = Vec::new();
+        self.append(|codec, frame| put_snapshot(frame, codec, node, store, &mut body))?;
         self.maybe_compact()
     }
 
@@ -702,9 +723,10 @@ impl<C: EntryCodec> DurableStore<C> {
         let old = list_segments(&self.dir)?;
         let new_index = self.seg_index + 1;
         let mut f = create_segment(&self.dir, new_index)?;
+        let mut body = Vec::new();
         for (&node, store) in &self.mirror {
             frame_into(&mut self.pending, |frame| {
-                put_snapshot(frame, &self.codec, node, store)
+                put_snapshot(frame, &self.codec, node, store, &mut body)
             });
             if self.pending.len() >= FLUSH_BYTES {
                 flush(&mut f, &mut self.pending)?;
@@ -738,9 +760,16 @@ impl<C: EntryCodec> DurableStore<C> {
     }
 
     /// Frame what `fill` writes as one record in the pending buffer, and
-    /// write the buffer out once it is full (flush point 5).
+    /// count it.
     fn append(&mut self, fill: impl FnOnce(&C, &mut Vec<u8>)) -> Result<(), DurableError> {
-        self.appended += frame_into(&mut self.pending, |frame| fill(&self.codec, frame));
+        let bytes = frame_into(&mut self.pending, |frame| fill(&self.codec, frame));
+        self.framed(bytes)
+    }
+
+    /// Count a frame of `bytes` just put in the pending buffer, and write
+    /// the buffer out once it is full (flush point 5).
+    fn framed(&mut self, bytes: u64) -> Result<(), DurableError> {
+        self.appended += bytes;
         if self.pending.len() >= FLUSH_BYTES {
             flush(&mut self.writer, &mut self.pending)?;
         }
@@ -784,11 +813,16 @@ fn flush(f: &mut File, pending: &mut Vec<u8>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// Write `node`'s whole chain as one snapshot frame's payload. Each body
+/// is length-prefixed, so it is encoded into `body` (a scratch buffer the
+/// caller reuses across entries and nodes) and copied in behind its
+/// length.
 fn put_snapshot<C: EntryCodec>(
     frame: &mut Vec<u8>,
     codec: &C,
     node: u64,
     store: &ClcStore<C::Payload>,
+    body: &mut Vec<u8>,
 ) {
     frame.push(OP_SNAPSHOT);
     put_u64(frame, node);
@@ -796,9 +830,10 @@ fn put_snapshot<C: EntryCodec>(
     let mut prev: Option<&C::Payload> = None;
     for entry in store.iter() {
         put_meta(frame, &entry.meta);
-        let body = codec.encode_payload(&entry.payload, prev);
+        body.clear();
+        codec.encode_into(&entry.payload, prev, body);
         put_u64(frame, body.len() as u64);
-        frame.extend_from_slice(&body);
+        frame.extend_from_slice(body);
         prev = Some(&entry.payload);
     }
 }
@@ -826,25 +861,23 @@ mod tests {
     impl EntryCodec for NumsCodec {
         type Payload = Nums;
 
-        fn encode_payload(&self, payload: &Nums, prev: Option<&Nums>) -> Vec<u8> {
-            let mut buf = Vec::new();
+        fn encode_into(&self, payload: &Nums, prev: Option<&Nums>, out: &mut Vec<u8>) {
             match prev {
                 Some(p) if payload.0.starts_with(&p.0) => {
-                    buf.push(1);
-                    put_u64(&mut buf, (payload.0.len() - p.0.len()) as u64);
+                    out.push(1);
+                    put_u64(out, (payload.0.len() - p.0.len()) as u64);
                     for &v in &payload.0[p.0.len()..] {
-                        put_u64(&mut buf, v);
+                        put_u64(out, v);
                     }
                 }
                 _ => {
-                    buf.push(0);
-                    put_u64(&mut buf, payload.0.len() as u64);
+                    out.push(0);
+                    put_u64(out, payload.0.len() as u64);
                     for &v in &payload.0 {
-                        put_u64(&mut buf, v);
+                        put_u64(out, v);
                     }
                 }
             }
-            buf
         }
 
         fn decode_payload(&self, buf: &[u8], prev: Option<&Nums>) -> Result<Nums, String> {

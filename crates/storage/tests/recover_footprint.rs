@@ -74,9 +74,7 @@ struct NoPayload;
 impl EntryCodec for NoPayload {
     type Payload = ();
 
-    fn encode_payload(&self, _: &(), _: Option<&()>) -> Vec<u8> {
-        Vec::new()
-    }
+    fn encode_into(&self, _: &(), _: Option<&()>, _: &mut Vec<u8>) {}
 
     fn decode_payload(&self, buf: &[u8], _: Option<&()>) -> Result<(), String> {
         match buf {
@@ -153,8 +151,8 @@ const FILLER: usize = 4 << 10;
 impl EntryCodec for Filler {
     type Payload = ();
 
-    fn encode_payload(&self, _: &(), _: Option<&()>) -> Vec<u8> {
-        vec![0xA5; FILLER]
+    fn encode_into(&self, _: &(), _: Option<&()>, out: &mut Vec<u8>) {
+        out.resize(out.len() + FILLER, 0xA5);
     }
 
     fn decode_payload(&self, buf: &[u8], _: Option<&()>) -> Result<(), String> {
