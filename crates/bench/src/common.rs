@@ -1,10 +1,19 @@
-//! Shared input/output types for the baseline protocols.
+//! What the comparator protocols share: their input and their report.
 //!
-//! The baselines model checkpointing at *cluster* granularity over the same
-//! workload schedule and topology the full HC3I simulation uses, producing
-//! directly comparable cost metrics. (HC3I itself is simulated at full
-//! per-node fidelity by `simdriver`; the baselines answer "what would a
-//! different protocol family have cost on this workload".)
+//! Cluster-granularity cost models of the protocol families the paper
+//! positions HC3I against (§2.2, §6), evaluated over the same topology and
+//! workload schedule as the full-fidelity HC3I simulation:
+//!
+//! * `global` — federation-wide coordinated checkpointing (what the WAN
+//!   makes too expensive);
+//! * `independent` — uncoordinated checkpointing with rollback-time
+//!   dependency analysis (the domino effect);
+//! * `pessimistic` — MPICH-V-style log-everything (single-node rollback,
+//!   but needs the PWD assumption and logs every message).
+//!
+//! HC3I itself is simulated at full per-node fidelity by `simdriver`; the
+//! models answer "what would a different protocol family have cost on this
+//! workload", in the columns of the `ablation_protocols` table.
 
 use desim::{SimDuration, SimTime};
 use netsim::Topology;
@@ -12,19 +21,17 @@ use workload::SendEvent;
 
 /// Input shared by every baseline.
 #[derive(Debug, Clone)]
-pub struct BaselineInput {
+pub(crate) struct BaselineInput {
     /// Federation topology (node counts and link classes).
-    pub topology: Topology,
+    pub(crate) topology: Topology,
     /// The application send schedule, time-sorted.
-    pub sends: Vec<SendEvent>,
+    pub(crate) sends: Vec<SendEvent>,
     /// Total application duration.
-    pub duration: SimDuration,
+    pub(crate) duration: SimDuration,
     /// Checkpoint period per cluster (global-coordinated uses the minimum).
-    pub ckpt_periods: Vec<SimDuration>,
-    /// Per-node checkpoint fragment size.
-    pub fragment_bytes: u64,
+    pub(crate) ckpt_periods: Vec<SimDuration>,
     /// Scripted fault times: `(time, cluster)`.
-    pub faults: Vec<(SimTime, usize)>,
+    pub(crate) faults: Vec<(SimTime, usize)>,
 }
 
 impl BaselineInput {
@@ -57,38 +64,32 @@ impl BaselineInput {
 
 /// One rollback event's summary.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RollbackSummary {
-    /// When the fault hit.
-    pub at: SimTime,
+pub(crate) struct RollbackSummary {
     /// How many clusters had to roll back.
-    pub clusters_rolled_back: usize,
+    pub(crate) clusters_rolled_back: usize,
     /// Total lost computation, in node-seconds (per-cluster lost wall time
     /// × node count, summed).
-    pub lost_node_seconds: f64,
+    pub(crate) lost_node_seconds: f64,
 }
 
 /// Cost metrics comparable across protocols.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct BaselineReport {
+pub(crate) struct BaselineReport {
     /// Which protocol produced this report.
-    pub protocol: &'static str,
+    pub(crate) protocol: &'static str,
     /// Checkpoints taken (cluster-level or global, per the protocol).
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Control messages spent on checkpointing coordination.
-    pub protocol_messages: u64,
-    /// Bytes of stable-storage traffic (fragments, logs).
-    pub storage_bytes: u64,
-    /// Total wall time the application was frozen by coordination.
-    pub frozen_time: SimDuration,
+    pub(crate) protocol_messages: u64,
     /// Peak bytes of message logs held.
-    pub peak_log_bytes: u64,
+    pub(crate) peak_log_bytes: u64,
     /// One summary per injected fault.
-    pub rollbacks: Vec<RollbackSummary>,
+    pub(crate) rollbacks: Vec<RollbackSummary>,
 }
 
 impl BaselineReport {
     /// Mean clusters rolled back per fault (NaN-free: 0 when no faults).
-    pub fn mean_rollback_scope(&self) -> f64 {
+    pub(crate) fn mean_rollback_scope(&self) -> f64 {
         if self.rollbacks.is_empty() {
             return 0.0;
         }
@@ -100,7 +101,7 @@ impl BaselineReport {
     }
 
     /// Total lost node-seconds across all faults.
-    pub fn total_lost_node_seconds(&self) -> f64 {
+    pub(crate) fn total_lost_node_seconds(&self) -> f64 {
         self.rollbacks.iter().map(|r| r.lost_node_seconds).sum()
     }
 }
@@ -116,7 +117,6 @@ mod tests {
             sends: vec![],
             duration: SimDuration::from_minutes(100),
             ckpt_periods: vec![SimDuration::from_minutes(30), SimDuration::INFINITE],
-            fragment_bytes: 1 << 20,
             faults: vec![],
         }
     }
@@ -146,12 +146,10 @@ mod tests {
             protocol: "x",
             rollbacks: vec![
                 RollbackSummary {
-                    at: SimTime::ZERO,
                     clusters_rolled_back: 2,
                     lost_node_seconds: 100.0,
                 },
                 RollbackSummary {
-                    at: SimTime::ZERO,
                     clusters_rolled_back: 1,
                     lost_node_seconds: 50.0,
                 },

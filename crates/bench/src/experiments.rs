@@ -6,14 +6,13 @@
 //! full-fidelity simulation and returns the rows the paper plots.
 
 use desim::{RngStreams, SimDuration};
-use hc3i_core::msg::FRAGMENT_BYTES;
 use hc3i_core::{PiggybackMode, ProtocolConfig};
 use netsim::Topology;
 use simdriver::{run, RunReport, SimConfig};
 use workload::{TargetCountWorkload, Workload};
 
 /// Default seed of the `regen` binary (and of `paper/RESULTS.md`).
-pub const DEFAULT_SEED: u64 = 20040426; // the workshop date
+pub(crate) const DEFAULT_SEED: u64 = 20040426; // the workshop date
 
 fn paper_run(
     n_clusters: usize,
@@ -42,7 +41,7 @@ fn paper_run(
 // ---------------------------------------------------------------- Table 1
 
 /// Table 1: application message counts of the reference workload.
-pub fn table1(seed: u64) -> RunReport {
+pub(crate) fn table1(seed: u64) -> RunReport {
     paper_run(
         2,
         &TargetCountWorkload::paper_table1(),
@@ -57,24 +56,22 @@ pub fn table1(seed: u64) -> RunReport {
 
 /// One sweep point of Figures 6 and 7.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig67Row {
+pub(crate) struct Fig67Row {
     /// Cluster-0 timer (minutes).
-    pub delay_min: u64,
+    pub(crate) delay_min: u64,
     /// Unforced CLCs committed in cluster 0.
-    pub c0_unforced: u64,
+    pub(crate) c0_unforced: u64,
     /// Forced CLCs committed in cluster 0.
-    pub c0_forced: u64,
+    pub(crate) c0_forced: u64,
     /// Unforced CLCs committed in cluster 1 (timer is infinite: expect 0).
-    pub c1_unforced: u64,
+    pub(crate) c1_unforced: u64,
     /// Forced CLCs committed in cluster 1.
-    pub c1_forced: u64,
-    /// Simulator events dispatched by this point's run (bench-gate rate).
-    pub events: u64,
+    pub(crate) c1_forced: u64,
 }
 
 /// Figures 6 & 7: CLC counts in both clusters as cluster 0's timer sweeps;
 /// cluster 1's timer is infinite (paper §5.2).
-pub fn figure6_7(delays_min: &[u64], seed: u64) -> Vec<Fig67Row> {
+pub(crate) fn figure6_7(delays_min: &[u64], seed: u64) -> Vec<Fig67Row> {
     delays_min
         .iter()
         .map(|&d| {
@@ -92,14 +89,13 @@ pub fn figure6_7(delays_min: &[u64], seed: u64) -> Vec<Fig67Row> {
                 c0_forced: r.clusters[0].forced_clcs,
                 c1_unforced: r.clusters[1].unforced_clcs,
                 c1_forced: r.clusters[1].forced_clcs,
-                events: r.events_processed,
             }
         })
         .collect()
 }
 
 /// The paper's x axis for Figures 6–7 (minutes).
-pub fn figure6_delays() -> Vec<u64> {
+pub(crate) fn figure6_delays() -> Vec<u64> {
     vec![5, 10, 15, 20, 30, 40, 50, 60, 80, 100, 120]
 }
 
@@ -107,21 +103,21 @@ pub fn figure6_delays() -> Vec<u64> {
 
 /// One sweep point of Figure 8.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig8Row {
+pub(crate) struct Fig8Row {
     /// Cluster-1 timer (minutes).
-    pub c1_delay_min: u64,
+    pub(crate) c1_delay_min: u64,
     /// Total CLCs committed in cluster 0 (timer fixed at 30 min).
-    pub c0_total: u64,
+    pub(crate) c0_total: u64,
     /// Total CLCs committed in cluster 1.
-    pub c1_total: u64,
+    pub(crate) c1_total: u64,
     /// Forced CLCs committed in cluster 1.
-    pub c1_forced: u64,
+    pub(crate) c1_forced: u64,
 }
 
 /// Figure 8: cluster 0's timer fixed at 30 min; sweep cluster 1's timer.
 /// The paper's point: thanks to the low 1→0 message count, cluster 0 does
 /// not store more CLCs even when cluster 1 checkpoints much more often.
-pub fn figure8(c1_delays_min: &[u64], seed: u64) -> Vec<Fig8Row> {
+pub(crate) fn figure8(c1_delays_min: &[u64], seed: u64) -> Vec<Fig8Row> {
     c1_delays_min
         .iter()
         .map(|&d| {
@@ -144,7 +140,7 @@ pub fn figure8(c1_delays_min: &[u64], seed: u64) -> Vec<Fig8Row> {
 }
 
 /// The paper's x axis for Figure 8 (minutes).
-pub fn figure8_delays() -> Vec<u64> {
+pub(crate) fn figure8_delays() -> Vec<u64> {
     vec![15, 20, 25, 30, 35, 40, 45, 50, 55, 60]
 }
 
@@ -152,22 +148,22 @@ pub fn figure8_delays() -> Vec<u64> {
 
 /// One sweep point of Figure 9.
 #[derive(Debug, Clone, Copy)]
-pub struct Fig9Row {
+pub(crate) struct Fig9Row {
     /// Messages from cluster 1 to cluster 0.
-    pub reverse_msgs: u64,
+    pub(crate) reverse_msgs: u64,
     /// Total CLCs in cluster 0.
-    pub c0_total: u64,
+    pub(crate) c0_total: u64,
     /// Forced CLCs in cluster 0.
-    pub c0_forced: u64,
+    pub(crate) c0_forced: u64,
     /// Total CLCs in cluster 1.
-    pub c1_total: u64,
+    pub(crate) c1_total: u64,
     /// Forced CLCs in cluster 1.
-    pub c1_forced: u64,
+    pub(crate) c1_forced: u64,
 }
 
 /// Figure 9: both timers at 30 min; sweep the number of messages from
 /// cluster 1 to cluster 0. Forced CLCs grow quickly with reverse traffic.
-pub fn figure9(reverse_counts: &[u64], seed: u64) -> Vec<Fig9Row> {
+pub(crate) fn figure9(reverse_counts: &[u64], seed: u64) -> Vec<Fig9Row> {
     reverse_counts
         .iter()
         .map(|&rev| {
@@ -191,7 +187,7 @@ pub fn figure9(reverse_counts: &[u64], seed: u64) -> Vec<Fig9Row> {
 }
 
 /// The paper's x axis for Figure 9 (message counts).
-pub fn figure9_counts() -> Vec<u64> {
+pub(crate) fn figure9_counts() -> Vec<u64> {
     vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 110]
 }
 
@@ -199,7 +195,7 @@ pub fn figure9_counts() -> Vec<u64> {
 
 /// Table 2: per-GC stored-CLC counts before/after, two clusters, GC every
 /// two hours, 103 reverse messages (paper §5.4's sample).
-pub fn table2(seed: u64) -> RunReport {
+pub(crate) fn table2(seed: u64) -> RunReport {
     paper_run(
         2,
         &TargetCountWorkload::paper_with_reverse_count(103),
@@ -212,7 +208,7 @@ pub fn table2(seed: u64) -> RunReport {
 
 /// Table 3: the three-cluster variant (cluster 2 clones cluster 1, ~200
 /// messages leave/arrive per cluster).
-pub fn table3(seed: u64) -> RunReport {
+pub(crate) fn table3(seed: u64) -> RunReport {
     let w = workload::presets::paper_three_clusters();
     paper_run(
         3,
@@ -229,18 +225,18 @@ pub fn table3(seed: u64) -> RunReport {
 /// One row of the SnOnly-vs-FullDdv ablation (paper §7's proposed
 /// transitivity extension).
 #[derive(Debug, Clone, Copy)]
-pub struct DdvAblationRow {
+pub(crate) struct DdvAblationRow {
     /// Clusters in the ring.
-    pub clusters: usize,
+    pub(crate) clusters: usize,
     /// Total forced CLCs under SN-only piggybacking.
-    pub forced_sn_only: u64,
+    pub(crate) forced_sn_only: u64,
     /// Total forced CLCs under full-DDV piggybacking.
-    pub forced_full_ddv: u64,
+    pub(crate) forced_full_ddv: u64,
 }
 
 /// Compare forced-CLC counts between the two piggyback modes on a ring
 /// workload (0→1→…→n−1→0) where transitive knowledge pays off.
-pub fn ablation_ddv(cluster_counts: &[usize], seed: u64) -> Vec<DdvAblationRow> {
+pub(crate) fn ablation_ddv(cluster_counts: &[usize], seed: u64) -> Vec<DdvAblationRow> {
     cluster_counts
         .iter()
         .map(|&n| {
@@ -274,25 +270,26 @@ pub fn ablation_ddv(cluster_counts: &[usize], seed: u64) -> Vec<DdvAblationRow> 
 
 /// One protocol's costs in the cross-protocol ablation.
 #[derive(Debug, Clone)]
-pub struct ProtocolRow {
+pub(crate) struct ProtocolRow {
     /// Protocol name.
-    pub protocol: String,
+    pub(crate) protocol: String,
     /// Checkpoints taken over the run.
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Coordination messages.
-    pub protocol_messages: u64,
+    pub(crate) protocol_messages: u64,
     /// Mean clusters rolled back per fault.
-    pub mean_rollback_scope: f64,
+    pub(crate) mean_rollback_scope: f64,
     /// Total lost node-seconds across faults.
-    pub lost_node_seconds: f64,
+    pub(crate) lost_node_seconds: f64,
     /// Peak message-log bytes held.
-    pub peak_log_bytes: u64,
+    pub(crate) peak_log_bytes: u64,
 }
 
 /// Compare HC3I against the three baseline protocol families on the
 /// reference workload with one mid-run fault in each cluster.
-pub fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
-    use baselines::{global, independent, pessimistic, BaselineInput};
+pub(crate) fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
+    use crate::common::BaselineInput;
+    use crate::{global, independent, pessimistic};
     use desim::SimTime;
     use netsim::NodeId;
 
@@ -353,7 +350,6 @@ pub fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
         sends,
         duration: w.duration,
         ckpt_periods: vec![SimDuration::from_minutes(30); 2],
-        fragment_bytes: FRAGMENT_BYTES,
         faults: fault_times.to_vec(),
     };
     for report in [
@@ -376,19 +372,19 @@ pub fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
 /// One row of the replication-degree ablation (paper §7: configurable
 /// degree of stable-storage replication).
 #[derive(Debug, Clone, Copy)]
-pub struct ReplicationRow {
+pub(crate) struct ReplicationRow {
     /// Replication degree (replicas per fragment).
-    pub degree: u32,
+    pub(crate) degree: u32,
     /// Guaranteed simultaneous faults tolerated in a 100-node cluster.
-    pub guaranteed_faults: u32,
+    pub(crate) guaranteed_faults: u32,
     /// Stable-storage copies per CLC per cluster (fragments).
-    pub copies_per_clc: u64,
+    pub(crate) copies_per_clc: u64,
     /// Fraction of random 3-fault patterns that remain recoverable.
-    pub random_triple_fault_survival: f64,
+    pub(crate) random_triple_fault_survival: f64,
 }
 
 /// Sweep the replication degree and measure cost vs fault tolerance.
-pub fn ablation_replication(degrees: &[u32], seed: u64) -> Vec<ReplicationRow> {
+pub(crate) fn ablation_replication(degrees: &[u32], seed: u64) -> Vec<ReplicationRow> {
     use rand::Rng;
     use storage::ReplicationPolicy;
     let n_nodes = 100u32;
@@ -422,30 +418,30 @@ pub fn ablation_replication(degrees: &[u32], seed: u64) -> Vec<ReplicationRow> {
 
 /// One row of the network/storage overhead breakdown (paper §5.2).
 #[derive(Debug, Clone, Copy)]
-pub struct OverheadRow {
+pub(crate) struct OverheadRow {
     /// Cluster-0 CLC timer in minutes (`None` = no unforced CLCs anywhere).
-    pub delay_min: Option<u64>,
+    pub(crate) delay_min: Option<u64>,
     /// Total CLCs committed federation-wide.
-    pub total_clcs: u64,
+    pub(crate) total_clcs: u64,
     /// Application payload bytes on the wire (incl. piggyback).
-    pub app_bytes: u64,
+    pub(crate) app_bytes: u64,
     /// Protocol-control bytes (2PC rounds, fragments, alerts, GC).
-    pub protocol_bytes: u64,
+    pub(crate) protocol_bytes: u64,
     /// Acknowledgement bytes.
-    pub ack_bytes: u64,
+    pub(crate) ack_bytes: u64,
     /// Protocol-control messages.
-    pub protocol_messages: u64,
+    pub(crate) protocol_messages: u64,
     /// Peak CLCs stored simultaneously (max over clusters).
-    pub peak_stored: usize,
+    pub(crate) peak_stored: usize,
     /// Peak logged inter-cluster messages (sum over clusters).
-    pub peak_logged: u64,
+    pub(crate) peak_logged: u64,
 }
 
 /// The paper's §5.2 analysis: "If no CLC is initiated, the only protocol
 /// cost consists in logging optimistically in volatile memory inter-cluster
 /// messages and transmitting an integer (SN) with them." Sweep the timer
 /// from "never" downward and watch every cost component.
-pub fn overhead_breakdown(delays_min: &[Option<u64>], seed: u64) -> Vec<OverheadRow> {
+pub(crate) fn overhead_breakdown(delays_min: &[Option<u64>], seed: u64) -> Vec<OverheadRow> {
     delays_min
         .iter()
         .map(|&d| {
@@ -480,26 +476,26 @@ pub fn overhead_breakdown(delays_min: &[Option<u64>], seed: u64) -> Vec<Overhead
 
 /// One row of the federation-scaling sensitivity sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct ScalingRow {
+pub(crate) struct ScalingRow {
     /// Clusters in the federation (ring workload, 20 nodes each).
-    pub clusters: usize,
+    pub(crate) clusters: usize,
     /// Total CLCs committed.
-    pub total_clcs: u64,
+    pub(crate) total_clcs: u64,
     /// Forced CLCs committed.
-    pub forced_clcs: u64,
+    pub(crate) forced_clcs: u64,
     /// Protocol messages.
-    pub protocol_messages: u64,
+    pub(crate) protocol_messages: u64,
     /// Simulator events processed (cost of the run itself).
-    pub events: u64,
+    pub(crate) events: u64,
     /// Piggyback overhead per inter-cluster message in bytes under
     /// FullDdv (= 8 × clusters — the paper's point that the DDV scales
     /// with the number of *clusters*, not nodes).
-    pub ddv_bytes: u64,
+    pub(crate) ddv_bytes: u64,
 }
 
 /// Scale the federation (ring traffic, fixed per-cluster rates) and watch
 /// protocol costs grow with the number of clusters.
-pub fn federation_scaling(cluster_counts: &[usize], seed: u64) -> Vec<ScalingRow> {
+pub(crate) fn federation_scaling(cluster_counts: &[usize], seed: u64) -> Vec<ScalingRow> {
     cluster_counts
         .iter()
         .map(|&n| {

@@ -12,7 +12,7 @@ use crate::common::{BaselineInput, BaselineReport, RollbackSummary};
 use desim::{SimDuration, SimTime};
 
 /// Evaluate global coordinated checkpointing on the input.
-pub fn evaluate(input: &BaselineInput) -> BaselineReport {
+pub(crate) fn evaluate(input: &BaselineInput) -> BaselineReport {
     let topo = &input.topology;
     let n = topo.num_clusters();
     let total_nodes = topo.total_nodes();
@@ -36,28 +36,9 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         }
     }
 
-    // Freeze time per checkpoint: the 2PC needs two federation-spanning
-    // rounds (request+ack, commit) bounded by the slowest inter-cluster
-    // RTT, plus the intra-cluster fragment replication transfer.
-    let mut max_inter_latency = SimDuration::ZERO;
-    let mut max_fragment_time = SimDuration::ZERO;
-    for a in topo.cluster_ids() {
-        let intra = topo.link_between(a, a);
-        max_fragment_time = max_fragment_time.max(intra.transmit_time(input.fragment_bytes));
-        for b in topo.cluster_ids() {
-            if a != b {
-                max_inter_latency = max_inter_latency.max(topo.inter_link(a, b).latency);
-            }
-        }
-    }
-    let freeze_per_ckpt = max_inter_latency
-        .saturating_mul(4) // request out + ack back + commit out + settle
-        .saturating_add(max_fragment_time);
-
     // Message cost per checkpoint: request/ack/commit with every node, plus
     // one fragment replica per node.
     let msgs_per_ckpt = 3 * (total_nodes - 1) + total_nodes;
-    let storage_per_ckpt = total_nodes * input.fragment_bytes;
 
     // Rollbacks: every fault rolls the whole federation back to the last
     // global checkpoint.
@@ -73,7 +54,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
                 .unwrap();
             let lost_wall = at.saturating_since(last).as_secs_f64();
             RollbackSummary {
-                at,
                 clusters_rolled_back: n,
                 lost_node_seconds: lost_wall * total_nodes as f64,
             }
@@ -85,8 +65,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         protocol: "global-coordinated",
         checkpoints: ckpts,
         protocol_messages: ckpts * msgs_per_ckpt,
-        storage_bytes: ckpts * storage_per_ckpt,
-        frozen_time: freeze_per_ckpt.saturating_mul(ckpts),
         peak_log_bytes: 0, // no message logging
         rollbacks,
     }
@@ -103,7 +81,6 @@ mod tests {
             sends: vec![],
             duration: SimDuration::from_hours(10),
             ckpt_periods: vec![SimDuration::from_minutes(30), SimDuration::INFINITE],
-            fragment_bytes: 4 << 20,
             faults,
         }
     }
@@ -118,18 +95,6 @@ mod tests {
         // 200 nodes: 3*199 + 200 messages per checkpoint.
         assert_eq!(r.protocol_messages, 20 * (3 * 199 + 200));
         assert_eq!(r.peak_log_bytes, 0);
-    }
-
-    #[test]
-    fn freeze_time_scales_with_wan_latency() {
-        let r = evaluate(&input(vec![]));
-        // Per checkpoint: >= 4 x 150 µs + 4 MiB / 80 Mb/s (~0.42 s).
-        let per = SimDuration(r.frozen_time.nanos() / r.checkpoints);
-        assert!(per >= SimDuration::from_micros(600));
-        assert!(
-            per >= SimDuration::from_millis(400),
-            "fragment transfer dominates"
-        );
     }
 
     #[test]

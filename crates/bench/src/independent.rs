@@ -12,7 +12,7 @@ use desim::SimTime;
 use netsim::ClusterId;
 
 /// Evaluate independent checkpointing on the input.
-pub fn evaluate(input: &BaselineInput) -> BaselineReport {
+pub(crate) fn evaluate(input: &BaselineInput) -> BaselineReport {
     let topo = &input.topology;
     let n = topo.num_clusters();
 
@@ -42,22 +42,13 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         })
         .collect();
 
-    let last_ckpt = |c: usize, t: SimTime| -> SimTime {
-        ckpt_times[c]
-            .iter()
-            .copied()
-            .take_while(|&ck| ck <= t)
-            .last()
-            .unwrap_or(SimTime::ZERO)
-    };
-
     let rollbacks = input
         .faults
         .iter()
         .map(|&(at, faulty)| {
             // bound[c]: the cluster's state survives up to this instant.
             let mut bound = vec![at; n];
-            bound[faulty] = last_ckpt(faulty, at);
+            bound[faulty] = input.last_checkpoint_before(faulty, at);
             // Fixpoint: a message sent after the sender's bound but
             // received before the receiver's bound is a ghost; the
             // receiver must fall back to a checkpoint preceding the
@@ -91,32 +82,20 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
                 })
                 .sum();
             RollbackSummary {
-                at,
                 clusters_rolled_back,
                 lost_node_seconds: lost,
             }
         })
         .collect();
 
-    // Costs: an uncoordinated cluster checkpoint still replicates every
-    // node's fragment, but exchanges no request/ack/commit rounds and never
-    // freezes the application.
-    let storage: u64 = (0..n)
-        .map(|c| {
-            ckpt_times[c].len() as u64
-                * topo.nodes_in(ClusterId(c as u16)) as u64
-                * input.fragment_bytes
-        })
-        .sum();
-
+    // Costs: an uncoordinated cluster checkpoint still sends one fragment
+    // per node, but exchanges no request/ack/commit rounds.
     BaselineReport {
         protocol: "independent",
         checkpoints: total_ckpts,
         protocol_messages: (0..n)
             .map(|c| ckpt_times[c].len() as u64 * topo.nodes_in(ClusterId(c as u16)) as u64)
             .sum(),
-        storage_bytes: storage,
-        frozen_time: desim::SimDuration::ZERO,
         peak_log_bytes: 0,
         rollbacks,
     }
@@ -159,7 +138,6 @@ mod tests {
             sends,
             duration: SimDuration::from_hours(9),
             ckpt_periods: vec![SimDuration::from_minutes(30), SimDuration::from_minutes(37)],
-            fragment_bytes: 1 << 20,
             faults: vec![],
         }
     }
@@ -168,7 +146,6 @@ mod tests {
     fn no_faults_no_rollbacks() {
         let r = evaluate(&ping_pong_input());
         assert!(r.rollbacks.is_empty());
-        assert_eq!(r.frozen_time, SimDuration::ZERO, "never blocks the app");
         assert!(r.checkpoints >= 30, "both clusters checkpoint freely");
     }
 

@@ -9,9 +9,23 @@
 //! ```
 //!
 //! `fingerprint` and `mega` are not part of `all` or `paper/RESULTS.md`:
-//! one is a behaviour pin, the other a timing.
+//! one is a behaviour pin, the other a timing. `fingerprint` takes no seed.
+//!
+//! `experiments` runs one setup per table and figure and returns its rows,
+//! `render` prints them in the paper's row format, and `global`,
+//! `independent` and `pessimistic` (over `common`'s input and report) are
+//! cost models of the protocol families §6 compares HC3I with, for the
+//! `ablation_protocols` table. Performance is measured by `benchmark/` and
+//! gated by `ci/pair.sh`, not here.
+
+mod common;
+mod experiments;
+mod global;
+mod independent;
+mod pessimistic;
+mod render;
+
 use desim::{RngStreams, SimDuration, SimTime};
-use hc3i_bench::{experiments, render};
 use hc3i_core::{PiggybackMode, ProtocolConfig};
 use netsim::{ClusterSpec, HostileSpec, LinkSpec, NodeId, Topology};
 use simdriver::{RunReport, SimConfig};
@@ -188,21 +202,30 @@ fn mega(seed: u64) -> String {
 fn usage() -> ! {
     let names: Vec<&str> = ARTIFACTS.iter().map(|a| a.0).collect();
     eprintln!(
-        "usage: regen <all|{}|fingerprint|mega> [seed]",
+        "usage: regen <all|{}|mega> [seed] | regen fingerprint",
         names.join("|")
     );
     std::process::exit(2);
 }
 
+/// The sub-command and its seed, or `None` for a usage error: a missing
+/// name, a seed that is not a `u64`, a seed given to `fingerprint`, or a
+/// third argument.
+fn parse_args(args: &[String]) -> Option<(&str, u64)> {
+    match args {
+        [name] => Some((name, experiments::DEFAULT_SEED)),
+        [name, seed] if name != "fingerprint" => Some((name, seed.parse().ok()?)),
+        _ => None,
+    }
+}
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let Some(name) = args.next() else { usage() };
-    let seed = match args.next() {
-        Some(s) => s.parse().unwrap_or_else(|_| usage()),
-        None => experiments::DEFAULT_SEED,
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((name, seed)) = parse_args(&args) else {
+        usage()
     };
     if name != "all" {
-        let text = match name.as_str() {
+        let text = match name {
             "fingerprint" => fingerprint(),
             "mega" => mega(seed),
             _ => match ARTIFACTS.iter().find(|a| a.0 == name) {
@@ -230,5 +253,40 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("wrote {RESULTS}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Option<(String, u64)> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|(name, seed)| (name.to_string(), seed))
+    }
+
+    #[test]
+    fn a_name_takes_its_seed_or_the_default() {
+        let default = experiments::DEFAULT_SEED;
+        assert_eq!(parse(&["all"]), Some(("all".into(), default)));
+        assert_eq!(
+            parse(&["fingerprint"]),
+            Some(("fingerprint".into(), default))
+        );
+        assert_eq!(parse(&["figure6", "7"]), Some(("figure6".into(), 7)));
+        assert_eq!(parse(&["mega", "7"]), Some(("mega".into(), 7)));
+    }
+
+    #[test]
+    fn ignored_or_malformed_arguments_are_usage_errors() {
+        for args in [
+            &[][..],
+            &["fingerprint", "7"],
+            &["all", "7", "8"],
+            &["table1", "seven"],
+            &["table1", "-1"],
+        ] {
+            assert_eq!(parse(args), None, "{args:?}");
+        }
     }
 }

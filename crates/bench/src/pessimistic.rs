@@ -12,7 +12,7 @@
 use crate::common::{BaselineInput, BaselineReport, RollbackSummary};
 
 /// Evaluate pessimistic logging on the input.
-pub fn evaluate(input: &BaselineInput) -> BaselineReport {
+pub(crate) fn evaluate(input: &BaselineInput) -> BaselineReport {
     // Log volume over time: every message's payload is logged at send time;
     // a cluster's log entries can be discarded once the *receiving* node
     // checkpoints past them — conservatively keep entries for one full
@@ -46,7 +46,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         }
     }
 
-    let total_logged_bytes: u64 = input.sends.iter().map(|s| s.bytes).sum();
     let total_msgs = input.sends.len() as u64;
 
     // Checkpoints: per node, on the cluster's timer. Message logging adds
@@ -69,7 +68,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         .map(|&(at, cluster)| {
             let last = input.last_checkpoint_before(cluster, at);
             RollbackSummary {
-                at,
                 clusters_rolled_back: 0, // no *cluster* rolls back
                 lost_node_seconds: at.saturating_since(last).as_secs_f64(),
             }
@@ -80,8 +78,6 @@ pub fn evaluate(input: &BaselineInput) -> BaselineReport {
         protocol: "pessimistic-log",
         checkpoints: node_ckpts,
         protocol_messages: total_msgs, // one logging write per message
-        storage_bytes: node_ckpts * input.fragment_bytes + total_logged_bytes,
-        frozen_time: desim::SimDuration::ZERO,
         peak_log_bytes: peak,
         rollbacks,
     }
@@ -112,7 +108,6 @@ mod tests {
             sends,
             duration: SimDuration::from_minutes(100),
             ckpt_periods: vec![SimDuration::from_minutes(30); 2],
-            fragment_bytes: 1 << 20,
             faults: vec![(minutes(50), 0)],
         }
     }
@@ -121,7 +116,6 @@ mod tests {
     fn every_message_is_logged() {
         let r = evaluate(&input());
         assert_eq!(r.protocol_messages, 100);
-        assert!(r.storage_bytes >= 100 * 1000);
     }
 
     #[test]

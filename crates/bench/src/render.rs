@@ -7,7 +7,7 @@ use crate::experiments::{
 use simdriver::RunReport;
 
 /// Render Table 1 (application message counts).
-pub fn table1(report: &RunReport) -> String {
+pub(crate) fn table1(report: &RunReport) -> String {
     format!(
         "Table 1: Application messages (reference workload)\n{}",
         report.format_app_matrix()
@@ -15,7 +15,7 @@ pub fn table1(report: &RunReport) -> String {
 }
 
 /// Render Figure 6 (cluster-0 CLC counts vs cluster-0 timer).
-pub fn figure6(rows: &[Fig67Row]) -> String {
+pub(crate) fn figure6(rows: &[Fig67Row]) -> String {
     let mut s = String::from(
         "Figure 6: Interval Between CLCs Influence in Cluster 0\n\
          delay_min  unforced  forced  total\n",
@@ -33,7 +33,7 @@ pub fn figure6(rows: &[Fig67Row]) -> String {
 }
 
 /// Render Figure 7 (cluster-1 CLC counts vs cluster-0 timer).
-pub fn figure7(rows: &[Fig67Row]) -> String {
+pub(crate) fn figure7(rows: &[Fig67Row]) -> String {
     let mut s = String::from(
         "Figure 7: Interval Between CLCs Influence in Cluster 1\n\
          delay_min  unforced  forced  total\n",
@@ -51,7 +51,7 @@ pub fn figure7(rows: &[Fig67Row]) -> String {
 }
 
 /// Render Figure 8 (impact of cluster-1 timer on both clusters).
-pub fn figure8(rows: &[Fig8Row]) -> String {
+pub(crate) fn figure8(rows: &[Fig8Row]) -> String {
     let mut s = String::from(
         "Figure 8: Increasing the Number of CLCs in Cluster 1\n\
          c1_delay_min  c0_total  c1_total  c1_forced\n",
@@ -66,7 +66,7 @@ pub fn figure8(rows: &[Fig8Row]) -> String {
 }
 
 /// Render Figure 9 (communication-pattern sweep).
-pub fn figure9(rows: &[Fig9Row]) -> String {
+pub(crate) fn figure9(rows: &[Fig9Row]) -> String {
     let mut s = String::from(
         "Figure 9: Increasing Communication from Cluster 1 to Cluster 0\n\
          msgs_1to0  c0_total  c0_forced  c1_total  c1_forced\n",
@@ -81,7 +81,7 @@ pub fn figure9(rows: &[Fig9Row]) -> String {
 }
 
 /// Render Tables 2/3 (stored CLCs before/after each garbage collection).
-pub fn gc_table(title: &str, report: &RunReport) -> String {
+pub(crate) fn gc_table(title: &str, report: &RunReport) -> String {
     let mut s = format!("{title}\n");
     let n = report.clusters.len();
     let collections = report
@@ -111,7 +111,7 @@ pub fn gc_table(title: &str, report: &RunReport) -> String {
 }
 
 /// Render the SnOnly-vs-FullDdv ablation.
-pub fn ablation_ddv(rows: &[DdvAblationRow]) -> String {
+pub(crate) fn ablation_ddv(rows: &[DdvAblationRow]) -> String {
     let mut s = String::from(
         "Ablation: dependency piggybacking (paper §7 extension)\n\
          clusters  forced_sn_only  forced_full_ddv  reduction\n",
@@ -132,7 +132,7 @@ pub fn ablation_ddv(rows: &[DdvAblationRow]) -> String {
 }
 
 /// Render the cross-protocol ablation.
-pub fn ablation_protocols(rows: &[ProtocolRow]) -> String {
+pub(crate) fn ablation_protocols(rows: &[ProtocolRow]) -> String {
     let mut s = String::from(
         "Ablation: protocol families on the reference workload (2 faults)\n\
          protocol            ckpts  proto_msgs  scope  lost_node_s  peak_log_bytes\n",
@@ -152,7 +152,7 @@ pub fn ablation_protocols(rows: &[ProtocolRow]) -> String {
 }
 
 /// Render the replication-degree ablation.
-pub fn ablation_replication(rows: &[ReplicationRow]) -> String {
+pub(crate) fn ablation_replication(rows: &[ReplicationRow]) -> String {
     let mut s = String::from(
         "Ablation: stable-storage replication degree (paper §7 extension)\n\
          degree  guaranteed_faults  copies_per_clc  triple_fault_survival\n",
@@ -167,7 +167,7 @@ pub fn ablation_replication(rows: &[ReplicationRow]) -> String {
 }
 
 /// Render the §5.2 overhead breakdown.
-pub fn overhead(rows: &[OverheadRow]) -> String {
+pub(crate) fn overhead(rows: &[OverheadRow]) -> String {
     let mut s = String::from(
         "Overhead breakdown (paper 5.2): network and storage cost vs CLC frequency\n\
          timer  clcs  app_MB  proto_MB  ack_KB  proto_msgs  peak_stored  peak_logged\n",
@@ -193,7 +193,7 @@ pub fn overhead(rows: &[OverheadRow]) -> String {
 }
 
 /// Render the federation-scaling sweep.
-pub fn scaling(rows: &[ScalingRow]) -> String {
+pub(crate) fn scaling(rows: &[ScalingRow]) -> String {
     let mut s = String::from(
         "Federation scaling: ring workload, 20 nodes per cluster, 10 h\n\
          clusters  total_clcs  forced  proto_msgs    events  ddv_bytes\n",

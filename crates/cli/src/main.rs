@@ -230,14 +230,10 @@ fn cmd_run(args: &[String]) -> ExitCode {
             }
             "--fault" => {
                 let spec = it.next().cloned().unwrap_or_default();
-                let parts: Vec<&str> = spec.split(':').collect();
-                let parsed = (|| {
-                    Some((
-                        parts.first()?.parse().ok()?,
-                        parts.get(1)?.parse().ok()?,
-                        parts.get(2)?.parse().ok()?,
-                    ))
-                })();
+                let parsed = match spec.split(':').collect::<Vec<_>>()[..] {
+                    [m, c, r] => (|| Some((m.parse().ok()?, c.parse().ok()?, r.parse().ok()?)))(),
+                    _ => None,
+                };
                 match parsed {
                     Some(f) => faults.push(f),
                     None => return usage_error("--fault wants MINUTES:CLUSTER:RANK"),

@@ -187,6 +187,8 @@ fn small_configs(dir: &std::path::Path) -> Vec<String> {
 /// whose nanoseconds overflow the clock: a usage error (exit 2, one
 /// `error:` line saying which part is out of range), not an index panic
 /// from inside the run or a fault at the wrapped-around time (26 s in).
+/// A spec with a field past the rank is malformed (exit 2 and the usage),
+/// not a fault at its first three fields.
 #[test]
 fn fault_on_a_node_outside_the_topology_is_a_usage_error() {
     let dir = std::env::temp_dir().join(format!("hc3i-cli-fault-range-{}", std::process::id()));
@@ -213,6 +215,18 @@ fn fault_on_a_node_outside_the_topology_is_a_usage_error() {
         );
         assert!(out.stdout.is_empty(), "{spec}: no report");
     }
+    let out = Command::new(bin())
+        .args(&args)
+        .args(["--fault", "5:0:1:9"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: --fault wants MINUTES:CLUSTER:RANK\nusage:"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no report");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -8,8 +8,7 @@
 //! * the garbage collector, which "simulates a failure in each cluster and
 //!   keeps the smallest SN to which the clusters of the federation might
 //!   rollback" (paper §3.5);
-//! * tests, which check the operational cascade converges to this line;
-//! * the baselines, for rollback-depth comparisons.
+//! * tests, which check the operational cascade converges to this line.
 //!
 //! ## The rollback rule
 //!

@@ -68,6 +68,19 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Rejects a `keyword` line with more than the `args` arguments it takes,
+/// rather than reading the first ones and dropping the rest.
+fn at_most(ln: usize, tok: &[&str], args: usize) -> Result<(), ParseError> {
+    if tok.len() > 1 + args {
+        let got = tok.len() - 1;
+        return Err(err(
+            ln,
+            format!("`{}` takes {args} argument(s), got {got}", tok[0]),
+        ));
+    }
+    Ok(())
+}
+
 fn content_lines(text: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
     text.lines().enumerate().filter_map(|(i, raw)| {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -92,6 +105,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
     for (ln, tok) in content_lines(text) {
         match tok[0] {
             "clusters" => {
+                at_most(ln, &tok, 1)?;
                 let n: usize = tok
                     .get(1)
                     .and_then(|s| s.parse().ok())
@@ -148,6 +162,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                 }
             }
             "mtbf" => {
+                at_most(ln, &tok, 1)?;
                 let d = parse_duration(tok.get(1).copied().unwrap_or(""))
                     .ok_or_else(|| err(ln, "bad mtbf duration"))?;
                 if !d.is_infinite() && d.nanos() > 0 {
@@ -221,18 +236,21 @@ pub fn parse_application(
     for (ln, tok) in content_lines(text) {
         match tok[0] {
             "duration" => {
+                at_most(ln, &tok, 1)?;
                 duration = Some(
                     parse_duration(tok.get(1).copied().unwrap_or(""))
                         .ok_or_else(|| err(ln, "bad duration"))?,
                 );
             }
             "payload" => {
+                at_most(ln, &tok, 1)?;
                 payload = tok
                     .get(1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| err(ln, "payload needs bytes"))?;
             }
             "compute_mean" => {
+                at_most(ln, &tok, 2)?;
                 let c: usize = tok
                     .get(1)
                     .and_then(|s| s.parse().ok())
@@ -300,6 +318,7 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
     for (ln, tok) in content_lines(text) {
         match tok[0] {
             "clc_timer" => {
+                at_most(ln, &tok, 2)?;
                 let c: usize = tok
                     .get(1)
                     .and_then(|s| s.parse().ok())
@@ -315,6 +334,7 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
                 }
             }
             "gc_timer" => {
+                at_most(ln, &tok, 1)?;
                 let d = parse_duration(tok.get(1).copied().unwrap_or(""))
                     .ok_or_else(|| err(ln, "bad gc delay"))?;
                 if d == SimDuration::ZERO {
@@ -325,6 +345,7 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
                 }
             }
             "detection_delay" => {
+                at_most(ln, &tok, 1)?;
                 detection = parse_duration(tok.get(1).copied().unwrap_or(""))
                     .ok_or_else(|| err(ln, "bad detection delay"))?;
             }

@@ -22,11 +22,14 @@
 //!   neighbour replication;
 //! * [`workload`] — the paper's three config files and traffic generators;
 //! * [`simdriver`] — end-to-end federation simulations and reports;
-//! * [`baselines`] — global-coordinated / independent / pessimistic-log
-//!   comparators;
 //! * [`runtime`] — a sharded multiplexed message-passing substrate
 //!   (thousands of nodes on a fixed worker pool) driving the identical
 //!   protocol engine.
+//!
+//! The paper's evaluation is a program, not a library: the `regen` binary
+//! of package `hc3i-bench` runs every table and figure, and the cost
+//! models of the protocol families HC3I is compared against (§6) live
+//! inside it.
 //!
 //! ## Quickstart
 //!
@@ -55,7 +58,6 @@
 //! assert!(report.clusters[1].forced_clcs > 0, "cross traffic forces CLCs");
 //! ```
 
-pub use baselines;
 pub use desim;
 pub use hc3i_core as core;
 pub use hc3i_types as types;
@@ -68,7 +70,7 @@ pub use workload;
 /// The types most programs need, in one import.
 pub mod prelude {
     pub use crate::core::{Input, NodeEngine, Output, PiggybackMode, ProtocolConfig, SeqNum};
-    pub use crate::{baselines, desim, netsim, simdriver, storage, workload};
+    pub use crate::{desim, netsim, simdriver, storage, workload};
     pub use desim::{RngStreams, SimDuration, SimTime};
     pub use netsim::{ClusterId, NodeId, Topology};
     pub use simdriver::{RunReport, SimConfig};

@@ -10,7 +10,7 @@
 use hc3i::desim::SimDuration;
 use hc3i::netsim::Topology;
 use hc3i::simdriver::SimConfig;
-use hc3i::workload::files::{parse_application, parse_timers, parse_topology};
+use hc3i::workload::files::{parse_application, parse_timers, parse_topology, ParseError};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -116,5 +116,38 @@ proptest! {
     #[test]
     fn random_timer_lines_parse_or_err(clusters in 1usize..4, text in lines(TIMERS)) {
         let _ = no_panic(&text, || parse_timers(&text, clusters))?;
+    }
+}
+
+/// A token after a keyword's arguments is an error at its line, naming the
+/// keyword: `gc_timer 2h 30m` does not collect every 2 h. One case per
+/// keyword that takes a fixed count; `nodes`, `intra`, `inter` and
+/// `pattern` check their own.
+#[test]
+fn a_token_after_a_keywords_arguments_is_a_line_numbered_error() {
+    let reference = Topology::paper_reference(2);
+    let topology = |text: &str| parse_topology(text).map(drop);
+    let application = |text: &str| parse_application(text, &reference).map(drop);
+    let timers = |text: &str| parse_timers(text, 2).map(drop);
+    let topology_file = "clusters 2\nnodes 4 4\n";
+    let application_file = "duration 1h\ncompute_mean 0 1s\ncompute_mean 1 1s\n\
+                            pattern 0 0.5 0.5\npattern 1 0.5 0.5\n";
+    type Parser<'a> = &'a dyn Fn(&str) -> Result<(), ParseError>;
+    let cases: [(Parser, &str, &str); 8] = [
+        (&topology, topology_file, "clusters 2"),
+        (&topology, topology_file, "mtbf 1h"),
+        (&application, application_file, "duration 2h"),
+        (&application, application_file, "payload 512"),
+        (&application, application_file, "compute_mean 0 2s"),
+        (&timers, "", "clc_timer 0 30m"),
+        (&timers, "", "gc_timer 2h"),
+        (&timers, "", "detection_delay 100ms"),
+    ];
+    for (parse, file, line) in cases {
+        assert_eq!(parse(&format!("{file}{line}\n")), Ok(()), "{line}");
+        let e = parse(&format!("{file}{line} 30m\n")).expect_err(line);
+        let keyword = line.split(' ').next().unwrap();
+        assert_eq!(e.line, file.lines().count() + 1, "{line}");
+        assert!(e.message.contains(keyword), "{line}: {e}");
     }
 }
