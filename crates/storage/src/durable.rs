@@ -21,6 +21,20 @@
 //!   the complete snapshot segment — both replay to the same state,
 //!   because a snapshot *replaces* the node's chain).
 //!
+//! ## The frame checksum
+//!
+//! [`crc32`] is the IEEE 802.3 CRC-32 (reflected, polynomial
+//! `0xEDB8_8320`) of a frame's payload. The writer computes it once per
+//! frame as it closes the frame in the pending buffer, and recovery
+//! recomputes it for every frame it reads, so it runs over every byte the
+//! log holds on both paths. Two kernels compute the same value, and the
+//! CPU alone picks between them: on x86_64, when the CPU reports
+//! `pclmulqdq` and `sse4.1` at run time, a payload of at least 64 bytes is
+//! folded 64 bytes a step by carry-less multiplication; otherwise — other
+//! targets, older CPUs, shorter payloads, and the kernel's last few
+//! bytes — a slicing-by-8 table loop runs. No option, variable or
+//! feature chooses.
+//!
 //! ## The pending buffer and its flush points
 //!
 //! Frames are assembled in one buffer inside the [`DurableStore`]. A
@@ -75,9 +89,9 @@
 //!
 //! Each segment is read as a stream, frame by frame, through one buffer
 //! of at most 64 KiB into one reused frame buffer: recovery's memory is the image it
-//! rebuilds plus one frame, whatever the segment's size. A frame's body
-//! is read no further than the segment backs it, so a length field that
-//! overruns the file is a short read and allocates nothing of its size.
+//! rebuilds plus one frame, whatever the segment's size. A length field
+//! that overruns what the segment has left is refused before the frame
+//! buffer is sized for it, so it allocates nothing of its size.
 //! A segment is read as far as its size when recovery opens it: on the
 //! directory of a live store, frames flushed after that are not read.
 
@@ -105,7 +119,7 @@ const MAX_FRAME: u32 = 1 << 26;
 /// recovery reads a segment through a buffer of this size.
 const FLUSH_BYTES: usize = 64 << 10;
 
-// ---- CRC-32 (IEEE 802.3, reflected), slicing-by-8 --------------------------
+// ---- CRC-32 (IEEE 802.3, reflected) ----------------------------------------
 
 /// `t[0]` is the classic byte-at-a-time table; `t[k][b]` is the CRC of
 /// byte `b` followed by `k` zero bytes, which lets eight input bytes be
@@ -142,10 +156,23 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+/// Inputs shorter than this take the table loop even where the
+/// carry-less kernel runs: below it the kernel's set-up and final
+/// reduction cost more than the lookups they replace.
+const CLMUL_MIN_LEN: usize = 64;
+
 /// CRC-32 (IEEE) of `bytes` — the frame checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let folded = match bytes.len() {
+        CLMUL_MIN_LEN.. => crc32_clmul(!0, bytes),
+        _ => None,
+    };
+    !folded.unwrap_or_else(|| crc32_table(!0, bytes))
+}
+
+/// The CRC register `c` advanced over `bytes` by slicing-by-8 lookups.
+fn crc32_table(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = !0u32;
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
         let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
@@ -161,7 +188,118 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in words.remainder() {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// The CRC register `c` advanced over `bytes` by the carry-less kernel,
+/// or `None` where this CPU lacks the instructions it needs.
+#[cfg(target_arch = "x86_64")]
+fn crc32_clmul(c: u32, bytes: &[u8]) -> Option<u32> {
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `clmul::update` is compiled for `pclmulqdq` and `sse4.1`,
+    // and the CPU has just reported both at run time.
+    Some(unsafe { clmul::update(c, bytes) })
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn crc32_clmul(_: u32, _: &[u8]) -> Option<u32> {
+    None
+}
+
+/// CRC-32 by carry-less multiplication (`pclmulqdq`), after Intel's
+/// *Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction* in its bit-reflected form: four 16-byte lanes are folded
+/// 64 bytes a step, then into one lane, 16 bytes a step, and the last 128
+/// bits are reduced to the 32-bit register by a Barrett reduction. What
+/// is left under 16 bytes goes through the table loop.
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Fold constants, each `x^n mod P(x)` bit-reflected and shifted left
+    // by one (the reflected product of two 64-bit halves is one bit short).
+    /// `n = 4·128 + 32`: one lane folded 512 bits forward, low half.
+    const K1: i64 = 0x1_5444_2bd4;
+    /// `n = 4·128 − 32`: the same, high half.
+    const K2: i64 = 0x1_c6e4_1596;
+    /// `n = 128 + 32`: one lane folded 128 bits forward, low half.
+    const K3: i64 = 0x1_7519_97d0;
+    /// `n = 128 − 32`: the same, high half.
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `n = 64`: 96 bits folded to 64.
+    const K5: i64 = 0x1_63cd_6124;
+    /// `P(x)` itself, reflected, with its `x^32` term.
+    const P: i64 = 0x1_db71_0641;
+    /// `μ = ⌊x^64 / P(x)⌋`, reflected: the Barrett constant.
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Advance the CRC register `c` over `bytes`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(c: u32, bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(64);
+        let Some(first) = blocks.next() else {
+            return super::crc32_table(c, bytes);
+        };
+        let mut x = [
+            lane(&first[..16]),
+            lane(&first[16..32]),
+            lane(&first[32..48]),
+            lane(&first[48..]),
+        ];
+        x[0] = _mm_xor_si128(x[0], _mm_cvtsi32_si128(c as i32));
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in &mut blocks {
+            for (i, x) in x.iter_mut().enumerate() {
+                *x = fold(*x, lane(&block[16 * i..16 * i + 16]), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let [x0, x1, x2, x3] = x;
+        let mut x = fold(fold(fold(x0, x1, k3k4), x2, k3k4), x3, k3k4);
+        let mut lanes = blocks.remainder().chunks_exact(16);
+        for next in &mut lanes {
+            x = fold(x, lane(next), k3k4);
+        }
+
+        // 128 bits to 64: the low half folded onto the high one, then the
+        // low 32 bits of that onto the upper 64.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: t1 = (x mod x^32)·μ, t2 = (t1 mod x^32)·P, and the
+        // register is the upper half of x ^ t2 (the reflected quotient).
+        let pmu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pmu, 0x00);
+        let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::crc32_table(c, lanes.remainder())
+    }
+
+    /// `next` ^ `x` carried 128 bits forward: `x`'s halves times `keys`'.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(x: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(x, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(x, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// Sixteen bytes as one little-endian lane.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn lane(bytes: &[u8]) -> __m128i {
+        let (lo, hi) = bytes.split_at(8);
+        let word = |b: &[u8]| i64::from_le_bytes(b.try_into().expect("8 bytes"));
+        _mm_set_epi64x(word(hi), word(lo))
+    }
 }
 
 // ---- frame bodies ---------------------------------------------------------
@@ -505,15 +643,14 @@ fn scan_segment<C: EntryCodec>(
         let [l0, l1, l2, l3, c0, c1, c2, c3] = head;
         let len = u32::from_le_bytes([l0, l1, l2, l3]);
         let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        // The body is read as far as the segment backs it, so a length
-        // past the end is a short read, never an allocation of that size.
-        frame.clear();
-        let read = match len {
-            ..=MAX_FRAME => (&mut rest).take(u64::from(len)).read_to_end(&mut frame)?,
-            _ => 0,
-        };
-        if read != len as usize {
+        // A length past what the segment has left is refused before the
+        // frame buffer is sized for it, never an allocation of that size.
+        if len > MAX_FRAME || u64::from(len) > rest.limit() {
             return damaged(left, "frame length overruns segment");
+        }
+        frame.resize(len as usize, 0);
+        if !read_full(&mut rest, &mut frame)? {
+            return damaged(left, "segment shrank while it was read");
         }
         if crc32(&frame) != crc {
             return damaged(left, "frame checksum mismatch");
@@ -1163,6 +1300,49 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[test]
+    fn a_flipped_bit_in_a_long_final_frame_tears_there_on_either_crc_path() {
+        let dir = tmpdir("long-flip");
+        let mut store = DurableStore::open(&dir, NumsCodec, opts_manual()).unwrap();
+        for k in 1..=4u64 {
+            let payload = Nums(vec![k; 150]);
+            store
+                .append_commit(0, &meta(k, &[k], false), &payload)
+                .unwrap();
+        }
+        drop(store);
+        let (idx, path) = list_segments(&dir).unwrap().pop().unwrap();
+        let image = fs::read(&path).unwrap();
+        let starts = frame_starts(&image);
+        assert!(
+            starts.windows(2).all(|w| w[1] - w[0] >= 128),
+            "frames of at least 128 B"
+        );
+        let last = *starts.last().unwrap();
+        let (body, len) = (last + 8, image.len() - last - 8);
+        // The kernel folds the payload's whole 16-byte lanes, from 64 B
+        // on; the table loop takes the bytes after them.
+        let folded = len - len % 16;
+        assert!(len >= CLMUL_MIN_LEN && folded < len, "a {len}-byte payload");
+        for (what, at) in [
+            ("folded span", body + folded / 2),
+            ("table tail", body + len - 1),
+        ] {
+            let mut bytes = image.clone();
+            bytes[at] ^= 0x08;
+            fs::write(&path, &bytes).unwrap();
+            let rec = recover(&dir, &NumsCodec).unwrap();
+            let torn = TornTail {
+                segment: idx,
+                offset: last as u64,
+                discarded: (image.len() - last) as u64,
+            };
+            assert_eq!(rec.torn, Some(torn), "a flip in the {what}");
+            assert_eq!(rec.stores[&0].len(), 3, "a flip in the {what}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Where each frame of an intact segment image starts, walked by the
     /// length fields.
     fn frame_starts(image: &[u8]) -> Vec<usize> {
@@ -1324,6 +1504,18 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// Both paths — the table loop and, where this CPU runs it, the
+    /// carry-less kernel, each called directly — and `crc32` itself
+    /// against the oracle.
+    fn assert_crc32_paths(buf: &[u8], what: &str) {
+        let want = crc32_bytewise(buf);
+        assert_eq!(!crc32_table(!0, buf), want, "table loop, {what}");
+        if let Some(c) = crc32_clmul(!0, buf) {
+            assert_eq!(!c, want, "carry-less kernel, {what}");
+        }
+        assert_eq!(crc32(buf), want, "crc32, {what}");
+    }
+
     #[test]
     fn crc32_sliced_equals_the_bytewise_oracle() {
         // xorshift64*: a fixed stream of test bytes.
@@ -1334,19 +1526,24 @@ mod tests {
             x ^= x >> 27;
             x.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
-        let pool: Vec<u8> = (0..8192).map(|_| (next() >> 56) as u8).collect();
-        // Every length 0..=64 at every start offset 0..8 …
-        for start in 0..8 {
-            for len in 0..=64 {
+        let pool: Vec<u8> = (0..(1 << 20) + 16).map(|_| (next() >> 56) as u8).collect();
+        // Every length 0..=1024 at every start offset 0..16 …
+        for start in 0..16 {
+            for len in 0..=1024 {
                 let buf = &pool[start..start + len];
-                assert_eq!(crc32(buf), crc32_bytewise(buf), "start {start} len {len}");
+                assert_crc32_paths(buf, &format!("start {start} len {len}"));
             }
         }
-        // … and 1,000 random windows of up to 4 KiB.
+        // … 1,000 random windows of up to 64 KiB …
         for _ in 0..1000 {
-            let (start, len) = (next() as usize % 4096, next() as usize % 4097);
+            let (start, len) = (
+                next() as usize % (1 << 16),
+                next() as usize % ((1 << 16) + 1),
+            );
             let buf = &pool[start..start + len];
-            assert_eq!(crc32(buf), crc32_bytewise(buf), "start {start} len {len}");
+            assert_crc32_paths(buf, &format!("start {start} len {len}"));
         }
+        // … and one 1 MiB buffer.
+        assert_crc32_paths(&pool[..1 << 20], "1 MiB");
     }
 }
