@@ -20,6 +20,13 @@
 # host.rs's code names no variant but `Delivered` (which it emits once the
 # application has the payload) — a second one is a translation arm.
 #
+# One delivery fold: the interpreter hands every engine output, with the
+# engine's id and epoch, to the host's DeliveryLedger (Host::ledger), so a
+# host that calls the fold's `note` itself, or keeps ledger books of its
+# own (`record_sent` / `record_delivered` / `record_rollback`), keys
+# deliveries by something only it knows and the checks stop agreeing
+# across hosts.
+#
 # Also one window into a run: the simulator's world records typed trace
 # records and `simdriver::trace::render` formats them, so a `format!(` in
 # world.rs's code is a second trace path; and the report fold lives in
@@ -89,6 +96,13 @@ if [ -n "$hits" ]; then
   echo "$hits"
   status=1
 fi
+hits=$(code_matching '[.]note[(]|DeliveryLedger::note|record_(sent|delivered|rollback)' \
+  crates/simdriver/src crates/runtime/src crates/core/src/testkit.rs)
+if [ -n "$hits" ]; then
+  echo "host code feeds the delivery ledger itself; only hc3i_core::host's perform feeds it:"
+  echo "$hits"
+  status=1
+fi
 hits=$(code_matching 'format![(]' crates/simdriver/src/world.rs)
 if [ -n "$hits" ]; then
   echo "the world formats a trace line; record a simdriver::TraceEvent and let trace::render format it:"
@@ -147,6 +161,7 @@ fi
 echo "one interpreter: no Output:: / Msg::Reliable / Msg::XportAck / Input::DetectFaults / coordinator_rank in simdriver, runtime or testkit"
 echo "one entry point: no NodeEngine::handle call in simdriver, runtime or testkit, nor in host.rs outside host::input"
 echo "one vocabulary: host.rs's code names no ProtoEvent but Delivered"
+echo "one delivery fold: no DeliveryLedger note or ledger bookkeeping in simdriver, runtime or testkit; host.rs's perform feeds it"
 echo "one window: no format!( in simdriver's world, no simdriver in runtime's manifest"
 echo "one owner of fail-stop state: no stored failure generation, failed flag or health table, and no is_failed() mirror check, in simdriver, runtime or testkit"
 echo "the transport comes with the loss: no XportConfig or with_reliable_transport in simdriver's config, runtime or campaign"

@@ -162,10 +162,11 @@ pub fn gc_liveness(r: &RunReport, expect: &GcExpectation) -> Vec<String> {
     v
 }
 
-/// No committed work lost: every inter-cluster send the workload issued
-/// from a live node was delivered at least once by the end of the run —
-/// across partitions, heals, duplication and churn. Requires the run to
-/// have recorded a delivery ledger.
+/// No committed work lost: every inter-cluster send that no later
+/// rollback of its own cluster undid was delivered at least once by the
+/// end of the run — across partitions, heals, duplication and churn
+/// ([`DeliveryLedger::undelivered`](simdriver::DeliveryLedger::undelivered)).
+/// Requires the run to have recorded a delivery ledger.
 pub fn no_lost_committed_work(stats: &HostileRunStats) -> Vec<String> {
     let Some(ledger) = stats.ledger.as_ref() else {
         return vec!["no delivery ledger recorded (SimConfig::with_delivery_ledger)".into()];
@@ -182,10 +183,10 @@ pub fn no_lost_committed_work(stats: &HostileRunStats) -> Vec<String> {
     )]
 }
 
-/// Delivered-record consistency: within one incarnation of the receiving
-/// cluster (between two of its rollbacks), each workload tag is delivered
-/// at most once — duplicated WAN copies and replays must be absorbed by
-/// the delivered-record filter.
+/// Delivered-record consistency: within one epoch (incarnation) of the
+/// receiving engine, each workload tag is delivered at most once —
+/// duplicated WAN copies and replays must be absorbed by the
+/// delivered-record filter.
 pub fn delivered_record_consistency(stats: &HostileRunStats) -> Vec<String> {
     let Some(ledger) = stats.ledger.as_ref() else {
         return vec!["no delivery ledger recorded (SimConfig::with_delivery_ledger)".into()];

@@ -223,8 +223,8 @@ mod tests {
 
     /// `dup_reorder_storm x lan_pair`, seed 20040435: node C0.n5 sends tag
     /// 65 at 1079.972 s; the fault at 1080.1 s cascades and cluster 0
-    /// restores the CLC it committed at 988.6 s, undoing that send. The
-    /// ledger used to report it as lost committed work.
+    /// restores the CLC it committed at 988.6 s, undoing that send. A
+    /// clock-keyed ledger once reported it as lost committed work.
     #[test]
     fn a_send_undone_by_its_senders_rollback_is_not_a_violation() {
         let cell = named_cell("dup_reorder_storm", "lan_pair", 20040435);

@@ -27,6 +27,7 @@
 //! | retransmission with backoff; stale timers are no-ops ([`retry`]) | [`Host::reset_clc_timer`] — cancel + reschedule the cluster's timer event, or re-arm the cluster's deadline |
 //! | which durable frame each [`StoreOp`] appends ([`StoreOp::append`]) | [`Host::durable`] — which log, what an I/O error does |
 //! | the observable vocabulary ([`ProtoEvent`]): the engine pushes each record finished, `perform` only carries it — and emits `Delivered` once the application has the payload | [`Host::emit`] — trace + report fold, an event channel, or a report fold alone |
+//! | what the delivery checks see: [`input`] hands the fold each input ([`DeliveryLedger::issue`]), and `perform` each output with the engine's id and epoch ([`DeliveryLedger::note`]) | [`Host::ledger`] — where the fold lives, or `None` |
 //! | handing the application's new snapshot to the engine, which checkpoints it | [`Host::deliver_app`] / [`Host::restore_app`] — the application, if there is one |
 //!
 //! (After the Calimero `sync_sim` table: everything that decides protocol
@@ -38,6 +39,7 @@ use crate::io::{Input, Output, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
 use crate::persist::CheckpointCodec;
+use crate::report::DeliveryLedger;
 use crate::xport::{ReceiverChannel, SenderChannel, XportConfig};
 use hc3i_types::{NodeId, SimTime};
 use std::collections::HashMap;
@@ -300,6 +302,12 @@ pub trait Host {
     /// The reliable transport, when this host runs one.
     fn xport(&mut self) -> Option<&mut Xport>;
 
+    /// The delivery ledger, when this host keeps one. Hosts that check
+    /// no delivery keep the default, and pay one branch per output.
+    fn ledger(&mut self) -> Option<&mut DeliveryLedger> {
+        None
+    }
+
     /// The copy `seq` of channel `from → to` just went on the wire: see
     /// that [`retry`] runs for it at `at`. A firing that finds the copy
     /// acked is a no-op, so acks never cancel anything.
@@ -347,6 +355,9 @@ pub fn input<H: Host>(host: &mut H, engine: &mut NodeEngine, input: Input, outs:
         }
         input => input,
     };
+    if let Some(ledger) = host.ledger() {
+        ledger.issue(engine, &input);
+    }
     engine.handle(host.now(), input, outs);
     perform(host, engine, outs);
 }
@@ -363,6 +374,9 @@ pub fn input<H: Host>(host: &mut H, engine: &mut NodeEngine, input: Input, outs:
 fn perform<H: Host>(host: &mut H, engine: &mut NodeEngine, outs: &mut OutputBuf) {
     let id = engine.id();
     for out in outs.drain() {
+        if let Some(ledger) = host.ledger() {
+            ledger.note(id, engine.epoch(), &out);
+        }
         match out {
             Output::Send { to, msg } => send(host, id, to, msg),
             Output::DeliverApp { from, payload } => {

@@ -82,7 +82,7 @@ pub use msg::{AppPayload, ClcReason, Msg, Piggyback};
 pub use node::NodeEngine;
 pub use persist::CheckpointCodec;
 pub use recovery::{is_consistent_cut, recovery_line, RecoveryLine};
-pub use report::{ClusterStats, RunReport};
+pub use report::{ClusterStats, DeliveryLedger, RunReport};
 pub use xport::{ReceiverChannel, SenderChannel, XportConfig};
 
 // Re-export the storage vocabulary used throughout the public API.

@@ -6,7 +6,8 @@
 //! its clock a counter, and it has no timers, no transport and no disk.
 //! Every input reaches its engine through the shared entry point
 //! ([`crate::host::input`]) like under every other host, what the engines
-//! report is folded by the same [`RunReport::observe`], and its engines,
+//! report is folded by the same [`RunReport::observe`], what they send
+//! and deliver by the same [`DeliveryLedger`], and its engines,
 //! coordinators and fault reports come from the same [`Layout`],
 //! [`ProtocolConfig::coordinator`] and [`FaultReports`]. No timing model —
 //! this isolates the protocol logic from the simulator, and is also handy
@@ -17,7 +18,7 @@ use crate::host::{self, Detection, FaultReports, Host, Layout, Xport};
 use crate::io::{Input, OutputBuf, ProtoEvent, StoreOp};
 use crate::msg::{AppPayload, Msg};
 use crate::node::NodeEngine;
-use crate::report::RunReport;
+use crate::report::{DeliveryLedger, RunReport};
 use hc3i_types::{NodeId, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -42,10 +43,12 @@ pub struct InstantFederation {
     queue: VecDeque<(NodeId, Input)>,
     /// Reusable engine-output buffer (the sink `NodeEngine::handle` fills).
     buf: OutputBuf,
-    now: SimTime,
     /// Every event the engines reported, folded as it passes
-    /// ([`InstantFederation::report`]).
+    /// ([`InstantFederation::report`]); its `events_processed` counts the
+    /// dispatched inputs and is the clock.
     stats: RunReport,
+    /// What the sender-logging checks read, as the interpreter feeds it.
+    pub ledger: DeliveryLedger,
     /// Every application delivery, in order.
     pub deliveries: Vec<Delivery>,
 }
@@ -62,7 +65,7 @@ impl InstantFederation {
             engines,
             queue: VecDeque::new(),
             buf: OutputBuf::new(),
-            now: SimTime::ZERO,
+            ledger: DeliveryLedger::default(),
             deliveries: vec![],
         }
     }
@@ -81,7 +84,7 @@ impl InstantFederation {
     /// Feed `input` to `node` without draining the network. Used by tests
     /// that need to observe in-flight state mid-protocol.
     fn inject(&mut self, node: NodeId, input: Input) {
-        self.now += SimDuration::from_nanos(1);
+        self.stats.events_processed += 1;
         if matches!(input, Input::AppSend { .. }) {
             self.stats.app_sent += 1;
         }
@@ -150,7 +153,8 @@ impl InstantFederation {
     /// The run so far as a [`RunReport`], folded like the simulator's and
     /// the runtime's, with every cluster closed from its engines. The wire
     /// counters and the message matrix stay zero, as nothing here models a
-    /// wire; the clock is one nanosecond per dispatched input.
+    /// wire; `events_processed` counts the dispatched inputs, and the
+    /// clock is one nanosecond per dispatched input.
     pub fn report(&self) -> RunReport {
         let mut report = self.stats.clone();
         for (c, stats) in report.clusters.iter_mut().enumerate() {
@@ -180,7 +184,7 @@ impl InstantFederation {
 
 impl Host for InstantFederation {
     fn now(&self) -> SimTime {
-        self.now
+        SimTime::ZERO + SimDuration::from_nanos(self.stats.events_processed)
     }
 
     fn wire(&mut self, from: NodeId, to: NodeId, msg: Msg) {
@@ -189,6 +193,10 @@ impl Host for InstantFederation {
 
     fn xport(&mut self) -> Option<&mut Xport> {
         None
+    }
+
+    fn ledger(&mut self) -> Option<&mut DeliveryLedger> {
+        Some(&mut self.ledger)
     }
 
     fn arm_retry(&mut self, _from: NodeId, _to: NodeId, _seq: u64, _at: SimTime) {}
@@ -201,7 +209,7 @@ impl Host for InstantFederation {
         if let ProtoEvent::Delivered { to, from, payload } = ev {
             self.deliveries.push(Delivery { from, to, payload });
         }
-        self.stats.observe(self.now, &ev);
+        self.stats.observe(self.now(), &ev);
     }
 }
 

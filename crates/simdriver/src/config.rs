@@ -107,9 +107,12 @@ pub struct SimConfig {
     /// Scripted cluster partitions with heal times. Inter-cluster messages
     /// crossing an active cut are held until the heal.
     pub partitions: Vec<PartitionSpec>,
-    /// Record a per-tag delivery ledger into the side statistics of
-    /// [`run_hostile`](crate::run_hostile). Observation only; the run
-    /// itself is unaffected.
+    /// Keep a per-tag delivery ledger ([`hc3i_core::DeliveryLedger`]) in
+    /// the side statistics of [`run_hostile`](crate::run_hostile).
+    /// Observation only; the run itself is unaffected. Off by default, so
+    /// that a run that checks no delivery (every fault-free one, and
+    /// `regen fingerprint`'s hostile ring, which pins `ledger: None`)
+    /// builds no ledger and pays one untaken branch per engine output.
     pub track_delivery: bool,
     /// Mirror every node's CLC store to an on-disk segment log under this
     /// directory (`storage::DurableStore`): commits, rollback truncations

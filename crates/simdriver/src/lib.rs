@@ -35,8 +35,8 @@ pub mod trace;
 mod world;
 
 pub use config::{FaultEvent, Sends, SimConfig, TraceLevel};
-pub use hc3i_core::{ClusterStats, RunReport};
-pub use hostile::{DeliveryLedger, HostileRunStats};
+pub use hc3i_core::{ClusterStats, DeliveryLedger, RunReport};
+pub use hostile::HostileRunStats;
 pub use run::{run, run_hostile, run_traced};
 pub use trace::TraceEvent;
 pub use world::{Ev, FederationWorld};

@@ -3,7 +3,7 @@
 use crate::config::SimConfig;
 use crate::hostile::HostileRunStats;
 use crate::trace::TraceEvent;
-use crate::world::{Ev, FederationWorld};
+use crate::world::{Ev, FederationWorld, Finished};
 use desim::{exponential, RngStreams, RunOutcome, SimDuration, SimTime, Simulation};
 use hc3i_core::{AppPayload, Input, RunReport};
 use rand::Rng;
@@ -40,7 +40,8 @@ pub fn run_traced(cfg: SimConfig) -> (RunReport, Vec<(SimTime, TraceEvent)>) {
 
 /// Like [`run`], but also returns the hostile-network side statistics
 /// (partition/duplication/reorder counters and, with
-/// [`SimConfig::with_delivery_ledger`], the per-tag delivery ledger).
+/// [`SimConfig::with_delivery_ledger`], the per-tag delivery ledger that
+/// the shared interpreter fed, keyed by epoch and SN).
 ///
 /// The [`RunReport`] is computed identically to [`run`]'s — hostile
 /// observations never touch the fingerprinted report.
@@ -181,9 +182,7 @@ fn feed_sends(
     }));
 }
 
-type Trace = Vec<(SimTime, TraceEvent)>;
-
-fn run_inner(cfg: SimConfig) -> (RunReport, Trace, HostileRunStats) {
+fn run_inner(cfg: SimConfig) -> Finished {
     let mut sim = Simulation::new(FederationWorld::new(cfg));
     seed_events(&mut sim);
 
@@ -195,10 +194,7 @@ fn run_inner(cfg: SimConfig) -> (RunReport, Trace, HostileRunStats) {
     );
     let now = sim.now();
     let events = sim.events_processed();
-    let report = sim.world_mut().finalize(now, events);
-    let hostile = sim.world_mut().finalize_hostile();
-    let trace = sim.into_world().trace.unwrap_or_default();
-    (report, trace, hostile)
+    sim.into_world().finalize(now, events)
 }
 
 #[cfg(test)]

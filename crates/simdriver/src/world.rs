@@ -6,16 +6,18 @@
 //! simulator's [`Host`]: the
 //! wire is the network model plus the event queue (`SimHost::wire`),
 //! the clock is simulated time, timers are queue events, and the event
-//! sink is the [`RunReport`] fold, the delivery ledger and the typed
-//! trace ([`TraceEvent`]), which this file only records — rendering is
-//! [`crate::trace::render`]'s.
+//! sink is the [`RunReport`] fold and the typed trace ([`TraceEvent`]),
+//! which this file only records — rendering is
+//! [`crate::trace::render`]'s. A hostile run's delivery ledger sits in
+//! [`HostileRunStats`], lent to the interpreter, which alone feeds it.
 
 use crate::config::{SimConfig, TraceLevel};
 use crate::hostile::HostileRunStats;
 use crate::trace::TraceEvent;
 use desim::{Ctx, EventKey, SimTime, World};
 use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, Xport};
-use hc3i_core::{Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport, StoreOp, XportConfig};
+use hc3i_core::{DeliveryLedger, Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport};
+use hc3i_core::{StoreOp, XportConfig};
 use netsim::{FastHashMap, HostileNet, Network, NodeId};
 
 /// Events of the federation world.
@@ -138,44 +140,32 @@ impl FederationWorld {
         let n = cfg.topology.num_clusters();
         let layout = Layout::new(&cfg.protocol);
         let engines = layout.engines(&cfg.protocol);
-        let net = Network::new(cfg.topology.clone()).with_contention(cfg.contention);
-        let stats = RunReport::new(n);
-        let trace = (cfg.trace != TraceLevel::Off).then(Vec::new);
-        let hostile = if cfg.hostile.is_some() || !cfg.partitions.is_empty() {
-            Some(HostileNet::new(
-                cfg.hostile.clone().unwrap_or_default(),
-                cfg.partitions.clone(),
-            ))
-        } else {
-            None
-        };
-        let hostile_stats = HostileRunStats {
-            ledger: cfg.track_delivery.then(Default::default),
-            ..Default::default()
-        };
-        let xport = cfg
-            .hostile
-            .as_ref()
-            .is_some_and(|h| h.loss > 0.0)
-            .then(|| Xport::new(XportConfig::default()));
         let durable = cfg.durable_dir.as_ref().map(|dir| {
             host::open_log(dir, &layout, &engines)
                 .unwrap_or_else(|e| panic!("open durable store at {}: {e}", dir.display()))
         });
+        let (spec, partitions) = (cfg.hostile.clone(), cfg.partitions.clone());
         FederationWorld {
+            net: Network::new(cfg.topology.clone()).with_contention(cfg.contention),
+            trace: (cfg.trace != TraceLevel::Off).then(Vec::new),
+            hostile_stats: HostileRunStats {
+                ledger: cfg.track_delivery.then(Default::default),
+                ..Default::default()
+            },
+            xport: spec
+                .as_ref()
+                .is_some_and(|h| h.loss > 0.0)
+                .then(|| Xport::new(XportConfig::default())),
+            hostile: (spec.is_some() || !partitions.is_empty())
+                .then(|| HostileNet::new(spec.unwrap_or_default(), partitions)),
             cfg,
             layout,
             engines,
             wire_seq: FastHashMap::default(),
-            net,
             clc_timer_keys: vec![None; n],
             reports: (0..n).map(|_| FaultReports::default()).collect(),
-            stats,
-            trace,
+            stats: RunReport::new(n),
             out_buf: OutputBuf::new(),
-            hostile,
-            hostile_stats,
-            xport,
             durable,
         }
     }
@@ -201,48 +191,41 @@ impl FederationWorld {
         }
     }
 
-    /// Fill in the end-of-run fields of the report and hand it over (the
-    /// world is dropped next; it keeps an empty one).
-    pub(crate) fn finalize(&mut self, now: SimTime, events: u64) -> RunReport {
+    /// Fill in the end-of-run fields of the report and of the hostile side
+    /// statistics (empty/default for a pristine run), and hand both over
+    /// with the trace.
+    pub(crate) fn finalize(mut self, now: SimTime, events: u64) -> Finished {
         // A finished run leaves a fully flushed log (per-commit fsync only
         // covers commit frames; trailing truncate/prune frames are flushed
         // here).
         if let Some(log) = self.durable.as_mut() {
             log.sync().expect("sync durable log");
         }
-        let n = self.cfg.topology.num_clusters();
-        for c in 0..n {
-            self.stats.clusters[c].close(&self.engines[self.layout.cluster(c)]);
+        let (mut r, mut h) = (self.stats, self.hostile_stats);
+        for (c, stats) in r.clusters.iter_mut().enumerate() {
+            stats.close(&self.engines[self.layout.cluster(c)]);
         }
         for (from, to, [app, ..]) in self.net.accounts() {
-            self.stats.app_matrix[from.index()][to.index()] = app.messages;
+            r.app_matrix[from.index()][to.index()] = app.messages;
         }
         let [app, protocol, ack] = self.net.class_totals();
-        self.stats.protocol_messages = protocol.messages;
-        self.stats.protocol_bytes = protocol.bytes;
-        self.stats.ack_messages = ack.messages;
-        self.stats.ack_bytes = ack.bytes;
-        self.stats.app_bytes = app.bytes;
-        self.stats.events_processed = events;
-        self.stats.ended_at = now;
-        std::mem::take(&mut self.stats)
-    }
-
-    /// Fold the hostile post-processor's counters into the side statistics
-    /// and return them (empty/default for a pristine run).
-    pub(crate) fn finalize_hostile(&mut self) -> HostileRunStats {
-        if let Some(h) = self.hostile.as_ref() {
-            self.hostile_stats.messages_held = h.held;
-            self.hostile_stats.duplicates_injected = h.duplicates;
-            self.hostile_stats.messages_reordered = h.reordered;
-            self.hostile_stats.messages_lost = h.lost;
+        (r.protocol_messages, r.protocol_bytes) = (protocol.messages, protocol.bytes);
+        (r.ack_messages, r.ack_bytes, r.app_bytes) = (ack.messages, ack.bytes, app.bytes);
+        (r.events_processed, r.ended_at) = (events, now);
+        if let Some(net) = self.hostile.as_ref() {
+            h.messages_held = net.held;
+            h.duplicates_injected = net.duplicates;
+            h.messages_reordered = net.reordered;
+            h.messages_lost = net.lost;
         }
-        if let Some(x) = self.xport.as_ref() {
-            self.hostile_stats.retransmissions = x.retransmissions();
-        }
-        self.hostile_stats.clone()
+        h.retransmissions = self.xport.as_ref().map_or(0, Xport::retransmissions);
+        (r, self.trace.unwrap_or_default(), h)
     }
 }
+
+/// What a finished run hands over: its report, its trace and its hostile
+/// side statistics.
+pub(crate) type Finished = (RunReport, Vec<(SimTime, TraceEvent)>, HostileRunStats);
 
 /// Append `record()` at `at` to `trace` if `level` keeps it
 /// ([`TraceEvent::level`]); untraced, the closure never runs. A free
@@ -339,6 +322,11 @@ impl Host for SimHost<'_, '_> {
         self.w.xport.as_mut()
     }
 
+    #[inline]
+    fn ledger(&mut self) -> Option<&mut DeliveryLedger> {
+        self.w.hostile_stats.ledger.as_mut()
+    }
+
     fn arm_retry(&mut self, from: NodeId, to: NodeId, seq: u64, at: SimTime) {
         self.ctx.schedule_at(at, Ev::XportRetry { from, to, seq });
     }
@@ -372,24 +360,6 @@ impl Host for SimHost<'_, '_> {
     #[inline]
     fn emit(&mut self, ev: ProtoEvent) {
         let (w, now) = (&mut *self.w, self.ctx.now());
-        match ev {
-            ProtoEvent::Delivered { to, from, payload } if from.cluster != to.cluster => {
-                if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
-                    // Ledger incarnation = rollbacks the receiving
-                    // cluster completed before this delivery.
-                    let incarnation = w.stats.clusters[to.cluster.index()].rollbacks.len();
-                    ledger.record_delivered(payload.tag, incarnation);
-                }
-            }
-            ProtoEvent::RolledBack {
-                node, committed_at, ..
-            } if node.rank == 0 => {
-                if let Some(ledger) = w.hostile_stats.ledger.as_mut() {
-                    ledger.record_rollback(node.cluster.index(), committed_at);
-                }
-            }
-            _ => {}
-        }
         w.stats.observe(now, &ev);
         record(&mut w.trace, w.cfg.trace, now, || TraceEvent::Proto(ev));
     }
@@ -401,19 +371,8 @@ impl World for FederationWorld {
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, event: Ev) {
         match event {
             Ev::Input { node, input } => {
-                if let Input::AppSend { to, payload } = &input {
+                if matches!(input, Input::AppSend { .. }) {
                     self.stats.app_sent += 1;
-                    // Only inter-cluster sends from a live node enter the
-                    // ledger: their eventual delivery is the protocol's
-                    // sender-logging guarantee (§3.3). Intra-cluster
-                    // traffic is covered by the coordinated checkpoint,
-                    // and a failed node's application is down.
-                    if let Some(ledger) = self.hostile_stats.ledger.as_mut() {
-                        let live = !self.engines[self.layout.index(node)].is_failed();
-                        if live && node.cluster != to.cluster {
-                            ledger.record_sent(payload.tag, node.cluster.index(), ctx.now());
-                        }
-                    }
                 }
                 self.handle_engine(ctx, node, input);
             }

@@ -228,6 +228,70 @@ fn simulator_segment_bytes_are_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Payload lengths of every frame in the segment at `path`: an 8-byte
+/// segment magic, then `[len u32][crc u32][payload]` frames.
+fn frame_lengths(path: &std::path::Path) -> Vec<usize> {
+    let bytes = std::fs::read(path).expect("read segment");
+    let (mut lens, mut at) = (Vec::new(), 8);
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+        lens.push(len);
+        at += 8 + len;
+    }
+    lens
+}
+
+/// The checksum bytes themselves, pinned. The run above writes no frame
+/// of 128 B or more, so it never reaches the carry-less kernel's 64-byte
+/// fold loop, and writer and reader share `crc32`: a wrong fold constant
+/// would replay whole. This run's cross traffic, with no collection to
+/// prune the chains, gives commit bodies and compaction snapshots of
+/// well over 128 B, whose checksums the two hashes pin.
+#[test]
+fn simulator_segment_bytes_with_long_frames_are_pinned() {
+    use workload::Workload;
+    let sends = workload::TargetCountWorkload {
+        cluster_sizes: vec![3, 3],
+        duration: SimDuration::from_minutes(30),
+        counts: vec![vec![60, 150], vec![150, 60]],
+        payload_bytes: 256,
+    }
+    .schedule(&desim::RngStreams::new(7));
+    let cfg = small_cfg(30)
+        .with_clc_delay(0, SimDuration::from_minutes(5))
+        .with_clc_delay(1, SimDuration::from_minutes(7))
+        .with_sends(sends)
+        .with_fault(
+            SimTime::ZERO + SimDuration::from_minutes(17),
+            NodeId::new(1, 1),
+        );
+    let dir = temp_dir("format-pin-long");
+    simdriver::run(cfg.with_durable_dir(&dir));
+    let longest = |seg: &str| frame_lengths(&dir.join(seg)).into_iter().max().unwrap_or(0);
+    assert!(
+        longest("seg-00000000.log") >= 128,
+        "a commit frame reaches the fold loop"
+    );
+    let pinned = |name: &str, hash: u64| [(name.to_string(), hash)];
+    assert_eq!(
+        segment_hashes(&dir),
+        pinned("seg-00000000.log", 0xfee4_684e_483b_0778)
+    );
+    let mut log = storage::DurableStore::open(&dir, CheckpointCodec, Default::default())
+        .expect("reopen the run's log");
+    log.compact().expect("compact");
+    drop(log);
+    assert!(
+        longest("seg-00000001.log") >= 128,
+        "a snapshot frame reaches the fold loop"
+    );
+    assert_eq!(
+        segment_hashes(&dir),
+        pinned("seg-00000001.log", 0xe083_f302_b9b1_35a0)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Crash-equivalence: any durable prefix of the log (what survives a hard
 /// kill after the last completed fsync) recovers to a prefix-consistent
 /// image — never an error, never a chain the full run didn't have. Uses a

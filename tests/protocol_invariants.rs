@@ -181,27 +181,69 @@ proptest! {
     fn deliveries_never_duplicate_within_incarnation(
         ops in prop::collection::vec(op_strategy(), 1..50)
     ) {
-        // Between two rollbacks of the receiving cluster, a given
-        // (sender, tag) pair is delivered at most once.
+        // Within one epoch (incarnation) of its receiver, an inter-cluster
+        // send is delivered at most once: the delivery ledger keys every
+        // delivery by the receiving engine's epoch.
         let fed = run_ops(&ops, PiggybackMode::SnOnly);
-        let mut seen: std::collections::HashMap<(NodeId, u64, usize), u32> =
-            std::collections::HashMap::new();
-        // The testkit records rollbacks and deliveries separately; a full
-        // interleaved log is not kept, so check the weaker global bound:
-        // duplicates can appear at most (1 + rollbacks of the receiving
-        // cluster) times.
-        for d in &fed.deliveries {
-            *seen.entry((d.from, d.payload.tag, d.to.cluster.index())).or_default() += 1;
-        }
-        let report = fed.report();
-        for ((_, tag, cluster), count) in seen {
-            let rb = report.clusters[cluster].rollbacks.len() as u32;
-            prop_assert!(
-                count <= 1 + rb,
-                "tag {tag} delivered {count} times with only {rb} rollbacks in cluster {cluster}"
-            );
+        let ledger = &fed.ledger;
+        prop_assert_eq!(ledger.duplicated_in_incarnation(), vec![]);
+        // The ledger saw every inter-cluster delivery the federation made.
+        let mut inter: Vec<u64> = fed
+            .deliveries
+            .iter()
+            .filter(|d| d.from.cluster != d.to.cluster)
+            .map(|d| d.payload.tag)
+            .collect();
+        inter.sort_unstable();
+        inter.dedup();
+        prop_assert_eq!(ledger.delivered_tags(), inter.len());
+    }
+
+    #[test]
+    fn no_committed_work_is_lost(
+        ops in prop::collection::vec(op_strategy(), 1..50)
+    ) {
+        // Sender-based logging (paper §3.3–3.4): every inter-cluster send
+        // that no later rollback of its own cluster undid is delivered.
+        for mode in [PiggybackMode::SnOnly, PiggybackMode::FullDdv] {
+            let fed = run_ops(&ops, mode);
+            prop_assert_eq!(fed.ledger.undelivered(), vec![], "{:?}", mode);
         }
     }
+}
+
+/// Seven operations that leave one inter-cluster send held forever under
+/// the full-DDV piggyback. Cluster 1's forced CLC 2 is stamped with the
+/// raise for cluster 2's SN 4, taken before the delivery it guards. Cluster
+/// 0's fault rolls cluster 2 back to CLC 2 and cluster 1 to its CLC 2,
+/// whose stamp still names cluster 2's discarded SN 4. Cluster 0 inherits
+/// that entry, and its next send to cluster 2 carries a DDV whose entry
+/// for cluster 2 (4) is above cluster 2's SN (2). The receiver holds the
+/// send for a forced CLC, but the CLC stamps its own entry with its new
+/// SN (3), so the held DDV is still not dominated, and `recheck_pending`
+/// asks for no further CLC: the send waits until cluster 2's own timer
+/// CLCs pass SN 4. The SN piggyback carries no third cluster's entry and
+/// delivers it.
+#[test]
+#[ignore = "protocol defect: a stale own entry in a piggybacked DDV holds a send past the forced CLC"]
+fn a_stale_own_entry_in_a_piggybacked_ddv_does_not_hold_a_send_forever() {
+    let send = |from, to| Op::Send { from, to };
+    let ops = [
+        send((1, 1), (0, 0)),
+        send((0, 2), (2, 1)),
+        Op::Timer { cluster: 2 },
+        Op::Timer { cluster: 2 },
+        send((2, 0), (1, 1)),
+        Op::Fault {
+            cluster: 0,
+            rank: 0,
+        },
+        send((0, 1), (2, 1)),
+    ];
+    let sn_only = run_ops(&ops, PiggybackMode::SnOnly);
+    assert!(sn_only.ledger.undelivered().is_empty());
+    let fed = run_ops(&ops, PiggybackMode::FullDdv);
+    assert_eq!(fed.ledger.undelivered(), Vec::<u64>::new());
 }
 
 #[test]
