@@ -16,6 +16,12 @@
 //! the same drain, exactly as a one-event-per-step executive would have
 //! dispatched them, so runs are bit-identical. (Measured against one event
 //! per step: that costs `sim_dense` +7.2 % `wall_s`; `bench/ABLATIONS.md`.)
+//! The queue keeps each streak of pushes at one instant as one run, so a
+//! handler's broadcast (a CLC request to every node of a cluster, whose
+//! copies land at one instant) is one heap entry, and each pop of that
+//! instant's drain advances the run in place; where several runs of the
+//! instant are pending, the heap merges them by `seq`, which keeps the
+//! order above.
 
 use crate::queue::{EventKey, EventQueue};
 use hc3i_types::SimTime;

@@ -4,10 +4,11 @@
 //! for its evaluation (§5.1). It provides:
 //!
 //! * a simulated clock and cancellable future-event list ([`EventQueue`]) —
-//!   a `(time, seq)`-ordered binary heap over a generation-stamped slab,
-//!   giving O(1) hash-free cancellation and allocation-free steady-state
-//!   cycles (the bulk workload is pulled from a sorted side feed one event
-//!   ahead, so the heap holds only what is in flight),
+//!   a `(time, seq)`-ordered binary heap of same-instant runs over a
+//!   generation-stamped slab, giving O(1) hash-free cancellation and
+//!   allocation-free steady-state cycles (the bulk workload is pulled from
+//!   a sorted side feed one event ahead, so the heap holds only what is in
+//!   flight, and a streak of pushes at one instant is one heap entry),
 //! * an event-scheduling executive that drains each simulated instant in
 //!   one loop ([`Simulation`]) over a one-method model ([`World`]),
 //! * named, independent, reproducible RNG streams ([`RngStreams`]).

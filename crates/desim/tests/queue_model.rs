@@ -3,7 +3,10 @@
 //! regimes a federation run mixes (same-instant ties, microsecond
 //! deliveries, 30-minute timers, `SimTime::MAX` sentinels), under pushes
 //! earlier than the current head, slot recycling and 10 k-event
-//! populations.
+//! populations. Streaks of pushes at one instant are the queue's runs:
+//! streaks of one instant interleaved with pushes elsewhere, cancels
+//! inside a streak and at its tail, and pushes at the head instant while
+//! it drains all pin the order the runs are merged in.
 
 use desim::{EventKey, EventQueue, SimTime};
 use proptest::prelude::*;
@@ -13,6 +16,8 @@ use std::collections::{BTreeMap, HashMap};
 enum Op {
     /// Push an event at the given time.
     Push(u64),
+    /// Push n events at the given time, one after another: one run.
+    PushStreak(u64, usize),
     /// Push this far *before* the current head (the raw queue, unlike
     /// `Ctx`, permits it — and after pops that is before the last pop).
     PushBeforeHead(u64),
@@ -28,6 +33,12 @@ enum Op {
     PopAt(u64),
     /// Cancel the k-th key handed out so far (if any).
     Cancel(usize),
+    /// Cancel the k-th newest key (0 is the newest: a streak's tail).
+    CancelRecent(usize),
+    /// Drain up to n events of the head instant via `pop_if_at`, pushing
+    /// one event at that instant after each: it joins the run being
+    /// drained, or starts one behind it.
+    DrainPushing(usize),
     /// Peek the earliest pending time.
     Peek,
 }
@@ -52,12 +63,15 @@ fn time_strategy() -> impl Strategy<Value = u64> {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => time_strategy().prop_map(Op::Push),
+        3 => (time_strategy(), 1usize..9).prop_map(|(t, n)| Op::PushStreak(t, n)),
         1 => (1u64..5_000).prop_map(Op::PushBeforeHead),
         1 => time_strategy().prop_map(Op::Recycle),
         3 => Just(Op::Pop),
         2 => (1usize..6).prop_map(Op::PopBatch),
         1 => time_strategy().prop_map(Op::PopAt),
         2 => any::<prop::sample::Index>().prop_map(|i| Op::Cancel(i.index(64))),
+        2 => (0usize..8).prop_map(Op::CancelRecent),
+        1 => (1usize..6).prop_map(Op::DrainPushing),
         1 => Just(Op::Peek),
     ]
 }
@@ -144,6 +158,11 @@ impl Pair {
     fn apply(&mut self, op: Op) -> Result<(), TestCaseError> {
         match op {
             Op::Push(t) => self.push(t)?,
+            Op::PushStreak(t, n) => {
+                for _ in 0..n {
+                    self.push(t)?;
+                }
+            }
             Op::PushBeforeHead(d) => {
                 let head = self.model.peek().unwrap_or(0);
                 self.push(head.saturating_sub(d))?;
@@ -179,6 +198,20 @@ impl Pair {
                     self.cancel(self.keys[i % self.keys.len()])?;
                 }
             }
+            Op::CancelRecent(k) => {
+                if let Some(&key) = self.keys.iter().rev().nth(k) {
+                    self.cancel(key)?;
+                }
+            }
+            Op::DrainPushing(n) => {
+                if let Some(at) = self.queue.peek_time() {
+                    for _ in 0..n {
+                        let got = self.queue.pop_if_at(at);
+                        prop_assert_eq!(got, self.model.pop_if_at(at.nanos()));
+                        self.push(at.nanos())?;
+                    }
+                }
+            }
             Op::Peek => {
                 prop_assert_eq!(self.queue.peek_time(), self.model.peek().map(SimTime));
             }
@@ -196,16 +229,33 @@ impl Pair {
     }
 }
 
+/// Apply `ops` to a fresh pair, then drain it.
+fn run_ops(ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let mut pair = Pair::default();
+    for op in ops {
+        pair.apply(op)?;
+    }
+    pair.drain()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn queue_matches_reference_model(ops in prop::collection::vec(op_strategy(), 1..300)) {
-        let mut pair = Pair::default();
-        for op in ops {
-            pair.apply(op)?;
-        }
-        pair.drain()?;
+        run_ops(ops)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The same property, 20,000 cases deep: every committed golden's
+    /// dispatch order rests on the run merge. CI runs it with `--ignored`.
+    #[test]
+    #[ignore = "deep run, ~8 s in a debug build; CI runs it with --ignored"]
+    fn queue_matches_reference_model_deep(ops in prop::collection::vec(op_strategy(), 1..300)) {
+        run_ops(ops)?;
     }
 }
 
