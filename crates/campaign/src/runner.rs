@@ -11,8 +11,8 @@ use simdriver::run_hostile;
 /// the plan only chooses the seeds.
 #[derive(Debug, Clone)]
 pub struct CampaignPlan {
-    /// Seeds each scenario × topology cell is run with.
-    pub seeds: Vec<u64>,
+    /// Seed ranges each scenario × topology cell is run with, in order.
+    pub seeds: Vec<std::ops::RangeInclusive<u64>>,
 }
 
 impl Default for CampaignPlan {
@@ -20,7 +20,7 @@ impl Default for CampaignPlan {
         // 20040426: the paper's publication date. The others are arbitrary
         // but fixed — the golden summary is keyed to them.
         Self {
-            seeds: vec![20040426, 7, 424242],
+            seeds: vec![20040426..=20040426, 7..=7, 424242..=424242],
         }
     }
 }
@@ -178,7 +178,7 @@ pub fn run_campaign(
     let mut cells = Vec::new();
     for scenario in scenarios() {
         for (topo_name, topo) in &topos {
-            for &seed in &plan.seeds {
+            for seed in plan.seeds.iter().cloned().flatten() {
                 let cell = run_cell(&scenario, topo_name, topo, seed);
                 progress(&cell);
                 cells.push(cell);

@@ -12,7 +12,7 @@ use desim::{RngStreams, SimDuration, SimTime};
 use hc3i_core::ReplicationPolicy;
 use netsim::{ClusterSpec, HostileSpec, LatencyDist, LinkSpec, Mix64, NodeId, Topology};
 use simdriver::SimConfig;
-use workload::{presets, TargetCountWorkload, Workload};
+use workload::{presets, SendEvent, TargetCountWorkload, Workload};
 
 /// Simulated application length of every scenario.
 const DURATION_MIN: u64 = 30;
@@ -121,9 +121,8 @@ fn sizes(topo: &Topology) -> Vec<u32> {
     topo.cluster_ids().map(|c| topo.nodes_in(c)).collect()
 }
 
-/// The scenarios' common chassis: a target-count workload (40 intra per
-/// cluster, 12 per directed inter pair), periodic CLCs, periodic GC and
-/// the delivery ledger.
+/// The scenarios' common chassis with a target-count workload (40 intra
+/// per cluster, 12 per directed inter pair).
 fn base_config(topo: &Topology, seed: u64) -> SimConfig {
     let sizes = sizes(topo);
     let n = sizes.len();
@@ -137,12 +136,18 @@ fn base_config(topo: &Topology, seed: u64) -> SimConfig {
         payload_bytes: 512,
     }
     .schedule(&RngStreams::new(seed));
+    chassis(topo, seed, sends)
+}
+
+/// The scenarios' common chassis: `sends`, periodic CLCs, periodic GC
+/// and the delivery ledger.
+fn chassis(topo: &Topology, seed: u64, sends: Vec<SendEvent>) -> SimConfig {
     let mut cfg = SimConfig::new(topo.clone(), SimDuration::from_minutes(DURATION_MIN))
         .with_sends(sends)
         .with_gc_interval(SimDuration::from_minutes(GC_MIN))
         .with_seed(seed)
         .with_delivery_ledger();
-    for c in 0..n {
+    for c in 0..topo.num_clusters() {
         cfg = cfg.with_clc_delay(c, SimDuration::from_minutes(CLC_MIN));
     }
     cfg
@@ -255,7 +260,7 @@ fn flash_crowd_hostile(topo: &Topology, seed: u64) -> ScenarioRun {
     let spec = HostileSpec::seeded(seed ^ 0xF1A5)
         .with_duplication(0.2, SimDuration::from_millis(1))
         .with_reorder(0.1, SimDuration::from_micros(500));
-    let cfg = base_config(topo, seed).with_sends(sends).with_hostile(spec);
+    let cfg = chassis(topo, seed, sends).with_hostile(spec);
     ScenarioRun {
         cfg,
         waves: vec![],

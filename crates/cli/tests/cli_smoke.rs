@@ -522,3 +522,22 @@ fn campaign_rejects_a_reversed_seed_range() {
         "{stderr}"
     );
 }
+
+/// A seed range as long as `u64` allows is parsed as a range, not spelled
+/// out: the flag after it is read and refused (exit 2) where a list of
+/// 2^64 seeds once aborted the process with `capacity overflow` (exit
+/// 101).
+#[test]
+fn campaign_parses_the_widest_seed_range() {
+    let out = Command::new(bin())
+        .args(["campaign", "--seeds", "0..=18446744073709551615", "--json"])
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "no cell may run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: --json needs a path\nusage:"),
+        "{stderr}"
+    );
+}

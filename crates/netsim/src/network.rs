@@ -252,22 +252,6 @@ impl Network {
         arrival
     }
 
-    /// Traffic charged to a `(from, to, class)` account. Total: a pair that
-    /// never carried a message, and out-of-range cluster ids, report zero.
-    pub fn traffic(&self, from: ClusterId, to: ClusterId, class: MessageClass) -> TrafficCell {
-        let accounts = if from == to {
-            self.intra_accounts.get(from.index())
-        } else {
-            self.pairs.get(&(from, to)).map(|pair| &pair.accounts)
-        };
-        accounts.map_or_else(TrafficCell::default, |a| a[class_index(class)])
-    }
-
-    /// All application messages from `from` to `to` (the Table 1 cells).
-    pub fn app_messages(&self, from: ClusterId, to: ClusterId) -> u64 {
-        self.traffic(from, to, MessageClass::App).messages
-    }
-
     /// Every route that has an account — each cluster to itself, and the
     /// directed pairs that carried a message — with its cells as `[App,
     /// Protocol, Ack]`, in no particular order. A route not yielded has
@@ -296,22 +280,6 @@ impl Network {
         }
         totals
     }
-
-    /// Total messages of one class across all accounts.
-    pub fn total_by_class(&self, class: MessageClass) -> u64 {
-        self.class_totals()[class_index(class)].messages
-    }
-
-    /// Total bytes of one class across all accounts.
-    pub fn total_bytes_by_class(&self, class: MessageClass) -> u64 {
-        self.class_totals()[class_index(class)].bytes
-    }
-
-    /// Inter-cluster messages of one class (excludes intra-cluster traffic).
-    pub fn inter_cluster_by_class(&self, class: MessageClass) -> u64 {
-        let k = class_index(class);
-        self.pairs.values().map(|p| p.accounts[k].messages).sum()
-    }
 }
 
 #[cfg(test)]
@@ -325,6 +293,14 @@ mod tests {
 
     fn t_us(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    /// The `from -> to` route's `[App, Protocol, Ack]` cells, zero for a
+    /// route [`Network::accounts`] does not yield.
+    fn cells(n: &Network, from: ClusterId, to: ClusterId) -> Accounts {
+        n.accounts()
+            .find(|&(f, t, _)| (f, t) == (from, to))
+            .map_or_else(Accounts::default, |(_, _, cells)| *cells)
     }
 
     #[test]
@@ -464,7 +440,7 @@ mod tests {
         assert!(is_dense(&n), "the 3,585th channel");
         all_pairs(&mut n, 100, 100);
         assert!(is_dense(&n));
-        assert_eq!(n.app_messages(ClusterId(0), ClusterId(0)), 22);
+        assert_eq!(cells(&n, ClusterId(0), ClusterId(0))[0].messages, 22);
     }
 
     #[test]
@@ -579,9 +555,14 @@ mod tests {
     #[test]
     fn traffic_is_total_over_cluster_ids() {
         let n = net();
+        assert!(
+            n.accounts()
+                .all(|(from, to, _)| from.index() < 2 && to.index() < 2),
+            "only the topology's clusters have accounts"
+        );
         assert_eq!(
-            n.traffic(ClusterId(9), ClusterId(0), MessageClass::App),
-            TrafficCell::default(),
+            cells(&n, ClusterId(9), ClusterId(0)),
+            Accounts::default(),
             "out-of-range ids report zero traffic, not a panic"
         );
     }
@@ -620,14 +601,21 @@ mod tests {
             MessageClass::Protocol,
         );
 
-        assert_eq!(n.app_messages(c0, c0), 1);
-        assert_eq!(n.app_messages(c0, c1), 1);
-        assert_eq!(n.app_messages(c1, c0), 0);
-        assert_eq!(n.traffic(c1, c0, MessageClass::Ack).messages, 1);
-        assert_eq!(n.traffic(c1, c0, MessageClass::Ack).bytes, 30);
-        assert_eq!(n.total_by_class(MessageClass::Protocol), 1);
-        assert_eq!(n.total_by_class(MessageClass::App), 2);
-        assert_eq!(n.total_bytes_by_class(MessageClass::App), 30);
-        assert_eq!(n.inter_cluster_by_class(MessageClass::App), 1);
+        let (app, protocol, ack) = (0, 1, 2);
+        assert_eq!(cells(&n, c0, c0)[app].messages, 1);
+        assert_eq!(cells(&n, c0, c1)[app].messages, 1);
+        assert_eq!(cells(&n, c1, c0)[app].messages, 0);
+        assert_eq!(cells(&n, c1, c0)[ack].messages, 1);
+        assert_eq!(cells(&n, c1, c0)[ack].bytes, 30);
+        let totals = n.class_totals();
+        assert_eq!(totals[protocol].messages, 1);
+        assert_eq!(totals[app].messages, 2);
+        assert_eq!(totals[app].bytes, 30);
+        let inter_app: u64 = n
+            .accounts()
+            .filter(|&(from, to, _)| from != to)
+            .map(|(_, _, cells)| cells[app].messages)
+            .sum();
+        assert_eq!(inter_app, 1);
     }
 }

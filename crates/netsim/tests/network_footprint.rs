@@ -91,10 +91,12 @@ fn ring_round(clusters: usize) -> u64 {
             );
         }
     });
-    assert_eq!(
-        net.inter_cluster_by_class(MessageClass::App),
-        clusters as u64
-    );
+    let inter_app: u64 = net
+        .accounts()
+        .filter(|&(from, to, _)| from != to)
+        .map(|(_, _, cells)| cells[0].messages)
+        .sum();
+    assert_eq!(inter_app, clusters as u64);
     bytes
 }
 

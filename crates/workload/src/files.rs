@@ -81,6 +81,30 @@ fn at_most(ln: usize, tok: &[&str], args: usize) -> Result<(), ParseError> {
     Ok(())
 }
 
+/// How [`arg`] reads a keyword argument: [`number`] or [`parse_duration`].
+type Read<T> = fn(&str) -> Option<T>;
+
+/// Keyword argument `i` of line `ln` as `read` takes it; `what` is the
+/// error when it is missing or refused.
+fn arg<T>(ln: usize, tok: &[&str], i: usize, what: &str, read: Read<T>) -> Result<T, ParseError> {
+    let value = tok.get(i).and_then(|s| read(s));
+    value.ok_or_else(|| err(ln, what))
+}
+
+/// The first keyword argument of line `ln`, the cluster the line is
+/// about, as an index below `n`.
+fn cluster(ln: usize, tok: &[&str], n: usize, what: &str) -> Result<usize, ParseError> {
+    let c = arg(ln, tok, 1, what, number)?;
+    if c >= n {
+        return Err(err(ln, "cluster out of range"));
+    }
+    Ok(c)
+}
+
+fn number<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.parse().ok()
+}
+
 fn content_lines(text: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
     text.lines().enumerate().filter_map(|(i, raw)| {
         let line = raw.split('#').next().unwrap_or("").trim();
@@ -106,10 +130,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
         match tok[0] {
             "clusters" => {
                 at_most(ln, &tok, 1)?;
-                let n: usize = tok
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln, "clusters needs a count"))?;
+                let n: usize = arg(ln, &tok, 1, "clusters needs a count", number)?;
                 if n == 0 {
                     return Err(err(ln, "need at least one cluster"));
                 }
@@ -134,37 +155,24 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                 nodes = (counts, ln);
             }
             "intra" => {
-                let c: usize = tok
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln, "intra needs: cluster latency bandwidth"))?;
-                let link = parse_link(&tok[2..]).map_err(|m| err(ln, m))?;
-                if c >= intra.len() {
-                    return Err(err(ln, "intra cluster index out of range"));
-                }
-                intra[c] = Some(link);
+                let n = intra.len();
+                let c = cluster(ln, &tok, n, "intra needs: cluster latency bandwidth")?;
+                intra[c] = Some(parse_link(&tok[2..]).map_err(|m| err(ln, m))?);
             }
             "inter" => {
                 if tok.len() == 3 {
                     // `inter <latency> <bandwidth>`: default for all pairs.
                     default_inter = parse_link(&tok[1..]).map_err(|m| err(ln, m))?;
                 } else {
-                    let a: usize = tok
-                        .get(1)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| err(ln, "inter needs: a b latency bandwidth"))?;
-                    let b: usize = tok
-                        .get(2)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| err(ln, "inter needs: a b latency bandwidth"))?;
+                    let a = arg(ln, &tok, 1, "inter needs: a b latency bandwidth", number)?;
+                    let b = arg(ln, &tok, 2, "inter needs: a b latency bandwidth", number)?;
                     let link = parse_link(&tok[3..]).map_err(|m| err(ln, m))?;
                     inter.push((ln, a, b, link));
                 }
             }
             "mtbf" => {
                 at_most(ln, &tok, 1)?;
-                let d = parse_duration(tok.get(1).copied().unwrap_or(""))
-                    .ok_or_else(|| err(ln, "bad mtbf duration"))?;
+                let d = arg(ln, &tok, 1, "bad mtbf duration", parse_duration)?;
                 if !d.is_infinite() && d.nanos() > 0 {
                     mtbf = Some(d);
                 }
@@ -237,29 +245,16 @@ pub fn parse_application(
         match tok[0] {
             "duration" => {
                 at_most(ln, &tok, 1)?;
-                duration = Some(
-                    parse_duration(tok.get(1).copied().unwrap_or(""))
-                        .ok_or_else(|| err(ln, "bad duration"))?,
-                );
+                duration = Some(arg(ln, &tok, 1, "bad duration", parse_duration)?);
             }
             "payload" => {
                 at_most(ln, &tok, 1)?;
-                payload = tok
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln, "payload needs bytes"))?;
+                payload = arg(ln, &tok, 1, "payload needs bytes", number)?;
             }
             "compute_mean" => {
                 at_most(ln, &tok, 2)?;
-                let c: usize = tok
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln, "compute_mean needs: cluster duration"))?;
-                if c >= n {
-                    return Err(err(ln, "cluster out of range"));
-                }
-                let d = parse_duration(tok.get(2).copied().unwrap_or(""))
-                    .ok_or_else(|| err(ln, "bad compute_mean duration"))?;
+                let c = cluster(ln, &tok, n, "compute_mean needs: cluster duration")?;
+                let d = arg(ln, &tok, 2, "bad compute_mean duration", parse_duration)?;
                 if d == SimDuration::ZERO {
                     // A zero mean never advances the generator's clock.
                     return Err(err(ln, "compute_mean must be positive"));
@@ -267,13 +262,7 @@ pub fn parse_application(
                 compute[c] = d.as_secs_f64();
             }
             "pattern" => {
-                let c: usize = tok
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln, "pattern needs: cluster p0 p1 …"))?;
-                if c >= n {
-                    return Err(err(ln, "cluster out of range"));
-                }
+                let c = cluster(ln, &tok, n, "pattern needs: cluster p0 p1 …")?;
                 if tok.len() != 2 + n {
                     return Err(err(ln, format!("pattern row needs {n} probabilities")));
                 }
@@ -319,15 +308,8 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
         match tok[0] {
             "clc_timer" => {
                 at_most(ln, &tok, 2)?;
-                let c: usize = tok
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(ln, "clc_timer needs: cluster delay"))?;
-                if c >= num_clusters {
-                    return Err(err(ln, "cluster out of range"));
-                }
-                clc[c] = parse_duration(tok.get(2).copied().unwrap_or(""))
-                    .ok_or_else(|| err(ln, "bad delay"))?;
+                let c = cluster(ln, &tok, num_clusters, "clc_timer needs: cluster delay")?;
+                clc[c] = arg(ln, &tok, 2, "bad delay", parse_duration)?;
                 if clc[c] == SimDuration::ZERO {
                     // A zero delay re-arms at the instant it fires.
                     return Err(err(ln, "clc_timer delay must be positive"));
@@ -335,8 +317,7 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
             }
             "gc_timer" => {
                 at_most(ln, &tok, 1)?;
-                let d = parse_duration(tok.get(1).copied().unwrap_or(""))
-                    .ok_or_else(|| err(ln, "bad gc delay"))?;
+                let d = arg(ln, &tok, 1, "bad gc delay", parse_duration)?;
                 if d == SimDuration::ZERO {
                     return Err(err(ln, "gc_timer delay must be positive"));
                 }
@@ -346,8 +327,7 @@ pub fn parse_timers(text: &str, num_clusters: usize) -> Result<TimerSpec, ParseE
             }
             "detection_delay" => {
                 at_most(ln, &tok, 1)?;
-                detection = parse_duration(tok.get(1).copied().unwrap_or(""))
-                    .ok_or_else(|| err(ln, "bad detection delay"))?;
+                detection = arg(ln, &tok, 1, "bad detection delay", parse_duration)?;
             }
             other => return Err(err(ln, format!("unknown keyword `{other}`"))),
         }
