@@ -35,11 +35,17 @@ pub(crate) struct BaselineInput {
 }
 
 impl BaselineInput {
-    /// Effective checkpoint instants for cluster `c`: `period, 2·period, …`
-    /// up to the horizon (plus the initial checkpoint at t = 0).
+    /// Effective checkpoint instants for cluster `c`: its period's
+    /// [`every`](Self::every).
     pub(crate) fn checkpoint_times(&self, c: usize) -> Vec<SimTime> {
+        self.every(self.ckpt_periods[c])
+    }
+
+    /// Checkpoint instants `period, 2·period, …` up to the horizon, plus
+    /// the initial checkpoint at t = 0 (only that one for an infinite or
+    /// zero period).
+    pub(crate) fn every(&self, period: SimDuration) -> Vec<SimTime> {
         let mut times = vec![SimTime::ZERO];
-        let period = self.ckpt_periods[c];
         if period.is_infinite() || period.nanos() == 0 {
             return times;
         }

@@ -1,32 +1,43 @@
 //! The paper's evaluation experiments (§5), one function per table/figure.
 //!
-//! Every function builds the same setup the paper describes — 2 (or 3)
-//! clusters of 100 nodes, Myrinet-like SANs, Ethernet-like inter-cluster
-//! links, a 10-hour application with the Table 1 traffic — runs the
-//! full-fidelity simulation and returns the rows the paper plots.
+//! Every run is one [`federation`]: a cluster per entry of the workload's
+//! sizes (100 nodes each for the paper's 2 or 3 clusters), Myrinet-like
+//! SANs, Ethernet-like inter-cluster links. The paper's runs take the
+//! 10-hour Table 1 traffic; the wide-federation sweeps take a [`ring`].
+//! Each function runs the full-fidelity simulation and returns the rows
+//! the paper plots.
 
 use desim::{RngStreams, SimDuration};
 use hc3i_core::{PiggybackMode, ProtocolConfig};
-use netsim::Topology;
+use netsim::{ClusterSpec, LinkSpec, Topology};
 use simdriver::{run, RunReport, SimConfig};
 use workload::{TargetCountWorkload, Workload};
 
 /// Default seed of the `regen` binary (and of `paper/RESULTS.md`).
 pub(crate) const DEFAULT_SEED: u64 = 20040426; // the workshop date
 
-fn paper_run(
-    n_clusters: usize,
-    workload: &TargetCountWorkload,
+/// `w`'s schedule at `seed` over one Myrinet-like cluster per entry of
+/// `w.cluster_sizes`, joined by Ethernet-like links (with every size 100,
+/// `Topology::paper_reference`). Cluster `c` takes an unforced CLC every
+/// `clc_delays_min[c]` minutes (`None` or no entry: never); GC runs every
+/// `gc_hours` hours (`None`: never).
+pub(crate) fn federation(
+    w: &TargetCountWorkload,
     clc_delays_min: &[Option<u64>],
     gc_hours: Option<u64>,
     piggyback: PiggybackMode,
     seed: u64,
-) -> RunReport {
-    let sends = workload.schedule(&RngStreams::new(seed));
-    let mut cfg = SimConfig::new(Topology::paper_reference(n_clusters), workload.duration)
-        .with_sends(sends)
+) -> SimConfig {
+    let clusters = w.cluster_sizes.iter().map(|&nodes| ClusterSpec {
+        nodes,
+        intra: LinkSpec::myrinet_like(),
+    });
+    let topology = Topology::new(clusters.collect(), LinkSpec::ethernet_like());
+    let protocol = ProtocolConfig::new(w.cluster_sizes.clone()).with_piggyback(piggyback);
+    let mut cfg = SimConfig::new(topology, w.duration)
+        .with_sends(w.schedule(&RngStreams::new(seed)))
         .with_seed(seed)
-        .with_protocol(ProtocolConfig::new(vec![100; n_clusters]).with_piggyback(piggyback));
+        .with_protocol(protocol);
     for (c, d) in clc_delays_min.iter().enumerate() {
         if let Some(minutes) = d {
             cfg = cfg.with_clc_delay(c, SimDuration::from_minutes(*minutes));
@@ -35,6 +46,44 @@ fn paper_run(
     if let Some(h) = gc_hours {
         cfg = cfg.with_gc_interval(SimDuration::from_hours(h));
     }
+    cfg
+}
+
+/// A ring of `n` clusters of `nodes` nodes over `hours` hours: each
+/// cluster sends `local` messages inside itself, `next` to the next
+/// cluster over and `skip` to the one after that.
+pub(crate) fn ring(
+    n: usize,
+    nodes: u32,
+    hours: u64,
+    [local, next, skip]: [u64; 3],
+) -> TargetCountWorkload {
+    let mut counts = vec![vec![0u64; n]; n];
+    for (i, row) in counts.iter_mut().enumerate() {
+        row[i] += local;
+        row[(i + 1) % n] += next;
+        row[(i + 2) % n] += skip;
+    }
+    TargetCountWorkload {
+        cluster_sizes: vec![nodes; n],
+        duration: SimDuration::from_hours(hours),
+        counts,
+        payload_bytes: 1024,
+    }
+}
+
+/// The reference run: 2 clusters x 100 nodes, 10 simulated hours, 103
+/// reverse messages, 30-minute timers, GC every 2 h. Table 2 is its
+/// report; `regen fingerprint` pins it in both piggyback modes.
+pub(crate) fn reference(piggyback: PiggybackMode, seed: u64) -> SimConfig {
+    let w = TargetCountWorkload::paper_with_reverse_count(103);
+    federation(&w, &[Some(30), Some(30)], Some(2), piggyback, seed)
+}
+
+/// A paper run over the Table 1 traffic, SN-only piggybacking.
+fn table1_run(clc_delays_min: &[Option<u64>], seed: u64) -> RunReport {
+    let w = TargetCountWorkload::paper_table1();
+    let cfg = federation(&w, clc_delays_min, None, PiggybackMode::SnOnly, seed);
     run(cfg)
 }
 
@@ -42,14 +91,7 @@ fn paper_run(
 
 /// Table 1: application message counts of the reference workload.
 pub(crate) fn table1(seed: u64) -> RunReport {
-    paper_run(
-        2,
-        &TargetCountWorkload::paper_table1(),
-        &[Some(30), None],
-        None,
-        PiggybackMode::SnOnly,
-        seed,
-    )
+    table1_run(&[Some(30), None], seed)
 }
 
 // ------------------------------------------------------------ Figures 6–7
@@ -75,14 +117,7 @@ pub(crate) fn figure6_7(delays_min: &[u64], seed: u64) -> Vec<Fig67Row> {
     delays_min
         .iter()
         .map(|&d| {
-            let r = paper_run(
-                2,
-                &TargetCountWorkload::paper_table1(),
-                &[Some(d), None],
-                None,
-                PiggybackMode::SnOnly,
-                seed,
-            );
+            let r = table1_run(&[Some(d), None], seed);
             Fig67Row {
                 delay_min: d,
                 c0_unforced: r.clusters[0].unforced_clcs,
@@ -121,14 +156,7 @@ pub(crate) fn figure8(c1_delays_min: &[u64], seed: u64) -> Vec<Fig8Row> {
     c1_delays_min
         .iter()
         .map(|&d| {
-            let r = paper_run(
-                2,
-                &TargetCountWorkload::paper_table1(),
-                &[Some(30), Some(d)],
-                None,
-                PiggybackMode::SnOnly,
-                seed,
-            );
+            let r = table1_run(&[Some(30), Some(d)], seed);
             Fig8Row {
                 c1_delay_min: d,
                 c0_total: r.clusters[0].total_clcs(),
@@ -167,14 +195,14 @@ pub(crate) fn figure9(reverse_counts: &[u64], seed: u64) -> Vec<Fig9Row> {
     reverse_counts
         .iter()
         .map(|&rev| {
-            let r = paper_run(
-                2,
-                &TargetCountWorkload::paper_with_reverse_count(rev),
+            let w = TargetCountWorkload::paper_with_reverse_count(rev);
+            let r = run(federation(
+                &w,
                 &[Some(30), Some(30)],
                 None,
                 PiggybackMode::SnOnly,
                 seed,
-            );
+            ));
             Fig9Row {
                 reverse_msgs: rev,
                 c0_total: r.clusters[0].total_clcs(),
@@ -196,28 +224,15 @@ pub(crate) fn figure9_counts() -> Vec<u64> {
 /// Table 2: per-GC stored-CLC counts before/after, two clusters, GC every
 /// two hours, 103 reverse messages (paper §5.4's sample).
 pub(crate) fn table2(seed: u64) -> RunReport {
-    paper_run(
-        2,
-        &TargetCountWorkload::paper_with_reverse_count(103),
-        &[Some(30), Some(30)],
-        Some(2),
-        PiggybackMode::SnOnly,
-        seed,
-    )
+    run(reference(PiggybackMode::SnOnly, seed))
 }
 
 /// Table 3: the three-cluster variant (cluster 2 clones cluster 1, ~200
 /// messages leave/arrive per cluster).
 pub(crate) fn table3(seed: u64) -> RunReport {
     let w = workload::presets::paper_three_clusters();
-    paper_run(
-        3,
-        &w,
-        &[Some(30), Some(30), Some(30)],
-        Some(2),
-        PiggybackMode::SnOnly,
-        seed,
-    )
+    let cfg = federation(&w, &[Some(30); 3], Some(2), PiggybackMode::SnOnly, seed);
+    run(cfg)
 }
 
 // -------------------------------------------------------------- Ablations
@@ -240,23 +255,11 @@ pub(crate) fn ablation_ddv(cluster_counts: &[usize], seed: u64) -> Vec<DdvAblati
     cluster_counts
         .iter()
         .map(|&n| {
-            let mut counts = vec![vec![0u64; n]; n];
-            for (i, row) in counts.iter_mut().enumerate() {
-                row[i] = 500;
-                row[(i + 1) % n] = 60;
-                // Every third cluster also reports two steps ahead,
-                // creating the transitive shortcut.
-                row[(i + 2) % n] += 20;
-            }
-            let w = TargetCountWorkload {
-                cluster_sizes: vec![100; n],
-                duration: SimDuration::from_hours(10),
-                counts,
-                payload_bytes: 1024,
-            };
+            // Every cluster also reports two steps ahead, creating the
+            // transitive shortcut.
+            let w = ring(n, 100, 10, [500, 60, 20]);
             let forced = |mode| {
-                let delays: Vec<Option<u64>> = vec![Some(30); n];
-                let r = paper_run(n, &w, &delays, None, mode, seed);
+                let r = run(federation(&w, &vec![Some(30); n], None, mode, seed));
                 r.clusters.iter().map(|c| c.forced_clcs).sum::<u64>()
             };
             DdvAblationRow {
@@ -294,7 +297,6 @@ pub(crate) fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
     use netsim::NodeId;
 
     let w = TargetCountWorkload::paper_with_reverse_count(103);
-    let sends = w.schedule(&RngStreams::new(seed));
     // Off-grid fault times (not multiples of the 30-minute checkpoint
     // period), so every protocol has genuinely lost work to recover.
     let fault_times = [
@@ -309,11 +311,14 @@ pub(crate) fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
     ];
 
     // HC3I at full fidelity.
-    let mut cfg = SimConfig::new(Topology::paper_reference(2), w.duration)
-        .with_sends(sends.clone())
-        .with_seed(seed)
-        .with_clc_delay(0, SimDuration::from_minutes(30))
-        .with_clc_delay(1, SimDuration::from_minutes(30));
+    let mut cfg = federation(&w, &[Some(30), Some(30)], None, PiggybackMode::SnOnly, seed);
+    let input = BaselineInput {
+        topology: cfg.topology.clone(),
+        sends: cfg.sends.clone(),
+        duration: w.duration,
+        ckpt_periods: vec![SimDuration::from_minutes(30); 2],
+        faults: fault_times.to_vec(),
+    };
     for &(at, cluster) in &fault_times {
         cfg = cfg.with_fault(at, NodeId::new(cluster as u16, 7));
     }
@@ -332,11 +337,7 @@ pub(crate) fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
         protocol: "hc3i".into(),
         checkpoints: hc3i.clusters.iter().map(|c| c.total_clcs()).sum(),
         protocol_messages: hc3i.protocol_messages,
-        mean_rollback_scope: if fault_times.is_empty() {
-            0.0
-        } else {
-            hc3i.total_rollbacks() as f64 / fault_times.len() as f64
-        },
+        mean_rollback_scope: hc3i.total_rollbacks() as f64 / fault_times.len() as f64,
         lost_node_seconds: hc3i_lost,
         peak_log_bytes: hc3i
             .clusters
@@ -345,13 +346,6 @@ pub(crate) fn ablation_protocols(seed: u64) -> Vec<ProtocolRow> {
             .sum(),
     }];
 
-    let input = BaselineInput {
-        topology: Topology::paper_reference(2),
-        sends,
-        duration: w.duration,
-        ckpt_periods: vec![SimDuration::from_minutes(30); 2],
-        faults: fault_times.to_vec(),
-    };
     for report in [
         global::evaluate(&input),
         independent::evaluate(&input),
@@ -445,14 +439,7 @@ pub(crate) fn overhead_breakdown(delays_min: &[Option<u64>], seed: u64) -> Vec<O
     delays_min
         .iter()
         .map(|&d| {
-            let r = paper_run(
-                2,
-                &TargetCountWorkload::paper_table1(),
-                &[d, None],
-                None,
-                PiggybackMode::SnOnly,
-                seed,
-            );
+            let r = table1_run(&[d, None], seed);
             OverheadRow {
                 delay_min: d,
                 total_clcs: r.clusters.iter().map(|c| c.total_clcs()).sum(),
@@ -499,39 +486,9 @@ pub(crate) fn federation_scaling(cluster_counts: &[usize], seed: u64) -> Vec<Sca
     cluster_counts
         .iter()
         .map(|&n| {
-            let mut counts = vec![vec![0u64; n]; n];
-            for (i, row) in counts.iter_mut().enumerate() {
-                row[i] = 300;
-                row[(i + 1) % n] = 40;
-            }
-            let w = TargetCountWorkload {
-                cluster_sizes: vec![20; n],
-                duration: SimDuration::from_hours(10),
-                counts,
-                payload_bytes: 1024,
-            };
-            let sends = w.schedule(&RngStreams::new(seed));
-            let protocol = ProtocolConfig::new(vec![20; n]);
-            let ddv_bytes = protocol.ddv_bytes();
-            let mut cfg = SimConfig::new(
-                netsim::Topology::new(
-                    vec![
-                        netsim::ClusterSpec {
-                            nodes: 20,
-                            intra: netsim::LinkSpec::myrinet_like(),
-                        };
-                        n
-                    ],
-                    netsim::LinkSpec::ethernet_like(),
-                ),
-                w.duration,
-            )
-            .with_sends(sends)
-            .with_seed(seed)
-            .with_protocol(protocol);
-            for c in 0..n {
-                cfg = cfg.with_clc_delay(c, SimDuration::from_minutes(30));
-            }
+            let w = ring(n, 20, 10, [300, 40, 0]);
+            let cfg = federation(&w, &vec![Some(30); n], None, PiggybackMode::SnOnly, seed);
+            let ddv_bytes = cfg.protocol.ddv_bytes();
             let r = run(cfg);
             ScalingRow {
                 clusters: n,
@@ -543,4 +500,146 @@ pub(crate) fn federation_scaling(cluster_counts: &[usize], seed: u64) -> Vec<Sca
             }
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    //! The paper's qualitative claims, each a check over the rows an
+    //! experiment returns rather than over `render`'s text, so that a row
+    //! which has to move still has an oracle. Each test runs its
+    //! experiment as `regen all` does, and shows the check refusing one
+    //! hand-made wrong row.
+
+    use super::*;
+
+    /// Figure 6: cluster 0's unforced CLCs never rise as its timer grows,
+    /// and its forced CLCs stay the same.
+    fn figure6_claim(rows: &[Fig67Row]) -> bool {
+        rows.windows(2)
+            .all(|p| p[1].c0_unforced <= p[0].c0_unforced)
+            && rows.iter().all(|r| r.c0_forced == rows[0].c0_forced)
+    }
+
+    /// Figure 7: cluster 1, whose timer never fires, takes only forced
+    /// CLCs.
+    fn figure7_claim(rows: &[Fig67Row]) -> bool {
+        rows.iter().all(|r| r.c1_unforced == 0)
+    }
+
+    /// Figure 8: every CLC of cluster 0 forces one in cluster 1, whatever
+    /// cluster 1's own timer.
+    fn figure8_claim(rows: &[Fig8Row]) -> bool {
+        rows.iter().all(|r| r.c1_forced == r.c0_total)
+    }
+
+    /// Figure 9: neither cluster's forced CLCs fall as reverse traffic
+    /// grows.
+    fn figure9_claim(rows: &[Fig9Row]) -> bool {
+        rows.windows(2)
+            .all(|p| p[0].c0_forced <= p[1].c0_forced && p[0].c1_forced <= p[1].c1_forced)
+    }
+
+    /// Tables 2 and 3: a cluster collects, and each collection keeps at
+    /// least one CLC and never more than it found.
+    fn gc_claim(before_after: &[(usize, usize)]) -> bool {
+        !before_after.is_empty()
+            && before_after
+                .iter()
+                .all(|&(before, after)| 0 < after && after <= before)
+    }
+
+    /// §7's transitivity extension: full-DDV piggybacking forces no more
+    /// CLCs than SN-only.
+    fn ddv_claim(rows: &[DdvAblationRow]) -> bool {
+        rows.iter().all(|r| r.forced_full_ddv <= r.forced_sn_only)
+    }
+
+    /// §6: a fault rolls back fewer clusters and loses less work under
+    /// HC3I than under global coordinated checkpointing.
+    fn protocols_claim(rows: &[ProtocolRow]) -> bool {
+        let row = |name: &str| rows.iter().find(|r| r.protocol == name);
+        let (Some(hc3i), Some(global)) = (row("hc3i"), row("global-coordinated")) else {
+            return false;
+        };
+        hc3i.mean_rollback_scope < global.mean_rollback_scope
+            && hc3i.lost_node_seconds < global.lost_node_seconds
+    }
+
+    /// §7's replication: degree `d` survives any `d` simultaneous faults.
+    fn replication_claim(rows: &[ReplicationRow]) -> bool {
+        rows.iter().all(|r| r.guaranteed_faults == r.degree)
+    }
+
+    #[test]
+    fn figure6_unforced_clcs_fall_with_the_timer_and_forced_ones_stay() {
+        let mut rows = figure6_7(&figure6_delays(), DEFAULT_SEED);
+        assert!(figure6_claim(&rows), "{rows:?}");
+        rows[4].c0_forced += 1;
+        assert!(!figure6_claim(&rows));
+        rows[4].c0_forced -= 1;
+        rows[4].c0_unforced = rows[3].c0_unforced + 1;
+        assert!(!figure6_claim(&rows));
+    }
+
+    #[test]
+    fn figure7_cluster1_takes_only_forced_clcs() {
+        let mut rows = figure6_7(&figure6_delays(), DEFAULT_SEED);
+        assert!(figure7_claim(&rows), "{rows:?}");
+        rows[0].c1_unforced = 1;
+        assert!(!figure7_claim(&rows));
+    }
+
+    #[test]
+    fn figure8_cluster0_forces_each_of_its_clcs_on_cluster1() {
+        let mut rows = figure8(&figure8_delays(), DEFAULT_SEED);
+        assert!(figure8_claim(&rows), "{rows:?}");
+        rows[0].c1_forced += 1;
+        assert!(!figure8_claim(&rows));
+    }
+
+    #[test]
+    fn figure9_forced_clcs_do_not_fall_as_reverse_traffic_grows() {
+        let mut rows = figure9(&figure9_counts(), DEFAULT_SEED);
+        assert!(figure9_claim(&rows), "{rows:?}");
+        rows[5].c1_forced = rows[4].c1_forced - 1;
+        assert!(!figure9_claim(&rows));
+    }
+
+    #[test]
+    fn tables2_and_3_collections_shrink_but_keep_a_clc() {
+        for report in [table2(DEFAULT_SEED), table3(DEFAULT_SEED)] {
+            for c in &report.clusters {
+                assert!(gc_claim(&c.gc_before_after), "{:?}", c.gc_before_after);
+            }
+        }
+        assert!(!gc_claim(&[(14, 1), (13, 0)]), "a collection kept nothing");
+        assert!(!gc_claim(&[(14, 15)]), "a collection grew the store");
+        assert!(!gc_claim(&[]), "no collection ran");
+    }
+
+    #[test]
+    fn full_ddv_forces_no_more_clcs_than_sn_only() {
+        let mut rows = ablation_ddv(&[3, 4, 5], DEFAULT_SEED);
+        assert!(ddv_claim(&rows), "{rows:?}");
+        rows[1].forced_full_ddv = rows[1].forced_sn_only + 1;
+        assert!(!ddv_claim(&rows));
+    }
+
+    #[test]
+    fn hc3i_rolls_back_less_than_global_coordination() {
+        let mut rows = ablation_protocols(DEFAULT_SEED);
+        assert!(protocols_claim(&rows), "{rows:?}");
+        let global = rows[1].lost_node_seconds;
+        assert_eq!(rows[0].protocol, "hc3i");
+        rows[0].lost_node_seconds = global;
+        assert!(!protocols_claim(&rows));
+    }
+
+    #[test]
+    fn replication_degree_is_the_faults_it_guarantees() {
+        let mut rows = ablation_replication(&[1, 2, 3, 4], DEFAULT_SEED);
+        assert!(replication_claim(&rows), "{rows:?}");
+        rows[2].guaranteed_faults -= 1;
+        assert!(!replication_claim(&rows));
+    }
 }

@@ -9,7 +9,7 @@
 //! global checkpoint — no cascade analysis needed.
 
 use crate::common::{BaselineInput, BaselineReport, RollbackSummary};
-use desim::{SimDuration, SimTime};
+use desim::SimDuration;
 
 /// Evaluate global coordinated checkpointing on the input.
 pub(crate) fn evaluate(input: &BaselineInput) -> BaselineReport {
@@ -25,16 +25,7 @@ pub(crate) fn evaluate(input: &BaselineInput) -> BaselineReport {
         .min()
         .unwrap_or(SimDuration::INFINITE);
 
-    // Checkpoint instants.
-    let mut times = vec![SimTime::ZERO];
-    if !period.is_infinite() && period.nanos() > 0 {
-        let mut t = SimTime::ZERO + period;
-        let horizon = SimTime::ZERO + input.duration;
-        while t < horizon {
-            times.push(t);
-            t += period;
-        }
-    }
+    let times = input.every(period);
 
     // Message cost per checkpoint: request/ack/commit with every node, plus
     // one fragment replica per node.
@@ -73,6 +64,7 @@ pub(crate) fn evaluate(input: &BaselineInput) -> BaselineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::SimTime;
     use netsim::Topology;
 
     fn input(faults: Vec<(SimTime, usize)>) -> BaselineInput {

@@ -11,12 +11,14 @@
 //! `fingerprint` and `mega` are not part of `all` or `paper/RESULTS.md`:
 //! one is a behaviour pin, the other a timing. `fingerprint` takes no seed.
 //!
-//! `experiments` runs one setup per table and figure and returns its rows,
-//! `render` prints them in the paper's row format, and `global`,
-//! `independent` and `pessimistic` (over `common`'s input and report) are
-//! cost models of the protocol families §6 compares HC3I with, for the
-//! `ablation_protocols` table. Performance is measured by `benchmark/` and
-//! gated by `ci/pair.sh`, not here.
+//! `experiments` runs one setup per table and figure and returns its rows.
+//! Every run here, `fingerprint`'s and `mega`'s too, is one
+//! `experiments::federation`, over the paper's traffic or over an
+//! `experiments::ring`. `render` prints the rows in the paper's row format,
+//! and `global`, `independent` and `pessimistic` (over `common`'s input and
+//! report) are cost models of the protocol families §6 compares HC3I with,
+//! for the `ablation_protocols` table. Performance is measured by
+//! `benchmark/` and gated by `ci/pair.sh`, not here.
 
 mod common;
 mod experiments;
@@ -25,12 +27,11 @@ mod independent;
 mod pessimistic;
 mod render;
 
-use desim::{RngStreams, SimDuration, SimTime};
-use hc3i_core::{PiggybackMode, ProtocolConfig};
-use netsim::{ClusterSpec, HostileSpec, LinkSpec, NodeId, Topology};
+use desim::{SimDuration, SimTime};
+use hc3i_core::PiggybackMode;
+use netsim::{HostileSpec, NodeId};
 use simdriver::{RunReport, SimConfig};
 use std::fmt::Write as _;
-use workload::{TargetCountWorkload, Workload};
 
 const RESULTS: &str = "paper/RESULTS.md";
 
@@ -94,56 +95,11 @@ const ARTIFACTS: &[Artifact] = &[
     ),
 ];
 
-/// The reference event-loop workload: 2 clusters x 100 nodes, 10 simulated
-/// hours, 103 reverse messages, 30-minute timers, GC every 2 h (~230k
-/// events through `FederationWorld::handle`).
-fn reference_config(seed: u64, piggyback: PiggybackMode) -> SimConfig {
-    let w = TargetCountWorkload::paper_with_reverse_count(103);
-    let sends = w.schedule(&RngStreams::new(seed));
-    SimConfig::new(Topology::paper_reference(2), w.duration)
-        .with_sends(sends)
-        .with_seed(seed)
-        .with_protocol(ProtocolConfig::new(vec![100, 100]).with_piggyback(piggyback))
-        .with_clc_delay(0, SimDuration::from_minutes(30))
-        .with_clc_delay(1, SimDuration::from_minutes(30))
-        .with_gc_interval(SimDuration::from_hours(2))
-}
-
-/// A wide-federation ring: `n` clusters, small clusters, cross traffic to
-/// the next cluster over, 30-minute timers.
+/// A wide-federation ring: `n` clusters of `nodes` nodes, 120 local and
+/// 30 next-cluster messages per cluster, 30-minute timers.
 fn ring_config(n: usize, nodes: u32, hours: u64, seed: u64) -> SimConfig {
-    let mut counts = vec![vec![0u64; n]; n];
-    for (i, row) in counts.iter_mut().enumerate() {
-        row[i] = 120;
-        row[(i + 1) % n] = 30;
-    }
-    let w = TargetCountWorkload {
-        cluster_sizes: vec![nodes; n],
-        duration: SimDuration::from_hours(hours),
-        counts,
-        payload_bytes: 1024,
-    };
-    let sends = w.schedule(&RngStreams::new(seed));
-    let mut cfg = SimConfig::new(
-        Topology::new(
-            vec![
-                ClusterSpec {
-                    nodes,
-                    intra: LinkSpec::myrinet_like(),
-                };
-                n
-            ],
-            LinkSpec::ethernet_like(),
-        ),
-        w.duration,
-    )
-    .with_sends(sends)
-    .with_seed(seed)
-    .with_protocol(ProtocolConfig::new(vec![nodes; n]));
-    for c in 0..n {
-        cfg = cfg.with_clc_delay(c, SimDuration::from_minutes(30));
-    }
-    cfg
+    let w = experiments::ring(n, nodes, hours, [120, 30, 0]);
+    experiments::federation(&w, &vec![Some(30); n], None, PiggybackMode::SnOnly, seed)
 }
 
 /// Debug-dump a set of seeded reference runs. Any code change that
@@ -152,13 +108,13 @@ fn ring_config(n: usize, nodes: u32, hours: u64, seed: u64) -> SimConfig {
 fn fingerprint() -> String {
     let mut s = String::new();
     for seed in [20040426u64, 7, 424242] {
-        let r = simdriver::run(reference_config(seed, PiggybackMode::SnOnly));
+        let r = simdriver::run(experiments::reference(PiggybackMode::SnOnly, seed));
         let _ = writeln!(s, "reference sn_only seed={seed}\n{r:#?}\n");
-        let r = simdriver::run(reference_config(seed, PiggybackMode::FullDdv));
+        let r = simdriver::run(experiments::reference(PiggybackMode::FullDdv, seed));
         let _ = writeln!(s, "reference full_ddv seed={seed}\n{r:#?}\n");
     }
     // Faulty run: rollback + alert + replay paths.
-    let mut cfg = reference_config(20040426, PiggybackMode::SnOnly);
+    let mut cfg = experiments::reference(PiggybackMode::SnOnly, 20040426);
     for h in 1..8u64 {
         cfg = cfg.with_fault(
             SimTime::ZERO + SimDuration::from_minutes(h * 60 + 11),

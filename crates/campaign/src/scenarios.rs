@@ -12,7 +12,7 @@ use desim::{RngStreams, SimDuration, SimTime};
 use hc3i_core::ReplicationPolicy;
 use netsim::{ClusterSpec, HostileSpec, LatencyDist, LinkSpec, Mix64, NodeId, Topology};
 use simdriver::SimConfig;
-use workload::{presets, SendEvent, TargetCountWorkload, Workload};
+use workload::{BurstyWorkload, SendEvent, TargetCountWorkload, Workload};
 
 /// Simulated application length of every scenario.
 const DURATION_MIN: u64 = 30;
@@ -246,16 +246,13 @@ fn churn_partition(topo: &Topology, seed: u64) -> ScenarioRun {
 /// Flash crowds on a heavy-tailed background over a duplicating,
 /// reordering network — no faults, so any rollback at all is a violation.
 fn flash_crowd_hostile(topo: &Topology, seed: u64) -> ScenarioRun {
-    let sizes = sizes(topo);
-    let n = sizes.len();
-    let sends = presets::flash_crowd(
-        n,
-        sizes[0],
-        SimDuration::from_minutes(WORKLOAD_MIN),
-        0.15,
-        3,
-        3,
-    )
+    let sends = BurstyWorkload {
+        cluster_sizes: sizes(topo),
+        duration: SimDuration::from_minutes(WORKLOAD_MIN),
+        cross_fraction: 0.15,
+        crowds: 3,
+        fanout: 3,
+    }
     .schedule(&RngStreams::new(seed));
     let spec = HostileSpec::seeded(seed ^ 0xF1A5)
         .with_duplication(0.2, SimDuration::from_millis(1))
@@ -394,6 +391,22 @@ mod tests {
                     assert_eq!(pair[0].node.cluster, pair[1].node.cluster);
                     assert_ne!(pair[0].node.rank, pair[1].node.rank);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn flash_crowds_send_between_ranks_of_unequal_clusters() {
+        let cluster = |nodes| ClusterSpec {
+            nodes,
+            intra: LinkSpec::myrinet_like(),
+        };
+        let topo = Topology::new(vec![cluster(6), cluster(3)], LinkSpec::ethernet_like());
+        let run = flash_crowd_hostile(&topo, 7);
+        assert!(!run.cfg.sends.is_empty());
+        for e in &run.cfg.sends {
+            for node in [e.from, e.to] {
+                assert_eq!(topo.check_node(node), Ok(()), "{e:?}");
             }
         }
     }

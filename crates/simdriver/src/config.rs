@@ -51,6 +51,14 @@ impl From<StochasticWorkload> for Sends {
     }
 }
 
+/// Nodes per cluster of `topology`.
+fn cluster_sizes(topology: &Topology) -> Vec<u32> {
+    topology
+        .cluster_ids()
+        .map(|c| topology.nodes_in(c))
+        .collect()
+}
+
 /// Everything a federation run needs.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -133,10 +141,7 @@ impl SimConfig {
     /// A config over `topology` with paper-default protocol parameters, no
     /// timers armed, no faults, empty schedule.
     pub fn new(topology: Topology, duration: SimDuration) -> Self {
-        let sizes = topology
-            .cluster_ids()
-            .map(|c| topology.nodes_in(c))
-            .collect::<Vec<_>>();
+        let sizes = cluster_sizes(&topology);
         let n = sizes.len();
         SimConfig {
             topology,
@@ -211,11 +216,14 @@ impl SimConfig {
     }
 
     /// Replace the protocol configuration.
+    ///
+    /// # Panics
+    /// If the protocol's cluster sizes are not the topology's.
     pub fn with_protocol(mut self, protocol: ProtocolConfig) -> Self {
         assert_eq!(
-            protocol.num_clusters(),
-            self.topology.num_clusters(),
-            "protocol/topology cluster count mismatch"
+            protocol.cluster_sizes,
+            cluster_sizes(&self.topology),
+            "protocol/topology cluster size mismatch"
         );
         self.protocol = protocol;
         self
@@ -363,5 +371,12 @@ mod tests {
     fn protocol_dimension_checked() {
         let _ = SimConfig::new(Topology::paper_reference(2), SimDuration::from_hours(1))
             .with_protocol(hc3i_core::ProtocolConfig::new(vec![4, 4, 4]));
+    }
+
+    #[test]
+    #[should_panic(expected = "mismatch")]
+    fn protocol_sizes_checked() {
+        let _ = SimConfig::new(Topology::paper_reference(2), SimDuration::from_hours(1))
+            .with_protocol(hc3i_core::ProtocolConfig::new(vec![4, 4]));
     }
 }

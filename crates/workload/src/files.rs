@@ -121,7 +121,7 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
     // Each count with the line that set it, for the cross-line checks.
     let mut n_clusters: Option<(usize, usize)> = None;
     let mut nodes: (Vec<u32>, usize) = (vec![], 0);
-    let mut intra: Vec<Option<LinkSpec>> = vec![];
+    let mut intra: Vec<(usize, usize, LinkSpec)> = vec![];
     let mut inter: Vec<(usize, usize, usize, LinkSpec)> = vec![];
     let mut default_inter = LinkSpec::ethernet_like();
     let mut mtbf = None;
@@ -141,7 +141,6 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                     ));
                 }
                 n_clusters = Some((n, ln));
-                intra = vec![None; n];
             }
             "nodes" => {
                 let counts: Vec<u32> = tok[1..]
@@ -155,9 +154,10 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
                 nodes = (counts, ln);
             }
             "intra" => {
-                let n = intra.len();
-                let c = cluster(ln, &tok, n, "intra needs: cluster latency bandwidth")?;
-                intra[c] = Some(parse_link(&tok[2..]).map_err(|m| err(ln, m))?);
+                let what = "intra needs: cluster latency bandwidth";
+                let c = arg(ln, &tok, 1, what, number)?;
+                let link = parse_link(&tok[2..]).map_err(|m| err(ln, m))?;
+                intra.push((ln, c, link));
             }
             "inter" => {
                 if tok.len() == 3 {
@@ -191,14 +191,19 @@ pub fn parse_topology(text: &str) -> Result<Topology, ParseError> {
             format!("expected {n} node counts, got {}", nodes.len()),
         ));
     }
-    let clusters: Vec<ClusterSpec> = nodes
+    let mut clusters: Vec<ClusterSpec> = nodes
         .iter()
-        .zip(&intra)
-        .map(|(&nn, l)| ClusterSpec {
-            nodes: nn,
-            intra: l.unwrap_or_else(LinkSpec::myrinet_like),
+        .map(|&nodes| ClusterSpec {
+            nodes,
+            intra: LinkSpec::myrinet_like(),
         })
         .collect();
+    for (ln, c, link) in intra {
+        let Some(cluster) = clusters.get_mut(c) else {
+            return Err(err(ln, "cluster out of range"));
+        };
+        cluster.intra = link;
+    }
     let mut topo = Topology::new(clusters, default_inter);
     for (ln, a, b, link) in inter {
         if a >= n || b >= n || a == b {
@@ -416,6 +421,22 @@ mtbf inf
     }
 
     #[test]
+    fn an_intra_line_may_come_before_clusters() {
+        let t = parse_topology("intra 0 20us 40Mbps\nclusters 2\nnodes 4 4\n").unwrap();
+        let link = t.link_between(ClusterId(0), ClusterId(0));
+        assert_eq!(link.latency, SimDuration::from_micros(20));
+        assert_eq!(link.bandwidth_bps, 40_000_000);
+    }
+
+    #[test]
+    fn a_repeated_clusters_line_keeps_the_intra_links_before_it() {
+        let t = parse_topology("clusters 2\nnodes 4 4\nintra 1 20us 40Mbps\nclusters 2\n").unwrap();
+        let link = t.link_between(ClusterId(1), ClusterId(1));
+        assert_eq!(link.latency, SimDuration::from_micros(20));
+        assert_eq!(link.bandwidth_bps, 40_000_000);
+    }
+
+    #[test]
     fn topology_rejects_a_zero_bandwidth() {
         // A message over a 0 bps link never arrives: the run would report
         // zero deliveries and exit 0.
@@ -432,7 +453,7 @@ mtbf inf
 
     #[test]
     fn topology_rejects_overwide_federation() {
-        // Neither sized (`vec![None; n]`) nor narrowed to a `u16` id.
+        // Neither sized nor narrowed to a `u16` id.
         for n in ["65537", "99999999999"] {
             let e = parse_topology(&format!("# wide\nclusters {n}\nnodes 1\n")).unwrap_err();
             assert_eq!(e.line, 2);

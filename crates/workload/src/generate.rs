@@ -13,9 +13,12 @@
 //!   cluster pair and spreads them uniformly over the run. This is what
 //!   regenerates Table 1's exact message counts and Figure 9's
 //!   "messages from cluster 1 to cluster 0" sweep.
-//! * [`BurstyWorkload`] — heavy-tailed (Pareto) inter-send gaps plus
-//!   scripted flash crowds, for stressing dense-timestamp regimes the
-//!   paper's smooth models never produce.
+//! * [`BurstyWorkload`] — heavy-tailed (Pareto) inter-send gaps on a ring
+//!   (each cluster's cross traffic goes to the next one) plus evenly
+//!   spaced flash crowds, for stressing dense-timestamp regimes the
+//!   paper's smooth models never produce. Only the sizes, the duration,
+//!   the cross fraction and the crowds' count and fanout vary; the gap
+//!   law, the payload and the crowd width are fixed.
 
 use desim::{exponential, pareto, RngStreams, SimDuration, SimTime};
 use netsim::NodeId;
@@ -357,8 +360,8 @@ impl Workload for TargetCountWorkload {
 }
 
 /// Heavy-tailed, bursty traffic: per-node inter-send gaps are Pareto
-/// distributed (dense bursts separated by long silences), optionally
-/// punctuated by *flash crowds* — windows in which every node fires
+/// distributed (dense bursts separated by long silences), punctuated by
+/// evenly spaced *flash crowds* — windows in which every node fires
 /// additional sends almost simultaneously.
 ///
 /// This stresses dense-timestamp regimes: many sends inside one network
@@ -370,73 +373,86 @@ pub struct BurstyWorkload {
     pub cluster_sizes: Vec<u32>,
     /// Total application duration.
     pub duration: SimDuration,
-    /// Minimum inter-send gap in seconds (the Pareto scale).
-    pub gap_scale_secs: f64,
-    /// Pareto tail exponent; `1 < alpha <= 2` gives the heavy tail.
-    pub gap_alpha: f64,
-    /// `pattern[i][j]` = probability that a send from cluster `i` targets
-    /// cluster `j`. Rows must sum to ~1.
-    pub pattern: Vec<Vec<f64>>,
-    /// Payload size of every message.
-    pub payload_bytes: u64,
-    /// Flash-crowd windows `(start, width)`: every node issues
-    /// [`flash_fanout`](Self::flash_fanout) extra sends at uniform times
-    /// inside each window.
-    pub flash_crowds: Vec<(SimTime, SimDuration)>,
+    /// Share of each node's sends that go to the next cluster of the ring
+    /// (`0 <= cross_fraction < 1`); the rest stay in its own cluster.
+    pub cross_fraction: f64,
+    /// Flash crowds, at 1/(n+1), 2/(n+1), … of the run: never at the very
+    /// start or end, where the protocol is idle or draining.
+    pub crowds: u32,
     /// Extra sends per node per flash crowd.
-    pub flash_fanout: u32,
+    pub fanout: u32,
+}
+
+impl BurstyWorkload {
+    /// Minimum inter-send gap in seconds (the Pareto scale).
+    const GAP_SCALE_SECS: f64 = 10.0;
+    /// Pareto tail exponent: `1 < alpha <= 2` gives the heavy tail.
+    const GAP_ALPHA: f64 = 1.5;
+    /// Payload size of every message.
+    const PAYLOAD_BYTES: u64 = 1024;
+    /// Width of a flash-crowd window.
+    const CROWD_WIDTH: SimDuration = SimDuration::from_millis(100);
+
+    /// The ring's row for cluster `c`: the probability that a send from
+    /// `c` targets each cluster (`c` itself, alone in the federation).
+    fn ring_row(&self, c: usize) -> Vec<f64> {
+        let n = self.cluster_sizes.len();
+        let mut row = vec![0.0; n];
+        if n == 1 {
+            row[0] = 1.0;
+        } else {
+            row[c] = 1.0 - self.cross_fraction;
+            row[(c + 1) % n] = self.cross_fraction;
+        }
+        row
+    }
 }
 
 impl Workload for BurstyWorkload {
     fn schedule(&self, streams: &RngStreams) -> Vec<SendEvent> {
-        assert!(self.gap_scale_secs > 0.0, "gap scale must be positive");
-        assert!(self.gap_alpha > 0.0, "tail exponent must be positive");
+        assert!(
+            (0.0..1.0).contains(&self.cross_fraction),
+            "cross fraction must lie in [0, 1)"
+        );
         let mut events = Vec::new();
         let horizon = SimTime::ZERO + self.duration;
+        let step = self.duration.nanos() / (self.crowds as u64 + 1);
+        let crowds: Vec<SimTime> = (1..=self.crowds as u64)
+            .map(|k| SimTime::ZERO + SimDuration::from_nanos(k * step))
+            .collect();
         for (c, &size) in self.cluster_sizes.iter().enumerate() {
+            let row = self.ring_row(c);
             for rank in 0..size {
                 let from = NodeId::new(c as u16, rank);
                 let mut rng = streams.stream("workload.bursty", (c as u64) << 32 | rank as u64);
+                let mut send = |rng: &mut StdRng, at: SimTime| {
+                    let dest = pick_cluster(rng, &row);
+                    if let Some(to) = pick_node_in(rng, dest, self.cluster_sizes[dest], from) {
+                        events.push(SendEvent {
+                            at,
+                            from,
+                            to,
+                            bytes: Self::PAYLOAD_BYTES,
+                        });
+                    }
+                };
                 // Background heavy-tailed stream.
                 let mut t = SimTime::ZERO;
                 loop {
-                    let gap = pareto(&mut rng, self.gap_scale_secs, self.gap_alpha);
+                    let gap = pareto(&mut rng, Self::GAP_SCALE_SECS, Self::GAP_ALPHA);
                     t = t.saturating_add(SimDuration::from_secs_f64(gap));
                     if t >= horizon {
                         break;
                     }
-                    let dest = pick_cluster(&mut rng, &self.pattern[c]);
-                    if let Some(to) = pick_node_in(&mut rng, dest, self.cluster_sizes[dest], from) {
-                        events.push(SendEvent {
-                            at: t,
-                            from,
-                            to,
-                            bytes: self.payload_bytes,
-                        });
-                    }
+                    send(&mut rng, t);
                 }
                 // Flash crowds: every node joins every window.
-                for &(start, width) in &self.flash_crowds {
-                    for _ in 0..self.flash_fanout {
-                        let offset = SimDuration::from_nanos(if width.nanos() == 0 {
-                            0
-                        } else {
-                            rng.gen_range(0..width.nanos())
-                        });
-                        let at = start.saturating_add(offset);
-                        if at >= horizon {
-                            continue;
-                        }
-                        let dest = pick_cluster(&mut rng, &self.pattern[c]);
-                        if let Some(to) =
-                            pick_node_in(&mut rng, dest, self.cluster_sizes[dest], from)
-                        {
-                            events.push(SendEvent {
-                                at,
-                                from,
-                                to,
-                                bytes: self.payload_bytes,
-                            });
+                for &start in &crowds {
+                    for _ in 0..self.fanout {
+                        let offset = rng.gen_range(0..Self::CROWD_WIDTH.nanos());
+                        let at = start.saturating_add(SimDuration::from_nanos(offset));
+                        if at < horizon {
+                            send(&mut rng, at);
                         }
                     }
                 }
@@ -589,15 +605,9 @@ mod tests {
         BurstyWorkload {
             cluster_sizes: vec![6, 6],
             duration: SimDuration::from_minutes(30),
-            gap_scale_secs: 5.0,
-            gap_alpha: 1.5,
-            pattern: vec![vec![0.9, 0.1], vec![0.1, 0.9]],
-            payload_bytes: 512,
-            flash_crowds: vec![(
-                SimTime::ZERO + SimDuration::from_minutes(10),
-                SimDuration::from_millis(50),
-            )],
-            flash_fanout: 4,
+            cross_fraction: 0.1,
+            crowds: 1,
+            fanout: 4,
         }
     }
 
@@ -611,18 +621,23 @@ mod tests {
         assert!(a.iter().all(|e| e.from != e.to));
     }
 
+    /// Sends of `schedule` in the 100 ms crowd window from `start`.
+    fn in_crowd(schedule: &[SendEvent], start: SimTime) -> usize {
+        let end = start + SimDuration::from_millis(100);
+        schedule
+            .iter()
+            .filter(|e| e.at >= start && e.at < end)
+            .count()
+    }
+
     #[test]
     fn bursty_flash_crowd_is_dense() {
         let w = bursty();
         let schedule = w.schedule(&streams());
-        let start = SimTime::ZERO + SimDuration::from_minutes(10);
-        let end = start + SimDuration::from_millis(50);
-        let in_window = schedule
-            .iter()
-            .filter(|e| e.at >= start && e.at < end)
-            .count();
-        // 12 nodes × 4 fanout land inside a 50 ms window (background sends
-        // rarely coincide): a dense-timestamp spike by construction.
+        // The one crowd sits halfway through the run.
+        let in_window = in_crowd(&schedule, SimTime::ZERO + SimDuration::from_minutes(15));
+        // 12 nodes × 4 fanout land inside a 100 ms window (background
+        // sends rarely coincide): a dense-timestamp spike by construction.
         assert!(
             in_window >= 48,
             "only {in_window} sends in the crowd window"
@@ -630,11 +645,44 @@ mod tests {
     }
 
     #[test]
-    fn bursty_tail_is_heavier_than_exponential() {
-        // With alpha = 1.5 and scale 5 s, gaps above 10× the scale must
-        // appear (P[gap > 50 s] ≈ 3%) — the silences between bursts.
+    fn bursty_crowds_are_evenly_spaced_and_dense() {
         let w = BurstyWorkload {
-            flash_crowds: vec![],
+            cluster_sizes: vec![5, 5],
+            cross_fraction: 0.2,
+            crowds: 3,
+            ..bursty()
+        };
+        let schedule = w.schedule(&RngStreams::new(5));
+        // Three crowds in 30 minutes: at 7.5, 15 and 22.5 minutes.
+        for k in 1..=3u64 {
+            let start = SimTime::ZERO + SimDuration::from_secs(k * 450);
+            let dense = in_crowd(&schedule, start);
+            assert!(dense >= 40, "crowd at {start} only {dense} sends");
+        }
+    }
+
+    #[test]
+    fn bursty_cross_traffic_goes_to_the_next_cluster_only() {
+        let w = BurstyWorkload {
+            cluster_sizes: vec![4, 4, 4],
+            duration: SimDuration::from_minutes(20),
+            crowds: 0,
+            ..bursty()
+        };
+        let schedule = w.schedule(&RngStreams::new(5));
+        assert!(!schedule.is_empty());
+        assert!(schedule
+            .iter()
+            .all(|e| e.to.cluster.0 == e.from.cluster.0
+                || e.to.cluster.0 == (e.from.cluster.0 + 1) % 3));
+    }
+
+    #[test]
+    fn bursty_tail_is_heavier_than_exponential() {
+        // With alpha = 1.5 and scale 10 s, gaps above 10× the scale must
+        // appear (P[gap > 100 s] ≈ 3%) — the silences between bursts.
+        let w = BurstyWorkload {
+            crowds: 0,
             duration: SimDuration::from_hours(4),
             ..bursty()
         };
@@ -646,7 +694,7 @@ mod tests {
                 .filter(|e| e.from == NodeId::new(0, rank))
                 .collect();
             for pair in node.windows(2) {
-                if pair[1].at - pair[0].at > SimDuration::from_secs(50) {
+                if pair[1].at - pair[0].at > SimDuration::from_secs(100) {
                     long_gaps += 1;
                 }
             }

@@ -1,7 +1,7 @@
 //! Canned workloads for the paper's scenarios and the examples.
 
-use crate::generate::{BurstyWorkload, StochasticWorkload, TargetCountWorkload};
-use desim::{SimDuration, SimTime};
+use crate::generate::{StochasticWorkload, TargetCountWorkload};
+use desim::SimDuration;
 
 /// The paper's motivating application (Figure 1): a pipeline of modules —
 /// simulation → treatment → display — one per cluster. Traffic is heavy
@@ -48,67 +48,6 @@ pub fn paper_three_clusters() -> TargetCountWorkload {
     }
 }
 
-/// Heavy-tailed background traffic: Pareto inter-send gaps (bursts
-/// separated by long silences), mostly-local with a configurable cross
-/// fraction to the next cluster. Stresses dense-timestamp regimes —
-/// many sends inside one network round trip.
-pub(crate) fn heavy_tailed(
-    num_clusters: usize,
-    nodes_per_cluster: u32,
-    duration: SimDuration,
-    cross_fraction: f64,
-) -> BurstyWorkload {
-    assert!(num_clusters >= 1);
-    assert!((0.0..1.0).contains(&cross_fraction));
-    let mut pattern = vec![vec![0.0; num_clusters]; num_clusters];
-    for (i, row) in pattern.iter_mut().enumerate() {
-        if num_clusters == 1 {
-            row[i] = 1.0;
-        } else {
-            row[i] = 1.0 - cross_fraction;
-            row[(i + 1) % num_clusters] = cross_fraction;
-        }
-    }
-    BurstyWorkload {
-        cluster_sizes: vec![nodes_per_cluster; num_clusters],
-        duration,
-        gap_scale_secs: 10.0,
-        gap_alpha: 1.5,
-        pattern,
-        payload_bytes: 1024,
-        flash_crowds: vec![],
-        flash_fanout: 0,
-    }
-}
-
-/// `heavy_tailed` plus `crowds` evenly-spaced flash crowds: 100 ms
-/// windows in which every node fires `fanout` extra sends — checkpoint
-/// rounds race a spike of near-simultaneous application traffic.
-pub fn flash_crowd(
-    num_clusters: usize,
-    nodes_per_cluster: u32,
-    duration: SimDuration,
-    cross_fraction: f64,
-    crowds: u32,
-    fanout: u32,
-) -> BurstyWorkload {
-    assert!(crowds >= 1);
-    let mut w = heavy_tailed(num_clusters, nodes_per_cluster, duration, cross_fraction);
-    // Crowds at 1/(n+1), 2/(n+1), … of the run — never at the very start
-    // or end, where the protocol is idle or draining.
-    let step = duration.nanos() / (crowds as u64 + 1);
-    w.flash_crowds = (1..=crowds as u64)
-        .map(|k| {
-            (
-                SimTime::ZERO + SimDuration::from_nanos(k * step),
-                SimDuration::from_millis(100),
-            )
-        })
-        .collect();
-    w.flash_fanout = fanout;
-    w
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,32 +69,6 @@ mod tests {
         assert!(schedule
             .iter()
             .all(|e| e.to.cluster.0 == e.from.cluster.0 || e.to.cluster.0 == e.from.cluster.0 + 1));
-    }
-
-    #[test]
-    fn heavy_tailed_preset_validates_and_schedules() {
-        let w = heavy_tailed(3, 4, SimDuration::from_minutes(20), 0.1);
-        let schedule = w.schedule(&RngStreams::new(5));
-        assert!(!schedule.is_empty());
-        // Cross traffic goes to the next cluster only.
-        assert!(schedule
-            .iter()
-            .all(|e| e.to.cluster.0 == e.from.cluster.0
-                || e.to.cluster.0 == (e.from.cluster.0 + 1) % 3));
-    }
-
-    #[test]
-    fn flash_crowd_preset_spikes() {
-        let w = flash_crowd(2, 5, SimDuration::from_minutes(30), 0.2, 3, 4);
-        assert_eq!(w.flash_crowds.len(), 3);
-        let schedule = w.schedule(&RngStreams::new(5));
-        for &(start, width) in &w.flash_crowds {
-            let dense = schedule
-                .iter()
-                .filter(|e| e.at >= start && e.at < start + width)
-                .count();
-            assert!(dense >= 40, "crowd at {start} only {dense} sends");
-        }
     }
 
     #[test]
