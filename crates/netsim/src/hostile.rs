@@ -45,6 +45,7 @@
 //! outcomes are independent of dispatch order: reordering same-instant
 //! events of different clusters cannot move a single draw.
 
+use crate::network::InFlight;
 use hc3i_types::{ClusterId, FastHashMap, NodeId, SimDuration, SimTime};
 
 /// SplitMix64 generator ([`desim::splitmix64`]) with a state of its own, so
@@ -228,7 +229,11 @@ pub struct HostileOutcome {
 /// clamp state: once any message of a run is touched, arrival order per
 /// channel is re-established here (except where reordering deliberately
 /// breaks it). The state covers only the channels this layer can move —
-/// inter-cluster ones, and intra-cluster ones of a skewed cluster.
+/// inter-cluster ones, and intra-cluster ones of a skewed cluster — and
+/// of those only the ones with a message in flight: a channel whose last
+/// message has arrived clamps nothing, so its entry is dropped before
+/// the map grows. `post` must therefore be called with a `now` that never
+/// decreases and a base `arrival` after `now`, as the simulator does.
 #[derive(Debug)]
 pub struct HostileNet {
     spec: HostileSpec,
@@ -237,7 +242,7 @@ pub struct HostileNet {
     /// [`Self::pair_seed`]).
     rngs: FastHashMap<(u16, u16), Mix64>,
     skew: FastHashMap<(u16, u16), LatencyDist>,
-    last_arrival: FastHashMap<(NodeId, NodeId), SimTime>,
+    last_arrival: InFlight<(NodeId, NodeId)>,
     /// Messages held at a partition cut.
     pub held: u64,
     /// Duplicate copies injected.
@@ -263,7 +268,7 @@ impl HostileNet {
             partitions,
             rngs: FastHashMap::default(),
             skew,
-            last_arrival: FastHashMap::default(),
+            last_arrival: InFlight::default(),
             held: 0,
             duplicates: 0,
             reordered: 0,
@@ -385,7 +390,7 @@ impl HostileNet {
         //    deliberately reordered — but a held message always drains in
         //    send order: the hold-and-drain contract of a cut overrides
         //    the reorder release.
-        let last = self.last_arrival.entry((from, to)).or_insert(SimTime::ZERO);
+        let last = self.last_arrival.cell(now, (from, to));
         if (!reordered || held) && *last != SimTime::ZERO && arrival <= *last {
             arrival = last.saturating_add(SimDuration::from_nanos(1));
         }

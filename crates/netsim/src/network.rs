@@ -13,6 +13,7 @@
 
 use crate::topology::Topology;
 use hc3i_types::{ClusterId, FastHashMap, MessageClass, NodeId, SimDuration, SimTime};
+use std::hash::Hash;
 
 /// How concurrent transfers share a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,18 +48,26 @@ pub struct TrafficCell {
 /// and allocates nothing; a cluster that uses a few hundred of its
 /// channels keeps a map of a few hundred entries.
 /// *Inter*-cluster traffic — many possible routes, few used: on a ring
-/// each cluster talks to two — shares two hash maps, one keyed by the
-/// directed node channel (FIFO state) and one by the directed cluster
-/// pair (contention pipe and accounts), each with an entry only for what
-/// has carried a message.
+/// each cluster talks to two — shares two hash maps. One is keyed by the
+/// directed cluster pair (contention pipe and accounts) and has an entry
+/// for each pair that has carried a message. The other is the FIFO state
+/// of the directed node channels, sized by the channels with a message
+/// in flight, not by those that ever talked: a federation whose node
+/// pairs each exchange a message now and then keeps a few entries, not
+/// one per pair.
+///
+/// `send` must be called with a `now` that never decreases, as a
+/// simulator's clock does: the FIFO state forgets a channel once its
+/// last message has arrived.
 pub struct Network {
     topology: Topology,
     contention: ContentionModel,
     /// Per directed intra-cluster node channel, indexed by cluster: last
     /// scheduled arrival (FIFO ordering).
     intra_channels: Vec<IntraFifo>,
-    /// The same for every directed inter-cluster node channel in use.
-    inter_channels: FastHashMap<(NodeId, NodeId), SimTime>,
+    /// The same for every directed inter-cluster node channel with a
+    /// message in flight.
+    inter_channels: InFlight<(NodeId, NodeId)>,
     /// Accounting of each cluster's traffic to itself.
     intra_accounts: Vec<Accounts>,
     /// Pipe and accounting of every directed pair of distinct clusters
@@ -153,6 +162,60 @@ impl IntraFifo {
     }
 }
 
+/// The last scheduled arrival of each channel that has a message in
+/// flight: FIFO clamp state sized by the messages on the wire, not by
+/// the channels that ever carried one.
+///
+/// A channel the map lacks reads as `SimTime::ZERO`, as a channel never
+/// used does. An entry arriving before `now` is worth no more: every send
+/// at `now` or later departs at `now` or later, so it cannot arrive at or
+/// before that entry and the clamp never fires; the send then overwrites
+/// the entry with its own arrival. (An entry *at* `now` is kept: a
+/// zero-latency, zero-size send at `now` arrives at `now` before the
+/// progress rule and is clamped behind it.) So before the map grows it
+/// drops every such entry, and grows only if it is still at least half
+/// full: each pruning pass over `c` entries is followed by at least
+/// `c / 2` inserts before the next, and the map holds O(channels in
+/// flight) entries. This is exact only while `now` never decreases.
+#[derive(Debug)]
+pub(crate) struct InFlight<K> {
+    last: FastHashMap<K, SimTime>,
+}
+
+impl<K> Default for InFlight<K> {
+    fn default() -> Self {
+        InFlight {
+            last: FastHashMap::default(),
+        }
+    }
+}
+
+impl<K: Eq + Hash> InFlight<K> {
+    /// The last-arrival cell of `channel` for a send at `now`,
+    /// `SimTime::ZERO` for a channel the map lacks.
+    #[inline]
+    pub(crate) fn cell(&mut self, now: SimTime, channel: K) -> &mut SimTime {
+        if self.last.len() == self.last.capacity() && !self.last.contains_key(&channel) {
+            self.prune(now);
+        }
+        self.last.entry(channel).or_insert(SimTime::ZERO)
+    }
+
+    /// Drops the entries that arrived before `now`, then grows the map
+    /// past its old capacity if it is still at least half full. Once per
+    /// map fill at most, so kept out of `cell`'s body.
+    #[cold]
+    #[inline(never)]
+    fn prune(&mut self, now: SimTime) {
+        let capacity = self.last.capacity();
+        self.last.retain(|_, at| *at >= now);
+        let live = self.last.len();
+        if 2 * live >= capacity {
+            self.last.reserve(capacity + 1 - live);
+        }
+    }
+}
+
 /// Whether a full channel map of `capacity` entries, once grown, holds
 /// more bytes than the dense table of a `ranks`-rank cluster, which may
 /// take its place. The map doubles as it grows, from a smallest table of
@@ -184,7 +247,7 @@ impl Network {
             topology,
             contention: ContentionModel::default(),
             intra_channels,
-            inter_channels: FastHashMap::default(),
+            inter_channels: InFlight::default(),
             intra_accounts: vec![Accounts::default(); n],
             pairs: FastHashMap::default(),
         }
@@ -226,10 +289,7 @@ impl Network {
                     depart
                 }
             };
-            let last = self
-                .inter_channels
-                .entry((from, to))
-                .or_insert(SimTime::ZERO);
+            let last = self.inter_channels.cell(now, (from, to));
             (depart, last, &mut pair.accounts)
         };
 
@@ -484,6 +544,62 @@ mod tests {
             "promoted at send {promoted_at}, not partway"
         );
         assert!(!is_dense(&hashed));
+    }
+
+    #[test]
+    fn inter_cluster_fifo_state_follows_the_messages_in_flight() {
+        // Each of 10,000 node channels carries one message, sent after
+        // the previous one arrived: the map never holds more than its
+        // smallest table, where keeping every channel would hold 10,000.
+        let mut n = net();
+        let mut now = SimTime::ZERO;
+        for from in 0..100 {
+            for to in 0..100 {
+                let (from, to) = (NodeId::new(0, from), NodeId::new(1, to));
+                now = n.send(now, from, to, 64, MessageClass::App);
+            }
+        }
+        let held = n.inter_channels.last.len();
+        assert!(held <= 3, "{held} entries");
+        // Messages still in flight are all kept, FIFO clamps and all.
+        let now = now + SimDuration::from_nanos(1);
+        let (from, to) = (NodeId::new(0, 0), NodeId::new(1, 0));
+        let first = n.send(now, from, to, 1_000_000, MessageClass::App);
+        for rank in 1..100 {
+            n.send(now, NodeId::new(0, rank), to, 64, MessageClass::App);
+        }
+        assert_eq!(n.inter_channels.last.len(), 100);
+        assert!(n.send(now, from, to, 1, MessageClass::App) > first);
+    }
+
+    #[test]
+    fn a_zero_latency_clamp_at_now_survives_a_prune() {
+        // On a zero-latency link a zero-size send at `now` arrives at `now`
+        // before the progress rule, and that is the entry it leaves: the
+        // next send on the channel at the same instant is clamped behind
+        // it, so a prune at `now` must keep it.
+        let free = LinkSpec {
+            latency: SimDuration::ZERO,
+            bandwidth_bps: u64::MAX,
+        };
+        let cluster = ClusterSpec {
+            nodes: 8,
+            intra: free,
+        };
+        let mut n = Network::new(Topology::new(vec![cluster; 2], free));
+        let now = t_us(5);
+        let tick = SimDuration::from_nanos(1);
+        let (from, to) = (NodeId::new(0, 0), NodeId::new(1, 0));
+        assert_eq!(n.send(now, from, to, 0, MessageClass::App), now + tick);
+        // Fill the map's smallest table and open one more channel: a prune.
+        for rank in 1..4 {
+            n.send(now, NodeId::new(0, rank), to, 0, MessageClass::App);
+        }
+        assert_eq!(n.send(now, from, to, 0, MessageClass::App), now + tick);
+        assert_eq!(
+            n.send(now, from, to, 0, MessageClass::App),
+            now + SimDuration::from_nanos(2)
+        );
     }
 
     #[test]

@@ -46,10 +46,15 @@ impl LinkSpec {
             return SimDuration::INFINITE;
         }
         // bits / (bits/sec) -> sec; computed in nanoseconds to stay integral.
+        // Any payload under ~2.3 GB keeps the product in `u64`, whose
+        // division is one instruction; larger ones take the `u128` path,
+        // which compiles to a library call. Both round down alike.
         let bits = bytes.saturating_mul(8);
-        SimDuration::from_nanos(
-            ((bits as u128 * 1_000_000_000u128) / self.bandwidth_bps as u128) as u64,
-        )
+        let nanos = match bits.checked_mul(1_000_000_000) {
+            Some(product) => product / self.bandwidth_bps,
+            None => ((bits as u128 * 1_000_000_000u128) / self.bandwidth_bps as u128) as u64,
+        };
+        SimDuration::from_nanos(nanos)
     }
 }
 
@@ -215,6 +220,41 @@ mod tests {
         assert_eq!(l.transmit_time(1_000_000), SimDuration::from_millis(100));
         // Zero-size messages cost only latency.
         assert_eq!(l.transmit_time(0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn transmit_time_equals_the_u128_formula_across_the_u64_boundary() {
+        // The last payload whose bit count times 10^9 fits in `u64`.
+        let boundary = u64::MAX / 1_000_000_000 / 8;
+        let payloads = [
+            0,
+            1,
+            boundary - 1,
+            boundary,
+            boundary + 1,
+            4 << 20,
+            u64::MAX / 8,
+            u64::MAX,
+        ];
+        let bandwidths = [1, 7, 80_000_000, 100_000_000, 999_999_937, u64::MAX];
+        for bytes in payloads {
+            for bandwidth_bps in bandwidths {
+                let link = LinkSpec {
+                    latency: SimDuration::ZERO,
+                    bandwidth_bps,
+                };
+                let bits = bytes.saturating_mul(8) as u128;
+                let want = (bits * 1_000_000_000 / bandwidth_bps as u128) as u64;
+                assert_eq!(
+                    link.transmit_time(bytes),
+                    SimDuration::from_nanos(want),
+                    "{bytes} B at {bandwidth_bps} b/s"
+                );
+            }
+        }
+        // The boundary is where the `u64` product ends.
+        assert!((boundary * 8).checked_mul(1_000_000_000).is_some());
+        assert!(((boundary + 1) * 8).checked_mul(1_000_000_000).is_none());
     }
 
     #[test]

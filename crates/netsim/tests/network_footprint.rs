@@ -7,7 +7,9 @@
 //! tables indexed by pair were 56 MiB of an idle 1,024-cluster network.
 //! Inside a cluster the same holds for its `ranks²` node channels: a
 //! dense FIFO table per cluster was 40 MiB of a 512 x 100 ring. Both
-//! measured here with the test binary's own counting allocator.
+//! measured here with the test binary's own counting allocator, as is
+//! the inter-cluster FIFO state, which follows the channels with a
+//! message in flight, not every node pair that ever talked.
 
 use desim::{SimDuration, SimTime};
 use netsim::{ClusterSpec, ContentionModel, LinkSpec, MessageClass, Network, NodeId, Topology};
@@ -188,5 +190,43 @@ fn a_cluster_allocates_per_channel_in_use_not_per_rank_pair() {
     assert!(
         bytes < 40_000,
         "{bytes} B for one 100-rank cluster's run, against the 80,000 B dense table"
+    );
+}
+
+/// Bytes requested while `channels` distinct inter-cluster node channels
+/// of the 2 x 100 reference federation each carry one message, every one
+/// sent after the previous one arrived.
+fn one_message_per_channel(channels: u32) -> u64 {
+    let mut net = Network::new(Topology::paper_reference(2));
+    let mut now = SimTime::ZERO;
+    let ((), bytes) = allocated_by(|| {
+        for c in 0..channels {
+            let (from, to) = (NodeId::new(0, c / 100), NodeId::new(1, c % 100));
+            let arrival = net.send(now, from, to, 512, MessageClass::App);
+            now = arrival + SimDuration::from_nanos(1);
+        }
+    });
+    let inter_app: u64 = net
+        .accounts()
+        .filter(|&(from, to, _)| from != to)
+        .map(|(_, _, cells)| cells[0].messages)
+        .sum();
+    assert_eq!(inter_app, u64::from(channels));
+    bytes
+}
+
+#[test]
+fn inter_cluster_fifo_state_follows_the_messages_in_flight() {
+    // One message at a time: ten times the channels must cost no more
+    // bytes, within a slack. A map keeping every channel requests about
+    // 100 KB for 1,000 channels and 800 KB for 10,000.
+    let (few, many) = (
+        one_message_per_channel(1_000),
+        one_message_per_channel(10_000),
+    );
+    assert!(few > 0, "the counting allocator is not installed");
+    assert!(
+        many <= few + 1024,
+        "{few} B for 1,000 channels, {many} B for 10,000"
     );
 }

@@ -1,10 +1,12 @@
 //! Property tests for the network model: FIFO ordering, causality and
-//! conservation of accounting.
+//! conservation of accounting, and the FIFO clamp state of the base
+//! network and of the hostile layer, pruned as messages land, against
+//! reference models that never forget a channel.
 
 use desim::{SimDuration, SimTime};
 use netsim::{
-    ClusterId, ClusterSpec, ContentionModel, LinkSpec, MessageClass, Network, NodeId, Topology,
-    TrafficCell,
+    ClusterId, ClusterSpec, ContentionModel, HostileNet, HostileOutcome, HostileSpec, LatencyDist,
+    LinkSpec, MessageClass, Mix64, Network, NodeId, PartitionSpec, Topology, TrafficCell,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -469,8 +471,6 @@ proptest! {
     fn no_arrival_lands_inside_an_active_partition_window(
         script in hostile_script_strategy(),
     ) {
-        use netsim::{HostileNet, HostileSpec, PartitionSpec};
-
         let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
         let cuts: Vec<PartitionSpec> = script
             .windows
@@ -523,5 +523,246 @@ proptest! {
                 last_held = o.arrival;
             }
         }
+    }
+}
+
+/// Three clusters of eight: 384 directed inter-cluster node channels, so
+/// a few hundred sends keep opening channels the FIFO maps lack. When
+/// `free` is set, clusters 0 and 2 are joined by a link of zero latency
+/// and unbounded bandwidth, on which a send arrives at its own instant
+/// before the progress rule.
+fn pruning_topology(free: bool) -> Topology {
+    let cluster = ClusterSpec {
+        nodes: 8,
+        intra: LinkSpec::myrinet_like(),
+    };
+    let mut topology = Topology::new(vec![cluster; 3], LinkSpec::ethernet_like());
+    if free {
+        let link = LinkSpec {
+            latency: SimDuration::ZERO,
+            bandwidth_bps: u64::MAX,
+        };
+        topology.set_inter_link(ClusterId(0), ClusterId(2), link);
+    }
+    topology
+}
+
+/// The gap before a send: half are zero and most others a few
+/// microseconds, so channels pile up in flight; one in eight jumps up to
+/// 300 ms, past every arrival pending, so what the maps hold expires and
+/// is pruned as they fill.
+fn clock_gap(pick: u8, us: u64) -> SimDuration {
+    match pick % 8 {
+        0..=3 => SimDuration::ZERO,
+        4 => SimDuration::from_millis(us % 300),
+        _ => SimDuration::from_micros(us % 40),
+    }
+}
+
+fn pruning_node_strategy() -> impl Strategy<Value = NodeId> {
+    (0u16..3, 0u32..8).prop_map(|(c, r)| NodeId::new(c, r))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With the clock moving past pending arrivals again and again, the
+    /// inter-cluster FIFO map fills, drops what has arrived and refills
+    /// many times over; every arrival still equals the never-pruning
+    /// reference model's, same-instant zero-latency clamps included.
+    #[test]
+    fn pruned_fifo_state_equals_the_never_pruning_model(
+        free in any::<bool>(),
+        width in 2u32..=8,
+        contended in any::<bool>(),
+        sends in prop::collection::vec(
+            (any::<u8>(), any::<u64>(), pruning_node_strategy(), pruning_node_strategy(),
+             prop_oneof![Just(0u64), 0u64..200_000], 0u8..3),
+            1..400,
+        ),
+    ) {
+        let mut reference = ReferenceNetwork::new(pruning_topology(free), contended);
+        let mut net = reference.network();
+        let mut now = SimTime::ZERO;
+        // The first `width` ranks of each cluster talk: with two, 24
+        // inter-cluster channels, so a map stays small and prunes often.
+        let narrow = |n: NodeId| NodeId::new(n.cluster.0, n.rank % width);
+        let mut recent = Vec::new();
+        for &(pick, us, from, to, bytes, class_pick) in &sends {
+            // One step in four reuses one of the last four channels, and
+            // a step sends `class_pick + 1` copies at one instant, so
+            // clamps stack on a channel, at one instant too, with other
+            // channels opening in between.
+            let (from, to) = match recent.len() {
+                4.. if pick >= 192 => recent[recent.len() - 1 - (us % 4) as usize],
+                _ => (narrow(from), narrow(to)),
+            };
+            if from == to {
+                continue;
+            }
+            recent.push((from, to));
+            now += clock_gap(pick, us);
+            for _ in 0..=class_pick {
+                let got = net.send(now, from, to, bytes, class_of(class_pick));
+                let want = reference.send(now, from, to, bytes, class_pick);
+                prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
+            }
+        }
+        reference.check_accounts(&net)?;
+    }
+}
+
+/// The hostile layer's pipeline restated with a clamp map that never
+/// forgets a channel: the per-pair SplitMix64 streams seeded as the layer
+/// seeds them, then skew, reorder, loss, partition hold, FIFO clamp and
+/// duplication, in that order.
+struct ReferenceHostile {
+    spec: HostileSpec,
+    cuts: Vec<PartitionSpec>,
+    rngs: HashMap<(u16, u16), Mix64>,
+    last_arrival: HashMap<(NodeId, NodeId), SimTime>,
+}
+
+impl ReferenceHostile {
+    fn jitter(rng: &mut Mix64, max: SimDuration) -> SimDuration {
+        match max.nanos() {
+            0 => SimDuration::ZERO,
+            max => SimDuration::from_nanos(rng.next_u64() % max),
+        }
+    }
+
+    fn post(&mut self, now: SimTime, from: NodeId, to: NodeId, base: SimTime) -> HostileOutcome {
+        let tick = SimDuration::from_nanos(1);
+        let inter = from.cluster != to.cluster;
+        let skew = self
+            .spec
+            .skew
+            .iter()
+            .rev()
+            .find(|&&(f, t, _)| (f, t) == (from.cluster.0, to.cluster.0))
+            .map(|&(_, _, dist)| dist);
+        let quiet = HostileOutcome {
+            arrival: base,
+            duplicate: None,
+            held: false,
+            lost: false,
+        };
+        if !inter && skew.is_none() {
+            return quiet;
+        }
+        let seed = self.spec.seed;
+        let rng = self
+            .rngs
+            .entry((from.cluster.0, to.cluster.0))
+            .or_insert_with(|| {
+                let pair = (u64::from(from.cluster.0) << 32) | u64::from(to.cluster.0);
+                Mix64::new(Mix64::new(seed ^ pair.wrapping_mul(0x9E37_79B9_7F4A_7C15)).next_u64())
+            });
+        let mut arrival = base;
+        if let Some(dist) = skew {
+            arrival = arrival.saturating_add(dist.base + Self::jitter(rng, dist.jitter));
+        }
+        let mut reordered = false;
+        if inter && self.spec.reorder > 0.0 && rng.chance(self.spec.reorder) {
+            arrival = arrival.saturating_add(Self::jitter(rng, self.spec.reorder_jitter));
+            reordered = true;
+        }
+        if inter && self.spec.loss > 0.0 && rng.chance(self.spec.loss) {
+            return HostileOutcome {
+                arrival,
+                lost: true,
+                ..quiet
+            };
+        }
+        let mut held = false;
+        let mut bumped = inter;
+        while bumped {
+            bumped = false;
+            for cut in &self.cuts {
+                let release = cut.until.saturating_add(tick);
+                if cut.severs_directed(from.cluster, to.cluster)
+                    && now < cut.until
+                    && arrival >= cut.at
+                    && release > arrival
+                {
+                    arrival = release;
+                    bumped = true;
+                    held = true;
+                }
+            }
+        }
+        let last = self.last_arrival.entry((from, to)).or_insert(SimTime::ZERO);
+        if (!reordered || held) && *last != SimTime::ZERO && arrival <= *last {
+            arrival = last.saturating_add(tick);
+        }
+        *last = (*last).max(arrival);
+        let duplicate = (inter && self.spec.duplication > 0.0 && rng.chance(self.spec.duplication))
+            .then(|| arrival.saturating_add(tick) + Self::jitter(rng, self.spec.dup_delay));
+        HostileOutcome {
+            arrival,
+            duplicate,
+            held,
+            lost: false,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The hostile layer's clamp map is pruned as the clock passes its
+    /// arrivals, with reordering, partition holds, duplicates, loss and a
+    /// skewed cluster all on: every outcome still equals the reference
+    /// pipeline's, whose map keeps every channel it ever saw.
+    #[test]
+    fn pruned_hostile_clamps_equal_the_never_pruning_model(
+        seed in any::<u64>(),
+        windows in prop::collection::vec((0u64..3_000, 1u64..400, any::<bool>()), 0..=3),
+        sends in prop::collection::vec(
+            (any::<u8>(), any::<u64>(), pruning_node_strategy(), pruning_node_strategy(),
+             0u64..20_000),
+            1..400,
+        ),
+    ) {
+        let ms = |v: u64| SimTime::ZERO + SimDuration::from_millis(v);
+        let cuts: Vec<PartitionSpec> = windows
+            .iter()
+            .map(|&(at, len, oneway)| PartitionSpec {
+                at: ms(at),
+                until: ms(at + len),
+                group: vec![0],
+                oneway,
+            })
+            .collect();
+        let skew = LatencyDist {
+            base: SimDuration::from_micros(30),
+            jitter: SimDuration::from_micros(200),
+        };
+        let spec = HostileSpec::seeded(seed)
+            .with_reorder(0.3, SimDuration::from_millis(20))
+            .with_duplication(0.3, SimDuration::from_millis(5))
+            .with_loss(0.1)
+            .with_skew(1, 1, skew)
+            .with_skew(2, 0, skew);
+        let mut h = HostileNet::new(spec.clone(), cuts.clone());
+        let mut reference = ReferenceHostile {
+            spec,
+            cuts,
+            rngs: HashMap::new(),
+            last_arrival: HashMap::new(),
+        };
+        let mut now = SimTime::ZERO;
+        let mut held = 0;
+        for &(pick, us, from, to, transit_us) in &sends {
+            if from == to {
+                continue;
+            }
+            now += clock_gap(pick, us);
+            let base = now + SimDuration::from_micros(150 + transit_us);
+            let got = h.post(now, from, to, base);
+            prop_assert_eq!(got, reference.post(now, from, to, base), "{} -> {} at {}", from, to, now);
+            held += u64::from(got.held);
+        }
+        prop_assert_eq!(h.held, held);
     }
 }

@@ -3,15 +3,63 @@
 //! Random partition/duplication/reorder schedules drive full simulator
 //! runs; every run must satisfy the campaign invariants (no committed
 //! work lost, delivered-record consistency, sound recovery) and be
-//! bit-deterministic for its seed.
+//! bit-deterministic for its seed. The hostile layer's own FIFO clamp
+//! state is weighed with this binary's counting allocator: it follows the
+//! messages in flight, not every node pair that ever talked.
 
 use campaign::invariants::{self, FaultWave};
 use desim::{RngStreams, SimDuration, SimTime};
 use hc3i::prelude::*;
 use hc3i_core::ProtoEvent;
-use netsim::{ClusterSpec, HostileSpec, LinkSpec, NodeId};
+use netsim::{ClusterSpec, HostileNet, HostileSpec, LinkSpec, NodeId};
 use proptest::prelude::*;
 use simdriver::{TraceEvent, TraceLevel};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Bytes requested by this thread (tests run on parallel threads).
+    /// Const-initialised and without a destructor, so reading it from
+    /// inside the allocator never allocates.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note(size: usize) {
+    BYTES.with(|b| b.set(b.get() + size as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter never touches the
+// returned memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's obligations are passed straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
 
 fn minutes(m: u64) -> SimTime {
     SimTime::ZERO + SimDuration::from_minutes(m)
@@ -327,4 +375,42 @@ fn hostile_ring_replays_identically_trace_and_all() {
         hostile.messages_lost
     );
     assert!(trace_a.len() as u64 > report_a.app_sent);
+}
+
+/// Bytes requested while `channels` distinct inter-cluster node channels
+/// each carry one message through a hostile layer with reordering and
+/// duplication on, every one sent after the previous one arrived.
+fn hostile_post_per_channel(channels: u32) -> u64 {
+    let spec = HostileSpec::seeded(20040426)
+        .with_duplication(0.5, SimDuration::from_micros(10))
+        .with_reorder(0.5, SimDuration::from_micros(10));
+    let mut h = HostileNet::new(spec, vec![]);
+    let mut now = SimTime::ZERO;
+    let before = BYTES.with(Cell::get);
+    for c in 0..channels {
+        let (from, to) = (NodeId::new(0, c / 100), NodeId::new(1, c % 100));
+        let o = h.post(now, from, to, now + SimDuration::from_micros(200));
+        now = o.arrival + SimDuration::from_nanos(1);
+    }
+    let bytes = BYTES.with(Cell::get) - before;
+    assert!(h.duplicates > 0 && h.reordered > 0);
+    bytes
+}
+
+/// The hostile layer's FIFO clamp state follows the messages in flight:
+/// ten times the channels, each used once and after the previous message
+/// landed, cost no more bytes, within a slack. A map keeping every
+/// channel requests about 100 KB for 1,000 channels and 800 KB for
+/// 10,000.
+#[test]
+fn hostile_clamp_state_follows_the_messages_in_flight() {
+    let (few, many) = (
+        hostile_post_per_channel(1_000),
+        hostile_post_per_channel(10_000),
+    );
+    assert!(few > 0, "the counting allocator is not installed");
+    assert!(
+        many <= few + 1024,
+        "{few} B for 1,000 channels, {many} B for 10,000"
+    );
 }
