@@ -64,8 +64,8 @@ struct FrozenState {
     /// The application snapshot at the freeze.
     app_state: Option<Vec<u8>>,
     /// Replica holders that have not yet confirmed storing our fragment:
-    /// `frag_holders[i]`, the holder `(rank + i + 1) % n`, at bit `i` (the
-    /// degree is at most 64). The ack goes out on the confirmation that
+    /// the `i`-th holder, `(rank + i + 1) % n`, at bit `i` (the degree is
+    /// at most 64). The ack goes out on the confirmation that
     /// clears the last bit, so a confirmation from a non-holder, or a
     /// repeated one, never acks.
     awaiting_frag: u64,
@@ -109,14 +109,13 @@ struct GcState {
 /// node per round. What only one node in a cluster uses (the
 /// coordinator's round state) or in a federation (the GC initiator's
 /// lists) is boxed instead, which pays for the window: the cold state is
-/// smaller than the 240 bytes it was with the window boxed — 200, with the
-/// window's sealed record kept as its 8-byte base (`layout_tests` holds
-/// it).
+/// smaller than the 240 bytes it was with the window boxed — 184, with the
+/// window's sealed record kept as its 8-byte base and the replica holders
+/// computed, not boxed (`layout_tests` holds it).
 #[derive(Debug)]
 struct ColdState {
-    /// This node's checkpoint-fragment replica holders — a pure function
-    /// of rank, cluster size and replication degree, so computed once.
-    frag_holders: Box<[u32]>,
+    /// Every CLC this node keeps, never empty: the newest one's stamp is
+    /// the node's live DDV ([`NodeEngine::live_ddv`]).
     store: ClcStore<StoredCheckpoint>,
     /// The CLC window between a `ClcRequest` and its commit; `Some`
     /// exactly when [`NodeEngine::frozen`] is set.
@@ -149,7 +148,9 @@ struct ColdState {
 /// The only `O(clusters)` data an engine references — the config and the
 /// DDV stamps — is `Arc`-shared, and the per-origin epoch floors are
 /// sparse, so a host's arena costs `nodes x constant`, not
-/// `nodes x clusters` (`tests/engine_footprint.rs` holds it there).
+/// `nodes x clusters` (`tests/engine_footprint.rs` holds it there). Nor
+/// is anything derivable stored: construction allocates the cold box and
+/// one store slot.
 #[derive(Debug)]
 pub struct NodeEngine {
     /// Static federation configuration, `Arc`-shared by every engine of a
@@ -163,11 +164,6 @@ pub struct NodeEngine {
     /// cluster control messages so stale rounds are discarded.
     epoch: u64,
     sn: SeqNum,
-    /// The node's current DDV. `Arc`-shared: outside a commit the DDV is
-    /// immutable, so the commit's broadcast stamp *is* the live DDV, the
-    /// FullDdv piggyback stamp, and the stored `ClcMeta` stamp — one
-    /// allocation per cluster per CLC (the coordinator's), zero per node.
-    ddv: Arc<Ddv>,
     log: MessageLog<AppPayload>,
     /// Delivery record for inter-cluster duplicate suppression:
     /// `(sender, log id) -> SN at delivery`. Checkpointed copy-on-write:
@@ -228,15 +224,11 @@ impl NodeEngine {
             }),
             "initial DDV must be the cluster's first-CLC stamp"
         );
-        let frag_holders: Box<[u32]> = cfg
-            .replication
-            .replica_holders(id.rank, cfg.nodes_in(id.cluster.index()))
-            .into();
         let mut store = ClcStore::new();
         store.commit(
             ClcMeta {
                 sn: initial_sn,
-                ddv: ddv.clone(),
+                ddv,
                 committed_at: SimTime::ZERO,
                 forced: false,
             },
@@ -248,7 +240,6 @@ impl NodeEngine {
             id,
             epoch: 0,
             sn: initial_sn,
-            ddv,
             log: MessageLog::new(),
             delivered: DeliveredRecord::new(),
             pending_inter: vec![],
@@ -257,7 +248,6 @@ impl NodeEngine {
             min_epoch: EpochFloors::new(n),
             dirty: false,
             cold: Box::new(ColdState {
-                frag_holders,
                 store,
                 frozen: None,
                 coord,
@@ -281,7 +271,7 @@ impl NodeEngine {
     }
     /// Current DDV.
     pub fn ddv(&self) -> &Ddv {
-        &self.ddv
+        self.live_ddv()
     }
     /// The CLC store.
     pub fn store(&self) -> &ClcStore<StoredCheckpoint> {
@@ -336,19 +326,34 @@ impl NodeEngine {
         self.cfg.coordinator(self.my_cluster())
     }
 
+    /// This node's fragment replica holders, nearest first.
+    fn replica_holders(&self) -> impl ExactSizeIterator<Item = u32> {
+        self.cfg
+            .replication
+            .replica_holders(self.id.rank, self.cluster_size())
+    }
+
+    /// The live DDV: the newest stored CLC's stamp (a commit appends the
+    /// stamp it installs, a rollback truncates to the CLC it restores, a
+    /// collection keeps the newest). `Arc`-shared: the coordinator's
+    /// broadcast stamp serves its whole cluster — zero allocations per node.
+    fn live_ddv(&self) -> &Arc<Ddv> {
+        &self.cold.store.latest().expect("never empty").meta.ddv
+    }
+
     fn current_piggyback(&mut self) -> Piggyback {
         match self.cfg.piggyback {
             PiggybackMode::SnOnly => Piggyback::Sn(self.sn),
             // The live DDV is already the shared immutable stamp.
-            PiggybackMode::FullDdv => Piggyback::Ddv(self.ddv.clone()),
+            PiggybackMode::FullDdv => Piggyback::Ddv(self.live_ddv().clone()),
         }
     }
 
     /// Does an incoming piggyback require a forced CLC before delivery?
     fn needs_forced_clc(&self, piggyback: &Piggyback, sender_cluster: usize) -> bool {
         match piggyback {
-            Piggyback::Sn(sn) => *sn > self.ddv.get(sender_cluster),
-            Piggyback::Ddv(ddv) => !ddv.dominated_by(&self.ddv),
+            Piggyback::Sn(sn) => *sn > self.live_ddv().get(sender_cluster),
+            Piggyback::Ddv(ddv) => !ddv.dominated_by(self.live_ddv()),
         }
     }
 
@@ -432,10 +437,8 @@ impl NodeEngine {
                 }
                 // No bit for a rank that holds no replica of ours.
                 let bit = self
-                    .cold
-                    .frag_holders
-                    .iter()
-                    .position(|&h| h == holder)
+                    .replica_holders()
+                    .position(|h| h == holder)
                     .map_or(0, |i| 1u64 << i);
                 let ack_now = match self.cold.frozen.as_mut() {
                     Some(f) if f.round == round && f.awaiting_frag & bit != 0 => {
@@ -788,7 +791,10 @@ impl NodeEngine {
         // One replica per holder, in holder order. All holders are in
         // this cluster, so the transport never sees them.
         let (owner, epoch) = (self.id.rank, self.epoch);
-        for &h in self.cold.frag_holders.iter() {
+        let holders = self.replica_holders();
+        // One bit per holder (at most 64); none left means ack now.
+        let awaiting_frag = u64::MAX.checked_shr(64 - holders.len() as u32).unwrap_or(0);
+        for h in holders {
             out.push(Output::Send {
                 to: NodeId::new(self.id.cluster.0, h),
                 msg: Msg::FragmentReplica {
@@ -798,10 +804,6 @@ impl NodeEngine {
                 },
             });
         }
-        // One bit per holder (at most 64); none left means ack now.
-        let awaiting_frag = u64::MAX
-            .checked_shr(64 - self.cold.frag_holders.len() as u32)
-            .unwrap_or(0);
         self.cold.frozen = Some(FrozenState {
             round,
             // O(delta) seal: deliveries since the last CLC move into the
@@ -825,7 +827,7 @@ impl NodeEngine {
         now: SimTime,
         round: u64,
         sn: SeqNum,
-        ddv: Arc<Ddv>,
+        stamp: Arc<Ddv>,
         forced: bool,
         out: &mut OutputBuf,
     ) {
@@ -851,19 +853,18 @@ impl NodeEngine {
         // Sized exactly: the store keeps it until a collection prunes it.
         let mut channel_state = Vec::with_capacity(held.iter().filter_map(channel).count());
         channel_state.extend(held.iter().filter_map(channel));
+        // The commit's shared stamp moves into the store, and so becomes
+        // the live DDV and the new outgoing piggyback — no per-node clone.
         self.cold.store.commit(
             ClcMeta {
                 sn,
-                ddv: ddv.clone(),
+                ddv: stamp,
                 committed_at: now,
                 forced,
             },
             StoredCheckpoint::new(delivered, channel_state, app_state),
         );
         self.sn = sn;
-        // The commit's shared stamp *is* the live DDV, the stored stamp
-        // and the new outgoing piggyback — no per-node vector clone.
-        self.ddv = ddv;
         self.dirty = true;
         out.push(Output::Store(StoreOp::Committed(sn)));
         if self.is_coordinator() {
@@ -966,7 +967,7 @@ impl NodeEngine {
         // Compute the committed stamp: apply every DDV raise, then bump SN.
         // The one DDV allocation of the whole CLC round happens here, at
         // the coordinator; everyone else shares the broadcast `Arc`.
-        let mut ddv = (*self.ddv).clone();
+        let mut ddv = Ddv::clone(self.live_ddv());
         let mut forced = false;
         for reason in &reasons {
             match reason {
@@ -1065,12 +1066,12 @@ impl NodeEngine {
             .get(restore_sn)
             .expect("rollback target must be stored");
         self.sn = restore_sn;
-        self.ddv = entry.meta.ddv.clone();
         let committed_at = entry.meta.committed_at;
         self.delivered = entry.payload.delivered();
         let restored_app = entry.payload.app_state().map(<[u8]>::to_vec);
         self.cold.app_state = restored_app.clone();
         let channel_replay = entry.payload.channel_state().to_vec();
+        // The restored CLC is now the newest: its stamp is the live DDV.
         let discarded = self.cold.store.truncate_after(restore_sn);
         self.log.truncate_after_rollback(restore_sn);
         self.frozen = false;
@@ -1263,20 +1264,21 @@ mod layout_tests {
 
     /// The simulator arena stores engines inline, so the inline size is
     /// what 100k-node sweeps keep cache-resident. The hot/cold split holds
-    /// it to 192 bytes (~450 with `ColdState` inline, which
+    /// it to 184 bytes (~450 with `ColdState` inline, which
     /// `bench/ABLATIONS.md` measured: +8 % peak RSS on `campaign_sweep`,
-    /// 0/10 pairs). If this fires, the new field probably belongs in
-    /// `ColdState`.
+    /// 0/10 pairs), the live DDV being the newest stored CLC's stamp. If
+    /// this fires, the new field probably belongs in `ColdState`.
     #[test]
     fn hot_engine_stays_within_four_cache_lines() {
         let hot = std::mem::size_of::<NodeEngine>();
-        assert!(hot <= 192, "NodeEngine inline size grew to {hot} bytes");
+        assert!(hot <= 184, "NodeEngine inline size grew to {hot} bytes");
         // The freeze window sits inline in the cold state, paid for by
         // boxing what only a coordinator or the GC initiator uses; its
-        // sealed record is the 8-byte base alone, which keeps the cold
-        // state at 200 bytes.
+        // sealed record is the 8-byte base alone and the replica holders
+        // are computed, which keeps the cold state at 184 bytes. The
+        // bound leaves 8 bytes for one more boxed, rarely present state.
         let cold = std::mem::size_of::<ColdState>();
-        assert!(cold <= 200, "ColdState grew to {cold} bytes");
+        assert!(cold <= 192, "ColdState grew to {cold} bytes");
         // The split only pays off while the cold side carries real weight.
         assert!(
             cold >= 128,
@@ -1588,24 +1590,53 @@ mod layout_tests {
 
     #[test]
     fn a_freeze_sends_one_replica_per_holder_in_holder_order() {
-        // Rank 3 of 5 at degree 3: holders 4, 0 and 1, wrapping around.
-        let cfg = ProtocolConfig::new(vec![5]).with_replication(ReplicationPolicy::with_degree(3));
-        let mut e = NodeEngine::new(cfg, n(0, 3));
-        let order = Msg::RollbackOrder {
-            restore_sn: SeqNum(1),
-            epoch: 2,
-        };
-        recv(&mut e, n(0, 0), order);
-        let outs = recv(&mut e, n(0, 0), Msg::ClcRequest { round: 7, epoch: 2 });
-        let replica = |h| Output::Send {
-            to: n(0, h),
-            msg: Msg::FragmentReplica {
-                round: 7,
-                owner: 3,
+        // (cluster size, rank, degree, holders): the paper's degree 1,
+        // degrees 2 and 3 wrapping around, and degree 5 capped at the
+        // other two ranks of a 3-node cluster.
+        let cases: [(u32, u32, u32, &[u32]); 4] = [
+            (5, 3, 1, &[4]),
+            (5, 3, 2, &[4, 0]),
+            (5, 3, 3, &[4, 0, 1]),
+            (3, 1, 5, &[2, 0]),
+        ];
+        for (size, rank, degree, holders) in cases {
+            let policy = ReplicationPolicy::with_degree(degree);
+            let cfg = ProtocolConfig::new(vec![size]).with_replication(policy);
+            let mut e = NodeEngine::new(cfg, n(0, rank));
+            let order = Msg::RollbackOrder {
+                restore_sn: SeqNum(1),
                 epoch: 2,
-            },
-        };
-        assert_eq!(outs, [4, 0, 1].map(replica));
+            };
+            recv(&mut e, n(0, 0), order);
+            let outs = recv(&mut e, n(0, 0), Msg::ClcRequest { round: 7, epoch: 2 });
+            let replica = |&h: &u32| Output::Send {
+                to: n(0, h),
+                msg: Msg::FragmentReplica {
+                    round: 7,
+                    owner: rank,
+                    epoch: 2,
+                },
+            };
+            let replicas: Vec<_> = holders.iter().map(replica).collect();
+            assert_eq!(outs, replicas, "degree {degree}");
+            // A rank that holds none of our replicas never acks, ourselves
+            // and a rank outside the cluster included; the last holder does.
+            let mut confirm = |holder| {
+                let msg = Msg::FragmentStored {
+                    round: 7,
+                    holder,
+                    epoch: 2,
+                };
+                acks(&recv(&mut e, n(0, holder % size), msg))
+            };
+            for other in (0..=size).filter(|r| !holders.contains(r)) {
+                assert!(!confirm(other), "degree {degree}: rank {other} acked");
+            }
+            for (i, &h) in holders.iter().enumerate() {
+                let last = i + 1 == holders.len();
+                assert_eq!(confirm(h), last, "degree {degree}: holder {h}");
+            }
+        }
     }
 
     #[test]

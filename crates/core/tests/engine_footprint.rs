@@ -109,6 +109,22 @@ fn construction_allocates_the_same_at_every_width() {
     );
 }
 
+/// An engine stores nothing it can derive: its live DDV is the newest
+/// stored CLC's stamp, and its replica holders follow from the config. So
+/// a non-coordinator's construction allocates its cold-state box and one
+/// store slot, for the initial CLC, and nothing else.
+#[test]
+fn construction_allocates_the_cold_box_and_one_store_slot() {
+    let cfg = Arc::new(ProtocolConfig::new(vec![NODES_PER_CLUSTER; 2]));
+    let mut ddv = Ddv::zeros(2);
+    ddv.set(0, SeqNum(1));
+    let ddv = Arc::new(ddv);
+    let (count, _) = allocations_in(|| {
+        let _engine = NodeEngine::with_initial_ddv(cfg, NodeId::new(0, 1), ddv);
+    });
+    assert_eq!(count, 2, "allocations to build a non-coordinator engine");
+}
+
 /// An alert about a rollback of cluster `origin`, as a message.
 type Alert = fn(origin: usize) -> Msg;
 

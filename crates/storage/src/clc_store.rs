@@ -14,7 +14,8 @@
 //! Under a large federation these stores are the bulk of the heap (every
 //! node keeps several entries until a collection prunes them), so the
 //! engine's payload is kept small: an entry is 48 bytes, the 32-byte
-//! [`ClcMeta`] and a 16-byte checkpoint.
+//! [`ClcMeta`] and a 16-byte checkpoint, and a store grows 1 → 8 → 16 →
+//! … slots, never making `Vec`'s 4-slot block only to free it.
 
 use crate::stamp::{Ddv, SeqNum};
 use hc3i_types::SimTime;
@@ -68,6 +69,11 @@ impl<T> Default for ClcStore<T> {
 }
 
 impl<T> ClcStore<T> {
+    /// A store's capacity after its first growth, from the one slot of
+    /// the initial CLC: where `Vec`'s own doubling lands at the fifth CLC,
+    /// and `sim_mega`'s stores peak at 5–8 entries (`bench/ABLATIONS.md`).
+    const FIRST_GROWTH: usize = 8;
+
     /// Empty store.
     pub fn new() -> Self {
         ClcStore {
@@ -89,6 +95,12 @@ impl<T> ClcStore<T> {
                 last.meta.ddv.dominated_by(&meta.ddv),
                 "DDV must be monotone across a cluster's CLCs"
             );
+        }
+        let cap = self.entries.capacity();
+        if self.entries.len() == cap && cap < Self::FIRST_GROWTH {
+            // 0 → 1 → FIRST_GROWTH; from there `Vec` doubles on its own.
+            let target = if cap == 0 { 1 } else { Self::FIRST_GROWTH };
+            self.entries.reserve_exact(target - cap);
         }
         self.entries.push(ClcEntry { meta, payload });
         self.peak = self.peak.max(self.entries.len());

@@ -52,12 +52,12 @@ impl ReplicationPolicy {
     }
 
     /// Ranks holding a replica of `rank`'s fragment in a cluster of
-    /// `n` nodes (owner excluded). Fewer than `degree` if the cluster is
-    /// small.
-    pub fn replica_holders(&self, rank: u32, n: u32) -> Vec<u32> {
+    /// `n` nodes (owner excluded), nearest first: the `i`-th is
+    /// `(rank + i + 1) % n`. Fewer than `degree` if the cluster is small.
+    pub fn replica_holders(&self, rank: u32, n: u32) -> impl ExactSizeIterator<Item = u32> {
         assert!(rank < n, "rank out of range");
-        let k = self.degree.min(n.saturating_sub(1));
-        (1..=k).map(|d| (rank + d) % n).collect()
+        let k = self.degree.min(n - 1);
+        (0..k).map(move |i| (rank + i + 1) % n)
     }
 
     /// Can the cluster reconstruct every fragment if `failed` ranks fail
@@ -68,9 +68,9 @@ impl ReplicationPolicy {
             return false;
         }
         for &f in failed {
-            // The owner's copy is gone; some replica holder must survive.
-            let holders = self.replica_holders(f, n);
-            if holders.is_empty() || holders.iter().all(|&h| is_failed(h)) {
+            // The owner's copy is gone; some replica holder must survive
+            // (a lone node has none, and `all` of nothing holds).
+            if self.replica_holders(f, n).all(is_failed) {
                 return false;
             }
         }
@@ -114,18 +114,22 @@ mod tests {
         ReplicationPolicy::with_degree(65);
     }
 
+    fn holders(p: ReplicationPolicy, rank: u32, n: u32) -> Vec<u32> {
+        p.replica_holders(rank, n).collect()
+    }
+
     #[test]
     fn holders_wrap_around() {
         let p = ReplicationPolicy::with_degree(2);
-        assert_eq!(p.replica_holders(8, 10), vec![9, 0]);
-        assert_eq!(p.replica_holders(0, 10), vec![1, 2]);
+        assert_eq!(holders(p, 8, 10), [9, 0]);
+        assert_eq!(holders(p, 0, 10), [1, 2]);
     }
 
     #[test]
     fn holders_clamped_in_tiny_cluster() {
         let p = ReplicationPolicy::with_degree(3);
-        assert_eq!(p.replica_holders(0, 2), vec![1]);
-        assert_eq!(p.replica_holders(0, 1), Vec::<u32>::new());
+        assert_eq!(holders(p, 0, 2), [1]);
+        assert_eq!(p.replica_holders(0, 1).len(), 0);
     }
 
     #[test]
