@@ -33,9 +33,9 @@ use std::collections::BTreeMap;
 /// Inbox events at one instant dispatch in ascending key order — *not* in
 /// scheduling order like queue events. The federation world routes every
 /// inter-cluster delivery through the inbox with a key derived from the
-/// sending side alone (send instant, directed cluster route, per-route
-/// wire sequence), so the order in which same-instant inter-cluster
-/// arrivals reach their receivers is a function of the messages, not of
+/// sending side alone (send instant, directed cluster route, then send
+/// order), so the order in which same-instant inter-cluster arrivals
+/// reach their receivers is a function of the messages, not of
 /// the order their senders happened to be dispatched in. Every committed
 /// fingerprint (`bench/FINGERPRINT.txt`, `campaign/GOLDEN.json`, the
 /// benchmark's `expected.json`) pins that order.

@@ -163,7 +163,8 @@ pub struct HostileSpec {
     pub reorder: f64,
     /// Upper bound of the reordering jitter.
     pub reorder_jitter: SimDuration,
-    /// Per *directed* cluster-pair latency skew `(from, to, dist)`.
+    /// Per *directed* cluster-pair latency skew `(from, to, dist)`; a pair
+    /// named more than once takes its last entry.
     pub skew: Vec<(u16, u16, LatencyDist)>,
     /// Probability that an inter-cluster message vanishes on the wire.
     pub loss: f64,
@@ -241,7 +242,6 @@ pub struct HostileNet {
     /// Lazily-seeded per-directed-cluster-pair streams (see
     /// [`Self::pair_seed`]).
     rngs: FastHashMap<(u16, u16), Mix64>,
-    skew: FastHashMap<(u16, u16), LatencyDist>,
     last_arrival: InFlight<(NodeId, NodeId)>,
     /// Messages held at a partition cut.
     pub held: u64,
@@ -259,15 +259,10 @@ impl HostileNet {
         for p in &partitions {
             assert!(p.at < p.until, "partition heals before it starts");
         }
-        let mut skew = FastHashMap::default();
-        for &(from, to, dist) in &spec.skew {
-            skew.insert((from, to), dist);
-        }
         HostileNet {
             spec,
             partitions,
             rngs: FastHashMap::default(),
-            skew,
             last_arrival: InFlight::default(),
             held: 0,
             duplicates: 0,
@@ -301,7 +296,9 @@ impl HostileNet {
         arrival: SimTime,
     ) -> HostileOutcome {
         let inter = from.cluster != to.cluster;
-        let skew = self.skew.get(&(from.cluster.0, to.cluster.0)).copied();
+        let route = (from.cluster.0, to.cluster.0);
+        let skew = self.spec.skew.iter().rev().find(|s| (s.0, s.1) == route);
+        let skew = skew.map(|s| s.2);
         // Reorder, loss, holds and duplication are inter-cluster only, and
         // the base network already keeps every channel FIFO: without a
         // skew of its own cluster, nothing below can move an intra-cluster
@@ -324,7 +321,7 @@ impl HostileNet {
         let seed = self.spec.seed;
         let rng = self
             .rngs
-            .entry((from.cluster.0, to.cluster.0))
+            .entry(route)
             .or_insert_with(|| Mix64::new(Self::pair_seed(seed, from.cluster, to.cluster)));
 
         // 1. Asymmetric per-pair latency skew.

@@ -2,9 +2,12 @@
 //!
 //! Mirrors the paper's *topology file*: number of clusters, nodes per
 //! cluster, bandwidth and latency inside each cluster and between every
-//! cluster pair (a triangular matrix), and the federation MTBF.
+//! cluster pair, and the federation MTBF. Like the file, a topology keeps
+//! one default inter-cluster link and the pairs whose link differs from
+//! it, so nothing here is sized by cluster pairs.
 
 use hc3i_types::{ClusterId, NodeId, SimDuration, MAX_CLUSTERS};
+use std::collections::BTreeMap;
 
 /// Latency + bandwidth of a (bidirectional) link class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,45 +70,16 @@ pub struct ClusterSpec {
     pub intra: LinkSpec,
 }
 
-/// A symmetric cluster-pair matrix stored as a lower triangle.
-#[derive(Debug, Clone)]
-pub(crate) struct TriMatrix<T> {
-    n: usize,
-    cells: Vec<T>,
-}
-
-impl<T: Copy> TriMatrix<T> {
-    /// `n`×`n` symmetric matrix (diagonal excluded) filled with `fill`.
-    pub(crate) fn new(n: usize, fill: T) -> Self {
-        let cells = vec![fill; n * (n.saturating_sub(1)) / 2];
-        TriMatrix { n, cells }
-    }
-
-    fn index(&self, i: usize, j: usize) -> usize {
-        assert!(i != j, "triangular matrix has no diagonal");
-        assert!(i < self.n && j < self.n, "cluster index out of range");
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        // Row `hi` of the lower triangle starts at hi*(hi-1)/2.
-        hi * (hi - 1) / 2 + lo
-    }
-
-    /// Read the entry for the unordered pair `{i, j}`.
-    pub(crate) fn get(&self, i: usize, j: usize) -> T {
-        self.cells[self.index(i, j)]
-    }
-
-    /// Write the entry for the unordered pair `{i, j}`.
-    pub(crate) fn set(&mut self, i: usize, j: usize, value: T) {
-        let idx = self.index(i, j);
-        self.cells[idx] = value;
-    }
-}
-
-/// The whole federation: clusters + inter-cluster link matrix + MTBF.
+/// The whole federation: clusters + inter-cluster links + MTBF.
 #[derive(Debug, Clone)]
 pub struct Topology {
     clusters: Vec<ClusterSpec>,
-    inter: TriMatrix<LinkSpec>,
+    /// Link class of every cluster pair not in `overrides`.
+    inter: LinkSpec,
+    /// The cluster pairs whose link differs from `inter`, keyed by
+    /// [`Self::pair`]. The pairs come from a topology file, so they are
+    /// not hashed: no list of pairs can make a lookup slow.
+    overrides: BTreeMap<(u16, u16), LinkSpec>,
     /// Federation mean time between failures (None = no spontaneous faults).
     pub mtbf: Option<SimDuration>,
 }
@@ -127,7 +101,8 @@ impl Topology {
         );
         Topology {
             clusters,
-            inter: TriMatrix::new(n, inter),
+            inter,
+            overrides: BTreeMap::new(),
             mtbf: None,
         }
     }
@@ -182,14 +157,29 @@ impl Topology {
         self.clusters.iter().map(|c| c.nodes as u64).sum()
     }
 
-    /// Link class between two *distinct* clusters.
-    pub fn inter_link(&self, a: ClusterId, b: ClusterId) -> LinkSpec {
-        self.inter.get(a.index(), b.index())
+    /// The key of the unordered pair `{a, b}` of two distinct clusters.
+    fn pair(&self, a: ClusterId, b: ClusterId) -> (u16, u16) {
+        assert!(a != b, "the inter-cluster links have no diagonal");
+        let n = self.clusters.len();
+        assert!(a.index() < n && b.index() < n, "cluster index out of range");
+        (a.0.min(b.0), a.0.max(b.0))
     }
 
-    /// Override the link class of one cluster pair.
+    /// Link class between two *distinct* clusters, in either direction.
+    pub fn inter_link(&self, a: ClusterId, b: ClusterId) -> LinkSpec {
+        let link = self.overrides.get(&self.pair(a, b));
+        link.copied().unwrap_or(self.inter)
+    }
+
+    /// Override the link class of one cluster pair; a pair set back to
+    /// the default link is dropped from the overrides.
     pub fn set_inter_link(&mut self, a: ClusterId, b: ClusterId, link: LinkSpec) {
-        self.inter.set(a.index(), b.index(), link);
+        let pair = self.pair(a, b);
+        if link == self.inter {
+            self.overrides.remove(&pair);
+        } else {
+            self.overrides.insert(pair, link);
+        }
     }
 
     /// Link class used by a message from `from` to `to` (same- or
@@ -280,44 +270,65 @@ mod tests {
         assert!(l.transmit_time(1).is_infinite());
     }
 
+    /// A link told apart from the others by its latency alone.
+    fn link(nanos: u64) -> LinkSpec {
+        LinkSpec {
+            latency: SimDuration::from_nanos(nanos),
+            bandwidth_bps: 1,
+        }
+    }
+
+    /// The inter-cluster links read as a symmetric triangular matrix:
+    /// a pair written in one order reads back in both.
     #[test]
     fn trimatrix_is_symmetric() {
-        let mut m = TriMatrix::new(4, 0u32);
-        m.set(1, 3, 7);
-        assert_eq!(m.get(3, 1), 7);
-        assert_eq!(m.get(1, 3), 7);
-        m.set(3, 1, 9);
-        assert_eq!(m.get(1, 3), 9);
-        assert_eq!(m.get(0, 1), 0);
+        let spec = ClusterSpec {
+            nodes: 1,
+            intra: link(1),
+        };
+        let mut t = Topology::new(vec![spec; 4], link(0));
+        t.set_inter_link(ClusterId(1), ClusterId(3), link(7));
+        assert_eq!(t.inter_link(ClusterId(3), ClusterId(1)), link(7));
+        assert_eq!(t.inter_link(ClusterId(1), ClusterId(3)), link(7));
+        t.set_inter_link(ClusterId(3), ClusterId(1), link(9));
+        assert_eq!(t.inter_link(ClusterId(1), ClusterId(3)), link(9));
+        assert_eq!(t.inter_link(ClusterId(0), ClusterId(1)), link(0));
     }
 
-    #[test]
-    #[should_panic(expected = "no diagonal")]
-    fn trimatrix_rejects_diagonal() {
-        TriMatrix::new(3, 0u32).get(2, 2);
-    }
-
+    /// Every unordered pair has a slot of its own, readable in both orders.
     #[test]
     fn trimatrix_indexing_covers_all_pairs() {
         let n = 6;
-        let mut m = TriMatrix::new(n, 0usize);
+        let spec = ClusterSpec {
+            nodes: 1,
+            intra: link(1),
+        };
+        let mut t = Topology::new(vec![spec; n], link(0));
         let mut v = 1;
         for i in 0..n {
             for j in (i + 1)..n {
-                m.set(i, j, v);
+                t.set_inter_link(ClusterId(i as u16), ClusterId(j as u16), link(v));
                 v += 1;
             }
         }
-        // Every pair readable from both orders with distinct values.
         let mut seen = std::collections::HashSet::new();
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    seen.insert(m.get(i, j));
+                    let l = t.inter_link(ClusterId(i as u16), ClusterId(j as u16));
+                    assert_eq!(l, t.inter_link(ClusterId(j as u16), ClusterId(i as u16)));
+                    seen.insert(l.latency);
                 }
             }
         }
         assert_eq!(seen.len(), n * (n - 1) / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "no diagonal")]
+    fn inter_link_rejects_the_diagonal() {
+        let t = Topology::paper_reference(3);
+        t.inter_link(ClusterId(2), ClusterId(2));
     }
 
     #[test]
@@ -358,7 +369,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "at most 65536 clusters")]
     fn overwide_federation_rejected() {
-        // Must fire before the inter-cluster matrix is sized.
+        // Must fire at construction: a cluster past the 65,536th has no
+        // `u16` id to key its inter-cluster links by.
         let spec = ClusterSpec {
             nodes: 1,
             intra: LinkSpec::myrinet_like(),

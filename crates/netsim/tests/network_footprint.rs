@@ -7,9 +7,11 @@
 //! tables indexed by pair were 56 MiB of an idle 1,024-cluster network.
 //! Inside a cluster the same holds for its `ranks²` node channels: a
 //! dense FIFO table per cluster was 40 MiB of a 512 x 100 ring. Both
-//! measured here with the test binary's own counting allocator, as is
+//! measured here with the test binary's own counting allocator, as are
 //! the inter-cluster FIFO state, which follows the channels with a
-//! message in flight, not every node pair that ever talked.
+//! message in flight, not every node pair that ever talked, and the
+//! topology, which keeps one default inter-cluster link and the pairs
+//! that differ from it instead of a triangle of `n(n-1)/2` links.
 
 use desim::{SimDuration, SimTime};
 use netsim::{ClusterSpec, ContentionModel, LinkSpec, MessageClass, Network, NodeId, Topology};
@@ -100,6 +102,28 @@ fn ring_round(clusters: usize) -> u64 {
         .sum();
     assert_eq!(inter_app, clusters as u64);
     bytes
+}
+
+#[test]
+fn a_topology_is_linear_in_its_width() {
+    // A run holds two copies: its config's and its network's. Each one's
+    // cluster table is 1,024 x 24 B, so the two fit in 64 KiB; a triangle
+    // of inter-cluster links would add 523,776 x 16 B (8 MiB) to each.
+    let cluster = ClusterSpec {
+        nodes: 1,
+        intra: LinkSpec::myrinet_like(),
+    };
+    let (copies, bytes) = allocated_by(|| {
+        let topology = Topology::new(vec![cluster; 1024], LinkSpec::ethernet_like());
+        let copy = topology.clone();
+        (topology, copy)
+    });
+    assert!(bytes > 0, "the counting allocator is not installed");
+    assert!(
+        bytes < 64 << 10,
+        "Topology::new over 1,024 clusters and one clone requested {bytes} B: a table is sized by cluster pairs"
+    );
+    assert_eq!(copies.1.num_clusters(), 1024);
 }
 
 #[test]

@@ -333,6 +333,61 @@ proptest! {
     }
 }
 
+/// Inter-cluster links a topology test may set: the default, two that
+/// differ from it in both fields, and one that differs in bandwidth only.
+const LINKS: [LinkSpec; 4] = [
+    LinkSpec {
+        latency: SimDuration::from_micros(150),
+        bandwidth_bps: 100_000_000,
+    },
+    LinkSpec {
+        latency: SimDuration::from_millis(5),
+        bandwidth_bps: 10_000_000,
+    },
+    LinkSpec {
+        latency: SimDuration::from_micros(10),
+        bandwidth_bps: 80_000_000,
+    },
+    LinkSpec {
+        latency: SimDuration::from_micros(150),
+        bandwidth_bps: 10_000_000,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A topology keeps its default link and the pairs that differ from
+    /// it; every ordered pair's link still equals an `n x n` table in
+    /// which a link set for `{a, b}` is the link in both directions, the
+    /// last write wins and an unnamed pair has the default.
+    #[test]
+    fn sparse_inter_links_equal_the_dense_model(
+        n in 2usize..=8,
+        writes in prop::collection::vec((0usize..8, 0usize..8, 0usize..LINKS.len()), 0..40),
+    ) {
+        let intra = LinkSpec { latency: SimDuration::from_nanos(1), bandwidth_bps: 1 };
+        let cluster = ClusterSpec { nodes: 1, intra };
+        let mut topology = Topology::new(vec![cluster; n], LINKS[0]);
+        let mut dense = vec![vec![LINKS[0]; n]; n];
+        for &(a, b, pick) in &writes {
+            let (a, b) = (a % n, b % n);
+            if a == b {
+                continue;
+            }
+            topology.set_inter_link(ClusterId(a as u16), ClusterId(b as u16), LINKS[pick]);
+            (dense[a][b], dense[b][a]) = (LINKS[pick], LINKS[pick]);
+        }
+        for (a, row) in dense.iter().enumerate() {
+            for (b, &link) in row.iter().enumerate() {
+                let want = if a == b { intra } else { link };
+                let got = topology.link_between(ClusterId(a as u16), ClusterId(b as u16));
+                prop_assert_eq!(got, want, "{} -> {} after {:?}", a, b, &writes);
+            }
+        }
+    }
+}
+
 /// Clusters of 5, 6 and 8 ranks: each one's channel map turns into a
 /// dense table partway through its channels (at the 8th of 20, the 15th
 /// of 30 and the 29th of 56).
@@ -738,12 +793,18 @@ proptest! {
             base: SimDuration::from_micros(30),
             jitter: SimDuration::from_micros(200),
         };
+        // Named twice, the 2 -> 0 pair takes its last distribution.
+        let restated = LatencyDist {
+            base: SimDuration::from_micros(90),
+            jitter: SimDuration::from_micros(40),
+        };
         let spec = HostileSpec::seeded(seed)
             .with_reorder(0.3, SimDuration::from_millis(20))
             .with_duplication(0.3, SimDuration::from_millis(5))
             .with_loss(0.1)
             .with_skew(1, 1, skew)
-            .with_skew(2, 0, skew);
+            .with_skew(2, 0, skew)
+            .with_skew(2, 0, restated);
         let mut h = HostileNet::new(spec.clone(), cuts.clone());
         let mut reference = ReferenceHostile {
             spec,

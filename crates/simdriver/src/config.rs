@@ -64,7 +64,7 @@ fn cluster_sizes(topology: &Topology) -> Vec<u32> {
 pub struct SimConfig {
     /// Clusters, nodes and links.
     pub topology: Topology,
-    /// Protocol parameters (piggyback mode, replication, GC fault tolerance).
+    /// Protocol parameters (cluster sizes, piggyback mode, replication).
     pub protocol: ProtocolConfig,
     /// Delay between unforced CLCs, per cluster (`INFINITE` = never).
     pub clc_delays: Vec<SimDuration>,
@@ -283,13 +283,6 @@ impl SimConfig {
     /// `dir` (must not already hold one).
     pub fn with_durable_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
-        self
-    }
-
-    /// Abort the process (simulated power loss) after `commits` durable
-    /// commit frames.
-    pub fn with_durable_crash_after(mut self, commits: u64) -> Self {
-        self.durable_crash_after = Some(commits);
         self
     }
 

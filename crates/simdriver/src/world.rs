@@ -18,7 +18,7 @@ use desim::{Ctx, EventKey, SimTime, World};
 use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, Xport};
 use hc3i_core::{DeliveryLedger, Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport};
 use hc3i_core::{StoreOp, XportConfig};
-use netsim::{FastHashMap, HostileNet, Network, NodeId};
+use netsim::{HostileNet, Network, NodeId};
 
 /// Events of the federation world.
 #[derive(Debug, Clone)]
@@ -100,10 +100,10 @@ pub struct FederationWorld {
     pub(crate) layout: Layout,
     /// Every engine of the federation, at its layout index.
     engines: Vec<NodeEngine>,
-    /// Wire copies shipped so far per directed cluster route, keyed by the
-    /// route component of the canonical [`desim::InboxKey`] whose sequence
-    /// component it supplies. One entry per route that carried a message.
-    wire_seq: FastHashMap<u64, u64>,
+    /// Inter-cluster wire copies shipped so far: the copy component of
+    /// each canonical [`desim::InboxKey`]. Counted across routes, it
+    /// orders the copies of one send instant and route as they were sent.
+    wire_copies: u64,
     pub(crate) net: Network,
     pub(crate) clc_timer_keys: Vec<Option<EventKey>>,
     /// Per-cluster fault reports: concurrent faults reach the engine as
@@ -161,7 +161,7 @@ impl FederationWorld {
             cfg,
             layout,
             engines,
-            wire_seq: FastHashMap::default(),
+            wire_copies: 0,
             clc_timer_keys: vec![None; n],
             reports: (0..n).map(|_| FaultReports::default()).collect(),
             stats: RunReport::new(n),
@@ -302,14 +302,12 @@ impl Host for SimHost<'_, '_> {
         }
         // Inter-cluster copies go through the canonically-ordered inbox.
         // The key is derived purely from the sending side (send instant,
-        // directed cluster route, per-route wire sequence; low bit marks a
-        // hostile duplicate), so same-instant arrivals dispatch in an
-        // order the messages fix — the order every committed fingerprint
-        // pins.
+        // directed cluster route, wire copy count; low bit marks a hostile
+        // duplicate), so same-instant arrivals dispatch in an order the
+        // messages fix — the order every committed fingerprint pins.
         let route = ((source.cluster.0 as u64) << 32) | to.cluster.0 as u64;
-        let next = w.wire_seq.entry(route).or_default();
-        let seq = *next;
-        *next += 1;
+        let seq = w.wire_copies;
+        w.wire_copies += 1;
         let sent = ctx.now();
         if let Some(at) = duplicate_at {
             ctx.schedule_inbox(at, (sent, route, (seq << 1) | 1), arrive(msg.clone()));
