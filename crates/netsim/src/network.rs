@@ -42,28 +42,30 @@ pub struct TrafficCell {
 /// federation width squared, and follows the federation's hierarchy.
 /// *Intra*-cluster traffic has one FIFO table and one `[App, Protocol,
 /// Ack]` account per cluster. The FIFO table starts as a hash map with an
-/// entry per channel in use, and turns into a dense `ranks × ranks` table
-/// once the map would grow past that table's bytes: a cluster whose ranks
-/// all talk to all ranks goes dense, and its `send` then hashes nothing
-/// and allocates nothing; a cluster that uses a few hundred of its
-/// channels keeps a map of a few hundred entries.
+/// entry per channel with a message in flight, beside one bit per channel
+/// ever used, and turns into a dense `ranks × ranks` table once a map of
+/// every channel ever used would have grown past that table's bytes: a
+/// cluster whose ranks all talk to all ranks goes dense, and its `send`
+/// then hashes nothing and allocates nothing; a cluster that uses a few
+/// hundred of its channels keeps a map of the few it has in flight.
 /// *Inter*-cluster traffic — many possible routes, few used: on a ring
 /// each cluster talks to two — shares two hash maps. One is keyed by the
 /// directed cluster pair (contention pipe and accounts) and has an entry
 /// for each pair that has carried a message. The other is the FIFO state
-/// of the directed node channels, sized by the channels with a message
-/// in flight, not by those that ever talked: a federation whose node
-/// pairs each exchange a message now and then keeps a few entries, not
-/// one per pair.
+/// of the directed node channels, sized like a cluster's map by the
+/// channels with a message in flight, not by those that ever talked: a
+/// federation whose node pairs each exchange a message now and then keeps
+/// a few entries, not one per pair.
 ///
 /// `send` must be called with a `now` that never decreases, as a
-/// simulator's clock does: the FIFO state forgets a channel once its
-/// last message has arrived.
+/// simulator's clock does: the FIFO maps forget a channel once its last
+/// message has arrived.
 pub struct Network {
     topology: Topology,
     contention: ContentionModel,
-    /// Per directed intra-cluster node channel, indexed by cluster: last
-    /// scheduled arrival (FIFO ordering).
+    /// Per directed intra-cluster node channel with a message in flight
+    /// (every channel, once dense), indexed by cluster: last scheduled
+    /// arrival (FIFO ordering).
     intra_channels: Vec<IntraFifo>,
     /// The same for every directed inter-cluster node channel with a
     /// message in flight.
@@ -96,51 +98,85 @@ struct PairState {
 const DENSE_CHANNEL_LIMIT: usize = 65_536;
 
 /// FIFO last-arrival state of one cluster's intra-cluster node channels,
-/// keyed by the channel's cell `from_rank * ranks + to_rank`.
-/// `SimTime::ZERO` means "channel never used" — a real arrival is always
-/// strictly later.
+/// keyed by the channel's cell `from_rank * ranks + to_rank`. A channel
+/// the map lacks, like a dense cell at `SimTime::ZERO`, clamps nothing —
+/// a real arrival is always strictly later.
 ///
 /// Every cluster starts as a `Map` and allocates nothing until its first
-/// message. A `Map` turns `Dense`, once and for good, when a new channel
-/// would grow it past the dense table's bytes; every entry is copied, so
-/// the FIFO clamps of messages in flight carry over.
+/// message. A `Map` holds the channels with a message in flight
+/// ([`InFlight`]); a cluster at or under [`DENSE_CHANNEL_LIMIT`] also
+/// keeps one bit per channel that ever carried a message (1/64 of the
+/// dense table). It turns `Dense`, once and for good, when a new channel
+/// arrives with [`dense_at`] channels already open: the traffic is
+/// diverse enough that the table costs no more than a map of every
+/// channel used would. The in-flight map's entries are copied, so the
+/// FIFO clamps of messages in flight carry over.
 enum IntraFifo {
-    /// The channels that carried a message.
+    /// The channels with a message in flight.
     Map {
         ranks: usize,
-        last: FastHashMap<u64, SimTime>,
+        last: InFlight<u64>,
+        /// The channels ever opened; `None` for a cluster over the limit,
+        /// which never turns dense.
+        opened: Option<Opened>,
     },
     /// `last[from_rank * ranks + to_rank]`.
     Dense { ranks: usize, last: Box<[SimTime]> },
 }
 
+/// The channels of a cluster that have carried a message, one bit each
+/// (allocated with the first), and how many there are.
+struct Opened {
+    bits: Box<[u64]>,
+    count: usize,
+    /// The count at which the next new channel turns the cluster dense.
+    dense_at: usize,
+}
+
 impl IntraFifo {
     fn new(ranks: usize) -> Self {
+        let opened = (ranks.saturating_mul(ranks) <= DENSE_CHANNEL_LIMIT).then(|| Opened {
+            bits: Box::default(),
+            count: 0,
+            dense_at: dense_at(ranks),
+        });
         IntraFifo::Map {
             ranks,
-            last: FastHashMap::default(),
+            last: InFlight::default(),
+            opened,
         }
     }
 
-    /// The last-arrival cell of channel `from -> to`. A channel the map
-    /// lacks, arriving when the map is full, first turns the map dense if
-    /// the map would otherwise outgrow the dense table.
+    /// The last-arrival cell of channel `from -> to` for a send at `now`.
+    /// A channel never opened before, arriving when `dense_at` channels
+    /// are open, first turns the cluster dense.
     #[inline]
-    fn cell(&mut self, from: u32, to: u32) -> &mut SimTime {
-        if let IntraFifo::Map { ranks, last } = self {
-            let key = from as u64 * *ranks as u64 + to as u64;
-            if last.len() == last.capacity()
-                && outgrows_dense(last.capacity(), *ranks)
-                && !last.contains_key(&key)
+    fn cell(&mut self, now: SimTime, from: u32, to: u32) -> &mut SimTime {
+        if let IntraFifo::Map {
+            ranks,
+            opened: Some(opened),
+            ..
+        } = self
+        {
+            let cell = from as usize * *ranks + to as usize;
+            let bit = 1 << (cell % 64);
+            if opened
+                .bits
+                .get(cell / 64)
+                .is_none_or(|word| word & bit == 0)
             {
-                self.promote();
+                if opened.count == opened.dense_at {
+                    self.promote();
+                } else {
+                    opened.open(*ranks, cell);
+                }
             }
         }
         match self {
             IntraFifo::Dense { ranks, last } => &mut last[from as usize * *ranks + to as usize],
-            IntraFifo::Map { ranks, last } => last
-                .entry(from as u64 * *ranks as u64 + to as u64)
-                .or_insert(SimTime::ZERO),
+            IntraFifo::Map { ranks, last, .. } => {
+                last.cell(now, from as u64 * *ranks as u64 + to as u64)
+            }
         }
     }
 
@@ -149,16 +185,58 @@ impl IntraFifo {
     #[cold]
     #[inline(never)]
     fn promote(&mut self) {
-        if let IntraFifo::Map { ranks, last } = self {
-            let mut dense = vec![SimTime::ZERO; *ranks * *ranks].into_boxed_slice();
+        if let IntraFifo::Map {
+            ranks,
+            last: InFlight { last },
+            ..
+        } = self
+        {
+            let ranks = *ranks;
+            let mut dense = vec![SimTime::ZERO; ranks * ranks].into_boxed_slice();
             for (&cell, &at) in last.iter() {
                 dense[cell as usize] = at;
             }
-            *self = IntraFifo::Dense {
-                ranks: *ranks,
-                last: dense,
-            };
+            *self = IntraFifo::Dense { ranks, last: dense };
         }
+    }
+}
+
+impl Opened {
+    /// Marks channel `cell` of a `ranks`-rank cluster opened. Once per
+    /// channel, so kept out of `cell`'s inlined body.
+    #[cold]
+    #[inline(never)]
+    fn open(&mut self, ranks: usize, cell: usize) {
+        if self.bits.is_empty() {
+            self.bits = vec![0; (ranks * ranks).div_ceil(64)].into_boxed_slice();
+        }
+        self.bits[cell / 64] |= 1 << (cell % 64);
+        self.count += 1;
+    }
+}
+
+/// How many channels a `ranks`-rank cluster opens before the next new
+/// one turns it dense: the fill at which a map holding every channel
+/// ever opened would, on its next insert, grow past the dense table's
+/// bytes. The map doubles as it grows, from a smallest table of four
+/// buckets, holds 7/8 of its buckets (one less than four, at four), and
+/// each bucket is an entry and a control byte. The channel bits keep
+/// that count while the map holds only the channels in flight, so a
+/// cluster turns dense on diverse traffic, where the table pays for
+/// itself, and not on many messages over a few channels.
+fn dense_at(ranks: usize) -> usize {
+    let table = ranks * ranks * std::mem::size_of::<SimTime>();
+    let bucket = std::mem::size_of::<(u64, SimTime)>() + 1;
+    let mut buckets: usize = 0;
+    loop {
+        let capacity = match buckets {
+            0..8 => buckets.saturating_sub(1),
+            _ => buckets / 8 * 7,
+        };
+        if (2 * capacity).max(4) * bucket > table {
+            return capacity;
+        }
+        buckets = (2 * buckets).max(4);
     }
 }
 
@@ -216,17 +294,6 @@ impl<K: Eq + Hash> InFlight<K> {
     }
 }
 
-/// Whether a full channel map of `capacity` entries, once grown, holds
-/// more bytes than the dense table of a `ranks`-rank cluster, which may
-/// take its place. The map doubles as it grows, from a smallest table of
-/// four buckets, and each bucket is an entry and a control byte.
-fn outgrows_dense(capacity: usize, ranks: usize) -> bool {
-    let cells = ranks.saturating_mul(ranks);
-    let bucket = std::mem::size_of::<(u64, SimTime)>() + 1;
-    cells <= DENSE_CHANNEL_LIMIT
-        && (2 * capacity).max(4) * bucket > cells * std::mem::size_of::<SimTime>()
-}
-
 #[inline]
 fn class_index(class: MessageClass) -> usize {
     match class {
@@ -277,7 +344,7 @@ impl Network {
         // cell of the directed node channel, and the account to charge.
         let (depart, last, accounts) = if from.cluster == to.cluster {
             let c = from.cluster.index();
-            let last = self.intra_channels[c].cell(from.rank, to.rank);
+            let last = self.intra_channels[c].cell(now, from.rank, to.rank);
             (now, last, &mut self.intra_accounts[c])
         } else {
             let pair = self.pairs.entry((from.cluster, to.cluster)).or_default();
@@ -456,42 +523,65 @@ mod tests {
 
     #[test]
     fn an_over_limit_cluster_never_promotes() {
-        // 300 ranks is 90,000 cells, over the limit: 29,900 channels grow
-        // the map past the 720,000 B a dense table would take, and it
+        // 300 ranks is 90,000 cells, over the limit: the cluster keeps no
+        // channel bits, and 29,900 channels with a message in flight grow
+        // its map past the 720,000 B a dense table would take, and it
         // stays a map.
         let mut n = cluster(300);
         assert_eq!(all_pairs(&mut n, 100, 300), 29_900);
         match &n.intra_channels[0] {
-            IntraFifo::Map { last, .. } => assert_eq!(last.len(), 29_900),
+            IntraFifo::Map { last, opened, .. } => {
+                assert_eq!(last.last.len(), 29_900);
+                assert!(
+                    opened.is_none(),
+                    "an over-limit cluster counts its channels"
+                );
+            }
             IntraFifo::Dense { .. } => panic!("a 300-rank cluster went dense"),
+        }
+    }
+
+    /// How many channels cluster 0 has opened, `None` once dense.
+    fn opened(n: &Network) -> Option<usize> {
+        match &n.intra_channels[0] {
+            IntraFifo::Map { opened, .. } => opened.as_ref().map(|o| o.count),
+            IntraFifo::Dense { .. } => None,
         }
     }
 
     #[test]
     fn all_to_all_traffic_promotes() {
-        // A 100-rank cluster's map holds 3,584 channels in 4,096 buckets
-        // (69,632 B, under the 80,000 B table); the 3,585th would double
-        // it past the table, so it turns dense instead, and stays dense.
+        // A map of every channel a 100-rank cluster opens would hold
+        // 3,584 in 4,096 buckets (69,632 B, under the 80,000 B table), and
+        // the 3,585th would double it past the table: the cluster counts
+        // 3,584 open channels and turns dense at the next new one, and
+        // stays dense. Channels whose messages have landed still count.
         let mut n = cluster(100);
+        assert_eq!(dense_at(100), 3_584);
         // Ranks 0..36 to every other rank: 36 x 99 = 3,564 channels, then
-        // 20 of rank 36's.
+        // 20 of rank 36's, the last ones a millisecond later, when every
+        // earlier message has landed.
         all_pairs(&mut n, 36, 100);
         for to in 0..20 {
             let (from, to) = (NodeId::new(0, 36), NodeId::new(0, to));
-            n.send(SimTime::ZERO, from, to, 64, MessageClass::App);
+            n.send(t_us(1_000), from, to, 64, MessageClass::App);
         }
-        assert!(!is_dense(&n), "a map of 3,584 channels fits its buckets");
-        // An old channel does not grow the map.
+        assert_eq!(
+            opened(&n),
+            Some(3_584),
+            "a map of 3,584 channels fits its buckets"
+        );
+        // An old channel opens nothing.
         n.send(
-            SimTime::ZERO,
+            t_us(1_000),
             NodeId::new(0, 0),
             NodeId::new(0, 1),
             64,
             MessageClass::App,
         );
-        assert!(!is_dense(&n));
+        assert_eq!(opened(&n), Some(3_584));
         n.send(
-            SimTime::ZERO,
+            t_us(1_000),
             NodeId::new(0, 36),
             NodeId::new(0, 20),
             64,
@@ -501,6 +591,27 @@ mod tests {
         all_pairs(&mut n, 100, 100);
         assert!(is_dense(&n));
         assert_eq!(cells(&n, ClusterId(0), ClusterId(0))[0].messages, 22);
+    }
+
+    #[test]
+    fn promotion_thresholds_follow_the_map_that_held_every_channel() {
+        // Two ranks' 32 B table is smaller than the smallest map: dense at
+        // the first message. Otherwise the count of 3, 7, 14, … channels
+        // at which that map would outgrow the table.
+        assert_eq!(dense_at(2), 0);
+        assert_eq!(
+            [3, 5, 6, 8, 12, 40, 256].map(dense_at),
+            [3, 7, 14, 28, 56, 448, 28_672]
+        );
+        let mut n = cluster(2);
+        n.send(
+            t_us(1),
+            NodeId::new(0, 0),
+            NodeId::new(0, 1),
+            0,
+            MessageClass::App,
+        );
+        assert!(is_dense(&n));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! Inside a cluster the same holds for its `ranks²` node channels: a
 //! dense FIFO table per cluster was 40 MiB of a 512 x 100 ring. Both
 //! measured here with the test binary's own counting allocator, as are
-//! the inter-cluster FIFO state, which follows the channels with a
-//! message in flight, not every node pair that ever talked, and the
+//! the FIFO state of the inter-cluster channels and of a cluster's own,
+//! which follows the channels with a message in flight, not every node
+//! pair that ever talked, and the
 //! topology, which keeps one default inter-cluster link and the pairs
 //! that differ from it instead of a triangle of `n(n-1)/2` links.
 
@@ -205,8 +206,10 @@ fn one_cluster_of_a_ring_run(ranks: u32) -> (u64, usize) {
 #[test]
 fn a_cluster_allocates_per_channel_in_use_not_per_rank_pair() {
     // 518 messages on some 500 of the cluster's 9,900 channels: the FIFO
-    // state is a map of those channels (1,024 buckets, 17,424 B), and
-    // every table it outgrew on the way adds up to about as much again.
+    // state is one bit per channel (1,256 B) and a map of the few
+    // channels with a message in flight, about 3.4 KB requested in all.
+    // A map of every channel used would be 1,024 buckets (17,424 B), and
+    // the tables it outgrew on the way add up to about as much again.
     // Half the 80,000 B `100 x 100` table of `u64`s bounds the lot.
     let (bytes, messages) = one_cluster_of_a_ring_run(100);
     assert_eq!(messages, 518);
@@ -252,5 +255,47 @@ fn inter_cluster_fifo_state_follows_the_messages_in_flight() {
     assert!(
         many <= few + 1024,
         "{few} B for 1,000 channels, {many} B for 10,000"
+    );
+}
+
+/// Bytes requested while `messages` distinct node channels of one
+/// 300-rank cluster each carry one message, every one sent after the
+/// previous one arrived. 90,000 rank pairs is over the dense-table limit,
+/// so the cluster's FIFO state stays a map throughout.
+fn one_message_per_intra_channel(messages: u32) -> u64 {
+    let topology = Topology::new(
+        vec![ClusterSpec {
+            nodes: 300,
+            intra: LinkSpec::myrinet_like(),
+        }],
+        LinkSpec::ethernet_like(),
+    );
+    let mut net = Network::new(topology);
+    let mut now = SimTime::ZERO;
+    let ((), bytes) = allocated_by(|| {
+        for m in 0..messages {
+            let (from, to) = (NodeId::new(0, m / 100), NodeId::new(0, 100 + m % 100));
+            let arrival = net.send(now, from, to, 512, MessageClass::App);
+            now = arrival + SimDuration::from_nanos(1);
+        }
+    });
+    assert_eq!(net.class_totals()[0].messages, u64::from(messages));
+    bytes
+}
+
+#[test]
+fn intra_cluster_fifo_state_follows_the_messages_in_flight() {
+    // One message at a time: ten times the messages, on ten times the
+    // channels, must cost no more bytes, within a slack. A map keeping
+    // every channel requests about 70 KB for 1,000 channels and 560 KB
+    // for 10,000.
+    let (few, many) = (
+        one_message_per_intra_channel(1_000),
+        one_message_per_intra_channel(10_000),
+    );
+    assert!(few > 0, "the counting allocator is not installed");
+    assert!(
+        many <= few + 1024,
+        "{few} B for 1,000 landed messages, {many} B for 10,000"
     );
 }

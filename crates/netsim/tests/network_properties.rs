@@ -1,7 +1,8 @@
 //! Property tests for the network model: FIFO ordering, causality and
 //! conservation of accounting, and the FIFO clamp state of the base
-//! network and of the hostile layer, pruned as messages land, against
-//! reference models that never forget a channel.
+//! network (between clusters and inside them) and of the hostile layer,
+//! pruned as messages land, against reference models that never forget
+//! a channel.
 
 use desim::{SimDuration, SimTime};
 use netsim::{
@@ -661,6 +662,101 @@ proptest! {
                 let got = net.send(now, from, to, bytes, class_of(class_pick));
                 let want = reference.send(now, from, to, bytes, class_pick);
                 prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
+            }
+        }
+        reference.check_accounts(&net)?;
+    }
+}
+
+/// Ranks of the over-limit cluster that talk: six of its 300, so its
+/// channels repeat and its map fills and prunes like a small one's.
+const WIDE_TALKERS: u16 = 6;
+
+/// A cluster's own link: the SAN, or one of zero latency and unbounded
+/// bandwidth, on which a send arrives at its own instant before the
+/// progress rule.
+fn intra_link(free: bool) -> LinkSpec {
+    if free {
+        LinkSpec {
+            latency: SimDuration::ZERO,
+            bandwidth_bps: u64::MAX,
+        }
+    } else {
+        LinkSpec::myrinet_like()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Inside clusters, with the clock moving past pending arrivals again
+    /// and again, each cluster's FIFO map fills, drops what has landed and
+    /// refills; the clusters of 2–12 ranks turn dense partway, with clamps
+    /// of messages up to 4 MiB and of same-instant zero-latency sends
+    /// pending, and the 300-rank one, over the dense-table limit, stays a
+    /// map. Every arrival and every account still equals the reference
+    /// model's, whose map keeps every channel it ever saw.
+    #[test]
+    fn pruned_intra_clamps_equal_the_never_pruning_model(
+        small in prop::collection::vec((2u32..=12, any::<bool>()), 1..=4),
+        wide_free in any::<bool>(),
+        sends in prop::collection::vec(
+            (any::<u8>(), any::<u64>(), any::<u8>(), any::<u16>(), any::<u16>(),
+             prop_oneof![Just(0u64), 0u64..=4 << 20], 0u8..3),
+            1..400,
+        ),
+    ) {
+        let cluster = |nodes, free| ClusterSpec { nodes, intra: intra_link(free) };
+        let mut clusters: Vec<_> = small.iter().map(|&(ranks, free)| cluster(ranks, free)).collect();
+        clusters.push(cluster(300, wide_free));
+        let width = clusters.len();
+        let topology = Topology::new(clusters, LinkSpec::ethernet_like());
+        let mut reference = ReferenceNetwork::new(topology, false);
+        let mut net = reference.network();
+        let node = |c: usize, rank: u16| {
+            let rank = match small.get(c) {
+                Some(&(ranks, _)) => u32::from(rank) % ranks,
+                None => u32::from(rank % WIDE_TALKERS) * 50,
+            };
+            NodeId::new(c as u16, rank)
+        };
+        let mut now = SimTime::ZERO;
+        let mut recent = Vec::new();
+        for &(pick, us, cluster, from, to, bytes, class_pick) in &sends {
+            // As in the inter-cluster property: recent channels recur, and
+            // a step sends `class_pick + 1` copies at one instant.
+            let c = usize::from(cluster) % width;
+            let (from, to) = match recent.len() {
+                4.. if pick >= 192 => recent[recent.len() - 1 - (us % 4) as usize],
+                _ => (node(c, from), node(c, to)),
+            };
+            if from == to {
+                continue;
+            }
+            recent.push((from, to));
+            now += clock_gap(pick, us);
+            for _ in 0..=class_pick {
+                let got = net.send(now, from, to, bytes, class_of(class_pick));
+                let want = reference.send(now, from, to, bytes, class_pick);
+                prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
+            }
+        }
+        // Every channel of every small cluster, twice, at the last
+        // instant: the first pass opens the rest (so each cluster turns
+        // dense, if it has not yet, with the clamps above pending), the
+        // second runs into the clamps the first left.
+        for (c, &(ranks, _)) in small.iter().enumerate() {
+            for pass in 0..2u32 {
+                for (from, to) in (0..ranks).flat_map(|f| (0..ranks).map(move |t| (f, t))) {
+                    if from == to {
+                        continue;
+                    }
+                    let bytes = if (from + to + pass) % 2 == 0 { 0 } else { 1 << 20 };
+                    let (from, to) = (NodeId::new(c as u16, from), NodeId::new(c as u16, to));
+                    let got = net.send(now, from, to, bytes, MessageClass::App);
+                    let want = reference.send(now, from, to, bytes, 0);
+                    prop_assert_eq!(got, want, "{} -> {} sent at {}", from, to, now);
+                }
             }
         }
         reference.check_accounts(&net)?;

@@ -16,7 +16,8 @@ use crate::hostile::HostileRunStats;
 use crate::trace::TraceEvent;
 use desim::{Ctx, EventKey, SimTime, World};
 use hc3i_core::host::{self, Detection, FaultReports, Host, Layout, Xport};
-use hc3i_core::{DeliveryLedger, Input, Msg, NodeEngine, OutputBuf, ProtoEvent, RunReport};
+use hc3i_core::{ClusterStats, DeliveryLedger, Input, Msg, NodeEngine, OutputBuf};
+use hc3i_core::{ProtoEvent, RunReport};
 use hc3i_core::{StoreOp, XportConfig};
 use netsim::{HostileNet, Network, NodeId};
 
@@ -164,7 +165,12 @@ impl FederationWorld {
             wire_copies: 0,
             clc_timer_keys: vec![None; n],
             reports: (0..n).map(|_| FaultReports::default()).collect(),
-            stats: RunReport::new(n),
+            // The application matrix is built in `finalize`, once the
+            // engines are gone.
+            stats: RunReport {
+                clusters: vec![ClusterStats::default(); n],
+                ..RunReport::default()
+            },
             out_buf: OutputBuf::new(),
             durable,
         }
@@ -193,7 +199,9 @@ impl FederationWorld {
 
     /// Fill in the end-of-run fields of the report and of the hostile side
     /// statistics (empty/default for a pristine run), and hand both over
-    /// with the trace.
+    /// with the trace. The engines and the network are freed before the
+    /// report's `clusters²` application matrix is built, so a wide run
+    /// never holds both.
     pub(crate) fn finalize(mut self, now: SimTime, events: u64) -> Finished {
         // A finished run leaves a fully flushed log (per-commit fsync only
         // covers commit frames; trailing truncate/prune frames are flushed
@@ -205,9 +213,11 @@ impl FederationWorld {
         for (c, stats) in r.clusters.iter_mut().enumerate() {
             stats.close(&self.engines[self.layout.cluster(c)]);
         }
-        for (from, to, [app, ..]) in self.net.accounts() {
-            r.app_matrix[from.index()][to.index()] = app.messages;
-        }
+        let routes: Vec<_> = self
+            .net
+            .accounts()
+            .map(|(from, to, [app, ..])| (from.index(), to.index(), app.messages))
+            .collect();
         let [app, protocol, ack] = self.net.class_totals();
         (r.protocol_messages, r.protocol_bytes) = (protocol.messages, protocol.bytes);
         (r.ack_messages, r.ack_bytes, r.app_bytes) = (ack.messages, ack.bytes, app.bytes);
@@ -219,6 +229,18 @@ impl FederationWorld {
             h.messages_lost = net.lost;
         }
         h.retransmissions = self.xport.as_ref().map_or(0, Xport::retransmissions);
+        drop((
+            self.engines,
+            self.net,
+            self.hostile,
+            self.xport,
+            self.durable,
+        ));
+        let n = r.clusters.len();
+        r.app_matrix = vec![vec![0; n]; n];
+        for (from, to, messages) in routes {
+            r.app_matrix[from][to] = messages;
+        }
         (r, self.trace.unwrap_or_default(), h)
     }
 }

@@ -11,11 +11,15 @@
 //! executive events, plus the scratch of sorting them) does not fit. And
 //! the paper's model (`SimConfig::stochastic`) is drawn as the run pulls
 //! it: a run four times as long peaks within a small fixed slack of the
-//! short one, far below the bytes its schedule would take. Measured with
-//! the test binary's own live-bytes counting allocator.
+//! short one, far below the bytes its schedule would take. The one
+//! structure of a run sized by cluster pairs, the report's application
+//! matrix, is built once the engines are freed, so a wide federation
+//! never holds both. Measured with the test binary's own live-bytes
+//! counting allocator.
 
-use desim::{RngStreams, SimDuration};
-use netsim::{ClusterSpec, LinkSpec, Topology};
+use desim::{RngStreams, SimDuration, SimTime};
+use hc3i_core::host::Layout as EngineLayout;
+use netsim::{ClusterSpec, LinkSpec, NodeId, Topology};
 use simdriver::SimConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -174,6 +178,52 @@ fn a_stochastic_run_holds_no_schedule() {
     assert!(
         long_peak < schedule_bytes / 64,
         "peak live heap {long_peak} B against a {schedule_bytes} B schedule"
+    );
+}
+
+#[test]
+fn a_wide_run_never_holds_its_matrix_beside_its_engines() {
+    // 1,024 one-node clusters, each sending one message a second to the
+    // next along a ring for ten seconds. The report's `1,024²` matrix of
+    // `u64`s is 8 MiB; the run's peak live heap stays under what the
+    // engines take when built plus that matrix, so the two never meet.
+    // (The engines grow as the run goes, by the messages they log.)
+    let n: u16 = 1024;
+    let cluster = ClusterSpec {
+        nodes: 1,
+        intra: LinkSpec::myrinet_like(),
+    };
+    let topology = Topology::new(vec![cluster; n.into()], LinkSpec::ethernet_like());
+    let sends = (1..=10u64)
+        .flat_map(|s| {
+            (0..n).map(move |c| SendEvent {
+                at: SimTime::ZERO + SimDuration::from_secs(s),
+                from: NodeId::new(c, 0),
+                to: NodeId::new((c + 1) % n, 0),
+                bytes: 256,
+            })
+        })
+        .collect::<Vec<_>>();
+    let cfg = SimConfig::new(topology, SimDuration::from_secs(12)).with_sends(sends);
+
+    let before = LIVE.with(Cell::get);
+    let engines = EngineLayout::new(&cfg.protocol).engines(&cfg.protocol);
+    let engine_bytes = LIVE.with(Cell::get) - before;
+    drop(engines);
+    let matrix_bytes = usize::from(n) * usize::from(n) * std::mem::size_of::<u64>();
+
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let report = simdriver::run(cfg);
+    let peak = PEAK.with(Cell::get) - before;
+
+    assert_eq!(report.app_matrix.len(), usize::from(n));
+    assert_eq!(report.app_matrix[n as usize - 1][0], 10);
+    assert!(engine_bytes > 0, "the counting allocator is not installed");
+    assert!(
+        peak < engine_bytes + matrix_bytes,
+        "peak live heap {peak} B during a 1,024-cluster run, against {engine_bytes} B of \
+         engines and a {matrix_bytes} B matrix: the run holds both at once"
     );
 }
 
